@@ -3,8 +3,8 @@
 Marginal laws implied by call quotes pin down every European payoff; the
 remaining freedom is which martingale coupling links the dates.  Optimizing
 the exotic's expectation over that set is a finite linear program whose dual
-is a semi-static hedge.  This package assembles the LP, solves it with a
-bundled revised simplex (plus an exact rational re-solver for small
+is a semi-static hedge.  This package assembles the LP, solves it with the
+HiGHS dual simplex from scipy (plus an exact rational re-solver for small
 instances), extracts and verifies the hedge, and ships a CLI for the whole
 pipeline.
 """

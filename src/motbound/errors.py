@@ -32,7 +32,7 @@ class LpError(MotboundError):
 
 
 class Infeasible(LpError):
-    """No feasible point: Phase I optimum stayed above tolerance."""
+    """No feasible point, or an optimum missing A x = rhs by more than the feasibility tolerance."""
 
 
 class Unbounded(LpError):
@@ -40,7 +40,7 @@ class Unbounded(LpError):
 
 
 class IterationLimit(LpError):
-    """Pivot budget exhausted before reaching optimality."""
+    """Simplex iteration budget exhausted before reaching optimality."""
 
 
 class ScaleExceeded(LpError):
@@ -52,7 +52,7 @@ class NotAdmissible(MotboundError):
 
 
 class DegenerateDual(MotboundError):
-    """LP duals failed the hedge validity check even after an anti-cycling re-solve."""
+    """The LP dual failed the hedge check, or its price missed the bound by more than the gap tolerance."""
 
 
 class GridCoverage(MotboundError):

@@ -1,15 +1,16 @@
-"""Equality-form linear programs and a bundled revised simplex.
+"""Equality-form linear programs: a HiGHS float path and an exact oracle.
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
 with A held as sparse (row, col, value) triples.  Callers encode everything
-into this form.  ``solve`` is a floating-point two-phase revised simplex
-returning primal and dual optima; ``solve_exact`` repeats the computation in
-rational arithmetic on small instances and serves as the independent oracle.
+into this form.  ``solve`` hands it to the HiGHS dual simplex that ships
+with scipy and returns primal and dual optima; ``solve_exact`` is a
+two-phase tableau simplex in rational arithmetic on small instances and
+serves as the independent oracle.
 
 The constraint matrices built downstream carry dependent rows (marginal mass
-rows and martingale rows share mean information), so both solvers keep
-Phase I artificials that finish basic at zero in the basis, never let them
-re-enter, and pivot them out at zero step length the moment an entering
+rows and martingale rows share mean information), so the exact solver keeps
+Phase I artificials that finish basic at zero in the basis, never lets them
+re-enter, and pivots them out at zero step length the moment an entering
 column touches their row.
 """
 
@@ -21,14 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import optimize
 
 from .errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 
 FEAS_TOL = 1e-9
-GAP_TOL = 1e-7
-RATIO_TOL = 1e-10
-STALL_LIMIT = 500
-REFACTOR_EVERY = 100
+HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 MAX_ITER = 10 ** 6
 EXACT_MAX_VARS = 200
 
@@ -121,133 +120,33 @@ class LpSolution:
     dual_exact: tuple[Fraction, ...] | None = None
 
 
-def _refactor(a_ext: sp.csc_matrix, basis: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = b.size
-    mat = np.zeros((m, m))
-    indptr, indices, data = a_ext.indptr, a_ext.indices, a_ext.data
-    for k, j in enumerate(basis):
-        s0, s1 = indptr[j], indptr[j + 1]
-        mat[indices[s0:s1], k] = data[s0:s1]
-    try:
-        binv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise LpError("basis matrix became singular") from exc
-    return binv, np.clip(binv @ b, 0.0, None)
+def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
+    """Primal and dual optimum from the HiGHS dual simplex bundled with scipy.
 
-
-def _pivots(a_ext, at_csr, c, b, basis, binv, xb, allowed, art_mask, guard, enter_tol, start_iter, max_iter,
-            force_bland=False):
-    """Run simplex pivots for min c.x until optimality; mutates basis/binv/xb."""
-    m = xb.size
-    indptr, indices, data = a_ext.indptr, a_ext.indices, a_ext.data
-    stall = 0
-    prev_obj = np.inf
-    it = start_iter
-    while True:
-        if it >= max_iter:
-            raise IterationLimit(f"exceeded {max_iter} simplex pivots")
-        y = c[basis] @ binv
-        rc = c - at_csr @ y
-        rc = np.where(allowed, rc, np.inf)
-        if force_bland or stall >= STALL_LIMIT:
-            negs = np.flatnonzero(rc < -enter_tol)
-            if negs.size == 0:
-                return it
-            q = int(negs[0])
-        else:
-            q = int(np.argmin(rc))
-            if rc[q] >= -enter_tol:
-                return it
-        s0, s1 = indptr[q], indptr[q + 1]
-        d = binv[:, indices[s0:s1]] @ data[s0:s1]
-        ratios = np.full(m, np.inf)
-        pos = d > RATIO_TOL
-        np.divide(xb, d, out=ratios, where=pos)
-        if guard:
-            force = art_mask[basis] & (np.abs(d) > RATIO_TOL)
-            ratios[force] = 0.0
-        r_min = ratios.min()
-        if not np.isfinite(r_min):
-            raise Unbounded("no blocking ratio for entering column")
-        tied = np.flatnonzero(ratios <= r_min + 1e-12 * (1.0 + r_min))
-        if guard:
-            art_tied = tied[art_mask[basis[tied]]]
-            if art_tied.size:
-                tied = art_tied
-        r = int(tied[np.argmin(basis[tied])])
-        t = max(float(r_min), 0.0)
-        xb -= t * d
-        xb[r] = t
-        basis[r] = q
-        row = binv[r] / d[r]
-        binv -= np.outer(d, row)
-        binv[r] = row
-        np.clip(xb, 0.0, None, out=xb)
-        it += 1
-        if (it - start_iter) % REFACTOR_EVERY == 0:
-            fresh_binv, fresh_xb = _refactor(a_ext, basis, b)
-            binv[:] = fresh_binv
-            xb[:] = fresh_xb
-        obj = float(c[basis] @ xb)
-        if obj <= prev_obj - 1e-12 * (1.0 + abs(prev_obj)):
-            stall = 0
-        else:
-            stall += 1
-        prev_obj = obj
-
-
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP_TOL,
-          max_iter: int = MAX_ITER, bland: bool = False) -> LpSolution:
-    """Two-phase revised simplex.  Dantzig pricing, Bland fallback after 500
-    stalled pivots (or throughout with bland=True), dense basis inverse
-    refreshed every 100 pivots."""
-    m, n = lp.n_rows, lp.n_cols
-    c_real = np.array(lp.cost, dtype=float)
+    HiGHS runs at its tightest feasibility tolerances; the primal is clipped
+    at zero and must then meet ``A x = rhs`` to ``feas_tol`` (relative to
+    the largest rhs), else the optimum is reported as infeasible."""
     flip = lp.sense == "max"
-    if flip:
-        c_real = -c_real
-    row_sign = np.ones(m)
-    row_sign[lp.rhs < 0] = -1.0
-    b = lp.rhs * row_sign
-    vals = lp.vals * row_sign[lp.rows]
-    a = sp.csc_matrix((vals, (lp.rows, lp.cols)), shape=(m, n))
-    a_ext = sp.hstack([a, sp.identity(m, format="csc")], format="csc")
-    at_csr = a_ext.T.tocsr()
-    art_mask = np.zeros(n + m, dtype=bool)
-    art_mask[n:] = True
-    allowed = ~art_mask
-    basis = np.arange(n, n + m, dtype=np.int64)
-    binv = np.eye(m)
-    xb = b.copy()
-
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    iters = _pivots(a_ext, at_csr, c1, b, basis, binv, xb, allowed, art_mask,
-                    guard=False, enter_tol=1e-10, start_iter=0, max_iter=max_iter,
-                    force_bland=bland)
-    binv, xb = _refactor(a_ext, basis, b)
-    phase1 = float(c1[basis] @ xb)
-    if phase1 > feas_tol * (1.0 + float(np.abs(b).max())):
-        raise Infeasible(f"phase 1 optimum {phase1:.3e} exceeds tolerance")
-
-    c2 = np.concatenate([c_real, np.zeros(m)])
-    enter_tol = 1e-10 * (1.0 + float(np.abs(c_real).max()))
-    iters = _pivots(a_ext, at_csr, c2, b, basis, binv, xb, allowed, art_mask,
-                    guard=True, enter_tol=enter_tol, start_iter=iters, max_iter=max_iter,
-                    force_bland=bland)
-    binv, xb = _refactor(a_ext, basis, b)
-
-    x = np.zeros(n + m)
-    x[basis] = xb
-    primal = x[:n]
-    dual = (c2[basis] @ binv) * row_sign
-    objective = float(c_real @ primal)
-    if flip:
-        objective = -objective
-        dual = -dual
-    residual = float(np.abs(lp.matrix() @ primal - lp.rhs).max())
+    a = lp.matrix()
+    res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=a, b_eq=lp.rhs,
+                           bounds=(0, None), method="highs-ds",
+                           options={"maxiter": max_iter,
+                                    "primal_feasibility_tolerance": HIGHS_TOL,
+                                    "dual_feasibility_tolerance": HIGHS_TOL})
+    if res.status == 1:
+        raise IterationLimit(f"exceeded {max_iter} simplex iterations")
+    if res.status == 2:
+        raise Infeasible(f"HiGHS: {res.message}")
+    if res.status == 3:
+        raise Unbounded(f"HiGHS: {res.message}")
+    if res.status != 0:
+        raise LpError(f"HiGHS status {res.status}: {res.message}")
+    primal = np.clip(res.x, 0.0, None)
+    dual = -res.eqlin.marginals if flip else res.eqlin.marginals
+    residual = float(np.abs(a @ primal - lp.rhs).max())
     if residual > 10 * feas_tol * (1.0 + float(np.abs(lp.rhs).max())):
-        raise LpError(f"optimal basis violates constraints by {residual:.3e}")
-    return LpSolution("optimal", primal, dual, objective, iters)
+        raise Infeasible(f"optimum violates constraints by {residual:.3e}")
+    return LpSolution("optimal", primal, dual, float(lp.cost @ primal), int(res.nit))
 
 
 def _exact_pivot(tab, xb, basis, r, q):

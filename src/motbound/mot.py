@@ -409,8 +409,14 @@ def _delta_increments(hedge: SemiStaticHedge, system: MarginalSystem) -> list[fl
 
 
 def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
-                 hedge: SemiStaticHedge, extras: dict) -> Diagnostics:
-    gap = abs(value - hedge_price(hedge, problem.system))
+                 hedge: SemiStaticHedge, extras: dict, gap_tol: float) -> Diagnostics:
+    """Solve record; raises DegenerateDual when the hedge price misses the
+    value by more than ``gap_tol * (1 + |value|)``."""
+    hedge_value = hedge_price(hedge, problem.system)
+    gap = abs(value - hedge_value)
+    if not gap <= gap_tol * (1.0 + abs(value)):
+        raise DegenerateDual(f"duality gap {gap:.3e} exceeds tolerance {gap_tol:.1e}: "
+                             f"value {fmt12(value)}, hedge price {fmt12(hedge_value)}")
     extras = dict(extras)
     inc = _delta_increments(hedge, problem.system)
     if inc is not None:
@@ -427,12 +433,13 @@ def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
 def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP_TOL) -> MotResult:
     """Solve for one bound; package value, coupling, hedge and diagnostics.
 
-    If the first dual fails the hedge check (degenerate optima yield several
-    duals), the LP is re-solved from scratch under Bland's rule; a second
-    failure raises DegenerateDual with the verification report attached."""
+    The LP dual is read as a semi-static hedge and checked on the
+    verification grids and against the value.  A dual that fails the grid
+    check (degenerate optima yield several duals) or whose price misses the
+    value by more than ``gap_tol * (1 + |value|)`` raises DegenerateDual."""
     lp, layout = _assemble(problem)
     try:
-        sol = solve(lp, feas_tol=feas_tol, gap_tol=gap_tol)
+        sol = solve(lp, feas_tol=feas_tol)
     except Infeasible as exc:
         raise Infeasible(
             "discretized marginals admit no martingale coupling; "
@@ -441,20 +448,13 @@ def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = G
     grids = verification_grids(problem)
     hedge = extract_hedge(sol, problem)
     report = verify(hedge, problem.payoff, grids)
-    attempts = 1
     if not report.valid:
-        sol = solve(lp, feas_tol=feas_tol, gap_tol=gap_tol, bland=True)
-        hedge = extract_hedge(sol, problem)
-        report = verify(hedge, problem.payoff, grids)
-        attempts = 2
-        if not report.valid:
-            raise DegenerateDual(
-                f"no dual optimum passed the hedge check after a Bland re-solve: {report.describe()}")
+        raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
     coupling = _coupling_from_primal(sol.primal, layout)
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
-              "lp_iterations": sol.iterations, "solve_attempts": attempts,
+              "lp_iterations": sol.iterations, "solve_attempts": 1,
               "max_verification_violation": report.max_violation}
-    diag = _diagnostics(problem, sol.objective, coupling, hedge, extras)
+    diag = _diagnostics(problem, sol.objective, coupling, hedge, extras, gap_tol)
     return MotResult(value=float(sol.objective), coupling=coupling, hedge=hedge,
                      diagnostics=diag, report=report)
 
@@ -476,7 +476,9 @@ def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
     hedges need a repair step: each block's dual is only fixed up to an
     affine transfer, and the cross-block cells (never charged mass, but still
     constraining the hedge) select the transfers via a small feasibility LP.
-    If no transfer works, the monolithic solve supplies the hedge."""
+    If no transfer works, the monolithic solve supplies the hedge.  As in
+    :func:`bound`, a hedge price off the value by more than
+    ``gap_tol * (1 + |value|)`` raises DegenerateDual."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("barrier decomposition applies to two-date problems only")
     mu1, mu2 = problem.system.marginals
@@ -512,7 +514,7 @@ def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
     extras = {"blocks": len(dec.blocks), "barrier_levels": [float(x) for x in dec.levels],
               "block_values": [float(r.value) for r in results],
               "max_verification_violation": report.max_violation}
-    diag = _diagnostics(problem, value, coupling, hedge, extras)
+    diag = _diagnostics(problem, value, coupling, hedge, extras, gap_tol)
     return MotResult(value=value, coupling=coupling, hedge=hedge, diagnostics=diag, report=report)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from motbound.cli import main
-from motbound.fixtures import instance_a_marginals
+from motbound.fixtures import instance_a_marginals, smooth_pair
 from motbound.measures import (DiscreteMeasure, MarginalSystem, call_price,
                                counterexample_marginals)
 
@@ -76,6 +76,20 @@ class TestBounds:
         rc = main(["bounds", "--marginals", marginals_a, "--payoff", "gamma_swap"])
         assert rc == 2
         assert "unknown payoff" in capsys.readouterr().err
+
+    def test_tol_gap_below_measured_gap_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "smooth21.json"
+        path.write_text(json.dumps(smooth_pair(21).to_json()))
+        dest = tmp_path / "bounds.json"
+        argv = ["bounds", "--marginals", str(path), "--payoff", "straddle", "--sense", "upper"]
+        assert main(argv + ["--out", str(dest)]) == 0
+        entry = json.loads(dest.read_text())["results"]["upper"]
+        gap = entry["diagnostics"]["duality_gap"]
+        assert gap > 0.0
+        tol = 0.5 * gap / (1.0 + abs(entry["value"]))
+        capsys.readouterr()
+        assert main(argv + ["--tol-gap", repr(tol)]) == 1
+        assert "duality gap" in capsys.readouterr().err
 
 
 class TestCheckOrder:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from motbound.errors import DimensionMismatch, Infeasible, NotAdmissible
+import motbound.mot as mot
+from motbound.errors import DegenerateDual, DimensionMismatch, Infeasible, NotAdmissible
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
                                instance_b_payoff, smooth_pair)
 from motbound.hedge import price as hedge_price, slackness
 from motbound.lp import solve_exact
-from motbound.measures import DiscreteMeasure, MarginalSystem, counterexample_marginals
+from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem,
+                               counterexample_marginals, discretize)
 from motbound.mot import (Coupling, MotProblem, bound, build_lp, decompose_and_solve,
                           random_feasible_coupling, strike_sweep, surface_csv,
                           verification_grids)
@@ -310,3 +313,59 @@ class TestSmoothInstanceSmall:
         assert res.value == pytest.approx(1.0 / 3.0, abs=2e-2)
         assert res.value >= 1.0 / 3.0 - 1e-9  # discrete value dominates the continuum limit here
         check_result_invariants(problem, res)
+
+
+class TestDualChecks:
+    def test_gap_tolerance_is_enforced(self):
+        problem = MotProblem(smooth_pair(21), forward_start_straddle(), "upper")
+        res = bound(problem)
+        gap = res.diagnostics.duality_gap
+        assert gap > 0.0
+        scale = 1.0 + abs(res.value)
+        assert bound(problem, gap_tol=2.0 * gap / scale).value == res.value
+        with pytest.raises(DegenerateDual) as err:
+            bound(problem, gap_tol=0.5 * gap / scale)
+        msg = str(err.value)
+        assert mot.fmt12(res.value) in msg
+        assert mot.fmt12(hedge_price(res.hedge, problem.system)) in msg
+
+    def test_decompose_gap_tolerance_is_enforced(self):
+        problem = MotProblem(counterexample_marginals(3, 8), negated_straddle(), "lower")
+        res = decompose_and_solve(problem)
+        gap = res.diagnostics.duality_gap
+        assert gap > 0.0
+        with pytest.raises(DegenerateDual, match="duality gap"):
+            decompose_and_solve(problem, gap_tol=0.5 * gap / (1.0 + abs(res.value)))
+
+    def test_invalid_hedge_raises_after_one_solve(self, monkeypatch):
+        solve, verify = mot.solve, mot.verify
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        def failing_verify(*args, **kwargs):
+            return dataclasses.replace(verify(*args, **kwargs), max_violation=1.0)
+
+        monkeypatch.setattr(mot, "solve", counting_solve)
+        monkeypatch.setattr(mot, "verify", failing_verify)
+        with pytest.raises(DegenerateDual, match="INVALID"):
+            bound(MotProblem(instance_a_marginals(), forward_start_straddle(), "lower"))
+        assert len(calls) == 1
+
+
+class TestThreeDateScale:
+    def test_asian_call_m25_both_senses(self):
+        # both senses raised "basis matrix became singular" under the former
+        # dense-inverse simplex
+        system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 25)
+                                 for k in (1, 2, 3)])
+        payoff = asian_call(1.0, 3)
+        results = {sense: bound(MotProblem(system, payoff, sense)) for sense in ("lower", "upper")}
+        for sense, res in results.items():
+            check_result_invariants(MotProblem(system, payoff, sense), res)
+        lo, hi = results["lower"].value, results["upper"].value
+        for seed in range(3):
+            e = random_feasible_coupling(system, seed).expectation(payoff)
+            assert lo - 1e-7 <= e <= hi + 1e-7
