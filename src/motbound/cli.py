@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payoff", required=True)
     p.add_argument("--sense", choices=["lower", "upper", "both"], default="both")
     p.add_argument("--decompose", action="store_true",
-                   help="split at barriers and solve block by block")
+                   help="also report barrier blocks and per-block values (two dates)")
     p.add_argument("--seed", type=int, help="also sandwich-check a seeded random coupling")
     _add_tol_flags(p)
     p.set_defaults(func=cmd_bounds)

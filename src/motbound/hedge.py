@@ -118,7 +118,7 @@ class DeltaTable:
 
     Duals exist only at grid histories, so no interpolation: a query snaps
     each coordinate to the nearest atom.  Histories absent from the table
-    (pruned as unreachable) hold no position.
+    hold no position.
     """
 
     atoms: tuple[np.ndarray, ...]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import DegenerateDual, DimensionMismatch, Infeasible, MotboundError
 from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport,
                     _payoff_wing_slopes, price as hedge_price, slackness, verify)
 from .lp import FEAS_TOL, LinearProgram, LpSolution, solve
-from .measures import DiscreteMeasure, MarginalSystem, detect_barriers
+from .measures import MarginalSystem, detect_barriers
 from .payoff import Payoff
 
 GAP_TOL = 1e-7
@@ -151,26 +151,7 @@ class _Layout:
     n_cells: int
     n_rows: int
     marginal_row: tuple[dict, ...]
-    dropped: tuple[int, ...]
     mart_row: tuple[dict, ...]
-
-
-def _pair_blocks(system: MarginalSystem) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Per consecutive pair, block ids for each side's atoms, or None to skip pruning."""
-    out = []
-    for t in range(system.n_dates - 1):
-        mu_a, mu_b = system.marginals[t], system.marginals[t + 1]
-        try:
-            dec = detect_barriers(mu_a, mu_b)
-        except MotboundError:
-            return None
-        blk_a = np.zeros(mu_a.points.size, dtype=np.int64)
-        blk_b = np.zeros(mu_b.points.size, dtype=np.int64)
-        for k, block in enumerate(dec.blocks):
-            blk_a[np.searchsorted(mu_a.points, block.sub1.points)] = k
-            blk_b[np.searchsorted(mu_b.points, block.sub2.points)] = k
-        out.append((blk_a, blk_b))
-    return out
 
 
 def _layout(system: MarginalSystem) -> _Layout:
@@ -180,11 +161,9 @@ def _layout(system: MarginalSystem) -> _Layout:
     n_cells = int(np.prod(shape))
 
     marginal_row: list[dict] = []
-    dropped: list[int] = []
     row = 0
     for i, mu in enumerate(system.marginals):
         drop = -1 if i == 0 else int(np.argmax(mu.weights))
-        dropped.append(drop)
         rmap = {}
         for k in range(shape[i]):
             if k == drop:
@@ -193,26 +172,16 @@ def _layout(system: MarginalSystem) -> _Layout:
             row += 1
         marginal_row.append(rmap)
 
-    # Histories whose prefixes cross a barrier of some consecutive pair carry
-    # zero mass under every feasible coupling, so their conditional-mean rows
-    # are implied and can go; the columns all stay.
-    pair_blocks = _pair_blocks(system) if n >= 3 else None
     mart_row: list[dict] = []
     for j in range(n - 1):
         rmap = {}
         for hist in itertools.product(*[range(shape[t]) for t in range(j + 1)]):
-            if pair_blocks is not None:
-                blocked = any(pair_blocks[t][0][hist[t]] != pair_blocks[t][1][hist[t + 1]]
-                              for t in range(j))
-                if blocked:
-                    continue
             rmap[hist] = row
             row += 1
         mart_row.append(rmap)
 
     return _Layout(grids=grids, shape=shape, n_cells=n_cells, n_rows=row,
-                   marginal_row=tuple(marginal_row), dropped=tuple(dropped),
-                   mart_row=tuple(mart_row))
+                   marginal_row=tuple(marginal_row), mart_row=tuple(mart_row))
 
 
 def _lp_from_layout(layout: _Layout, system: MarginalSystem, cost: np.ndarray, sense: str) -> LinearProgram:
@@ -243,7 +212,7 @@ def _lp_from_layout(layout: _Layout, system: MarginalSystem, cost: np.ndarray, s
         hist_of_cell = np.ravel_multi_index(tuple(idx[: j + 1]), hist_sizes)
         r = rmap[hist_of_cell]
         coeff = layout.grids[j + 1][idx[j + 1]] - layout.grids[j][idx[j]]
-        keep = (r >= 0) & (coeff != 0.0)
+        keep = coeff != 0.0
         rows_parts.append(r[keep])
         cols_parts.append(flat[keep])
         vals_parts.append(coeff[keep])
@@ -269,7 +238,7 @@ def _assemble(problem: MotProblem) -> tuple[LinearProgram, _Layout]:
 def build_lp(problem: MotProblem) -> LinearProgram:
     """Assemble the transport LP: cell masses, marginal rows (one redundant
     row per date beyond the first dropped at the heaviest atom), and one
-    conditional-mean row per reachable history cell."""
+    conditional-mean row per history cell."""
     return _assemble(problem)[0]
 
 
@@ -459,158 +428,31 @@ def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = G
                      diagnostics=diag, report=report)
 
 
-def _merge_block_statics(knot_groups, value_groups, left_slope, right_slope) -> PiecewiseLinear:
-    knots = np.concatenate(knot_groups)
-    values = np.concatenate(value_groups)
-    order = np.argsort(knots)
-    return PiecewiseLinear(knots[order], values[order], left_slope, right_slope)
-
-
 def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
                         gap_tol: float = GAP_TOL) -> MotResult:
-    """Split a two-date problem at its barriers, solve each block separately,
-    and stitch the results back together.
+    """Solve a two-date problem with :func:`bound` and report its barrier
+    blocks.
 
-    Any martingale coupling is block diagonal, so the value is the
-    mass-weighted sum of block values and the coupling concatenates.  Block
-    hedges need a repair step: each block's dual is only fixed up to an
-    affine transfer, and the cross-block cells (never charged mass, but still
-    constraining the hedge) select the transfers via a small feasibility LP.
-    If no transfer works, the monolithic solve supplies the hedge.  As in
-    :func:`bound`, a hedge price off the value by more than
-    ``gap_tol * (1 + |value|)`` raises DegenerateDual."""
+    Mass never crosses a barrier, so the transport LP separates across
+    blocks and the optimal coupling restricted to a block is optimal for
+    that block: ``block_values`` are read from it, renormalized by the block
+    mass, and their mass-weighted sum is the value.  The extras add
+    ``blocks``, ``barrier_levels`` and ``block_values`` to those of
+    :func:`bound`, which enforces ``gap_tol`` as usual."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("barrier decomposition applies to two-date problems only")
-    mu1, mu2 = problem.system.marginals
-    dec = detect_barriers(mu1, mu2)
-    if len(dec.blocks) == 1:
-        return bound(problem, feas_tol=feas_tol, gap_tol=gap_tol)
-
-    results = []
+    dec = detect_barriers(*problem.system.marginals)
+    res = bound(problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    coupling = res.coupling
+    first = coupling.paths()[:, 0]
+    block_values = []
     for block in dec.blocks:
-        sub_system = MarginalSystem([block.sub1, block.sub2])
-        results.append(bound(MotProblem(sub_system, problem.payoff, problem.sense),
-                             feas_tol=feas_tol, gap_tol=gap_tol))
-
-    masses = np.array([block.mass for block in dec.blocks])
-    value = float(np.dot(masses, [r.value for r in results]))
-
-    rows = []
-    cell_masses = []
-    for block, res in zip(dec.blocks, results):
-        off1 = np.searchsorted(mu1.points, block.sub1.points)
-        off2 = np.searchsorted(mu2.points, block.sub2.points)
-        rows.append(np.column_stack([off1[res.coupling.indices[:, 0]],
-                                     off2[res.coupling.indices[:, 1]]]))
-        cell_masses.append(res.coupling.masses * block.mass)
-    coupling = Coupling(grids=(mu1.points, mu2.points),
-                        indices=np.vstack(rows), masses=np.concatenate(cell_masses))
-
-    hedge = _repair_block_hedges(problem, dec, results)
-    if hedge is None:
-        hedge = bound(problem, feas_tol=feas_tol, gap_tol=gap_tol).hedge
-    grids = verification_grids(problem)
-    report = verify(hedge, problem.payoff, grids)
-    extras = {"blocks": len(dec.blocks), "barrier_levels": [float(x) for x in dec.levels],
-              "block_values": [float(r.value) for r in results],
-              "max_verification_violation": report.max_violation}
-    diag = _diagnostics(problem, value, coupling, hedge, extras, gap_tol)
-    return MotResult(value=value, coupling=coupling, hedge=hedge, diagnostics=diag, report=report)
-
-
-def _repair_block_hedges(problem: MotProblem, dec, results) -> SemiStaticHedge | None:
-    """Pick per-block affine transfers (beta_k, gamma_k) making the stitched
-    hedge feasible on cross-block cells; None if the LP finds no transfer."""
-    mu1, mu2 = problem.system.marginals
-    n_blocks = len(dec.blocks)
-    sign = 1.0 if problem.sense == "lower" else -1.0
-
-    base_u1, base_u2, base_delta = [], [], []
-    for block, res in zip(dec.blocks, results):
-        u1, u2 = res.hedge.statics
-        base_u1.append((block.sub1.points, u1(block.sub1.points) + res.hedge.cash))
-        # Strip u2 to the block's own atoms: augmented knots were filled
-        # against in-block histories only, and the global augmentation below
-        # re-derives them against every history.
-        base_u2.append((block.sub2.points, u2(block.sub2.points), u2.left_slope, u2.right_slope))
-        base_delta.append({(int(np.searchsorted(mu1.points, block.sub1.points[k[0]])),):
-                           res.hedge.deltas[0].table[k]
-                           for k in res.hedge.deltas[0].table})
-
-    block_of_1 = np.concatenate([np.full(b.sub1.points.size, i) for i, b in enumerate(dec.blocks)])
-    block_of_2 = np.concatenate([np.full(b.sub2.points.size, i) for i, b in enumerate(dec.blocks)])
-    u1_all = np.concatenate([v for _, v in base_u1])
-    pts1_all = np.concatenate([p for p, _ in base_u1])
-    order1 = np.argsort(pts1_all)
-    pts1_all, u1_all, block_of_1 = pts1_all[order1], u1_all[order1], block_of_1[order1]
-    delta_all = np.zeros(mu1.points.size)
-    for k, res in enumerate(results):
-        for key, v in base_delta[k].items():
-            delta_all[key[0]] = v
-
-    # Cross-cell slack of the unrepaired stitch; the repair adds
-    # (beta_k - beta_l) z + gamma_k - gamma_l on cell (x in block k, z in block l).
-    u2_fn = [PiecewiseLinear(kn, vv, ls, rs) for kn, vv, ls, rs in base_u2]
-    n_vars = 4 * (n_blocks - 1)
-
-    rows_c, cols_c, vals_c, rhs_c = [], [], [], []
-    row = 0
-    for i1, x in enumerate(mu1.points):
-        k = int(block_of_1[i1])
-        for i2, z in enumerate(mu2.points):
-            l = int(block_of_2[i2])
-            if k == l:
-                continue
-            phi = payoff_mod.evaluate(problem.payoff, [x, z])
-            psi = u1_all[i1] + float(u2_fn[l](z)) + delta_all[i1] * (z - x)
-            slack = sign * (phi - psi)
-            # sign*((beta_k - beta_l) z + gamma_k - gamma_l) <= slack
-            for blk, s in ((k, 1.0), (l, -1.0)):
-                if blk == 0:
-                    continue
-                base = 4 * (blk - 1)
-                for col, coef in ((base, z), (base + 1, -z), (base + 2, 1.0), (base + 3, -1.0)):
-                    rows_c.append(row)
-                    cols_c.append(col)
-                    vals_c.append(sign * s * coef)
-            rows_c.append(row)
-            cols_c.append(n_vars + row)
-            vals_c.append(1.0)
-            rhs_c.append(slack)
-            row += 1
-    if row == 0:
-        return None
-
-    cost = np.concatenate([np.ones(n_vars), np.zeros(row)])
-    try:
-        sol = solve(LinearProgram(sense="min", cost=cost, rows=rows_c, cols=cols_c,
-                                  vals=vals_c, rhs=rhs_c))
-    except MotboundError:
-        return None
-
-    beta = np.zeros(n_blocks)
-    gamma = np.zeros(n_blocks)
-    for blk in range(1, n_blocks):
-        base = 4 * (blk - 1)
-        beta[blk] = sol.primal[base] - sol.primal[base + 1]
-        gamma[blk] = sol.primal[base + 2] - sol.primal[base + 3]
-
-    u1_vals = u1_all + beta[block_of_1] * pts1_all + gamma[block_of_1]
-    delta_vals = delta_all + beta[block_of_1]
-    u2_groups_k, u2_groups_v = [], []
-    for l, (kn, vv, _, _) in enumerate(base_u2):
-        u2_groups_k.append(np.asarray(kn))
-        u2_groups_v.append(np.asarray(vv) - beta[l] * np.asarray(kn) - gamma[l])
-    left = base_u2[0][2] - beta[0]
-    right = base_u2[-1][3] - beta[-1]
-    u2 = _merge_block_statics(u2_groups_k, u2_groups_v, float(left), float(right))
-    u1 = PiecewiseLinear.from_samples(pts1_all, u1_vals)
-    table = {(i,): float(delta_vals[i]) for i in range(mu1.points.size)}
-    hedge = SemiStaticHedge(0.0, (u1, u2), (DeltaTable((mu1.points,), table),),
-                            "sub" if problem.sense == "lower" else "super")
-    if problem.payoff.kind not in ("tabulated", "custom"):
-        hedge = _augment_last_static(hedge, problem.payoff, verification_grids(problem)[-1])
-    return hedge
+        part = np.isin(first, block.sub1.points)
+        restricted = Coupling(coupling.grids, coupling.indices[part], coupling.masses[part])
+        block_values.append(restricted.expectation(problem.payoff) / block.mass)
+    extras = {**res.diagnostics.extras, "blocks": len(dec.blocks),
+              "barrier_levels": [float(x) for x in dec.levels], "block_values": block_values}
+    return replace(res, diagnostics=replace(res.diagnostics, extras=extras))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,22 @@ class TestBounds:
         assert rc == 2
         assert "unknown payoff" in capsys.readouterr().err
 
+    def test_decompose_matches_plain_bounds(self, tmp_path):
+        path = tmp_path / "counterexample.json"
+        path.write_text(json.dumps(counterexample_marginals(2, 4).to_json()))
+        blobs = {}
+        for flags in ([], ["--decompose"]):
+            dest = tmp_path / f"bounds{len(flags)}.json"
+            assert main(["bounds", "--marginals", str(path), "--payoff", "negated_straddle",
+                         "--out", str(dest), *flags]) == 0
+            blobs[bool(flags)] = json.loads(dest.read_text())["results"]
+        for sense in ("lower", "upper"):
+            assert abs(blobs[True][sense]["value"] - blobs[False][sense]["value"]) <= 1e-12
+            diag = blobs[True][sense]["diagnostics"]
+            assert diag["blocks"] == 3  # two barriers plus the residual block
+            assert len(diag["barrier_levels"]) == 2
+            assert len(diag["block_values"]) == 3
+
     def test_tol_gap_below_measured_gap_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "smooth21.json"
         path.write_text(json.dumps(smooth_pair(21).to_json()))

@@ -15,12 +15,13 @@ from motbound.fixtures import (counterexample_value, instance_a_marginals,
 from motbound.hedge import price as hedge_price, slackness
 from motbound.lp import solve_exact
 from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem,
-                               counterexample_marginals, discretize)
+                               counterexample_marginals, detect_barriers, discretize)
 from motbound.mot import (Coupling, MotProblem, bound, build_lp, decompose_and_solve,
                           random_feasible_coupling, strike_sweep, surface_csv,
                           verification_grids)
 from motbound.payoff import (asian_call, custom, forward_start_call,
-                             forward_start_straddle, negated_straddle, tabulated)
+                             forward_start_straddle, lookback_call, negated_straddle,
+                             tabulated)
 
 RESIDUAL_TOL = 1e-9
 GAP_TOL = 1e-7
@@ -273,6 +274,23 @@ class TestDecompose:
         with pytest.raises(DimensionMismatch):
             decompose_and_solve(MotProblem(three_date_system(), asian_call(0.0, 3), "lower"))
 
+    def test_one_solve_and_block_values_sum_to_value(self, monkeypatch):
+        solve = mot.solve
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mot, "solve", counting_solve)
+        system = counterexample_marginals(3, 8)
+        res = decompose_and_solve(MotProblem(system, negated_straddle(), "lower"))
+        assert len(calls) == 1
+        masses = [block.mass for block in detect_barriers(*system.marginals).blocks]
+        block_values = res.diagnostics.extras["block_values"]
+        assert len(block_values) == len(masses) == 4  # three barriers plus the residual block
+        assert abs(float(np.dot(masses, block_values)) - res.value) <= 1e-12
+
 
 class TestInfeasibleDiscretization:
     def test_remediation_hint(self):
@@ -369,3 +387,21 @@ class TestThreeDateScale:
         for seed in range(3):
             e = random_feasible_coupling(system, seed).expectation(payoff)
             assert lo - 1e-7 <= e <= hi + 1e-7
+
+
+class TestThreeDateBarriers:
+    @pytest.mark.parametrize("payoff", [asian_call(0.9, 3), lookback_call(1.0, 3)],
+                             ids=["asian", "lookback"])
+    def test_barrier_system_both_senses(self, payoff):
+        # histories that cross a barrier carry no mass, but the hedge still
+        # needs their deltas to hold there
+        ce = counterexample_marginals(3, 6)
+        system = MarginalSystem([ce.marginals[0], ce.marginals[1], ce.marginals[1]])
+        results = {}
+        for sense in ("lower", "upper"):
+            problem = MotProblem(system, payoff, sense)
+            results[sense] = bound(problem)
+            assert results[sense].report.valid
+            check_result_invariants(problem, results[sense])
+        # one first-date atom per block and mu3 = mu2 leave a single coupling
+        assert results["lower"].value == pytest.approx(results["upper"].value, abs=1e-9)
