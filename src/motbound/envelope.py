@@ -82,13 +82,17 @@ def _check_coverage(grid: np.ndarray, mu1: DiscreteMeasure, mu2: DiscreteMeasure
                 f"{name}-date atoms extend beyond the u2 grid hull [{lo}, {hi}]")
 
 
-def _value_and_envelopes(u2: np.ndarray, payoff: Payoff, mu1: DiscreteMeasure,
+def _payoff_table(payoff: Payoff, mu1: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
+    """payoff(x, z): one row per first-date atom x, one column per grid point z."""
+    return payoff_mod.tabulate(payoff, [mu1.points, grid]).reshape(mu1.points.size, grid.size)
+
+
+def _value_and_envelopes(u2: np.ndarray, table: np.ndarray, mu1: DiscreteMeasure,
                          mu2: DiscreteMeasure, grid: np.ndarray):
     envelopes = []
     total = 0.0
-    for x, w in zip(mu1.points, mu1.weights):
-        g = payoff_mod.evaluate_last_axis(payoff, [x], grid) - u2
-        env = convex_envelope(grid, g)
+    for x, w, row in zip(mu1.points, mu1.weights, table):
+        env = convex_envelope(grid, row - u2)
         envelopes.append(env)
         total += w * float(env(x))
     total += float(np.dot(np.interp(mu2.points, grid, u2), mu2.weights))
@@ -106,7 +110,7 @@ def dual_value(u2, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure,
     if u2.size != grid.size:
         raise ValueError(f"u2 has {u2.size} entries, grid has {grid.size}")
     _check_coverage(grid, mu1, mu2)
-    value, _ = _value_and_envelopes(u2, payoff, mu1, mu2, grid)
+    value, _ = _value_and_envelopes(u2, _payoff_table(payoff, mu1, grid), mu1, mu2, grid)
     return value
 
 
@@ -123,7 +127,7 @@ def evaluate_dual(u2, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure
     grid = extended_grid(mu1, mu2) if grid is None else np.asarray(grid, dtype=float).ravel()
     u2 = np.asarray(u2, dtype=float).ravel()
     _check_coverage(grid, mu1, mu2)
-    value, envs = _value_and_envelopes(u2, payoff, mu1, mu2, grid)
+    value, envs = _value_and_envelopes(u2, _payoff_table(payoff, mu1, grid), mu1, mu2, grid)
     return EnvelopeDual(grid=grid, u2=u2, value=value, per_s1_envelopes=envs)
 
 
@@ -142,12 +146,10 @@ def improve_u2(start, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure
         raise ValueError(f"u2 has {u2.size} entries, grid has {grid.size}")
     _check_coverage(grid, mu1, mu2)
 
-    scale = np.ones(grid.size)
-    for k, z in enumerate(grid):
-        worst = max(abs(payoff_mod.evaluate(payoff, [x, z])) for x in mu1.points)
-        scale[k] = 4.0 * (1.0 + worst)
+    table = _payoff_table(payoff, mu1, grid)
+    scale = 4.0 * (1.0 + np.abs(table).max(axis=0))
 
-    value, _ = _value_and_envelopes(u2, payoff, mu1, mu2, grid)
+    value, _ = _value_and_envelopes(u2, table, mu1, mu2, grid)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(max(0, int(iters))):
         for k in range(grid.size):
@@ -156,7 +158,7 @@ def improve_u2(start, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure
 
             def f(t: float) -> float:
                 u2[k] = t
-                v, _ = _value_and_envelopes(u2, payoff, mu1, mu2, grid)
+                v, _ = _value_and_envelopes(u2, table, mu1, mu2, grid)
                 return v
 
             c = b - inv_phi * (b - a)
@@ -177,7 +179,7 @@ def improve_u2(start, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure
                 value = best_v
             else:
                 u2[k] = center
-    value, envs = _value_and_envelopes(u2, payoff, mu1, mu2, grid)
+    value, envs = _value_and_envelopes(u2, table, mu1, mu2, grid)
     return EnvelopeDual(grid=grid, u2=u2, value=value, per_s1_envelopes=envs)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .hedge import DeltaTable, PiecewiseLinear, SemiStaticHedge
 from .measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
-from .payoff import Payoff, forward_start_straddle, tabulated
+from .payoff import Payoff, tabulated
 
 SMOOTH_VALUE = 1.0 / 3.0
 SMOOTH_E_U1 = 11.0 / 9.0

@@ -12,8 +12,7 @@ coordinate for payoffs that are piecewise linear in it.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +21,8 @@ from .errors import DimensionMismatch
 from .payoff import Payoff
 
 VERIFY_TOL = 1e-8
-SLACK_TOL = 1e-7
 SUPPORT_TOL = 1e-12
-KNOT_TOL = 1e-10
+CHUNK_CELLS = 1 << 20  # histories are checked in blocks of about this many cells
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,13 @@ class PiecewiseLinear:
         return cls(obj["knots"], obj["values"], obj["left_slope"], obj["right_slope"])
 
 
-def _nearest_index(grid: np.ndarray, x: float) -> int:
-    j = int(np.searchsorted(grid, x))
-    if j <= 0:
-        return 0
-    if j >= grid.size:
-        return grid.size - 1
-    return j - 1 if x - grid[j - 1] <= grid[j] - x else j
+def _nearest_index(grid: np.ndarray, x) -> np.ndarray:
+    """Index of the nearest node for every entry of x; ties go left."""
+    x = np.asarray(x, dtype=float)
+    if grid.size == 1:
+        return np.zeros(x.shape, dtype=np.int64)
+    j = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
+    return np.where(x - grid[j - 1] <= grid[j] - x, j - 1, j)
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class DeltaTable:
 
     Duals exist only at grid histories, so no interpolation: a query snaps
     each coordinate to the nearest atom.  Histories absent from the table
-    hold no position.
+    hold no position.  Lookups read a dense copy of the table.
     """
 
     atoms: tuple[np.ndarray, ...]
@@ -130,17 +128,22 @@ class DeltaTable:
             if g.size == 0 or np.any(np.diff(g) <= 0):
                 raise ValueError("atom grids must be nonempty and strictly increasing")
             g.flags.writeable = False
+        dense = np.zeros(tuple(g.size for g in atoms))
+        if self.table:
+            keys = np.asarray(list(self.table), dtype=np.int64).reshape(len(self.table), -1)
+            dense[tuple(keys.T)] = list(self.table.values())
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_dense", dense)
+
+    def at(self, *history) -> np.ndarray:
+        """Positions at per-date history coordinates that broadcast together."""
+        return self._dense[tuple(_nearest_index(g, x) for g, x in zip(self.atoms, history))]
 
     def lookup(self, history) -> float:
-        history = np.atleast_1d(np.asarray(history, dtype=float))
+        history = np.asarray(history, dtype=float).ravel()
         if history.size != len(self.atoms):
             raise DimensionMismatch(f"history has {history.size} dates, table expects {len(self.atoms)}")
-        key = tuple(_nearest_index(g, x) for g, x in zip(self.atoms, history))
-        return float(self.table.get(key, 0.0))
-
-    def values(self) -> np.ndarray:
-        return np.array([self.table[k] for k in sorted(self.table)])
+        return float(self.at(*history))
 
     def shifted(self, beta: float) -> "DeltaTable":
         return DeltaTable(self.atoms, {k: v + beta for k, v in self.table.items()})
@@ -174,32 +177,23 @@ class SemiStaticHedge:
     def n(self) -> int:
         return len(self.statics)
 
-    def evaluate(self, s) -> float:
-        s = np.asarray(s, dtype=float).ravel()
-        if s.size != self.n:
-            raise DimensionMismatch(f"hedge covers {self.n} dates, got {s.size}")
-        total = self.cash + sum(float(u(x)) for u, x in zip(self.statics, s))
-        for j, dt in enumerate(self.deltas):
-            total += dt.lookup(s[: j + 1]) * (s[j + 1] - s[j])
-        return float(total)
+    def evaluate(self, s):
+        """Assembled payout on one path (a float) or on each row of a (k, n)
+        stack of paths (an array)."""
+        s = np.asarray(s, dtype=float)
+        if s.ndim not in (1, 2) or s.shape[-1] != self.n:
+            raise DimensionMismatch(f"hedge covers {self.n} dates, got paths of shape {s.shape}")
+        out = self._payout(*s.T)
+        return float(out) if s.ndim == 1 else out
 
-    def evaluate_last_axis(self, history, z: np.ndarray) -> np.ndarray:
-        """Assembled payout over the final date with the history fixed."""
-        history = np.asarray(history, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        if history.size != self.n - 1:
-            raise DimensionMismatch(f"history must have {self.n - 1} dates, got {history.size}")
-        base = self.cash + sum(float(u(x)) for u, x in zip(self.statics[:-1], history))
-        for j in range(len(self.deltas) - 1):
-            base += self.deltas[j].lookup(history[: j + 1]) * (history[j + 1] - history[j])
-        delta_last = self.deltas[-1].lookup(history) if self.deltas else 0.0
-        return base + self.statics[-1](z) + delta_last * (z - history[-1])
-
-    def last_delta_slopes(self, history) -> tuple[float, float]:
-        """Left and right wing slopes of z -> psi(history, z)."""
-        d = self.deltas[-1].lookup(history) if self.deltas else 0.0
-        u = self.statics[-1]
-        return u.left_slope + d, u.right_slope + d
+    def _payout(self, *s):
+        """psi over per-date coordinate arrays that broadcast together; the
+        final date's terms are added last."""
+        *history, z = s
+        total = self.cash + sum(u(x) for u, x in zip(self.statics[:-1], history))
+        for j, dt in enumerate(self.deltas[:-1]):
+            total = total + dt.at(*s[: j + 1]) * (s[j + 1] - s[j])
+        return total + self.statics[-1](z) + self.deltas[-1].at(*history) * (z - history[-1])
 
 
 @dataclass(frozen=True)
@@ -269,65 +263,56 @@ class VerificationReport:
                 f"over {self.checked_cells} cells at {self.worst_cell}, {wings}")
 
 
-def _payoff_wing_slopes(payoff: Payoff, history: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    kinks = payoff_mod.last_coord_kinks(payoff, history)
-    left_at = min([lo] + kinks) - 1.0
-    right_at = max([hi] + kinks) + 1.0
-    f = lambda z: payoff_mod.evaluate(payoff, np.append(history, z))
-    left = f(left_at) - f(left_at - 1.0)
-    right = f(right_at + 1.0) - f(right_at)
-    return left, right
-
-
 def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     """Max violation of psi <= payoff (sub) or >= (super) over the grid product.
 
     For payoffs piecewise linear in the last coordinate the check extends to
     the whole last axis per history: values at u_n's knots, the payoff's own
-    kinks, zero and the grid extremes pin every segment, and a wing-slope
-    comparison covers both tails.
+    kinks, zero and the grid extremes pin every segment, and a comparison
+    with the payoff's exact wing slopes covers both tails.  The worst cell is
+    the first maximum in history order, then last-axis order.
     """
     grids = [np.asarray(g, dtype=float).ravel() for g in grids]
     if len(grids) != hedge.n:
         raise DimensionMismatch(f"hedge covers {hedge.n} dates, got {len(grids)} grids")
     sign = 1.0 if hedge.sense == "sub" else -1.0
-    continuum = payoff.kind not in ("tabulated", "custom")
-    lo, hi = float(grids[-1][0]), float(grids[-1][-1])
-    u_last_knots = hedge.statics[-1].knots
+    hist = [h.ravel() for h in np.meshgrid(*grids[:-1], indexing="ij")]
+    data = payoff_mod.last_axis(payoff, *hist)
+    z = grids[-1]
+    kinks = np.zeros((hist[0].size, 0))
+    if data is not None:
+        z = np.union1d(z, np.union1d(hedge.statics[-1].knots, [0.0]))
+        kinks = np.column_stack([np.broadcast_to(k, hist[0].shape) for k in data.kinks])
 
     worst = -np.inf
     worst_cell: tuple[float, ...] = ()
     checked = 0
-    wing_ok: bool | None = True if continuum else None
+    step = max(1, CHUNK_CELLS // (z.size + kinks.shape[1]))
+    for start in range(0, hist[0].size, step):
+        h = [x[start: start + step, None] for x in hist]
+        # per history: the shared last-axis points plus its own kinks, sorted
+        zz = np.sort(np.concatenate([np.broadcast_to(z, (h[0].shape[0], z.size)),
+                                     kinks[start: start + step]], axis=1), axis=1)
+        gap = sign * (hedge._payout(*h, zz) - payoff_mod.evaluate_last_axis(payoff, h, zz))
+        checked += zz.shape[0] + int(np.count_nonzero(np.diff(zz, axis=1)))
+        r, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if gap[r, k] > worst:
+            worst = float(gap[r, k])
+            worst_cell = (*[float(x[r, 0]) for x in h], float(zz[r, k]))
 
-    for hist in itertools.product(*[g.tolist() for g in grids[:-1]]):
-        history = np.asarray(hist)
-        z = grids[-1]
-        if continuum:
-            kinks = payoff_mod.last_coord_kinks(payoff, history)
-            z = np.union1d(z, kinks + [0.0, lo, hi])
-            z = np.union1d(z, u_last_knots)
-        psi = hedge.evaluate_last_axis(history, z)
-        phi = payoff_mod.evaluate_last_axis(payoff, history, z)
-        gap = sign * (psi - phi)
-        checked += z.size
-        k = int(np.argmax(gap))
-        if gap[k] > worst:
-            worst = float(gap[k])
-            worst_cell = (*[float(x) for x in history], float(z[k]))
-        if continuum and wing_ok:
-            psi_l, psi_r = hedge.last_delta_slopes(history)
-            phi_l, phi_r = _payoff_wing_slopes(payoff, history, lo, hi)
-            slope_tol = 1e-9 * (1.0 + abs(phi_l) + abs(phi_r))
-            if sign * (psi_r - phi_r) > slope_tol or sign * (phi_l - psi_l) > slope_tol:
-                wing_ok = False
+    wing_ok = None
+    if data is not None:
+        u, d = hedge.statics[-1], hedge.deltas[-1].at(*hist)
+        slope_tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
+        wing_ok = not (np.any(sign * (u.right_slope + d - data.right_slope) > slope_tol)
+                       or np.any(sign * (data.left_slope - (u.left_slope + d)) > slope_tol))
 
     return VerificationReport(
         sense=hedge.sense,
         max_violation=float(worst),
         worst_cell=worst_cell,
         checked_cells=checked,
-        continuum_checked=continuum,
+        continuum_checked=data is not None,
         wing_ok=wing_ok,
     )
 
@@ -335,13 +320,9 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
 def slackness(hedge: SemiStaticHedge, coupling, payoff: Payoff) -> float:
     """Max of |payoff - psi| over the coupling's support (mass > 1e-12).
     Zero at an optimal primal/dual pair; positive otherwise."""
-    worst = 0.0
-    for path, mass in zip(coupling.paths(), coupling.masses):
-        if mass <= SUPPORT_TOL:
-            continue
-        gap = abs(payoff_mod.evaluate(payoff, path) - hedge.evaluate(path))
-        worst = max(worst, gap)
-    return float(worst)
+    paths = coupling.paths()[coupling.masses > SUPPORT_TOL]
+    phi = payoff_mod.evaluate_last_axis(payoff, paths[:, :-1].T, paths[:, -1])
+    return float(np.abs(phi - hedge.evaluate(paths)).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ static payouts u_i, martingale-row duals are the delta positions.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,10 +21,10 @@ import numpy as np
 
 from . import payoff as payoff_mod
 from .errors import DegenerateDual, DimensionMismatch, Infeasible, MotboundError, NotAdmissible
-from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport,
-                    _payoff_wing_slopes, price as hedge_price, slackness, verify)
+from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
+                    VerificationReport, price as hedge_price, slackness, verify)
 from .lp import FEAS_TOL, LinearProgram, LpSolution, solve
-from .measures import MarginalSystem, detect_barriers
+from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
 from .payoff import Payoff
 
 GAP_TOL = 1e-7
@@ -242,65 +243,67 @@ def build_lp(problem: MotProblem) -> LinearProgram:
     return _assemble(problem)[0]
 
 
+def _histories(grids) -> list[np.ndarray]:
+    """Every history cell of the product of ``grids``, one flat array per
+    date, in row-major order."""
+    return [h.ravel() for h in np.meshgrid(*grids, indexing="ij")]
+
+
 def verification_grids(problem: MotProblem) -> list[np.ndarray]:
     """Grids on which extracted hedges are checked: history axes stay on the
     marginal atoms (deltas exist only there); the final axis is the union of
     every date's atoms, refined once by midpoints, plus zero and the payoff's
-    kinks.  Tabulated and custom payoffs get no refinement."""
+    kinks.  Payoffs with no declared last-axis data (tabulated, custom) get
+    no refinement."""
     atoms = [mu.points for mu in problem.system.marginals]
-    if problem.payoff.kind in ("tabulated", "custom"):
+    data = payoff_mod.last_axis(problem.payoff, *_histories(atoms[:-1]))
+    if data is None:
         return atoms
     last = np.union1d(atoms[0], atoms[0])
     for g in atoms[1:]:
         last = np.union1d(last, g)
     mids = 0.5 * (last[:-1] + last[1:])
     last = np.union1d(last, mids)
-    kinks: list[float] = [0.0]
-    for hist in itertools.product(*[g.tolist() for g in atoms[:-1]]):
-        kinks.extend(payoff_mod.last_coord_kinks(problem.payoff, np.asarray(hist)))
-    last = np.union1d(last, kinks)
+    last = np.union1d(last, np.concatenate([[0.0], *(np.ravel(k) for k in data.kinks)]))
     return [*atoms[:-1], last]
 
 
 def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: np.ndarray) -> SemiStaticHedge:
     """Extend u_n with extra knots so the assembled payout stays on the right
     side of the payoff at them: each new knot takes the tightest value over
-    all histories, and the wings take the tightest admissible slopes.  Values
-    at existing knots (in particular at the final marginal's atoms) are kept,
-    so the hedge price is unchanged."""
+    all histories, and the wings take the tightest admissible slopes given
+    the payoff's exact ones.  Values at existing knots (in particular at the
+    final marginal's atoms) are kept, so the hedge price is unchanged.
+    Payoffs with no declared last-axis data are left alone."""
+    hist = _histories([u.knots for u in hedge.statics[:-1]])
+    data = payoff_mod.last_axis(payoff, *hist)
+    if data is None:
+        return hedge
     u_n = hedge.statics[-1]
     z_all = np.union1d(u_n.knots, np.asarray(z_candidates, dtype=float))
     fresh = ~np.isin(z_all, u_n.knots)
-    take_min = hedge.sense == "sub"
-    values = u_n(z_all)
-    if fresh.any():
-        fill = np.full(int(fresh.sum()), np.inf if take_min else -np.inf)
-    else:
-        fill = np.zeros(0)
     z_new = z_all[fresh]
-    lo, hi = float(z_all[0]), float(z_all[-1])
-    left_best = -np.inf if take_min else np.inf
-    right_best = np.inf if take_min else -np.inf
+    # A subhedge's new values and right wing take the minimum over histories
+    # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
+    tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
 
-    hist_grids = [u.knots.tolist() for u in hedge.statics[:-1]]
-    for hist in itertools.product(*hist_grids):
-        history = np.asarray(hist)
-        h_last = history[-1]
-        base = float(hedge.evaluate_last_axis(history, np.array([h_last]))[0]) - float(u_n(h_last))
-        d = hedge.deltas[-1].lookup(history) if hedge.deltas else 0.0
-        if z_new.size:
-            slack = payoff_mod.evaluate_last_axis(payoff, history, z_new) - base - d * (z_new - h_last)
-            fill = np.minimum(fill, slack) if take_min else np.maximum(fill, slack)
-        phi_l, phi_r = _payoff_wing_slopes(payoff, history, lo, hi)
-        if take_min:
-            right_best = min(right_best, phi_r - d)
-            left_best = max(left_best, phi_l - d)
-        else:
-            right_best = max(right_best, phi_r - d)
-            left_best = min(left_best, phi_l - d)
-
-    values[fresh] = fill
-    u_new = PiecewiseLinear(z_all, values, float(left_best), float(right_best))
+    # psi(h, z) = base(h) + u_n(z) + d(h) * (z - h_last)
+    path_ends = np.column_stack([*hist, hist[-1]])
+    base = hedge.evaluate(path_ends) - u_n(hist[-1])
+    d = hedge.deltas[-1].at(*hist)
+    values = u_n(z_all)
+    if z_new.size:
+        step = max(1, CHUNK_CELLS // z_new.size)
+        fill = []
+        for start in range(0, hist[0].size, step):
+            rows = slice(start, start + step)
+            h = [x[rows, None] for x in hist]
+            slack = (payoff_mod.evaluate_last_axis(payoff, h, z_new) - base[rows, None]
+                     - d[rows, None] * (z_new - h[-1]))
+            fill.append(tightest(slack, axis=0))
+        values[fresh] = tightest(fill, axis=0)
+    u_new = PiecewiseLinear(z_all, values, float(tightest_left(data.left_slope - d)),
+                            float(tightest(data.right_slope - d)))
     return SemiStaticHedge(hedge.cash, (*hedge.statics[:-1], u_new), hedge.deltas, hedge.sense)
 
 
@@ -344,9 +347,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem) -> SemiStaticHed
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    if problem.payoff.kind not in ("tabulated", "custom"):
-        hedge = _augment_last_static(hedge, problem.payoff, verification_grids(problem)[-1])
-    return hedge
+    return _augment_last_static(hedge, problem.payoff, verification_grids(problem)[-1])
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -355,23 +356,18 @@ def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
     return Coupling(grids=layout.grids, indices=indices, masses=primal[keep])
 
 
-def _delta_increments(hedge: SemiStaticHedge, system: MarginalSystem) -> list[float] | None:
+def _delta_increments(hedge: SemiStaticHedge, system: MarginalSystem,
+                      dec: BarrierDecomposition | None) -> list[float] | None:
     """Mass-weighted mean delta per barrier block of the first pair, reported
     as increments across consecutive blocks.  The continuum dual blows up
     across barriers, so this trend is informative but never asserted."""
-    if system.n_dates != 2 or not hedge.deltas:
-        return None
-    try:
-        dec = detect_barriers(system.marginals[0], system.marginals[1])
-    except MotboundError:
-        return None
-    if len(dec.blocks) < 2:
+    if dec is None or len(dec.blocks) < 2:
         return None
     mu1 = system.marginals[0]
     means = []
     for block in dec.blocks:
         ks = np.searchsorted(mu1.points, block.sub1.points)
-        vals = np.array([hedge.deltas[0].lookup([mu1.points[k]]) for k in ks])
+        vals = hedge.deltas[0].at(mu1.points[ks])
         w = mu1.weights[ks]
         means.append(float(np.dot(vals, w) / w.sum()))
     return [means[k + 1] - means[k] for k in range(len(means) - 1)]
@@ -386,10 +382,6 @@ def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
     if not gap <= gap_tol * (1.0 + abs(value)):
         raise DegenerateDual(f"duality gap {gap:.3e} exceeds tolerance {gap_tol:.1e}: "
                              f"value {fmt12(value)}, hedge price {fmt12(hedge_value)}")
-    extras = dict(extras)
-    inc = _delta_increments(hedge, problem.system)
-    if inc is not None:
-        extras["delta_increments"] = inc
     return Diagnostics(
         duality_gap=float(gap),
         max_marginal_residual=coupling.max_marginal_residual(problem.system),
@@ -406,6 +398,16 @@ def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = G
     verification grids and against the value.  A dual that fails the grid
     check (degenerate optima yield several duals) or whose price misses the
     value by more than ``gap_tol * (1 + |value|)`` raises DegenerateDual."""
+    dec = None
+    if problem.system.n_dates == 2:
+        with contextlib.suppress(MotboundError):
+            dec = detect_barriers(*problem.system.marginals)
+    return _bound(problem, feas_tol, gap_tol, dec)
+
+
+def _bound(problem: MotProblem, feas_tol: float, gap_tol: float,
+           dec: BarrierDecomposition | None) -> MotResult:
+    """:func:`bound`, given the system's barrier decomposition (or None)."""
     lp, layout = _assemble(problem)
     try:
         sol = solve(lp, feas_tol=feas_tol)
@@ -423,6 +425,9 @@ def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = G
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
               "lp_iterations": sol.iterations, "solve_attempts": 1,
               "max_verification_violation": report.max_violation}
+    inc = _delta_increments(hedge, problem.system, dec)
+    if inc is not None:
+        extras["delta_increments"] = inc
     diag = _diagnostics(problem, sol.objective, coupling, hedge, extras, gap_tol)
     return MotResult(value=float(sol.objective), coupling=coupling, hedge=hedge,
                      diagnostics=diag, report=report)
@@ -442,7 +447,7 @@ def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
     if problem.system.n_dates != 2:
         raise DimensionMismatch("barrier decomposition applies to two-date problems only")
     dec = detect_barriers(*problem.system.marginals)
-    res = bound(problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    res = _bound(problem, feas_tol, gap_tol, dec)
     coupling = res.coupling
     first = coupling.paths()[:, 0]
     block_values = []
@@ -524,12 +529,10 @@ def surface_csv(problem: MotProblem, result: MotResult) -> str:
     """Hedge payout vs payoff over (s1, z) for two-date problems."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("surface export covers two-date problems")
-    grids = verification_grids(problem)
+    paths = np.column_stack(_histories(verification_grids(problem)))
+    psi = result.hedge.evaluate(paths)
+    phi = payoff_mod.evaluate_last_axis(problem.payoff, [paths[:, 0]], paths[:, 1])
     lines = ["s1,s2,psi,phi,phi_minus_psi"]
-    for x in grids[0]:
-        z = grids[1]
-        psi = result.hedge.evaluate_last_axis([x], z)
-        phi = payoff_mod.evaluate_last_axis(problem.payoff, [x], z)
-        for zz, a, b in zip(z, psi, phi):
-            lines.append(f"{fmt12(x)},{fmt12(zz)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}")
+    for (x, z), a, b in zip(paths, psi, phi):
+        lines.append(f"{fmt12(x)},{fmt12(z)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}")
     return "\n".join(lines) + "\n"

@@ -5,15 +5,19 @@ cover the exotics the solver is exercised on; ``tabulated`` wraps explicit
 values on a product grid (exact node lookup only) and ``custom`` wraps an
 arbitrary callable together with a declared growth constant.
 
+Each built-in kind is spelled out twice: its value formula in ``_values``,
+which every evaluation routine calls, and its piecewise-linear data in the
+final date (kinks and exact wing slopes) in ``last_axis``.
+
 Every payoff carries ``growth_constant`` K_g certifying the lower bound
 phi(s) >= -K_g * (1 + sum |s_i|), which keeps the transport LP bounded below.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,22 +63,27 @@ class Payoff:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Payoff":
+        """Rebuild a payoff; an ``n`` the kind cannot take raises ValueError."""
         kind = obj["kind"]
         n = int(obj.get("n", 2))
         params = dict(obj.get("params", {}))
         if kind == "forward_start_call":
-            return forward_start_call(float(params.get("strike_ratio", 1.0)))
-        if kind == "forward_start_straddle":
-            return forward_start_straddle()
-        if kind == "negated_straddle":
-            return negated_straddle()
-        if kind == "asian_call":
-            return asian_call(float(params["strike"]), n)
-        if kind == "lookback_call":
-            return lookback_call(float(params["strike"]), n)
-        if kind == "tabulated":
-            return tabulated(params["grids"], params["values"])
-        raise ValueError(f"cannot build payoff kind {kind!r} from JSON")
+            payoff = forward_start_call(float(params.get("strike_ratio", 1.0)))
+        elif kind == "forward_start_straddle":
+            payoff = forward_start_straddle()
+        elif kind == "negated_straddle":
+            payoff = negated_straddle()
+        elif kind == "asian_call":
+            payoff = asian_call(float(params["strike"]), n)
+        elif kind == "lookback_call":
+            payoff = lookback_call(float(params["strike"]), n)
+        elif kind == "tabulated":
+            payoff = tabulated(params["grids"], params["values"])
+        else:
+            raise ValueError(f"cannot build payoff kind {kind!r} from JSON")
+        if "n" in obj and payoff.n != n:
+            raise ValueError(f"payoff kind {kind!r} cannot take n={n}; it covers {payoff.n} dates")
+        return payoff
 
 
 def forward_start_call(strike_ratio: float = 1.0) -> Payoff:
@@ -120,12 +129,67 @@ def custom(fn: Callable[[Sequence[float]], float], n: int, growth_constant: floa
     return Payoff(kind="custom", n=n, params={}, growth_constant=float(growth_constant), fn=fn)
 
 
-def _grid_index(grid: np.ndarray, x: float) -> int:
-    j = int(np.searchsorted(grid, x))
-    for cand in (j - 1, j):
-        if 0 <= cand < grid.size and abs(grid[cand] - x) <= 1e-9 * (1.0 + abs(x)):
-            return cand
-    raise OffGrid(f"point {x!r} is not a grid node")
+def _grid_index(grid: np.ndarray, x) -> np.ndarray:
+    """Node index of every entry of x; OffGrid names the first miss."""
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(grid, x)
+    below, above = np.clip(j - 1, 0, grid.size - 1), np.clip(j, 0, grid.size - 1)
+    tol = 1e-9 * (1.0 + np.abs(x))
+    idx = np.where(np.abs(grid[below] - x) <= tol, below, above)
+    miss = np.abs(grid[idx] - x) > tol
+    if miss.any():
+        raise OffGrid(f"point {float(x[miss][0] if x.ndim else x)!r} is not a grid node")
+    return idx
+
+
+def _values(payoff: Payoff, *s) -> np.ndarray:
+    """Payoff over per-date coordinate arrays that broadcast together."""
+    kind, p = payoff.kind, payoff.params
+    if kind == "forward_start_call":
+        return np.maximum(s[-1] - p["strike_ratio"] * s[0], 0.0)
+    if kind == "forward_start_straddle":
+        return np.abs(s[-1] - s[0])
+    if kind == "negated_straddle":
+        return -np.abs(s[-1] - s[0])
+    if kind == "asian_call":
+        return np.maximum(sum(s) / payoff.n - p["strike"], 0.0)
+    if kind == "lookback_call":
+        return np.maximum(functools.reduce(np.maximum, s) - p["strike"], 0.0)
+    if kind == "tabulated":
+        return payoff.values[tuple(_grid_index(g, x) for g, x in zip(payoff.grids, s))]
+    s = np.broadcast_arrays(*s)
+    out = np.empty(s[0].shape)
+    for idx in np.ndindex(out.shape):
+        out[idx] = payoff.fn(tuple(x[idx] for x in s))
+    return out
+
+
+class LastAxis(NamedTuple):
+    """z -> payoff(history, z) is piecewise linear with these kinks (each
+    broadcast over the history coordinates) and these exact wing slopes."""
+
+    kinks: tuple
+    left_slope: float
+    right_slope: float
+
+
+def last_axis(payoff: Payoff, *history) -> LastAxis | None:
+    """Kinks and wing slopes in the final date for per-date history
+    coordinates (scalars or arrays that broadcast together).  None for
+    tabulated and custom payoffs, whose continuum behaviour is not modelled."""
+    kind, p = payoff.kind, payoff.params
+    if kind == "forward_start_call":
+        return LastAxis((p["strike_ratio"] * history[0],), 0.0, 1.0)
+    if kind == "forward_start_straddle":
+        return LastAxis((history[0],), -1.0, 1.0)
+    if kind == "negated_straddle":
+        return LastAxis((history[0],), 1.0, -1.0)
+    if kind == "asian_call":
+        return LastAxis((payoff.n * p["strike"] - sum(history),), 0.0, 1.0 / payoff.n)
+    if kind == "lookback_call":
+        running = functools.reduce(np.maximum, history)
+        return LastAxis((p["strike"], np.maximum(running, p["strike"])), 0.0, 1.0)
+    return None
 
 
 def evaluate(payoff: Payoff, s: Sequence[float]) -> float:
@@ -133,46 +197,16 @@ def evaluate(payoff: Payoff, s: Sequence[float]) -> float:
     s = np.asarray(s, dtype=float).ravel()
     if s.size != payoff.n:
         raise DimensionMismatch(f"payoff takes {payoff.n} dates, got {s.size}")
-    kind = payoff.kind
-    if kind == "forward_start_call":
-        return float(max(s[-1] - payoff.params["strike_ratio"] * s[0], 0.0))
-    if kind == "forward_start_straddle":
-        return float(abs(s[-1] - s[0]))
-    if kind == "negated_straddle":
-        return float(-abs(s[-1] - s[0]))
-    if kind == "asian_call":
-        return float(max(s.mean() - payoff.params["strike"], 0.0))
-    if kind == "lookback_call":
-        return float(max(s.max() - payoff.params["strike"], 0.0))
-    if kind == "tabulated":
-        idx = tuple(_grid_index(g, x) for g, x in zip(payoff.grids, s))
-        return float(payoff.values[idx])
-    return float(payoff.fn(tuple(s)))
+    return float(_values(payoff, *s))
 
 
-def evaluate_last_axis(payoff: Payoff, history: Sequence[float], last: np.ndarray) -> np.ndarray:
-    """Vectorized payoff over the final date with the history fixed."""
-    history = np.asarray(history, dtype=float).ravel()
-    last = np.asarray(last, dtype=float).ravel()
-    if history.size != payoff.n - 1:
-        raise DimensionMismatch(f"history must have {payoff.n - 1} dates, got {history.size}")
-    kind = payoff.kind
-    if kind == "forward_start_call":
-        return np.maximum(last - payoff.params["strike_ratio"] * history[0], 0.0)
-    if kind == "forward_start_straddle":
-        return np.abs(last - history[0])
-    if kind == "negated_straddle":
-        return -np.abs(last - history[0])
-    if kind == "asian_call":
-        return np.maximum((history.sum() + last) / payoff.n - payoff.params["strike"], 0.0)
-    if kind == "lookback_call":
-        running = history.max() if history.size else -np.inf
-        return np.maximum(np.maximum(running, last) - payoff.params["strike"], 0.0)
-    if kind == "tabulated":
-        idx = tuple(_grid_index(g, x) for g, x in zip(payoff.grids, history))
-        cols = np.asarray([_grid_index(payoff.grids[-1], x) for x in last])
-        return payoff.values[idx][cols]
-    return np.asarray([payoff.fn((*history, float(x))) for x in last])
+def evaluate_last_axis(payoff: Payoff, history, last) -> np.ndarray:
+    """Payoff over the final date: ``history`` holds the n - 1 earlier
+    coordinates, each a scalar or an array broadcasting against ``last``."""
+    if len(history) != payoff.n - 1:
+        raise DimensionMismatch(f"history must have {payoff.n - 1} dates, got {len(history)}")
+    return _values(payoff, *(np.asarray(h, dtype=float) for h in history),
+                   np.asarray(last, dtype=float))
 
 
 def tabulate(payoff: Payoff, grids: Sequence[Sequence[float]]) -> np.ndarray:
@@ -186,29 +220,7 @@ def tabulate(payoff: Payoff, grids: Sequence[Sequence[float]]) -> np.ndarray:
         raise DimensionMismatch(f"payoff takes {payoff.n} dates, got {len(gs)} grids")
     if any(g.size == 0 for g in gs):
         raise ValueError("grids must be nonempty")
-    kind = payoff.kind
-    mesh = np.meshgrid(*gs, indexing="ij")
-    if kind == "forward_start_call":
-        out = np.maximum(mesh[-1] - payoff.params["strike_ratio"] * mesh[0], 0.0)
-    elif kind == "forward_start_straddle":
-        out = np.abs(mesh[-1] - mesh[0])
-    elif kind == "negated_straddle":
-        out = -np.abs(mesh[-1] - mesh[0])
-    elif kind == "asian_call":
-        out = np.maximum(sum(mesh) / payoff.n - payoff.params["strike"], 0.0)
-    elif kind == "lookback_call":
-        running = mesh[0]
-        for axis in mesh[1:]:
-            running = np.maximum(running, axis)
-        out = np.maximum(running - payoff.params["strike"], 0.0)
-    elif kind == "tabulated":
-        lookups = [np.asarray([_grid_index(pg, x) for x in g]) for pg, g in zip(payoff.grids, gs)]
-        out = payoff.values[np.ix_(*lookups)]
-    else:
-        shape = tuple(g.size for g in gs)
-        out = np.empty(shape)
-        for idx in np.ndindex(shape):
-            out[idx] = payoff.fn(tuple(g[i] for g, i in zip(gs, idx)))
+    out = _values(payoff, *np.ix_(*gs))
     if not np.all(np.isfinite(out)):
         raise ValueError("payoff produced non-finite values on the grid")
     return np.ascontiguousarray(out).ravel()
@@ -216,17 +228,6 @@ def tabulate(payoff: Payoff, grids: Sequence[Sequence[float]]) -> np.ndarray:
 
 def last_coord_kinks(payoff: Payoff, history: Sequence[float]) -> list[float]:
     """Kink locations of s_n -> payoff(history, s_n), used to verify a hedge
-    between grid nodes.  Empty for tabulated and custom payoffs, whose
-    continuum behaviour is not modelled."""
-    history = np.asarray(history, dtype=float).ravel()
-    kind = payoff.kind
-    if kind == "forward_start_call":
-        return [float(payoff.params["strike_ratio"] * history[0])]
-    if kind in ("forward_start_straddle", "negated_straddle"):
-        return [float(history[0])]
-    if kind == "asian_call":
-        return [float(payoff.n * payoff.params["strike"] - history.sum())]
-    if kind == "lookback_call":
-        running = float(history.max()) if history.size else -np.inf
-        return [float(payoff.params["strike"]), max(running, float(payoff.params["strike"]))]
-    return []
+    between grid nodes.  Empty for tabulated and custom payoffs."""
+    data = last_axis(payoff, *np.asarray(history, dtype=float).ravel())
+    return [] if data is None else [float(k) for k in data.kinks]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from motbound.hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStat
                             slackness, to_call_portfolio, verify)
 from motbound.measures import DiscreteMeasure, MarginalSystem
 from motbound.mot import MotProblem, bound, verification_grids
-from motbound.payoff import forward_start_straddle
+from motbound.payoff import (asian_call, evaluate, forward_start_call, forward_start_straddle,
+                             last_coord_kinks, lookback_call)
 
 KNOT_TOL = 1e-10
 
@@ -201,6 +204,77 @@ class TestVerify:
         report = verify(hedge, forward_start_straddle(), [g1, g2])
         assert report.valid
         assert "super" in report.describe()
+
+
+def pointwise_verify(hedge, payoff, grids):
+    """Reference for verify: one history and one last-axis point at a time,
+    wing slopes from payoff values far out."""
+    sign = 1.0 if hedge.sense == "sub" else -1.0
+    u = hedge.statics[-1]
+    worst, worst_cell, checked, wing_ok = -np.inf, (), 0, True
+    for hist in itertools.product(*[list(g) for g in grids[:-1]]):
+        zs = sorted(set(grids[-1]) | set(last_coord_kinks(payoff, hist)) | {0.0} | set(u.knots))
+        for z in zs:
+            gap = sign * (hedge.evaluate([*hist, z]) - evaluate(payoff, [*hist, z]))
+            checked += 1
+            if gap > worst:
+                worst, worst_cell = gap, (*hist, z)
+        far = max(abs(z) for z in zs) + 1.0
+        phi_l = evaluate(payoff, [*hist, -far]) - evaluate(payoff, [*hist, -far - 1.0])
+        phi_r = evaluate(payoff, [*hist, far + 1.0]) - evaluate(payoff, [*hist, far])
+        d = hedge.deltas[-1].lookup(hist)
+        tol = 1e-9 * (1.0 + abs(phi_l) + abs(phi_r))
+        if sign * (u.right_slope + d - phi_r) > tol or sign * (phi_l - u.left_slope - d) > tol:
+            wing_ok = False
+    return worst, worst_cell, checked, wing_ok
+
+
+def shift_last_delta(hedge, beta):
+    deltas = (*hedge.deltas[:-1], hedge.deltas[-1].shifted(beta))
+    return SemiStaticHedge(hedge.cash, hedge.statics, deltas, hedge.sense)
+
+
+def three_dates():
+    return MarginalSystem([
+        DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+        DiscreteMeasure(np.array([-2.0, 0.0, 2.0]), np.array([0.25, 0.5, 0.25])),
+        DiscreteMeasure(np.array([-3.0, -1.0, 1.0, 3.0]), np.array([0.125, 0.375, 0.375, 0.125])),
+    ])
+
+
+class TestVerifyMatchesPointwise:
+    # grids off the atoms, so deltas are read by nearest-atom snapping
+    OFF2 = [np.linspace(-1.05, 1.05, 9), np.linspace(-2.2, 2.2, 13)]
+    OFF3 = [np.array([-1.2, -0.4, 0.5, 1.1]), np.array([-2.1, -0.3, 0.2, 1.9]),
+            np.linspace(-3.5, 3.5, 15)]
+
+    def assert_matches(self, hedge, payoff, grids):
+        report = verify(hedge, payoff, grids)
+        worst, worst_cell, checked, wing_ok = pointwise_verify(hedge, payoff, grids)
+        assert report.max_violation == pytest.approx(worst, abs=1e-12)
+        assert report.worst_cell == worst_cell
+        assert report.checked_cells == checked
+        assert report.wing_ok is wing_ok
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_two_dates(self, beta):
+        hedge = shift_last_delta(smooth_hedge(np.linspace(-1.0, 1.0, 11), np.linspace(-2.0, 2.0, 21)), beta)
+        self.assert_matches(hedge, forward_start_straddle(), self.OFF2)
+
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_two_date_bound(self, sense):
+        payoff = forward_start_call(0.9)
+        res = bound(MotProblem(smooth_pair(9), payoff, sense))
+        self.assert_matches(res.hedge, payoff, self.OFF2)
+        self.assert_matches(shift_last_delta(res.hedge, -0.2), payoff, self.OFF2)
+
+    @pytest.mark.parametrize("payoff", [asian_call(0.0, 3), lookback_call(0.5, 3)],
+                             ids=["asian", "lookback"])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_three_dates(self, payoff, sense):
+        res = bound(MotProblem(three_dates(), payoff, sense))
+        self.assert_matches(res.hedge, payoff, self.OFF3)
+        self.assert_matches(shift_last_delta(res.hedge, 0.25), payoff, self.OFF3)
 
 
 class TestSlackness:

@@ -291,6 +291,19 @@ class TestDecompose:
         assert len(block_values) == len(masses) == 4  # three barriers plus the residual block
         assert abs(float(np.dot(masses, block_values)) - res.value) <= 1e-12
 
+    def test_barriers_detected_once(self, monkeypatch):
+        detect = mot.detect_barriers
+        calls = []
+
+        def counting_detect(*args, **kwargs):
+            calls.append(1)
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(mot, "detect_barriers", counting_detect)
+        res = decompose_and_solve(MotProblem(counterexample_marginals(3, 8), negated_straddle(), "lower"))
+        assert len(calls) == 1
+        assert len(res.diagnostics.extras["delta_increments"]) == 3
+
 
 class TestInfeasibleDiscretization:
     def test_remediation_hint(self):

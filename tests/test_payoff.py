@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from motbound.errors import DimensionMismatch, OffGrid
 from motbound.payoff import (Payoff, asian_call, custom, evaluate, evaluate_last_axis,
-                             forward_start_call, forward_start_straddle, last_coord_kinks,
-                             lookback_call, negated_straddle, tabulate, tabulated)
+                             forward_start_call, forward_start_straddle, last_axis,
+                             last_coord_kinks, lookback_call, negated_straddle, tabulate,
+                             tabulated)
 
 ALL_BUILTINS = [
     forward_start_call(1.0),
@@ -128,6 +129,19 @@ class TestLastAxisHelpers:
                 loc = z[j + 1]
                 assert np.any(np.abs(reported - loc) < 6e-3), (pay.kind, loc)
 
+    @pytest.mark.parametrize("pay", ALL_BUILTINS, ids=lambda p: p.kind + str(p.n))
+    def test_declared_wing_slopes_match_far_out_slopes(self, pay):
+        hist = [0.7, -0.3][: pay.n - 1]
+        data = last_axis(pay, *hist)
+        far = max(abs(k) for k in last_coord_kinks(pay, hist)) + 10.0
+        f = evaluate_last_axis(pay, hist, np.array([-far - 1.0, -far, far, far + 1.0]))
+        assert data.left_slope == pytest.approx(f[1] - f[0], abs=1e-12)
+        assert data.right_slope == pytest.approx(f[3] - f[2], abs=1e-12)
+
+    def test_no_last_axis_data_for_tabulated_and_custom(self):
+        assert last_axis(custom(lambda s: 0.0, n=2, growth_constant=0.0), 0.5) is None
+        assert last_axis(tabulated([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]), 1.0) is None
+
 
 class TestJson:
     @pytest.mark.parametrize("pay", ALL_BUILTINS, ids=lambda p: p.kind + str(p.n))
@@ -144,6 +158,17 @@ class TestJson:
         back = Payoff.from_json(pay.to_json())
         np.testing.assert_allclose(tabulate(back, [[-1.0, 1.0], [-2.0, 0.0, 2.0]]),
                                    tabulate(pay, [[-1.0, 1.0], [-2.0, 0.0, 2.0]]))
+
+    @pytest.mark.parametrize("kind", ["forward_start_call", "forward_start_straddle",
+                                      "negated_straddle"])
+    def test_rejects_n_the_kind_cannot_take(self, kind):
+        with pytest.raises(ValueError, match=f"{kind}.*n=3"):
+            Payoff.from_json({"kind": kind, "n": 3, "params": {}})
+
+    def test_tabulated_n_must_match_grids(self):
+        obj = tabulated([[-1.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]).to_json()
+        with pytest.raises(ValueError, match="n=3"):
+            Payoff.from_json({**obj, "n": 3})
 
     def test_custom_has_no_json(self):
         pay = custom(lambda s: 0.0, n=2, growth_constant=0.0)
