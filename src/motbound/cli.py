@@ -220,13 +220,13 @@ def cmd_envelope(args) -> int:
         u2 = np.zeros_like(grid)
     if args.iters > 0:
         dual = env_mod.improve_u2(u2, payoff, mu1, mu2, args.iters, grid=grid)
+        value, u2 = dual.value, dual.u2
     else:
-        dual = env_mod.evaluate_dual(u2, payoff, mu1, mu2, grid=grid)
-    payload = {"value": dual.value, "iters": args.iters,
-               "grid": dual.grid, "u2": dual.u2}
+        value = env_mod.dual_value(u2, payoff, mu1, mu2, grid=grid)
+    payload = {"value": value, "iters": args.iters, "grid": grid, "u2": u2}
     if args.out:
         Path(args.out).write_text(_dump_json(payload))
-    print(f"value {fmt12(dual.value)}")
+    print(f"value {fmt12(value)}")
     return 0
 
 

@@ -315,7 +315,13 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem) -> SemiStaticHed
     table is detrended by its mean with the compensating linear terms moved
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
     its heaviest atom with the shift absorbed into cash."""
-    layout = _layout(problem.system)
+    return _extract_hedge(lp_solution, problem, _layout(problem.system),
+                          verification_grids(problem)[-1])
+
+
+def _extract_hedge(lp_solution: LpSolution, problem: MotProblem, layout: _Layout,
+                   z_candidates: np.ndarray) -> SemiStaticHedge:
+    """:func:`extract_hedge`, given the LP layout and the candidate knots of u_n."""
     system = problem.system
     n = system.n_dates
     y = np.asarray(lp_solution.dual, dtype=float)
@@ -347,7 +353,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem) -> SemiStaticHed
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    return _augment_last_static(hedge, problem.payoff, verification_grids(problem)[-1])
+    return _augment_last_static(hedge, problem.payoff, z_candidates)
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -417,7 +423,7 @@ def _bound(problem: MotProblem, feas_tol: float, gap_tol: float,
             "re-discretize with barycentric cells to restore convex order"
         ) from exc
     grids = verification_grids(problem)
-    hedge = extract_hedge(sol, problem)
+    hedge = _extract_hedge(sol, problem, layout, grids[-1])
     report = verify(hedge, problem.payoff, grids)
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motbound import envelope
 from motbound.envelope import (convex_envelope, dual_value, evaluate_dual,
                                extended_grid, improve_u2, u2_from_csv, u2_to_csv)
 from motbound.errors import GridCoverage
 from motbound.fixtures import instance_a_marginals, smooth_pair, smooth_u2
+from motbound.measures import DensitySpec, DiscreteMeasure, discretize
 from motbound.mot import MotProblem, bound
-from motbound.payoff import forward_start_straddle
+from motbound.payoff import forward_start_call, forward_start_straddle, tabulate
 
 CERT_TOL = 1e-8
 
@@ -150,6 +152,94 @@ class TestDualValue:
         mu1, mu2 = instance_a_marginals().marginals
         with pytest.raises(ValueError):
             dual_value([0.0, 0.0], forward_start_straddle(), mu1, mu2)
+
+    def test_evaluate_dual_size_mismatch(self):
+        with pytest.raises(ValueError, match="u2 has 3 entries, grid has 9"):
+            evaluate_dual(np.zeros(3), forward_start_straddle(), *smooth_pair(5).marginals)
+
+
+def reference_value(u2, payoff, mu1, mu2, grid) -> float:
+    """dual_value by one hull scan per first-date atom."""
+    table = tabulate(payoff, [mu1.points, grid]).reshape(mu1.points.size, grid.size)
+    total = 0.0
+    for x, w, row in zip(mu1.points, mu1.weights, table):
+        total += w * convex_envelope(grid, row - u2)(x)
+    return total + float(np.dot(np.interp(mu2.points, grid, u2), mu2.weights))
+
+
+def spread_marginals():
+    """Uniform first date, wider trapezoid second date with the same mean."""
+    mu1 = discretize(DensitySpec.uniform(0.8, 1.2), 12)
+    mu2 = discretize(DensitySpec.piecewise_linear([0.6, 0.84, 1.16, 1.4], [0.0, 1.0, 1.0, 0.0]), 12)
+    return mu1, mu2
+
+
+def merged_atoms():
+    """TestExtendedGrid's dates: two atoms one ulp apart share a grid node."""
+    a = 6.0 / 11.0
+    mu1 = DiscreteMeasure(np.array([-1.0, a]), np.array([0.5, 0.5]))
+    mu2 = DiscreteMeasure(np.array([-2.0, np.nextafter(a, 1.0), 2.0]), np.array([0.4, 0.2, 0.4]))
+    return mu1, mu2
+
+
+def ends_on_the_hull():
+    """Both dates reach the grid's ends; the grid stops short of them by
+    under 1e-12, which the coverage check allows."""
+    mu1 = DiscreteMeasure(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+    mu2 = DiscreteMeasure(np.array([-1.0, -0.5, 0.5, 1.0]), np.array([0.2, 0.3, 0.3, 0.2]))
+    grid = np.concatenate([[-1.0 + 7e-13], np.linspace(-0.8, 0.8, 7), [1.0 - 9e-13]])
+    assert mu1.points[0] < grid[0] and mu1.points[-1] > grid[-1]
+    return mu1, mu2, grid
+
+
+def off_atom_grid():
+    """An explicit grid with no node on a first-date atom."""
+    mu1, mu2 = smooth_pair(11).marginals
+    grid = np.linspace(mu2.points[0], mu2.points[-1], 14)
+    assert not np.isin(mu1.points, grid).any()
+    return mu1, mu2, grid
+
+
+BATCH_CASES = {
+    "smooth11": lambda: (*smooth_pair(11).marginals, None),
+    "instance_a": lambda: (*instance_a_marginals().marginals, None),
+    "spread": lambda: (*spread_marginals(), None),
+    "merged_atoms": lambda: (*merged_atoms(), None),
+    "grid_off_the_atoms": off_atom_grid,
+    "atoms_past_the_hull": ends_on_the_hull,
+}
+
+
+class TestBatchedValue:
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    @pytest.mark.parametrize("payoff", [forward_start_straddle(), forward_start_call(1.0)],
+                             ids=["straddle", "call"])
+    @pytest.mark.parametrize("block", [envelope.CHORD_BLOCK, 1, 40])
+    def test_matches_one_hull_per_atom(self, case, payoff, block, monkeypatch):
+        monkeypatch.setattr(envelope, "CHORD_BLOCK", block)
+        mu1, mu2, grid = BATCH_CASES[case]()
+        full = extended_grid(mu1, mu2) if grid is None else grid
+        rng = np.random.default_rng(23)
+        for scale in (0.0, 0.5, 3.0, 3.0, 3.0):
+            u2 = rng.uniform(-scale, scale, size=full.size)
+            got = dual_value(u2, payoff, mu1, mu2, grid=grid)
+            assert abs(got - reference_value(u2, payoff, mu1, mu2, full)) <= 1e-14
+
+    def test_hull_scans_only_build_the_returned_envelopes(self, monkeypatch):
+        scan = envelope.convex_envelope
+        calls = []
+
+        def counting_scan(*args, **kwargs):
+            calls.append(1)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(envelope, "convex_envelope", counting_scan)
+        mu1, mu2 = smooth_pair(11).marginals
+        grid = extended_grid(mu1, mu2)
+        dual_value(np.zeros(grid.size), forward_start_straddle(), mu1, mu2)
+        assert calls == []
+        out = improve_u2(np.zeros(grid.size), forward_start_straddle(), mu1, mu2, iters=2)
+        assert len(calls) == len(out.per_s1_envelopes) == mu1.points.size
 
 
 class TestImprove:

@@ -87,6 +87,37 @@ class TestBuildLp:
             MotProblem(forced_system(), asian_call(0.0, 3), "lower")
 
 
+class TestOneLayoutPerBound:
+    @pytest.mark.parametrize("system, payoff", [
+        (instance_a_marginals, forward_start_straddle),
+        (three_date_system, lambda: asian_call(0.0, 3)),
+    ], ids=["two_dates", "three_dates"])
+    def test_layout_and_grids_built_once(self, system, payoff, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_layout", "verification_grids"):
+            monkeypatch.setattr(mot, name, counting(name, getattr(mot, name)))
+        bound(MotProblem(system(), payoff(), "lower"))
+        assert sorted(calls) == ["_layout", "verification_grids"]
+
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_public_extract_hedge_matches_bound(self, sense):
+        problem = MotProblem(three_date_system(), asian_call(0.0, 3), sense)
+        res = bound(problem)
+        hedge = mot.extract_hedge(mot.solve(build_lp(problem)), problem)
+        assert hedge.cash == res.hedge.cash
+        for a, b in zip(hedge.statics, res.hedge.statics):
+            np.testing.assert_array_equal(a.knots, b.knots)
+            np.testing.assert_array_equal(a.values, b.values)
+            assert (a.left_slope, a.right_slope) == (b.left_slope, b.right_slope)
+
+
 class TestForcedInstance:
     def test_value_and_hedge(self):
         problem = MotProblem(forced_system(), forward_start_straddle(), "lower")
