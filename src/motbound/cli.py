@@ -24,7 +24,7 @@ from . import payoff as payoff_mod
 from .errors import BadSpec, DimensionMismatch, MotboundError, OffGrid
 from .hedge import check_arbitrage, hedge_to_json, price as hedge_price
 from .measures import (MarginalSystem, check_convex_order, counterexample_marginals,
-                       detect_barriers, from_call_curve, load_call_curves)
+                       from_call_curve, load_call_curves)
 from .mot import (MotProblem, bound, decompose_and_solve, fmt12,
                   random_feasible_coupling, strike_sweep, surface_csv)
 from .payoff import Payoff
@@ -254,14 +254,13 @@ def cmd_counterexample(args) -> int:
                               feas_tol=args.tol_feas, gap_tol=args.tol_gap)
     closed = fixtures.counterexample_value(args.blocks)
     edges = fixtures.counterexample_edges(args.blocks)
-    dec = detect_barriers(*system.marginals)
     payload = {
         "blocks": args.blocks,
         "atoms_per_block": args.grid,
         "value": res.value,
         "closed_form": closed,
         "relative_error": abs(res.value - closed) / abs(closed),
-        "barrier_levels": dec.levels,
+        "barrier_levels": res.diagnostics.extras["barrier_levels"],
         "partial_sums": edges[1:-1],
         "delta_increments": res.diagnostics.extras.get("delta_increments"),
         "diagnostics": res.diagnostics.to_json(),

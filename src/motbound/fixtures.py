@@ -83,8 +83,7 @@ def smooth_hedge(s1_grid, s2_grid) -> SemiStaticHedge:
     left = -3.0 - 4.0 * knots2[0] / 3.0
     right = 3.0 - 4.0 * knots2[-1] / 3.0
     u2 = PiecewiseLinear(knots2, smooth_u2(knots2), float(left), float(right))
-    table = {(i,): float(smooth_delta(x)) for i, x in enumerate(s1_grid)}
-    return SemiStaticHedge(0.0, (u1, u2), (DeltaTable((s1_grid,), table),), "sub")
+    return SemiStaticHedge(0.0, (u1, u2), (DeltaTable((s1_grid,), smooth_delta(s1_grid)),), "sub")
 
 
 def counterexample_edges(n_blocks: int) -> np.ndarray:

@@ -101,6 +101,12 @@ class PiecewiseLinear:
         return cls(obj["knots"], obj["values"], obj["left_slope"], obj["right_slope"])
 
 
+def _histories(grids) -> list[np.ndarray]:
+    """Every history cell of the product of ``grids``, one flat array per
+    date, in row-major order."""
+    return [h.ravel() for h in np.meshgrid(*grids, indexing="ij")]
+
+
 def _nearest_index(grid: np.ndarray, x) -> np.ndarray:
     """Index of the nearest node for every entry of x; ties go left."""
     x = np.asarray(x, dtype=float)
@@ -112,15 +118,15 @@ def _nearest_index(grid: np.ndarray, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeltaTable:
-    """Delta positions tabulated on history cells, nearest-atom lookup.
+    """Delta positions on history cells, nearest-atom lookup.
 
-    Duals exist only at grid histories, so no interpolation: a query snaps
-    each coordinate to the nearest atom.  Histories absent from the table
-    hold no position.  Lookups read a dense copy of the table.
+    ``values`` holds one position per cell of the product of the atom
+    grids, shaped like it.  Duals exist only at grid histories, so no
+    interpolation: a query snaps each coordinate to the nearest atom.
     """
 
     atoms: tuple[np.ndarray, ...]
-    table: dict
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         atoms = tuple(np.asarray(g, dtype=float).ravel() for g in self.atoms)
@@ -128,16 +134,17 @@ class DeltaTable:
             if g.size == 0 or np.any(np.diff(g) <= 0):
                 raise ValueError("atom grids must be nonempty and strictly increasing")
             g.flags.writeable = False
-        dense = np.zeros(tuple(g.size for g in atoms))
-        if self.table:
-            keys = np.asarray(list(self.table), dtype=np.int64).reshape(len(self.table), -1)
-            dense[tuple(keys.T)] = list(self.table.values())
+        values = np.array(self.values, dtype=float)
+        shape = tuple(g.size for g in atoms)
+        if values.shape != shape:
+            raise ValueError(f"delta values have shape {values.shape}, atom grids {shape}")
+        values.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "values", values)
 
     def at(self, *history) -> np.ndarray:
         """Positions at per-date history coordinates that broadcast together."""
-        return self._dense[tuple(_nearest_index(g, x) for g, x in zip(self.atoms, history))]
+        return self.values[tuple(_nearest_index(g, x) for g, x in zip(self.atoms, history))]
 
     def lookup(self, history) -> float:
         history = np.asarray(history, dtype=float).ravel()
@@ -146,13 +153,14 @@ class DeltaTable:
         return float(self.at(*history))
 
     def shifted(self, beta: float) -> "DeltaTable":
-        return DeltaTable(self.atoms, {k: v + beta for k, v in self.table.items()})
+        return DeltaTable(self.atoms, self.values + beta)
 
     def to_json(self) -> dict:
+        """Every history in row-major order with its position."""
         return {
             "atoms": [[float(x) for x in g] for g in self.atoms],
-            "entries": [{"history": [float(g[i]) for g, i in zip(self.atoms, k)], "delta": float(v)}
-                        for k, v in sorted(self.table.items())],
+            "entries": [{"history": [float(x) for x in h], "delta": float(v)}
+                        for *h, v in zip(*_histories(self.atoms), self.values.ravel())],
         }
 
 
@@ -276,7 +284,7 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     if len(grids) != hedge.n:
         raise DimensionMismatch(f"hedge covers {hedge.n} dates, got {len(grids)} grids")
     sign = 1.0 if hedge.sense == "sub" else -1.0
-    hist = [h.ravel() for h in np.meshgrid(*grids[:-1], indexing="ij")]
+    hist = _histories(grids[:-1])
     data = payoff_mod.last_axis(payoff, *hist)
     z = grids[-1]
     kinks = np.zeros((hist[0].size, 0))

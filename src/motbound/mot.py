@@ -12,7 +12,6 @@ static payouts u_i, martingale-row duals are the delta positions.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ import numpy as np
 from . import payoff as payoff_mod
 from .errors import DegenerateDual, DimensionMismatch, Infeasible, MotboundError, NotAdmissible
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
-                    VerificationReport, price as hedge_price, slackness, verify)
+                    VerificationReport, _histories, price as hedge_price, slackness, verify)
 from .lp import FEAS_TOL, LinearProgram, LpSolution, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
 from .payoff import Payoff
@@ -147,58 +146,48 @@ class MotResult:
 
 @dataclass(frozen=True)
 class _Layout:
+    """LP row numbers.  ``marginal_row[i]`` gives each atom of date i its
+    row, -1 at the dropped (heaviest) atom of dates >= 2; ``mart_row[j]``
+    is shaped like the history grid of dates 1..j+1 and numbers its rows
+    consecutively in row-major order."""
+
     grids: tuple[np.ndarray, ...]
     shape: tuple[int, ...]
     n_cells: int
     n_rows: int
-    marginal_row: tuple[dict, ...]
-    mart_row: tuple[dict, ...]
+    marginal_row: tuple[np.ndarray, ...]
+    mart_row: tuple[np.ndarray, ...]
 
 
 def _layout(system: MarginalSystem) -> _Layout:
     grids = tuple(mu.points for mu in system.marginals)
     shape = tuple(g.size for g in grids)
-    n = len(grids)
-    n_cells = int(np.prod(shape))
-
-    marginal_row: list[dict] = []
     row = 0
+    marginal_row = []
     for i, mu in enumerate(system.marginals):
-        drop = -1 if i == 0 else int(np.argmax(mu.weights))
-        rmap = {}
-        for k in range(shape[i]):
-            if k == drop:
-                continue
-            rmap[k] = row
-            row += 1
-        marginal_row.append(rmap)
-
-    mart_row: list[dict] = []
-    for j in range(n - 1):
-        rmap = {}
-        for hist in itertools.product(*[range(shape[t]) for t in range(j + 1)]):
-            rmap[hist] = row
-            row += 1
-        mart_row.append(rmap)
-
-    return _Layout(grids=grids, shape=shape, n_cells=n_cells, n_rows=row,
+        keep = np.arange(shape[i]) != (np.argmax(mu.weights) if i else -1)
+        marginal_row.append(np.where(keep, row + np.cumsum(keep) - 1, -1))
+        row += int(keep.sum())
+    mart_row = []
+    for j in range(len(grids) - 1):
+        hist_shape = shape[: j + 1]
+        mart_row.append(row + np.arange(int(np.prod(hist_shape))).reshape(hist_shape))
+        row += mart_row[-1].size
+    return _Layout(grids=grids, shape=shape, n_cells=int(np.prod(shape)), n_rows=row,
                    marginal_row=tuple(marginal_row), mart_row=tuple(mart_row))
 
 
 def _lp_from_layout(layout: _Layout, system: MarginalSystem, cost: np.ndarray, sense: str) -> LinearProgram:
     n = len(layout.grids)
-    shape = layout.shape
-    idx = np.indices(shape).reshape(n, -1)
+    idx = np.indices(layout.shape).reshape(n, -1)
     flat = np.arange(layout.n_cells)
 
     rows_parts, cols_parts, vals_parts = [], [], []
     rhs = np.zeros(layout.n_rows)
 
     for i, mu in enumerate(system.marginals):
-        rmap = np.full(shape[i], -1, dtype=np.int64)
-        for k, r in layout.marginal_row[i].items():
-            rmap[k] = r
-            rhs[r] = mu.weights[k]
+        rmap = layout.marginal_row[i]
+        rhs[rmap[rmap >= 0]] = mu.weights[rmap >= 0]
         r = rmap[idx[i]]
         keep = r >= 0
         rows_parts.append(r[keep])
@@ -206,12 +195,7 @@ def _lp_from_layout(layout: _Layout, system: MarginalSystem, cost: np.ndarray, s
         vals_parts.append(np.ones(int(keep.sum())))
 
     for j in range(n - 1):
-        hist_sizes = shape[: j + 1]
-        rmap = np.full(int(np.prod(hist_sizes)), -1, dtype=np.int64)
-        for hist, r in layout.mart_row[j].items():
-            rmap[np.ravel_multi_index(hist, hist_sizes)] = r
-        hist_of_cell = np.ravel_multi_index(tuple(idx[: j + 1]), hist_sizes)
-        r = rmap[hist_of_cell]
+        r = layout.mart_row[j][tuple(idx[: j + 1])]
         coeff = layout.grids[j + 1][idx[j + 1]] - layout.grids[j][idx[j]]
         keep = coeff != 0.0
         rows_parts.append(r[keep])
@@ -241,12 +225,6 @@ def build_lp(problem: MotProblem) -> LinearProgram:
     row per date beyond the first dropped at the heaviest atom), and one
     conditional-mean row per history cell."""
     return _assemble(problem)[0]
-
-
-def _histories(grids) -> list[np.ndarray]:
-    """Every history cell of the product of ``grids``, one flat array per
-    date, in row-major order."""
-    return [h.ravel() for h in np.meshgrid(*grids, indexing="ij")]
 
 
 def verification_grids(problem: MotProblem) -> list[np.ndarray]:
@@ -328,21 +306,15 @@ def _extract_hedge(lp_solution: LpSolution, problem: MotProblem, layout: _Layout
     if y.size != layout.n_rows:
         raise DimensionMismatch("dual vector does not match the assembled row count")
 
-    u_vals = []
-    for i in range(n):
-        vals = np.zeros(layout.shape[i])
-        for k, r in layout.marginal_row[i].items():
-            vals[k] = y[r]
-        u_vals.append(vals)
-    tables = [{hist: float(y[r]) for hist, r in layout.mart_row[j].items()} for j in range(n - 1)]
+    u_vals = [np.where(r >= 0, y[r], 0.0) for r in layout.marginal_row]
+    tables = [y[r] for r in layout.mart_row]
 
     cash = 0.0
     for j in range(n - 1):
-        if tables[j]:
-            beta = -float(np.mean(list(tables[j].values())))
-            tables[j] = {h: v + beta for h, v in tables[j].items()}
-            u_vals[j] = u_vals[j] + beta * layout.grids[j]
-            u_vals[j + 1] = u_vals[j + 1] - beta * layout.grids[j + 1]
+        beta = -float(np.mean(tables[j]))
+        tables[j] = tables[j] + beta
+        u_vals[j] = u_vals[j] + beta * layout.grids[j]
+        u_vals[j + 1] = u_vals[j + 1] - beta * layout.grids[j + 1]
     for i in range(1, n):
         heavy = int(np.argmax(system.marginals[i].weights))
         c = float(u_vals[i][heavy])

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+import motbound.cli as cli
+import motbound.mot as mot
 from motbound.cli import main
 from motbound.fixtures import instance_a_marginals, smooth_pair
 from motbound.measures import (DiscreteMeasure, MarginalSystem, call_price,
@@ -268,6 +270,22 @@ class TestCounterexample:
         np.testing.assert_allclose(blob["partial_sums"], [1.0, 1.25], atol=1e-12)
         assert len(blob["delta_increments"]) == 2
         assert set(blob["barrier_levels"]) >= {1.0, 1.25}
+
+    def test_barriers_detected_once(self, tmp_path, monkeypatch):
+        detect = mot.detect_barriers
+        calls = []
+
+        def counting_detect(*args, **kwargs):
+            calls.append(1)
+            return detect(*args, **kwargs)
+
+        # every module that could scan: the solver, and the CLI if it imports the scan
+        monkeypatch.setattr(mot, "detect_barriers", counting_detect)
+        monkeypatch.setattr(cli, "detect_barriers", counting_detect, raising=False)
+        rc = main(["counterexample", "--blocks", "2", "--grid", "4",
+                   "--out", str(tmp_path / "ce.json")])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_exports_match_library_instance(self):
         system = counterexample_marginals(2, 4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ KNOT_TOL = 1e-10
 
 def zero_hedge(n: int, atom_grids) -> SemiStaticHedge:
     statics = tuple(PiecewiseLinear.zero() for _ in range(n))
-    deltas = tuple(DeltaTable(tuple(atom_grids[:j + 1]), {}) for j in range(n - 1))
+    deltas = tuple(DeltaTable(tuple(atom_grids[:j + 1]),
+                              np.zeros([len(g) for g in atom_grids[:j + 1]]))
+                   for j in range(n - 1))
     return SemiStaticHedge(0.0, statics, deltas, "sub")
 
 
@@ -97,7 +100,7 @@ class TestCallPortfolio:
 
 class TestDeltaTable:
     def test_nearest_lookup_and_default(self):
-        table = DeltaTable((np.array([-1.0, 1.0]),), {(0,): 0.5})
+        table = DeltaTable((np.array([-1.0, 1.0]),), np.array([0.5, 0.0]))
         assert table.lookup([-0.2]) == 0.5
         assert table.lookup([0.2]) == 0.0  # snaps to +1, which holds no position
         with pytest.raises(DimensionMismatch):
@@ -105,7 +108,18 @@ class TestDeltaTable:
 
     def test_rejects_unsorted_atoms(self):
         with pytest.raises(ValueError):
-            DeltaTable((np.array([1.0, -1.0]),), {})
+            DeltaTable((np.array([1.0, -1.0]),), np.zeros(2))
+
+    @pytest.mark.parametrize("values", [np.zeros(1), np.zeros(3), np.zeros((2, 1)), 0.0],
+                             ids=["short", "long", "two_dim", "scalar"])
+    def test_values_must_match_atom_grids(self, values):
+        message = f"delta values have shape {np.shape(values)}, atom grids (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeltaTable((np.array([-1.0, 1.0]),), values)
+
+    def test_rejects_a_dict_of_histories(self):
+        with pytest.raises(TypeError):
+            DeltaTable((np.array([-1.0, 1.0]),), {(-1,): 1.0})
 
 
 class TestPrice:
@@ -119,7 +133,7 @@ class TestPrice:
         system = MarginalSystem([mu, mu])
         identity = PiecewiseLinear.from_samples([0.0, 4.0], [0.0, 4.0])
         hedge = SemiStaticHedge(0.7, (identity, PiecewiseLinear.zero()),
-                                (DeltaTable((mu.points,), {}),), "sub")
+                                (DeltaTable((mu.points,), np.zeros(2)),), "sub")
         assert price(hedge, system) == pytest.approx(mu.mean + 0.7)
 
     def test_closed_form_statics_price_one_third_in_the_limit(self):
@@ -189,7 +203,7 @@ class TestVerify:
         g2 = np.array([-2.0, 0.0, 2.0])
         u2 = PiecewiseLinear(np.array([0.0]), np.array([-10.0]), -1.0, 1.5)
         hedge = SemiStaticHedge(0.0, (PiecewiseLinear.zero(), u2),
-                                (DeltaTable((g1,), {}),), "sub")
+                                (DeltaTable((g1,), np.zeros(g1.size)),), "sub")
         report = verify(hedge, forward_start_straddle(), [g1, g2])
         assert report.max_violation <= 0.0
         assert report.wing_ok is False
@@ -200,7 +214,8 @@ class TestVerify:
         g2 = np.array([-2.0, 0.0, 2.0])
         u1 = PiecewiseLinear(np.array([0.0]), np.array([1.0]), -1.0, 1.0)  # |s1| + 1
         u2 = PiecewiseLinear(np.array([0.0]), np.array([0.0]), -1.0, 1.0)  # |s2|
-        hedge = SemiStaticHedge(0.0, (u1, u2), (DeltaTable((g1,), {}),), "super")
+        hedge = SemiStaticHedge(0.0, (u1, u2), (DeltaTable((g1,), np.zeros(g1.size)),),
+                                "super")
         report = verify(hedge, forward_start_straddle(), [g1, g2])
         assert report.valid
         assert "super" in report.describe()
@@ -327,11 +342,13 @@ class TestArbitrage:
 
 
 class TestGauge:
-    @pytest.mark.parametrize("beta", [1.0, -3.0])
-    def test_affine_transfer_preserves_price_and_payout(self, beta):
+    # a zero-position table must shift everywhere, or the payout moves with the statics
+    @pytest.mark.parametrize("beta, zero", [(1.0, False), (-3.0, False), (1.0, True), (-3.0, True)],
+                             ids=["1.0", "-3.0", "zero_hedge-1.0", "zero_hedge--3.0"])
+    def test_affine_transfer_preserves_price_and_payout(self, beta, zero):
         g1 = np.linspace(-1.0, 1.0, 21)
         g2 = np.linspace(-2.0, 2.0, 41)
-        hedge = smooth_hedge(g1, g2)
+        hedge = zero_hedge(2, [g1, g2]) if zero else smooth_hedge(g1, g2)
         moved = affine_transfer(hedge, 0, beta)
         system = smooth_pair(21)
         assert price(moved, system) == pytest.approx(price(hedge, system), abs=1e-12)
@@ -340,7 +357,7 @@ class TestGauge:
             s = rng.uniform([-1.0, -2.0], [1.0, 2.0])
             assert moved.evaluate(s) == pytest.approx(hedge.evaluate(s), abs=1e-12)
         assert moved.deltas[0].lookup([g1[3]]) == \
-            pytest.approx(smooth_delta(g1[3]) + beta)
+            pytest.approx((0.0 if zero else smooth_delta(g1[3])) + beta)
 
 
 class TestJsonExport:

@@ -76,6 +76,31 @@ class TestBuildLp:
         # marginal rows 2 + 1 + 1, martingale rows 2 (j=1) + 4 (j=2)
         assert lp.n_rows == 4 + 2 + 4
 
+    def test_rows_follow_history_order(self):
+        # 2, 3 and 4 atoms: a reshape with the axes swapped would misplace cells
+        system = three_date_system()
+        lp = build_lp(MotProblem(system, asian_call(0.0, 3), "lower"))
+        grids = [mu.points for mu in system.marginals]
+        shape = tuple(g.size for g in grids)
+        cells = list(np.ndindex(*shape))  # one column per cell, row-major
+        expected, rhs = [], []
+        for i, mu in enumerate(system.marginals):
+            for k in range(shape[i]):
+                if i > 0 and k == np.argmax(mu.weights):  # dropped: the (first) heaviest atom
+                    continue
+                expected.append([float(c[i] == k) for c in cells])
+                rhs.append(mu.weights[k])
+        for j in range(len(shape) - 1):
+            for hist in np.ndindex(*shape[: j + 1]):
+                expected.append([grids[j + 1][c[j + 1]] - grids[j][c[j]] if c[: j + 1] == hist
+                                 else 0.0 for c in cells])
+                rhs.append(0.0)
+        a = np.zeros((lp.n_rows, lp.n_cols))
+        np.add.at(a, (lp.rows, lp.cols), lp.vals)
+        np.testing.assert_array_equal(a, expected)
+        assert lp.vals.size == np.count_nonzero(expected)
+        np.testing.assert_array_equal(lp.rhs, rhs)
+
     def test_not_admissible_rejected(self):
         bad = MarginalSystem([DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
                               dirac(0.0)])
