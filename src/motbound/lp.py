@@ -2,10 +2,13 @@
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
 with A held as sparse (row, col, value) triples.  Callers encode everything
-into this form.  ``solve`` hands it to the HiGHS dual simplex that ships
-with scipy and returns primal and dual optima; ``solve_exact`` is a
-two-phase tableau simplex in rational arithmetic on small instances and
-serves as the independent oracle.
+into this form.  ``solve`` hands it to the HiGHS solver that ships with
+scipy, without presolve, and returns primal and dual optima: the dual
+simplex below ``IPM_MIN_COLS`` variables, the interior-point method with
+crossover (so both optima are still a basic solution) at or above it, and
+the dual simplex again when crossover ends uncertified.
+``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
+small instances and serves as the independent oracle.
 
 The constraint matrices built downstream carry dependent rows (marginal mass
 rows and martingale rows share mean information), so the exact solver keeps
@@ -30,6 +33,11 @@ FEAS_TOL = 1e-9
 HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 MAX_ITER = 10 ** 6
 EXACT_MAX_VARS = 200
+# Variable count from which the interior-point method with crossover solves
+# the transport LPs faster than the dual simplex, both senses together: the
+# simplex wins at 1,331 cells (3 dates, m=11), interior point at 1,681
+# (2 dates, m=41).
+IPM_MIN_COLS = 1500
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,12 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal/dual optimum.  Exact fields are set only by solve_exact."""
+    """Primal/dual optimum.  Exact fields are set only by solve_exact.
+
+    ``iterations`` counts HiGHS's iterations: simplex pivots on the
+    dual-simplex path; interior-point plus crossover iterations on the
+    interior-point path, plus the pivots of the dual-simplex re-solve when
+    one runs."""
 
     status: str
     primal: np.ndarray
@@ -120,21 +133,39 @@ class LpSolution:
     dual_exact: tuple[Fraction, ...] | None = None
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
-    """Primal and dual optimum from the HiGHS dual simplex bundled with scipy.
+def _highs(lp: LinearProgram, a: sp.csr_matrix, method: str, max_iter: int):
+    flip = lp.sense == "max"
+    return optimize.linprog(-lp.cost if flip else lp.cost, A_eq=a, b_eq=lp.rhs,
+                            bounds=(0, None), method=method,
+                            options={"presolve": False, "maxiter": max_iter,
+                                     "primal_feasibility_tolerance": HIGHS_TOL,
+                                     "dual_feasibility_tolerance": HIGHS_TOL})
 
-    HiGHS runs at its tightest feasibility tolerances; the primal is clipped
-    at zero and must then meet ``A x = rhs`` to ``feas_tol`` (relative to
-    the largest rhs), else the optimum is reported as infeasible."""
+
+def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
+    """Primal and dual optimum from HiGHS, bundled with scipy.
+
+    HiGHS runs without presolve: the dual simplex (``highs-ds``) below
+    ``IPM_MIN_COLS`` variables, the interior-point method with crossover
+    (``highs-ipm``) from there on; ``max_iter`` bounds the iterations of
+    either.  Crossover can stop at a basis that HiGHS cannot certify
+    optimal (status 4, and scipy returns no solution); the LP is then
+    solved again by the dual simplex.  HiGHS runs at its tightest
+    feasibility tolerances; the primal is clipped at zero and must then
+    meet ``A x = rhs`` to ``feas_tol`` (relative to the largest rhs), else
+    the optimum is reported as infeasible.  The dual must price every
+    column out to ``feas_tol`` (relative to the largest cost), else
+    ``LpError`` names the worst reduced cost."""
     flip = lp.sense == "max"
     a = lp.matrix()
-    res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=a, b_eq=lp.rhs,
-                           bounds=(0, None), method="highs-ds",
-                           options={"maxiter": max_iter,
-                                    "primal_feasibility_tolerance": HIGHS_TOL,
-                                    "dual_feasibility_tolerance": HIGHS_TOL})
+    ipm = lp.n_cols >= IPM_MIN_COLS
+    res = _highs(lp, a, "highs-ipm" if ipm else "highs-ds", max_iter)
+    iterations = int(res.nit) + int(res.crossover_nit)
+    if ipm and res.status == 4:
+        res = _highs(lp, a, "highs-ds", max_iter)
+        iterations += int(res.nit)
     if res.status == 1:
-        raise IterationLimit(f"exceeded {max_iter} simplex iterations")
+        raise IterationLimit(f"exceeded {max_iter} iterations")
     if res.status == 2:
         raise Infeasible(f"HiGHS: {res.message}")
     if res.status == 3:
@@ -146,7 +177,13 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_
     residual = float(np.abs(a @ primal - lp.rhs).max())
     if residual > 10 * feas_tol * (1.0 + float(np.abs(lp.rhs).max())):
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
-    return LpSolution("optimal", primal, dual, float(lp.cost @ primal), int(res.nit))
+    reduced = lp.cost - a.T @ dual
+    if flip:
+        reduced = -reduced
+    worst = int(np.argmin(reduced))
+    if reduced[worst] < -feas_tol * (1.0 + float(np.abs(lp.cost).max())):
+        raise LpError(f"dual infeasible: reduced cost {reduced[worst]:.3e} at column {worst}")
+    return LpSolution("optimal", primal, dual, float(lp.cost @ primal), iterations)
 
 
 def _exact_pivot(tab, xb, basis, r, q):

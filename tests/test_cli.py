@@ -95,18 +95,24 @@ class TestBounds:
             assert len(diag["barrier_levels"]) == 2
             assert len(diag["block_values"]) == 3
 
-    def test_tol_gap_below_measured_gap_is_domain_error(self, tmp_path, capsys):
+    def test_tol_gap_below_measured_gap_is_domain_error(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "smooth21.json"
         path.write_text(json.dumps(smooth_pair(21).to_json()))
         dest = tmp_path / "bounds.json"
         argv = ["bounds", "--marginals", str(path), "--payoff", "straddle", "--sense", "upper"]
         assert main(argv + ["--out", str(dest)]) == 0
+        value = json.loads(dest.read_text())["results"]["upper"]["value"]
+        # the solver may close the gap exactly, so price the hedge a known
+        # amount above the bound
+        monkeypatch.setattr(mot, "hedge_price", lambda hedge, system: value + 1e-9)
+        assert main(argv + ["--out", str(dest)]) == 0
         entry = json.loads(dest.read_text())["results"]["upper"]
         gap = entry["diagnostics"]["duality_gap"]
         assert gap > 0.0
-        tol = 0.5 * gap / (1.0 + abs(entry["value"]))
+        scale = 1.0 + abs(entry["value"])
+        assert main(argv + ["--tol-gap", repr(2.0 * gap / scale)]) == 0
         capsys.readouterr()
-        assert main(argv + ["--tol-gap", repr(tol)]) == 1
+        assert main(argv + ["--tol-gap", repr(0.5 * gap / scale)]) == 1
         assert "duality gap" in capsys.readouterr().err
 
 

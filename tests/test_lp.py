@@ -7,8 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from motbound.errors import Infeasible, IterationLimit, ScaleExceeded, Unbounded
+import motbound.lp as lp_mod
+from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
+from motbound.fixtures import smooth_pair
 from motbound.lp import LinearProgram, solve, solve_exact
+from motbound.measures import DensitySpec, MarginalSystem, discretize
+from motbound.mot import MotProblem, bound, build_lp
+from motbound.payoff import asian_call, forward_start_straddle
 
 GAP_TOL = 1e-7
 FEAS_TOL = 1e-9
@@ -182,6 +187,102 @@ class TestDeterminism:
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.primal, b.primal)
         np.testing.assert_array_equal(a.dual, b.dual)
+
+
+def spy_linprog(monkeypatch, corrupt=None):
+    """Record each linprog call's method and result; ``corrupt(method, res)``
+    may edit the result before ``solve`` reads it."""
+    calls = []
+    linprog = lp_mod.optimize.linprog
+
+    def spy(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        if corrupt is not None:
+            corrupt(kwargs["method"], res)
+        calls.append((kwargs["method"], res))
+        return res
+
+    monkeypatch.setattr(lp_mod.optimize, "linprog", spy)
+    return calls
+
+
+class TestDualCheck:
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_corrupted_dual_is_rejected(self, monkeypatch, sense):
+        def corrupt(method, res):
+            # lowers the reduced cost of row 0's columns by 1, in either sense
+            res.eqlin.marginals[0] += 1.0
+
+        lp = transportation([1.0, 2.0], [1.5, 1.5], [[1.0, 2.0], [3.0, 1.0]], sense)
+        solve(lp)
+        spy_linprog(monkeypatch, corrupt)
+        with pytest.raises(LpError, match=r"reduced cost -1\.000e\+00 at column [01]\b"):
+            solve(lp)
+
+
+def widening_dates(w: float, m: int) -> MarginalSystem:
+    return MarginalSystem([discretize(DensitySpec.uniform(1.0 - w * k, 1.0 + w * k), m)
+                           for k in (1, 2, 3)])
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("problem", [
+        MotProblem(smooth_pair(41), forward_start_straddle(), "lower"),
+        MotProblem(smooth_pair(41), forward_start_straddle(), "upper"),
+        MotProblem(widening_dates(0.1, 9), asian_call(1.0, 3), "lower"),
+        MotProblem(widening_dates(0.1, 9), asian_call(1.0, 3), "upper"),
+    ], ids=["2date-lower", "2date-upper", "3date-lower", "3date-upper"])
+    def test_both_methods_agree(self, monkeypatch, problem):
+        lp = build_lp(problem)
+        calls = spy_linprog(monkeypatch)
+        values = {}
+        for threshold, method in ((lp.n_cols + 1, "highs-ds"), (lp.n_cols, "highs-ipm")):
+            monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", threshold)
+            sol = solve(lp)
+            assert calls[-1][0] == method
+            res = calls[-1][1]
+            assert sol.iterations == res.nit + res.crossover_nit
+            values[method] = sol.objective
+            result = bound(problem)
+            assert calls[-1][0] == method
+            assert result.report.valid
+            assert result.value == sol.objective
+        v = values["highs-ds"]
+        assert abs(values["highs-ipm"] - v) <= 1e-12 * (1.0 + abs(v))
+
+    def test_interior_point_status_4_is_solved_again_by_dual_simplex(self, monkeypatch):
+        def corrupt(method, res):
+            if method == "highs-ipm":
+                res.status, res.x = 4, None
+
+        lp = random_transportation(np.random.default_rng(5))
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        calls = spy_linprog(monkeypatch, corrupt)
+        sol = solve(lp)
+        assert [method for method, _ in calls] == ["highs-ipm", "highs-ds"]
+        (_, ipm), (_, ds) = calls
+        assert sol.iterations == ipm.nit + ipm.crossover_nit + ds.nit
+        assert sol.objective == ds.fun
+        check_solution_invariants(lp, sol)
+
+    def test_unfinished_crossover_instance(self, monkeypatch):
+        # a 3-date Asian LP on which crossover stops at a basis HiGHS cannot
+        # certify optimal (model status Unknown, scipy status 4)
+        w, strike = float.fromhex("0x1.d6feba827a814p-4"), float.fromhex("0x1.ef53ae578b7a5p-1")
+        problem = MotProblem(widening_dates(w, 15), asian_call(strike, 3), "lower")
+        res = bound(problem)
+        assert res.report.valid
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
+        assert res.value == solve(build_lp(problem)).objective
+
+    def test_iteration_limit_on_interior_point_path(self, monkeypatch):
+        lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
+                            np.arange(9, dtype=float).reshape(3, 3))
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        calls = spy_linprog(monkeypatch)
+        with pytest.raises(IterationLimit, match="exceeded 1 iterations"):
+            solve(lp, max_iter=1)
+        assert calls[-1][0] == "highs-ipm"
 
 
 class TestJsonDump:
