@@ -23,9 +23,10 @@ from . import fixtures
 from . import payoff as payoff_mod
 from .errors import BadSpec, DimensionMismatch, MotboundError, OffGrid
 from .hedge import check_arbitrage, hedge_to_json, price as hedge_price
+from .lp import FEAS_TOL
 from .measures import (MarginalSystem, check_convex_order, counterexample_marginals,
                        from_call_curve, load_call_curves)
-from .mot import (MotProblem, bound, decompose_and_solve, fmt12,
+from .mot import (GAP_TOL, MotProblem, bound, decompose_and_solve, fmt12,
                   random_feasible_coupling, strike_sweep, surface_csv)
 from .payoff import Payoff
 
@@ -284,9 +285,9 @@ def _add_io_flags(p, *, quotes=True, marginals=True):
 
 
 def _add_tol_flags(p):
-    p.add_argument("--tol-feas", type=float, default=1e-9, dest="tol_feas",
+    p.add_argument("--tol-feas", type=float, default=FEAS_TOL, dest="tol_feas",
                    help="LP feasibility tolerance")
-    p.add_argument("--tol-gap", type=float, default=1e-7, dest="tol_gap",
+    p.add_argument("--tol-gap", type=float, default=GAP_TOL, dest="tol_gap",
                    help="relative duality-gap tolerance")
 
 

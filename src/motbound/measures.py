@@ -27,10 +27,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import BadSpec, InfeasibleCurve, MotboundError
 
@@ -53,8 +52,8 @@ class DiscreteMeasure:
         merged by summing their weights.
     weights : array_like
         Nonnegative weights.  Zero-weight atoms are dropped; the remaining
-        weights must sum to one within ``WEIGHT_TOL`` and are renormalized to
-        sum to one exactly.
+        weights must sum to one within 1e-9 and are renormalized to sum to
+        one exactly.
 
     Attributes
     ----------
@@ -287,139 +286,82 @@ def check_convex_order(system: MarginalSystem) -> OrderReport:
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Density with compact support, either piecewise linear (exact integrals)
-    or a plain callable (integrated numerically).
+    """Piecewise-linear density with compact support.
 
-    Use the constructors: :meth:`uniform`, :meth:`piecewise_linear`,
-    :meth:`from_pdf`.
+    ``xs`` are strictly increasing finite breakpoints and ``ys`` the
+    nonnegative density values there; the density is linear between
+    breakpoints and zero outside ``[xs[0], xs[-1]]``.  The values are rescaled
+    to unit mass on construction, and every construction, including a direct
+    one, is validated: malformed breakpoints or values raise :class:`BadSpec`.
     """
 
-    support: tuple[float, float]
-    pdf: Callable[[float], float] | None = None
-    xs: np.ndarray | None = None
-    ys: np.ndarray | None = None
+    xs: np.ndarray
+    ys: np.ndarray
 
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "DensitySpec":
-        if not b > a:
-            raise BadSpec("uniform support must have positive length")
-        h = 1.0 / (b - a)
-        return cls.piecewise_linear([a, b], [h, h])
-
-    @classmethod
-    def piecewise_linear(cls, xs: Sequence[float], ys: Sequence[float]) -> "DensitySpec":
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        if x.size < 2 or x.size != y.size or np.any(np.diff(x) <= 0):
-            raise BadSpec("breakpoints must be strictly increasing and match values")
-        if np.any(y < 0) or not np.all(np.isfinite(y)):
+    def __post_init__(self) -> None:
+        x = np.array(self.xs, dtype=float).ravel()
+        y = np.asarray(self.ys, dtype=float).ravel()
+        if x.size < 2 or x.size != y.size or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+            raise BadSpec("breakpoints must be finite, strictly increasing and match values")
+        if not np.all(np.isfinite(y)) or np.any(y < 0):
             raise BadSpec("density values must be finite and nonnegative")
         total = float(np.trapezoid(y, x))
-        if total <= 0:
-            raise BadSpec("density has no mass")
+        if not (math.isfinite(total) and total > 0):
+            raise BadSpec("density has no finite positive mass")
         y = y / total
         x.setflags(write=False)
         y.setflags(write=False)
-        return cls(support=(float(x[0]), float(x[-1])), pdf=None, xs=x, ys=y)
+        object.__setattr__(self, "xs", x)
+        object.__setattr__(self, "ys", y)
 
     @classmethod
-    def from_pdf(cls, pdf: Callable[[float], float], a: float, b: float) -> "DensitySpec":
-        if not (math.isfinite(a) and math.isfinite(b) and b > a):
-            raise BadSpec("support must be a finite interval")
-        return cls(support=(a, b), pdf=pdf, xs=None, ys=None)
+    def uniform(cls, a: float, b: float) -> "DensitySpec":
+        return cls.piecewise_linear([a, b], [1.0, 1.0])
 
-    # Exact segment integrals for the piecewise-linear case.
-    def _segment_mass(self, a: float, b: float) -> float:
-        x, y = self.xs, self.ys
-        lo = max(a, x[0])
-        hi = min(b, x[-1])
-        if hi <= lo:
-            return 0.0
-        cuts = np.unique(np.concatenate(([lo, hi], x[(x > lo) & (x < hi)])))
-        ya = np.interp(cuts[:-1], x, y)
-        yb = np.interp(cuts[1:], x, y)
-        return float(np.sum((ya + yb) * np.diff(cuts)) / 2.0)
+    @classmethod
+    def piecewise_linear(cls, xs: Sequence[float], ys: Sequence[float]) -> "DensitySpec":
+        return cls(xs, ys)
 
-    def _segment_moment(self, a: float, b: float) -> float:
-        x, y = self.xs, self.ys
-        lo = max(a, x[0])
-        hi = min(b, x[-1])
-        if hi <= lo:
-            return 0.0
-        cuts = np.unique(np.concatenate(([lo, hi], x[(x > lo) & (x < hi)])))
-        total = 0.0
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            yu = float(np.interp(u, x, y))
-            yv = float(np.interp(v, x, y))
-            # density y(s) = yu + slope*(s-u) on [u, v]; integrate s*y(s) exactly
-            slope = (yv - yu) / (v - u)
-            c0 = yu - slope * u
-            total += c0 * (v**2 - u**2) / 2.0 + slope * (v**3 - u**3) / 3.0
-        return total
-
-    def mass(self, a: float, b: float) -> float:
-        if self.xs is not None:
-            return self._segment_mass(a, b)
-        lo, hi = max(a, self.support[0]), min(b, self.support[1])
-        if hi <= lo:
-            return 0.0
-        val, _ = integrate.quad(self.pdf, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return float(val)
-
-    def moment(self, a: float, b: float) -> float:
-        if self.xs is not None:
-            return self._segment_moment(a, b)
-        lo, hi = max(a, self.support[0]), min(b, self.support[1])
-        if hi <= lo:
-            return 0.0
-        val, _ = integrate.quad(lambda s: s * self.pdf(s), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return float(val)
+    @property
+    def support(self) -> tuple[float, float]:
+        return float(self.xs[0]), float(self.xs[-1])
 
 
 def discretize(spec: DensitySpec, m: int) -> DiscreteMeasure:
     """Barycentric discretization: split the support into ``m`` cells of equal
     probability mass and place each cell's mass at its conditional mean.
 
-    Cell sums of exact integrals make the discrete mean equal the continuous
-    mean (up to roundoff for piecewise-linear densities, up to quadrature
-    accuracy otherwise).  Falls back to equal-width cells if the quantile
-    solve fails for a callable density.
+    Everything is in closed form.  The CDF is quadratic on each segment, so
+    each equal-mass cut is the root of a quadratic; cell masses and first
+    moments are exact integrals of the linear pieces between cuts and
+    breakpoints, so the discrete mean equals the continuous mean up to
+    roundoff and the result is dominated in convex order by the density.
     """
     if m < 2:
         raise ValueError("need at least two cells")
-    a, b = spec.support
-    total = spec.mass(a, b)
-    if not math.isfinite(total) or total <= 0:
-        raise BadSpec("density mass could not be computed")
+    x, y = spec.xs, spec.ys
+    cdf = np.concatenate(([0.0], np.cumsum((y[:-1] + y[1:]) * np.diff(x) / 2.0)))
 
-    def edges_equal_mass() -> np.ndarray:
-        targets = total * np.arange(1, m) / m
-        cuts = [a]
-        for t in targets:
-            sol = optimize.brentq(lambda s: spec.mass(a, s) - t, a, b, xtol=1e-13, rtol=8.9e-16)
-            cuts.append(float(sol))
-        cuts.append(b)
-        return np.asarray(cuts)
+    # Cut q lies on segment k with cdf[k] <= q < cdf[k + 1]; side="right"
+    # skips segments without mass.  The mass r = y_k t + slope t^2 / 2 up to
+    # x_k + t is inverted in the cancellation-free form of the root.
+    q = cdf[-1] * np.arange(1, m) / m
+    k = np.searchsorted(cdf, q, side="right") - 1
+    r = q - cdf[k]
+    width = x[k + 1] - x[k]
+    slope = (y[k + 1] - y[k]) / width
+    root = y[k] + np.sqrt(np.maximum(y[k] ** 2 + 2.0 * slope * r, 0.0))
+    t = np.divide(2.0 * r, root, out=np.zeros_like(r), where=r > 0)
+    cuts = x[k] + np.clip(t, 0.0, width)
 
-    try:
-        edges = edges_equal_mass()
-        if np.any(np.diff(edges) < 0):
-            raise ValueError
-    except (ValueError, RuntimeError):
-        edges = np.linspace(a, b, m + 1)
-
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        w = spec.mass(lo, hi)
-        if w <= 0:
-            continue
-        pts.append(spec.moment(lo, hi) / w)
-        wts.append(w / total)
-    if not pts:
-        raise BadSpec("discretization produced no cells with mass")
-    if not all(math.isfinite(p) for p in pts):
-        raise BadSpec("cell mean could not be computed")
-    return DiscreteMeasure(np.asarray(pts), np.asarray(wts))
+    # Linear pieces between consecutive cuts and breakpoints, summed per cell.
+    ends = np.sort(np.concatenate((x, cuts)))
+    u, v = ends[:-1], ends[1:]
+    yu, yv = np.interp(u, x, y), np.interp(v, x, y)
+    cell = np.searchsorted(cuts, u, side="right")
+    mass = np.bincount(cell, (yu + yv) * (v - u) / 2.0, minlength=m)
+    moment = np.bincount(cell, (v - u) * (yu * (2.0 * u + v) + yv * (u + 2.0 * v)) / 6.0, minlength=m)
+    return DiscreteMeasure(moment / mass, mass / mass.sum())
 
 
 # ---------------------------------------------------------------------------

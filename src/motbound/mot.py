@@ -12,8 +12,6 @@ static payouts u_i, martingale-row duals are the delta positions.
 from __future__ import annotations
 
 import contextlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -476,18 +474,11 @@ def _sweep_row(system: MarginalSystem, strike: float) -> SweepRow:
 
 
 def strike_sweep(system: MarginalSystem, strikes) -> SweepTable:
-    """Lower/upper forward-start call bounds per strike ratio.  Rows solve
-    independently; MOTBOUND_THREADS>1 runs them on a thread pool."""
+    """Lower/upper forward-start call bounds per strike ratio, one row per
+    strike in the given order."""
     if system.n_dates != 2:
         raise DimensionMismatch("strike sweeps cover two-date systems")
-    strikes = [float(k) for k in strikes]
-    workers = int(os.environ.get("MOTBOUND_THREADS", "1") or "1")
-    if workers > 1 and len(strikes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda k: _sweep_row(system, k), strikes))
-    else:
-        rows = [_sweep_row(system, k) for k in strikes]
-    return SweepTable(rows=tuple(rows))
+    return SweepTable(rows=tuple(_sweep_row(system, float(k)) for k in strikes))
 
 
 def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:

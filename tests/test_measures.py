@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motbound.errors import InfeasibleCurve
+from motbound.errors import BadSpec, InfeasibleCurve
 from motbound.fixtures import trapezoid_spec, uniform_spec
-from motbound.measures import (Block, CallCurve, DiscreteMeasure, MarginalSystem,
+from motbound.measures import (Block, CallCurve, DensitySpec, DiscreteMeasure, MarginalSystem,
                                call_price, check_convex_order, counterexample_marginals,
                                detect_barriers, discretize, from_call_curve,
                                load_call_curves)
@@ -187,6 +187,26 @@ class TestConvexOrder:
             assert system.admissible == monotone
 
 
+class TestDensitySpec:
+    @pytest.mark.parametrize("build", [
+        lambda: DensitySpec.uniform(1.0, 1.0),
+        lambda: DensitySpec.uniform(1.0, 0.0),
+        lambda: DensitySpec.piecewise_linear([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+        lambda: DensitySpec.piecewise_linear([0.0, 1.0, 2.0], [1.0, 1.0]),
+        lambda: DensitySpec.piecewise_linear([0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+        lambda: DensitySpec.piecewise_linear([0.0, np.inf], [1.0, 1.0]),
+        lambda: DensitySpec.uniform(-np.inf, 0.0),
+        lambda: DensitySpec.piecewise_linear([0.0, 1.0], [1.0, -0.5]),
+        lambda: DensitySpec.piecewise_linear([0.0, 1.0], [1.0, np.nan]),
+        lambda: DensitySpec.piecewise_linear([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+        lambda: DensitySpec(np.array([0.0, 1.0]), np.array([-1.0, 1.0])),
+    ], ids=["uniform-empty", "uniform-reversed", "unsorted", "size-mismatch", "nan-x",
+            "inf-x", "uniform-inf", "negative-y", "nan-y", "zero-mass", "direct"])
+    def test_bad_spec_rejected(self, build):
+        with pytest.raises(BadSpec):
+            build()
+
+
 class TestDiscretize:
     def test_uniform_two_cells(self):
         mu = discretize(uniform_spec(), 2)
@@ -207,10 +227,29 @@ class TestDiscretize:
         assert mu.mean == pytest.approx(0.0, abs=ATOL)
 
     def test_mean_preserved(self):
-        for m in (7, 33, 101):
-            mu = discretize(trapezoid_spec(), m)
-            assert mu.mean == pytest.approx(0.0, abs=ATOL)
-            assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        cases = [
+            (trapezoid_spec(), 0.0, 2.0),
+            # zero density on the interior gap (-1, 1)
+            (DensitySpec.piecewise_linear([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0],
+                                          [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]), 0.0, 3.0),
+            # a bump 500 times the base level, 2e-3 wide, symmetric about 1
+            (DensitySpec.piecewise_linear([-1.0, 0.999, 1.0, 1.001, 3.0],
+                                          [0.1, 0.1, 50.0, 0.1, 0.1]), 1.0, 2.0),
+        ]
+        for spec, mean, half_width in cases:
+            x, y = spec.xs, spec.ys
+            cdf_at_x = np.concatenate(([0.0], np.cumsum((y[:-1] + y[1:]) * np.diff(x) / 2.0)))
+            for m in (7, 33, 101):
+                mu = discretize(spec, m)
+                assert mu.mean == pytest.approx(mean, abs=ATOL)
+                assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+                # equal-mass cells, each atom inside its own cell
+                np.testing.assert_allclose(mu.weights, 1.0 / m, rtol=0, atol=1e-14)
+                k = np.clip(np.searchsorted(x, mu.points, side="right") - 1, 0, x.size - 2)
+                cdf = cdf_at_x[k] + (y[k] + np.interp(mu.points, x, y)) * (mu.points - x[k]) / 2.0
+                assert np.all(cdf * m > np.arange(m)) and np.all(cdf * m < np.arange(1, m + 1))
+                wider = discretize(DensitySpec.uniform(mean - 2 * half_width, mean + 2 * half_width), m)
+                assert MarginalSystem([mu, wider]).admissible
 
 
 class TestBarriers:

@@ -240,13 +240,6 @@ class TestSweep:
         assert lines[0] == "strike,lower,upper,status"
         assert len(lines) == 3
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        strikes = [0.8, 1.0, 1.2]
-        serial = strike_sweep(instance_a_marginals(), strikes).to_csv()
-        monkeypatch.setenv("MOTBOUND_THREADS", "3")
-        threaded = strike_sweep(instance_a_marginals(), strikes).to_csv()
-        assert serial == threaded
-
 
 class TestRandomCoupling:
     def test_instance_a_family(self):
