@@ -4,9 +4,10 @@ Marginal laws implied by call quotes pin down every European payoff; the
 remaining freedom is which martingale coupling links the dates.  Optimizing
 the exotic's expectation over that set is a finite linear program whose dual
 is a semi-static hedge.  This package assembles the LP, solves it with
-HiGHS from scipy (dual simplex on small LPs, interior point with crossover
-on large ones; plus an exact rational re-solver for small instances),
-extracts and verifies the hedge, and ships a CLI for the whole pipeline.
+HiGHS, called through the binding bundled with scipy (dual simplex on small
+LPs, interior point with crossover on large ones; plus an exact rational
+re-solver for small instances), extracts and verifies the hedge, and ships
+a CLI for the whole pipeline.
 """
 
 from .envelope import convex_envelope, dual_value, evaluate_dual, extended_grid, improve_u2

@@ -2,11 +2,15 @@
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
 with A held as sparse (row, col, value) triples.  Callers encode everything
-into this form.  ``solve`` hands it to the HiGHS solver that ships with
-scipy, without presolve, and returns primal and dual optima: the dual
-simplex below ``IPM_MIN_COLS`` variables, the interior-point method with
-crossover (so both optima are still a basic solution) at or above it, and
-the dual simplex again when crossover ends uncertified.
+into this form.  ``solve`` passes it to HiGHS (Huangfu & Hall 2018) through
+the Python binding that ships inside scipy, without presolve, and returns
+primal and dual optima: the dual simplex below ``IPM_MIN_COLS`` variables,
+the interior-point method with crossover (so both optima are still a basic
+solution) at or above it, and the dual simplex again when crossover ends
+uncertified.  The binding is scipy's private ``_highspy._core``, the one its
+``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
+option checking and bound-marginal loop, which cost more than HiGHS itself
+on the small LPs of a strike sweep.
 ``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
 small instances and serves as the independent oracle.
 
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import optimize
+from scipy.optimize._highspy import _core as highs
 
 from .errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 
@@ -118,10 +122,13 @@ class LinearProgram:
 class LpSolution:
     """Primal/dual optimum.  Exact fields are set only by solve_exact.
 
-    ``iterations`` counts HiGHS's iterations: simplex pivots on the
-    dual-simplex path; interior-point plus crossover iterations on the
-    interior-point path, plus the pivots of the dual-simplex re-solve when
-    one runs."""
+    ``iterations`` counts HiGHS's iterations by the rule of scipy's
+    ``linprog`` (``nit + crossover_nit``): per run, the simplex iteration
+    count, or the interior-point iteration count when the simplex count is
+    zero, plus the crossover iteration count; summed over the two runs when
+    the dual simplex re-solves after crossover.  Simplex clean-up pivots
+    after crossover therefore replace the interior-point count rather than
+    add to it."""
 
     status: str
     primal: np.ndarray
@@ -133,51 +140,93 @@ class LpSolution:
     dual_exact: tuple[Fraction, ...] | None = None
 
 
-def _highs(lp: LinearProgram, a: sp.csr_matrix, method: str, max_iter: int):
-    flip = lp.sense == "max"
-    return optimize.linprog(-lp.cost if flip else lp.cost, A_eq=a, b_eq=lp.rhs,
-                            bounds=(0, None), method=method,
-                            options={"presolve": False, "maxiter": max_iter,
-                                     "primal_feasibility_tolerance": HIGHS_TOL,
-                                     "dual_feasibility_tolerance": HIGHS_TOL})
+def _run_highs(lp: LinearProgram, solver: str, max_iter: int):
+    """One HiGHS run, without presolve, of the LP in minimization form.
+
+    Returns the model status, the iteration count (the rule is under
+    ``LpSolution``), and the primal and row duals of the minimization,
+    which are None unless the status is optimal."""
+    n, m = lp.n_cols, lp.n_rows
+    order = np.lexsort((lp.rows, lp.cols))
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.col_cost_ = -lp.cost if lp.sense == "max" else lp.cost
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, highs.kHighsInf)
+    model.row_lower_ = model.row_upper_ = lp.rhs
+    a = model.a_matrix_
+    a.format_ = highs.MatrixFormat.kColwise
+    a.num_col_, a.num_row_ = n, m
+    # integer vectors convert to HiGHS faster from lists than from arrays
+    a.start_ = np.concatenate(([0], np.cumsum(np.bincount(lp.cols, minlength=n)))).tolist()
+    a.index_ = lp.rows[order].tolist()
+    a.value_ = lp.vals[order]
+    options = highs.HighsOptions()
+    options.presolve = "off"
+    options.solver = solver
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
+    options.simplex_iteration_limit = options.ipm_iteration_limit = max_iter
+    options.output_flag = options.log_to_console = False
+    run = highs._Highs()
+    if run.passOptions(options) == highs.HighsStatus.kError:
+        raise LpError("HiGHS rejected the solver options")
+    if run.passModel(model) == highs.HighsStatus.kError:
+        return highs.HighsModelStatus.kModelError, 0, None, None
+    run.run()
+    status = run.getModelStatus()
+    info = run.getInfo()
+    iterations = ((info.simplex_iteration_count or info.ipm_iteration_count)
+                  + info.crossover_iteration_count)
+    if status != highs.HighsModelStatus.kOptimal:
+        return status, iterations, None, None
+    solution = run.getSolution()
+    return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
+
+
+_LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
+_INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError)
+_DECIDED = (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kUnbounded) + _LIMIT + _INFEASIBLE
 
 
 def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
     """Primal and dual optimum from HiGHS, bundled with scipy.
 
-    HiGHS runs without presolve: the dual simplex (``highs-ds``) below
-    ``IPM_MIN_COLS`` variables, the interior-point method with crossover
-    (``highs-ipm``) from there on; ``max_iter`` bounds the iterations of
-    either.  Crossover can stop at a basis that HiGHS cannot certify
-    optimal (status 4, and scipy returns no solution); the LP is then
-    solved again by the dual simplex.  HiGHS runs at its tightest
-    feasibility tolerances; the primal is clipped at zero and must then
-    meet ``A x = rhs`` to ``feas_tol`` (relative to the largest rhs), else
-    the optimum is reported as infeasible.  The dual must price every
+    HiGHS runs without presolve: the dual simplex below ``IPM_MIN_COLS``
+    variables, the interior-point method with crossover from there on;
+    ``max_iter`` bounds the iterations of either.  Crossover can stop at a
+    basis that HiGHS cannot certify optimal (model status Unknown); on that
+    status, or any other that is neither optimal, infeasible, unbounded nor
+    a limit, the LP is solved again by the dual simplex.  A limit raises
+    ``IterationLimit``, an infeasible or malformed model ``Infeasible``, an
+    unbounded one ``Unbounded``, any other status ``LpError``.  HiGHS runs
+    at its tightest feasibility tolerances; the primal is clipped at zero
+    and must then meet ``A x = rhs`` to ``feas_tol`` (relative to the
+    largest rhs), else the optimum is reported as infeasible.  The dual must price every
     column out to ``feas_tol`` (relative to the largest cost), else
     ``LpError`` names the worst reduced cost."""
     flip = lp.sense == "max"
-    a = lp.matrix()
     ipm = lp.n_cols >= IPM_MIN_COLS
-    res = _highs(lp, a, "highs-ipm" if ipm else "highs-ds", max_iter)
-    iterations = int(res.nit) + int(res.crossover_nit)
-    if ipm and res.status == 4:
-        res = _highs(lp, a, "highs-ds", max_iter)
-        iterations += int(res.nit)
-    if res.status == 1:
+    status, iterations, primal, dual = _run_highs(lp, "ipm" if ipm else "simplex", max_iter)
+    if ipm and status not in _DECIDED:
+        status, pivots, primal, dual = _run_highs(lp, "simplex", max_iter)
+        iterations += pivots
+    if status in _LIMIT:
         raise IterationLimit(f"exceeded {max_iter} iterations")
-    if res.status == 2:
-        raise Infeasible(f"HiGHS: {res.message}")
-    if res.status == 3:
-        raise Unbounded(f"HiGHS: {res.message}")
-    if res.status != 0:
-        raise LpError(f"HiGHS status {res.status}: {res.message}")
-    primal = np.clip(res.x, 0.0, None)
-    dual = -res.eqlin.marginals if flip else res.eqlin.marginals
-    residual = float(np.abs(a @ primal - lp.rhs).max())
+    if status in _INFEASIBLE:
+        raise Infeasible(f"HiGHS model status {status.name}")
+    if status == highs.HighsModelStatus.kUnbounded:
+        raise Unbounded(f"HiGHS model status {status.name}")
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LpError(f"HiGHS model status {status.name}")
+    primal = np.clip(primal, 0.0, None)
+    if flip:
+        dual = -dual
+    ax = np.bincount(lp.rows, lp.vals * primal[lp.cols], minlength=lp.n_rows)
+    residual = float(np.abs(ax - lp.rhs).max())
     if residual > 10 * feas_tol * (1.0 + float(np.abs(lp.rhs).max())):
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
-    reduced = lp.cost - a.T @ dual
+    reduced = lp.cost - np.bincount(lp.cols, lp.vals * dual[lp.rows], minlength=lp.n_cols)
     if flip:
         reduced = -reduced
     worst = int(np.argmin(reduced))

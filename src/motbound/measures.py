@@ -41,7 +41,7 @@ ORDER_TOL = 1e-10
 BARRIER_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class DiscreteMeasure:
     """Finitely supported probability measure on the real line.
 
@@ -124,7 +124,7 @@ def call_price(measure: DiscreteMeasure, strike) -> float | np.ndarray:
     return float(vals[0]) if scalar else vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class CallCurve:
     """Quoted call prices at one maturity, validated for static no-arbitrage.
 
@@ -284,7 +284,7 @@ def check_convex_order(system: MarginalSystem) -> OrderReport:
 # Densities and discretization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class DensitySpec:
     """Piecewise-linear density with compact support.
 

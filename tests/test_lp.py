@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import optimize
+from scipy.optimize._highspy import _core as highs
 
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
@@ -13,7 +15,7 @@ from motbound.fixtures import smooth_pair
 from motbound.lp import LinearProgram, solve, solve_exact
 from motbound.measures import DensitySpec, MarginalSystem, discretize
 from motbound.mot import MotProblem, bound, build_lp
-from motbound.payoff import asian_call, forward_start_straddle
+from motbound.payoff import asian_call, forward_start_straddle, lookback_call
 
 GAP_TOL = 1e-7
 FEAS_TOL = 1e-9
@@ -113,6 +115,12 @@ class TestErrors:
         with pytest.raises(IterationLimit):
             solve(lp, max_iter=1)
 
+    def test_rejected_options_raise(self, monkeypatch):
+        # HIGHS_TOL is the smallest feasibility tolerance HiGHS accepts
+        monkeypatch.setattr(lp_mod, "HIGHS_TOL", lp_mod.HIGHS_TOL / 10)
+        with pytest.raises(LpError, match="rejected the solver options"):
+            solve(dense_lp([[1.0]], [3.0], [1.0]))
+
     def test_scale_exceeded(self):
         n = 201
         lp = LinearProgram(sense="min", cost=np.ones(n),
@@ -189,33 +197,37 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.dual, b.dual)
 
 
-def spy_linprog(monkeypatch, corrupt=None):
-    """Record each linprog call's method and result; ``corrupt(method, res)``
-    may edit the result before ``solve`` reads it."""
+def spy_highs(monkeypatch, corrupt=None):
+    """Record each HiGHS run's solver and result (model status, iterations,
+    primal, dual); ``corrupt(solver, result)`` may return a replacement
+    result before ``solve`` reads it."""
     calls = []
-    linprog = lp_mod.optimize.linprog
+    run_highs = lp_mod._run_highs
 
-    def spy(*args, **kwargs):
-        res = linprog(*args, **kwargs)
+    def spy(lp, solver, max_iter):
+        res = run_highs(lp, solver, max_iter)
         if corrupt is not None:
-            corrupt(kwargs["method"], res)
-        calls.append((kwargs["method"], res))
+            res = corrupt(solver, res)
+        calls.append((solver, res))
         return res
 
-    monkeypatch.setattr(lp_mod.optimize, "linprog", spy)
+    monkeypatch.setattr(lp_mod, "_run_highs", spy)
     return calls
 
 
 class TestDualCheck:
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_corrupted_dual_is_rejected(self, monkeypatch, sense):
-        def corrupt(method, res):
+        def corrupt(solver, res):
             # lowers the reduced cost of row 0's columns by 1, in either sense
-            res.eqlin.marginals[0] += 1.0
+            status, iterations, primal, dual = res
+            dual = dual.copy()
+            dual[0] += 1.0
+            return status, iterations, primal, dual
 
         lp = transportation([1.0, 2.0], [1.5, 1.5], [[1.0, 2.0], [3.0, 1.0]], sense)
         solve(lp)
-        spy_linprog(monkeypatch, corrupt)
+        spy_highs(monkeypatch, corrupt)
         with pytest.raises(LpError, match=r"reduced cost -1\.000e\+00 at column [01]\b"):
             solve(lp)
 
@@ -223,6 +235,13 @@ class TestDualCheck:
 def widening_dates(w: float, m: int) -> MarginalSystem:
     return MarginalSystem([discretize(DensitySpec.uniform(1.0 - w * k, 1.0 + w * k), m)
                            for k in (1, 2, 3)])
+
+
+def unfinished_crossover_problem() -> MotProblem:
+    """A 3-date Asian LP on which crossover stops at a basis HiGHS cannot
+    certify optimal (model status Unknown)."""
+    w, strike = float.fromhex("0x1.d6feba827a814p-4"), float.fromhex("0x1.ef53ae578b7a5p-1")
+    return MotProblem(widening_dates(w, 15), asian_call(strike, 3), "lower")
 
 
 class TestSizeRule:
@@ -234,42 +253,42 @@ class TestSizeRule:
     ], ids=["2date-lower", "2date-upper", "3date-lower", "3date-upper"])
     def test_both_methods_agree(self, monkeypatch, problem):
         lp = build_lp(problem)
-        calls = spy_linprog(monkeypatch)
+        calls = spy_highs(monkeypatch)
         values = {}
-        for threshold, method in ((lp.n_cols + 1, "highs-ds"), (lp.n_cols, "highs-ipm")):
+        for threshold, solver in ((lp.n_cols + 1, "simplex"), (lp.n_cols, "ipm")):
             monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", threshold)
             sol = solve(lp)
-            assert calls[-1][0] == method
-            res = calls[-1][1]
-            assert sol.iterations == res.nit + res.crossover_nit
-            values[method] = sol.objective
+            assert calls[-1][0] == solver
+            status, iterations, _, _ = calls[-1][1]
+            assert status == highs.HighsModelStatus.kOptimal
+            assert sol.iterations == iterations
+            values[solver] = sol.objective
             result = bound(problem)
-            assert calls[-1][0] == method
+            assert calls[-1][0] == solver
             assert result.report.valid
             assert result.value == sol.objective
-        v = values["highs-ds"]
-        assert abs(values["highs-ipm"] - v) <= 1e-12 * (1.0 + abs(v))
+        v = values["simplex"]
+        assert abs(values["ipm"] - v) <= 1e-12 * (1.0 + abs(v))
 
-    def test_interior_point_status_4_is_solved_again_by_dual_simplex(self, monkeypatch):
-        def corrupt(method, res):
-            if method == "highs-ipm":
-                res.status, res.x = 4, None
+    def test_interior_point_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
+        def corrupt(solver, res):
+            if solver == "ipm":
+                return highs.HighsModelStatus.kUnknown, res[1], None, None
+            return res
 
         lp = random_transportation(np.random.default_rng(5))
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
-        calls = spy_linprog(monkeypatch, corrupt)
+        calls = spy_highs(monkeypatch, corrupt)
         sol = solve(lp)
-        assert [method for method, _ in calls] == ["highs-ipm", "highs-ds"]
+        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
         (_, ipm), (_, ds) = calls
-        assert sol.iterations == ipm.nit + ipm.crossover_nit + ds.nit
-        assert sol.objective == ds.fun
+        assert sol.iterations == ipm[1] + ds[1]
+        np.testing.assert_array_equal(sol.primal, np.clip(ds[2], 0.0, None))
+        np.testing.assert_array_equal(sol.dual, ds[3])
         check_solution_invariants(lp, sol)
 
     def test_unfinished_crossover_instance(self, monkeypatch):
-        # a 3-date Asian LP on which crossover stops at a basis HiGHS cannot
-        # certify optimal (model status Unknown, scipy status 4)
-        w, strike = float.fromhex("0x1.d6feba827a814p-4"), float.fromhex("0x1.ef53ae578b7a5p-1")
-        problem = MotProblem(widening_dates(w, 15), asian_call(strike, 3), "lower")
+        problem = unfinished_crossover_problem()
         res = bound(problem)
         assert res.report.valid
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
@@ -279,10 +298,117 @@ class TestSizeRule:
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
-        calls = spy_linprog(monkeypatch)
+        calls = spy_highs(monkeypatch)
         with pytest.raises(IterationLimit, match="exceeded 1 iterations"):
             solve(lp, max_iter=1)
-        assert calls[-1][0] == "highs-ipm"
+        assert calls[-1][0] == "ipm"
+
+
+STATUS = highs.HighsModelStatus
+
+
+class TestStatusMapping:
+    """Each HiGHS model status maps to the outcome scipy's linprog status
+    gave it: 1 (limit), 2 (infeasible), 3 (unbounded) raise; 4 (any other
+    status) raises on the simplex path and re-solves once by the dual
+    simplex on the interior-point path."""
+
+    @staticmethod
+    def fake_first_run(monkeypatch, status):
+        """The first HiGHS run reports ``status`` after 7 iterations; later
+        runs are real.  Records each run's (solver, iterations)."""
+        calls = []
+        run_highs = lp_mod._run_highs
+
+        def fake(lp, solver, max_iter):
+            res = run_highs(lp, solver, max_iter) if calls else (status, 7, None, None)
+            calls.append((solver, res[1]))
+            return res
+
+        monkeypatch.setattr(lp_mod, "_run_highs", fake)
+        return calls
+
+    @pytest.mark.parametrize("ipm", [False, True], ids=["simplex", "ipm"])
+    @pytest.mark.parametrize("status, error", [
+        (STATUS.kIterationLimit, IterationLimit), (STATUS.kTimeLimit, IterationLimit),
+        (STATUS.kInfeasible, Infeasible), (STATUS.kModelError, Infeasible),
+        (STATUS.kUnbounded, Unbounded),
+    ])
+    def test_decided_status_raises(self, monkeypatch, ipm, status, error):
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0 if ipm else 10 ** 9)
+        calls = self.fake_first_run(monkeypatch, status)
+        with pytest.raises(error):
+            solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
+        assert calls == [("ipm" if ipm else "simplex", 7)]
+
+    @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
+    def test_undecided_status_raises_on_simplex_path(self, monkeypatch, status):
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
+        calls = self.fake_first_run(monkeypatch, status)
+        with pytest.raises(LpError, match=status.name) as info:
+            solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
+        assert type(info.value) is LpError
+        assert calls == [("simplex", 7)]
+
+    @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
+    def test_undecided_status_is_solved_again_on_interior_point_path(self, monkeypatch, status):
+        lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        calls = self.fake_first_run(monkeypatch, status)
+        sol = solve(lp)
+        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
+        assert sol.iterations == 7 + calls[1][1]
+        np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+
+def linprog_answer(lp: LinearProgram):
+    """``solve``'s primal, dual and iterations, computed through
+    ``scipy.optimize.linprog`` with the same solver, options and size rule."""
+    flip = lp.sense == "max"
+
+    def run(method):
+        return optimize.linprog(-lp.cost if flip else lp.cost, A_eq=lp.matrix(), b_eq=lp.rhs,
+                                bounds=(0, None), method=method,
+                                options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
+                                         "primal_feasibility_tolerance": lp_mod.HIGHS_TOL,
+                                         "dual_feasibility_tolerance": lp_mod.HIGHS_TOL})
+
+    ipm = lp.n_cols >= lp_mod.IPM_MIN_COLS
+    res = run("highs-ipm" if ipm else "highs-ds")
+    methods, iterations = ["highs-ipm" if ipm else "highs-ds"], res.nit + res.crossover_nit
+    if ipm and res.status == 4:
+        res = run("highs-ds")
+        methods.append("highs-ds")
+        iterations += res.nit + res.crossover_nit
+    assert res.status == 0, res.message
+    dual = -res.eqlin.marginals if flip else res.eqlin.marginals
+    return np.clip(res.x, 0.0, None), dual, iterations, methods
+
+
+class TestLinprogOracle:
+    """``solve`` calls HiGHS as ``linprog`` does, so both give the same
+    answer to the last bit."""
+
+    @pytest.mark.parametrize("make, methods", [
+        (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
+                                np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"]),
+        (lambda: build_lp(MotProblem(smooth_pair(21), forward_start_straddle(), "lower")), ["highs-ds"]),
+        (lambda: build_lp(MotProblem(smooth_pair(41), forward_start_straddle(), "upper")), ["highs-ipm"]),
+        (lambda: build_lp(unfinished_crossover_problem()), ["highs-ipm", "highs-ds"]),
+        # a 3-date lookback LP on which one simplex clean-up pivot follows
+        # crossover: the interior-point iterations drop out of the count
+        (lambda: build_lp(MotProblem(widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15),
+                                     lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
+         ["highs-ipm"]),
+    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
+    def test_bit_identical_to_linprog(self, make, methods):
+        lp = make()
+        primal, dual, iterations, used = linprog_answer(lp)
+        assert used == methods
+        sol = solve(lp)
+        assert sol.primal.tobytes() == primal.tobytes()
+        assert sol.dual.tobytes() == dual.tobytes()
+        assert sol.iterations == iterations
 
 
 class TestJsonDump:

@@ -207,6 +207,19 @@ class TestDensitySpec:
             build()
 
 
+class TestArrayDataclasses:
+    @pytest.mark.parametrize("build", [
+        lambda: DensitySpec.uniform(0.0, 1.0),
+        lambda: two_point(0.0, 1.0),
+        lambda: CallCurve(0, np.array([90.0, 100.0, 110.0]), np.array([10.0, 0.0, 0.0])),
+    ], ids=["DensitySpec", "DiscreteMeasure", "CallCurve"])
+    def test_equality_and_hash_by_identity(self, build):
+        a, b = build(), build()
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
+
+
 class TestDiscretize:
     def test_uniform_two_cells(self):
         mu = discretize(uniform_spec(), 2)
