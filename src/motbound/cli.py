@@ -275,12 +275,10 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-def _add_io_flags(p, *, quotes=True, marginals=True):
-    if marginals:
-        p.add_argument("--marginals", help="marginal system JSON")
-    if quotes:
-        p.add_argument("--quotes", help="call quotes CSV or JSON")
-        p.add_argument("--s0", type=float, help="spot/forward (else read from a strike-0 quote)")
+def _add_io_flags(p):
+    p.add_argument("--marginals", help="marginal system JSON")
+    p.add_argument("--quotes", help="call quotes CSV or JSON")
+    p.add_argument("--s0", type=float, help="spot/forward (else read from a strike-0 quote)")
     p.add_argument("--out", help="output path (default: stdout for the artifact)")
 
 

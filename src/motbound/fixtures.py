@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hedge import DeltaTable, PiecewiseLinear, SemiStaticHedge
-from .measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
+from .measures import DensitySpec, DiscreteMeasure, MarginalSystem, counterexample_edges, discretize
 from .payoff import Payoff, tabulated
 
 SMOOTH_VALUE = 1.0 / 3.0
@@ -84,14 +84,6 @@ def smooth_hedge(s1_grid, s2_grid) -> SemiStaticHedge:
     right = 3.0 - 4.0 * knots2[-1] / 3.0
     u2 = PiecewiseLinear(knots2, smooth_u2(knots2), float(left), float(right))
     return SemiStaticHedge(0.0, (u1, u2), (DeltaTable((s1_grid,), smooth_delta(s1_grid)),), "sub")
-
-
-def counterexample_edges(n_blocks: int) -> np.ndarray:
-    """0, 1, 1+1/4, ..., sum of 1/n^2 up to n_blocks, then 2."""
-    partial = np.cumsum([1.0 / k ** 2 for k in range(1, n_blocks + 1)])
-    if partial[-1] >= 2.0:
-        raise ValueError("too many blocks: partial sums reach the right endpoint")
-    return np.concatenate([[0.0], partial, [2.0]])
 
 
 def counterexample_value(n_blocks: int) -> float:

@@ -80,9 +80,6 @@ class PiecewiseLinear:
         interior = np.diff(self.values) / np.diff(self.knots)
         return np.concatenate([[self.left_slope], interior, [self.right_slope]])
 
-    def shift(self, c: float) -> "PiecewiseLinear":
-        return PiecewiseLinear(self.knots, self.values + c, self.left_slope, self.right_slope)
-
     def add_linear(self, beta: float) -> "PiecewiseLinear":
         """Add beta * x."""
         return PiecewiseLinear(self.knots, self.values + beta * self.knots,

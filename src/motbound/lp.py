@@ -6,8 +6,8 @@ into this form.  ``solve`` passes it to HiGHS (Huangfu & Hall 2018) through
 the Python binding that ships inside scipy, without presolve, and returns
 primal and dual optima: the dual simplex below ``IPM_MIN_COLS`` variables,
 the interior-point method with crossover (so both optima are still a basic
-solution) at or above it, and the dual simplex again when crossover ends
-uncertified.  The binding is scipy's private ``_highspy._core``, the one its
+solution) at or above it, and the dual simplex again when that run fails
+a check.  The binding is scipy's private ``_highspy._core``, the one its
 ``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
 option checking and bound-marginal loop, which cost more than HiGHS itself
 on the small LPs of a strike sweep.
@@ -23,7 +23,6 @@ column touches their row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,31 +91,6 @@ class LinearProgram:
     def matrix(self) -> sp.csr_matrix:
         return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols))
 
-    def to_json(self) -> dict:
-        return {
-            "sense": self.sense,
-            "cost": [float(x) for x in self.cost],
-            "triples": [[int(r), int(c), float(v)] for r, c, v in zip(self.rows, self.cols, self.vals)],
-            "rhs": [float(x) for x in self.rhs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LinearProgram":
-        triples = obj.get("triples", [])
-        rows = [t[0] for t in triples]
-        cols = [t[1] for t in triples]
-        vals = [t[2] for t in triples]
-        return cls(sense=obj["sense"], cost=obj["cost"], rows=rows, cols=cols, vals=vals, rhs=obj["rhs"])
-
-    def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "LinearProgram":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -126,9 +100,9 @@ class LpSolution:
     ``linprog`` (``nit + crossover_nit``): per run, the simplex iteration
     count, or the interior-point iteration count when the simplex count is
     zero, plus the crossover iteration count; summed over the two runs when
-    the dual simplex re-solves after crossover.  Simplex clean-up pivots
-    after crossover therefore replace the interior-point count rather than
-    add to it."""
+    the dual simplex re-solves after the interior point.  Simplex clean-up
+    pivots after crossover therefore replace the interior-point count rather
+    than add to it."""
 
     status: str
     primal: np.ndarray
@@ -186,39 +160,17 @@ def _run_highs(lp: LinearProgram, solver: str, max_iter: int):
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError)
-_DECIDED = (highs.HighsModelStatus.kOptimal, highs.HighsModelStatus.kUnbounded) + _LIMIT + _INFEASIBLE
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
-    """Primal and dual optimum from HiGHS, bundled with scipy.
-
-    HiGHS runs without presolve: the dual simplex below ``IPM_MIN_COLS``
-    variables, the interior-point method with crossover from there on;
-    ``max_iter`` bounds the iterations of either.  Crossover can stop at a
-    basis that HiGHS cannot certify optimal (model status Unknown); on that
-    status, or any other that is neither optimal, infeasible, unbounded nor
-    a limit, the LP is solved again by the dual simplex.  A limit raises
-    ``IterationLimit``, an infeasible or malformed model ``Infeasible``, an
-    unbounded one ``Unbounded``, any other status ``LpError``.  HiGHS runs
-    at its tightest feasibility tolerances; the primal is clipped at zero
-    and must then meet ``A x = rhs`` to ``feas_tol`` (relative to the
-    largest rhs), else the optimum is reported as infeasible.  The dual must price every
-    column out to ``feas_tol`` (relative to the largest cost), else
-    ``LpError`` names the worst reduced cost."""
-    flip = lp.sense == "max"
-    ipm = lp.n_cols >= IPM_MIN_COLS
-    status, iterations, primal, dual = _run_highs(lp, "ipm" if ipm else "simplex", max_iter)
-    if ipm and status not in _DECIDED:
-        status, pivots, primal, dual = _run_highs(lp, "simplex", max_iter)
-        iterations += pivots
-    if status in _LIMIT:
-        raise IterationLimit(f"exceeded {max_iter} iterations")
-    if status in _INFEASIBLE:
-        raise Infeasible(f"HiGHS model status {status.name}")
-    if status == highs.HighsModelStatus.kUnbounded:
-        raise Unbounded(f"HiGHS model status {status.name}")
+def _check_run(lp: LinearProgram, status, primal, dual, feas_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """A run's primal, clipped at zero, and dual, in the LP's own sense, once
+    it passes every check; raises ``LpError`` when the status is not optimal
+    or the dual fails to price a column out to ``feas_tol`` (relative to the
+    largest cost), ``Infeasible`` when the primal misses ``A x = rhs`` by
+    more than ``feas_tol`` (relative to the largest rhs)."""
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
+    flip = lp.sense == "max"
     primal = np.clip(primal, 0.0, None)
     if flip:
         dual = -dual
@@ -232,7 +184,40 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_
     worst = int(np.argmin(reduced))
     if reduced[worst] < -feas_tol * (1.0 + float(np.abs(lp.cost).max())):
         raise LpError(f"dual infeasible: reduced cost {reduced[worst]:.3e} at column {worst}")
-    return LpSolution("optimal", primal, dual, float(lp.cost @ primal), iterations)
+    return primal, dual
+
+
+def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
+    """Primal and dual optimum from HiGHS, bundled with scipy.
+
+    HiGHS runs without presolve, at its tightest feasibility tolerances: the
+    dual simplex below ``IPM_MIN_COLS`` variables; from there on the
+    interior-point method with crossover, then the dual simplex if that run
+    fails (crossover can stop at a basis HiGHS cannot certify, or at one
+    whose dual fails the reduced-cost check).  ``max_iter`` bounds the
+    iterations of each run.  A run is accepted only when it is optimal and
+    passes the checks of :func:`_check_run`; a failed dual-simplex run raises
+    the error those checks name.  Whichever method ran, a limit raises
+    ``IterationLimit``, an infeasible or malformed model ``Infeasible`` and
+    an unbounded one ``Unbounded`` at once."""
+    methods = ("ipm", "simplex") if lp.n_cols >= IPM_MIN_COLS else ("simplex",)
+    iterations = 0
+    for solver in methods:
+        status, count, primal, dual = _run_highs(lp, solver, max_iter)
+        iterations += count
+        if status in _LIMIT:
+            raise IterationLimit(f"exceeded {max_iter} iterations")
+        if status in _INFEASIBLE:
+            raise Infeasible(f"HiGHS model status {status.name}")
+        if status == highs.HighsModelStatus.kUnbounded:
+            raise Unbounded(f"HiGHS model status {status.name}")
+        try:
+            primal, dual = _check_run(lp, status, primal, dual, feas_tol)
+        except LpError:
+            if solver == methods[-1]:
+                raise
+            continue
+        return LpSolution("optimal", primal, dual, float(lp.cost @ primal), iterations)
 
 
 def _exact_pivot(tab, xb, basis, r, q):

@@ -455,6 +455,13 @@ def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure, tol: float = BAR
     return BarrierDecomposition(levels=np.asarray(levels), blocks=blocks)
 
 
+def counterexample_edges(n_blocks: int) -> np.ndarray:
+    """0, 1, 1+1/4, ..., sum of 1/n^2 up to n_blocks, then 2 (the sum stays
+    below pi^2/6 < 2)."""
+    partial = np.cumsum([1.0 / k ** 2 for k in range(1, n_blocks + 1)])
+    return np.concatenate([[0.0], partial, [2.0]])
+
+
 def counterexample_marginals(n_blocks: int, m2_per_block: int) -> MarginalSystem:
     """Marginal pair with prescribed barriers at the partial sums of 1/i^2.
 
@@ -468,14 +475,7 @@ def counterexample_marginals(n_blocks: int, m2_per_block: int) -> MarginalSystem
     """
     if n_blocks < 1 or m2_per_block < 1:
         raise ValueError("need at least one block and one atom per block")
-    edges = [0.0]
-    for i in range(1, n_blocks + 1):
-        edges.append(edges[-1] + 1.0 / i**2)
-    if edges[-1] >= 2.0:
-        raise ValueError("too many blocks: intervals exceed [0, 2]")
-    edges.append(2.0)
-    edges = np.asarray(edges)
-
+    edges = counterexample_edges(n_blocks)
     mids = (edges[:-1] + edges[1:]) / 2.0
     masses = np.diff(edges) / 2.0
     mu1 = DiscreteMeasure(mids, masses / masses.sum())

@@ -11,7 +11,6 @@ static payouts u_i, martingale-row duals are the delta positions.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,9 +69,6 @@ class Coupling:
     @property
     def n(self) -> int:
         return len(self.grids)
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
 
     def paths(self) -> np.ndarray:
         return np.column_stack([self.grids[i][self.indices[:, i]] for i in range(self.n)])
@@ -235,12 +231,9 @@ def verification_grids(problem: MotProblem) -> list[np.ndarray]:
     data = payoff_mod.last_axis(problem.payoff, *_histories(atoms[:-1]))
     if data is None:
         return atoms
-    last = np.union1d(atoms[0], atoms[0])
-    for g in atoms[1:]:
-        last = np.union1d(last, g)
-    mids = 0.5 * (last[:-1] + last[1:])
-    last = np.union1d(last, mids)
-    last = np.union1d(last, np.concatenate([[0.0], *(np.ravel(k) for k in data.kinks)]))
+    joint = np.unique(np.concatenate(atoms))
+    mids = 0.5 * (joint[:-1] + joint[1:])
+    last = np.unique(np.concatenate([joint, mids, [0.0], *(np.ravel(k) for k in data.kinks)]))
     return [*atoms[:-1], last]
 
 
@@ -333,12 +326,10 @@ def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
 
 
 def _delta_increments(hedge: SemiStaticHedge, system: MarginalSystem,
-                      dec: BarrierDecomposition | None) -> list[float] | None:
+                      dec: BarrierDecomposition) -> list[float]:
     """Mass-weighted mean delta per barrier block of the first pair, reported
     as increments across consecutive blocks.  The continuum dual blows up
     across barriers, so this trend is informative but never asserted."""
-    if dec is None or len(dec.blocks) < 2:
-        return None
     mu1 = system.marginals[0]
     means = []
     for block in dec.blocks:
@@ -374,16 +365,6 @@ def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = G
     verification grids and against the value.  A dual that fails the grid
     check (degenerate optima yield several duals) or whose price misses the
     value by more than ``gap_tol * (1 + |value|)`` raises DegenerateDual."""
-    dec = None
-    if problem.system.n_dates == 2:
-        with contextlib.suppress(MotboundError):
-            dec = detect_barriers(*problem.system.marginals)
-    return _bound(problem, feas_tol, gap_tol, dec)
-
-
-def _bound(problem: MotProblem, feas_tol: float, gap_tol: float,
-           dec: BarrierDecomposition | None) -> MotResult:
-    """:func:`bound`, given the system's barrier decomposition (or None)."""
     lp, layout = _assemble(problem)
     try:
         sol = solve(lp, feas_tol=feas_tol)
@@ -401,9 +382,6 @@ def _bound(problem: MotProblem, feas_tol: float, gap_tol: float,
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
               "lp_iterations": sol.iterations, "solve_attempts": 1,
               "max_verification_violation": report.max_violation}
-    inc = _delta_increments(hedge, problem.system, dec)
-    if inc is not None:
-        extras["delta_increments"] = inc
     diag = _diagnostics(problem, sol.objective, coupling, hedge, extras, gap_tol)
     return MotResult(value=float(sol.objective), coupling=coupling, hedge=hedge,
                      diagnostics=diag, report=report)
@@ -418,12 +396,13 @@ def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
     blocks and the optimal coupling restricted to a block is optimal for
     that block: ``block_values`` are read from it, renormalized by the block
     mass, and their mass-weighted sum is the value.  The extras add
-    ``blocks``, ``barrier_levels`` and ``block_values`` to those of
-    :func:`bound`, which enforces ``gap_tol`` as usual."""
+    ``blocks``, ``barrier_levels``, ``block_values`` and, across two or more
+    blocks, ``delta_increments`` to those of :func:`bound`, which enforces
+    ``gap_tol`` as usual."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("barrier decomposition applies to two-date problems only")
     dec = detect_barriers(*problem.system.marginals)
-    res = _bound(problem, feas_tol, gap_tol, dec)
+    res = bound(problem, feas_tol=feas_tol, gap_tol=gap_tol)
     coupling = res.coupling
     first = coupling.paths()[:, 0]
     block_values = []
@@ -433,6 +412,8 @@ def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
         block_values.append(restricted.expectation(problem.payoff) / block.mass)
     extras = {**res.diagnostics.extras, "blocks": len(dec.blocks),
               "barrier_levels": [float(x) for x in dec.levels], "block_values": block_values}
+    if len(dec.blocks) >= 2:
+        extras["delta_increments"] = _delta_increments(res.hedge, problem.system, dec)
     return replace(res, diagnostics=replace(res.diagnostics, extras=extras))
 
 

@@ -244,6 +244,13 @@ def unfinished_crossover_problem() -> MotProblem:
     return MotProblem(widening_dates(w, 15), asian_call(strike, 3), "lower")
 
 
+def rejected_crossover_dual_problem() -> MotProblem:
+    """A 3-date Asian LP on which HiGHS calls the crossover basis optimal but
+    its dual fails the reduced-cost check (-9.110e-09 at column 6529)."""
+    w, strike = float.fromhex("0x1.af6a3078f739dp-4"), float.fromhex("0x1.f6c76192a81cap-1")
+    return MotProblem(widening_dates(w, 21), asian_call(strike, 3), "lower")
+
+
 class TestSizeRule:
     @pytest.mark.parametrize("problem", [
         MotProblem(smooth_pair(41), forward_start_straddle(), "lower"),
@@ -294,6 +301,15 @@ class TestSizeRule:
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
         assert res.value == solve(build_lp(problem)).objective
 
+    def test_rejected_crossover_dual_instance(self, monkeypatch):
+        problem = rejected_crossover_dual_problem()
+        calls = spy_highs(monkeypatch)
+        res = bound(problem)
+        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
+        assert res.report.valid
+        assert res.value == pytest.approx(0.0469156963, abs=1e-10)
+        assert res.report.max_violation <= 1e-12
+
     def test_iteration_limit_on_interior_point_path(self, monkeypatch):
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
@@ -311,17 +327,19 @@ class TestStatusMapping:
     """Each HiGHS model status maps to the outcome scipy's linprog status
     gave it: 1 (limit), 2 (infeasible), 3 (unbounded) raise; 4 (any other
     status) raises on the simplex path and re-solves once by the dual
-    simplex on the interior-point path."""
+    simplex on the interior-point path.  An optimal run that fails the
+    residual or reduced-cost check is treated as status 4."""
 
     @staticmethod
-    def fake_first_run(monkeypatch, status):
-        """The first HiGHS run reports ``status`` after 7 iterations; later
-        runs are real.  Records each run's (solver, iterations)."""
+    def fake_first_run(monkeypatch, status, primal=None, dual=None):
+        """The first HiGHS run reports ``status``, ``primal`` and ``dual``
+        after 7 iterations; later runs are real.  Records each run's
+        (solver, iterations)."""
         calls = []
         run_highs = lp_mod._run_highs
 
         def fake(lp, solver, max_iter):
-            res = run_highs(lp, solver, max_iter) if calls else (status, 7, None, None)
+            res = run_highs(lp, solver, max_iter) if calls else (status, 7, primal, dual)
             calls.append((solver, res[1]))
             return res
 
@@ -359,6 +377,34 @@ class TestStatusMapping:
         assert [solver for solver, _ in calls] == ["ipm", "simplex"]
         assert sol.iterations == 7 + calls[1][1]
         np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+    # optimal runs that fail a check on the LP below, whose optimum is
+    # [1, 0, 0, 1]: a primal off the constraints, and row duals of 10, which
+    # leave every reduced cost negative
+    FAILED_RUNS = {"residual": (np.zeros(4), np.zeros(4)),
+                   "reduced-cost": (np.array([1.0, 0.0, 0.0, 1.0]), np.full(4, 10.0))}
+
+    @pytest.mark.parametrize("check, error, message", [
+        ("residual", Infeasible, "violates constraints"), ("reduced-cost", LpError, "reduced cost"),
+    ])
+    def test_failed_check_raises_on_simplex_path(self, monkeypatch, check, error, message):
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
+        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
+        with pytest.raises(error, match=message) as info:
+            solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
+        assert type(info.value) is error
+        assert calls == [("simplex", 7)]
+
+    @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
+    def test_failed_check_is_solved_again_on_interior_point_path(self, monkeypatch, check):
+        lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
+        sol = solve(lp)
+        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
+        assert sol.iterations == 7 + calls[1][1]
+        np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+        check_solution_invariants(lp, sol)
 
 
 def linprog_answer(lp: LinearProgram):
@@ -409,16 +455,3 @@ class TestLinprogOracle:
         assert sol.primal.tobytes() == primal.tobytes()
         assert sol.dual.tobytes() == dual.tobytes()
         assert sol.iterations == iterations
-
-
-class TestJsonDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        lp = random_transportation(rng)
-        path = tmp_path / "lp.json"
-        lp.dump(path)
-        back = LinearProgram.load(path)
-        assert back.sense == lp.sense
-        np.testing.assert_array_equal(back.cost, lp.cost)
-        np.testing.assert_array_equal(back.rhs, lp.rhs)
-        assert solve(back).objective == pytest.approx(solve(lp).objective, abs=1e-12)

@@ -353,6 +353,23 @@ class TestDecompose:
         assert len(calls) == 1
         assert len(res.diagnostics.extras["delta_increments"]) == 3
 
+    def test_bound_and_sweep_scan_no_barriers(self, monkeypatch):
+        detect = mot.detect_barriers
+        calls = []
+
+        def counting_detect(*args, **kwargs):
+            calls.append(1)
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(mot, "detect_barriers", counting_detect)
+        system = counterexample_marginals(3, 8)
+        problem = MotProblem(system, negated_straddle(), "lower")
+        assert "delta_increments" not in bound(problem).diagnostics.extras
+        strike_sweep(system, [0.9, 1.1])
+        assert calls == []
+        res = decompose_and_solve(problem)
+        assert res.diagnostics.extras["delta_increments"] == pytest.approx([2.0] * 3, abs=1e-12)
+
 
 class TestInfeasibleDiscretization:
     def test_remediation_hint(self):
