@@ -17,11 +17,11 @@ from .errors import (BadSpec, DegenerateDual, DimensionMismatch, GridCoverage,
 from .hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     Verdict, VerificationReport, affine_transfer, check_arbitrage,
                     hedge_to_json, price, slackness, to_call_portfolio, verify)
-from .lp import LinearProgram, LpSolution, solve, solve_exact
+from .lp import LinearProgram, LpSolution, Session, solve, solve_exact
 from .measures import (Block, CallCurve, DensitySpec, DiscreteMeasure,
                        MarginalSystem, OrderReport, call_price, check_convex_order,
                        detect_barriers, discretize, from_call_curve, load_call_curves)
-from .mot import (Coupling, Diagnostics, MotProblem, MotResult, SweepTable, bound,
+from .mot import (Coupling, Diagnostics, MotProblem, MotResult, Solver, SweepTable, bound,
                   build_lp, decompose_and_solve, extract_hedge, random_feasible_coupling,
                   strike_sweep, surface_csv, verification_grids)
 from .payoff import (Payoff, asian_call, custom, evaluate, forward_start_call,

@@ -12,6 +12,7 @@ convex order, LP failures), 2 I/O or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .hedge import check_arbitrage, hedge_to_json, price as hedge_price
 from .lp import FEAS_TOL
 from .measures import (MarginalSystem, check_convex_order, counterexample_marginals,
                        from_call_curve, load_call_curves)
-from .mot import (GAP_TOL, MotProblem, bound, decompose_and_solve, fmt12,
+from .mot import (GAP_TOL, MotProblem, Solver, bound, decompose_and_solve, fmt12,
                   random_feasible_coupling, strike_sweep, surface_csv)
 from .payoff import Payoff
 
@@ -168,11 +169,12 @@ def cmd_bounds(args) -> int:
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
     senses = ["lower", "upper"] if args.sense == "both" else [args.sense]
-    solver = decompose_and_solve if args.decompose else bound
+    # both senses share one solver, lower first; --decompose solves each alone
+    solve = decompose_and_solve if args.decompose else functools.partial(bound, solver=Solver(system))
     out = {"payoff": payoff.to_json(), "results": {}}
     for sense in senses:
-        res = solver(MotProblem(system, payoff, sense),
-                     feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+        res = solve(MotProblem(system, payoff, sense),
+                    feas_tol=args.tol_feas, gap_tol=args.tol_gap)
         entry = _result_json(res)
         entry["hedge_price"] = hedge_price(res.hedge, system)
         out["results"][sense] = entry
@@ -234,10 +236,10 @@ def cmd_envelope(args) -> int:
 def cmd_arb(args) -> int:
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
-    lower = bound(MotProblem(system, payoff, "lower"),
-                  feas_tol=args.tol_feas, gap_tol=args.tol_gap)
-    upper = bound(MotProblem(system, payoff, "upper"),
-                  feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+    solver = Solver(system)
+    lower, upper = (bound(MotProblem(system, payoff, sense), solver=solver,
+                          feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+                    for sense in ("lower", "upper"))
     verdict = check_arbitrage(args.quoted, lower, upper)
     print(verdict.describe())
     if args.out:

@@ -6,8 +6,12 @@ into this form.  ``solve`` passes it to HiGHS (Huangfu & Hall 2018) through
 the Python binding that ships inside scipy, without presolve, and returns
 primal and dual optima: the dual simplex below ``IPM_MIN_COLS`` variables,
 the interior-point method with crossover (so both optima are still a basic
-solution) at or above it, and the dual simplex again when that run fails
-a check.  The binding is scipy's private ``_highspy._core``, the one its
+solution) at or above it, and the dual simplex from the crossover basis
+when that run fails a check.  A ``Session`` keeps one HiGHS model for LPs
+that share ``A`` and ``rhs``: after its first solve, each LP only changes
+the column costs and restarts the primal simplex from the last optimal
+basis, which stays primal feasible.  A plain ``solve`` is a one-shot
+session.  The binding is scipy's private ``_highspy._core``, the one its
 ``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
 option checking and bound-marginal loop, which cost more than HiGHS itself
 on the small LPs of a strike sweep.
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highs
 
 from .errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
@@ -88,9 +91,6 @@ class LinearProgram:
     def n_rows(self) -> int:
         return self.rhs.size
 
-    def matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols))
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -99,67 +99,141 @@ class LpSolution:
     ``iterations`` counts HiGHS's iterations by the rule of scipy's
     ``linprog`` (``nit + crossover_nit``): per run, the simplex iteration
     count, or the interior-point iteration count when the simplex count is
-    zero, plus the crossover iteration count; summed over the two runs when
-    the dual simplex re-solves after the interior point.  Simplex clean-up
-    pivots after crossover therefore replace the interior-point count rather
-    than add to it."""
+    zero, plus the crossover iteration count; summed over the runs of the
+    solve when the dual simplex re-solves after the interior point or after
+    a warm primal-simplex run.  Simplex clean-up pivots after crossover
+    therefore replace the interior-point count rather than add to it.  A
+    warm solve counts only its own pivots from the basis it started at.
+    ``runs`` is the number of HiGHS runs behind the solution (1 or 2)."""
 
     status: str
     primal: np.ndarray
     dual: np.ndarray
     objective: float
     iterations: int
+    runs: int = 0
     objective_exact: Fraction | None = None
     primal_exact: tuple[Fraction, ...] | None = None
     dual_exact: tuple[Fraction, ...] | None = None
 
 
-def _run_highs(lp: LinearProgram, solver: str, max_iter: int):
-    """One HiGHS run, without presolve, of the LP in minimization form.
+class Session:
+    """One HiGHS model of the constraints ``A x = rhs, x >= 0`` of the first
+    LP it solves, kept for solving LPs that share them and differ only in
+    cost and sense.
 
-    Returns the model status, the iteration count (the rule is under
-    ``LpSolution``), and the primal and row duals of the minimization,
-    which are None unless the status is optimal."""
-    n, m = lp.n_cols, lp.n_rows
-    order = np.lexsort((lp.rows, lp.cols))
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_ = n, m
-    model.col_cost_ = -lp.cost if lp.sense == "max" else lp.cost
-    model.col_lower_ = np.zeros(n)
-    model.col_upper_ = np.full(n, highs.kHighsInf)
-    model.row_lower_ = model.row_upper_ = lp.rhs
-    a = model.a_matrix_
-    a.format_ = highs.MatrixFormat.kColwise
-    a.num_col_, a.num_row_ = n, m
-    # integer vectors convert to HiGHS faster from lists than from arrays
-    a.start_ = np.concatenate(([0], np.cumsum(np.bincount(lp.cols, minlength=n)))).tolist()
-    a.index_ = lp.rows[order].tolist()
-    a.value_ = lp.vals[order]
-    options = highs.HighsOptions()
-    options.presolve = "off"
-    options.solver = solver
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
-    options.simplex_iteration_limit = options.ipm_iteration_limit = max_iter
-    options.output_flag = options.log_to_console = False
-    run = highs._Highs()
-    if run.passOptions(options) == highs.HighsStatus.kError:
-        raise LpError("HiGHS rejected the solver options")
-    if run.passModel(model) == highs.HighsStatus.kError:
-        return highs.HighsModelStatus.kModelError, 0, None, None
-    run.run()
-    status = run.getModelStatus()
-    info = run.getInfo()
-    iterations = ((info.simplex_iteration_count or info.ipm_iteration_count)
-                  + info.crossover_iteration_count)
-    if status != highs.HighsModelStatus.kOptimal:
-        return status, iterations, None, None
-    solution = run.getSolution()
-    return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
+    The model is built at the first solve, which runs cold by the size rule
+    of :func:`solve`.  Once a solve has passed every check, the next one
+    only changes the column costs and runs the primal simplex from that
+    solve's basis, which a change of cost leaves primal feasible.  A solve
+    that raises frees the model, so the one after it runs cold again.  Solve
+    order therefore decides which optimum a degenerate LP returns: the same
+    order gives the same bits, but a warm optimum can differ from a cold
+    one."""
+
+    def __init__(self) -> None:
+        self._lp: LinearProgram | None = None  # the first LP, for its constraints
+        self._model = None
+
+    @property
+    def warm(self) -> bool:
+        """Whether the next solve restarts from an optimal basis."""
+        return self._model is not None
+
+    def _build(self, lp: LinearProgram) -> None:
+        n, m = lp.n_cols, lp.n_rows
+        order = np.lexsort((lp.rows, lp.cols))
+        model = highs.HighsLp()
+        model.num_col_, model.num_row_ = n, m
+        model.col_cost_ = -lp.cost if lp.sense == "max" else lp.cost
+        model.col_lower_ = np.zeros(n)
+        model.col_upper_ = np.full(n, highs.kHighsInf)
+        model.row_lower_ = model.row_upper_ = lp.rhs
+        a = model.a_matrix_
+        a.format_ = highs.MatrixFormat.kColwise
+        a.num_col_, a.num_row_ = n, m
+        # integer vectors convert to HiGHS faster from lists than from arrays
+        a.start_ = np.concatenate(([0], np.cumsum(np.bincount(lp.cols, minlength=n)))).tolist()
+        a.index_ = lp.rows[order].tolist()
+        a.value_ = lp.vals[order]
+        options = highs.HighsOptions()
+        options.presolve = "off"
+        options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
+        options.output_flag = options.log_to_console = False
+        run = highs._Highs()
+        if run.passOptions(options) == highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the solver options")
+        if run.passModel(model) == highs.HighsStatus.kError:
+            raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
+        self._model = run
+
+    def _solve(self, lp: LinearProgram, feas_tol: float, max_iter: int) -> LpSolution:
+        if self._lp is None:
+            self._lp = lp
+        elif not all(np.array_equal(getattr(lp, k), getattr(self._lp, k))
+                     for k in ("rows", "cols", "vals", "rhs")):
+            raise ValueError("the LP's constraints differ from the session's")
+        if self.warm:
+            self._model.changeColsCost(lp.n_cols, np.arange(lp.n_cols, dtype=np.int32),
+                                       -lp.cost if lp.sense == "max" else lp.cost)
+            methods = ("primal", "simplex")
+        else:
+            self._build(lp)
+            methods = ("ipm", "simplex") if lp.n_cols >= IPM_MIN_COLS else ("simplex",)
+        try:
+            iterations = 0
+            for runs, solver in enumerate(methods, start=1):
+                status, count, primal, dual = _run_highs(self._model, solver, max_iter)
+                iterations += count
+                if status in _LIMIT:
+                    raise IterationLimit(f"exceeded {max_iter} iterations")
+                if status in _INFEASIBLE:
+                    raise Infeasible(f"HiGHS model status {status.name}")
+                if status == highs.HighsModelStatus.kUnbounded:
+                    raise Unbounded(f"HiGHS model status {status.name}")
+                try:
+                    primal, dual = _check_run(lp, status, primal, dual, feas_tol)
+                except LpError:
+                    if solver == methods[-1]:
+                        raise
+                    continue
+                return LpSolution("optimal", primal, dual, float(lp.cost @ primal), iterations, runs)
+        except BaseException:
+            self._model = None  # the next solve starts cold
+            raise
 
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError)
+# solver name -> HiGHS ``solver`` and ``simplex_strategy`` options
+_METHODS = {"simplex": ("simplex", highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+            "primal": ("simplex", highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal),
+            "ipm": ("ipm", highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)}
+
+
+def _run_highs(model, solver: str, max_iter: int):
+    """One HiGHS run of a session's model, in minimization form, from the
+    basis its last run left (none before the first run): ``solver`` is
+    ``"simplex"`` (the dual simplex), ``"primal"`` (the primal simplex) or
+    ``"ipm"`` (the interior point with crossover).
+
+    Returns the model status, the iteration count (the rule is under
+    ``LpSolution``), and the primal and row duals of the minimization,
+    which are None unless the status is optimal."""
+    method, strategy = _METHODS[solver]
+    for name, value in (("solver", method), ("simplex_strategy", int(strategy)),
+                        ("simplex_iteration_limit", max_iter), ("ipm_iteration_limit", max_iter)):
+        if model.setOptionValue(name, value) == highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the solver options")
+    model.run()
+    status = model.getModelStatus()
+    info = model.getInfo()
+    iterations = ((info.simplex_iteration_count or info.ipm_iteration_count)
+                  + info.crossover_iteration_count)
+    if status != highs.HighsModelStatus.kOptimal:
+        return status, iterations, None, None
+    solution = model.getSolution()
+    return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
 
 
 def _check_run(lp: LinearProgram, status, primal, dual, feas_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -187,37 +261,26 @@ def _check_run(lp: LinearProgram, status, primal, dual, feas_tol: float) -> tupl
     return primal, dual
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, max_iter: int = MAX_ITER) -> LpSolution:
+def solve(lp: LinearProgram, *, session: Session | None = None, feas_tol: float = FEAS_TOL,
+          max_iter: int = MAX_ITER) -> LpSolution:
     """Primal and dual optimum from HiGHS, bundled with scipy.
 
-    HiGHS runs without presolve, at its tightest feasibility tolerances: the
-    dual simplex below ``IPM_MIN_COLS`` variables; from there on the
-    interior-point method with crossover, then the dual simplex if that run
-    fails (crossover can stop at a basis HiGHS cannot certify, or at one
-    whose dual fails the reduced-cost check).  ``max_iter`` bounds the
-    iterations of each run.  A run is accepted only when it is optimal and
-    passes the checks of :func:`_check_run`; a failed dual-simplex run raises
-    the error those checks name.  Whichever method ran, a limit raises
-    ``IterationLimit``, an infeasible or malformed model ``Infeasible`` and
-    an unbounded one ``Unbounded`` at once."""
-    methods = ("ipm", "simplex") if lp.n_cols >= IPM_MIN_COLS else ("simplex",)
-    iterations = 0
-    for solver in methods:
-        status, count, primal, dual = _run_highs(lp, solver, max_iter)
-        iterations += count
-        if status in _LIMIT:
-            raise IterationLimit(f"exceeded {max_iter} iterations")
-        if status in _INFEASIBLE:
-            raise Infeasible(f"HiGHS model status {status.name}")
-        if status == highs.HighsModelStatus.kUnbounded:
-            raise Unbounded(f"HiGHS model status {status.name}")
-        try:
-            primal, dual = _check_run(lp, status, primal, dual, feas_tol)
-        except LpError:
-            if solver == methods[-1]:
-                raise
-            continue
-        return LpSolution("optimal", primal, dual, float(lp.cost @ primal), iterations)
+    HiGHS runs without presolve, at its tightest feasibility tolerances, on
+    the model of ``session`` (whose LP must have the constraints of ``lp``)
+    or, without one, on a model built for this solve alone and freed when it
+    returns.  A cold solve runs the dual simplex below ``IPM_MIN_COLS``
+    variables; from there on the interior-point method with crossover, then
+    the dual simplex from the crossover basis if that run fails (crossover
+    can stop at a basis HiGHS cannot certify, or at one whose dual fails the
+    reduced-cost check).  A warm solve (see :class:`Session`) runs the
+    primal simplex from the last optimal basis, then the dual simplex if
+    that run fails.  ``max_iter`` bounds the iterations of each run.  A run
+    is accepted only when it is optimal and passes the checks of
+    :func:`_check_run`; a failed dual-simplex run raises the error those
+    checks name.  Whichever method ran, a limit raises ``IterationLimit``,
+    an infeasible or malformed model ``Infeasible`` and an unbounded one
+    ``Unbounded`` at once."""
+    return (session or Session())._solve(lp, feas_tol, max_iter)
 
 
 def _exact_pivot(tab, xb, basis, r, q):

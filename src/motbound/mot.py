@@ -19,7 +19,7 @@ from . import payoff as payoff_mod
 from .errors import DegenerateDual, DimensionMismatch, Infeasible, MotboundError, NotAdmissible
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     VerificationReport, _histories, price as hedge_price, slackness, verify)
-from .lp import FEAS_TOL, LinearProgram, LpSolution, solve
+from .lp import FEAS_TOL, LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
 from .payoff import Payoff
 
@@ -171,7 +171,9 @@ def _layout(system: MarginalSystem) -> _Layout:
                    marginal_row=tuple(marginal_row), mart_row=tuple(mart_row))
 
 
-def _lp_from_layout(layout: _Layout, system: MarginalSystem, cost: np.ndarray, sense: str) -> LinearProgram:
+def _constraints(layout: _Layout, system: MarginalSystem) -> tuple[np.ndarray, ...]:
+    """The transport LP's ``(rows, cols, vals, rhs)``: the payoff enters only
+    through the cost, so every problem on the system shares them."""
     n = len(layout.grids)
     idx = np.indices(layout.shape).reshape(n, -1)
     flat = np.arange(layout.n_cells)
@@ -196,29 +198,37 @@ def _lp_from_layout(layout: _Layout, system: MarginalSystem, cost: np.ndarray, s
         cols_parts.append(flat[keep])
         vals_parts.append(coeff[keep])
 
-    return LinearProgram(
-        sense="min" if sense == "lower" else "max",
-        cost=cost,
-        rows=np.concatenate(rows_parts),
-        cols=np.concatenate(cols_parts),
-        vals=np.concatenate(vals_parts),
-        rhs=rhs,
-    )
+    return np.concatenate(rows_parts), np.concatenate(cols_parts), np.concatenate(vals_parts), rhs
 
 
-def _assemble(problem: MotProblem) -> tuple[LinearProgram, _Layout]:
-    if not problem.system.admissible:
-        raise NotAdmissible("marginals are not in convex order")
-    layout = _layout(problem.system)
-    cost = payoff_mod.tabulate(problem.payoff, layout.grids)
-    return _lp_from_layout(layout, problem.system, cost, problem.sense), layout
+class Solver:
+    """The transport LP of one marginal system, assembled once: its layout,
+    its constraint triples and one HiGHS :class:`~motbound.lp.Session`.
+
+    Every problem on the system shares the constraints, so a problem only
+    tabulates its payoff as the cost, and each solve after the first
+    restarts from the last optimal basis.  Which optimal dual a degenerate
+    LP returns then depends on the solve order; callers keep it fixed,
+    with every lower bound before any upper bound."""
+
+    def __init__(self, system: MarginalSystem) -> None:
+        self.system = system
+        self.layout = _layout(system)
+        self.constraints = _constraints(self.layout, system)
+        self.session = Session()
+
+    def lp(self, problem: MotProblem) -> LinearProgram:
+        if problem.system is not self.system:
+            raise ValueError("the problem's marginal system is not the solver's")
+        return LinearProgram("min" if problem.sense == "lower" else "max",
+                             payoff_mod.tabulate(problem.payoff, self.layout.grids), *self.constraints)
 
 
 def build_lp(problem: MotProblem) -> LinearProgram:
     """Assemble the transport LP: cell masses, marginal rows (one redundant
     row per date beyond the first dropped at the heaviest atom), and one
     conditional-mean row per history cell."""
-    return _assemble(problem)[0]
+    return Solver(problem.system).lp(problem)
 
 
 def verification_grids(problem: MotProblem) -> list[np.ndarray]:
@@ -358,33 +368,56 @@ def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
     )
 
 
-def bound(problem: MotProblem, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP_TOL) -> MotResult:
-    """Solve for one bound; package value, coupling, hedge and diagnostics.
-
-    The LP dual is read as a semi-static hedge and checked on the
-    verification grids and against the value.  A dual that fails the grid
-    check (degenerate optima yield several duals) or whose price misses the
-    value by more than ``gap_tol * (1 + |value|)`` raises DegenerateDual."""
-    lp, layout = _assemble(problem)
+def _solve(lp: LinearProgram, session: Session | None, feas_tol: float) -> LpSolution:
     try:
-        sol = solve(lp, feas_tol=feas_tol)
+        return solve(lp, session=session, feas_tol=feas_tol)
     except Infeasible as exc:
         raise Infeasible(
             "discretized marginals admit no martingale coupling; "
             "re-discretize with barycentric cells to restore convex order"
         ) from exc
-    grids = verification_grids(problem)
+
+
+def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, layout: _Layout,
+            grids: list[np.ndarray], attempts: int, gap_tol: float) -> MotResult:
     hedge = _extract_hedge(sol, problem, layout, grids[-1])
     report = verify(hedge, problem.payoff, grids)
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
     coupling = _coupling_from_primal(sol.primal, layout)
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
-              "lp_iterations": sol.iterations, "solve_attempts": 1,
+              "lp_iterations": sol.iterations, "solve_attempts": attempts,
               "max_verification_violation": report.max_violation}
     diag = _diagnostics(problem, sol.objective, coupling, hedge, extras, gap_tol)
     return MotResult(value=float(sol.objective), coupling=coupling, hedge=hedge,
                      diagnostics=diag, report=report)
+
+
+def bound(problem: MotProblem, *, solver: Solver | None = None, feas_tol: float = FEAS_TOL,
+          gap_tol: float = GAP_TOL) -> MotResult:
+    """Solve for one bound; package value, coupling, hedge and diagnostics.
+
+    Without ``solver`` the LP is assembled and solved for this bound alone;
+    with one (built on ``problem.system``) it is solved on the solver's
+    session, from the last optimal basis when there is one.  The LP dual is
+    read as a semi-static hedge and checked on the verification grids and
+    against the value.  A dual that fails the grid check (degenerate optima
+    yield several duals) or whose price misses the value by more than
+    ``gap_tol * (1 + |value|)`` raises DegenerateDual; a warm-started one is
+    first solved again cold, once.  ``solve_attempts`` in the extras counts
+    the HiGHS runs behind the result, the cold re-solve's included."""
+    solver = solver or Solver(problem.system)
+    lp = solver.lp(problem)
+    warm = solver.session.warm
+    sol = _solve(lp, solver.session, feas_tol)
+    grids = verification_grids(problem)
+    try:
+        return _result(problem, lp, sol, solver.layout, grids, sol.runs, gap_tol)
+    except DegenerateDual:
+        if not warm:
+            raise
+    cold = _solve(lp, None, feas_tol)
+    return _result(problem, lp, cold, solver.layout, grids, sol.runs + cold.runs, gap_tol)
 
 
 def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
@@ -444,22 +477,32 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_row(system: MarginalSystem, strike: float) -> SweepRow:
-    payoff = payoff_mod.forward_start_call(strike)
-    try:
-        lo = bound(MotProblem(system, payoff, "lower")).value
-        hi = bound(MotProblem(system, payoff, "upper")).value
-        return SweepRow(strike=float(strike), lower=lo, upper=hi)
-    except MotboundError as exc:
-        return SweepRow(strike=float(strike), lower=None, upper=None, error=str(exc))
-
-
 def strike_sweep(system: MarginalSystem, strikes) -> SweepTable:
     """Lower/upper forward-start call bounds per strike ratio, one row per
-    strike in the given order."""
+    strike in the given order.
+
+    Every bound is solved on one :class:`Solver`, every lower bound before
+    any upper bound, each from the last optimal basis.  A strike whose bound
+    raises gets an error row, and its upper bound is not solved after a
+    failed lower one."""
     if system.n_dates != 2:
         raise DimensionMismatch("strike sweeps cover two-date systems")
-    return SweepTable(rows=tuple(_sweep_row(system, float(k)) for k in strikes))
+    strikes = [float(k) for k in strikes]
+    solver = Solver(system)
+    values = {"lower": {}, "upper": {}}
+    errors = {}
+    for sense in values:
+        for k, strike in enumerate(strikes):
+            if k in errors:
+                continue
+            try:
+                problem = MotProblem(system, payoff_mod.forward_start_call(strike), sense)
+                values[sense][k] = bound(problem, solver=solver).value
+            except MotboundError as exc:
+                errors[k] = str(exc)
+    return SweepTable(rows=tuple(
+        SweepRow(strike, values["lower"][k], values["upper"][k]) if k not in errors
+        else SweepRow(strike, None, None, errors[k]) for k, strike in enumerate(strikes)))
 
 
 def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:
@@ -470,8 +513,7 @@ def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:
     layout = _layout(system)
     rng = np.random.default_rng(seed)
     cost = rng.uniform(-1.0, 1.0, size=layout.n_cells)
-    lp = _lp_from_layout(layout, system, cost, "lower")
-    sol = solve(lp)
+    sol = solve(LinearProgram("min", cost, *_constraints(layout, system)))
     return _coupling_from_primal(sol.primal, layout)
 
 

@@ -59,6 +59,10 @@ class TestBounds:
                          "straddle", "--out", str(dest)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_both_senses_share_one_model(self, marginals_a, passed_models):
+        assert main(["bounds", "--marginals", marginals_a, "--payoff", "straddle"]) == 0
+        assert len(passed_models) == 1
+
     def test_not_admissible_is_domain_error(self, tmp_path, capsys):
         system = instance_a_marginals()
         data = {"marginals": list(reversed(system.to_json()["marginals"]))}
@@ -218,6 +222,17 @@ class TestArb:
         assert blob["action"] == action
         assert blob["lower"] == pytest.approx(0.25, abs=1e-9)
         assert blob["upper"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    def test_one_model(self, marginals_a, payoff_file, passed_models):
+        assert main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, "--quoted", "0.3"]) == 0
+        assert len(passed_models) == 1
+
+    def test_byte_identical_reruns(self, marginals_a, payoff_file, tmp_path):
+        a, b = tmp_path / "arb1.json", tmp_path / "arb2.json"
+        for dest in (a, b):
+            assert main(["arb", "--marginals", marginals_a, "--payoff", payoff_file,
+                         "--quoted", "0.3", "--out", str(dest)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestSurface:

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import optimize
 from scipy.optimize._highspy import _core as highs
 
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 from motbound.fixtures import smooth_pair
-from motbound.lp import LinearProgram, solve, solve_exact
+from motbound.lp import LinearProgram, Session, solve, solve_exact
 from motbound.measures import DensitySpec, MarginalSystem, discretize
 from motbound.mot import MotProblem, bound, build_lp
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
@@ -40,8 +42,12 @@ def transportation(supplies, demands, costs, sense="min") -> LinearProgram:
                     np.asarray(costs, dtype=float).ravel(), sense)
 
 
+def csr(lp: LinearProgram) -> sp.csr_matrix:
+    return sp.csr_matrix((lp.vals, (lp.rows, lp.cols)), shape=(lp.n_rows, lp.n_cols))
+
+
 def check_solution_invariants(lp: LinearProgram, sol) -> None:
-    a = lp.matrix().toarray()
+    a = csr(lp).toarray()
     resid = np.abs(a @ sol.primal - lp.rhs).max()
     assert resid <= FEAS_TOL * (1.0 + np.abs(lp.rhs).max())
     assert sol.primal.min() >= -FEAS_TOL
@@ -197,18 +203,24 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.dual, b.dual)
 
 
+class Run(NamedTuple):
+    solver: str
+    result: tuple
+    model: object
+
+
 def spy_highs(monkeypatch, corrupt=None):
-    """Record each HiGHS run's solver and result (model status, iterations,
-    primal, dual); ``corrupt(solver, result)`` may return a replacement
-    result before ``solve`` reads it."""
+    """Record each HiGHS run's solver, result (model status, iterations,
+    primal, dual) and model; ``corrupt(solver, result)`` may return a
+    replacement result before ``solve`` reads it."""
     calls = []
     run_highs = lp_mod._run_highs
 
-    def spy(lp, solver, max_iter):
-        res = run_highs(lp, solver, max_iter)
+    def spy(model, solver, max_iter):
+        res = run_highs(model, solver, max_iter)
         if corrupt is not None:
             res = corrupt(solver, res)
-        calls.append((solver, res))
+        calls.append(Run(solver, res, model))
         return res
 
     monkeypatch.setattr(lp_mod, "_run_highs", spy)
@@ -287,8 +299,8 @@ class TestSizeRule:
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
         calls = spy_highs(monkeypatch, corrupt)
         sol = solve(lp)
-        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
-        (_, ipm), (_, ds) = calls
+        assert [run.solver for run in calls] == ["ipm", "simplex"]
+        ipm, ds = (run.result for run in calls)
         assert sol.iterations == ipm[1] + ds[1]
         np.testing.assert_array_equal(sol.primal, np.clip(ds[2], 0.0, None))
         np.testing.assert_array_equal(sol.dual, ds[3])
@@ -296,16 +308,28 @@ class TestSizeRule:
 
     def test_unfinished_crossover_instance(self, monkeypatch):
         problem = unfinished_crossover_problem()
+        lp = build_lp(problem)
+        calls = spy_highs(monkeypatch)
+        sol = solve(lp)
+        assert [run.solver for run in calls] == ["ipm", "simplex"]
+        assert calls[0].model is calls[1].model
+        assert calls[0].result[0] == highs.HighsModelStatus.kUnknown
+        check_solution_invariants(lp, sol)
         res = bound(problem)
         assert res.report.valid
+        assert res.value == sol.objective
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
-        assert res.value == solve(build_lp(problem)).objective
+        cold = solve(lp).objective
+        assert abs(res.value - cold) <= 1e-12 * (1.0 + abs(cold))
 
     def test_rejected_crossover_dual_instance(self, monkeypatch):
         problem = rejected_crossover_dual_problem()
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
+        assert [run.solver for run in calls] == ["ipm", "simplex"]
+        assert calls[0].model is calls[1].model
+        assert calls[1].result[1] == 1  # one pivot from the crossover basis
+        assert res.diagnostics.extras["solve_attempts"] == 2
         assert res.report.valid
         assert res.value == pytest.approx(0.0469156963, abs=1e-10)
         assert res.report.max_violation <= 1e-12
@@ -338,8 +362,8 @@ class TestStatusMapping:
         calls = []
         run_highs = lp_mod._run_highs
 
-        def fake(lp, solver, max_iter):
-            res = run_highs(lp, solver, max_iter) if calls else (status, 7, primal, dual)
+        def fake(model, solver, max_iter):
+            res = run_highs(model, solver, max_iter) if calls else (status, 7, primal, dual)
             calls.append((solver, res[1]))
             return res
 
@@ -407,28 +431,77 @@ class TestStatusMapping:
         check_solution_invariants(lp, sol)
 
 
+class TestSession:
+    """Later solves on a session change only the costs and restart the
+    primal simplex from the last optimal basis, under the same checks."""
+
+    LP = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_warm_solves_match_cold(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        base = random_transportation(rng)
+        session = Session()
+        calls = spy_highs(monkeypatch)
+        for trial in range(10):
+            lp = LinearProgram(sense="max" if trial % 3 else "min", cost=rng.normal(size=base.n_cols),
+                               rows=base.rows, cols=base.cols, vals=base.vals, rhs=base.rhs)
+            warm = solve(lp, session=session)
+            assert calls[-1].solver == ("primal" if trial else "simplex")
+            assert warm.runs == 1
+            cold = solve(lp)
+            assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
+            check_solution_invariants(lp, warm)
+        assert all(run.model is calls[0].model for run in calls[::2])
+
+    def test_constraints_must_match(self):
+        session = Session()
+        solve(self.LP, session=session)
+        other = transportation([1.0, 1.0], [0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="constraints differ"):
+            solve(other, session=session)
+
+    @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
+    def test_failed_warm_check_gets_one_dual_simplex_run(self, monkeypatch, check):
+        session = Session()
+        solve(self.LP, session=session)
+        calls = TestStatusMapping.fake_first_run(monkeypatch, STATUS.kOptimal,
+                                                 *TestStatusMapping.FAILED_RUNS[check])
+        sol = solve(self.LP, session=session)
+        assert [solver for solver, _ in calls] == ["primal", "simplex"]
+        assert (sol.runs, sol.iterations) == (2, 7 + calls[1][1])
+        np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+        check_solution_invariants(self.LP, sol)
+
+    def test_failed_dual_simplex_raises_and_next_solve_is_cold(self, monkeypatch):
+        session = Session()
+        solve(self.LP, session=session)
+        primal, dual = TestStatusMapping.FAILED_RUNS["reduced-cost"]
+        calls = spy_highs(monkeypatch, lambda solver, res: (STATUS.kOptimal, 7, primal, dual))
+        with pytest.raises(LpError, match="reduced cost"):
+            solve(self.LP, session=session)
+        assert [run.solver for run in calls] == ["primal", "simplex"]
+        monkeypatch.undo()
+        calls = spy_highs(monkeypatch)
+        assert not session.warm
+        solve(self.LP, session=session)
+        assert [run.solver for run in calls] == ["simplex"]
+
+
 def linprog_answer(lp: LinearProgram):
-    """``solve``'s primal, dual and iterations, computed through
-    ``scipy.optimize.linprog`` with the same solver, options and size rule."""
+    """``solve``'s primal, dual and iterations on an LP that one cold HiGHS
+    run solves, computed through ``scipy.optimize.linprog`` with the same
+    solver, options and size rule.  ``linprog`` cannot re-solve from the
+    crossover basis as ``solve`` does, so it is no oracle for re-solved LPs."""
     flip = lp.sense == "max"
-
-    def run(method):
-        return optimize.linprog(-lp.cost if flip else lp.cost, A_eq=lp.matrix(), b_eq=lp.rhs,
-                                bounds=(0, None), method=method,
-                                options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
-                                         "primal_feasibility_tolerance": lp_mod.HIGHS_TOL,
-                                         "dual_feasibility_tolerance": lp_mod.HIGHS_TOL})
-
-    ipm = lp.n_cols >= lp_mod.IPM_MIN_COLS
-    res = run("highs-ipm" if ipm else "highs-ds")
-    methods, iterations = ["highs-ipm" if ipm else "highs-ds"], res.nit + res.crossover_nit
-    if ipm and res.status == 4:
-        res = run("highs-ds")
-        methods.append("highs-ds")
-        iterations += res.nit + res.crossover_nit
+    method = "highs-ipm" if lp.n_cols >= lp_mod.IPM_MIN_COLS else "highs-ds"
+    res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
+                           bounds=(0, None), method=method,
+                           options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
+                                    "primal_feasibility_tolerance": lp_mod.HIGHS_TOL,
+                                    "dual_feasibility_tolerance": lp_mod.HIGHS_TOL})
     assert res.status == 0, res.message
     dual = -res.eqlin.marginals if flip else res.eqlin.marginals
-    return np.clip(res.x, 0.0, None), dual, iterations, methods
+    return np.clip(res.x, 0.0, None), dual, res.nit + res.crossover_nit, [method]
 
 
 class TestLinprogOracle:
@@ -440,13 +513,12 @@ class TestLinprogOracle:
                                 np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"]),
         (lambda: build_lp(MotProblem(smooth_pair(21), forward_start_straddle(), "lower")), ["highs-ds"]),
         (lambda: build_lp(MotProblem(smooth_pair(41), forward_start_straddle(), "upper")), ["highs-ipm"]),
-        (lambda: build_lp(unfinished_crossover_problem()), ["highs-ipm", "highs-ds"]),
         # a 3-date lookback LP on which one simplex clean-up pivot follows
         # crossover: the interior-point iterations drop out of the count
         (lambda: build_lp(MotProblem(widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15),
                                      lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
          ["highs-ipm"]),
-    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
+    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "crossover-cleanup"])
     def test_bit_identical_to_linprog(self, make, methods):
         lp = make()
         primal, dual, iterations, used = linprog_answer(lp)

@@ -240,6 +240,66 @@ class TestSweep:
         assert lines[0] == "strike,lower,upper,status"
         assert len(lines) == 3
 
+    def test_one_model_per_sweep(self, passed_models):
+        strike_sweep(smooth_pair(12), [0.9, 0.95, 1.0, 1.05, 1.1])
+        assert len(passed_models) == 1
+
+    def test_failed_lower_bound_skips_its_upper(self, monkeypatch):
+        real_bound = mot.bound
+        solved = []
+
+        def failing_bound(problem, **kwargs):
+            strike = problem.payoff.params["strike_ratio"]
+            solved.append((problem.sense, strike))
+            if (problem.sense, strike) == ("lower", 1.0):
+                raise DegenerateDual("faked failure")
+            return real_bound(problem, **kwargs)
+
+        monkeypatch.setattr(mot, "bound", failing_bound)
+        table = strike_sweep(instance_a_marginals(), [0.9, 1.0, 1.1])
+        assert solved == [("lower", 0.9), ("lower", 1.0), ("lower", 1.1),
+                          ("upper", 0.9), ("upper", 1.1)]
+        assert [row.ok for row in table.rows] == [True, False, True]
+        assert table.rows[1] == mot.SweepRow(1.0, None, None, "faked failure")
+        assert table.to_csv().splitlines()[2] == "1,,,faked failure"
+
+
+def widening_dates(w: float, m: int) -> MarginalSystem:
+    return MarginalSystem([discretize(DensitySpec.uniform(1.0 - w * k, 1.0 + w * k), m)
+                           for k in (1, 2, 3)])
+
+
+class TestWarmSolves:
+    """Bounds solved on one shared solver, lower bounds first, equal the
+    one-shot bounds, and every warm hedge verifies."""
+
+    @pytest.mark.parametrize("system, payoffs", [
+        (smooth_pair(21), [forward_start_call(k) for k in np.linspace(0.95, 1.05, 11)]),
+        (widening_dates(0.1, 9), [make(k, 3) for make in (asian_call, lookback_call)
+                                  for k in (0.95, 1.0, 1.05)]),
+    ], ids=["smooth21-calls", "3date-m9-asian-lookback"])
+    def test_warm_values_match_cold(self, system, payoffs):
+        solver = mot.Solver(system)
+        pivots = {"warm": 0, "cold": 0}
+        for sense in ("lower", "upper"):
+            for po in payoffs:
+                problem = MotProblem(system, po, sense)
+                warm = bound(problem, solver=solver)
+                cold = bound(problem)
+                assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
+                assert warm.report.valid
+                assert warm.diagnostics.extras["solve_attempts"] == 1
+                check_result_invariants(problem, warm)
+                pivots["warm"] += warm.diagnostics.extras["lp_iterations"]
+                pivots["cold"] += cold.diagnostics.extras["lp_iterations"]
+        assert solver.session.warm
+        assert pivots["warm"] < pivots["cold"]
+
+    def test_problem_on_another_system_is_rejected(self):
+        solver = mot.Solver(instance_a_marginals())
+        with pytest.raises(ValueError, match="not the solver's"):
+            bound(MotProblem(smooth_pair(5), forward_start_straddle(), "lower"), solver=solver)
+
 
 class TestRandomCoupling:
     def test_instance_a_family(self):
@@ -454,6 +514,36 @@ class TestDualChecks:
         with pytest.raises(DegenerateDual, match="INVALID"):
             bound(MotProblem(instance_a_marginals(), forward_start_straddle(), "lower"))
         assert len(calls) == 1
+
+
+    def test_plain_bound_is_one_attempt(self):
+        res = bound(MotProblem(instance_a_marginals(), forward_start_straddle(), "lower"))
+        assert res.diagnostics.extras["solve_attempts"] == 1
+
+    def test_warm_dual_failing_the_hedge_check_is_solved_cold_once(self, monkeypatch):
+        system, payoff = instance_a_marginals(), instance_b_payoff()
+        solver = mot.Solver(system)
+        bound(MotProblem(system, payoff, "lower"), solver=solver)
+        solve, verify = mot.solve, mot.verify
+        sessions, reports = [], []
+
+        def spying_solve(lp, **kwargs):
+            sessions.append(kwargs["session"])
+            return solve(lp, **kwargs)
+
+        def failing_first_verify(*args, **kwargs):
+            reports.append(verify(*args, **kwargs))
+            return dataclasses.replace(reports[-1], max_violation=1.0) if len(reports) == 1 else reports[-1]
+
+        monkeypatch.setattr(mot, "solve", spying_solve)
+        monkeypatch.setattr(mot, "verify", failing_first_verify)
+        problem = MotProblem(system, payoff, "upper")
+        res = bound(problem, solver=solver)
+        assert sessions == [solver.session, None]
+        assert res.diagnostics.extras["solve_attempts"] == 2
+        assert res.report.valid
+        monkeypatch.undo()
+        assert res.value == bound(problem).value
 
 
 class TestThreeDateScale:
