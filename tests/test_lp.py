@@ -508,18 +508,25 @@ class TestLinprogOracle:
     """``solve`` calls HiGHS as ``linprog`` does, so both give the same
     answer to the last bit."""
 
-    @pytest.mark.parametrize("make, methods", [
+    @pytest.mark.parametrize("make, methods, ipm_min_cols", [
         (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
-                                np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"]),
-        (lambda: build_lp(MotProblem(smooth_pair(21), forward_start_straddle(), "lower")), ["highs-ds"]),
-        (lambda: build_lp(MotProblem(smooth_pair(41), forward_start_straddle(), "upper")), ["highs-ipm"]),
+                                np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], None),
+        (lambda: build_lp(MotProblem(smooth_pair(21), forward_start_straddle(), "lower")), ["highs-ds"], None),
+        (lambda: build_lp(MotProblem(smooth_pair(41), forward_start_straddle(), "upper")), ["highs-ipm"], None),
+        # the interior point stops unfinished on this LP, and ``solve``
+        # re-solves from the crossover basis, which ``linprog`` cannot; its
+        # cold dual-simplex answer, which that re-solve must match within
+        # 1e-12 (TestSizeRule), is compared here
+        (lambda: build_lp(unfinished_crossover_problem()), ["highs-ds"], 10 ** 9),
         # a 3-date lookback LP on which one simplex clean-up pivot follows
         # crossover: the interior-point iterations drop out of the count
         (lambda: build_lp(MotProblem(widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15),
                                      lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
-         ["highs-ipm"]),
-    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "crossover-cleanup"])
-    def test_bit_identical_to_linprog(self, make, methods):
+         ["highs-ipm"], None),
+    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
+    def test_bit_identical_to_linprog(self, monkeypatch, make, methods, ipm_min_cols):
+        if ipm_min_cols is not None:
+            monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", ipm_min_cols)
         lp = make()
         primal, dual, iterations, used = linprog_answer(lp)
         assert used == methods
