@@ -6,7 +6,9 @@ CSV; every float is printed to 12 significant digits and identical inputs
 produce byte-identical outputs.
 
 Exit codes: 0 success, 1 domain errors (infeasible quotes, marginals not in
-convex order, LP failures), 2 I/O or configuration errors.
+convex order, LP failures), 2 I/O or configuration errors.  The solver's
+tolerances and iteration limit are the library's module constants; no flag
+changes them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from . import fixtures
 from . import payoff as payoff_mod
 from .errors import BadSpec, DimensionMismatch, MotboundError, OffGrid
 from .hedge import check_arbitrage, hedge_to_json, price as hedge_price
-from .lp import FEAS_TOL
 from .measures import (MarginalSystem, check_convex_order, counterexample_marginals,
                        from_call_curve, load_call_curves)
-from .mot import (GAP_TOL, MotProblem, Solver, bound, decompose_and_solve, fmt12,
+from .mot import (MotProblem, Solver, bound, decompose_and_solve, fmt12,
                   random_feasible_coupling, strike_sweep, surface_csv)
 from .payoff import Payoff
 
@@ -140,9 +141,7 @@ def _result_json(res) -> dict:
 
 
 def cmd_implied_marginals(args) -> int:
-    curves = load_call_curves(args.quotes)
-    s0 = _spot_from(args, curves)
-    system = MarginalSystem([from_call_curve(c, s0) for c in curves])
+    system = _load_system(args)
     _emit(_dump_json(system.to_json()), args.out)
     for i, m in enumerate(system.marginals, start=1):
         print(f"date {i}: {len(m)} atoms, mean {fmt12(m.mean)}")
@@ -173,8 +172,7 @@ def cmd_bounds(args) -> int:
     solve = decompose_and_solve if args.decompose else functools.partial(bound, solver=Solver(system))
     out = {"payoff": payoff.to_json(), "results": {}}
     for sense in senses:
-        res = solve(MotProblem(system, payoff, sense),
-                    feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+        res = solve(MotProblem(system, payoff, sense))
         entry = _result_json(res)
         entry["hedge_price"] = hedge_price(res.hedge, system)
         out["results"][sense] = entry
@@ -204,7 +202,7 @@ def cmd_surface(args) -> int:
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
     problem = MotProblem(system, payoff, args.sense)
-    res = bound(problem, feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+    res = bound(problem)
     _emit(surface_csv(problem, res), args.out)
     print(f"{args.sense} {fmt12(res.value)}")
     return 0
@@ -237,8 +235,7 @@ def cmd_arb(args) -> int:
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
     solver = Solver(system)
-    lower, upper = (bound(MotProblem(system, payoff, sense), solver=solver,
-                          feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+    lower, upper = (bound(MotProblem(system, payoff, sense), solver=solver)
                     for sense in ("lower", "upper"))
     verdict = check_arbitrage(args.quoted, lower, upper)
     print(verdict.describe())
@@ -253,8 +250,7 @@ def cmd_arb(args) -> int:
 def cmd_counterexample(args) -> int:
     system = counterexample_marginals(args.blocks, args.grid)
     payoff = payoff_mod.negated_straddle()
-    res = decompose_and_solve(MotProblem(system, payoff, "lower"),
-                              feas_tol=args.tol_feas, gap_tol=args.tol_gap)
+    res = decompose_and_solve(MotProblem(system, payoff, "lower"))
     closed = fixtures.counterexample_value(args.blocks)
     edges = fixtures.counterexample_edges(args.blocks)
     payload = {
@@ -284,14 +280,9 @@ def _add_io_flags(p):
     p.add_argument("--out", help="output path (default: stdout for the artifact)")
 
 
-def _add_tol_flags(p):
-    p.add_argument("--tol-feas", type=float, default=FEAS_TOL, dest="tol_feas",
-                   help="LP feasibility tolerance")
-    p.add_argument("--tol-gap", type=float, default=GAP_TOL, dest="tol_gap",
-                   help="relative duality-gap tolerance")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process at its first use."""
     parser = argparse.ArgumentParser(
         prog="motbound",
         description="Model-independent price bounds and semi-static hedges "
@@ -315,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decompose", action="store_true",
                    help="also report barrier blocks and per-block values (two dates)")
     p.add_argument("--seed", type=int, help="also sandwich-check a seeded random coupling")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="forward-start call bounds per strike ratio")
@@ -327,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--payoff", required=True)
     p.add_argument("--sense", choices=["lower", "upper"], default="lower")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("envelope", help="convex-envelope dual certificate")
@@ -341,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--payoff", required=True)
     p.add_argument("--quoted", type=float, required=True)
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_arb)
 
     p = sub.add_parser("counterexample", help="barrier-decomposed negated straddle instance")
     p.add_argument("--blocks", type=int, default=5)
     p.add_argument("--grid", type=int, default=16, help="second-marginal atoms per block")
     p.add_argument("--out")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_counterexample)
 
     return parser

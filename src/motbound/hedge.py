@@ -255,11 +255,10 @@ class VerificationReport:
     checked_cells: int
     continuum_checked: bool
     wing_ok: bool | None
-    tol: float = VERIFY_TOL
 
     @property
     def valid(self) -> bool:
-        return self.max_violation <= self.tol and self.wing_ok is not False
+        return self.max_violation <= VERIFY_TOL and self.wing_ok is not False
 
     def describe(self) -> str:
         verdict = "valid" if self.valid else "INVALID"
@@ -343,12 +342,12 @@ class Verdict:
         return f"{self.action}: quoted {self.quoted:.6g} vs model interval [{self.lower:.6g}, {self.upper:.6g}]; {self.strategy}"
 
 
-def check_arbitrage(quoted: float, lower_result, upper_result, *, tol: float | None = None) -> Verdict:
-    """Compare a quote against the model-free interval [lower, upper]."""
+def check_arbitrage(quoted: float, lower_result, upper_result) -> Verdict:
+    """Compare a quote against the model-free interval [lower, upper],
+    widened on each side by ``1e-6 * (1 + |quoted|)``."""
     lower = float(lower_result.value)
     upper = float(upper_result.value)
-    if tol is None:
-        tol = 1e-6 * (1.0 + abs(quoted))
+    tol = 1e-6 * (1.0 + abs(quoted))
     if quoted < lower - tol:
         return Verdict("BUY", quoted, lower, upper, tol,
                        "buy the exotic at the quote, sell the lower semi-static hedge; "

@@ -159,6 +159,7 @@ class Session:
         options = highs.HighsOptions()
         options.presolve = "off"
         options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
+        options.simplex_iteration_limit = options.ipm_iteration_limit = MAX_ITER
         options.output_flag = options.log_to_console = False
         run = highs._Highs()
         if run.passOptions(options) == highs.HighsStatus.kError:
@@ -167,7 +168,7 @@ class Session:
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
         self._model = run
 
-    def _solve(self, lp: LinearProgram, feas_tol: float, max_iter: int) -> LpSolution:
+    def _solve(self, lp: LinearProgram) -> LpSolution:
         if self._lp is None:
             self._lp = lp
         elif not all(np.array_equal(getattr(lp, k), getattr(self._lp, k))
@@ -183,16 +184,16 @@ class Session:
         try:
             iterations = 0
             for runs, solver in enumerate(methods, start=1):
-                status, count, primal, dual = _run_highs(self._model, solver, max_iter)
+                status, count, primal, dual = _run_highs(self._model, solver)
                 iterations += count
                 if status in _LIMIT:
-                    raise IterationLimit(f"exceeded {max_iter} iterations")
+                    raise IterationLimit(f"exceeded {MAX_ITER} iterations")
                 if status in _INFEASIBLE:
                     raise Infeasible(f"HiGHS model status {status.name}")
                 if status == highs.HighsModelStatus.kUnbounded:
                     raise Unbounded(f"HiGHS model status {status.name}")
                 try:
-                    primal, dual = _check_run(lp, status, primal, dual, feas_tol)
+                    primal, dual = _check_run(lp, status, primal, dual)
                 except LpError:
                     if solver == methods[-1]:
                         raise
@@ -211,18 +212,18 @@ _METHODS = {"simplex": ("simplex", highs.simplex_constants.SimplexStrategy.kSimp
             "ipm": ("ipm", highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)}
 
 
-def _run_highs(model, solver: str, max_iter: int):
+def _run_highs(model, solver: str):
     """One HiGHS run of a session's model, in minimization form, from the
     basis its last run left (none before the first run): ``solver`` is
     ``"simplex"`` (the dual simplex), ``"primal"`` (the primal simplex) or
-    ``"ipm"`` (the interior point with crossover).
+    ``"ipm"`` (the interior point with crossover).  The iteration limits
+    are the model's, set when its session built it.
 
     Returns the model status, the iteration count (the rule is under
     ``LpSolution``), and the primal and row duals of the minimization,
     which are None unless the status is optimal."""
     method, strategy = _METHODS[solver]
-    for name, value in (("solver", method), ("simplex_strategy", int(strategy)),
-                        ("simplex_iteration_limit", max_iter), ("ipm_iteration_limit", max_iter)):
+    for name, value in (("solver", method), ("simplex_strategy", int(strategy))):
         if model.setOptionValue(name, value) == highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the solver options")
     model.run()
@@ -236,12 +237,12 @@ def _run_highs(model, solver: str, max_iter: int):
     return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _check_run(lp: LinearProgram, status, primal, dual, feas_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _check_run(lp: LinearProgram, status, primal, dual) -> tuple[np.ndarray, np.ndarray]:
     """A run's primal, clipped at zero, and dual, in the LP's own sense, once
     it passes every check; raises ``LpError`` when the status is not optimal
-    or the dual fails to price a column out to ``feas_tol`` (relative to the
+    or the dual fails to price a column out to ``FEAS_TOL`` (relative to the
     largest cost), ``Infeasible`` when the primal misses ``A x = rhs`` by
-    more than ``feas_tol`` (relative to the largest rhs)."""
+    more than ten times ``FEAS_TOL`` (relative to the largest rhs)."""
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
     flip = lp.sense == "max"
@@ -250,19 +251,18 @@ def _check_run(lp: LinearProgram, status, primal, dual, feas_tol: float) -> tupl
         dual = -dual
     ax = np.bincount(lp.rows, lp.vals * primal[lp.cols], minlength=lp.n_rows)
     residual = float(np.abs(ax - lp.rhs).max())
-    if residual > 10 * feas_tol * (1.0 + float(np.abs(lp.rhs).max())):
+    if residual > 10 * FEAS_TOL * (1.0 + float(np.abs(lp.rhs).max())):
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
     reduced = lp.cost - np.bincount(lp.cols, lp.vals * dual[lp.rows], minlength=lp.n_cols)
     if flip:
         reduced = -reduced
     worst = int(np.argmin(reduced))
-    if reduced[worst] < -feas_tol * (1.0 + float(np.abs(lp.cost).max())):
+    if reduced[worst] < -FEAS_TOL * (1.0 + float(np.abs(lp.cost).max())):
         raise LpError(f"dual infeasible: reduced cost {reduced[worst]:.3e} at column {worst}")
     return primal, dual
 
 
-def solve(lp: LinearProgram, *, session: Session | None = None, feas_tol: float = FEAS_TOL,
-          max_iter: int = MAX_ITER) -> LpSolution:
+def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     """Primal and dual optimum from HiGHS, bundled with scipy.
 
     HiGHS runs without presolve, at its tightest feasibility tolerances, on
@@ -274,13 +274,13 @@ def solve(lp: LinearProgram, *, session: Session | None = None, feas_tol: float 
     can stop at a basis HiGHS cannot certify, or at one whose dual fails the
     reduced-cost check).  A warm solve (see :class:`Session`) runs the
     primal simplex from the last optimal basis, then the dual simplex if
-    that run fails.  ``max_iter`` bounds the iterations of each run.  A run
+    that run fails.  ``MAX_ITER`` bounds the iterations of each run.  A run
     is accepted only when it is optimal and passes the checks of
-    :func:`_check_run`; a failed dual-simplex run raises the error those
-    checks name.  Whichever method ran, a limit raises ``IterationLimit``,
-    an infeasible or malformed model ``Infeasible`` and an unbounded one
-    ``Unbounded`` at once."""
-    return (session or Session())._solve(lp, feas_tol, max_iter)
+    :func:`_check_run` at ``FEAS_TOL``; a failed dual-simplex run raises
+    the error those checks name.  Whichever method ran, a limit raises
+    ``IterationLimit``, an infeasible or malformed model ``Infeasible`` and
+    an unbounded one ``Unbounded`` at once."""
+    return (session or Session())._solve(lp)
 
 
 def _exact_pivot(tab, xb, basis, r, q):
@@ -299,12 +299,13 @@ def _exact_pivot(tab, xb, basis, r, q):
     basis[r] = q
 
 
-def _exact_phase(tab, xb, basis, c, n_struct, guard, it, max_iter):
-    """Bland's rule throughout; exact comparisons, no tolerances."""
+def _exact_phase(tab, xb, basis, c, n_struct, guard, it):
+    """Bland's rule throughout; exact comparisons, no tolerances; at most
+    ``MAX_ITER`` pivots over both phases."""
     m = len(tab)
     while True:
-        if it >= max_iter:
-            raise IterationLimit(f"exceeded {max_iter} exact pivots")
+        if it >= MAX_ITER:
+            raise IterationLimit(f"exceeded {MAX_ITER} exact pivots")
         cb = [c[basis[i]] for i in range(m)]
         entering = -1
         for j in range(n_struct):
@@ -353,7 +354,7 @@ def _as_rational(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10**12)
 
 
-def solve_exact(lp: LinearProgram, *, max_iter: int = MAX_ITER) -> LpSolution:
+def solve_exact(lp: LinearProgram) -> LpSolution:
     """Two-phase tableau simplex in Fraction arithmetic (Bland's rule).
 
     Oracle-scale only: refuses instances with more than 200 variables.
@@ -379,12 +380,12 @@ def solve_exact(lp: LinearProgram, *, max_iter: int = MAX_ITER) -> LpSolution:
     basis = [n + i for i in range(m)]
 
     c1 = [Fraction(0)] * n + [Fraction(1)] * m
-    iters = _exact_phase(tab, xb, basis, c1, n, guard=False, it=0, max_iter=max_iter)
+    iters = _exact_phase(tab, xb, basis, c1, n, guard=False, it=0)
     if sum(c1[basis[i]] * xb[i] for i in range(m)) != 0:
         raise Infeasible("phase 1 optimum is positive")
 
     c2 = c_struct + [Fraction(0)] * m
-    iters = _exact_phase(tab, xb, basis, c2, n, guard=True, it=iters, max_iter=max_iter)
+    iters = _exact_phase(tab, xb, basis, c2, n, guard=True, it=iters)
 
     x = [Fraction(0)] * (n + m)
     for i in range(m):

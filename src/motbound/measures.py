@@ -391,16 +391,16 @@ class BarrierDecomposition:
         return len(self.blocks)
 
 
-def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure, tol: float = BARRIER_TOL) -> BarrierDecomposition:
+def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> BarrierDecomposition:
     """Levels where the two call curves coincide, with the induced blocks.
 
     The call-price difference D = C2 - C1 is piecewise linear with kinks only
     at atoms, and D >= 0 under convex order.  Mass cannot cross any level
     where D vanishes, so a gap between consecutive atoms of the pooled support
-    with D <= tol at both ends separates the atoms on either side.  Within
-    such a gap, the reported level is the zero crossing of the flanking
-    mid-step CDF interpolations: with entering slope sL = |D'| left of the gap
-    and exiting slope sR right of it, the level is
+    with D <= BARRIER_TOL at both ends separates the atoms on either side.
+    Within such a gap, the reported level is the zero crossing of the
+    flanking mid-step CDF interpolations: with entering slope sL = |D'| left
+    of the gap and exiting slope sR right of it, the level is
     ``(sR*g_left + sL*g_right) / (sL + sR)`` (midpoint when both slopes
     vanish, i.e. when the curves agree on a whole neighborhood).
 
@@ -414,12 +414,12 @@ def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure, tol: float = BAR
     cut_gaps: list[int] = []
     levels: list[float] = []
     for k in range(m - 1):
-        if diff[k] <= tol and diff[k + 1] <= tol:
+        if diff[k] <= BARRIER_TOL and diff[k + 1] <= BARRIER_TOL:
             width_l = grid[k] - grid[k - 1] if k >= 1 else 0.0
             width_r = grid[k + 2] - grid[k + 1] if k + 2 < m else 0.0
             s_left = max((diff[k - 1] - diff[k]) / width_l, 0.0) if width_l > 0 else 0.0
             s_right = max((diff[k + 2] - diff[k + 1]) / width_r, 0.0) if width_r > 0 else 0.0
-            if s_left > tol and s_right > tol:
+            if s_left > BARRIER_TOL and s_right > BARRIER_TOL:
                 level = (s_right * grid[k] + s_left * grid[k + 1]) / (s_left + s_right)
             else:
                 # curves agree on a whole neighborhood on at least one side;

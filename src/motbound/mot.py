@@ -19,12 +19,11 @@ from . import payoff as payoff_mod
 from .errors import DegenerateDual, DimensionMismatch, Infeasible, MotboundError, NotAdmissible
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     VerificationReport, _histories, price as hedge_price, slackness, verify)
-from .lp import FEAS_TOL, LinearProgram, LpSolution, Session, solve
+from .lp import LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
 from .payoff import Payoff
 
 GAP_TOL = 1e-7
-RESIDUAL_TOL = 1e-9
 MASS_FLOOR = 1e-15
 
 
@@ -351,13 +350,13 @@ def _delta_increments(hedge: SemiStaticHedge, system: MarginalSystem,
 
 
 def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
-                 hedge: SemiStaticHedge, extras: dict, gap_tol: float) -> Diagnostics:
+                 hedge: SemiStaticHedge, extras: dict) -> Diagnostics:
     """Solve record; raises DegenerateDual when the hedge price misses the
-    value by more than ``gap_tol * (1 + |value|)``."""
+    value by more than ``GAP_TOL * (1 + |value|)``."""
     hedge_value = hedge_price(hedge, problem.system)
     gap = abs(value - hedge_value)
-    if not gap <= gap_tol * (1.0 + abs(value)):
-        raise DegenerateDual(f"duality gap {gap:.3e} exceeds tolerance {gap_tol:.1e}: "
+    if not gap <= GAP_TOL * (1.0 + abs(value)):
+        raise DegenerateDual(f"duality gap {gap:.3e} exceeds tolerance {GAP_TOL:.1e}: "
                              f"value {fmt12(value)}, hedge price {fmt12(hedge_value)}")
     return Diagnostics(
         duality_gap=float(gap),
@@ -368,9 +367,9 @@ def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
     )
 
 
-def _solve(lp: LinearProgram, session: Session | None, feas_tol: float) -> LpSolution:
+def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
     try:
-        return solve(lp, session=session, feas_tol=feas_tol)
+        return solve(lp, session=session)
     except Infeasible as exc:
         raise Infeasible(
             "discretized marginals admit no martingale coupling; "
@@ -379,7 +378,7 @@ def _solve(lp: LinearProgram, session: Session | None, feas_tol: float) -> LpSol
 
 
 def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, layout: _Layout,
-            grids: list[np.ndarray], attempts: int, gap_tol: float) -> MotResult:
+            grids: list[np.ndarray], attempts: int) -> MotResult:
     hedge = _extract_hedge(sol, problem, layout, grids[-1])
     report = verify(hedge, problem.payoff, grids)
     if not report.valid:
@@ -388,40 +387,41 @@ def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, layout: _La
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
               "lp_iterations": sol.iterations, "solve_attempts": attempts,
               "max_verification_violation": report.max_violation}
-    diag = _diagnostics(problem, sol.objective, coupling, hedge, extras, gap_tol)
+    diag = _diagnostics(problem, sol.objective, coupling, hedge, extras)
     return MotResult(value=float(sol.objective), coupling=coupling, hedge=hedge,
                      diagnostics=diag, report=report)
 
 
-def bound(problem: MotProblem, *, solver: Solver | None = None, feas_tol: float = FEAS_TOL,
-          gap_tol: float = GAP_TOL) -> MotResult:
+def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     """Solve for one bound; package value, coupling, hedge and diagnostics.
 
     Without ``solver`` the LP is assembled and solved for this bound alone;
     with one (built on ``problem.system``) it is solved on the solver's
-    session, from the last optimal basis when there is one.  The LP dual is
-    read as a semi-static hedge and checked on the verification grids and
-    against the value.  A dual that fails the grid check (degenerate optima
-    yield several duals) or whose price misses the value by more than
-    ``gap_tol * (1 + |value|)`` raises DegenerateDual; a warm-started one is
-    first solved again cold, once.  ``solve_attempts`` in the extras counts
-    the HiGHS runs behind the result, the cold re-solve's included."""
+    session, from the last optimal basis when there is one;
+    :func:`motbound.lp.solve` checks the optimum at ``lp.FEAS_TOL``.  The
+    LP dual is read as a semi-static hedge and checked on the verification
+    grids (to ``hedge.VERIFY_TOL``) and against the value.  A dual that
+    fails the grid check (degenerate optima yield several duals) or whose
+    price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
+    DegenerateDual; a warm-started one is first solved again cold, once.
+    These gates are module constants, the same for every caller.
+    ``solve_attempts`` in the extras counts the HiGHS runs behind the
+    result, the cold re-solve's included."""
     solver = solver or Solver(problem.system)
     lp = solver.lp(problem)
     warm = solver.session.warm
-    sol = _solve(lp, solver.session, feas_tol)
+    sol = _solve(lp, solver.session)
     grids = verification_grids(problem)
     try:
-        return _result(problem, lp, sol, solver.layout, grids, sol.runs, gap_tol)
+        return _result(problem, lp, sol, solver.layout, grids, sol.runs)
     except DegenerateDual:
         if not warm:
             raise
-    cold = _solve(lp, None, feas_tol)
-    return _result(problem, lp, cold, solver.layout, grids, sol.runs + cold.runs, gap_tol)
+    cold = _solve(lp, None)
+    return _result(problem, lp, cold, solver.layout, grids, sol.runs + cold.runs)
 
 
-def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
-                        gap_tol: float = GAP_TOL) -> MotResult:
+def decompose_and_solve(problem: MotProblem) -> MotResult:
     """Solve a two-date problem with :func:`bound` and report its barrier
     blocks.
 
@@ -430,12 +430,12 @@ def decompose_and_solve(problem: MotProblem, *, feas_tol: float = FEAS_TOL,
     that block: ``block_values`` are read from it, renormalized by the block
     mass, and their mass-weighted sum is the value.  The extras add
     ``blocks``, ``barrier_levels``, ``block_values`` and, across two or more
-    blocks, ``delta_increments`` to those of :func:`bound`, which enforces
-    ``gap_tol`` as usual."""
+    blocks, ``delta_increments`` to those of :func:`bound`, whose checks
+    all apply, the ``GAP_TOL`` gap included."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("barrier decomposition applies to two-date problems only")
     dec = detect_barriers(*problem.system.marginals)
-    res = bound(problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    res = bound(problem)
     coupling = res.coupling
     first = coupling.paths()[:, 0]
     block_values = []

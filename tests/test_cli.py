@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,10 +117,48 @@ class TestBounds:
         gap = entry["diagnostics"]["duality_gap"]
         assert gap > 0.0
         scale = 1.0 + abs(entry["value"])
-        assert main(argv + ["--tol-gap", repr(2.0 * gap / scale)]) == 0
+        monkeypatch.setattr(mot, "GAP_TOL", 2.0 * gap / scale)
+        assert main(argv) == 0
         capsys.readouterr()
-        assert main(argv + ["--tol-gap", repr(0.5 * gap / scale)]) == 1
+        monkeypatch.setattr(mot, "GAP_TOL", 0.5 * gap / scale)
+        assert main(argv) == 1
         assert "duality gap" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self, marginals_a, monkeypatch, capsys):
+        add_argument = argparse.ArgumentParser.add_argument
+        calls = []
+
+        def counting_add_argument(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+        cli.build_parser.cache_clear()
+        argv = ["check-order", "--marginals", marginals_a]
+        assert main(argv) == 0
+        built = len(calls)
+        assert built > 0
+        assert main(argv) == 0
+        assert len(calls) == built
+
+    @pytest.mark.parametrize("flag", ["--tol-feas", "--tol-gap"])
+    def test_tolerance_flags_are_gone(self, marginals_a, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--marginals", marginals_a, "--payoff", "straddle", flag, "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("motbound ")]
+        assert len(commands) == 8
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
 
 
 class TestCheckOrder:

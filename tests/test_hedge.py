@@ -338,7 +338,8 @@ class TestArbitrage:
 
     def test_tolerance_widens_the_interval(self, instance_b_results):
         lo, hi = instance_b_results
-        assert check_arbitrage(0.2, lo, hi, tol=0.1).action == "NO_ARB"
+        assert check_arbitrage(hi.value + 1e-6, lo, hi).action == "NO_ARB"
+        assert check_arbitrage(hi.value + 1e-5, lo, hi).action == "SELL"
 
 
 class TestGauge:

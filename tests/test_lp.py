@@ -115,11 +115,12 @@ class TestErrors:
         with pytest.raises(Unbounded):
             solve_exact(lp)
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
+        monkeypatch.setattr(lp_mod, "MAX_ITER", 1)
         with pytest.raises(IterationLimit):
-            solve(lp, max_iter=1)
+            solve(lp)
 
     def test_rejected_options_raise(self, monkeypatch):
         # HIGHS_TOL is the smallest feasibility tolerance HiGHS accepts
@@ -216,8 +217,8 @@ def spy_highs(monkeypatch, corrupt=None):
     calls = []
     run_highs = lp_mod._run_highs
 
-    def spy(model, solver, max_iter):
-        res = run_highs(model, solver, max_iter)
+    def spy(model, solver):
+        res = run_highs(model, solver)
         if corrupt is not None:
             res = corrupt(solver, res)
         calls.append(Run(solver, res, model))
@@ -338,9 +339,10 @@ class TestSizeRule:
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        monkeypatch.setattr(lp_mod, "MAX_ITER", 1)
         calls = spy_highs(monkeypatch)
         with pytest.raises(IterationLimit, match="exceeded 1 iterations"):
-            solve(lp, max_iter=1)
+            solve(lp)
         assert calls[-1][0] == "ipm"
 
 
@@ -362,8 +364,8 @@ class TestStatusMapping:
         calls = []
         run_highs = lp_mod._run_highs
 
-        def fake(model, solver, max_iter):
-            res = run_highs(model, solver, max_iter) if calls else (status, 7, primal, dual)
+        def fake(model, solver):
+            res = run_highs(model, solver) if calls else (status, 7, primal, dual)
             calls.append((solver, res[1]))
             return res
 

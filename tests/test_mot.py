@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import motbound.lp as lp_mod
 import motbound.mot as mot
 from motbound.errors import DegenerateDual, DimensionMismatch, Infeasible, NotAdmissible
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
@@ -432,14 +433,16 @@ class TestDecompose:
 
 
 class TestInfeasibleDiscretization:
-    def test_remediation_hint(self):
+    def test_remediation_hint(self, monkeypatch):
         eps = 2e-10
         mu1 = DiscreteMeasure(np.array([-eps, eps]), np.array([0.5, 0.5]))
         system = MarginalSystem([mu1, dirac(0.0)])
         assert system.admissible  # violation hides below the order tolerance
         problem = MotProblem(system, forward_start_straddle(), "lower")
+        bound(problem)  # the residual passes the default feasibility check
+        monkeypatch.setattr(lp_mod, "FEAS_TOL", 1e-13)
         with pytest.raises(Infeasible, match="re-discretize"):
-            bound(problem, feas_tol=1e-13)
+            bound(problem)
 
 
 class TestExports:
@@ -483,20 +486,23 @@ class TestDualChecks:
         gap = res.diagnostics.duality_gap
         assert gap > 0.0
         scale = 1.0 + abs(res.value)
-        assert bound(problem, gap_tol=2.0 * gap / scale).value == res.value
+        monkeypatch.setattr(mot, "GAP_TOL", 2.0 * gap / scale)
+        assert bound(problem).value == res.value
+        monkeypatch.setattr(mot, "GAP_TOL", 0.5 * gap / scale)
         with pytest.raises(DegenerateDual) as err:
-            bound(problem, gap_tol=0.5 * gap / scale)
+            bound(problem)
         msg = str(err.value)
         assert mot.fmt12(res.value) in msg
         assert mot.fmt12(value + 1e-9) in msg
 
-    def test_decompose_gap_tolerance_is_enforced(self):
+    def test_decompose_gap_tolerance_is_enforced(self, monkeypatch):
         problem = MotProblem(counterexample_marginals(3, 8), negated_straddle(), "lower")
         res = decompose_and_solve(problem)
         gap = res.diagnostics.duality_gap
         assert gap > 0.0
+        monkeypatch.setattr(mot, "GAP_TOL", 0.5 * gap / (1.0 + abs(res.value)))
         with pytest.raises(DegenerateDual, match="duality gap"):
-            decompose_and_solve(problem, gap_tol=0.5 * gap / (1.0 + abs(res.value)))
+            decompose_and_solve(problem)
 
     def test_invalid_hedge_raises_after_one_solve(self, monkeypatch):
         solve, verify = mot.solve, mot.verify
