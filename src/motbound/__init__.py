@@ -15,8 +15,8 @@ from .errors import (BadSpec, DegenerateDual, DimensionMismatch, GridCoverage,
                      Infeasible, InfeasibleCurve, IterationLimit, LpError,
                      MotboundError, NotAdmissible, OffGrid, ScaleExceeded, Unbounded)
 from .hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
-                    Verdict, VerificationReport, affine_transfer, check_arbitrage,
-                    hedge_to_json, price, slackness, to_call_portfolio, verify)
+                    Verdict, VerificationReport, check_arbitrage, hedge_to_json,
+                    price, slackness, to_call_portfolio, verify)
 from .lp import LinearProgram, LpSolution, Session, solve, solve_exact
 from .measures import (Block, CallCurve, DensitySpec, DiscreteMeasure,
                        MarginalSystem, OrderReport, call_price, check_convex_order,

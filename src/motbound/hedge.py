@@ -80,11 +80,6 @@ class PiecewiseLinear:
         interior = np.diff(self.values) / np.diff(self.knots)
         return np.concatenate([[self.left_slope], interior, [self.right_slope]])
 
-    def add_linear(self, beta: float) -> "PiecewiseLinear":
-        """Add beta * x."""
-        return PiecewiseLinear(self.knots, self.values + beta * self.knots,
-                               self.left_slope + beta, self.right_slope + beta)
-
     def to_json(self) -> dict:
         return {
             "knots": [float(x) for x in self.knots],
@@ -148,9 +143,6 @@ class DeltaTable:
         if history.size != len(self.atoms):
             raise DimensionMismatch(f"history has {history.size} dates, table expects {len(self.atoms)}")
         return float(self.at(*history))
-
-    def shifted(self, beta: float) -> "DeltaTable":
-        return DeltaTable(self.atoms, self.values + beta)
 
     def to_json(self) -> dict:
         """Every history in row-major order with its position."""
@@ -358,17 +350,6 @@ def check_arbitrage(quoted: float, lower_result, upper_result) -> Verdict:
                        "the hedge dominates the exotic in every scenario yet costs less")
     return Verdict("NO_ARB", quoted, lower, upper, tol,
                    "quote lies inside the model-free interval; no static arbitrage")
-
-
-def affine_transfer(hedge: SemiStaticHedge, step: int, beta: float) -> SemiStaticHedge:
-    """Gauge move leaving the assembled payout unchanged pointwise:
-    delta_step += beta, u_step += beta*s, u_{step+1} -= beta*s."""
-    statics = list(hedge.statics)
-    statics[step] = statics[step].add_linear(beta)
-    statics[step + 1] = statics[step + 1].add_linear(-beta)
-    deltas = list(hedge.deltas)
-    deltas[step] = deltas[step].shifted(beta)
-    return SemiStaticHedge(hedge.cash, tuple(statics), tuple(deltas), hedge.sense)
 
 
 def hedge_to_json(hedge: SemiStaticHedge) -> dict:

@@ -94,7 +94,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal/dual optimum.  Exact fields are set only by solve_exact.
+    """An optimum (other outcomes raise).  Exact fields only from solve_exact.
 
     ``iterations`` counts HiGHS's iterations by the rule of scipy's
     ``linprog`` (``nit + crossover_nit``): per run, the simplex iteration
@@ -106,7 +106,6 @@ class LpSolution:
     warm solve counts only its own pivots from the basis it started at.
     ``runs`` is the number of HiGHS runs behind the solution (1 or 2)."""
 
-    status: str
     primal: np.ndarray
     dual: np.ndarray
     objective: float
@@ -198,7 +197,7 @@ class Session:
                     if solver == methods[-1]:
                         raise
                     continue
-                return LpSolution("optimal", primal, dual, float(lp.cost @ primal), iterations, runs)
+                return LpSolution(primal, dual, float(lp.cost @ primal), iterations, runs)
         except BaseException:
             self._model = None  # the next solve starts cold
             raise
@@ -400,7 +399,6 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
         obj = -obj
     primal = x[:n]
     return LpSolution(
-        status="optimal",
         primal=np.array([float(v) for v in primal]),
         dual=np.array([float(v) for v in dual]),
         objective=float(obj),

@@ -130,10 +130,9 @@ class CallCurve:
 
     Prices must be nonnegative, non-increasing and convex in the strike, with
     slopes between -1 and 0 (within 1e-10).  Violations raise
-    :class:`InfeasibleCurve`.
+    :class:`InfeasibleCurve`.  Its date is its place in a list of curves.
     """
 
-    maturity_index: int
     strikes: np.ndarray
     prices: np.ndarray
 
@@ -224,26 +223,26 @@ class OrderReport:
         return "not admissible: " + "; ".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarginalSystem:
     """Marginal laws for dates t_1 < ... < t_n sharing a common mean.
 
-    ``s0`` is the common mean (the forward), taken from the first marginal.
-    ``admissible`` is set by :func:`check_convex_order`, which runs at
-    construction; the flag is not mutated afterwards by this package.
+    ``s0`` is the common mean (the forward), taken from the first marginal,
+    and ``admissible`` the verdict of :func:`check_convex_order`; both are
+    set once, at construction, and the system is frozen.
     """
 
-    marginals: list[DiscreteMeasure]
+    marginals: tuple[DiscreteMeasure, ...]
     s0: float = field(init=False)
     admissible: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.marginals) < 2:
+        marginals = tuple(self.marginals)
+        if len(marginals) < 2:
             raise ValueError("need at least two maturities")
-        self.marginals = list(self.marginals)
-        self.s0 = self.marginals[0].mean
-        self.admissible = False
-        check_convex_order(self)
+        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "s0", marginals[0].mean)
+        object.__setattr__(self, "admissible", check_convex_order(self).admissible)
 
     @property
     def n_dates(self) -> int:
@@ -263,7 +262,7 @@ def check_convex_order(system: MarginalSystem) -> OrderReport:
 
     Checking the union of the pair's atom positions suffices because both
     call curves are piecewise linear with kinks only at their own atoms.
-    Sets ``system.admissible``.
+    Writes nothing; ``MarginalSystem.admissible`` holds the same verdict.
     """
     means = [m.mean for m in system.marginals]
     mean_spread = float(max(means) - min(means))
@@ -276,7 +275,6 @@ def check_convex_order(system: MarginalSystem) -> OrderReport:
         j = int(np.argmax(gap))
         pairs.append(PairOrderReport(index=i, worst_violation=float(gap[j]), worst_strike=float(grid[j])))
     admissible = means_ok and all(p.ok for p in pairs)
-    system.admissible = admissible
     return OrderReport(means=means, mean_spread=mean_spread, means_ok=means_ok, pairs=pairs, admissible=admissible)
 
 
@@ -496,7 +494,8 @@ def counterexample_marginals(n_blocks: int, m2_per_block: int) -> MarginalSystem
 
 def load_call_curves(path: str | Path) -> list[CallCurve]:
     """Read call quotes from CSV (maturity_index, strike, price) or JSON
-    ([{"i": ..., "K": ..., "C": ...}, ...]); one curve per maturity index."""
+    ([{"i": ..., "K": ..., "C": ...}, ...]); one curve per maturity index,
+    in index order, which is the date order (the index is not kept)."""
     path = Path(path)
     rows: list[tuple[int, float, float]] = []
     text = path.read_text()
@@ -520,5 +519,5 @@ def load_call_curves(path: str | Path) -> list[CallCurve]:
         quotes = sorted(by_index[i])
         ks = np.asarray([q[0] for q in quotes])
         cs = np.asarray([q[1] for q in quotes])
-        curves.append(CallCurve(maturity_index=i, strikes=ks, prices=cs))
+        curves.append(CallCurve(strikes=ks, prices=cs))
     return curves

@@ -11,12 +11,14 @@ static payouts u_i, martingale-row duals are the delta positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import payoff as payoff_mod
-from .errors import DegenerateDual, DimensionMismatch, Infeasible, MotboundError, NotAdmissible
+from .errors import (DegenerateDual, DimensionMismatch, Infeasible, MotboundError,
+                     NotAdmissible, ScaleExceeded)
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     VerificationReport, _histories, price as hedge_price, slackness, verify)
 from .lp import LinearProgram, LpSolution, Session, solve
@@ -25,6 +27,10 @@ from .payoff import Payoff
 
 GAP_TOL = 1e-7
 MASS_FLOOR = 1e-15
+# Ceiling on cells * (2n - 1), which bounds the constraint nonzeros (n mass
+# and n - 1 martingale rows per cell), checked before any assembly: a solve
+# peaks at 0.16-0.22 KB per nonzero, so this is about 3.5 GB.
+MAX_NONZEROS = 16_000_000
 
 
 def fmt12(x: float) -> str:
@@ -153,6 +159,11 @@ class _Layout:
 
 
 def _layout(system: MarginalSystem) -> _Layout:
+    cells = math.prod(len(mu) for mu in system.marginals)
+    nonzeros = cells * (2 * system.n_dates - 1)
+    if nonzeros > MAX_NONZEROS:
+        raise ScaleExceeded(f"{cells} cells give up to {nonzeros} constraint nonzeros, "
+                            f"over the ceiling of {MAX_NONZEROS}")
     grids = tuple(mu.points for mu in system.marginals)
     shape = tuple(g.size for g in grids)
     row = 0

@@ -3,14 +3,14 @@
 A payoff maps a path (s_1, ..., s_n) to a real number.  The built-in kinds
 cover the exotics the solver is exercised on; ``tabulated`` wraps explicit
 values on a product grid (exact node lookup only) and ``custom`` wraps an
-arbitrary callable together with a declared growth constant.
+arbitrary callable.
 
 Each built-in kind is spelled out twice: its value formula in ``_values``,
 which every evaluation routine calls, and its piecewise-linear data in the
 final date (kinks and exact wing slopes) in ``last_axis``.
 
-Every payoff carries ``growth_constant`` K_g certifying the lower bound
-phi(s) >= -K_g * (1 + sum |s_i|), which keeps the transport LP bounded below.
+No payoff needs a growth bound: the date-1 mass rows keep every cell mass
+in [0, 1], so the transport LP's feasible set is bounded.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class Payoff:
     """Payoff of an exotic on ``n`` dates.  Build with the module constructors."""
 
     kind: str
     n: int
     params: dict
-    growth_constant: float
     grids: tuple[np.ndarray, ...] | None = None
     values: np.ndarray | None = None
     fn: Callable[[Sequence[float]], float] | None = None
@@ -88,27 +87,27 @@ class Payoff:
 
 def forward_start_call(strike_ratio: float = 1.0) -> Payoff:
     """(s_2 - k * s_1)^+ on two dates."""
-    return Payoff(kind="forward_start_call", n=2, params={"strike_ratio": float(strike_ratio)}, growth_constant=0.0)
+    return Payoff(kind="forward_start_call", n=2, params={"strike_ratio": float(strike_ratio)})
 
 
 def forward_start_straddle() -> Payoff:
     """|s_2 - s_1| on two dates."""
-    return Payoff(kind="forward_start_straddle", n=2, params={}, growth_constant=0.0)
+    return Payoff(kind="forward_start_straddle", n=2, params={})
 
 
 def negated_straddle() -> Payoff:
     """-|s_2 - s_1| on two dates; minimizing it prices the straddle's upper bound."""
-    return Payoff(kind="negated_straddle", n=2, params={}, growth_constant=1.0)
+    return Payoff(kind="negated_straddle", n=2, params={})
 
 
 def asian_call(strike: float, n: int = 2) -> Payoff:
     """(mean(s) - K)^+ over all n dates."""
-    return Payoff(kind="asian_call", n=n, params={"strike": float(strike)}, growth_constant=0.0)
+    return Payoff(kind="asian_call", n=n, params={"strike": float(strike)})
 
 
 def lookback_call(strike: float, n: int = 2) -> Payoff:
     """(max(s) - K)^+ over all n dates."""
-    return Payoff(kind="lookback_call", n=n, params={"strike": float(strike)}, growth_constant=0.0)
+    return Payoff(kind="lookback_call", n=n, params={"strike": float(strike)})
 
 
 def tabulated(grids: Sequence[Sequence[float]], values) -> Payoff:
@@ -120,13 +119,12 @@ def tabulated(grids: Sequence[Sequence[float]], values) -> Payoff:
     vals = np.asarray(values, dtype=float).reshape(shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("tabulated values must be finite")
-    growth = float(max(0.0, -vals.min()))
-    return Payoff(kind="tabulated", n=len(gs), params={}, growth_constant=growth, grids=gs, values=vals)
+    return Payoff(kind="tabulated", n=len(gs), params={}, grids=gs, values=vals)
 
 
-def custom(fn: Callable[[Sequence[float]], float], n: int, growth_constant: float) -> Payoff:
-    """Arbitrary callable payoff with a caller-certified growth constant."""
-    return Payoff(kind="custom", n=n, params={}, growth_constant=float(growth_constant), fn=fn)
+def custom(fn: Callable[[Sequence[float]], float], n: int) -> Payoff:
+    """Arbitrary callable payoff on ``n`` dates; ``fn`` takes one path."""
+    return Payoff(kind="custom", n=n, params={}, fn=fn)
 
 
 def _grid_index(grid: np.ndarray, x) -> np.ndarray:

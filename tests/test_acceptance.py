@@ -193,8 +193,7 @@ def test_criterion_09_marginal_round_trip():
         pts = pts[np.concatenate([[True], np.diff(pts) > 1e-3])]
         w = rng.uniform(0.1, 1.0, size=pts.size)
         mu = DiscreteMeasure(pts, w / w.sum())
-        curve = CallCurve(maturity_index=1, strikes=mu.points,
-                          prices=np.asarray(call_price(mu, mu.points)))
+        curve = CallCurve(strikes=mu.points, prices=np.asarray(call_price(mu, mu.points)))
         back = from_call_curve(curve, mu.mean)
         if back.points.size != mu.points.size:
             worst = np.inf

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motbound.errors import DimensionMismatch
-from motbound.fixtures import (instance_a_marginals, instance_b_payoff, smooth_delta,
-                               smooth_hedge, smooth_pair, smooth_u1, smooth_u2)
+from motbound.fixtures import (instance_a_marginals, instance_b_payoff, smooth_hedge,
+                               smooth_pair, smooth_u1, smooth_u2)
 from motbound.hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
-                            affine_transfer, check_arbitrage, hedge_to_json, price,
-                            slackness, to_call_portfolio, verify)
+                            check_arbitrage, hedge_to_json, price, slackness,
+                            to_call_portfolio, verify)
 from motbound.measures import DiscreteMeasure, MarginalSystem
 from motbound.mot import MotProblem, bound, verification_grids
 from motbound.payoff import (asian_call, evaluate, forward_start_call, forward_start_straddle,
@@ -180,8 +180,9 @@ class TestVerify:
         g1 = np.linspace(-1.0, 1.0, 41)
         g2 = np.linspace(-2.0, 2.0, 81)
         hedge = smooth_hedge(g1, g2)
+        dt = hedge.deltas[0]
         bad = SemiStaticHedge(hedge.cash, hedge.statics,
-                              (hedge.deltas[0].shifted(1.0),), hedge.sense)
+                              (DeltaTable(dt.atoms, dt.values + 1.0),), hedge.sense)
         report = verify(bad, forward_start_straddle(), [g1, g2])
         assert not report.valid
         assert report.max_violation > 0.1
@@ -245,7 +246,8 @@ def pointwise_verify(hedge, payoff, grids):
 
 
 def shift_last_delta(hedge, beta):
-    deltas = (*hedge.deltas[:-1], hedge.deltas[-1].shifted(beta))
+    dt = hedge.deltas[-1]
+    deltas = (*hedge.deltas[:-1], DeltaTable(dt.atoms, dt.values + beta))
     return SemiStaticHedge(hedge.cash, hedge.statics, deltas, hedge.sense)
 
 
@@ -340,25 +342,6 @@ class TestArbitrage:
         lo, hi = instance_b_results
         assert check_arbitrage(hi.value + 1e-6, lo, hi).action == "NO_ARB"
         assert check_arbitrage(hi.value + 1e-5, lo, hi).action == "SELL"
-
-
-class TestGauge:
-    # a zero-position table must shift everywhere, or the payout moves with the statics
-    @pytest.mark.parametrize("beta, zero", [(1.0, False), (-3.0, False), (1.0, True), (-3.0, True)],
-                             ids=["1.0", "-3.0", "zero_hedge-1.0", "zero_hedge--3.0"])
-    def test_affine_transfer_preserves_price_and_payout(self, beta, zero):
-        g1 = np.linspace(-1.0, 1.0, 21)
-        g2 = np.linspace(-2.0, 2.0, 41)
-        hedge = zero_hedge(2, [g1, g2]) if zero else smooth_hedge(g1, g2)
-        moved = affine_transfer(hedge, 0, beta)
-        system = smooth_pair(21)
-        assert price(moved, system) == pytest.approx(price(hedge, system), abs=1e-12)
-        rng = np.random.default_rng(5)
-        for _ in range(64):
-            s = rng.uniform([-1.0, -2.0], [1.0, 2.0])
-            assert moved.evaluate(s) == pytest.approx(hedge.evaluate(s), abs=1e-12)
-        assert moved.deltas[0].lookup([g1[3]]) == \
-            pytest.approx((0.0 if zero else smooth_delta(g1[3])) + beta)
 
 
 class TestJsonExport:

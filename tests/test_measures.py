@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from motbound.measures import (Block, CallCurve, DensitySpec, DiscreteMeasure, M
                                call_price, check_convex_order, counterexample_marginals,
                                detect_barriers, discretize, from_call_curve,
                                load_call_curves)
+from motbound.payoff import asian_call, tabulated
 
 ATOL = 1e-10
 
@@ -90,26 +92,26 @@ class TestCallCurve:
     def test_nonconvex_rejected(self):
         # interior second difference of -0.01
         with pytest.raises(InfeasibleCurve):
-            CallCurve(0, np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.505, 0.0]))
+            CallCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.505, 0.0]))
 
     def test_increasing_prices_rejected(self):
         with pytest.raises(InfeasibleCurve):
-            CallCurve(0, np.array([0.0, 1.0]), np.array([0.5, 0.6]))
+            CallCurve(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
 
     def test_slope_below_minus_one_rejected(self):
         with pytest.raises(InfeasibleCurve):
-            CallCurve(0, np.array([0.0, 1.0]), np.array([2.0, 0.5]))
+            CallCurve(np.array([0.0, 1.0]), np.array([2.0, 0.5]))
 
 
 class TestFromCallCurve:
     def test_point_mass_curve(self):
-        curve = CallCurve(0, np.array([90.0, 100.0, 110.0]), np.array([10.0, 0.0, 0.0]))
+        curve = CallCurve(np.array([90.0, 100.0, 110.0]), np.array([10.0, 0.0, 0.0]))
         mu = from_call_curve(curve, 100.0)
         assert len(mu) == 1
         assert mu.points[0] == pytest.approx(100.0, abs=ATOL)
 
     def test_two_point_curve(self):
-        curve = CallCurve(0, np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]))
+        curve = CallCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]))
         mu = from_call_curve(curve, 1.0)
         np.testing.assert_allclose(mu.points, [0.0, 2.0], atol=ATOL)
         np.testing.assert_allclose(mu.weights, [0.5, 0.5], atol=ATOL)
@@ -118,7 +120,7 @@ class TestFromCallCurve:
         rng = np.random.default_rng(5)
         for _ in range(20):
             mu = random_measure(rng)
-            curve = CallCurve(0, mu.points, call_price(mu, mu.points))
+            curve = CallCurve(mu.points, call_price(mu, mu.points))
             back = from_call_curve(curve, mu.mean)
             assert len(back) == len(mu)
             np.testing.assert_allclose(back.points, mu.points, atol=ATOL)
@@ -149,6 +151,14 @@ class TestConvexOrder:
         report = check_convex_order(system)
         assert not report.means_ok
         assert not report.admissible
+
+    def test_system_is_immutable(self):
+        system = MarginalSystem([dirac(0.0), two_point(-1.0, 1.0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.marginals = [dirac(0.0), two_point(-2.0, 2.0)]
+        with pytest.raises(TypeError):
+            system.marginals[1] = two_point(-2.0, 2.0)
+        assert system.admissible and system.marginals[1].points[0] == -1.0
 
     def test_empirical_strassen(self):
         # admissibility <=> nondecreasing expectations of random convex
@@ -211,8 +221,10 @@ class TestArrayDataclasses:
     @pytest.mark.parametrize("build", [
         lambda: DensitySpec.uniform(0.0, 1.0),
         lambda: two_point(0.0, 1.0),
-        lambda: CallCurve(0, np.array([90.0, 100.0, 110.0]), np.array([10.0, 0.0, 0.0])),
-    ], ids=["DensitySpec", "DiscreteMeasure", "CallCurve"])
+        lambda: CallCurve(np.array([90.0, 100.0, 110.0]), np.array([10.0, 0.0, 0.0])),
+        lambda: tabulated([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]),
+        lambda: asian_call(1.0, 3),
+    ], ids=["DensitySpec", "DiscreteMeasure", "CallCurve", "tabulated", "asian_call"])
     def test_equality_and_hash_by_identity(self, build):
         a, b = build(), build()
         assert a == a

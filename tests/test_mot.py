@@ -10,7 +10,8 @@ import pytest
 
 import motbound.lp as lp_mod
 import motbound.mot as mot
-from motbound.errors import DegenerateDual, DimensionMismatch, Infeasible, NotAdmissible
+from motbound.errors import (DegenerateDual, DimensionMismatch, Infeasible, NotAdmissible,
+                             ScaleExceeded)
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
                                instance_b_payoff, smooth_pair)
 from motbound.hedge import price as hedge_price, slackness
@@ -368,7 +369,7 @@ class TestDecompose:
     def test_equal_marginals_identity_coupling(self):
         mu = DiscreteMeasure(np.array([0.0, 1.0, 3.0]), np.array([0.5, 0.25, 0.25]))
         system = MarginalSystem([mu, mu])
-        payoff = custom(lambda s: s[0] * s[1], n=2, growth_constant=10.0)
+        payoff = custom(lambda s: s[0] * s[1], n=2)
         res = decompose_and_solve(MotProblem(system, payoff, "lower"))
         expected = float(np.dot(mu.weights, mu.points ** 2))
         assert res.value == pytest.approx(expected, abs=1e-9)
@@ -566,6 +567,24 @@ class TestThreeDateScale:
         for seed in range(3):
             e = random_feasible_coupling(system, seed).expectation(payoff)
             assert lo - 1e-7 <= e <= hi + 1e-7
+
+
+class TestScaleCeiling:
+    @pytest.mark.parametrize("entry", [
+        mot.Solver,
+        lambda system: random_feasible_coupling(system, 0),
+        lambda system: mot.extract_hedge(lp_mod.LpSolution(np.zeros(1), np.zeros(1), 0.0, 0),
+                                         MotProblem(system, asian_call(1.0, 4), "lower")),
+    ], ids=["Solver", "random_feasible_coupling", "extract_hedge"])
+    def test_over_ceiling_raises_before_assembly(self, entry, monkeypatch):
+        # 50**4 = 6.25 M cells, up to 43.75 M nonzeros
+        system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 50)
+                                 for k in (1, 2, 3, 4)])
+        calls = []
+        monkeypatch.setattr(mot, "_constraints", lambda *args: calls.append(args))
+        with pytest.raises(ScaleExceeded, match="6250000 cells.*43750000.*16000000"):
+            entry(system)
+        assert calls == []
 
 
 class TestThreeDateBarriers:

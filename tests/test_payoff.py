@@ -1,4 +1,4 @@
-"""Payoffs: evaluation, tabulation, growth certificates, JSON forms."""
+"""Payoffs: evaluation, tabulation, last-axis data, JSON forms."""
 
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ class TestEvaluate:
             evaluate(forward_start_straddle(), [1.0, 2.0, 3.0])
 
     def test_custom(self):
-        pay = custom(lambda s: s[0] * s[1], n=2, growth_constant=10.0)
+        pay = custom(lambda s: s[0] * s[1], n=2)
         assert evaluate(pay, [2.0, 3.0]) == pytest.approx(6.0)
 
 
@@ -70,7 +70,7 @@ class TestTabulate:
         np.testing.assert_allclose(vals, [1.0, 1.0, 3.0, 3.0, 1.0, 1.0])
 
     def test_constant_zero(self):
-        pay = custom(lambda s: 0.0, n=2, growth_constant=0.0)
+        pay = custom(lambda s: 0.0, n=2)
         vals = tabulate(pay, [[-1.0, 0.0, 1.0], [0.0, 1.0]])
         np.testing.assert_allclose(vals, np.zeros(6))
 
@@ -91,17 +91,6 @@ class TestStraddleIdentity:
         straddle = evaluate(forward_start_straddle(), [s1, s2])
         call = evaluate(forward_start_call(1.0), [s1, s2])
         assert straddle == pytest.approx(2.0 * call - (s2 - s1), abs=1e-9)
-
-
-class TestGrowthCertificate:
-    @pytest.mark.parametrize("pay", ALL_BUILTINS, ids=lambda p: p.kind + str(p.n))
-    def test_lower_bound_holds(self, pay):
-        rng = np.random.default_rng(hash(pay.kind) % 2**32)
-        pts = rng.uniform(-50, 50, size=(10_000, pay.n))
-        k = pay.growth_constant
-        for s in pts:
-            val = evaluate(pay, s)
-            assert val >= -k * (1.0 + np.abs(s).sum()) - 1e-9
 
 
 class TestLastAxisHelpers:
@@ -139,7 +128,7 @@ class TestLastAxisHelpers:
         assert data.right_slope == pytest.approx(f[3] - f[2], abs=1e-12)
 
     def test_no_last_axis_data_for_tabulated_and_custom(self):
-        assert last_axis(custom(lambda s: 0.0, n=2, growth_constant=0.0), 0.5) is None
+        assert last_axis(custom(lambda s: 0.0, n=2), 0.5) is None
         assert last_axis(tabulated([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]), 1.0) is None
 
 
@@ -171,6 +160,6 @@ class TestJson:
             Payoff.from_json({**obj, "n": 3})
 
     def test_custom_has_no_json(self):
-        pay = custom(lambda s: 0.0, n=2, growth_constant=0.0)
+        pay = custom(lambda s: 0.0, n=2)
         with pytest.raises(ValueError):
             pay.to_json()
