@@ -187,10 +187,16 @@ class SemiStaticHedge:
         """psi over per-date coordinate arrays that broadcast together; the
         final date's terms are added last."""
         *history, z = s
+        last_delta = self.deltas[-1].at(*history)
+        return self._head(*history) + self.statics[-1](z) + last_delta * (z - history[-1])
+
+    def _head(self, *history):
+        """The terms of psi that depend on dates 1..n-1 alone: cash,
+        u_1..u_{n-1} and the deltas of every step but the last."""
         total = self.cash + sum(u(x) for u, x in zip(self.statics[:-1], history))
         for j, dt in enumerate(self.deltas[:-1]):
-            total = total + dt.at(*s[: j + 1]) * (s[j + 1] - s[j])
-        return total + self.statics[-1](z) + self.deltas[-1].at(*history) * (z - history[-1])
+            total = total + dt.at(*history[: j + 1]) * (history[j + 1] - history[j])
+        return total
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Equality-form linear programs: a HiGHS float path and an exact oracle.
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
-with A held as sparse (row, col, value) triples.  Callers encode everything
-into this form.  ``solve`` passes it to HiGHS (Huangfu & Hall 2018) through
-the Python binding that ships inside scipy, without presolve, and returns
-primal and dual optima: the dual simplex below ``IPM_MIN_COLS`` variables,
-the interior-point method with crossover (so both optima are still a basic
-solution) at or above it, and the dual simplex from the crossover basis
-when that run fails a check.  A ``Session`` keeps one HiGHS model for LPs
-that share ``A`` and ``rhs``: after its first solve, each LP only changes
-the column costs and restarts the primal simplex from the last optimal
-basis, which stays primal feasible.  A plain ``solve`` is a one-shot
-session.  The binding is scipy's private ``_highspy._core``, the one its
+with A held as sparse (row, col, value) triples in a ``Constraints``, which
+checks them once, so LPs that differ only in cost share one checked object.
+Callers encode everything into this form.  ``solve`` passes it to HiGHS
+(Huangfu & Hall 2018) through the Python binding that ships inside scipy,
+without presolve, and returns primal and dual optima: the dual simplex
+below ``IPM_MIN_COLS`` variables, the interior-point method with crossover
+(so both optima are still a basic solution) at or above it, and the dual
+simplex from the crossover basis when that run fails a check.  A
+``Session`` keeps one HiGHS model for LPs that share ``A`` and ``rhs``:
+after its first solve, each LP only changes the column costs and restarts
+the primal simplex from the last optimal basis, which stays primal
+feasible.  A plain ``solve`` is a one-shot session.  The binding is scipy's private ``_highspy._core``, the one its
 ``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
 option checking and bound-marginal loop, which cost more than HiGHS itself
 on the small LPs of a strike sweep.
@@ -46,42 +47,81 @@ EXACT_MAX_VARS = 200
 IPM_MIN_COLS = 1500
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min/max cost.x subject to A x = rhs, x >= 0."""
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
+class Constraints:
+    """``A x = rhs`` over ``n_cols`` variables, with A held as sparse
+    (row, col, value) triples.  Checked once, when built: equal triple
+    lengths, finite coefficients and rhs, indices in range and no duplicate
+    (row, col) pair.  The arrays are read-only, so every LP built on one
+    object shares the check."""
 
-    sense: str
-    cost: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     rhs: np.ndarray
+    n_cols: int
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=np.int64).ravel()
+        cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        vals = np.asarray(self.vals, dtype=float).ravel()
+        rhs = np.asarray(self.rhs, dtype=float).ravel()
+        n_cols = int(self.n_cols)
+        if n_cols < 1 or rhs.size < 1:
+            raise ValueError("need at least one variable and one constraint")
+        if not (rows.size == cols.size == vals.size):
+            raise ValueError("triple arrays must have equal length")
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(rhs))):
+            raise ValueError("coefficients and rhs must be finite")
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= rhs.size:
+                raise ValueError("row index out of range")
+            if cols.min() < 0 or cols.max() >= n_cols:
+                raise ValueError("col index out of range")
+            keys = rows * n_cols + cols
+            if np.unique(keys).size != keys.size:
+                raise ValueError("duplicate (row, col) triples")
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_cols", n_cols)
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """min/max cost.x subject to A x = rhs, x >= 0, with one cost per
+    column of the constraints."""
+
+    sense: str
+    cost: np.ndarray
+    constraints: Constraints
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         cost = np.asarray(self.cost, dtype=float).ravel()
-        rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        cols = np.asarray(self.cols, dtype=np.int64).ravel()
-        vals = np.asarray(self.vals, dtype=float).ravel()
-        rhs = np.asarray(self.rhs, dtype=float).ravel()
-        if cost.size < 1 or rhs.size < 1:
-            raise ValueError("need at least one variable and one constraint")
-        if not (rows.size == cols.size == vals.size):
-            raise ValueError("triple arrays must have equal length")
-        if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(rhs))):
-            raise ValueError("cost, coefficients and rhs must be finite")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= rhs.size:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= cost.size:
-                raise ValueError("col index out of range")
-            keys = rows * cost.size + cols
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate (row, col) triples")
-        for name, arr in (("cost", cost), ("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if cost.size != self.constraints.n_cols:
+            raise ValueError(f"{cost.size} costs for {self.constraints.n_cols} columns")
+        if not np.all(np.isfinite(cost)):
+            raise ValueError("cost must be finite")
+        cost.flags.writeable = False
+        object.__setattr__(self, "cost", cost)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.constraints.rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.constraints.cols
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self.constraints.vals
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.constraints.rhs
 
     @property
     def n_cols(self) -> int:
@@ -128,10 +168,11 @@ class Session:
     that raises frees the model, so the one after it runs cold again.  Solve
     order therefore decides which optimum a degenerate LP returns: the same
     order gives the same bits, but a warm optimum can differ from a cold
-    one."""
+    one.  Every LP after the first must be built on the first one's
+    ``Constraints`` object: equal arrays in another object are refused."""
 
     def __init__(self) -> None:
-        self._lp: LinearProgram | None = None  # the first LP, for its constraints
+        self._constraints: Constraints | None = None  # the first LP's
         self._model = None
 
     @property
@@ -168,11 +209,10 @@ class Session:
         self._model = run
 
     def _solve(self, lp: LinearProgram) -> LpSolution:
-        if self._lp is None:
-            self._lp = lp
-        elif not all(np.array_equal(getattr(lp, k), getattr(self._lp, k))
-                     for k in ("rows", "cols", "vals", "rhs")):
-            raise ValueError("the LP's constraints differ from the session's")
+        if self._constraints is None:
+            self._constraints = lp.constraints
+        elif lp.constraints is not self._constraints:
+            raise ValueError("the LP is not built on the session's constraints")
         if self.warm:
             self._model.changeColsCost(lp.n_cols, np.arange(lp.n_cols, dtype=np.int32),
                                        -lp.cost if lp.sense == "max" else lp.cost)
@@ -265,7 +305,7 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     """Primal and dual optimum from HiGHS, bundled with scipy.
 
     HiGHS runs without presolve, at its tightest feasibility tolerances, on
-    the model of ``session`` (whose LP must have the constraints of ``lp``)
+    the model of ``session`` (whose LPs must share the constraints object of ``lp``)
     or, without one, on a model built for this solve alone and freed when it
     returns.  A cold solve runs the dual simplex below ``IPM_MIN_COLS``
     variables; from there on the interior-point method with crossover, then

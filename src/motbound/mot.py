@@ -21,7 +21,7 @@ from .errors import (DegenerateDual, DimensionMismatch, Infeasible, MotboundErro
                      NotAdmissible, ScaleExceeded)
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     VerificationReport, _histories, price as hedge_price, slackness, verify)
-from .lp import LinearProgram, LpSolution, Session, solve
+from .lp import Constraints, LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
 from .payoff import Payoff
 
@@ -90,7 +90,7 @@ class Coupling:
     def max_marginal_residual(self, system: MarginalSystem) -> float:
         worst = 0.0
         for i, mu in enumerate(system.marginals):
-            if self.grids[i].size != mu.points.size or not np.allclose(self.grids[i], mu.points):
+            if not np.array_equal(self.grids[i], mu.points):
                 raise DimensionMismatch(f"coupling grid {i} does not match the marginal atoms")
             worst = max(worst, float(np.abs(self.marginal(i) - mu.weights).max()))
         return worst
@@ -181,9 +181,9 @@ def _layout(system: MarginalSystem) -> _Layout:
                    marginal_row=tuple(marginal_row), mart_row=tuple(mart_row))
 
 
-def _constraints(layout: _Layout, system: MarginalSystem) -> tuple[np.ndarray, ...]:
-    """The transport LP's ``(rows, cols, vals, rhs)``: the payoff enters only
-    through the cost, so every problem on the system shares them."""
+def _constraints(layout: _Layout, system: MarginalSystem) -> Constraints:
+    """The transport LP's constraints: the payoff enters only through the
+    cost, so every problem on the system shares them."""
     n = len(layout.grids)
     idx = np.indices(layout.shape).reshape(n, -1)
     flat = np.arange(layout.n_cells)
@@ -208,12 +208,35 @@ def _constraints(layout: _Layout, system: MarginalSystem) -> tuple[np.ndarray, .
         cols_parts.append(flat[keep])
         vals_parts.append(coeff[keep])
 
-    return np.concatenate(rows_parts), np.concatenate(cols_parts), np.concatenate(vals_parts), rhs
+    return Constraints(np.concatenate(rows_parts), np.concatenate(cols_parts),
+                       np.concatenate(vals_parts), rhs, layout.n_cells)
+
+
+@dataclass(frozen=True)
+class _VerificationBase:
+    """What the verification grids of every payoff on one marginal system
+    share: the atoms, every history of dates 1..n-1 (one flat array per
+    date, row-major) and the payoff-independent part of the final axis,
+    the union of every date's atoms refined once by midpoints, plus zero."""
+
+    atoms: tuple[np.ndarray, ...]
+    histories: tuple[np.ndarray, ...]
+    last_axis: np.ndarray
+
+
+def _verification_base(system: MarginalSystem) -> _VerificationBase:
+    atoms = tuple(mu.points for mu in system.marginals)
+    joint = np.unique(np.concatenate(atoms))
+    mids = 0.5 * (joint[:-1] + joint[1:])
+    return _VerificationBase(atoms, tuple(_histories(atoms[:-1])),
+                             np.unique(np.concatenate([joint, mids, [0.0]])))
 
 
 class Solver:
     """The transport LP of one marginal system, assembled once: its layout,
-    its constraint triples and one HiGHS :class:`~motbound.lp.Session`.
+    its :class:`~motbound.lp.Constraints` (checked once), one HiGHS
+    :class:`~motbound.lp.Session`, and the parts of the verification grids
+    that no payoff changes (:func:`verification_grids`).
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
@@ -226,12 +249,13 @@ class Solver:
         self.layout = _layout(system)
         self.constraints = _constraints(self.layout, system)
         self.session = Session()
+        self.verification_base = _verification_base(system)
 
     def lp(self, problem: MotProblem) -> LinearProgram:
         if problem.system is not self.system:
             raise ValueError("the problem's marginal system is not the solver's")
         return LinearProgram("min" if problem.sense == "lower" else "max",
-                             payoff_mod.tabulate(problem.payoff, self.layout.grids), *self.constraints)
+                             payoff_mod.tabulate(problem.payoff, self.layout.grids), self.constraints)
 
 
 def build_lp(problem: MotProblem) -> LinearProgram:
@@ -241,46 +265,51 @@ def build_lp(problem: MotProblem) -> LinearProgram:
     return Solver(problem.system).lp(problem)
 
 
-def verification_grids(problem: MotProblem) -> list[np.ndarray]:
+def verification_grids(problem: MotProblem,
+                       shared: _VerificationBase | None = None) -> list[np.ndarray]:
     """Grids on which extracted hedges are checked: history axes stay on the
     marginal atoms (deltas exist only there); the final axis is the union of
     every date's atoms, refined once by midpoints, plus zero and the payoff's
     kinks.  Payoffs with no declared last-axis data (tabulated, custom) get
-    no refinement."""
-    atoms = [mu.points for mu in problem.system.marginals]
-    data = payoff_mod.last_axis(problem.payoff, *_histories(atoms[:-1]))
+    no refinement.  ``shared``, a :class:`Solver`'s, holds the parts no
+    payoff changes; without it they are built for this call."""
+    shared = shared or _verification_base(problem.system)
+    data = payoff_mod.last_axis(problem.payoff, *shared.histories)
     if data is None:
-        return atoms
-    joint = np.unique(np.concatenate(atoms))
-    mids = 0.5 * (joint[:-1] + joint[1:])
-    last = np.unique(np.concatenate([joint, mids, [0.0], *(np.ravel(k) for k in data.kinks)]))
-    return [*atoms[:-1], last]
+        return list(shared.atoms)
+    last = np.unique(np.concatenate([shared.last_axis, *(np.ravel(k) for k in data.kinks)]))
+    return [*shared.atoms[:-1], last]
 
 
-def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: np.ndarray) -> SemiStaticHedge:
+def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: np.ndarray,
+                         hist: tuple[np.ndarray, ...]) -> SemiStaticHedge:
     """Extend u_n with extra knots so the assembled payout stays on the right
     side of the payoff at them: each new knot takes the tightest value over
     all histories, and the wings take the tightest admissible slopes given
     the payoff's exact ones.  Values at existing knots (in particular at the
     final marginal's atoms) are kept, so the hedge price is unchanged.
-    Payoffs with no declared last-axis data are left alone."""
-    hist = _histories([u.knots for u in hedge.statics[:-1]])
+    Payoffs with no declared last-axis data are left alone.  ``hist`` holds
+    every history of dates 1..n-1, one flat array per date."""
     data = payoff_mod.last_axis(payoff, *hist)
     if data is None:
         return hedge
     u_n = hedge.statics[-1]
+    # psi(h, z) = base(h) + u_n(z) + d(h) * (z - h_last).  Adding and taking
+    # away u_n(h_last) is not a no-op in floating point: it rounds base as
+    # psi(h, h_last) - u_n(h_last) does, so the new knots keep their bits.
+    u_h = u_n(hist[-1])
+    base = hedge._head(*hist) + u_h - u_h
+    d = hedge.deltas[-1].at(*hist)
     z_all = np.union1d(u_n.knots, np.asarray(z_candidates, dtype=float))
-    fresh = ~np.isin(z_all, u_n.knots)
+    fresh = np.ones(z_all.size, dtype=bool)
+    fresh[np.searchsorted(z_all, u_n.knots)] = False
     z_new = z_all[fresh]
     # A subhedge's new values and right wing take the minimum over histories
     # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
     tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
 
-    # psi(h, z) = base(h) + u_n(z) + d(h) * (z - h_last)
-    path_ends = np.column_stack([*hist, hist[-1]])
-    base = hedge.evaluate(path_ends) - u_n(hist[-1])
-    d = hedge.deltas[-1].at(*hist)
-    values = u_n(z_all)
+    values = np.empty(z_all.size)
+    values[~fresh] = u_n.values
     if z_new.size:
         step = max(1, CHUNK_CELLS // z_new.size)
         fill = []
@@ -304,13 +333,16 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem) -> SemiStaticHed
     table is detrended by its mean with the compensating linear terms moved
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
     its heaviest atom with the shift absorbed into cash."""
-    return _extract_hedge(lp_solution, problem, _layout(problem.system),
-                          verification_grids(problem)[-1])
+    layout = _layout(problem.system)
+    shared = _verification_base(problem.system)
+    return _extract_hedge(lp_solution, problem, layout, shared.histories,
+                          verification_grids(problem, shared)[-1])
 
 
 def _extract_hedge(lp_solution: LpSolution, problem: MotProblem, layout: _Layout,
-                   z_candidates: np.ndarray) -> SemiStaticHedge:
-    """:func:`extract_hedge`, given the LP layout and the candidate knots of u_n."""
+                   hist: tuple[np.ndarray, ...], z_candidates: np.ndarray) -> SemiStaticHedge:
+    """:func:`extract_hedge`, given the LP layout, every history of dates
+    1..n-1 and the candidate knots of u_n."""
     system = problem.system
     n = system.n_dates
     y = np.asarray(lp_solution.dual, dtype=float)
@@ -336,7 +368,7 @@ def _extract_hedge(lp_solution: LpSolution, problem: MotProblem, layout: _Layout
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    return _augment_last_static(hedge, problem.payoff, z_candidates)
+    return _augment_last_static(hedge, problem.payoff, z_candidates, hist)
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -388,13 +420,13 @@ def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
         ) from exc
 
 
-def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, layout: _Layout,
+def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Solver,
             grids: list[np.ndarray], attempts: int) -> MotResult:
-    hedge = _extract_hedge(sol, problem, layout, grids[-1])
+    hedge = _extract_hedge(sol, problem, solver.layout, solver.verification_base.histories, grids[-1])
     report = verify(hedge, problem.payoff, grids)
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
-    coupling = _coupling_from_primal(sol.primal, layout)
+    coupling = _coupling_from_primal(sol.primal, solver.layout)
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
               "lp_iterations": sol.iterations, "solve_attempts": attempts,
               "max_verification_violation": report.max_violation}
@@ -422,14 +454,14 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     lp = solver.lp(problem)
     warm = solver.session.warm
     sol = _solve(lp, solver.session)
-    grids = verification_grids(problem)
+    grids = verification_grids(problem, solver.verification_base)
     try:
-        return _result(problem, lp, sol, solver.layout, grids, sol.runs)
+        return _result(problem, lp, sol, solver, grids, sol.runs)
     except DegenerateDual:
         if not warm:
             raise
     cold = _solve(lp, None)
-    return _result(problem, lp, cold, solver.layout, grids, sol.runs + cold.runs)
+    return _result(problem, lp, cold, solver, grids, sol.runs + cold.runs)
 
 
 def decompose_and_solve(problem: MotProblem) -> MotResult:
@@ -524,7 +556,7 @@ def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:
     layout = _layout(system)
     rng = np.random.default_rng(seed)
     cost = rng.uniform(-1.0, 1.0, size=layout.n_cells)
-    sol = solve(LinearProgram("min", cost, *_constraints(layout, system)))
+    sol = solve(LinearProgram("min", cost, _constraints(layout, system)))
     return _coupling_from_primal(sol.primal, layout)
 
 

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from motbound.errors import DimensionMismatch
 from motbound.fixtures import (instance_a_marginals, instance_b_payoff, smooth_hedge,
                                smooth_pair, smooth_u1, smooth_u2)
+from motbound import hedge as hedge_mod, payoff as payoff_mod
 from motbound.hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
-                            check_arbitrage, hedge_to_json, price, slackness,
-                            to_call_portfolio, verify)
+                            VerificationReport, check_arbitrage, hedge_to_json, price,
+                            slackness, to_call_portfolio, verify)
 from motbound.measures import DiscreteMeasure, MarginalSystem
 from motbound.mot import MotProblem, bound, verification_grids
 from motbound.payoff import (asian_call, evaluate, forward_start_call, forward_start_straddle,
-                             last_coord_kinks, lookback_call)
+                             last_coord_kinks, lookback_call, negated_straddle, tabulated)
 
 KNOT_TOL = 1e-10
 
@@ -292,6 +293,80 @@ class TestVerifyMatchesPointwise:
         res = bound(MotProblem(three_dates(), payoff, sense))
         self.assert_matches(res.hedge, payoff, self.OFF3)
         self.assert_matches(shift_last_delta(res.hedge, 0.25), payoff, self.OFF3)
+
+
+def brute_force_report(hedge, payoff, grids) -> VerificationReport:
+    """verify's report by its definition, one history at a time:
+    ``hedge.evaluate`` and ``payoff.evaluate_last_axis`` on every point of
+    the sorted union of the shared last-axis points (the last grid, with
+    u_n's knots and zero for payoffs with last-axis data) and the
+    history's own kinks."""
+    sign = 1.0 if hedge.sense == "sub" else -1.0
+    u = hedge.statics[-1]
+    continuum = payoff_mod.last_axis(payoff, *(g[0] for g in grids[:-1])) is not None
+    shared = np.union1d(grids[-1], np.union1d(u.knots, [0.0])) if continuum else grids[-1]
+    worst, worst_cell, checked, wing_ok = -np.inf, (), 0, True if continuum else None
+    for hist in itertools.product(*grids[:-1]):
+        data = payoff_mod.last_axis(payoff, *hist)
+        zz = np.sort(np.concatenate([shared, [float(k) for k in data.kinks] if data else []]))
+        paths = np.column_stack([np.tile(hist, (zz.size, 1)), zz])
+        gap = sign * (hedge.evaluate(paths) - payoff_mod.evaluate_last_axis(payoff, paths[:, :-1].T, zz))
+        checked += 1 + int(np.count_nonzero(np.diff(zz)))
+        k = int(np.argmax(gap))
+        if gap[k] > worst:
+            worst, worst_cell = float(gap[k]), (*(float(x) for x in hist), float(zz[k]))
+        if data:
+            d = hedge.deltas[-1].lookup(hist)
+            tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
+            if (sign * (u.right_slope + d - data.right_slope) > tol
+                    or sign * (data.left_slope - (u.left_slope + d)) > tol):
+                wing_ok = False
+    return VerificationReport(hedge.sense, worst, worst_cell, checked, continuum, wing_ok)
+
+
+EIGHTHS = st.integers(-24, 24).map(lambda i: i / 8.0)
+
+
+def eighths_grid(draw, max_size: int) -> np.ndarray:
+    return np.array(sorted(draw(st.sets(EIGHTHS, min_size=1, max_size=max_size))))
+
+
+@st.composite
+def verify_cases(draw):
+    """A random 2- or 3-date hedge, check grids and payoff, all on a 1/8
+    lattice so that kinks, grid points and gaps often tie."""
+    n = draw(st.sampled_from([2, 3]))
+    grids = [eighths_grid(draw, 5) for _ in range(n)]
+    deltas = []
+    for j in range(n - 1):
+        atoms = tuple(eighths_grid(draw, 4) for _ in range(j + 1))
+        shape = tuple(g.size for g in atoms)
+        values = draw(st.lists(EIGHTHS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        deltas.append(DeltaTable(atoms, np.reshape(values, shape)))
+    hedge = SemiStaticHedge(draw(EIGHTHS), tuple(draw(piecewise_linears()) for _ in range(n)),
+                            tuple(deltas), draw(st.sampled_from(["sub", "super"])))
+    strike = draw(EIGHTHS)
+    cells = int(np.prod([g.size for g in grids]))
+    payoffs = [asian_call(strike, n), lookback_call(strike, n),
+               tabulated(grids, draw(st.lists(EIGHTHS, min_size=cells, max_size=cells)))]
+    if n == 2:
+        payoffs += [forward_start_call(draw(st.sampled_from([0.5, 1.0, 1.25]))),
+                    forward_start_straddle(), negated_straddle()]
+    return hedge, draw(st.sampled_from(payoffs)), grids
+
+
+class TestVerifyOracle:
+    """verify's report equals, field for field, the report of its
+    pointwise definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verify_cases(), st.sampled_from([hedge_mod.CHUNK_CELLS, 1]))
+    def test_report_equals_brute_force(self, case, chunk_cells):
+        # a chunk of one cell checks one history at a time
+        hedge, payoff, grids = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hedge_mod, "CHUNK_CELLS", chunk_cells)
+            assert verify(hedge, payoff, grids) == brute_force_report(hedge, payoff, grids)
 
 
 class TestSlackness:

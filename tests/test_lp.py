@@ -14,7 +14,7 @@ from scipy.optimize._highspy import _core as highs
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 from motbound.fixtures import smooth_pair
-from motbound.lp import LinearProgram, Session, solve, solve_exact
+from motbound.lp import Constraints, LinearProgram, Session, solve, solve_exact
 from motbound.measures import DensitySpec, MarginalSystem, discretize
 from motbound.mot import MotProblem, bound, build_lp
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
@@ -27,8 +27,7 @@ def dense_lp(a, b, c, sense="min") -> LinearProgram:
     a = np.asarray(a, dtype=float)
     rows, cols = np.nonzero(a)
     return LinearProgram(sense=sense, cost=np.asarray(c, dtype=float),
-                         rows=rows, cols=cols, vals=a[rows, cols],
-                         rhs=np.asarray(b, dtype=float))
+                         constraints=Constraints(rows, cols, a[rows, cols], b, a.shape[1]))
 
 
 def transportation(supplies, demands, costs, sense="min") -> LinearProgram:
@@ -131,22 +130,18 @@ class TestErrors:
     def test_scale_exceeded(self):
         n = 201
         lp = LinearProgram(sense="min", cost=np.ones(n),
-                           rows=np.zeros(n, dtype=int), cols=np.arange(n),
-                           vals=np.ones(n), rhs=np.array([1.0]))
+                           constraints=Constraints(np.zeros(n, dtype=int), np.arange(n),
+                                                   np.ones(n), np.array([1.0]), n))
         with pytest.raises(ScaleExceeded):
             solve_exact(lp)
 
     def test_duplicate_triples_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram(sense="min", cost=np.array([1.0]),
-                          rows=np.array([0, 0]), cols=np.array([0, 0]),
-                          vals=np.array([1.0, 1.0]), rhs=np.array([1.0]))
+            Constraints(np.array([0, 0]), np.array([0, 0]), np.array([1.0, 1.0]), np.array([1.0]), 1)
 
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram(sense="min", cost=np.array([1.0]),
-                          rows=np.array([0]), cols=np.array([5]),
-                          vals=np.array([1.0]), rhs=np.array([1.0]))
+            Constraints(np.array([0]), np.array([5]), np.array([1.0]), np.array([1.0]), 1)
 
 
 def random_transportation(rng, sense="min"):
@@ -185,9 +180,7 @@ class TestOracleAgreement:
         lp = random_transportation(rng)
         base = solve(lp)
         for lam in (2.0, 10.0):
-            scaled = LinearProgram(sense=lp.sense, cost=lam * lp.cost,
-                                   rows=lp.rows, cols=lp.cols, vals=lp.vals,
-                                   rhs=lp.rhs)
+            scaled = LinearProgram(sense=lp.sense, cost=lam * lp.cost, constraints=lp.constraints)
             sol = solve(scaled)
             assert sol.objective == pytest.approx(lam * base.objective, rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(sol.dual, lam * base.dual, atol=1e-9)
@@ -446,7 +439,7 @@ class TestSession:
         calls = spy_highs(monkeypatch)
         for trial in range(10):
             lp = LinearProgram(sense="max" if trial % 3 else "min", cost=rng.normal(size=base.n_cols),
-                               rows=base.rows, cols=base.cols, vals=base.vals, rhs=base.rhs)
+                               constraints=base.constraints)
             warm = solve(lp, session=session)
             assert calls[-1].solver == ("primal" if trial else "simplex")
             assert warm.runs == 1
@@ -459,8 +452,12 @@ class TestSession:
         session = Session()
         solve(self.LP, session=session)
         other = transportation([1.0, 1.0], [0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="constraints differ"):
+        with pytest.raises(ValueError, match="session's constraints"):
             solve(other, session=session)
+        # equal arrays are not enough: the LP must share the constraints object
+        twin = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="session's constraints"):
+            solve(twin, session=session)
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
     def test_failed_warm_check_gets_one_dual_simplex_run(self, monkeypatch, check):

@@ -114,6 +114,17 @@ class TestBuildLp:
             MotProblem(forced_system(), asian_call(0.0, 3), "lower")
 
 
+def count_calls(monkeypatch, owner, name: str, calls: list) -> None:
+    """Record ``name`` in ``calls`` whenever ``owner.name`` is called."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 class TestOneLayoutPerBound:
     @pytest.mark.parametrize("system, payoff", [
         (instance_a_marginals, forward_start_straddle),
@@ -121,17 +132,21 @@ class TestOneLayoutPerBound:
     ], ids=["two_dates", "three_dates"])
     def test_layout_and_grids_built_once(self, system, payoff, monkeypatch):
         calls = []
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in ("_layout", "verification_grids"):
-            monkeypatch.setattr(mot, name, counting(name, getattr(mot, name)))
+            count_calls(monkeypatch, mot, name, calls)
         bound(MotProblem(system(), payoff(), "lower"))
         assert sorted(calls) == ["_layout", "verification_grids"]
+
+    def test_sweep_builds_per_system_parts_once(self, monkeypatch):
+        # 11 strikes, 22 bounds: one layout, one check of the constraint
+        # triples and one history grid for the whole sweep
+        calls = []
+        for name in ("_layout", "_histories", "verification_grids"):
+            count_calls(monkeypatch, mot, name, calls)
+        count_calls(monkeypatch, lp_mod.Constraints, "__post_init__", calls)
+        table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
+        assert all(row.ok for row in table.rows)
+        assert sorted(calls) == ["__post_init__", "_histories", "_layout"] + ["verification_grids"] * 22
 
     @pytest.mark.parametrize("sense", ["lower", "upper"])
     def test_public_extract_hedge_matches_bound(self, sense):
@@ -143,6 +158,17 @@ class TestOneLayoutPerBound:
             np.testing.assert_array_equal(a.knots, b.knots)
             np.testing.assert_array_equal(a.values, b.values)
             assert (a.left_slope, a.right_slope) == (b.left_slope, b.right_slope)
+
+
+class TestCouplingGridMatch:
+    def test_grid_off_the_atoms_by_a_relative_5e_6_is_rejected(self):
+        system = smooth_pair(9)
+        coupling = bound(MotProblem(system, forward_start_straddle(), "lower")).coupling
+        assert coupling.max_marginal_residual(system) <= RESIDUAL_TOL
+        scaled = Coupling(tuple(g * (1.0 + 5e-6) for g in coupling.grids),
+                          coupling.indices, coupling.masses)
+        with pytest.raises(DimensionMismatch, match="does not match the marginal atoms"):
+            scaled.max_marginal_residual(system)
 
 
 class TestForcedInstance:
