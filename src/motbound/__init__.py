@@ -22,7 +22,7 @@ from .measures import (Block, CallCurve, DensitySpec, DiscreteMeasure,
                        MarginalSystem, OrderReport, call_price, check_convex_order,
                        detect_barriers, discretize, from_call_curve, load_call_curves)
 from .mot import (Coupling, Diagnostics, MotProblem, MotResult, Solver, SweepTable, bound,
-                  build_lp, decompose_and_solve, extract_hedge, random_feasible_coupling,
+                  decompose_and_solve, extract_hedge, random_feasible_coupling,
                   strike_sweep, surface_csv, verification_grids)
 from .payoff import (Payoff, asian_call, custom, evaluate, forward_start_call,
                      forward_start_straddle, lookback_call, negated_straddle, tabulate,

@@ -144,40 +144,45 @@ class LpSolution:
     a warm primal-simplex run.  Simplex clean-up pivots after crossover
     therefore replace the interior-point count rather than add to it.  A
     warm solve counts only its own pivots from the basis it started at.
-    ``runs`` is the number of HiGHS runs behind the solution (1 or 2)."""
+    ``runs`` is the number of HiGHS runs behind the solution (1 or 2);
+    ``warm`` tells whether the first of them restarted from a session's
+    basis."""
 
     primal: np.ndarray
     dual: np.ndarray
     objective: float
     iterations: int
     runs: int = 0
+    warm: bool = False
     objective_exact: Fraction | None = None
     primal_exact: tuple[Fraction, ...] | None = None
     dual_exact: tuple[Fraction, ...] | None = None
 
 
 class Session:
-    """One HiGHS model of the constraints ``A x = rhs, x >= 0`` of the first
-    LP it solves, kept for solving LPs that share them and differ only in
-    cost and sense.
+    """One HiGHS model of ``constraints``, kept for solving LPs built on that
+    object, which differ only in cost and sense.
 
     The model is built at the first solve, which runs cold by the size rule
     of :func:`solve`.  Once a solve has passed every check, the next one
     only changes the column costs and runs the primal simplex from that
-    solve's basis, which a change of cost leaves primal feasible.  A solve
-    that raises frees the model, so the one after it runs cold again.  Solve
-    order therefore decides which optimum a degenerate LP returns: the same
-    order gives the same bits, but a warm optimum can differ from a cold
-    one.  Every LP after the first must be built on the first one's
-    ``Constraints`` object: equal arrays in another object are refused."""
+    solve's basis, which a change of cost leaves primal feasible.  At or
+    above ``IPM_MIN_COLS`` columns, a change of sense frees the model
+    instead: the optimum of the other sense is a poor start there, far
+    slower than a cold solve.  A solve that raises also frees the model, so
+    the one after it runs cold again.  Solve order therefore decides which
+    optimum a degenerate LP returns: the same order gives the same bits, but
+    a warm optimum can differ from a cold one.  An LP built on another
+    ``Constraints`` object, even one with equal arrays, is refused."""
 
-    def __init__(self) -> None:
-        self._constraints: Constraints | None = None  # the first LP's
+    def __init__(self, constraints: Constraints) -> None:
+        self.constraints = constraints
         self._model = None
+        self._sense = None  # the sense of the model's last solve
 
     @property
     def warm(self) -> bool:
-        """Whether the next solve restarts from an optimal basis."""
+        """Whether the session holds the basis of a solve that passed every check."""
         return self._model is not None
 
     def _build(self, lp: LinearProgram) -> None:
@@ -209,11 +214,10 @@ class Session:
         self._model = run
 
     def _solve(self, lp: LinearProgram) -> LpSolution:
-        if self._constraints is None:
-            self._constraints = lp.constraints
-        elif lp.constraints is not self._constraints:
+        if lp.constraints is not self.constraints:
             raise ValueError("the LP is not built on the session's constraints")
-        if self.warm:
+        warm = self.warm
+        if warm:
             self._model.changeColsCost(lp.n_cols, np.arange(lp.n_cols, dtype=np.int32),
                                        -lp.cost if lp.sense == "max" else lp.cost)
             methods = ("primal", "simplex")
@@ -237,7 +241,7 @@ class Session:
                     if solver == methods[-1]:
                         raise
                     continue
-                return LpSolution(primal, dual, float(lp.cost @ primal), iterations, runs)
+                return LpSolution(primal, dual, float(lp.cost @ primal), iterations, runs, warm)
         except BaseException:
             self._model = None  # the next solve starts cold
             raise
@@ -319,7 +323,7 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     the error those checks name.  Whichever method ran, a limit raises
     ``IterationLimit``, an infeasible or malformed model ``Infeasible`` and
     an unbounded one ``Unbounded`` at once."""
-    return (session or Session())._solve(lp)
+    return (session or Session(lp.constraints))._solve(lp)
 
 
 def _exact_pivot(tab, xb, basis, r, q):

@@ -212,31 +212,14 @@ def _constraints(layout: _Layout, system: MarginalSystem) -> Constraints:
                        np.concatenate(vals_parts), rhs, layout.n_cells)
 
 
-@dataclass(frozen=True)
-class _VerificationBase:
-    """What the verification grids of every payoff on one marginal system
-    share: the atoms, every history of dates 1..n-1 (one flat array per
-    date, row-major) and the payoff-independent part of the final axis,
-    the union of every date's atoms refined once by midpoints, plus zero."""
-
-    atoms: tuple[np.ndarray, ...]
-    histories: tuple[np.ndarray, ...]
-    last_axis: np.ndarray
-
-
-def _verification_base(system: MarginalSystem) -> _VerificationBase:
-    atoms = tuple(mu.points for mu in system.marginals)
-    joint = np.unique(np.concatenate(atoms))
-    mids = 0.5 * (joint[:-1] + joint[1:])
-    return _VerificationBase(atoms, tuple(_histories(atoms[:-1])),
-                             np.unique(np.concatenate([joint, mids, [0.0]])))
-
-
 class Solver:
-    """The transport LP of one marginal system, assembled once: its layout,
-    its :class:`~motbound.lp.Constraints` (checked once), one HiGHS
-    :class:`~motbound.lp.Session`, and the parts of the verification grids
-    that no payoff changes (:func:`verification_grids`).
+    """Every part of the transport LP of one marginal system, built once:
+    its layout (whose ``grids`` are the atoms), its
+    :class:`~motbound.lp.Constraints` (checked once), one HiGHS
+    :class:`~motbound.lp.Session` on them, every history of dates 1..n-1
+    (one flat array per date, row-major) and ``last_axis``, the part of the
+    final verification axis that no payoff changes: the union of every
+    date's atoms, refined once by midpoints, plus zero.
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
@@ -248,37 +231,34 @@ class Solver:
         self.system = system
         self.layout = _layout(system)
         self.constraints = _constraints(self.layout, system)
-        self.session = Session()
-        self.verification_base = _verification_base(system)
+        self.session = Session(self.constraints)
+        self.histories = tuple(_histories(self.layout.grids[:-1]))
+        joint = np.unique(np.concatenate(self.layout.grids))
+        self.last_axis = np.unique(np.concatenate([joint, 0.5 * (joint[:-1] + joint[1:]), [0.0]]))
 
     def lp(self, problem: MotProblem) -> LinearProgram:
+        """The transport LP of ``problem``: cell masses, marginal rows (one
+        redundant row per date beyond the first dropped at the heaviest
+        atom), and one conditional-mean row per history cell."""
         if problem.system is not self.system:
             raise ValueError("the problem's marginal system is not the solver's")
         return LinearProgram("min" if problem.sense == "lower" else "max",
                              payoff_mod.tabulate(problem.payoff, self.layout.grids), self.constraints)
 
 
-def build_lp(problem: MotProblem) -> LinearProgram:
-    """Assemble the transport LP: cell masses, marginal rows (one redundant
-    row per date beyond the first dropped at the heaviest atom), and one
-    conditional-mean row per history cell."""
-    return Solver(problem.system).lp(problem)
-
-
-def verification_grids(problem: MotProblem,
-                       shared: _VerificationBase | None = None) -> list[np.ndarray]:
+def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
     """Grids on which extracted hedges are checked: history axes stay on the
     marginal atoms (deltas exist only there); the final axis is the union of
     every date's atoms, refined once by midpoints, plus zero and the payoff's
     kinks.  Payoffs with no declared last-axis data (tabulated, custom) get
-    no refinement.  ``shared``, a :class:`Solver`'s, holds the parts no
-    payoff changes; without it they are built for this call."""
-    shared = shared or _verification_base(problem.system)
-    data = payoff_mod.last_axis(problem.payoff, *shared.histories)
+    no refinement.  The payoff-free parts come from ``solver``, built on
+    ``problem.system`` for this call when not given."""
+    solver = solver or Solver(problem.system)
+    data = payoff_mod.last_axis(problem.payoff, *solver.histories)
     if data is None:
-        return list(shared.atoms)
-    last = np.unique(np.concatenate([shared.last_axis, *(np.ravel(k) for k in data.kinks)]))
-    return [*shared.atoms[:-1], last]
+        return list(solver.layout.grids)
+    last = np.unique(np.concatenate([solver.last_axis, *(np.ravel(k) for k in data.kinks)]))
+    return [*solver.layout.grids[:-1], last]
 
 
 def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: np.ndarray,
@@ -325,24 +305,23 @@ def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: n
     return SemiStaticHedge(hedge.cash, (*hedge.statics[:-1], u_new), hedge.deltas, hedge.sense)
 
 
-def extract_hedge(lp_solution: LpSolution, problem: MotProblem) -> SemiStaticHedge:
+def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver | None = None,
+                  grids: list[np.ndarray] | None = None) -> SemiStaticHedge:
     """Read the dual back as a hedge.
 
     Marginal-row duals become the static payouts (dropped rows read 0),
     martingale-row duals the deltas, then two gauges are fixed: each delta
     table is detrended by its mean with the compensating linear terms moved
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
-    its heaviest atom with the shift absorbed into cash."""
-    layout = _layout(problem.system)
-    shared = _verification_base(problem.system)
-    return _extract_hedge(lp_solution, problem, layout, shared.histories,
-                          verification_grids(problem, shared)[-1])
-
-
-def _extract_hedge(lp_solution: LpSolution, problem: MotProblem, layout: _Layout,
-                   hist: tuple[np.ndarray, ...], z_candidates: np.ndarray) -> SemiStaticHedge:
-    """:func:`extract_hedge`, given the LP layout, every history of dates
-    1..n-1 and the candidate knots of u_n."""
+    its heaviest atom with the shift absorbed into cash.  Last, u_n gains
+    knots at the final axis of ``grids`` (see :func:`_augment_last_static`).
+    The row layout and the histories come from ``solver``, built on
+    ``problem.system`` for this call when not given; ``grids`` default to
+    the problem's :func:`verification_grids`."""
+    solver = solver or Solver(problem.system)
+    if grids is None:
+        grids = verification_grids(problem, solver)
+    layout = solver.layout
     system = problem.system
     n = system.n_dates
     y = np.asarray(lp_solution.dual, dtype=float)
@@ -368,7 +347,7 @@ def _extract_hedge(lp_solution: LpSolution, problem: MotProblem, layout: _Layout
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    return _augment_last_static(hedge, problem.payoff, z_candidates, hist)
+    return _augment_last_static(hedge, problem.payoff, grids[-1], solver.histories)
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -422,7 +401,7 @@ def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
 
 def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Solver,
             grids: list[np.ndarray], attempts: int) -> MotResult:
-    hedge = _extract_hedge(sol, problem, solver.layout, solver.verification_base.histories, grids[-1])
+    hedge = extract_hedge(sol, problem, solver, grids)
     report = verify(hedge, problem.payoff, grids)
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
@@ -452,13 +431,12 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     result, the cold re-solve's included."""
     solver = solver or Solver(problem.system)
     lp = solver.lp(problem)
-    warm = solver.session.warm
     sol = _solve(lp, solver.session)
-    grids = verification_grids(problem, solver.verification_base)
+    grids = verification_grids(problem, solver)
     try:
         return _result(problem, lp, sol, solver, grids, sol.runs)
     except DegenerateDual:
-        if not warm:
+        if not sol.warm:
             raise
     cold = _solve(lp, None)
     return _result(problem, lp, cold, solver, grids, sol.runs + cold.runs)

@@ -22,7 +22,7 @@ from motbound.lp import solve_exact
 from motbound.measures import (CallCurve, DensitySpec, DiscreteMeasure,
                                MarginalSystem, call_price, counterexample_marginals,
                                detect_barriers, discretize, from_call_curve)
-from motbound.mot import (MotProblem, bound, build_lp, decompose_and_solve,
+from motbound.mot import (MotProblem, Solver, bound, decompose_and_solve,
                           random_feasible_coupling, strike_sweep)
 from motbound.payoff import (evaluate, forward_start_call, forward_start_straddle,
                              negated_straddle)
@@ -100,7 +100,7 @@ def test_criterion_03_exact_oracle_instances():
     exact = {}
     for name, payoff, sense in [("a_lo", straddle, "lower"), ("a_hi", straddle, "upper"),
                                 ("b_lo", cell, "lower"), ("b_hi", cell, "upper")]:
-        exact[name] = solve_exact(build_lp(MotProblem(system, payoff, sense))).objective_exact
+        exact[name] = solve_exact(Solver(system).lp(MotProblem(system, payoff, sense))).objective_exact
     elapsed = time.perf_counter() - t0
 
     ok = (abs(a_lo.value - 7.0 / 6.0) <= 1e-9 and abs(a_hi.value - 7.0 / 6.0) <= 1e-9

@@ -16,7 +16,7 @@ from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, 
 from motbound.fixtures import smooth_pair
 from motbound.lp import Constraints, LinearProgram, Session, solve, solve_exact
 from motbound.measures import DensitySpec, MarginalSystem, discretize
-from motbound.mot import MotProblem, bound, build_lp
+from motbound.mot import MotProblem, Solver, bound
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
 
 GAP_TOL = 1e-7
@@ -265,7 +265,7 @@ class TestSizeRule:
         MotProblem(widening_dates(0.1, 9), asian_call(1.0, 3), "upper"),
     ], ids=["2date-lower", "2date-upper", "3date-lower", "3date-upper"])
     def test_both_methods_agree(self, monkeypatch, problem):
-        lp = build_lp(problem)
+        lp = Solver(problem.system).lp(problem)
         calls = spy_highs(monkeypatch)
         values = {}
         for threshold, solver in ((lp.n_cols + 1, "simplex"), (lp.n_cols, "ipm")):
@@ -302,7 +302,7 @@ class TestSizeRule:
 
     def test_unfinished_crossover_instance(self, monkeypatch):
         problem = unfinished_crossover_problem()
-        lp = build_lp(problem)
+        lp = Solver(problem.system).lp(problem)
         calls = spy_highs(monkeypatch)
         sol = solve(lp)
         assert [run.solver for run in calls] == ["ipm", "simplex"]
@@ -435,7 +435,7 @@ class TestSession:
     def test_warm_solves_match_cold(self, monkeypatch):
         rng = np.random.default_rng(3)
         base = random_transportation(rng)
-        session = Session()
+        session = Session(base.constraints)
         calls = spy_highs(monkeypatch)
         for trial in range(10):
             lp = LinearProgram(sense="max" if trial % 3 else "min", cost=rng.normal(size=base.n_cols),
@@ -449,7 +449,7 @@ class TestSession:
         assert all(run.model is calls[0].model for run in calls[::2])
 
     def test_constraints_must_match(self):
-        session = Session()
+        session = Session(self.LP.constraints)
         solve(self.LP, session=session)
         other = transportation([1.0, 1.0], [0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="session's constraints"):
@@ -461,7 +461,7 @@ class TestSession:
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
     def test_failed_warm_check_gets_one_dual_simplex_run(self, monkeypatch, check):
-        session = Session()
+        session = Session(self.LP.constraints)
         solve(self.LP, session=session)
         calls = TestStatusMapping.fake_first_run(monkeypatch, STATUS.kOptimal,
                                                  *TestStatusMapping.FAILED_RUNS[check])
@@ -472,7 +472,7 @@ class TestSession:
         check_solution_invariants(self.LP, sol)
 
     def test_failed_dual_simplex_raises_and_next_solve_is_cold(self, monkeypatch):
-        session = Session()
+        session = Session(self.LP.constraints)
         solve(self.LP, session=session)
         primal, dual = TestStatusMapping.FAILED_RUNS["reduced-cost"]
         calls = spy_highs(monkeypatch, lambda solver, res: (STATUS.kOptimal, 7, primal, dual))
@@ -510,17 +510,19 @@ class TestLinprogOracle:
     @pytest.mark.parametrize("make, methods, ipm_min_cols", [
         (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                                 np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], None),
-        (lambda: build_lp(MotProblem(smooth_pair(21), forward_start_straddle(), "lower")), ["highs-ds"], None),
-        (lambda: build_lp(MotProblem(smooth_pair(41), forward_start_straddle(), "upper")), ["highs-ipm"], None),
+        (lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
+         ["highs-ds"], None),
+        (lambda: Solver(s := smooth_pair(41)).lp(MotProblem(s, forward_start_straddle(), "upper")),
+         ["highs-ipm"], None),
         # the interior point stops unfinished on this LP, and ``solve``
         # re-solves from the crossover basis, which ``linprog`` cannot; its
         # cold dual-simplex answer, which that re-solve must match within
         # 1e-12 (TestSizeRule), is compared here
-        (lambda: build_lp(unfinished_crossover_problem()), ["highs-ds"], 10 ** 9),
+        (lambda: Solver((p := unfinished_crossover_problem()).system).lp(p), ["highs-ds"], 10 ** 9),
         # a 3-date lookback LP on which one simplex clean-up pivot follows
         # crossover: the interior-point iterations drop out of the count
-        (lambda: build_lp(MotProblem(widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15),
-                                     lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
+        (lambda: Solver(s := widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15)).lp(
+            MotProblem(s, lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
          ["highs-ipm"], None),
     ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
     def test_bit_identical_to_linprog(self, monkeypatch, make, methods, ipm_min_cols):

@@ -18,7 +18,7 @@ from motbound.hedge import price as hedge_price, slackness
 from motbound.lp import solve_exact
 from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem,
                                counterexample_marginals, detect_barriers, discretize)
-from motbound.mot import (Coupling, MotProblem, bound, build_lp, decompose_and_solve,
+from motbound.mot import (Coupling, MotProblem, Solver, bound, decompose_and_solve,
                           random_feasible_coupling, strike_sweep, surface_csv,
                           verification_grids)
 from motbound.payoff import (asian_call, custom, forward_start_call,
@@ -58,12 +58,14 @@ def check_result_invariants(problem: MotProblem, res) -> None:
 
 class TestBuildLp:
     def test_forced_shape(self):
-        lp = build_lp(MotProblem(forced_system(), forward_start_straddle(), "lower"))
+        system = forced_system()
+        lp = Solver(system).lp(MotProblem(system, forward_start_straddle(), "lower"))
         assert lp.n_cols == 2
         assert lp.n_rows == 3
 
     def test_instance_a_shape(self):
-        lp = build_lp(MotProblem(instance_a_marginals(), forward_start_straddle(), "lower"))
+        system = instance_a_marginals()
+        lp = Solver(system).lp(MotProblem(system, forward_start_straddle(), "lower"))
         assert lp.n_cols == 6
         assert lp.n_rows == 6
 
@@ -73,7 +75,7 @@ class TestBuildLp:
             DiscreteMeasure(np.array([-2.0, 2.0]), np.array([0.5, 0.5])),
             DiscreteMeasure(np.array([-3.0, 3.0]), np.array([0.5, 0.5])),
         ])
-        lp = build_lp(MotProblem(sys3, asian_call(0.0, 3), "lower"))
+        lp = Solver(sys3).lp(MotProblem(sys3, asian_call(0.0, 3), "lower"))
         assert lp.n_cols == 8
         # marginal rows 2 + 1 + 1, martingale rows 2 (j=1) + 4 (j=2)
         assert lp.n_rows == 4 + 2 + 4
@@ -81,7 +83,7 @@ class TestBuildLp:
     def test_rows_follow_history_order(self):
         # 2, 3 and 4 atoms: a reshape with the axes swapped would misplace cells
         system = three_date_system()
-        lp = build_lp(MotProblem(system, asian_call(0.0, 3), "lower"))
+        lp = Solver(system).lp(MotProblem(system, asian_call(0.0, 3), "lower"))
         grids = [mu.points for mu in system.marginals]
         shape = tuple(g.size for g in grids)
         cells = list(np.ndindex(*shape))  # one column per cell, row-major
@@ -148,11 +150,23 @@ class TestOneLayoutPerBound:
         assert all(row.ok for row in table.rows)
         assert sorted(calls) == ["__post_init__", "_histories", "_layout"] + ["verification_grids"] * 22
 
+    def test_one_public_extraction_per_bound(self, monkeypatch):
+        # bound reads its hedge through the public name, which tracers wrap
+        calls = []
+        count_calls(monkeypatch, mot, "extract_hedge", calls)
+        bound(MotProblem(instance_a_marginals(), forward_start_straddle(), "lower"))
+        assert calls == ["extract_hedge"]
+        calls.clear()
+        table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
+        assert all(row.ok for row in table.rows)
+        assert calls == ["extract_hedge"] * 22
+
     @pytest.mark.parametrize("sense", ["lower", "upper"])
     def test_public_extract_hedge_matches_bound(self, sense):
         problem = MotProblem(three_date_system(), asian_call(0.0, 3), sense)
         res = bound(problem)
-        hedge = mot.extract_hedge(mot.solve(build_lp(problem)), problem)
+        solver = Solver(problem.system)
+        hedge = mot.extract_hedge(mot.solve(solver.lp(problem)), problem, solver)
         assert hedge.cash == res.hedge.cash
         for a, b in zip(hedge.statics, res.hedge.statics):
             np.testing.assert_array_equal(a.knots, b.knots)
@@ -193,7 +207,8 @@ class TestReferenceInstances:
 
     def test_instance_a_exact(self):
         for sense in ("lower", "upper"):
-            lp = build_lp(MotProblem(instance_a_marginals(), forward_start_straddle(), sense))
+            system = instance_a_marginals()
+            lp = Solver(system).lp(MotProblem(system, forward_start_straddle(), sense))
             assert solve_exact(lp).objective_exact == Fraction(7, 6)
 
     def test_instance_b(self):
@@ -203,9 +218,9 @@ class TestReferenceInstances:
         hi = bound(MotProblem(system, payoff, "upper"))
         assert lo.value == pytest.approx(0.25, abs=1e-9)
         assert hi.value == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert solve_exact(build_lp(MotProblem(system, payoff, "lower"))).objective_exact \
+        assert solve_exact(Solver(system).lp(MotProblem(system, payoff, "lower"))).objective_exact \
             == Fraction(1, 4)
-        assert solve_exact(build_lp(MotProblem(system, payoff, "upper"))).objective_exact \
+        assert solve_exact(Solver(system).lp(MotProblem(system, payoff, "upper"))).objective_exact \
             == Fraction(1, 3)
         # subhedge price equals the bound; equality on the optimal support
         assert hedge_price(lo.hedge, system) == pytest.approx(0.25, abs=1e-9)
@@ -217,7 +232,7 @@ class TestReferenceInstances:
             for sense in ("lower", "upper"):
                 problem = MotProblem(sys3, payoff, sense)
                 res = bound(problem)
-                ex = solve_exact(build_lp(problem))
+                ex = solve_exact(Solver(sys3).lp(problem))
                 assert res.value == pytest.approx(ex.objective, abs=1e-9)
                 check_result_invariants(problem, res)
 
