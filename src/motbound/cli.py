@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     except MotboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import payoff as payoff_mod
 from .errors import GridCoverage
-from .hedge import CHUNK_CELLS, PiecewiseLinear
+from .hedge import CHUNK_CELLS, PiecewiseLinear, _rounding_twins
 from .measures import DiscreteMeasure
 from .payoff import Payoff
 
@@ -87,8 +87,7 @@ def extended_grid(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> np.ndarray:
     a zero-width grid cell would give the ascent two coordinates for one
     physical point."""
     pts = np.union1d(mu2.points, mu1.points)
-    keep = np.concatenate([[True], np.diff(pts) > 1e-12 * (1.0 + np.abs(pts[1:]))])
-    return pts[keep]
+    return pts[~_rounding_twins(pts)]
 
 
 def _check_coverage(grid: np.ndarray, mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> None:

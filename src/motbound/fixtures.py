@@ -21,10 +21,6 @@ from .hedge import DeltaTable, PiecewiseLinear, SemiStaticHedge
 from .measures import DensitySpec, DiscreteMeasure, MarginalSystem, counterexample_edges, discretize
 from .payoff import Payoff, tabulated
 
-SMOOTH_VALUE = 1.0 / 3.0
-SMOOTH_E_U1 = 11.0 / 9.0
-SMOOTH_E_U2 = -8.0 / 9.0
-
 
 def instance_a_marginals() -> MarginalSystem:
     mu1 = DiscreteMeasure(points=[-1.0, 1.0], weights=[0.5, 0.5])

@@ -99,6 +99,13 @@ def _histories(grids) -> list[np.ndarray]:
     return [h.ravel() for h in np.meshgrid(*grids, indexing="ij")]
 
 
+def _rounding_twins(points: np.ndarray) -> np.ndarray:
+    """Mask of the points of a sorted array that lie within
+    ``1e-12 * (1 + |x|)`` of the point before them: the same point up to
+    float rounding."""
+    return np.concatenate([[False], np.diff(points) <= 1e-12 * (1.0 + np.abs(points[1:]))])
+
+
 def _nearest_index(grid: np.ndarray, x) -> np.ndarray:
     """Index of the nearest node for every entry of x; ties go left."""
     x = np.asarray(x, dtype=float)

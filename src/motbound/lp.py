@@ -9,10 +9,12 @@ without presolve, and returns primal and dual optima: the dual simplex
 below ``IPM_MIN_COLS`` variables, the interior-point method with crossover
 (so both optima are still a basic solution) at or above it, and the dual
 simplex from the crossover basis when that run fails a check.  A
-``Session`` keeps one HiGHS model for LPs that share ``A`` and ``rhs``:
-after its first solve, each LP only changes the column costs and restarts
-the primal simplex from the last optimal basis, which stays primal
-feasible.  A plain ``solve`` is a one-shot session.  The binding is scipy's private ``_highspy._core``, the one its
+``Session`` is built on one ``Constraints`` object and keeps one HiGHS
+model for the LPs built on it: after its first solve, each LP only changes
+the column costs and restarts the primal simplex from the last optimal
+basis, which stays primal feasible, except that a change of sense at or
+above ``IPM_MIN_COLS`` starts cold.  A plain ``solve`` is a one-shot
+session.  The binding is scipy's private ``_highspy._core``, the one its
 ``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
 option checking and bound-marginal loop, which cost more than HiGHS itself
 on the small LPs of a strike sweep.
@@ -216,6 +218,9 @@ class Session:
     def _solve(self, lp: LinearProgram) -> LpSolution:
         if lp.constraints is not self.constraints:
             raise ValueError("the LP is not built on the session's constraints")
+        if lp.sense != self._sense and lp.n_cols >= IPM_MIN_COLS:
+            self._model = None
+        self._sense = lp.sense
         warm = self.warm
         if warm:
             self._model.changeColsCost(lp.n_cols, np.arange(lp.n_cols, dtype=np.int32),
@@ -309,7 +314,7 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     """Primal and dual optimum from HiGHS, bundled with scipy.
 
     HiGHS runs without presolve, at its tightest feasibility tolerances, on
-    the model of ``session`` (whose LPs must share the constraints object of ``lp``)
+    the model of ``session`` (which must be built on ``lp.constraints``)
     or, without one, on a model built for this solve alone and freed when it
     returns.  A cold solve runs the dual simplex below ``IPM_MIN_COLS``
     variables; from there on the interior-point method with crossover, then

@@ -320,10 +320,6 @@ class DensitySpec:
     def piecewise_linear(cls, xs: Sequence[float], ys: Sequence[float]) -> "DensitySpec":
         return cls(xs, ys)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
-
 
 def discretize(spec: DensitySpec, m: int) -> DiscreteMeasure:
     """Barycentric discretization: split the support into ``m`` cells of equal

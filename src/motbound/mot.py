@@ -20,7 +20,8 @@ from . import payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, MotboundError,
                      NotAdmissible, ScaleExceeded)
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
-                    VerificationReport, _histories, price as hedge_price, slackness, verify)
+                    VerificationReport, _histories, _rounding_twins, price as hedge_price,
+                    slackness, verify)
 from .lp import Constraints, LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
 from .payoff import Payoff
@@ -223,9 +224,10 @@ class Solver:
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
-    restarts from the last optimal basis.  Which optimal dual a degenerate
-    LP returns then depends on the solve order; callers keep it fixed,
-    with every lower bound before any upper bound."""
+    restarts from the last optimal basis, bar a change of sense at or above
+    ``lp.IPM_MIN_COLS`` columns (see :class:`~motbound.lp.Session`).  Which
+    optimal dual a degenerate LP returns then depends on the solve order;
+    callers keep it fixed, with every lower bound before any upper bound."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
@@ -267,7 +269,9 @@ def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: n
     side of the payoff at them: each new knot takes the tightest value over
     all histories, and the wings take the tightest admissible slopes given
     the payoff's exact ones.  Values at existing knots (in particular at the
-    final marginal's atoms) are kept, so the hedge price is unchanged.
+    final marginal's atoms) are kept, so the hedge price is unchanged.  A
+    candidate within rounding (``hedge._rounding_twins``) of a knot or of a
+    smaller candidate is not added.
     Payoffs with no declared last-axis data are left alone.  ``hist`` holds
     every history of dates 1..n-1, one flat array per date."""
     data = payoff_mod.last_axis(payoff, *hist)
@@ -283,6 +287,12 @@ def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: n
     z_all = np.union1d(u_n.knots, np.asarray(z_candidates, dtype=float))
     fresh = np.ones(z_all.size, dtype=bool)
     fresh[np.searchsorted(z_all, u_n.knots)] = False
+    # runs of rounding twins are one point: a knot when the run holds one,
+    # else the run's first candidate
+    twin = _rounding_twins(z_all)
+    run = np.cumsum(~twin)
+    keep = ~fresh | ~(twin | (np.bincount(run, weights=~fresh) > 0)[run])
+    z_all, fresh = z_all[keep], fresh[keep]
     z_new = z_all[fresh]
     # A subhedge's new values and right wing take the minimum over histories
     # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
@@ -419,13 +429,14 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
 
     Without ``solver`` the LP is assembled and solved for this bound alone;
     with one (built on ``problem.system``) it is solved on the solver's
-    session, from the last optimal basis when there is one;
+    session, from the last optimal basis when the session keeps one for it;
     :func:`motbound.lp.solve` checks the optimum at ``lp.FEAS_TOL``.  The
     LP dual is read as a semi-static hedge and checked on the verification
     grids (to ``hedge.VERIFY_TOL``) and against the value.  A dual that
     fails the grid check (degenerate optima yield several duals) or whose
     price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
-    DegenerateDual; a warm-started one is first solved again cold, once.
+    DegenerateDual; one from a solve that ran warm is first solved again
+    cold, once.
     These gates are module constants, the same for every caller.
     ``solve_attempts`` in the extras counts the HiGHS runs behind the
     result, the cold re-solve's included."""
@@ -503,7 +514,7 @@ def strike_sweep(system: MarginalSystem, strikes) -> SweepTable:
     strike in the given order.
 
     Every bound is solved on one :class:`Solver`, every lower bound before
-    any upper bound, each from the last optimal basis.  A strike whose bound
+    any upper bound, each from the last optimal basis that its session keeps.  A strike whose bound
     raises gets an error row, and its upper bound is not solved after a
     failed lower one."""
     if system.n_dates != 2:

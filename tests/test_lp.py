@@ -448,6 +448,16 @@ class TestSession:
             check_solution_invariants(lp, warm)
         assert all(run.model is calls[0].model for run in calls[::2])
 
+    def test_change_of_sense_at_interior_point_size_starts_cold(self, monkeypatch):
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        session = Session(self.LP.constraints)
+        flipped = LinearProgram("max" if self.LP.sense == "min" else "min", self.LP.cost, self.LP.constraints)
+        calls = spy_highs(monkeypatch)
+        warm = [solve(lp, session=session).warm for lp in (self.LP, self.LP, flipped, flipped)]
+        assert warm == [False, True, False, True]
+        assert [run.solver for run in calls] == ["ipm", "primal", "ipm", "primal"]
+        assert calls[2].model is not calls[0].model
+
     def test_constraints_must_match(self):
         session = Session(self.LP.constraints)
         solve(self.LP, session=session)

@@ -14,7 +14,7 @@ from motbound.errors import (DegenerateDual, DimensionMismatch, Infeasible, NotA
                              ScaleExceeded)
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
                                instance_b_payoff, smooth_pair)
-from motbound.hedge import price as hedge_price, slackness
+from motbound.hedge import hedge_to_json, price as hedge_price, slackness
 from motbound.lp import solve_exact
 from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem,
                                counterexample_marginals, detect_barriers, discretize)
@@ -256,6 +256,23 @@ class TestGaugeAndIdentities:
             assert straddle == pytest.approx(2.0 * call, abs=1e-9)
 
 
+class TestAugmentedKnots:
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_no_rounding_twins(self, sense):
+        # smooth_pair(15) has date-1 atoms, and midpoints, a few ulps from
+        # date-2 atoms: the verification grid keeps them, u_2 does not
+        def spaced(x):
+            x = np.sort(x)
+            return bool(np.all(np.diff(x) > 1e-12 * (1.0 + np.abs(x[1:]))))
+
+        problem = MotProblem(smooth_pair(15), forward_start_straddle(), sense)
+        res = bound(problem)
+        assert not spaced(verification_grids(problem)[-1])
+        assert spaced(res.hedge.statics[-1].knots)
+        for portfolio in hedge_to_json(res.hedge)["portfolios"]:
+            assert spaced([leg["strike"] for leg in portfolio["legs"]])
+
+
 class TestSweep:
     def test_instance_a_k1(self):
         table = strike_sweep(instance_a_marginals(), [1.0])
@@ -337,6 +354,29 @@ class TestWarmSolves:
                 pivots["cold"] += cold.diagnostics.extras["lp_iterations"]
         assert solver.session.warm
         assert pivots["warm"] < pivots["cold"]
+
+    @pytest.mark.parametrize("m, first_upper_run", [(21, "primal"), (41, "ipm")])
+    def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, m, first_upper_run):
+        # 441 cells restart the upper bound from the lower optimum; 1,681
+        # (at least lp.IPM_MIN_COLS) solve it as a one-shot bound does
+        solver = mot.Solver(smooth_pair(m))
+        problem = {sense: MotProblem(solver.system, forward_start_straddle(), sense)
+                   for sense in ("lower", "upper")}
+        runs = []
+        run_highs = lp_mod._run_highs
+        monkeypatch.setattr(lp_mod, "_run_highs", lambda model, name: runs.append(name) or run_highs(model, name))
+        bound(problem["lower"], solver=solver)
+        del runs[:]
+        upper = bound(problem["upper"], solver=solver)
+        assert runs[0] == first_upper_run
+        monkeypatch.undo()
+        cold = bound(problem["upper"])
+        assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
+        if first_upper_run == "ipm":
+            assert upper.value == cold.value
+            assert upper.diagnostics.extras == cold.diagnostics.extras
+            for a, b in zip(upper.hedge.statics, cold.hedge.statics):
+                np.testing.assert_array_equal(a.values, b.values)
 
     def test_problem_on_another_system_is_rejected(self):
         solver = mot.Solver(instance_a_marginals())
@@ -592,6 +632,24 @@ class TestDualChecks:
         assert res.report.valid
         monkeypatch.undo()
         assert res.value == bound(problem).value
+
+
+    def test_cold_solve_after_a_change_of_sense_is_not_repeated(self, monkeypatch):
+        # at or above lp.IPM_MIN_COLS a change of sense starts cold, so a
+        # dual that fails the hedge check there raises after one solve
+        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        system, payoff = instance_a_marginals(), instance_b_payoff()
+        solver = mot.Solver(system)
+        bound(MotProblem(system, payoff, "lower"), solver=solver)
+        assert solver.session.warm
+        solve, verify = mot.solve, mot.verify
+        sessions = []
+        monkeypatch.setattr(mot, "solve", lambda lp, **kwargs: sessions.append(kwargs["session"])
+                            or solve(lp, **kwargs))
+        monkeypatch.setattr(mot, "verify", lambda *args: dataclasses.replace(verify(*args), max_violation=1.0))
+        with pytest.raises(DegenerateDual, match="INVALID"):
+            bound(MotProblem(system, payoff, "upper"), solver=solver)
+        assert sessions == [solver.session]
 
 
 class TestThreeDateScale:
