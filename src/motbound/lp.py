@@ -146,9 +146,8 @@ class LpSolution:
     a warm primal-simplex run.  Simplex clean-up pivots after crossover
     therefore replace the interior-point count rather than add to it.  A
     warm solve counts only its own pivots from the basis it started at.
-    ``runs`` is the number of HiGHS runs behind the solution (1 or 2);
-    ``warm`` tells whether the first of them restarted from a session's
-    basis."""
+    ``runs`` counts the HiGHS runs behind the solution (1 or 2), ``warm``
+    whether the first restarted from a session's basis."""
 
     primal: np.ndarray
     dual: np.ndarray
@@ -162,20 +161,19 @@ class LpSolution:
 
 
 class Session:
-    """One HiGHS model of ``constraints``, kept for solving LPs built on that
-    object, which differ only in cost and sense.
+    """One HiGHS model of ``constraints``, kept for solving the LPs built on
+    that object, which differ only in cost and sense.
 
     The model is built at the first solve, which runs cold by the size rule
     of :func:`solve`.  Once a solve has passed every check, the next one
     only changes the column costs and runs the primal simplex from that
     solve's basis, which a change of cost leaves primal feasible.  At or
-    above ``IPM_MIN_COLS`` columns, a change of sense frees the model
-    instead: the optimum of the other sense is a poor start there, far
-    slower than a cold solve.  A solve that raises also frees the model, so
-    the one after it runs cold again.  Solve order therefore decides which
-    optimum a degenerate LP returns: the same order gives the same bits, but
-    a warm optimum can differ from a cold one.  An LP built on another
-    ``Constraints`` object, even one with equal arrays, is refused."""
+    above ``IPM_MIN_COLS`` columns a change of sense frees the model
+    instead, as the other sense's optimum is a far slower start there than
+    none.  A solve that raises also frees the model.  Solve order therefore
+    decides which optimum a degenerate LP returns: the same order gives the
+    same bits, but a warm optimum can differ from a cold one.  An LP built
+    on another ``Constraints`` object, even with equal arrays, is refused."""
 
     def __init__(self, constraints: Constraints) -> None:
         self.constraints = constraints

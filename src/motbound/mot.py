@@ -11,6 +11,7 @@ static payouts u_i, martingale-row duals are the delta positions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -214,13 +215,13 @@ def _constraints(layout: _Layout, system: MarginalSystem) -> Constraints:
 
 
 class Solver:
-    """Every part of the transport LP of one marginal system, built once:
-    its layout (whose ``grids`` are the atoms), its
-    :class:`~motbound.lp.Constraints` (checked once), one HiGHS
-    :class:`~motbound.lp.Session` on them, every history of dates 1..n-1
-    (one flat array per date, row-major) and ``last_axis``, the part of the
-    final verification axis that no payoff changes: the union of every
-    date's atoms, refined once by midpoints, plus zero.
+    """The parts of one marginal system's transport LP, built once: its
+    layout (whose ``grids`` are the atoms), every history of dates 1..n-1
+    (one flat array per date, row-major), ``last_axis`` (every date's atoms,
+    their midpoints and zero: what no payoff changes of the final
+    verification axis) and, at first use, its
+    :class:`~motbound.lp.Constraints` (checked once) and a HiGHS
+    :class:`~motbound.lp.Session` on them.
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
@@ -232,11 +233,17 @@ class Solver:
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
         self.layout = _layout(system)
-        self.constraints = _constraints(self.layout, system)
-        self.session = Session(self.constraints)
         self.histories = tuple(_histories(self.layout.grids[:-1]))
         joint = np.unique(np.concatenate(self.layout.grids))
         self.last_axis = np.unique(np.concatenate([joint, 0.5 * (joint[:-1] + joint[1:]), [0.0]]))
+
+    @functools.cached_property
+    def constraints(self) -> Constraints:
+        return _constraints(self.layout, self.system)
+
+    @functools.cached_property
+    def session(self) -> Session:
+        return Session(self.constraints)
 
     def lp(self, problem: MotProblem) -> LinearProgram:
         """The transport LP of ``problem``: cell masses, marginal rows (one
@@ -291,7 +298,8 @@ def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: n
     # else the run's first candidate
     twin = _rounding_twins(z_all)
     run = np.cumsum(~twin)
-    keep = ~fresh | ~(twin | (np.bincount(run, weights=~fresh) > 0)[run])
+    has_knot = np.bincount(run, weights=~fresh) > 0
+    keep = ~fresh | ~(twin | has_knot[run])
     z_all, fresh = z_all[keep], fresh[keep]
     z_new = z_all[fresh]
     # A subhedge's new values and right wing take the minimum over histories
@@ -329,8 +337,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     ``problem.system`` for this call when not given; ``grids`` default to
     the problem's :func:`verification_grids`."""
     solver = solver or Solver(problem.system)
-    if grids is None:
-        grids = verification_grids(problem, solver)
+    grids = grids or verification_grids(problem, solver)
     layout = solver.layout
     system = problem.system
     n = system.n_dates
@@ -436,10 +443,9 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     fails the grid check (degenerate optima yield several duals) or whose
     price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
     DegenerateDual; one from a solve that ran warm is first solved again
-    cold, once.
-    These gates are module constants, the same for every caller.
-    ``solve_attempts`` in the extras counts the HiGHS runs behind the
-    result, the cold re-solve's included."""
+    cold, once.  These gates are module constants, the same for every
+    caller.  ``solve_attempts`` in the extras counts the HiGHS runs behind
+    the result, the cold re-solve's included."""
     solver = solver or Solver(problem.system)
     lp = solver.lp(problem)
     sol = _solve(lp, solver.session)
@@ -542,11 +548,10 @@ def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:
     objective; deterministic per seed."""
     if not system.admissible:
         raise NotAdmissible("marginals are not in convex order")
-    layout = _layout(system)
-    rng = np.random.default_rng(seed)
-    cost = rng.uniform(-1.0, 1.0, size=layout.n_cells)
-    sol = solve(LinearProgram("min", cost, _constraints(layout, system)))
-    return _coupling_from_primal(sol.primal, layout)
+    solver = Solver(system)
+    cost = np.random.default_rng(seed).uniform(-1.0, 1.0, size=solver.layout.n_cells)
+    sol = solve(LinearProgram("min", cost, solver.constraints))
+    return _coupling_from_primal(sol.primal, solver.layout)
 
 
 def surface_csv(problem: MotProblem, result: MotResult) -> str:

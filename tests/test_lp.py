@@ -451,7 +451,7 @@ class TestSession:
     def test_change_of_sense_at_interior_point_size_starts_cold(self, monkeypatch):
         monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
         session = Session(self.LP.constraints)
-        flipped = LinearProgram("max" if self.LP.sense == "min" else "min", self.LP.cost, self.LP.constraints)
+        flipped = LinearProgram("max", self.LP.cost, self.LP.constraints)
         calls = spy_highs(monkeypatch)
         warm = [solve(lp, session=session).warm for lp in (self.LP, self.LP, flipped, flipped)]
         assert warm == [False, True, False, True]
