@@ -162,7 +162,7 @@ class TestOneLayoutPerBound:
         assert calls == ["extract_hedge"] * 22
 
     @pytest.mark.parametrize("sense", ["lower", "upper"])
-    def test_public_extract_hedge_matches_bound(self, sense):
+    def test_public_extraction_matches_bound(self, sense):
         problem = MotProblem(three_date_system(), asian_call(0.0, 3), sense)
         res = bound(problem)
         solver = Solver(problem.system)
