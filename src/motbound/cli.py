@@ -23,14 +23,13 @@ import numpy as np
 
 from . import envelope as env_mod
 from . import fixtures
-from . import payoff as payoff_mod
 from .errors import BadSpec, DimensionMismatch, MotboundError, OffGrid
 from .hedge import check_arbitrage, hedge_to_json, price as hedge_price
 from .measures import (MarginalSystem, check_convex_order, counterexample_marginals,
                        from_call_curve, load_call_curves)
 from .mot import (MotProblem, Solver, bound, decompose_and_solve, fmt12,
                   random_feasible_coupling, strike_sweep, surface_csv)
-from .payoff import Payoff
+from .payoff import BUILTINS, Payoff
 
 # MotboundError subclasses that signal a misconfigured run rather than a
 # genuine domain obstruction; they map to exit 2 like I/O failures.
@@ -90,25 +89,20 @@ def _spot_from(args, curves) -> float:
 
 
 def _parse_payoff(text: str, n_dates: int) -> Payoff:
-    """A payoff JSON file, or a shorthand like ``forward_start_call:1.05``."""
+    """A payoff JSON file, or a shorthand ``kind[:value]`` read as the kind's JSON form."""
     path = Path(text)
     if path.suffix.lower() == ".json" or path.exists():
         return Payoff.from_json(json.loads(path.read_text()))
-    name, _, arg = text.partition(":")
-    if name in ("straddle", "forward_start_straddle"):
-        return payoff_mod.forward_start_straddle()
-    if name == "negated_straddle":
-        return payoff_mod.negated_straddle()
-    if name == "forward_start_call":
-        return payoff_mod.forward_start_call(float(arg) if arg else 1.0)
-    if name == "asian_call":
-        return payoff_mod.asian_call(float(arg), n_dates)
-    if name == "lookback_call":
-        return payoff_mod.lookback_call(float(arg), n_dates)
-    raise ValueError(
-        f"unknown payoff {text!r}; pass a JSON file or one of straddle, "
-        "negated_straddle, forward_start_call[:ratio], asian_call:strike, "
-        "lookback_call:strike")
+    name, colon, value = text.partition(":")
+    kind = "forward_start_straddle" if name == "straddle" else name
+    record = BUILTINS.get(kind)
+    if record is None:
+        raise ValueError(f"unknown payoff {text!r}; pass a JSON file or kind[:value] "
+                         f"with kind one of straddle, {', '.join(BUILTINS)}")
+    if colon and record.param is None:
+        raise ValueError(f"payoff {name!r} takes no value, got {text!r}")
+    params = {record.param: float(value)} if colon else {}
+    return Payoff.from_json({"kind": kind, "n": n_dates, "params": params})
 
 
 def _parse_strikes(text: str) -> list[float]:
@@ -249,7 +243,7 @@ def cmd_arb(args) -> int:
 
 def cmd_counterexample(args) -> int:
     system = counterexample_marginals(args.blocks, args.grid)
-    payoff = payoff_mod.negated_straddle()
+    payoff = fixtures.counterexample_payoff()
     res = decompose_and_solve(MotProblem(system, payoff, "lower"))
     closed = fixtures.counterexample_value(args.blocks)
     edges = fixtures.counterexample_edges(args.blocks)

@@ -5,9 +5,9 @@ cover the exotics the solver is exercised on; ``tabulated`` wraps explicit
 values on a product grid (exact node lookup only) and ``custom`` wraps an
 arbitrary callable.
 
-Each built-in kind is spelled out twice: its value formula in ``_values``,
-which every evaluation routine calls, and its piecewise-linear data in the
-final date (kinks and exact wing slopes) in ``last_axis``.
+Each built-in kind is one :class:`Builtin` record in ``BUILTINS``; every
+evaluation routine calls its formula, and :class:`Payoff` checks a built-in's
+``n`` and ``params`` against it, so every ``Payoff`` that exists is valid.
 
 No payoff needs a growth bound: the date-1 mass rows keep every cell mass
 in [0, 1], so the transport LP's feasible set is bounded.
@@ -15,23 +15,48 @@ in [0, 1], so the transport LP's feasible set is bounded.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, OffGrid
 
-KINDS = (
-    "forward_start_call",
-    "forward_start_straddle",
-    "negated_straddle",
-    "asian_call",
-    "lookback_call",
-    "tabulated",
-    "custom",
-)
+
+class LastAxis(NamedTuple):
+    """z -> payoff(history, z) is piecewise linear with these kinks (each
+    broadcast over the history coordinates) and these exact wing slopes."""
+
+    kinks: tuple
+    left_slope: float
+    right_slope: float
+
+
+class Builtin(NamedTuple):
+    """A built-in kind: ``values(k, n, s)`` over per-date arrays ``s`` that broadcast
+    together, and its final-date data ``last_axis(k, n, history)``, for parameter value ``k``."""
+
+    param: str | None  # the one parameter, or None when the kind takes none
+    default: float | None  # its default, or None when it is required
+    dates: int | None  # the date count, or None for any n >= 2
+    values: Callable
+    last_axis: Callable
+
+
+BUILTINS = {
+    "forward_start_call": Builtin("strike_ratio", 1.0, 2, lambda k, n, s: np.maximum(s[-1] - k * s[0], 0.0),
+                                  lambda k, n, h: LastAxis((k * h[0],), 0.0, 1.0)),
+    "forward_start_straddle": Builtin(None, None, 2, lambda k, n, s: np.abs(s[-1] - s[0]),
+                                      lambda k, n, h: LastAxis((h[0],), -1.0, 1.0)),
+    "negated_straddle": Builtin(None, None, 2, lambda k, n, s: -np.abs(s[-1] - s[0]),
+                                lambda k, n, h: LastAxis((h[0],), 1.0, -1.0)),
+    "asian_call": Builtin("strike", None, None, lambda k, n, s: np.maximum(sum(s) / n - k, 0.0),
+                          lambda k, n, h: LastAxis((n * k - sum(h),), 0.0, 1.0 / n)),
+    "lookback_call": Builtin("strike", None, None, lambda k, n, s: np.maximum(reduce(np.maximum, s) - k, 0.0),
+                             lambda k, n, h: LastAxis((k, np.maximum(reduce(np.maximum, h), k)), 0.0, 1.0)),
+}
+KINDS = (*BUILTINS, "tabulated", "custom")
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -50,6 +75,19 @@ class Payoff:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("need at least two dates")
+        record = BUILTINS.get(self.kind)
+        if record is None:
+            return
+        if record.dates not in (None, self.n):
+            raise ValueError(f"payoff kind {self.kind!r} cannot take n={self.n}; it covers {record.dates} dates")
+        extra = set(self.params) - {record.param}
+        if extra:
+            raise ValueError(f"payoff kind {self.kind!r} takes no parameter {extra.pop()!r}")
+        if record.param is not None:
+            value = self.params.get(record.param, record.default)
+            if value is None:
+                raise ValueError(f"payoff kind {self.kind!r} needs parameter {record.param!r}")
+            object.__setattr__(self, "params", {record.param: float(value)})
 
     def to_json(self) -> dict:
         if self.kind == "custom":
@@ -62,32 +100,22 @@ class Payoff:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Payoff":
-        """Rebuild a payoff; an ``n`` the kind cannot take raises ValueError."""
-        kind = obj["kind"]
-        n = int(obj.get("n", 2))
-        params = dict(obj.get("params", {}))
-        if kind == "forward_start_call":
-            payoff = forward_start_call(float(params.get("strike_ratio", 1.0)))
-        elif kind == "forward_start_straddle":
-            payoff = forward_start_straddle()
-        elif kind == "negated_straddle":
-            payoff = negated_straddle()
-        elif kind == "asian_call":
-            payoff = asian_call(float(params["strike"]), n)
-        elif kind == "lookback_call":
-            payoff = lookback_call(float(params["strike"]), n)
-        elif kind == "tabulated":
+        """Rebuild a payoff; ``n`` defaults to the kind's date count, else 2.
+        An ``n`` or a parameter the kind cannot take raises ValueError."""
+        kind, params = obj["kind"], dict(obj.get("params", {}))
+        if kind == "tabulated":
             payoff = tabulated(params["grids"], params["values"])
-        else:
+            if int(obj.get("n", payoff.n)) != payoff.n:
+                raise ValueError(f"payoff kind 'tabulated' cannot take n={obj['n']}; it covers {payoff.n} dates")
+            return payoff
+        if kind not in BUILTINS:
             raise ValueError(f"cannot build payoff kind {kind!r} from JSON")
-        if "n" in obj and payoff.n != n:
-            raise ValueError(f"payoff kind {kind!r} cannot take n={n}; it covers {payoff.n} dates")
-        return payoff
+        return cls(kind=kind, n=int(obj.get("n", BUILTINS[kind].dates or 2)), params=params)
 
 
 def forward_start_call(strike_ratio: float = 1.0) -> Payoff:
     """(s_2 - k * s_1)^+ on two dates."""
-    return Payoff(kind="forward_start_call", n=2, params={"strike_ratio": float(strike_ratio)})
+    return Payoff(kind="forward_start_call", n=2, params={"strike_ratio": strike_ratio})
 
 
 def forward_start_straddle() -> Payoff:
@@ -102,12 +130,12 @@ def negated_straddle() -> Payoff:
 
 def asian_call(strike: float, n: int = 2) -> Payoff:
     """(mean(s) - K)^+ over all n dates."""
-    return Payoff(kind="asian_call", n=n, params={"strike": float(strike)})
+    return Payoff(kind="asian_call", n=n, params={"strike": strike})
 
 
 def lookback_call(strike: float, n: int = 2) -> Payoff:
     """(max(s) - K)^+ over all n dates."""
-    return Payoff(kind="lookback_call", n=n, params={"strike": float(strike)})
+    return Payoff(kind="lookback_call", n=n, params={"strike": strike})
 
 
 def tabulated(grids: Sequence[Sequence[float]], values) -> Payoff:
@@ -142,18 +170,10 @@ def _grid_index(grid: np.ndarray, x) -> np.ndarray:
 
 def _values(payoff: Payoff, *s) -> np.ndarray:
     """Payoff over per-date coordinate arrays that broadcast together."""
-    kind, p = payoff.kind, payoff.params
-    if kind == "forward_start_call":
-        return np.maximum(s[-1] - p["strike_ratio"] * s[0], 0.0)
-    if kind == "forward_start_straddle":
-        return np.abs(s[-1] - s[0])
-    if kind == "negated_straddle":
-        return -np.abs(s[-1] - s[0])
-    if kind == "asian_call":
-        return np.maximum(sum(s) / payoff.n - p["strike"], 0.0)
-    if kind == "lookback_call":
-        return np.maximum(functools.reduce(np.maximum, s) - p["strike"], 0.0)
-    if kind == "tabulated":
+    record = BUILTINS.get(payoff.kind)
+    if record is not None:
+        return record.values(payoff.params.get(record.param), payoff.n, s)
+    if payoff.kind == "tabulated":
         return payoff.values[tuple(_grid_index(g, x) for g, x in zip(payoff.grids, s))]
     s = np.broadcast_arrays(*s)
     out = np.empty(s[0].shape)
@@ -162,32 +182,12 @@ def _values(payoff: Payoff, *s) -> np.ndarray:
     return out
 
 
-class LastAxis(NamedTuple):
-    """z -> payoff(history, z) is piecewise linear with these kinks (each
-    broadcast over the history coordinates) and these exact wing slopes."""
-
-    kinks: tuple
-    left_slope: float
-    right_slope: float
-
-
 def last_axis(payoff: Payoff, *history) -> LastAxis | None:
     """Kinks and wing slopes in the final date for per-date history
     coordinates (scalars or arrays that broadcast together).  None for
     tabulated and custom payoffs, whose continuum behaviour is not modelled."""
-    kind, p = payoff.kind, payoff.params
-    if kind == "forward_start_call":
-        return LastAxis((p["strike_ratio"] * history[0],), 0.0, 1.0)
-    if kind == "forward_start_straddle":
-        return LastAxis((history[0],), -1.0, 1.0)
-    if kind == "negated_straddle":
-        return LastAxis((history[0],), 1.0, -1.0)
-    if kind == "asian_call":
-        return LastAxis((payoff.n * p["strike"] - sum(history),), 0.0, 1.0 / payoff.n)
-    if kind == "lookback_call":
-        running = functools.reduce(np.maximum, history)
-        return LastAxis((p["strike"], np.maximum(running, p["strike"])), 0.0, 1.0)
-    return None
+    record = BUILTINS.get(payoff.kind)
+    return None if record is None else record.last_axis(payoff.params.get(record.param), payoff.n, history)
 
 
 def evaluate(payoff: Payoff, s: Sequence[float]) -> float:

@@ -14,8 +14,10 @@ import motbound.cli as cli
 import motbound.mot as mot
 from motbound.cli import main
 from motbound.fixtures import instance_a_marginals, smooth_pair
-from motbound.measures import (DiscreteMeasure, MarginalSystem, call_price,
-                               counterexample_marginals)
+from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem, call_price,
+                               counterexample_marginals, discretize)
+from motbound.payoff import (asian_call, forward_start_call, forward_start_straddle,
+                             lookback_call, negated_straddle)
 
 
 @pytest.fixture()
@@ -123,6 +125,64 @@ class TestBounds:
         monkeypatch.setattr(mot, "GAP_TOL", 0.5 * gap / scale)
         assert main(argv) == 1
         assert "duality gap" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def marginals_3(tmp_path):
+    """Three uniform dates with five atoms each, widening with the date."""
+    system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 5)
+                             for k in (1, 2, 3)])
+    path = tmp_path / "three_dates.json"
+    path.write_text(json.dumps(system.to_json()))
+    return str(path)
+
+
+class TestPayoffShorthand:
+    @pytest.mark.parametrize("shorthand, payoff, dates", [
+        ("straddle", forward_start_straddle(), 2),
+        ("forward_start_straddle", forward_start_straddle(), 2),
+        ("negated_straddle", negated_straddle(), 2),
+        ("forward_start_call", forward_start_call(1.0), 2),
+        ("forward_start_call:1.05", forward_start_call(1.05), 2),
+        ("asian_call:1.0", asian_call(1.0, 3), 3),
+        ("lookback_call:1.05", lookback_call(1.05, 3), 3),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_matches_the_json_file(self, shorthand, payoff, dates, marginals_a, marginals_3,
+                                   tmp_path):
+        marginals = marginals_a if dates == 2 else marginals_3
+        spec = tmp_path / "payoff.json"
+        spec.write_text(json.dumps(payoff.to_json()))
+        artifacts = []
+        for name, arg in (("shorthand", shorthand), ("file", str(spec))):
+            dest = tmp_path / f"{name}.json"
+            assert main(["bounds", "--marginals", marginals, "--payoff", arg,
+                         "--sense", "both", "--out", str(dest)]) == 0
+            artifacts.append(dest.read_bytes())
+        assert artifacts[0] == artifacts[1]
+        assert json.loads(artifacts[0])["payoff"] == payoff.to_json()
+
+    @pytest.mark.parametrize("arg, dates, message", [
+        ("straddle:5", 2, "takes no value"),
+        ("negated_straddle:1", 2, "takes no value"),
+        ("asian_call", 3, "needs parameter 'strike'"),
+        ("lookback_call", 2, "needs parameter 'strike'"),
+        ("straddle", 3, "cannot take n=3"),
+        ("forward_start_call:1.1", 3, "cannot take n=3"),
+        ("tabulated", 2, "unknown payoff"),
+    ], ids=["straddle_value", "negated_value", "asian_no_strike", "lookback_no_strike",
+            "straddle_3_dates", "call_3_dates", "tabulated"])
+    def test_bad_shorthand_is_config_error(self, arg, dates, message, marginals_a, marginals_3,
+                                           capsys):
+        marginals = marginals_a if dates == 2 else marginals_3
+        assert main(["bounds", "--marginals", marginals, "--payoff", arg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_json_parameter_the_kind_does_not_take_is_config_error(self, marginals_a, tmp_path,
+                                                                  capsys):
+        spec = tmp_path / "payoff.json"
+        spec.write_text(json.dumps({"kind": "forward_start_call", "params": {"strike": 1.3}}))
+        assert main(["bounds", "--marginals", marginals_a, "--payoff", str(spec)]) == 2
+        assert "no parameter 'strike'" in capsys.readouterr().err
 
 
 class TestParser:

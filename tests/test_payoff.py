@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motbound.errors import DimensionMismatch, OffGrid
-from motbound.payoff import (Payoff, asian_call, custom, evaluate, evaluate_last_axis,
+from motbound.payoff import (BUILTINS, KINDS, Payoff, asian_call, custom, evaluate, evaluate_last_axis,
                              forward_start_call, forward_start_straddle, last_axis,
                              last_coord_kinks, lookback_call, negated_straddle, tabulate,
                              tabulated)
@@ -159,7 +159,42 @@ class TestJson:
         with pytest.raises(ValueError, match="n=3"):
             Payoff.from_json({**obj, "n": 3})
 
+    def test_rejects_a_parameter_the_kind_does_not_take(self):
+        # read as the at-the-money call before every kind took only its own parameter
+        with pytest.raises(ValueError, match="forward_start_call.*no parameter 'strike'"):
+            Payoff.from_json({"kind": "forward_start_call", "params": {"strike": 1.3}})
+
+    @pytest.mark.parametrize("kind", ["asian_call", "lookback_call"])
+    def test_required_parameter_is_named(self, kind):
+        with pytest.raises(ValueError, match=f"{kind}.*needs parameter 'strike'"):
+            Payoff.from_json({"kind": kind, "n": 3, "params": {}})
+
+    def test_default_parameter_fills_in(self):
+        pay = Payoff.from_json({"kind": "forward_start_call"})
+        assert pay.n == 2 and pay.params == {"strike_ratio": 1.0}
+
     def test_custom_has_no_json(self):
         pay = custom(lambda s: 0.0, n=2)
         with pytest.raises(ValueError):
             pay.to_json()
+
+
+class TestRecords:
+    def test_kinds_come_from_the_records(self):
+        assert KINDS == (*BUILTINS, "tabulated", "custom")
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kind": "forward_start_call", "n": 3, "params": {"strike_ratio": 1.0}}, "n=3"),
+        ({"kind": "negated_straddle", "n": 3, "params": {}}, "n=3"),
+        ({"kind": "asian_call", "n": 3, "params": {}}, "needs parameter 'strike'"),
+        ({"kind": "lookback_call", "n": 2, "params": {"strike": 1.0, "cap": 2.0}}, "no parameter 'cap'"),
+        ({"kind": "forward_start_straddle", "n": 2, "params": {"strike_ratio": 1.0}},
+         "no parameter 'strike_ratio'"),
+    ], ids=["fixed_n", "fixed_n_no_param", "missing", "extra", "extra_no_param"])
+    def test_direct_construction_is_checked(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Payoff(**kwargs)
+
+    def test_parameter_is_stored_as_float(self):
+        pay = Payoff(kind="asian_call", n=3, params={"strike": 1})
+        assert pay.params == {"strike": 1.0} and type(pay.params["strike"]) is float
