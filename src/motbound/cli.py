@@ -115,8 +115,12 @@ def _parse_strikes(text: str) -> list[float]:
         count = int(round((stop - start) / step))
         if abs(start + count * step - stop) > 1e-9 * (1.0 + abs(stop)):
             raise ValueError("strike range: step does not divide the span")
-        return [start + k * step for k in range(count + 1)]
-    return [float(p) for p in text.split(",") if p.strip()]
+        strikes = [start + k * step for k in range(count + 1)]
+    else:
+        strikes = [float(p) for p in text.split(",") if p.strip()]
+    if not strikes:
+        raise ValueError("no strikes")
+    return strikes
 
 
 def _result_json(res) -> dict:

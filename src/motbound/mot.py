@@ -84,10 +84,8 @@ class Coupling:
         return np.bincount(self.indices[:, i], weights=self.masses, minlength=self.grids[i].size)
 
     def expectation(self, payoff: Payoff) -> float:
-        vals = payoff_mod.tabulate(payoff, self.grids)
-        shape = tuple(g.size for g in self.grids)
-        flat = np.ravel_multi_index(tuple(self.indices.T), shape)
-        return float(np.dot(vals[flat], self.masses))
+        paths = self.paths().T
+        return float(np.dot(payoff_mod.evaluate_last_axis(payoff, paths[:-1], paths[-1]), self.masses))
 
     def max_marginal_residual(self, system: MarginalSystem) -> float:
         worst = 0.0
@@ -249,10 +247,16 @@ class Solver:
         """The transport LP of ``problem``: cell masses, marginal rows (one
         redundant row per date beyond the first dropped at the heaviest
         atom), and one conditional-mean row per history cell."""
-        if problem.system is not self.system:
-            raise ValueError("the problem's marginal system is not the solver's")
+        _solver_for(problem, self)
         return LinearProgram("min" if problem.sense == "lower" else "max",
                              payoff_mod.tabulate(problem.payoff, self.layout.grids), self.constraints)
+
+
+def _solver_for(problem: MotProblem, solver: Solver | None) -> Solver:
+    """``solver`` (ValueError unless it is built on ``problem.system``), else a new one."""
+    if solver is not None and solver.system is not problem.system:
+        raise ValueError("the problem's marginal system is not the solver's")
+    return solver or Solver(problem.system)
 
 
 def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
@@ -262,7 +266,7 @@ def verification_grids(problem: MotProblem, solver: Solver | None = None) -> lis
     kinks.  Payoffs with no declared last-axis data (tabulated, custom) get
     no refinement.  The payoff-free parts come from ``solver``, built on
     ``problem.system`` for this call when not given."""
-    solver = solver or Solver(problem.system)
+    solver = _solver_for(problem, solver)
     data = payoff_mod.last_axis(problem.payoff, *solver.histories)
     if data is None:
         return list(solver.layout.grids)
@@ -336,7 +340,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     The row layout and the histories come from ``solver``, built on
     ``problem.system`` for this call when not given; ``grids`` default to
     the problem's :func:`verification_grids`."""
-    solver = solver or Solver(problem.system)
+    solver = _solver_for(problem, solver)
     grids = grids or verification_grids(problem, solver)
     layout = solver.layout
     system = problem.system
@@ -446,7 +450,7 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     cold, once.  These gates are module constants, the same for every
     caller.  ``solve_attempts`` in the extras counts the HiGHS runs behind
     the result, the cold re-solve's included."""
-    solver = solver or Solver(problem.system)
+    solver = _solver_for(problem, solver)
     lp = solver.lp(problem)
     sol = _solve(lp, solver.session)
     grids = verification_grids(problem, solver)

@@ -268,6 +268,14 @@ class TestSweep:
                          "--strikes", "0.8,1.0,1.2", "--out", str(dest)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("strikes", ["1.0:0.5:0.1", ","], ids=["reversed_range", "empty_list"])
+    def test_no_strikes_is_config_error(self, marginals_a, tmp_path, strikes, capsys):
+        dest = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--marginals", marginals_a, "--strikes", strikes, "--out", str(dest)])
+        assert rc == 2
+        assert "no strikes" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_indivisible_range_is_config_error(self, marginals_a, capsys):
         rc = main(["sweep", "--marginals", marginals_a, "--strikes", "0.5:1.5:0.3"])
         assert rc == 2

@@ -383,6 +383,19 @@ class TestWarmSolves:
         with pytest.raises(ValueError, match="not the solver's"):
             bound(MotProblem(smooth_pair(5), forward_start_straddle(), "lower"), solver=solver)
 
+    def test_hedge_and_grids_reject_a_solver_of_another_system(self):
+        # unchecked, a solver of the atoms scaled by 1.5 gives u_1 its own
+        # knots: -1.33, -1.0, -0.67 instead of the atoms -0.89, -0.67, -0.44
+        system = smooth_pair(9)
+        scaled = Solver(MarginalSystem([DiscreteMeasure(mu.points * 1.5, mu.weights)
+                                        for mu in system.marginals]))
+        problem = MotProblem(system, forward_start_straddle(), "lower")
+        sol = mot.solve(Solver(system).lp(problem))
+        with pytest.raises(ValueError, match="not the solver's"):
+            mot.extract_hedge(sol, problem, scaled)
+        with pytest.raises(ValueError, match="not the solver's"):
+            verification_grids(problem, scaled)
+
 
 class TestRandomCoupling:
     def test_instance_a_family(self):

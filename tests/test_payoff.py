@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motbound.errors import DimensionMismatch, OffGrid
-from motbound.payoff import (BUILTINS, KINDS, Payoff, asian_call, custom, evaluate, evaluate_last_axis,
+from motbound.payoff import (Payoff, asian_call, custom, evaluate, evaluate_last_axis,
                              forward_start_call, forward_start_straddle, last_axis,
                              last_coord_kinks, lookback_call, negated_straddle, tabulate,
                              tabulated)
@@ -160,7 +160,6 @@ class TestJson:
             Payoff.from_json({**obj, "n": 3})
 
     def test_rejects_a_parameter_the_kind_does_not_take(self):
-        # read as the at-the-money call before every kind took only its own parameter
         with pytest.raises(ValueError, match="forward_start_call.*no parameter 'strike'"):
             Payoff.from_json({"kind": "forward_start_call", "params": {"strike": 1.3}})
 
@@ -180,9 +179,6 @@ class TestJson:
 
 
 class TestRecords:
-    def test_kinds_come_from_the_records(self):
-        assert KINDS == (*BUILTINS, "tabulated", "custom")
-
     @pytest.mark.parametrize("kwargs, match", [
         ({"kind": "forward_start_call", "n": 3, "params": {"strike_ratio": 1.0}}, "n=3"),
         ({"kind": "negated_straddle", "n": 3, "params": {}}, "n=3"),
