@@ -5,8 +5,9 @@ remaining freedom is which martingale coupling links the dates.  Optimizing
 the exotic's expectation over that set is a finite linear program whose dual
 is a semi-static hedge.  This package assembles the LP, solves it with
 HiGHS, called through the binding bundled with scipy (dual simplex on small
-LPs, interior point with crossover on large ones; plus an exact rational
-re-solver for small instances), extracts and verifies the hedge, and ships
+LPs, primal simplex on mid-size ones with few variables per row, interior
+point with crossover on large ones; plus an exact rational re-solver for
+small instances), extracts and verifies the hedge, and ships
 a CLI for the whole pipeline.
 """
 

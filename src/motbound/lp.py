@@ -5,16 +5,18 @@ with A held as sparse (row, col, value) triples in a ``Constraints``, which
 checks them once, so LPs that differ only in cost share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
-without presolve, and returns primal and dual optima: the dual simplex
-below ``IPM_MIN_COLS`` variables, the interior-point method with crossover
-(so both optima are still a basic solution) at or above it, and the dual
-simplex from the crossover basis when that run fails a check.  A
-``Session`` is built on one ``Constraints`` object and keeps one HiGHS
-model for the LPs built on it: after its first solve, each LP only changes
-the column costs and restarts the primal simplex from the last optimal
-basis, which stays primal feasible, except that a change of sense at or
-above ``IPM_MIN_COLS`` starts cold.  A plain ``solve`` is a one-shot
-session.  The binding is scipy's private ``_highspy._core``, the one its
+without presolve, and returns primal and dual optima.  A cold solve runs
+the method that ``_cold_method`` picks from the LP's shape: the dual
+simplex below ``IPM_MIN_COLS`` variables, the primal simplex on mid-size
+LPs with few variables per row, and otherwise the interior-point method
+with crossover (so both optima are still a basic solution); after the
+primal simplex or the interior point, the dual simplex re-solves from that
+run's basis when the run fails a check.  A ``Session`` is built on one
+``Constraints`` object and keeps one HiGHS model for the LPs built on it:
+after its first solve, each LP only changes the column costs and restarts
+the primal simplex from the last optimal basis, which stays primal
+feasible, except that a change of sense starts cold where the cold method
+is the interior point.  A plain ``solve`` is a one-shot session.  The binding is scipy's private ``_highspy._core``, the one its
 ``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
 option checking and bound-marginal loop, which cost more than HiGHS itself
 on the small LPs of a strike sweep.
@@ -42,11 +44,41 @@ FEAS_TOL = 1e-9
 HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 MAX_ITER = 10 ** 6
 EXACT_MAX_VARS = 200
-# Variable count from which the interior-point method with crossover solves
-# the transport LPs faster than the dual simplex, both senses together: the
-# simplex wins at 1,331 cells (3 dates, m=11), interior point at 1,681
-# (2 dates, m=41).
+# Variable count below which the dual simplex solves the transport LPs
+# fastest cold, both senses together: it wins at 1,331 cells (3 dates,
+# m=11) and loses at 1,681 (2 dates, m=41).
 IPM_MIN_COLS = 1500
+# From IPM_MIN_COLS variables on, a cold primal simplex beats the interior
+# point with crossover while the LP has fewer than PRIMAL_MAX_COLS variables
+# and fewer than PRIMAL_MAX_COLS_PER_ROW per row.  Cold HiGHS runs, one BLAS
+# thread, 2 vCPUs, uniform marginals on [1 - 0.1k, 1 + 0.1k] at date k; ms
+# for ten LPs, Asian calls at 0.95, 1, 1.05 and lookback calls at 1, 1.05,
+# both senses:
+#
+#   dates  m   cells × rows   primal  interior point
+#     3   13   2,197 × 219       382      550
+#     3   15   3,375 × 283       738    1,088
+#     3   17   4,913 × 355     1,115    1,575
+#     3   21   9,261 × 523     3,189    3,058
+#     4    7   2,401 × 424       696    1,000
+#     4    9   6,561 × 852     3,538    3,016
+#     4   11  14,641 × 1,504  11,491    7,990
+#
+# so the primal simplex stops paying between 4,913 and 6,561 variables.
+PRIMAL_MAX_COLS = 5000
+# Two dates leave more variables per row, and the interior point wins
+# sooner.  Same set-up on smooth_pair(m), ten LPs: the straddle, the
+# negated straddle and forward-start calls at 0.95, 1, 1.05, both senses:
+#
+#    m   cells × rows   per row   primal  interior point
+#   41   1,681 × 122     13.8       165      188
+#   51   2,601 × 152     17.1       292      313
+#   61   3,721 × 182     20.4       715      419
+#
+# At m=51 the primal simplex wins the five LPs that minimize a convex
+# payoff (21-25 ms each against 36-41) and loses the five that maximize one
+# (46-51 ms against 38-40): a tie, and the ratio cuts just below it, m=45.
+PRIMAL_MAX_COLS_PER_ROW = 15
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -143,7 +175,7 @@ class LpSolution:
     count, or the interior-point iteration count when the simplex count is
     zero, plus the crossover iteration count; summed over the runs of the
     solve when the dual simplex re-solves after the interior point or after
-    a warm primal-simplex run.  Simplex clean-up pivots after crossover
+    a primal-simplex run.  Simplex clean-up pivots after crossover
     therefore replace the interior-point count rather than add to it.  A
     warm solve counts only its own pivots from the basis it started at.
     ``runs`` counts the HiGHS runs behind the solution (1 or 2), ``warm``
@@ -164,13 +196,14 @@ class Session:
     """One HiGHS model of ``constraints``, kept for solving the LPs built on
     that object, which differ only in cost and sense.
 
-    The model is built at the first solve, which runs cold by the size rule
-    of :func:`solve`.  Once a solve has passed every check, the next one
+    The model is built at the first solve, which runs the cold method of
+    :func:`_cold_method`.  Once a solve has passed every check, the next one
     only changes the column costs and runs the primal simplex from that
-    solve's basis, which a change of cost leaves primal feasible.  At or
-    above ``IPM_MIN_COLS`` columns a change of sense frees the model
+    solve's basis, which a change of cost leaves primal feasible.  Where the
+    cold method is the interior point, a change of sense frees the model
     instead, as the other sense's optimum is a far slower start there than
-    none.  A solve that raises also frees the model.  Solve order therefore
+    none; below that size it is a faster start than a cold run.  A solve
+    that raises also frees the model.  Solve order therefore
     decides which optimum a degenerate LP returns: the same order gives the
     same bits, but a warm optimum can differ from a cold one.  An LP built
     on another ``Constraints`` object, even with equal arrays, is refused."""
@@ -216,7 +249,8 @@ class Session:
     def _solve(self, lp: LinearProgram) -> LpSolution:
         if lp.constraints is not self.constraints:
             raise ValueError("the LP is not built on the session's constraints")
-        if lp.sense != self._sense and lp.n_cols >= IPM_MIN_COLS:
+        cold = _cold_method(lp.n_cols, lp.n_rows)
+        if lp.sense != self._sense and cold == "ipm":
             self._model = None
         self._sense = lp.sense
         warm = self.warm
@@ -226,7 +260,7 @@ class Session:
             methods = ("primal", "simplex")
         else:
             self._build(lp)
-            methods = ("ipm", "simplex") if lp.n_cols >= IPM_MIN_COLS else ("simplex",)
+            methods = (cold, "simplex") if cold != "simplex" else ("simplex",)
         try:
             iterations = 0
             for runs, solver in enumerate(methods, start=1):
@@ -248,6 +282,20 @@ class Session:
         except BaseException:
             self._model = None  # the next solve starts cold
             raise
+
+
+def _cold_method(n_cols: int, n_rows: int) -> str:
+    """The method a cold solve of an LP of this shape runs first:
+    ``"simplex"`` (the dual simplex) below ``IPM_MIN_COLS`` variables,
+    ``"primal"`` (the primal simplex) from there on while there are fewer
+    than ``PRIMAL_MAX_COLS`` variables and fewer than
+    ``PRIMAL_MAX_COLS_PER_ROW`` per row, else ``"ipm"`` (the interior point
+    with crossover)."""
+    if n_cols < IPM_MIN_COLS:
+        return "simplex"
+    if n_cols < PRIMAL_MAX_COLS and n_cols < PRIMAL_MAX_COLS_PER_ROW * n_rows:
+        return "primal"
+    return "ipm"
 
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
@@ -314,10 +362,11 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     HiGHS runs without presolve, at its tightest feasibility tolerances, on
     the model of ``session`` (which must be built on ``lp.constraints``)
     or, without one, on a model built for this solve alone and freed when it
-    returns.  A cold solve runs the dual simplex below ``IPM_MIN_COLS``
-    variables; from there on the interior-point method with crossover, then
-    the dual simplex from the crossover basis if that run fails (crossover
-    can stop at a basis HiGHS cannot certify, or at one whose dual fails the
+    returns.  A cold solve runs the method :func:`_cold_method` picks from
+    the LP's shape: the dual simplex below ``IPM_MIN_COLS`` variables, else
+    the primal simplex or the interior-point method with crossover, then the
+    dual simplex from that run's basis if the run fails (crossover can stop
+    at a basis HiGHS cannot certify, or at one whose dual fails the
     reduced-cost check).  A warm solve (see :class:`Session`) runs the
     primal simplex from the last optimal basis, then the dual simplex if
     that run fails.  ``MAX_ITER`` bounds the iterations of each run.  A run

@@ -221,6 +221,11 @@ def spy_highs(monkeypatch, corrupt=None):
     return calls
 
 
+def force_cold(monkeypatch, method):
+    """Every cold solve runs ``method`` first, whatever the LP's shape."""
+    monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: method)
+
+
 class TestDualCheck:
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_corrupted_dual_is_rejected(self, monkeypatch, sense):
@@ -238,9 +243,9 @@ class TestDualCheck:
             solve(lp)
 
 
-def widening_dates(w: float, m: int) -> MarginalSystem:
+def widening_dates(w: float, m: int, dates: int = 3) -> MarginalSystem:
     return MarginalSystem([discretize(DensitySpec.uniform(1.0 - w * k, 1.0 + w * k), m)
-                           for k in (1, 2, 3)])
+                           for k in range(1, dates + 1)])
 
 
 def unfinished_crossover_problem() -> MotProblem:
@@ -268,8 +273,8 @@ class TestSizeRule:
         lp = Solver(problem.system).lp(problem)
         calls = spy_highs(monkeypatch)
         values = {}
-        for threshold, solver in ((lp.n_cols + 1, "simplex"), (lp.n_cols, "ipm")):
-            monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", threshold)
+        for solver in ("simplex", "primal", "ipm"):
+            force_cold(monkeypatch, solver)
             sol = solve(lp)
             assert calls[-1][0] == solver
             status, iterations, _, _ = calls[-1][1]
@@ -281,28 +286,38 @@ class TestSizeRule:
             assert result.report.valid
             assert result.value == sol.objective
         v = values["simplex"]
-        assert abs(values["ipm"] - v) <= 1e-12 * (1.0 + abs(v))
+        for solver in ("primal", "ipm"):
+            assert abs(values[solver] - v) <= 1e-12 * (1.0 + abs(v))
 
-    def test_interior_point_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
+    @staticmethod
+    def status_unknown_is_solved_again_by_dual_simplex(monkeypatch, method):
         def corrupt(solver, res):
-            if solver == "ipm":
+            if solver == method:
                 return highs.HighsModelStatus.kUnknown, res[1], None, None
             return res
 
         lp = random_transportation(np.random.default_rng(5))
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        force_cold(monkeypatch, method)
         calls = spy_highs(monkeypatch, corrupt)
         sol = solve(lp)
-        assert [run.solver for run in calls] == ["ipm", "simplex"]
-        ipm, ds = (run.result for run in calls)
-        assert sol.iterations == ipm[1] + ds[1]
+        assert [run.solver for run in calls] == [method, "simplex"]
+        first, ds = (run.result for run in calls)
+        assert sol.iterations == first[1] + ds[1]
+        assert sol.runs == 2
         np.testing.assert_array_equal(sol.primal, np.clip(ds[2], 0.0, None))
         np.testing.assert_array_equal(sol.dual, ds[3])
         check_solution_invariants(lp, sol)
 
+    def test_interior_point_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
+        self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "ipm")
+
+    def test_primal_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
+        self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "primal")
+
     def test_unfinished_crossover_instance(self, monkeypatch):
         problem = unfinished_crossover_problem()
         lp = Solver(problem.system).lp(problem)
+        force_cold(monkeypatch, "ipm")
         calls = spy_highs(monkeypatch)
         sol = solve(lp)
         assert [run.solver for run in calls] == ["ipm", "simplex"]
@@ -312,7 +327,7 @@ class TestSizeRule:
         res = bound(problem)
         assert res.report.valid
         assert res.value == sol.objective
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
+        force_cold(monkeypatch, "simplex")
         cold = solve(lp).objective
         assert abs(res.value - cold) <= 1e-12 * (1.0 + abs(cold))
 
@@ -331,12 +346,67 @@ class TestSizeRule:
     def test_iteration_limit_on_interior_point_path(self, monkeypatch):
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        force_cold(monkeypatch, "ipm")
         monkeypatch.setattr(lp_mod, "MAX_ITER", 1)
         calls = spy_highs(monkeypatch)
         with pytest.raises(IterationLimit, match="exceeded 1 iterations"):
             solve(lp)
         assert calls[-1][0] == "ipm"
+
+
+# (dates, atoms per date, LP shape as cells × rows, cold method); two dates
+# on smooth_pair, more on widening_dates at w = 0.1
+COLD_METHODS = [
+    (2, 15, (225, 44), "simplex"),
+    (3, 11, (1331, 163), "simplex"),
+    (3, 13, (2197, 219), "primal"),
+    (3, 15, (3375, 283), "primal"),
+    (3, 17, (4913, 355), "primal"),
+    (3, 21, (9261, 523), "ipm"),
+    (4, 7, (2401, 424), "primal"),
+    (4, 9, (6561, 852), "ipm"),
+    (4, 11, (14641, 1504), "ipm"),
+    (4, 13, (28561, 2428), "ipm"),
+    (2, 41, (1681, 122), "primal"),
+    (2, 51, (2601, 152), "ipm"),
+    (2, 61, (3721, 182), "ipm"),
+    (2, 101, (10201, 302), "ipm"),
+]
+
+
+class TestColdMethod:
+    """A cold solve starts with the method the LP's shape picks."""
+
+    @pytest.mark.parametrize("dates, m, shape, method", COLD_METHODS,
+                             ids=[f"{dates}date-m{m}" for dates, m, _, _ in COLD_METHODS])
+    def test_shape_table(self, dates, m, shape, method):
+        system = smooth_pair(m) if dates == 2 else widening_dates(0.1, m, dates)
+        constraints = Solver(system).constraints
+        assert (constraints.n_cols, constraints.rhs.size) == shape
+        assert lp_mod._cold_method(*shape) == method
+
+    def test_cold_three_date_bound_runs_the_primal_simplex(self, monkeypatch):
+        problem = MotProblem(widening_dates(0.1, 15), asian_call(1.0, 3), "lower")
+        calls = spy_highs(monkeypatch)
+        res = bound(problem)
+        assert [run.solver for run in calls] == ["primal"]
+        assert res.diagnostics.extras["solve_attempts"] == 1
+        assert res.report.valid
+
+    def test_change_of_sense_in_the_primal_band_stays_warm(self, monkeypatch):
+        system = widening_dates(0.1, 13)
+        solver = Solver(system)
+        problem = {sense: MotProblem(system, asian_call(1.0, 3), sense) for sense in ("lower", "upper")}
+        calls = spy_highs(monkeypatch)
+        bound(problem["lower"], solver=solver)
+        assert [run.solver for run in calls] == ["primal"]
+        upper = bound(problem["upper"], solver=solver)
+        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert calls[1].model is calls[0].model
+        assert upper.report.valid
+        monkeypatch.undo()
+        cold = bound(problem["upper"])
+        assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
 
 
 STATUS = highs.HighsModelStatus
@@ -365,22 +435,22 @@ class TestStatusMapping:
         monkeypatch.setattr(lp_mod, "_run_highs", fake)
         return calls
 
-    @pytest.mark.parametrize("ipm", [False, True], ids=["simplex", "ipm"])
+    @pytest.mark.parametrize("method", ["simplex", "ipm", "primal"])
     @pytest.mark.parametrize("status, error", [
         (STATUS.kIterationLimit, IterationLimit), (STATUS.kTimeLimit, IterationLimit),
         (STATUS.kInfeasible, Infeasible), (STATUS.kModelError, Infeasible),
         (STATUS.kUnbounded, Unbounded),
     ])
-    def test_decided_status_raises(self, monkeypatch, ipm, status, error):
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0 if ipm else 10 ** 9)
+    def test_decided_status_raises(self, monkeypatch, method, status, error):
+        force_cold(monkeypatch, method)
         calls = self.fake_first_run(monkeypatch, status)
         with pytest.raises(error):
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
-        assert calls == [("ipm" if ipm else "simplex", 7)]
+        assert calls == [(method, 7)]
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_raises_on_simplex_path(self, monkeypatch, status):
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
+        force_cold(monkeypatch, "simplex")
         calls = self.fake_first_run(monkeypatch, status)
         with pytest.raises(LpError, match=status.name) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
@@ -390,7 +460,7 @@ class TestStatusMapping:
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_is_solved_again_on_interior_point_path(self, monkeypatch, status):
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        force_cold(monkeypatch, "ipm")
         calls = self.fake_first_run(monkeypatch, status)
         sol = solve(lp)
         assert [solver for solver, _ in calls] == ["ipm", "simplex"]
@@ -407,7 +477,7 @@ class TestStatusMapping:
         ("residual", Infeasible, "violates constraints"), ("reduced-cost", LpError, "reduced cost"),
     ])
     def test_failed_check_raises_on_simplex_path(self, monkeypatch, check, error, message):
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 10 ** 9)
+        force_cold(monkeypatch, "simplex")
         calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
         with pytest.raises(error, match=message) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
@@ -417,7 +487,7 @@ class TestStatusMapping:
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
     def test_failed_check_is_solved_again_on_interior_point_path(self, monkeypatch, check):
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        force_cold(monkeypatch, "ipm")
         calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
         sol = solve(lp)
         assert [solver for solver, _ in calls] == ["ipm", "simplex"]
@@ -449,7 +519,7 @@ class TestSession:
         assert all(run.model is calls[0].model for run in calls[::2])
 
     def test_change_of_sense_at_interior_point_size_starts_cold(self, monkeypatch):
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        force_cold(monkeypatch, "ipm")
         session = Session(self.LP.constraints)
         flipped = LinearProgram("max", self.LP.cost, self.LP.constraints)
         calls = spy_highs(monkeypatch)
@@ -499,10 +569,11 @@ class TestSession:
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS
     run solves, computed through ``scipy.optimize.linprog`` with the same
-    solver, options and size rule.  ``linprog`` cannot re-solve from the
-    crossover basis as ``solve`` does, so it is no oracle for re-solved LPs."""
+    solver, options and cold method.  ``linprog`` cannot re-solve from the
+    crossover basis as ``solve`` does, so it is no oracle for re-solved LPs,
+    and it has no primal simplex, so none for the LPs that start with one."""
     flip = lp.sense == "max"
-    method = "highs-ipm" if lp.n_cols >= lp_mod.IPM_MIN_COLS else "highs-ds"
+    method = {"simplex": "highs-ds", "ipm": "highs-ipm"}[lp_mod._cold_method(lp.n_cols, lp.n_rows)]
     res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
                            bounds=(0, None), method=method,
                            options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
@@ -517,27 +588,33 @@ class TestLinprogOracle:
     """``solve`` calls HiGHS as ``linprog`` does, so both give the same
     answer to the last bit."""
 
-    @pytest.mark.parametrize("make, methods, ipm_min_cols", [
+    @pytest.mark.parametrize("make, methods, cold", [
         (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                                 np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], None),
         (lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
          ["highs-ds"], None),
+        # 1,681 cells are in the primal band, which linprog cannot run
         (lambda: Solver(s := smooth_pair(41)).lp(MotProblem(s, forward_start_straddle(), "upper")),
-         ["highs-ipm"], None),
+         ["highs-ipm"], "ipm"),
         # the interior point stops unfinished on this LP, and ``solve``
         # re-solves from the crossover basis, which ``linprog`` cannot; its
         # cold dual-simplex answer, which that re-solve must match within
         # 1e-12 (TestSizeRule), is compared here
-        (lambda: Solver((p := unfinished_crossover_problem()).system).lp(p), ["highs-ds"], 10 ** 9),
+        (lambda: Solver((p := unfinished_crossover_problem()).system).lp(p), ["highs-ds"], "simplex"),
         # a 3-date lookback LP on which one simplex clean-up pivot follows
         # crossover: the interior-point iterations drop out of the count
         (lambda: Solver(s := widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15)).lp(
             MotProblem(s, lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
+         ["highs-ipm"], "ipm"),
+        # 2,601 cells over 152 rows: past the primal band's ratio, so the
+        # interior point runs unforced
+        (lambda: Solver(s := smooth_pair(51)).lp(MotProblem(s, forward_start_straddle(), "upper")),
          ["highs-ipm"], None),
-    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
-    def test_bit_identical_to_linprog(self, monkeypatch, make, methods, ipm_min_cols):
-        if ipm_min_cols is not None:
-            monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", ipm_min_cols)
+    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup",
+            "smooth51-ipm"])
+    def test_bit_identical_to_linprog(self, monkeypatch, make, methods, cold):
+        if cold is not None:
+            force_cold(monkeypatch, cold)
         lp = make()
         primal, dual, iterations, used = linprog_answer(lp)
         assert used == methods

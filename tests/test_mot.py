@@ -355,10 +355,12 @@ class TestWarmSolves:
         assert solver.session.warm
         assert pivots["warm"] < pivots["cold"]
 
-    @pytest.mark.parametrize("m, first_upper_run", [(21, "primal"), (41, "ipm")])
+    @pytest.mark.parametrize("m, first_upper_run", [(21, "primal"), (41, "primal"), (51, "ipm")])
     def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, m, first_upper_run):
-        # 441 cells restart the upper bound from the lower optimum; 1,681
-        # (at least lp.IPM_MIN_COLS) solve it as a one-shot bound does
+        # 441 cells (dual simplex cold) and 1,681 (primal simplex cold)
+        # restart the upper bound from the lower optimum; 2,601 cells over
+        # 152 rows, where the cold method is the interior point, solve it as
+        # a one-shot bound does
         solver = mot.Solver(smooth_pair(m))
         problem = {sense: MotProblem(solver.system, forward_start_straddle(), sense)
                    for sense in ("lower", "upper")}
@@ -648,9 +650,10 @@ class TestDualChecks:
 
 
     def test_cold_solve_after_a_change_of_sense_is_not_repeated(self, monkeypatch):
-        # at or above lp.IPM_MIN_COLS a change of sense starts cold, so a
-        # dual that fails the hedge check there raises after one solve
-        monkeypatch.setattr(lp_mod, "IPM_MIN_COLS", 0)
+        # where the cold method is the interior point a change of sense
+        # starts cold, so a dual that fails the hedge check there raises
+        # after one solve
+        monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: "ipm")
         system, payoff = instance_a_marginals(), instance_b_payoff()
         solver = mot.Solver(system)
         bound(MotProblem(system, payoff, "lower"), solver=solver)
