@@ -76,14 +76,19 @@ class Payoff:
         if self.n < 2:
             raise ValueError("need at least two dates")
         record = BUILTINS.get(self.kind)
-        if record is None:
-            return
-        if record.dates not in (None, self.n):
+        if record is not None and record.dates not in (None, self.n):
             raise ValueError(f"payoff kind {self.kind!r} cannot take n={self.n}; it covers {record.dates} dates")
-        extra = set(self.params) - {record.param}
+        extra = set(self.params) - ({record.param} if record else set())
         if extra:
             raise ValueError(f"payoff kind {self.kind!r} takes no parameter {extra.pop()!r}")
-        if record.param is not None:
+        if self.kind == "tabulated":
+            if self.grids is None or self.values is None:
+                raise ValueError("payoff kind 'tabulated' needs 'grids' and 'values'")
+            if len(self.grids) != self.n:
+                raise ValueError(f"payoff kind 'tabulated' cannot take n={self.n}; it has {len(self.grids)} grids")
+        if self.kind == "custom" and not callable(self.fn):
+            raise ValueError("payoff kind 'custom' needs a callable 'fn'")
+        if record is not None and record.param is not None:
             value = self.params.get(record.param, record.default)
             if value is None:
                 raise ValueError(f"payoff kind {self.kind!r} needs parameter {record.param!r}")
@@ -104,6 +109,9 @@ class Payoff:
         An ``n`` or a parameter the kind cannot take raises ValueError."""
         kind, params = obj["kind"], dict(obj.get("params", {}))
         if kind == "tabulated":
+            extra = set(params) - {"grids", "values"}
+            if extra:
+                raise ValueError(f"payoff kind 'tabulated' takes no parameter {extra.pop()!r}")
             payoff = tabulated(params["grids"], params["values"])
             if int(obj.get("n", payoff.n)) != payoff.n:
                 raise ValueError(f"payoff kind 'tabulated' cannot take n={obj['n']}; it covers {payoff.n} dates")

@@ -184,6 +184,14 @@ class TestPayoffShorthand:
         assert main(["bounds", "--marginals", marginals_a, "--payoff", str(spec)]) == 2
         assert "no parameter 'strike'" in capsys.readouterr().err
 
+    def test_json_tabulated_parameter_besides_grids_and_values_is_config_error(self, marginals_a,
+                                                                             tmp_path, capsys):
+        spec = tmp_path / "payoff.json"
+        spec.write_text(json.dumps({"kind": "tabulated", "params": {
+            "grids": [[0, 1], [0, 1]], "values": [0, 1, 2, 3], "strike": 5}}))
+        assert main(["bounds", "--marginals", marginals_a, "--payoff", str(spec)]) == 2
+        assert "no parameter 'strike'" in capsys.readouterr().err
+
 
 class TestParser:
     def test_built_once_per_process(self, marginals_a, monkeypatch, capsys):

@@ -159,6 +159,11 @@ class TestJson:
         with pytest.raises(ValueError, match="n=3"):
             Payoff.from_json({**obj, "n": 3})
 
+    def test_tabulated_rejects_a_parameter_besides_grids_and_values(self):
+        obj = {"kind": "tabulated", "params": {"grids": [[0, 1], [0, 1]], "values": [0, 1, 2, 3], "strike": 5}}
+        with pytest.raises(ValueError, match="tabulated.*no parameter 'strike'"):
+            Payoff.from_json(obj)
+
     def test_rejects_a_parameter_the_kind_does_not_take(self):
         with pytest.raises(ValueError, match="forward_start_call.*no parameter 'strike'"):
             Payoff.from_json({"kind": "forward_start_call", "params": {"strike": 1.3}})
@@ -186,7 +191,14 @@ class TestRecords:
         ({"kind": "lookback_call", "n": 2, "params": {"strike": 1.0, "cap": 2.0}}, "no parameter 'cap'"),
         ({"kind": "forward_start_straddle", "n": 2, "params": {"strike_ratio": 1.0}},
          "no parameter 'strike_ratio'"),
-    ], ids=["fixed_n", "fixed_n_no_param", "missing", "extra", "extra_no_param"])
+        ({"kind": "custom", "n": 2, "params": {}}, "custom.*needs a callable 'fn'"),
+        ({"kind": "tabulated", "n": 2, "params": {}}, "tabulated.*needs 'grids' and 'values'"),
+        ({"kind": "tabulated", "n": 3, "params": {}, "grids": (np.arange(2.0), np.arange(2.0)),
+          "values": np.zeros((2, 2))}, "n=3; it has 2 grids"),
+        ({"kind": "tabulated", "n": 2, "params": {"strike": 5.0}, "grids": (np.arange(2.0), np.arange(2.0)),
+          "values": np.zeros((2, 2))}, "no parameter 'strike'"),
+    ], ids=["fixed_n", "fixed_n_no_param", "missing", "extra", "extra_no_param", "custom_no_fn",
+            "tabulated_no_grids", "tabulated_n", "tabulated_extra"])
     def test_direct_construction_is_checked(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             Payoff(**kwargs)
