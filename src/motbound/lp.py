@@ -16,10 +16,11 @@ run's basis when the run fails a check.  A ``Session`` is built on one
 after its first solve, each LP only changes the column costs and restarts
 the primal simplex from the last optimal basis, which stays primal
 feasible, except that a change of sense starts cold where the cold method
-is the interior point.  A plain ``solve`` is a one-shot session.  The binding is scipy's private ``_highspy._core``, the one its
-``linprog`` wraps; calling it directly skips ``linprog``'s input cleaning,
-option checking and bound-marginal loop, which cost more than HiGHS itself
-on the small LPs of a strike sweep.
+is the interior point.  A plain ``solve`` is a one-shot session.  The
+binding is scipy's private ``_highspy._core``, the one its ``linprog``
+wraps; calling it directly skips ``linprog``'s input cleaning, option
+checking and bound-marginal loop, which cost more than HiGHS itself on the
+small LPs of a strike sweep.
 ``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
 small instances and serves as the independent oracle.
 
@@ -203,10 +204,10 @@ class Session:
     cold method is the interior point, a change of sense frees the model
     instead, as the other sense's optimum is a far slower start there than
     none; below that size it is a faster start than a cold run.  A solve
-    that raises also frees the model.  Solve order therefore
-    decides which optimum a degenerate LP returns: the same order gives the
-    same bits, but a warm optimum can differ from a cold one.  An LP built
-    on another ``Constraints`` object, even with equal arrays, is refused."""
+    that raises also frees the model.  Solve order therefore decides which
+    optimum a degenerate LP returns: the same order gives the same bits,
+    but a warm optimum can differ from a cold one.  An LP built on another
+    ``Constraints`` object, even with equal arrays, is refused."""
 
     def __init__(self, constraints: Constraints) -> None:
         self.constraints = constraints

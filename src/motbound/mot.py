@@ -224,9 +224,10 @@ class Solver:
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
     restarts from the last optimal basis, bar a change of sense where the
-    cold method is the interior point (see :class:`~motbound.lp.Session`).  Which
-    optimal dual a degenerate LP returns then depends on the solve order;
-    callers keep it fixed, with every lower bound before any upper bound."""
+    cold method is the interior point (see :class:`~motbound.lp.Session`).
+    Which optimal dual a degenerate LP returns then depends on the solve
+    order; callers keep it fixed, with every lower bound before any upper
+    bound."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
