@@ -606,12 +606,7 @@ class TestLinprogOracle:
         (lambda: Solver(s := widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15)).lp(
             MotProblem(s, lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
          ["highs-ipm"], "ipm"),
-        # 2,601 cells over 152 rows: past the primal band's ratio, so the
-        # interior point runs unforced
-        (lambda: Solver(s := smooth_pair(51)).lp(MotProblem(s, forward_start_straddle(), "upper")),
-         ["highs-ipm"], None),
-    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup",
-            "smooth51-ipm"])
+    ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
     def test_bit_identical_to_linprog(self, monkeypatch, make, methods, cold):
         if cold is not None:
             force_cold(monkeypatch, cold)
