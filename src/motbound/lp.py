@@ -6,21 +6,20 @@ checks them once, so LPs that differ only in cost share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  A cold solve runs
-the method that ``_cold_method`` picks from the LP's shape: the dual
-simplex below ``IPM_MIN_COLS`` variables, the primal simplex on mid-size
-LPs with few variables per row, and otherwise the interior-point method
-with crossover (so both optima are still a basic solution); after the
-primal simplex or the interior point, the dual simplex re-solves from that
-run's basis when the run fails a check.  A ``Session`` is built on one
-``Constraints`` object and keeps one HiGHS model for the LPs built on it:
-after its first solve, each LP only changes the column costs and restarts
-the primal simplex from the last optimal basis, which stays primal
-feasible, except that a change of sense starts cold where the cold method
-is the interior point.  A plain ``solve`` is a one-shot session.  The
-binding is scipy's private ``_highspy._core``, the one its ``linprog``
-wraps; calling it directly skips ``linprog``'s input cleaning, option
-checking and bound-marginal loop, which cost more than HiGHS itself on the
-small LPs of a strike sweep.
+the method that ``_cold_method`` picks from the LP's shape: the primal
+simplex below ``PRIMAL_MAX_COLS`` variables when there are few per row,
+otherwise the interior-point method with crossover (so both optima are
+still a basic solution).  A ``Session`` is built on one ``Constraints``
+object and keeps one HiGHS model for the LPs built on it: after its first
+solve, each LP only changes the column costs and restarts the primal
+simplex from the last optimal basis, which stays primal feasible, except
+that a change of sense starts cold where the cold method is the interior
+point.  Whatever ran first, the dual simplex re-solves from that run's
+basis when the run fails a check, and runs at no other time.  A plain
+``solve`` is a one-shot session.  The binding is scipy's private
+``_highspy._core``, the one its ``linprog`` wraps; calling it directly
+skips ``linprog``'s input cleaning, option checking and bound-marginal
+loop, which cost more than HiGHS itself on the small LPs of a strike sweep.
 ``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
 small instances and serves as the independent oracle.
 
@@ -45,16 +44,22 @@ FEAS_TOL = 1e-9
 HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 MAX_ITER = 10 ** 6
 EXACT_MAX_VARS = 200
-# Variable count below which the dual simplex solves the transport LPs
-# fastest cold, both senses together: it wins at 1,331 cells (3 dates,
-# m=11) and loses at 1,681 (2 dates, m=41).
-IPM_MIN_COLS = 1500
-# From IPM_MIN_COLS variables on, a cold primal simplex beats the interior
-# point with crossover while the LP has fewer than PRIMAL_MAX_COLS variables
-# and fewer than PRIMAL_MAX_COLS_PER_ROW per row.  Cold HiGHS runs, one BLAS
-# thread, 2 vCPUs, uniform marginals on [1 - 0.1k, 1 + 0.1k] at date k; ms
-# for ten LPs, Asian calls at 0.95, 1, 1.05 and lookback calls at 1, 1.05,
-# both senses:
+# A cold solve runs the primal simplex while the LP has fewer than
+# PRIMAL_MAX_COLS variables and fewer than PRIMAL_MAX_COLS_PER_ROW per row.
+# Cold HiGHS runs, one BLAS thread, 2 vCPUs, ms summed over both senses.
+# Below 1,500 variables the dual simplex is no faster (best of 5; per LP the
+# ratio runs from 0.61 to 2.46 either way):
+#
+#   LPs                                       cells        dual   primal
+#   desk_batch seed 1, nine systems, one      81-225       24.0     25.3
+#     seeded forward-start call each
+#   smooth_pair(m), m = 9, 15, 21, 31, 37     81-1,369      285      323
+#   3 dates, m = 5, 7, 9, 11                  125-1,331     444      364
+#   4 dates, m = 3, 5, 6                      81-1,296      469      439
+#
+# with the payoffs of the tables below.  From there on, against the interior
+# point with crossover, uniform marginals on [1 - 0.1k, 1 + 0.1k] at date k;
+# ten LPs, Asian calls at 0.95, 1, 1.05 and lookback calls at 1, 1.05:
 #
 #   dates  m   cells × rows   primal  interior point
 #     3   13   2,197 × 219       382      550
@@ -174,11 +179,10 @@ class LpSolution:
     ``iterations`` counts HiGHS's iterations by the rule of scipy's
     ``linprog`` (``nit + crossover_nit``): per run, the simplex iteration
     count, or the interior-point iteration count when the simplex count is
-    zero, plus the crossover iteration count; summed over the runs of the
-    solve when the dual simplex re-solves after the interior point or after
-    a primal-simplex run.  Simplex clean-up pivots after crossover
-    therefore replace the interior-point count rather than add to it.  A
-    warm solve counts only its own pivots from the basis it started at.
+    zero, plus the crossover iteration count; summed over both runs when
+    the dual simplex re-solves after the first.  Simplex clean-up pivots
+    after crossover therefore replace the interior-point count rather than
+    add to it.  A warm solve counts only its own pivots from its start.
     ``runs`` counts the HiGHS runs behind the solution (1 or 2), ``warm``
     whether the first restarted from a session's basis."""
 
@@ -200,14 +204,16 @@ class Session:
     The model is built at the first solve, which runs the cold method of
     :func:`_cold_method`.  Once a solve has passed every check, the next one
     only changes the column costs and runs the primal simplex from that
-    solve's basis, which a change of cost leaves primal feasible.  Where the
-    cold method is the interior point, a change of sense frees the model
-    instead, as the other sense's optimum is a far slower start there than
-    none; below that size it is a faster start than a cold run.  A solve
-    that raises also frees the model.  Solve order therefore decides which
-    optimum a degenerate LP returns: the same order gives the same bits,
-    but a warm optimum can differ from a cold one.  An LP built on another
-    ``Constraints`` object, even with equal arrays, is refused."""
+    solve's basis, which a change of cost leaves primal feasible.  Either
+    way, a first run that fails a check is followed by one dual-simplex run
+    from its basis.  Where the cold method is the interior point, a change
+    of sense frees the model instead, as the other sense's optimum is a far
+    slower start there than none; below that size it is a faster start
+    than a cold run.  A solve that raises also frees the model.  Solve
+    order therefore decides which optimum a degenerate LP returns: the same
+    order gives the same bits, but a warm optimum can differ from a cold
+    one.  An LP built on another ``Constraints`` object, even with equal
+    arrays, is refused."""
 
     def __init__(self, constraints: Constraints) -> None:
         self.constraints = constraints
@@ -258,13 +264,11 @@ class Session:
         if warm:
             self._model.changeColsCost(lp.n_cols, np.arange(lp.n_cols, dtype=np.int32),
                                        -lp.cost if lp.sense == "max" else lp.cost)
-            methods = ("primal", "simplex")
         else:
             self._build(lp)
-            methods = (cold, "simplex") if cold != "simplex" else ("simplex",)
         try:
             iterations = 0
-            for runs, solver in enumerate(methods, start=1):
+            for runs, solver in enumerate(("primal" if warm else cold, "simplex"), start=1):
                 status, count, primal, dual = _run_highs(self._model, solver)
                 iterations += count
                 if status in _LIMIT:
@@ -276,7 +280,7 @@ class Session:
                 try:
                     primal, dual = _check_run(lp, status, primal, dual)
                 except LpError:
-                    if solver == methods[-1]:
+                    if runs == 2:
                         raise
                     continue
                 return LpSolution(primal, dual, float(lp.cost @ primal), iterations, runs, warm)
@@ -287,16 +291,10 @@ class Session:
 
 def _cold_method(n_cols: int, n_rows: int) -> str:
     """The method a cold solve of an LP of this shape runs first:
-    ``"simplex"`` (the dual simplex) below ``IPM_MIN_COLS`` variables,
-    ``"primal"`` (the primal simplex) from there on while there are fewer
-    than ``PRIMAL_MAX_COLS`` variables and fewer than
-    ``PRIMAL_MAX_COLS_PER_ROW`` per row, else ``"ipm"`` (the interior point
-    with crossover)."""
-    if n_cols < IPM_MIN_COLS:
-        return "simplex"
-    if n_cols < PRIMAL_MAX_COLS and n_cols < PRIMAL_MAX_COLS_PER_ROW * n_rows:
-        return "primal"
-    return "ipm"
+    ``"primal"`` (the primal simplex) while there are fewer than
+    ``PRIMAL_MAX_COLS`` variables and fewer than ``PRIMAL_MAX_COLS_PER_ROW``
+    per row, else ``"ipm"`` (the interior point with crossover)."""
+    return "primal" if n_cols < min(PRIMAL_MAX_COLS, PRIMAL_MAX_COLS_PER_ROW * n_rows) else "ipm"
 
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
@@ -361,21 +359,19 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     """Primal and dual optimum from HiGHS, bundled with scipy.
 
     HiGHS runs without presolve, at its tightest feasibility tolerances, on
-    the model of ``session`` (which must be built on ``lp.constraints``)
-    or, without one, on a model built for this solve alone and freed when it
+    the model of ``session`` (which must be built on ``lp.constraints``) or,
+    without one, on a model built for this solve alone and freed when it
     returns.  A cold solve runs the method :func:`_cold_method` picks from
-    the LP's shape: the dual simplex below ``IPM_MIN_COLS`` variables, else
-    the primal simplex or the interior-point method with crossover, then the
-    dual simplex from that run's basis if the run fails (crossover can stop
-    at a basis HiGHS cannot certify, or at one whose dual fails the
-    reduced-cost check).  A warm solve (see :class:`Session`) runs the
-    primal simplex from the last optimal basis, then the dual simplex if
-    that run fails.  ``MAX_ITER`` bounds the iterations of each run.  A run
-    is accepted only when it is optimal and passes the checks of
-    :func:`_check_run` at ``FEAS_TOL``; a failed dual-simplex run raises
-    the error those checks name.  Whichever method ran, a limit raises
-    ``IterationLimit``, an infeasible or malformed model ``Infeasible`` and
-    an unbounded one ``Unbounded`` at once."""
+    the LP's shape, the primal simplex or the interior-point method with
+    crossover; a warm solve (see :class:`Session`) runs the primal simplex
+    from the last optimal basis.  If that run fails (crossover can stop at a
+    basis HiGHS cannot certify, or at one whose dual fails the reduced-cost
+    check), the dual simplex runs once from its basis.  ``MAX_ITER`` bounds
+    the iterations of each run.  A run is accepted only when it is optimal
+    and passes the checks of :func:`_check_run` at ``FEAS_TOL``; a failed
+    dual-simplex run raises the error those checks name.  Whichever method
+    ran, a limit raises ``IterationLimit``, an infeasible or malformed model
+    ``Infeasible`` and an unbounded one ``Unbounded`` at once."""
     return (session or Session(lp.constraints))._solve(lp)
 
 

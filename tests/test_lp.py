@@ -357,8 +357,9 @@ class TestSizeRule:
 # (dates, atoms per date, LP shape as cells × rows, cold method); two dates
 # on smooth_pair, more on widening_dates at w = 0.1
 COLD_METHODS = [
-    (2, 15, (225, 44), "simplex"),
-    (3, 11, (1331, 163), "simplex"),
+    (2, 9, (81, 26), "primal"),
+    (2, 15, (225, 44), "primal"),
+    (3, 11, (1331, 163), "primal"),
     (3, 13, (2197, 219), "primal"),
     (3, 15, (3375, 283), "primal"),
     (3, 17, (4913, 355), "primal"),
@@ -384,6 +385,15 @@ class TestColdMethod:
         constraints = Solver(system).constraints
         assert (constraints.n_cols, constraints.rhs.size) == shape
         assert lp_mod._cold_method(*shape) == method
+
+    @pytest.mark.parametrize("m, method", [(15, "primal"), (51, "ipm")])
+    def test_cold_two_date_bound_runs_one_method(self, monkeypatch, m, method):
+        # 225 × 44 and 2,601 × 152: the dual simplex runs only to repair a run
+        problem = MotProblem(smooth_pair(m), forward_start_straddle(), "lower")
+        calls = spy_highs(monkeypatch)
+        res = bound(problem)
+        assert [run.solver for run in calls] == [method]
+        assert res.report.valid
 
     def test_cold_three_date_bound_runs_the_primal_simplex(self, monkeypatch):
         problem = MotProblem(widening_dates(0.1, 15), asian_call(1.0, 3), "lower")
@@ -415,20 +425,20 @@ STATUS = highs.HighsModelStatus
 class TestStatusMapping:
     """Each HiGHS model status maps to the outcome scipy's linprog status
     gave it: 1 (limit), 2 (infeasible), 3 (unbounded) raise; 4 (any other
-    status) raises on the simplex path and re-solves once by the dual
-    simplex on the interior-point path.  An optimal run that fails the
-    residual or reduced-cost check is treated as status 4."""
+    status) re-solves once by the dual simplex after the first run, and
+    raises when the dual-simplex run ends so too.  An optimal run that fails
+    the residual or reduced-cost check is treated as status 4."""
 
     @staticmethod
-    def fake_first_run(monkeypatch, status, primal=None, dual=None):
-        """The first HiGHS run reports ``status``, ``primal`` and ``dual``
-        after 7 iterations; later runs are real.  Records each run's
+    def fake_first_run(monkeypatch, status, primal=None, dual=None, runs=1):
+        """The first ``runs`` HiGHS runs report ``status``, ``primal`` and
+        ``dual`` after 7 iterations; later runs are real.  Records each run's
         (solver, iterations)."""
         calls = []
         run_highs = lp_mod._run_highs
 
         def fake(model, solver):
-            res = run_highs(model, solver) if calls else (status, 7, primal, dual)
+            res = run_highs(model, solver) if len(calls) >= runs else (status, 7, primal, dual)
             calls.append((solver, res[1]))
             return res
 
@@ -450,12 +460,14 @@ class TestStatusMapping:
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_raises_on_simplex_path(self, monkeypatch, status):
-        force_cold(monkeypatch, "simplex")
-        calls = self.fake_first_run(monkeypatch, status)
+        # the dual-simplex run that repairs a failed primal-simplex run ends
+        # with the same status
+        force_cold(monkeypatch, "primal")
+        calls = self.fake_first_run(monkeypatch, status, runs=2)
         with pytest.raises(LpError, match=status.name) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is LpError
-        assert calls == [("simplex", 7)]
+        assert calls == [("primal", 7), ("simplex", 7)]
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_is_solved_again_on_interior_point_path(self, monkeypatch, status):
@@ -477,12 +489,14 @@ class TestStatusMapping:
         ("residual", Infeasible, "violates constraints"), ("reduced-cost", LpError, "reduced cost"),
     ])
     def test_failed_check_raises_on_simplex_path(self, monkeypatch, check, error, message):
-        force_cold(monkeypatch, "simplex")
-        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
+        # the dual-simplex run that repairs a failed primal-simplex run fails
+        # the same check
+        force_cold(monkeypatch, "primal")
+        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check], runs=2)
         with pytest.raises(error, match=message) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is error
-        assert calls == [("simplex", 7)]
+        assert calls == [("primal", 7), ("simplex", 7)]
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
     def test_failed_check_is_solved_again_on_interior_point_path(self, monkeypatch, check):
@@ -511,8 +525,8 @@ class TestSession:
             lp = LinearProgram(sense="max" if trial % 3 else "min", cost=rng.normal(size=base.n_cols),
                                constraints=base.constraints)
             warm = solve(lp, session=session)
-            assert calls[-1].solver == ("primal" if trial else "simplex")
-            assert warm.runs == 1
+            assert calls[-1].solver == "primal"
+            assert (warm.warm, warm.runs) == (trial > 0, 1)
             cold = solve(lp)
             assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
             check_solution_invariants(lp, warm)
@@ -559,11 +573,13 @@ class TestSession:
         with pytest.raises(LpError, match="reduced cost"):
             solve(self.LP, session=session)
         assert [run.solver for run in calls] == ["primal", "simplex"]
+        first = calls[0].model
         monkeypatch.undo()
         calls = spy_highs(monkeypatch)
         assert not session.warm
-        solve(self.LP, session=session)
-        assert [run.solver for run in calls] == ["simplex"]
+        assert not solve(self.LP, session=session).warm
+        assert [run.solver for run in calls] == ["primal"]
+        assert calls[0].model is not first
 
 
 def linprog_answer(lp: LinearProgram):
@@ -571,7 +587,8 @@ def linprog_answer(lp: LinearProgram):
     run solves, computed through ``scipy.optimize.linprog`` with the same
     solver, options and cold method.  ``linprog`` cannot re-solve from the
     crossover basis as ``solve`` does, so it is no oracle for re-solved LPs,
-    and it has no primal simplex, so none for the LPs that start with one."""
+    and it has no primal simplex, so the LPs it checks force their first
+    run to be the dual simplex (or the interior point)."""
     flip = lp.sense == "max"
     method = {"simplex": "highs-ds", "ipm": "highs-ipm"}[lp_mod._cold_method(lp.n_cols, lp.n_rows)]
     res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
@@ -589,10 +606,13 @@ class TestLinprogOracle:
     answer to the last bit."""
 
     @pytest.mark.parametrize("make, methods, cold", [
+        # the first two force the dual simplex, the repair method, so that
+        # linprog checks the model ``solve`` sets up below the primal band's
+        # cut as well
         (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
-                                np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], None),
+                                np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], "simplex"),
         (lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
-         ["highs-ds"], None),
+         ["highs-ds"], "simplex"),
         # 1,681 cells are in the primal band, which linprog cannot run
         (lambda: Solver(s := smooth_pair(41)).lp(MotProblem(s, forward_start_straddle(), "upper")),
          ["highs-ipm"], "ipm"),
@@ -608,8 +628,7 @@ class TestLinprogOracle:
          ["highs-ipm"], "ipm"),
     ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
     def test_bit_identical_to_linprog(self, monkeypatch, make, methods, cold):
-        if cold is not None:
-            force_cold(monkeypatch, cold)
+        force_cold(monkeypatch, cold)
         lp = make()
         primal, dual, iterations, used = linprog_answer(lp)
         assert used == methods

@@ -357,10 +357,9 @@ class TestWarmSolves:
 
     @pytest.mark.parametrize("m, first_upper_run", [(21, "primal"), (41, "primal"), (51, "ipm")])
     def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, m, first_upper_run):
-        # 441 cells (dual simplex cold) and 1,681 (primal simplex cold)
-        # restart the upper bound from the lower optimum; 2,601 cells over
-        # 152 rows, where the cold method is the interior point, solve it as
-        # a one-shot bound does
+        # 441 and 1,681 cells (primal simplex cold) restart the upper bound
+        # from the lower optimum; 2,601 cells over 152 rows, where the cold
+        # method is the interior point, solve it as a one-shot bound does
         solver = mot.Solver(smooth_pair(m))
         problem = {sense: MotProblem(solver.system, forward_start_straddle(), sense)
                    for sense in ("lower", "upper")}
