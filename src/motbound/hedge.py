@@ -349,7 +349,10 @@ class Verdict:
 
 def check_arbitrage(quoted: float, lower_result, upper_result) -> Verdict:
     """Compare a quote against the model-free interval [lower, upper],
-    widened on each side by ``1e-6 * (1 + |quoted|)``."""
+    widened on each side by ``1e-6 * (1 + |quoted|)``; a quote that is not
+    finite raises ``ValueError``, as no comparison can place it."""
+    if not np.isfinite(quoted):
+        raise ValueError(f"quoted price must be finite, got {quoted!r}")
     lower = float(lower_result.value)
     upper = float(upper_result.value)
     tol = 1e-6 * (1.0 + abs(quoted))

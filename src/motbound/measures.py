@@ -169,8 +169,11 @@ def from_call_curve(curve: CallCurve, s0: float) -> DiscreteMeasure:
     The quoted curve is extended with slope -1 to the left and 0 to the right,
     so the atom weight at each strike is the local slope change.  The left
     closure forces mean ``strikes[0] + prices[0]``; this must agree with
-    ``s0`` or the quotes are inconsistent with the forward.
+    ``s0`` or the quotes are inconsistent with the forward.  A ``s0`` that
+    is not finite raises ``ValueError``.
     """
+    if not math.isfinite(s0):
+        raise ValueError(f"s0 must be finite, got {s0!r}")
     ks, cs = curve.strikes, curve.prices
     slopes = np.concatenate(([-1.0], np.diff(cs) / np.diff(ks), [0.0]))
     masses = np.diff(slopes)
@@ -493,27 +496,24 @@ def load_call_curves(path: str | Path) -> list[CallCurve]:
     ([{"i": ..., "K": ..., "C": ...}, ...]); one curve per maturity index,
     in index order, which is the date order (the index is not kept)."""
     path = Path(path)
-    rows: list[tuple[int, float, float]] = []
     text = path.read_text()
     if path.suffix.lower() == ".json" or text.lstrip().startswith(("[", "{")):
         data = json.loads(text)
-        for rec in data:
-            rows.append((int(rec["i"]), float(rec["K"]), float(rec["C"])))
+        if not (isinstance(data, list) and all(isinstance(rec, dict) for rec in data)):
+            raise ValueError(f'quotes JSON must be a list of {{"i", "K", "C"}} records: {path}')
+        fields = [(rec["i"], rec["K"], rec["C"]) for rec in data]
     else:
         reader = csv.DictReader(text.splitlines())
         if reader.fieldnames is None or not {"maturity_index", "strike", "price"} <= set(reader.fieldnames):
             raise ValueError("quotes CSV needs columns maturity_index, strike, price")
-        for rec in reader:
-            rows.append((int(rec["maturity_index"]), float(rec["strike"]), float(rec["price"])))
+        fields = [(rec["maturity_index"], rec["strike"], rec["price"]) for rec in reader]
+    try:
+        rows = [(int(i), float(k), float(c)) for i, k, c in fields]
+    except TypeError:  # a null JSON field, or a CSV row short of a field
+        raise ValueError(f"a quote in {path} lacks a number") from None
     if not rows:
         raise ValueError(f"no quotes found in {path}")
     by_index: dict[int, list[tuple[float, float]]] = {}
     for i, k, c in rows:
         by_index.setdefault(i, []).append((k, c))
-    curves = []
-    for i in sorted(by_index):
-        quotes = sorted(by_index[i])
-        ks = np.asarray([q[0] for q in quotes])
-        cs = np.asarray([q[1] for q in quotes])
-        curves.append(CallCurve(strikes=ks, prices=cs))
-    return curves
+    return [CallCurve(*np.array(sorted(by_index[i])).T) for i in sorted(by_index)]

@@ -291,7 +291,9 @@ class TestSweep:
 
 
 class TestImpliedMarginals:
-    def test_round_trip(self, tmp_path, capsys):
+    @staticmethod
+    def write_quotes(tmp_path) -> str:
+        """Quotes of the same three-atom law at dates 1 and 2, strike 0 included."""
         mu = DiscreteMeasure(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
         rows = ["maturity_index,strike,price"]
         for i in (1, 2):
@@ -299,8 +301,13 @@ class TestImpliedMarginals:
                 rows.append(f"{i},{k},{call_price(mu, float(k))}")
         quotes = tmp_path / "quotes.csv"
         quotes.write_text("\n".join(rows) + "\n")
+        return str(quotes)
+
+    def test_round_trip(self, tmp_path, capsys):
+        mu = DiscreteMeasure(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
+        quotes = self.write_quotes(tmp_path)
         dest = tmp_path / "implied.json"
-        rc = main(["implied-marginals", "--quotes", str(quotes), "--out", str(dest)])
+        rc = main(["implied-marginals", "--quotes", quotes, "--out", str(dest)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "date 1: 3 atoms" in out
@@ -317,6 +324,20 @@ class TestImpliedMarginals:
         rc = main(["implied-marginals", "--quotes", str(quotes)])
         assert rc == 2
         assert "--s0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s0", ["nan", "inf"])
+    def test_non_finite_spot_is_config_error(self, tmp_path, capsys, s0):
+        # NaN fails every comparison, so it would skip the forward check
+        rc = main(["implied-marginals", "--quotes", self.write_quotes(tmp_path), "--s0", s0])
+        assert rc == 2
+        assert f"s0 must be finite, got {s0}" in capsys.readouterr().err
+
+    def test_json_object_is_config_error(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.json"
+        quotes.write_text('{"i": 0, "K": 0, "C": 1}')
+        rc = main(["implied-marginals", "--quotes", str(quotes), "--s0", "1"])
+        assert rc == 2
+        assert 'list of {"i", "K", "C"} records' in capsys.readouterr().err
 
 
 class TestArb:
@@ -339,6 +360,15 @@ class TestArb:
         assert blob["action"] == action
         assert blob["lower"] == pytest.approx(0.25, abs=1e-9)
         assert blob["upper"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("quoted", [["--quoted", "nan"], ["--quoted", "inf"], ["--quoted=-inf"]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_quote_is_config_error(self, marginals_a, payoff_file, capsys, quoted):
+        rc = main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, *quoted])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "NO_ARB" not in out
+        assert "quoted price must be finite" in err
 
     def test_one_model(self, marginals_a, payoff_file, passed_models):
         assert main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, "--quoted", "0.3"]) == 0

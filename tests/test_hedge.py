@@ -418,6 +418,12 @@ class TestArbitrage:
         assert check_arbitrage(hi.value + 1e-6, lo, hi).action == "NO_ARB"
         assert check_arbitrage(hi.value + 1e-5, lo, hi).action == "SELL"
 
+    @pytest.mark.parametrize("quoted", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_quote_raises(self, instance_b_results, quoted):
+        lo, hi = instance_b_results
+        with pytest.raises(ValueError, match=f"quoted price must be finite, got {quoted!r}"):
+            check_arbitrage(quoted, lo, hi)
+
 
 class TestJsonExport:
     def test_structure_and_portfolio_consistency(self):

@@ -368,3 +368,24 @@ def test_load_call_curves_csv_and_json(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         load_call_curves(bad)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("object.json", '{"i": 0, "K": 0, "C": 1}', "list of"),
+    ("lists.json", "[[0, 0, 1]]", "list of"),
+    ("null.json", '[{"i": 0, "K": null, "C": 1}]', "lacks a number"),
+    ("short.csv", "maturity_index,strike,price\n1,0.0\n", "lacks a number"),
+], ids=["json-object", "json-lists", "json-null", "csv-short-row"])
+def test_load_call_curves_malformed_quotes_raise_value_error(tmp_path, name, text, message):
+    # each of these used to escape as a TypeError
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_call_curves(path)
+
+
+def test_from_call_curve_rejects_a_non_finite_spot():
+    curve = CallCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]))
+    for s0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="s0 must be finite"):
+            from_call_curve(curve, s0)
