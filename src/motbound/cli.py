@@ -230,6 +230,9 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_arb(args) -> int:
+    # check_arbitrage refuses it too, but only after both bounds are solved
+    if not np.isfinite(args.quoted):
+        raise ValueError(f"quoted price must be finite, got {args.quoted!r}")
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
     solver = Solver(system)

@@ -262,7 +262,11 @@ def u2_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     rows = list(csv.reader(io.StringIO(text)))
     if rows and rows[0] and rows[0][0].strip().lower() == "s2":
         rows = rows[1:]
-    pts = np.array([float(r[0]) for r in rows if r])
-    vals = np.array([float(r[1]) for r in rows if r])
+    rows = [r for r in rows if r]
+    for r in rows:
+        if len(r) < 2:
+            raise ValueError(f"u2 CSV row {','.join(r)!r} needs two fields, s2 and u2")
+    pts = np.array([float(r[0]) for r in rows])
+    vals = np.array([float(r[1]) for r in rows])
     order = np.argsort(pts)
     return pts[order], vals[order]

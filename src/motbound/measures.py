@@ -508,9 +508,13 @@ def load_call_curves(path: str | Path) -> list[CallCurve]:
             raise ValueError("quotes CSV needs columns maturity_index, strike, price")
         fields = [(rec["maturity_index"], rec["strike"], rec["price"]) for rec in reader]
     try:
-        rows = [(int(i), float(k), float(c)) for i, k, c in fields]
-    except TypeError:  # a null JSON field, or a CSV row short of a field
-        raise ValueError(f"a quote in {path} lacks a number") from None
+        rows = [(float(i), float(k), float(c)) for i, k, c in fields]
+    except (TypeError, OverflowError):  # a null JSON field, a CSV row short of a field, a huge JSON int
+        raise ValueError(f"a quote in {path} lacks a number or holds one out of range") from None
+    for i, _, _ in rows:
+        if not i.is_integer():
+            raise ValueError(f"maturity index {i!r} in {path} is not an integer")
+    rows = [(int(i), k, c) for i, k, c in rows]
     if not rows:
         raise ValueError(f"no quotes found in {path}")
     by_index: dict[int, list[tuple[float, float]]] = {}

@@ -215,9 +215,7 @@ def _constraints(layout: _Layout, system: MarginalSystem) -> Constraints:
 class Solver:
     """The parts of one marginal system's transport LP, built once: its
     layout (whose ``grids`` are the atoms), every history of dates 1..n-1
-    (one flat array per date, row-major), ``last_axis`` (every date's atoms,
-    their midpoints and zero: what no payoff changes of the final
-    verification axis) and, at first use, its
+    (one flat array per date, row-major) and, at first use, its
     :class:`~motbound.lp.Constraints` (checked once) and a HiGHS
     :class:`~motbound.lp.Session` on them.
 
@@ -233,8 +231,6 @@ class Solver:
         self.system = system
         self.layout = _layout(system)
         self.histories = tuple(_histories(self.layout.grids[:-1]))
-        joint = np.unique(np.concatenate(self.layout.grids))
-        self.last_axis = np.unique(np.concatenate([joint, 0.5 * (joint[:-1] + joint[1:]), [0.0]]))
 
     @functools.cached_property
     def constraints(self) -> Constraints:
@@ -262,16 +258,18 @@ def _solver_for(problem: MotProblem, solver: Solver | None) -> Solver:
 
 def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
     """Grids on which extracted hedges are checked: history axes stay on the
-    marginal atoms (deltas exist only there); the final axis is the union of
-    every date's atoms, refined once by midpoints, plus zero and the payoff's
-    kinks.  Payoffs with no declared last-axis data (tabulated, custom) get
-    no refinement.  The payoff-free parts come from ``solver``, built on
-    ``problem.system`` for this call when not given."""
+    marginal atoms (deltas exist only there); the final axis is the last
+    date's atoms plus every history's kinks of the payoff.  Between two
+    consecutive points of that axis each history's payoff and hedge payout
+    are linear, so it is all that :func:`_augment_last_static` and
+    :func:`~motbound.hedge.verify` need.  Payoffs with no declared last-axis
+    data (tabulated, custom) keep the atoms.  The histories come from
+    ``solver``, built on ``problem.system`` for this call when not given."""
     solver = _solver_for(problem, solver)
     data = payoff_mod.last_axis(problem.payoff, *solver.histories)
     if data is None:
         return list(solver.layout.grids)
-    last = np.unique(np.concatenate([solver.last_axis, *(np.ravel(k) for k in data.kinks)]))
+    last = np.unique(np.concatenate([solver.layout.grids[-1], *(np.ravel(k) for k in data.kinks)]))
     return [*solver.layout.grids[:-1], last]
 
 

@@ -233,7 +233,8 @@ def tabulate(payoff: Payoff, grids: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def last_coord_kinks(payoff: Payoff, history: Sequence[float]) -> list[float]:
-    """Kink locations of s_n -> payoff(history, s_n), used to verify a hedge
-    between grid nodes.  Empty for tabulated and custom payoffs."""
+    """Kink locations of s_n -> payoff(history, s_n): a one-history view of
+    :func:`last_axis`, used by the tests' pointwise reference for
+    ``hedge.verify``.  Empty for tabulated and custom payoffs."""
     data = last_axis(payoff, *np.asarray(history, dtype=float).ravel())
     return [] if data is None else [float(k) for k in data.kinks]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import motbound.cli as cli
+import motbound.lp as lp_mod
 import motbound.mot as mot
 from motbound.cli import main
 from motbound.fixtures import instance_a_marginals, smooth_pair
@@ -332,6 +333,14 @@ class TestImpliedMarginals:
         assert rc == 2
         assert f"s0 must be finite, got {s0}" in capsys.readouterr().err
 
+    def test_fractional_maturity_index_is_config_error(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.json"
+        quotes.write_text(json.dumps([{"i": i, "K": k, "C": c} for i in (1.7, 2, 2)
+                                      for k, c in ((0.0, 1.0), (1.0, 0.5), (2.0, 0.0))]))
+        rc = main(["implied-marginals", "--quotes", str(quotes)])
+        assert rc == 2
+        assert "maturity index 1.7" in capsys.readouterr().err
+
     def test_json_object_is_config_error(self, tmp_path, capsys):
         quotes = tmp_path / "quotes.json"
         quotes.write_text('{"i": 0, "K": 0, "C": 1}')
@@ -363,12 +372,17 @@ class TestArb:
 
     @pytest.mark.parametrize("quoted", [["--quoted", "nan"], ["--quoted", "inf"], ["--quoted=-inf"]],
                              ids=["nan", "inf", "-inf"])
-    def test_non_finite_quote_is_config_error(self, marginals_a, payoff_file, capsys, quoted):
+    def test_non_finite_quote_is_config_error(self, marginals_a, payoff_file, capsys, monkeypatch,
+                                              quoted):
+        runs = []
+        run_highs = lp_mod._run_highs
+        monkeypatch.setattr(lp_mod, "_run_highs", lambda model, name: runs.append(name) or run_highs(model, name))
         rc = main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, *quoted])
         assert rc == 2
         out, err = capsys.readouterr()
         assert "NO_ARB" not in out
         assert "quoted price must be finite" in err
+        assert runs == []  # refused before any LP is solved
 
     def test_one_model(self, marginals_a, payoff_file, passed_models):
         assert main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, "--quoted", "0.3"]) == 0
@@ -421,6 +435,15 @@ class TestEnvelope:
         value = float(out.strip().splitlines()[-1].split()[-1])
         assert value == pytest.approx(blob["value"], abs=1e-9)
         assert value <= 7.0 / 6.0 + 1e-8
+
+
+    def test_short_u2_row_is_config_error(self, marginals_a, tmp_path, capsys):
+        u2csv = tmp_path / "u2.csv"
+        u2csv.write_text("s2,u2\n-1,0\n0\n1,0\n")
+        rc = main(["envelope", "--marginals", marginals_a, "--payoff", "straddle",
+                   "--u2", str(u2csv)])
+        assert rc == 2
+        assert "row '0' needs two fields" in capsys.readouterr().err
 
 
 class TestCounterexample:

@@ -325,3 +325,7 @@ class TestCsv:
         pts, vals = u2_from_csv("1.0,2.0\n-1.0,3.0\n")
         np.testing.assert_array_equal(pts, [-1.0, 1.0])
         np.testing.assert_array_equal(vals, [3.0, 2.0])
+
+    def test_short_row_names_the_row(self):
+        with pytest.raises(ValueError, match="row '0' needs two fields"):
+            u2_from_csv("s2,u2\n-1,0\n0\n1,0\n")

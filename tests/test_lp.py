@@ -143,6 +143,32 @@ class TestErrors:
         with pytest.raises(ValueError):
             Constraints(np.array([0]), np.array([5]), np.array([1.0]), np.array([1.0]), 1)
 
+    @pytest.mark.parametrize("rows, cols, vals, rhs, n_cols, message", [
+        ([0], [0], [1.0], [1.0], 0, "at least one variable"),
+        ([], [], [], [], 1, "at least one variable"),
+        ([0, 0], [0], [1.0], [1.0], 1, "equal length"),
+        ([0], [0], [np.nan], [1.0], 1, "finite"),
+        ([0], [0], [1.0], [np.inf], 1, "finite"),
+        ([1], [0], [1.0], [1.0], 1, "row index out of range"),
+        ([-1], [0], [1.0], [1.0], 1, "row index out of range"),
+    ], ids=["no-column", "no-row", "unequal-triples", "nan-coefficient", "inf-rhs",
+            "row-above", "row-below"])
+    def test_malformed_constraints_rejected(self, rows, cols, vals, rhs, n_cols, message):
+        with pytest.raises(ValueError, match=message):
+            Constraints(np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(vals),
+                        np.array(rhs), n_cols)
+
+    @pytest.mark.parametrize("sense, cost, message", [
+        ("minimize", [1.0, 1.0], "sense must be 'min' or 'max'"),
+        ("min", [1.0], "1 costs for 2 columns"),
+        ("max", [1.0, np.nan], "cost must be finite"),
+    ], ids=["bad-sense", "cost-length", "nan-cost"])
+    def test_malformed_program_rejected(self, sense, cost, message):
+        constraints = Constraints(np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]),
+                                  np.array([1.0]), 2)
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(sense, np.array(cost), constraints)
+
 
 def random_transportation(rng, sense="min"):
     m = int(rng.integers(2, 6))

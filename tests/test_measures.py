@@ -370,14 +370,31 @@ def test_load_call_curves_csv_and_json(tmp_path):
         load_call_curves(bad)
 
 
+def test_load_call_curves_takes_integral_float_indices(tmp_path):
+    csv_path = tmp_path / "q.csv"
+    csv_path.write_text("maturity_index,strike,price\n"
+                        "2.0,0.0,1.0\n2,2.0,0.0\n1,0.0,1.0\n1.0,1.0,0.5\n")
+    curves = load_call_curves(csv_path)
+    assert [c.strikes.tolist() for c in curves] == [[0.0, 1.0], [0.0, 2.0]]
+    json_path = tmp_path / "q.json"
+    json_path.write_text(json.dumps([{"i": i, "K": k, "C": c} for i, k, c in
+                                     ((2.0, 0.0, 1.0), (2, 2.0, 0.0), (1, 0.0, 1.0), (1.0, 1.0, 0.5))]))
+    assert [c.strikes.tolist() for c in load_call_curves(json_path)] == [[0.0, 1.0], [0.0, 2.0]]
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("object.json", '{"i": 0, "K": 0, "C": 1}', "list of"),
     ("lists.json", "[[0, 0, 1]]", "list of"),
     ("null.json", '[{"i": 0, "K": null, "C": 1}]', "lacks a number"),
     ("short.csv", "maturity_index,strike,price\n1,0.0\n", "lacks a number"),
-], ids=["json-object", "json-lists", "json-null", "csv-short-row"])
+    ("huge.json", '[{"i": 1%s, "K": 0, "C": 1}]' % ("0" * 400), "out of range"),
+    ("fraction.json", '[{"i": 1.7, "K": 0, "C": 1}]', "maturity index 1.7 "),
+    ("fraction.csv", "maturity_index,strike,price\n1,0.0,1.0\n1.5,1.0,0.5\n", "maturity index 1.5 "),
+], ids=["json-object", "json-lists", "json-null", "csv-short-row", "json-huge-index", "json-fractional-index",
+        "csv-fractional-index"])
 def test_load_call_curves_malformed_quotes_raise_value_error(tmp_path, name, text, message):
-    # each of these used to escape as a TypeError
+    # the first four used to escape as a TypeError, and a fractional index
+    # was truncated into the date below it
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(ValueError, match=message):

@@ -10,6 +10,7 @@ import pytest
 
 import motbound.lp as lp_mod
 import motbound.mot as mot
+import motbound.payoff as payoff_mod
 from motbound.errors import (DegenerateDual, DimensionMismatch, Infeasible, NotAdmissible,
                              ScaleExceeded)
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
@@ -256,11 +257,57 @@ class TestGaugeAndIdentities:
             assert straddle == pytest.approx(2.0 * call, abs=1e-9)
 
 
+def spread_pair(seed: int, m: int) -> MarginalSystem:
+    """Uniform first date and a wider trapezoid of the same mean, seeded."""
+    rng = np.random.default_rng(seed)
+    c, a = rng.uniform(0.9, 1.1), rng.uniform(0.15, 0.25)
+    plateau, tail = rng.uniform(0.7, 1.0), rng.uniform(0.8, 1.2)
+    xs = [c - a * (1 + tail), c - a * plateau, c + a * plateau, c + a * (1 + tail)]
+    return MarginalSystem([discretize(DensitySpec.uniform(c - a, c + a), m),
+                           discretize(DensitySpec.piecewise_linear(xs, [0.0, 1.0, 1.0, 0.0]), m)])
+
+
+AXIS_CASES = [
+    *[(system, payoff) for system in (lambda: smooth_pair(15), lambda: spread_pair(3, 15))
+      for payoff in (lambda: forward_start_call(0.9), lambda: forward_start_call(1.0),
+                     lambda: forward_start_call(1.1), forward_start_straddle, negated_straddle)],
+    (lambda: widening_dates(0.1, 7), lambda: asian_call(1.0, 3)),
+    (lambda: widening_dates(0.1, 7), lambda: lookback_call(1.0, 3)),
+]
+AXIS_IDS = [f"{s}-{p}" for s in ("smooth15", "spread15")
+            for p in ("call0.9", "call1.0", "call1.1", "straddle", "negated")] + ["asian3", "lookback3"]
+
+
+class TestFinalAxis:
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    @pytest.mark.parametrize("system, payoff", AXIS_CASES, ids=AXIS_IDS)
+    def test_atoms_and_kinks_suffice(self, system, payoff, sense):
+        problem = MotProblem(system(), payoff(), sense)
+        res = bound(problem)
+        atoms = [mu.points for mu in problem.system.marginals]
+        histories = np.meshgrid(*atoms[:-1], indexing="ij")
+        kinks = np.concatenate([np.ravel(np.broadcast_to(k, histories[0].shape)) for k in
+                                payoff_mod.last_axis(problem.payoff, *histories).kinks])
+        # u_n bends only at the last date's atoms and the payoff's kinks
+        assert np.all(np.isin(res.hedge.statics[-1].knots, np.concatenate([atoms[-1], kinks])))
+        # and the hedge holds on a finer axis: every date's atoms, their
+        # midpoints, zero and the kinks, for every history
+        joint = np.unique(np.concatenate(atoms))
+        fine = np.unique(np.concatenate([joint, 0.5 * (joint[:-1] + joint[1:]), [0.0], kinks]))
+        paths = np.column_stack([np.repeat(h.ravel(), fine.size) for h in histories]
+                                + [np.tile(fine, histories[0].size)])
+        phi = payoff_mod.evaluate_last_axis(problem.payoff, paths[:, :-1].T, paths[:, -1])
+        sign = 1.0 if sense == "lower" else -1.0
+        gap = sign * (res.hedge.evaluate(paths) - phi)
+        assert gap.max() <= res.report.max_violation + 1e-12
+
+
 class TestAugmentedKnots:
     @pytest.mark.parametrize("sense", ["lower", "upper"])
     def test_no_rounding_twins(self, sense):
-        # smooth_pair(15) has date-1 atoms, and midpoints, a few ulps from
-        # date-2 atoms: the verification grid keeps them, u_2 does not
+        # the straddle's kinks are the date-1 atoms, some a few ulps from
+        # date-2 atoms on smooth_pair(15): the verification grid keeps
+        # both, u_2 does not
         def spaced(x):
             x = np.sort(x)
             return bool(np.all(np.diff(x) > 1e-12 * (1.0 + np.abs(x[1:]))))
