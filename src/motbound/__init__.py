@@ -5,10 +5,10 @@ remaining freedom is which martingale coupling links the dates.  Optimizing
 the exotic's expectation over that set is a finite linear program whose dual
 is a semi-static hedge.  This package assembles the LP, solves it with
 HiGHS, called through the binding bundled with scipy (primal simplex up to
-mid-size LPs with few variables per row, interior point with crossover on
-larger ones, the dual simplex only to re-solve a run that fails a check;
-plus an exact rational re-solver for small instances), extracts and
-verifies the hedge, and ships a CLI for the whole pipeline.
+mid-size LPs with few variables per row, column generation seeded from a
+coarser grid on larger ones, the dual simplex only to repair a run that
+fails a check; plus an exact rational re-solver for small instances),
+extracts and verifies the hedge, and ships a CLI for the whole pipeline.
 """
 
 from .envelope import convex_envelope, dual_value, evaluate_dual, extended_grid, improve_u2

@@ -200,8 +200,9 @@ def cmd_surface(args) -> int:
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
     problem = MotProblem(system, payoff, args.sense)
-    res = bound(problem)
-    _emit(surface_csv(problem, res), args.out)
+    solver = Solver(system)
+    res = bound(problem, solver=solver)
+    _emit(surface_csv(problem, res, solver), args.out)
     print(f"{args.sense} {fmt12(res.value)}")
     return 0
 

@@ -272,6 +272,25 @@ class VerificationReport:
                 f"over {self.checked_cells} cells at {self.worst_cell}, {wings}")
 
 
+def _history_terms(hedge: SemiStaticHedge, grids) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Every history of the product of ``grids`` (one flat array per date,
+    row-major), with the hedge's head terms (see ``SemiStaticHedge._head``)
+    and last delta there.  Each static payout and each delta's atom lookup
+    is evaluated once per grid point and then indexed, with ``_head``'s
+    arithmetic, so the values carry the same bits."""
+    index = np.indices([g.size for g in grids]).reshape(len(grids), -1)
+    hist = [g[i] for g, i in zip(grids, index)]
+
+    def delta(dt: DeltaTable, dates: int) -> np.ndarray:
+        return dt.values[tuple(_nearest_index(a, g)[i]
+                               for a, g, i in zip(dt.atoms, grids[:dates], index[:dates]))]
+
+    head = hedge.cash + sum(u(g)[i] for u, g, i in zip(hedge.statics[:-1], grids, index))
+    for j, dt in enumerate(hedge.deltas[:-1]):
+        head = head + delta(dt, j + 1) * (hist[j + 1] - hist[j])
+    return hist, head, delta(hedge.deltas[-1], len(grids))
+
+
 def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     """Max violation of psi <= payoff (sub) or >= (super) over the grid product.
 
@@ -279,39 +298,50 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     the whole last axis per history: values at u_n's knots, the payoff's own
     kinks, zero and the grid extremes pin every segment, and a comparison
     with the payoff's exact wing slopes covers both tails.  The worst cell is
-    the first maximum in history order, then last-axis order.
+    the first maximum in history order, then last-axis order.  u_n is
+    evaluated once on the last-axis points that every history shares and
+    once at each history's own kinks; a kink that is one of the shared
+    points, or another kink of its history, is one cell.
     """
     grids = [np.asarray(g, dtype=float).ravel() for g in grids]
     if len(grids) != hedge.n:
         raise DimensionMismatch(f"hedge covers {hedge.n} dates, got {len(grids)} grids")
     sign = 1.0 if hedge.sense == "sub" else -1.0
-    hist = _histories(grids[:-1])
+    hist, head, d = _history_terms(hedge, grids[:-1])
+    u = hedge.statics[-1]
     data = payoff_mod.last_axis(payoff, *hist)
     z = grids[-1]
     kinks = np.zeros((hist[0].size, 0))
     if data is not None:
-        z = np.union1d(z, np.union1d(hedge.statics[-1].knots, [0.0]))
+        z = np.union1d(z, np.union1d(u.knots, [0.0]))
         kinks = np.column_stack([np.broadcast_to(k, hist[0].shape) for k in data.kinks])
+    u_z, u_kinks = u(z), u(kinks)
+    # a kink adds a cell unless it is a shared point or an earlier kink of its history
+    fresh = z[np.clip(np.searchsorted(z, kinks), 0, z.size - 1)] != kinks
+    for j in range(1, kinks.shape[1]):
+        fresh[:, j] &= np.all(kinks[:, :j] != kinks[:, j:j + 1], axis=1)
 
     worst = -np.inf
     worst_cell: tuple[float, ...] = ()
-    checked = 0
     step = max(1, CHUNK_CELLS // (z.size + kinks.shape[1]))
     for start in range(0, hist[0].size, step):
-        h = [x[start: start + step, None] for x in hist]
-        # per history: the shared last-axis points plus its own kinks, sorted
-        zz = np.sort(np.concatenate([np.broadcast_to(z, (h[0].shape[0], z.size)),
-                                     kinks[start: start + step]], axis=1), axis=1)
-        gap = sign * (hedge._payout(*h, zz) - payoff_mod.evaluate_last_axis(payoff, h, zz))
-        checked += zz.shape[0] + int(np.count_nonzero(np.diff(zz, axis=1)))
-        r, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[r, k] > worst:
-            worst = float(gap[r, k])
-            worst_cell = (*[float(x[r, 0]) for x in h], float(zz[r, k]))
+        rows = slice(start, start + step)
+        h = [x[rows, None] for x in hist]
+        base, slope, k = head[rows, None], d[rows, None], kinks[rows]
+        # psi - phi in the order of SemiStaticHedge._payout, so the bits match
+        gap = sign * (base + u_z + slope * (z - h[-1])
+                      - payoff_mod.evaluate_last_axis(payoff, h, z))
+        gap_k = sign * (base + u_kinks[rows] + slope * (k - h[-1])
+                        - payoff_mod.evaluate_last_axis(payoff, h, k))
+        top = np.maximum(gap.max(axis=1), gap_k.max(axis=1, initial=-np.inf))
+        r = int(np.argmax(top))
+        if top[r] > worst:
+            worst = float(top[r])
+            at = np.concatenate((z[gap[r] == top[r]], k[r][gap_k[r] == top[r]]))
+            worst_cell = (*[float(x[r, 0]) for x in h], float(at.min()))
 
     wing_ok = None
     if data is not None:
-        u, d = hedge.statics[-1], hedge.deltas[-1].at(*hist)
         slope_tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
         wing_ok = not (np.any(sign * (u.right_slope + d - data.right_slope) > slope_tol)
                        or np.any(sign * (data.left_slope - (u.left_slope + d)) > slope_tol))
@@ -320,7 +350,7 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
         sense=hedge.sense,
         max_violation=float(worst),
         worst_cell=worst_cell,
-        checked_cells=checked,
+        checked_cells=hist[0].size * z.size + int(np.count_nonzero(fresh)),
         continuum_checked=data is not None,
         wing_ok=wing_ok,
     )

@@ -5,19 +5,23 @@ with A held as sparse (row, col, value) triples in a ``Constraints``, which
 checks them once, so LPs that differ only in cost share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
-without presolve, and returns primal and dual optima.  A cold solve runs
-the method that ``_cold_method`` picks from the LP's shape: the primal
-simplex below ``PRIMAL_MAX_COLS`` variables when there are few per row,
-otherwise the interior-point method with crossover (so both optima are
-still a basic solution).  A ``Session`` is built on one ``Constraints``
-object and keeps one HiGHS model for the LPs built on it: after its first
-solve, each LP only changes the column costs and restarts the primal
-simplex from the last optimal basis, which stays primal feasible, except
-that a change of sense starts cold where the cold method is the interior
-point.  Whatever ran first, the dual simplex re-solves from that run's
-basis when the run fails a check, and runs at no other time.  A plain
-``solve`` is a one-shot session.  The binding is scipy's private
-``_highspy._core``, the one its ``linprog`` wraps; calling it directly
+without presolve, and returns primal and dual optima.  A cold solve takes
+the path that ``_cold_method`` picks from the LP's shape: the primal
+simplex on every column below ``PRIMAL_MAX_COLS`` variables when there are
+few per row, otherwise column generation, whose master holds one
+artificial column per row plus a seed of columns and gains, round by
+round, the columns that price out, each round a primal-simplex run from
+the last basis; it stops when no column prices out, so its dual passes
+the reduced-cost check on every column.  A ``Session`` is built on one
+``Constraints`` object and keeps one HiGHS model for the LPs built on it:
+after its first solve, each LP only changes the column costs and restarts
+the primal simplex from the last optimal basis, which stays primal
+feasible, except that a change of sense starts a new master above the
+primal band.  Either way, a dual-simplex run from the basis the first
+attempt left starts the one further attempt when the first fails a check,
+and runs at no other time.  A plain ``solve`` is a one-shot session.  The
+binding is scipy's private ``_highspy._core``, the one its ``linprog``
+wraps; calling it directly
 skips ``linprog``'s input cleaning, option checking and bound-marginal
 loop, which cost more than HiGHS itself on the small LPs of a strike sweep.
 ``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
@@ -32,6 +36,8 @@ column touches their row.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,7 +76,9 @@ EXACT_MAX_VARS = 200
 #     4    9   6,561 × 852     3,538    3,016
 #     4   11  14,641 × 1,504  11,491    7,990
 #
-# so the primal simplex stops paying between 4,913 and 6,561 variables.
+# so the primal simplex stops paying between 4,913 and 6,561 variables.  The
+# interior-point columns here and below are history: column generation has
+# run above the band since, in place of the interior point.
 PRIMAL_MAX_COLS = 5000
 # Two dates leave more variables per row, and the interior point wins
 # sooner.  Same set-up on smooth_pair(m), ten LPs: the straddle, the
@@ -85,6 +93,35 @@ PRIMAL_MAX_COLS = 5000
 # payoff (21-25 ms each against 36-41) and loses the five that maximize one
 # (46-51 ms against 38-40): a tie, and the ratio cuts just below it, m=45.
 PRIMAL_MAX_COLS_PER_ROW = 15
+# Above the primal band a cold solve runs column generation (see Session).
+# Each artificial column costs ARTIFICIAL_COST * (1 + max|c|); every master
+# run here ended with no artificial mass, after which the artificials cost
+# nothing (see _Master.generate).
+ARTIFICIAL_COST = 1e3
+# A round adds each group's most negative column (one per history, see
+# mot.Solver), at most ROUND_ROWS per row.  Single runs, one BLAS thread, s:
+#
+#   round                            smooth_pair(401)   3 dates, m=51   4 dates, m=17
+#                                    lower    upper     lower   upper   lower
+#   one per history, <= 2 per row     0.74     0.42      3.26    1.85    5.38
+#   two per history, <= 2 per row     0.86     0.52      4.17    2.44    8.58
+#   one per history, <= 0.5 per row   0.75     0.48      3.44    2.12    6.08
+#
+# with the straddle on two dates and an Asian call at 1 on uniform laws on
+# [1 - 0.1k, 1 + 0.1k] at date k.  On 4 dates at m=21 (lower, the default
+# pricing below) the first rule took 32-35 s, two per history 47.7 s, and
+# <= 0.5 and <= 0.25 per row 43.0 and 38.9 s.  A transport LP has fewer
+# histories than rows, so the cap binds only on smaller groups, as in a
+# plain solve, one column per group: four unseeded LPs (smooth_pair(101) and
+# 3 dates at m=21, both senses) took 2.02, 1.53, 1.57, 1.66 and 1.55 s at
+# <= 0.5, 1, 2 and 4 per row and with no cap.
+ROUND_ROWS = 2
+# A master's runs price row-wise (HiGHS simplex_price_strategy 1, where the
+# default, 3, switches between row-wise and column-wise pricing): the same
+# pivots on the two- and three-date LPs above; on 4 dates, lower, 5.6-6.0 s
+# against 7.0-7.5 at m=17 and 22.3-25.3 s against 32.3-34.7 at m=21 (52,055
+# pivots against 62,385), and 2.2-2.5 s either way at m=13 (two runs each).
+MASTER_PRICE_STRATEGY = 1
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -125,6 +162,14 @@ class Constraints:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_cols", n_cols)
+
+    @functools.cached_property
+    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A column by column: starts (one per column and the end), row
+        indices and values."""
+        order = np.lexsort((self.rows, self.cols))
+        start = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.n_cols))))
+        return start, self.rows[order], self.vals[order]
 
 
 @dataclass(frozen=True)
@@ -176,15 +221,13 @@ class LinearProgram:
 class LpSolution:
     """An optimum (other outcomes raise).  Exact fields only from solve_exact.
 
-    ``iterations`` counts HiGHS's iterations by the rule of scipy's
-    ``linprog`` (``nit + crossover_nit``): per run, the simplex iteration
-    count, or the interior-point iteration count when the simplex count is
-    zero, plus the crossover iteration count; summed over both runs when
-    the dual simplex re-solves after the first.  Simplex clean-up pivots
-    after crossover therefore replace the interior-point count rather than
-    add to it.  A warm solve counts only its own pivots from its start.
-    ``runs`` counts the HiGHS runs behind the solution (1 or 2), ``warm``
-    whether the first restarted from a session's basis."""
+    ``iterations`` sums HiGHS's simplex iteration counts over the solve's
+    runs: a master's rounds and, when a second attempt follows the first,
+    its runs too (the runs that find a master's seed are not counted).  A
+    warm solve counts only its own pivots from its start.  ``runs`` counts
+    the attempts behind the solution (1, or 2 when the first failed a check
+    and a dual-simplex run started the second), ``warm`` whether the first
+    restarted from a session's basis."""
 
     primal: np.ndarray
     dual: np.ndarray
@@ -201,75 +244,77 @@ class Session:
     """One HiGHS model of ``constraints``, kept for solving the LPs built on
     that object, which differ only in cost and sense.
 
-    The model is built at the first solve, which runs the cold method of
-    :func:`_cold_method`.  Once a solve has passed every check, the next one
-    only changes the column costs and runs the primal simplex from that
-    solve's basis, which a change of cost leaves primal feasible.  Either
-    way, a first run that fails a check is followed by one dual-simplex run
-    from its basis.  Where the cold method is the interior point, a change
-    of sense frees the model instead, as the other sense's optimum is a far
-    slower start there than none; below that size it is a faster start
-    than a cold run.  A solve that raises also frees the model.  Solve
-    order therefore decides which optimum a degenerate LP returns: the same
-    order gives the same bits, but a warm optimum can differ from a cold
-    one.  An LP built on another ``Constraints`` object, even with equal
-    arrays, is refused."""
+    The model is built at the first solve.  In the primal band of
+    :func:`_cold_method` it holds every column of the LP.  Above the band
+    it is a column-generation master (:class:`_Master`): one artificial
+    column per row, priced at ``ARTIFICIAL_COST`` relative to the costs,
+    makes it feasible from the start, and it holds the columns that
+    ``seed`` returns for the LP (a function of the LP, called once per
+    master; no column without one), plus those that rounds of pricing add.
+    ``group`` splits the columns into consecutive groups of that size (the
+    cells of one history), each of which gives a round at most one column.
+    Either way each run is the primal simplex from the last basis, and the
+    solve returns once no column of the LP prices out, so its dual passes
+    the reduced-cost check on every column.
 
-    def __init__(self, constraints: Constraints) -> None:
+    Once a solve has passed every check, the next one only changes the
+    column costs and runs the primal simplex from that solve's basis, which
+    a change of cost leaves primal feasible; a master keeps its columns,
+    with its artificials fixed at zero from its first such solve on.
+    Either way, a first attempt that fails a check is followed by one more
+    from its basis that starts with a dual-simplex run.  Above the band a
+    change of sense frees the master instead, whose columns were priced
+    for the other sense's optimum; in the band the other optimum is a
+    faster start than a cold run.  A solve that raises also frees the
+    model.  Solve order therefore decides which optimum a degenerate LP
+    returns: the same order gives the same bits, but a warm optimum can
+    differ from a cold one.  An LP built on another ``Constraints``
+    object, even with equal arrays, is refused."""
+
+    def __init__(self, constraints: Constraints,
+                 seed: Callable[[LinearProgram], np.ndarray] | None = None, group: int = 1) -> None:
         self.constraints = constraints
-        self._model = None
+        self.seed = seed
+        self.group = group
+        self._master = None
         self._sense = None  # the sense of the model's last solve
 
     @property
     def warm(self) -> bool:
         """Whether the session holds the basis of a solve that passed every check."""
-        return self._model is not None
+        return self._master is not None
 
-    def _build(self, lp: LinearProgram) -> None:
-        n, m = lp.n_cols, lp.n_rows
-        order = np.lexsort((lp.rows, lp.cols))
-        model = highs.HighsLp()
-        model.num_col_, model.num_row_ = n, m
-        model.col_cost_ = -lp.cost if lp.sense == "max" else lp.cost
-        model.col_lower_ = np.zeros(n)
-        model.col_upper_ = np.full(n, highs.kHighsInf)
-        model.row_lower_ = model.row_upper_ = lp.rhs
-        a = model.a_matrix_
-        a.format_ = highs.MatrixFormat.kColwise
-        a.num_col_, a.num_row_ = n, m
-        # integer vectors convert to HiGHS faster from lists than from arrays
-        a.start_ = np.concatenate(([0], np.cumsum(np.bincount(lp.cols, minlength=n)))).tolist()
-        a.index_ = lp.rows[order].tolist()
-        a.value_ = lp.vals[order]
-        options = highs.HighsOptions()
-        options.presolve = "off"
-        options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
-        options.simplex_iteration_limit = options.ipm_iteration_limit = MAX_ITER
-        options.output_flag = options.log_to_console = False
-        run = highs._Highs()
-        if run.passOptions(options) == highs.HighsStatus.kError:
-            raise LpError("HiGHS rejected the solver options")
-        if run.passModel(model) == highs.HighsStatus.kError:
-            raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
-        self._model = run
-
-    def _solve(self, lp: LinearProgram) -> LpSolution:
+    def _check(self, lp: LinearProgram) -> np.ndarray:
+        """The LP's costs in minimization form, once it is built on the session's constraints."""
         if lp.constraints is not self.constraints:
             raise ValueError("the LP is not built on the session's constraints")
+        return -lp.cost if lp.sense == "max" else lp.cost
+
+    def _start(self, lp: LinearProgram, cost: np.ndarray, artificial: bool) -> _Master:
+        """A cold model of ``lp``: in the primal band every column, after one
+        artificial column per row when ``artificial`` is set; above it a
+        master on the seed's columns."""
+        if _cold_method(lp.n_cols, lp.n_rows) != "master":
+            return _Master(lp, cost, np.arange(lp.n_cols), artificial, self.group)
+        seed = () if self.seed is None else self.seed(lp)
+        return _Master(lp, cost, np.unique(np.asarray(seed, dtype=np.int64)), True, self.group)
+
+    def _solve(self, lp: LinearProgram) -> LpSolution:
+        cost = self._check(lp)
         cold = _cold_method(lp.n_cols, lp.n_rows)
-        if lp.sense != self._sense and cold == "ipm":
-            self._model = None
+        if lp.sense != self._sense and cold == "master":
+            self._master = None
         self._sense = lp.sense
         warm = self.warm
-        if warm:
-            self._model.changeColsCost(lp.n_cols, np.arange(lp.n_cols, dtype=np.int32),
-                                       -lp.cost if lp.sense == "max" else lp.cost)
-        else:
-            self._build(lp)
         try:
+            if warm:
+                self._master.change_cost(cost)
+            else:
+                self._master = self._start(lp, cost, artificial=False)
             iterations = 0
-            for runs, solver in enumerate(("primal" if warm else cold, "simplex"), start=1):
-                status, count, primal, dual = _run_highs(self._model, solver)
+            first = "primal" if warm or cold == "master" else cold
+            for runs, solver in enumerate((first, "simplex"), start=1):
+                status, count, primal, dual = self._master.generate(lp, cost, solver)
                 iterations += count
                 if status in _LIMIT:
                     raise IterationLimit(f"exceeded {MAX_ITER} iterations")
@@ -285,45 +330,184 @@ class Session:
                     continue
                 return LpSolution(primal, dual, float(lp.cost @ primal), iterations, runs, warm)
         except BaseException:
-            self._model = None  # the next solve starts cold
+            self._master = None  # the next solve starts cold
             raise
+
+    def support(self, lp: LinearProgram) -> np.ndarray:
+        """The columns that carry mass in an optimum of ``lp`` once one
+        artificial column per row keeps it feasible, solved on a model of
+        its own as a cold solve would be (the session's model is left
+        alone), with no check: a hint, which an LP without a feasible point
+        still gives.  Raises ``LpError`` when no optimum is reached."""
+        cost = self._check(lp)
+        master = self._start(lp, cost, artificial=True)
+        status, _, primal, _ = master.generate(lp, cost, "primal", fix=False)
+        if status != highs.HighsModelStatus.kOptimal:
+            raise LpError(f"HiGHS model status {status.name}")
+        return np.flatnonzero(primal > 0.0)
+
+
+class _Master:
+    """A HiGHS model of an LP on some of its columns, ``cols`` in model
+    order, after ``n_art`` artificial columns (none, or one per row with
+    coefficient +1, or -1 where the rhs is negative, at cost
+    ``ARTIFICIAL_COST * (1 + max|c|)``).  ``member`` marks the LP's
+    columns in the model; a round adds at most one column per ``group``
+    consecutive columns."""
+
+    def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
+                 group: int) -> None:
+        n_art = lp.n_rows if artificial else 0
+        n = n_art + cols.size
+        start, index, value = _column_slices(lp.constraints.csc, cols)
+        model = highs.HighsLp()
+        model.num_col_, model.num_row_ = n, lp.n_rows
+        big = ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
+        model.col_cost_ = np.concatenate((np.full(n_art, big), cost[cols]))
+        model.col_lower_ = np.zeros(n)
+        model.col_upper_ = np.full(n, highs.kHighsInf)
+        model.row_lower_ = model.row_upper_ = lp.rhs
+        a = model.a_matrix_
+        a.format_ = highs.MatrixFormat.kColwise
+        a.num_col_, a.num_row_ = n, lp.n_rows
+        # integer vectors convert to HiGHS faster from lists than from arrays
+        a.start_ = np.concatenate((np.arange(n_art), n_art + start)).tolist()
+        a.index_ = np.concatenate((np.arange(n_art), index)).tolist()
+        a.value_ = np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value))
+        options = highs.HighsOptions()
+        options.presolve = "off"
+        options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
+        options.simplex_iteration_limit = MAX_ITER
+        options.output_flag = options.log_to_console = False
+        if artificial:
+            options.simplex_price_strategy = MASTER_PRICE_STRATEGY
+        run = highs._Highs()
+        if run.passOptions(options) == highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the solver options")
+        if run.passModel(model) == highs.HighsStatus.kError:
+            raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
+        self.model = run
+        self.n_art = n_art
+        self.group = group
+        self.cols = cols
+        self.member = np.zeros(lp.n_cols, dtype=bool)
+        self.member[cols] = True
+        self.fixed = not artificial
+
+    def change_cost(self, cost: np.ndarray) -> None:
+        self.model.changeColsCost(self.cols.size, np.arange(self.n_art, self.n_art + self.cols.size,
+                                                            dtype=np.int32), cost[self.cols])
+
+    def fix_artificials(self) -> None:
+        """Fix the artificial columns at zero, at zero cost, for good."""
+        index, zero = np.arange(self.n_art, dtype=np.int32), np.zeros(self.n_art)
+        for status in (self.model.changeColsBounds(self.n_art, index, zero, zero),
+                       self.model.changeColsCost(self.n_art, index, zero)):
+            if status == highs.HighsStatus.kError:
+                raise LpError("HiGHS rejected the artificial columns' bounds or costs")
+        self.fixed = True
+
+    def generate(self, lp: LinearProgram, cost: np.ndarray, solver: str, fix: bool = True):
+        """A run of ``solver``, then rounds of pricing and primal-simplex
+        runs, each from the last basis, until no column of ``lp`` outside
+        the model has a reduced cost ``cost - A^T y`` below
+        ``-FEAS_TOL * (1 + max|c|)``, the reduced-cost check of
+        :func:`_check_run`.  A round adds each group's most negative such
+        column, at most ``ROUND_ROWS`` times the row count of them, most
+        negative first.  When ``fix`` is set, the first optimum whose
+        artificials hold no more mass than the residual check allows fixes
+        them at zero cost and zero mass, and the rounds go on: a dual priced
+        against artificials at ``ARTIFICIAL_COST`` sits at a far corner of
+        the optimal face, where the hedge it gives carries static payouts
+        of that size that cancel in the payout.  ``MAX_ITER`` bounds the
+        iterations of all runs together.  Returns what :func:`_run_highs`
+        does, with the iterations summed and the primal over every column
+        of ``lp`` (an artificial's mass is left out, so the residual check
+        sees it)."""
+        tol = FEAS_TOL * (1.0 + float(np.abs(lp.cost).max()))
+        mass_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.rhs).max()))
+        iterations = 0
+        while True:
+            if self.model.setOptionValue("simplex_iteration_limit",
+                                         MAX_ITER - iterations) == highs.HighsStatus.kError:
+                raise LpError("HiGHS rejected the solver options")
+            status, count, x, y = _run_highs(self.model, solver)
+            iterations += count
+            if status != highs.HighsModelStatus.kOptimal:
+                return status, iterations, None, None
+            entering = self._entering(lp, cost, y, tol)
+            if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= mass_tol:
+                self.fix_artificials()
+                solver = "primal"
+                continue
+            if not entering.size:
+                primal = np.zeros(lp.n_cols)
+                primal[self.cols] = x[self.n_art:]
+                return status, iterations, primal, y
+            start, index, value = _column_slices(lp.constraints.csc, entering)
+            if self.model.addCols(entering.size, cost[entering], np.zeros(entering.size),
+                                  np.full(entering.size, highs.kHighsInf), index.size,
+                                  start[:-1].astype(np.int32), index.astype(np.int32),
+                                  value) == highs.HighsStatus.kError:
+                raise LpError("HiGHS rejected the added columns")
+            self.cols = np.concatenate((self.cols, entering))
+            self.member[entering] = True
+            solver = "primal"
+
+    def _entering(self, lp: LinearProgram, cost: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+        if self.cols.size == lp.n_cols:
+            return self.cols[:0]
+        reduced = cost - np.bincount(lp.cols, lp.vals * y[lp.rows], minlength=lp.n_cols)
+        reduced[self.member] = 0.0
+        by_group = reduced.reshape(-1, self.group)
+        best = by_group.argmin(axis=1)
+        value = by_group[np.arange(best.size), best]
+        groups = np.flatnonzero(value < -tol)
+        groups = groups[np.argsort(value[groups], kind="stable")][: int(ROUND_ROWS * lp.n_rows)]
+        return groups * self.group + best[groups]
+
+
+def _column_slices(csc, cols: np.ndarray):
+    """The columns ``cols`` of a matrix held as ``Constraints.csc``, in that
+    order and in the same form: starts (one per column and the end), row
+    indices and values."""
+    start, index, value = csc
+    counts = start[cols + 1] - start[cols]
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    take = np.repeat(start[cols] - starts[:-1], counts) + np.arange(starts[-1])
+    return starts, index[take], value[take]
 
 
 def _cold_method(n_cols: int, n_rows: int) -> str:
-    """The method a cold solve of an LP of this shape runs first:
-    ``"primal"`` (the primal simplex) while there are fewer than
+    """How a cold solve of an LP of this shape runs: ``"primal"`` (the
+    primal simplex on every column) while there are fewer than
     ``PRIMAL_MAX_COLS`` variables and fewer than ``PRIMAL_MAX_COLS_PER_ROW``
-    per row, else ``"ipm"`` (the interior point with crossover)."""
-    return "primal" if n_cols < min(PRIMAL_MAX_COLS, PRIMAL_MAX_COLS_PER_ROW * n_rows) else "ipm"
+    per row, else ``"master"`` (column generation, see :class:`Session`)."""
+    return "primal" if n_cols < min(PRIMAL_MAX_COLS, PRIMAL_MAX_COLS_PER_ROW * n_rows) else "master"
 
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError)
-# solver name -> HiGHS ``solver`` and ``simplex_strategy`` options
-_METHODS = {"simplex": ("simplex", highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-            "primal": ("simplex", highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal),
-            "ipm": ("ipm", highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)}
+# solver name -> HiGHS ``simplex_strategy`` option
+_METHODS = {"simplex": highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+            "primal": highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal}
 
 
 def _run_highs(model, solver: str):
-    """One HiGHS run of a session's model, in minimization form, from the
-    basis its last run left (none before the first run): ``solver`` is
-    ``"simplex"`` (the dual simplex), ``"primal"`` (the primal simplex) or
-    ``"ipm"`` (the interior point with crossover).  The iteration limits
-    are the model's, set when its session built it.
+    """One HiGHS simplex run of a session's model, in minimization form,
+    from the basis its last run left (none before the first run):
+    ``solver`` is ``"simplex"`` (the dual simplex) or ``"primal"`` (the
+    primal simplex).  The iteration limit is the model's.
 
-    Returns the model status, the iteration count (the rule is under
-    ``LpSolution``), and the primal and row duals of the minimization,
-    which are None unless the status is optimal."""
-    method, strategy = _METHODS[solver]
-    for name, value in (("solver", method), ("simplex_strategy", int(strategy))):
+    Returns the model status, the simplex iteration count, and the primal
+    and row duals of the minimization, which are None unless the status is
+    optimal."""
+    for name, value in (("solver", "simplex"), ("simplex_strategy", int(_METHODS[solver]))):
         if model.setOptionValue(name, value) == highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the solver options")
     model.run()
     status = model.getModelStatus()
-    info = model.getInfo()
-    iterations = ((info.simplex_iteration_count or info.ipm_iteration_count)
-                  + info.crossover_iteration_count)
+    iterations = model.getInfo().simplex_iteration_count
     if status != highs.HighsModelStatus.kOptimal:
         return status, iterations, None, None
     solution = model.getSolution()
@@ -361,16 +545,17 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     HiGHS runs without presolve, at its tightest feasibility tolerances, on
     the model of ``session`` (which must be built on ``lp.constraints``) or,
     without one, on a model built for this solve alone and freed when it
-    returns.  A cold solve runs the method :func:`_cold_method` picks from
-    the LP's shape, the primal simplex or the interior-point method with
-    crossover; a warm solve (see :class:`Session`) runs the primal simplex
-    from the last optimal basis.  If that run fails (crossover can stop at a
-    basis HiGHS cannot certify, or at one whose dual fails the reduced-cost
-    check), the dual simplex runs once from its basis.  ``MAX_ITER`` bounds
-    the iterations of each run.  A run is accepted only when it is optimal
-    and passes the checks of :func:`_check_run` at ``FEAS_TOL``; a failed
-    dual-simplex run raises the error those checks name.  Whichever method
-    ran, a limit raises ``IterationLimit``, an infeasible or malformed model
+    returns.  A cold solve takes the path :func:`_cold_method` picks from
+    the LP's shape, the primal simplex on every column or column generation
+    (see :class:`Session`); a warm solve runs the primal simplex from the
+    last optimal basis, and a master goes on pricing from there.  If that
+    attempt fails a check, one more starts with a dual-simplex run from its
+    basis.  ``MAX_ITER`` bounds the iterations of each attempt, all of a
+    master's rounds together.  An attempt is accepted only when it is
+    optimal and passes the checks of :func:`_check_run` at ``FEAS_TOL`` (a
+    master whose artificial columns keep mass fails the residual check); a
+    failed second attempt raises the error those checks name.  Either way,
+    a limit raises ``IterationLimit``, an infeasible or malformed model
     ``Infeasible`` and an unbounded one ``Unbounded`` at once."""
     return (session or Session(lp.constraints))._solve(lp)
 

@@ -169,12 +169,19 @@ def from_call_curve(curve: CallCurve, s0: float) -> DiscreteMeasure:
     The quoted curve is extended with slope -1 to the left and 0 to the right,
     so the atom weight at each strike is the local slope change.  The left
     closure forces mean ``strikes[0] + prices[0]``; this must agree with
-    ``s0`` or the quotes are inconsistent with the forward.  A ``s0`` that
-    is not finite raises ``ValueError``.
+    ``s0`` or the quotes are inconsistent with the forward.  The right
+    closure needs the last quote to be 0 (within 1e-10, the price tolerance
+    of :class:`CallCurve`), else no measure on the quoted strikes matches
+    the quotes.  A ``s0`` that is not finite raises ``ValueError``.
     """
     if not math.isfinite(s0):
         raise ValueError(f"s0 must be finite, got {s0!r}")
     ks, cs = curve.strikes, curve.prices
+    if cs[-1] > 1e-10:
+        raise InfeasibleCurve(
+            f"last quote {cs[-1]:.12g} at strike {ks[-1]:.12g} is not 0; "
+            "quote a strike where the call is worthless"
+        )
     slopes = np.concatenate(([-1.0], np.diff(cs) / np.diff(ks), [0.0]))
     masses = np.diff(slopes)
     if np.any(masses < -1e-10):
@@ -188,6 +195,19 @@ def from_call_curve(curve: CallCurve, s0: float) -> DiscreteMeasure:
         )
     masses = np.maximum(masses, 0.0)
     return DiscreteMeasure(ks, masses)
+
+
+def halve(measure: DiscreteMeasure) -> DiscreteMeasure:
+    """The measure on every other atom of ``measure``, both ends kept, whose
+    call prices match ``measure``'s at those atoms: :func:`from_call_curve`
+    of the exact prices there.  Its call curve is the chord interpolation
+    of ``measure``'s, so the mean is kept and ``measure`` precedes it in
+    convex order; a measure of fewer than three atoms is returned as is."""
+    if len(measure) < 3:
+        return measure
+    keep = np.unique(np.append(np.arange(0, len(measure), 2), len(measure) - 1))
+    strikes = measure.points[keep]
+    return from_call_curve(CallCurve(strikes, call_price(measure, strikes)), measure.mean)
 
 
 @dataclass

@@ -12,19 +12,20 @@ static payouts u_i, martingale-row duals are the delta positions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import payoff as payoff_mod
-from .errors import (DegenerateDual, DimensionMismatch, Infeasible, MotboundError,
+from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     VerificationReport, _histories, _rounding_twins, price as hedge_price,
                     slackness, verify)
 from .lp import Constraints, LinearProgram, LpSolution, Session, solve
-from .measures import BarrierDecomposition, MarginalSystem, detect_barriers
+from .measures import BarrierDecomposition, MarginalSystem, detect_barriers, halve
 from .payoff import Payoff
 
 GAP_TOL = 1e-7
@@ -33,6 +34,16 @@ MASS_FLOOR = 1e-15
 # and n - 1 martingale rows per cell), checked before any assembly: a solve
 # peaks at 0.16-0.22 KB per nonzero, so this is about 3.5 GB.
 MAX_NONZEROS = 16_000_000
+# A master's seed is the coarse support widened by SEED_WIDTH atoms each way
+# on every date (see Solver).  Single runs, one BLAS thread, s, on the LPs
+# of lp.ROUND_ROWS:
+#
+#   width   smooth_pair(401)    3 dates, m=51     4 dates, m=17
+#           lower    upper      lower   upper     lower
+#     0      6.71    56.35      over 120 s         19.72
+#     1      0.74     0.42       3.26    1.85       5.38
+#     2      0.93     0.94       5.56    4.88      13.69
+SEED_WIDTH = 1
 
 
 def fmt12(x: float) -> str:
@@ -221,11 +232,20 @@ class Solver:
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
-    restarts from the last optimal basis, bar a change of sense where the
-    cold method is the interior point (see :class:`~motbound.lp.Session`).
-    Which optimal dual a degenerate LP returns then depends on the solve
-    order; callers keep it fixed, with every lower bound before any upper
-    bound."""
+    restarts from the last optimal basis, bar a change of sense above the
+    primal band (see :class:`~motbound.lp.Session`).  Which optimal dual a
+    degenerate LP returns then depends on the solve order; callers keep it
+    fixed, with every lower bound before any upper bound.
+
+    Above the primal band the session's master starts from a seed: the
+    same LP on the halved marginals (:func:`~motbound.measures.halve`),
+    whose atoms are atoms of this system, so its cost is this LP's cost
+    read at its cells and no payoff is evaluated.  That LP is solved by the
+    coarse solver's :meth:`~motbound.lp.Session.support`, which seeds its
+    own master the same way, down to the primal band.  Halving each date
+    on its own atoms can lose convex order, so the coarse support is only a
+    hint: its cells, widened by ``SEED_WIDTH`` atoms each way on every date,
+    are the seed."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
@@ -238,7 +258,8 @@ class Solver:
 
     @functools.cached_property
     def session(self) -> Session:
-        return Session(self.constraints)
+        return Session(self.constraints, seed=_Seed(self.system, self.layout.shape),
+                       group=self.layout.shape[-1])
 
     def lp(self, problem: MotProblem) -> LinearProgram:
         """The transport LP of ``problem``: cell masses, marginal rows (one
@@ -247,6 +268,46 @@ class Solver:
         _solver_for(problem, self)
         return LinearProgram("min" if problem.sense == "lower" else "max",
                              payoff_mod.tabulate(problem.payoff, self.layout.grids), self.constraints)
+
+
+class _Seed:
+    """The seed of a master on the transport LP of ``system``, whose product
+    grid has ``shape`` (see :class:`Solver`): a function of the LP, kept
+    apart from the solver so that the solver's session holds no reference
+    back to it."""
+
+    def __init__(self, system: MarginalSystem, shape: tuple[int, ...]) -> None:
+        self.system = system
+        self.shape = shape
+
+    @functools.cached_property
+    def coarse(self) -> tuple[Solver, tuple[np.ndarray, ...]] | None:
+        """The solver of the halved system and, per date, the index of each
+        of its atoms among this system's; None when halving removes no atom."""
+        coarse = MarginalSystem([halve(mu) for mu in self.system.marginals])
+        if all(len(a) == len(b) for a, b in zip(coarse.marginals, self.system.marginals)):
+            return None
+        return Solver(coarse), tuple(np.searchsorted(fine.points, mu.points)
+                                     for fine, mu in zip(self.system.marginals, coarse.marginals))
+
+    def __call__(self, lp: LinearProgram) -> np.ndarray:
+        """The cells of the coarse LP's support, mapped to this grid and
+        widened; none when there is no coarse system or its LP cannot be
+        solved."""
+        if self.coarse is None:
+            return np.empty(0, dtype=np.int64)
+        coarse, atoms = self.coarse
+        cells = np.ravel_multi_index(np.meshgrid(*atoms, indexing="ij"), self.shape).ravel()
+        try:
+            support = coarse.session.support(LinearProgram(lp.sense, lp.cost[cells],
+                                                           coarse.constraints))
+        except LpError:
+            return np.empty(0, dtype=np.int64)
+        n = len(self.shape)
+        index = np.column_stack(np.unravel_index(cells[support], self.shape))
+        steps = np.array(list(itertools.product(range(-SEED_WIDTH, SEED_WIDTH + 1), repeat=n)))
+        near = np.clip((index[:, None, :] + steps).reshape(-1, n), 0, np.array(self.shape) - 1)
+        return np.unique(np.ravel_multi_index(near.T, self.shape))
 
 
 def _solver_for(problem: MotProblem, solver: Solver | None) -> Solver:
@@ -553,15 +614,17 @@ def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:
         raise NotAdmissible("marginals are not in convex order")
     solver = Solver(system)
     cost = np.random.default_rng(seed).uniform(-1.0, 1.0, size=solver.layout.n_cells)
-    sol = solve(LinearProgram("min", cost, solver.constraints))
+    sol = solve(LinearProgram("min", cost, solver.constraints), session=solver.session)
     return _coupling_from_primal(sol.primal, solver.layout)
 
 
-def surface_csv(problem: MotProblem, result: MotResult) -> str:
-    """Hedge payout vs payoff over (s1, z) for two-date problems."""
+def surface_csv(problem: MotProblem, result: MotResult, solver: Solver | None = None) -> str:
+    """Hedge payout vs payoff over (s1, z) of the verification grids, for
+    two-date problems; the grids are read from ``solver`` (see
+    :func:`verification_grids`)."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("surface export covers two-date problems")
-    paths = np.column_stack(_histories(verification_grids(problem)))
+    paths = np.column_stack(_histories(verification_grids(problem, solver)))
     psi = result.hedge.evaluate(paths)
     phi = payoff_mod.evaluate_last_axis(problem.payoff, [paths[:, 0]], paths[:, 1])
     lines = ["s1,s2,psi,phi,phi_minus_psi"]

@@ -409,6 +409,22 @@ class TestSurface:
         gaps = [float(line.split(",")[-1]) for line in lines[1:]]
         assert min(gaps) >= -1e-8
 
+    def test_one_layout_and_the_library_bytes(self, tmp_path, monkeypatch):
+        # the export reads its grids from the solver the bound ran on
+        system = smooth_pair(15)
+        marginals = tmp_path / "m.json"
+        marginals.write_text(json.dumps(system.to_json()))
+        dest = tmp_path / "surface.csv"
+        layout, calls = mot._layout, []
+        monkeypatch.setattr(mot, "_layout", lambda *args: calls.append(1) or layout(*args))
+        assert main(["surface", "--marginals", str(marginals), "--payoff", "straddle",
+                     "--out", str(dest)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        problem = mot.MotProblem(MarginalSystem.from_json(json.loads(marginals.read_text())),
+                                 forward_start_straddle(), "lower")
+        assert dest.read_text() == mot.surface_csv(problem, mot.bound(problem))
+
 
 class TestEnvelope:
     def test_zero_start_value_zero(self, marginals_a, capsys):

@@ -248,8 +248,24 @@ def spy_highs(monkeypatch, corrupt=None):
 
 
 def force_cold(monkeypatch, method):
-    """Every cold solve runs ``method`` first, whatever the LP's shape."""
+    """Every cold solve runs ``method`` first, whatever the LP's shape:
+    ``"simplex"`` or ``"primal"`` on every column, or ``"master"``, column
+    generation.  Tests and ids that name the interior point ("ipm") name
+    the path above the primal band, which it took before column generation
+    replaced it there."""
     monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: method)
+
+
+def first_run(method: str) -> str:
+    """The HiGHS method of a cold solve's first run: a master's runs are
+    primal-simplex runs."""
+    return "primal" if method == "master" else method
+
+
+def every_column(lp: LinearProgram) -> np.ndarray:
+    """A seed that puts every column in the master, so that its first round
+    is its last."""
+    return np.arange(lp.n_cols)
 
 
 class TestDualCheck:
@@ -299,26 +315,33 @@ class TestSizeRule:
         lp = Solver(problem.system).lp(problem)
         calls = spy_highs(monkeypatch)
         values = {}
-        for solver in ("simplex", "primal", "ipm"):
+        for solver in ("simplex", "primal", "master"):
             force_cold(monkeypatch, solver)
+            del calls[:]
             sol = solve(lp)
-            assert calls[-1][0] == solver
-            status, iterations, _, _ = calls[-1][1]
-            assert status == highs.HighsModelStatus.kOptimal
-            assert sol.iterations == iterations
+            # the master's rounds are primal-simplex runs, one run otherwise
+            assert [run.solver for run in calls] == [first_run(solver)] * len(calls)
+            assert len(calls) > 1 if solver == "master" else len(calls) == 1
+            assert all(run.result[0] == highs.HighsModelStatus.kOptimal for run in calls)
+            assert sol.iterations == sum(run.result[1] for run in calls)
             values[solver] = sol.objective
+            del calls[:]
             result = bound(problem)
-            assert calls[-1][0] == solver
+            assert {run.solver for run in calls} == {first_run(solver)}
             assert result.report.valid
-            assert result.value == sol.objective
+            if solver == "master":
+                # the bound's master starts from a seed, this solve's from none
+                assert abs(result.value - sol.objective) <= 1e-12 * (1.0 + abs(sol.objective))
+            else:
+                assert result.value == sol.objective
         v = values["simplex"]
-        for solver in ("primal", "ipm"):
+        for solver in ("primal", "master"):
             assert abs(values[solver] - v) <= 1e-12 * (1.0 + abs(v))
 
     @staticmethod
     def status_unknown_is_solved_again_by_dual_simplex(monkeypatch, method):
         def corrupt(solver, res):
-            if solver == method:
+            if not calls:
                 return highs.HighsModelStatus.kUnknown, res[1], None, None
             return res
 
@@ -326,58 +349,79 @@ class TestSizeRule:
         force_cold(monkeypatch, method)
         calls = spy_highs(monkeypatch, corrupt)
         sol = solve(lp)
-        assert [run.solver for run in calls] == [method, "simplex"]
-        first, ds = (run.result for run in calls)
-        assert sol.iterations == first[1] + ds[1]
+        # a master goes on with its rounds after the dual-simplex run
+        assert [run.solver for run in calls[:2]] == [first_run(method), "simplex"]
+        assert [run.solver for run in calls[2:]] == ["primal"] * (len(calls) - 2)
+        assert len(calls) > 2 if method == "master" else len(calls) == 2
+        assert sol.iterations == sum(run.result[1] for run in calls)
         assert sol.runs == 2
-        np.testing.assert_array_equal(sol.primal, np.clip(ds[2], 0.0, None))
-        np.testing.assert_array_equal(sol.dual, ds[3])
+        if method != "master":
+            np.testing.assert_array_equal(sol.primal, np.clip(calls[1].result[2], 0.0, None))
+            np.testing.assert_array_equal(sol.dual, calls[1].result[3])
         check_solution_invariants(lp, sol)
+        force_cold(monkeypatch, "simplex")
+        cold = solve(lp).objective
+        assert abs(sol.objective - cold) <= 1e-12 * (1.0 + abs(cold))
 
     def test_interior_point_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
-        self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "ipm")
+        self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "master")
 
     def test_primal_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
         self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "primal")
 
     def test_unfinished_crossover_instance(self, monkeypatch):
+        # the interior point's crossover stopped unfinished on this LP; the
+        # master, unseeded here, solves it in its rounds alone
         problem = unfinished_crossover_problem()
         lp = Solver(problem.system).lp(problem)
-        force_cold(monkeypatch, "ipm")
+        force_cold(monkeypatch, "master")
         calls = spy_highs(monkeypatch)
         sol = solve(lp)
-        assert [run.solver for run in calls] == ["ipm", "simplex"]
-        assert calls[0].model is calls[1].model
-        assert calls[0].result[0] == highs.HighsModelStatus.kUnknown
+        assert {run.solver for run in calls} == {"primal"}
+        assert all(run.model is calls[0].model for run in calls)
+        assert sol.runs == 1
         check_solution_invariants(lp, sol)
         res = bound(problem)
         assert res.report.valid
-        assert res.value == sol.objective
         force_cold(monkeypatch, "simplex")
         cold = solve(lp).objective
-        assert abs(res.value - cold) <= 1e-12 * (1.0 + abs(cold))
+        for value in (sol.objective, res.value):
+            assert abs(value - cold) <= 1e-12 * (1.0 + abs(cold))
 
     def test_rejected_crossover_dual_instance(self, monkeypatch):
+        # HiGHS called the crossover basis of this LP optimal, but its dual
+        # failed the reduced-cost check (-9.110e-09 at column 6529); the
+        # master stops only once no column fails it
         problem = rejected_crossover_dual_problem()
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert [run.solver for run in calls] == ["ipm", "simplex"]
-        assert calls[0].model is calls[1].model
-        assert calls[1].result[1] == 1  # one pivot from the crossover basis
-        assert res.diagnostics.extras["solve_attempts"] == 2
+        assert {run.solver for run in calls} == {"primal"}
+        assert res.diagnostics.extras["solve_attempts"] == 1
         assert res.report.valid
         assert res.value == pytest.approx(0.0469156963, abs=1e-10)
-        assert res.report.max_violation <= 1e-12
 
     def test_iteration_limit_on_interior_point_path(self, monkeypatch):
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
-        force_cold(monkeypatch, "ipm")
+        force_cold(monkeypatch, "master")
         monkeypatch.setattr(lp_mod, "MAX_ITER", 1)
         calls = spy_highs(monkeypatch)
         with pytest.raises(IterationLimit, match="exceeded 1 iterations"):
             solve(lp)
-        assert calls[-1][0] == "ipm"
+        assert calls[-1][0] == "primal"
+
+    def test_iteration_limit_bounds_all_rounds_together(self, monkeypatch):
+        problem = MotProblem(smooth_pair(51), forward_start_straddle(), "lower")
+        lp = Solver(problem.system).lp(problem)
+        calls = spy_highs(monkeypatch)
+        total = solve(lp).iterations
+        rounds = [run.result[1] for run in calls]
+        assert len(rounds) > 1 and max(rounds) < total - 1
+        monkeypatch.setattr(lp_mod, "MAX_ITER", total - 1)
+        with pytest.raises(IterationLimit, match=f"exceeded {total - 1} iterations"):
+            solve(lp)
+        monkeypatch.setattr(lp_mod, "MAX_ITER", total + 1)
+        assert solve(lp).iterations == total
 
 
 # (dates, atoms per date, LP shape as cells × rows, cold method); two dates
@@ -389,15 +433,15 @@ COLD_METHODS = [
     (3, 13, (2197, 219), "primal"),
     (3, 15, (3375, 283), "primal"),
     (3, 17, (4913, 355), "primal"),
-    (3, 21, (9261, 523), "ipm"),
+    (3, 21, (9261, 523), "master"),
     (4, 7, (2401, 424), "primal"),
-    (4, 9, (6561, 852), "ipm"),
-    (4, 11, (14641, 1504), "ipm"),
-    (4, 13, (28561, 2428), "ipm"),
+    (4, 9, (6561, 852), "master"),
+    (4, 11, (14641, 1504), "master"),
+    (4, 13, (28561, 2428), "master"),
     (2, 41, (1681, 122), "primal"),
-    (2, 51, (2601, 152), "ipm"),
-    (2, 61, (3721, 182), "ipm"),
-    (2, 101, (10201, 302), "ipm"),
+    (2, 51, (2601, 152), "master"),
+    (2, 61, (3721, 182), "master"),
+    (2, 101, (10201, 302), "master"),
 ]
 
 
@@ -412,13 +456,16 @@ class TestColdMethod:
         assert (constraints.n_cols, constraints.rhs.size) == shape
         assert lp_mod._cold_method(*shape) == method
 
-    @pytest.mark.parametrize("m, method", [(15, "primal"), (51, "ipm")])
+    @pytest.mark.parametrize("m, method", [(15, "primal"), pytest.param(51, "master", id="51-ipm")])
     def test_cold_two_date_bound_runs_one_method(self, monkeypatch, m, method):
-        # 225 × 44 and 2,601 × 152: the dual simplex runs only to repair a run
+        # 225 × 44 and 2,601 × 152: the dual simplex runs only to repair a
+        # run, and the master's rounds (after its seed's) are primal-simplex
+        # runs too
         problem = MotProblem(smooth_pair(m), forward_start_straddle(), "lower")
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert [run.solver for run in calls] == [method]
+        assert {run.solver for run in calls} == {"primal"}
+        assert len(calls) > 1 if method == "master" else len(calls) == 1
         assert res.report.valid
 
     def test_cold_three_date_bound_runs_the_primal_simplex(self, monkeypatch):
@@ -471,7 +518,7 @@ class TestStatusMapping:
         monkeypatch.setattr(lp_mod, "_run_highs", fake)
         return calls
 
-    @pytest.mark.parametrize("method", ["simplex", "ipm", "primal"])
+    @pytest.mark.parametrize("method", ["simplex", pytest.param("master", id="ipm"), "primal"])
     @pytest.mark.parametrize("status, error", [
         (STATUS.kIterationLimit, IterationLimit), (STATUS.kTimeLimit, IterationLimit),
         (STATUS.kInfeasible, Infeasible), (STATUS.kModelError, Infeasible),
@@ -482,7 +529,7 @@ class TestStatusMapping:
         calls = self.fake_first_run(monkeypatch, status)
         with pytest.raises(error):
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
-        assert calls == [(method, 7)]
+        assert calls == [(first_run(method), 7)]
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_raises_on_simplex_path(self, monkeypatch, status):
@@ -497,12 +544,15 @@ class TestStatusMapping:
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_is_solved_again_on_interior_point_path(self, monkeypatch, status):
+        # the master's second attempt starts with a dual-simplex run from
+        # the first one's basis and goes on with its rounds
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
-        force_cold(monkeypatch, "ipm")
+        force_cold(monkeypatch, "master")
         calls = self.fake_first_run(monkeypatch, status)
         sol = solve(lp)
-        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
-        assert sol.iterations == 7 + calls[1][1]
+        assert [solver for solver, _ in calls] == ["primal", "simplex"] + ["primal"] * (len(calls) - 2)
+        assert sol.iterations == 7 + sum(count for _, count in calls[1:])
+        assert sol.runs == 2
         np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     # optimal runs that fail a check on the LP below, whose optimum is
@@ -526,12 +576,27 @@ class TestStatusMapping:
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
     def test_failed_check_is_solved_again_on_interior_point_path(self, monkeypatch, check):
+        # a master seeded with every column, whose primal-simplex runs return
+        # optima that fail the check: a primal of zeros (the artificials
+        # included), or row duals of 10; the first run fixes the
+        # artificials, the second ends the first attempt
+        def corrupt(solver, res):
+            status, iterations, primal, dual = res
+            if solver == "primal":
+                if check == "residual":
+                    primal = np.zeros_like(primal)
+                else:
+                    dual = np.full_like(dual, 10.0)
+            return status, iterations, primal, dual
+
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
-        force_cold(monkeypatch, "ipm")
-        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
-        sol = solve(lp)
-        assert [solver for solver, _ in calls] == ["ipm", "simplex"]
-        assert sol.iterations == 7 + calls[1][1]
+        force_cold(monkeypatch, "master")
+        calls = spy_highs(monkeypatch, corrupt)
+        sol = solve(lp, session=Session(lp.constraints, seed=every_column))
+        assert [run.solver for run in calls] == ["primal", "primal", "simplex"]
+        assert all(run.model is calls[0].model for run in calls)
+        assert sol.iterations == sum(run.result[1] for run in calls)
+        assert sol.runs == 2
         np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
         check_solution_invariants(lp, sol)
 
@@ -559,14 +624,18 @@ class TestSession:
         assert all(run.model is calls[0].model for run in calls[::2])
 
     def test_change_of_sense_at_interior_point_size_starts_cold(self, monkeypatch):
-        force_cold(monkeypatch, "ipm")
+        force_cold(monkeypatch, "master")
         session = Session(self.LP.constraints)
         flipped = LinearProgram("max", self.LP.cost, self.LP.constraints)
         calls = spy_highs(monkeypatch)
-        warm = [solve(lp, session=session).warm for lp in (self.LP, self.LP, flipped, flipped)]
+        warm, models = [], []
+        for lp in (self.LP, self.LP, flipped, flipped):
+            warm.append(solve(lp, session=session).warm)
+            models.append(calls[-1].model)
         assert warm == [False, True, False, True]
-        assert [run.solver for run in calls] == ["ipm", "primal", "ipm", "primal"]
-        assert calls[2].model is not calls[0].model
+        assert {run.solver for run in calls} == {"primal"}
+        assert models[1] is models[0] and models[3] is models[2]
+        assert models[2] is not models[0]
 
     def test_constraints_must_match(self):
         session = Session(self.LP.constraints)
@@ -616,7 +685,7 @@ def linprog_answer(lp: LinearProgram):
     and it has no primal simplex, so the LPs it checks force their first
     run to be the dual simplex (or the interior point)."""
     flip = lp.sense == "max"
-    method = {"simplex": "highs-ds", "ipm": "highs-ipm"}[lp_mod._cold_method(lp.n_cols, lp.n_rows)]
+    method = {"simplex": "highs-ds"}[lp_mod._cold_method(lp.n_cols, lp.n_rows)]
     res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
                            bounds=(0, None), method=method,
                            options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
@@ -629,29 +698,24 @@ def linprog_answer(lp: LinearProgram):
 
 class TestLinprogOracle:
     """``solve`` calls HiGHS as ``linprog`` does, so both give the same
-    answer to the last bit."""
+    answer to the last bit.  Every LP here forces the dual simplex, the
+    repair method, as linprog has no primal simplex; the model is the one
+    ``solve`` sets up for a primal-simplex run too."""
 
     @pytest.mark.parametrize("make, methods, cold", [
-        # the first two force the dual simplex, the repair method, so that
-        # linprog checks the model ``solve`` sets up below the primal band's
-        # cut as well
         (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                                 np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], "simplex"),
         (lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
          ["highs-ds"], "simplex"),
-        # 1,681 cells are in the primal band, which linprog cannot run
         (lambda: Solver(s := smooth_pair(41)).lp(MotProblem(s, forward_start_straddle(), "upper")),
-         ["highs-ipm"], "ipm"),
-        # the interior point stops unfinished on this LP, and ``solve``
-        # re-solves from the crossover basis, which ``linprog`` cannot; its
-        # cold dual-simplex answer, which that re-solve must match within
-        # 1e-12 (TestSizeRule), is compared here
+         ["highs-ds"], "simplex"),
+        # the interior point's crossover stopped unfinished on this LP
         (lambda: Solver((p := unfinished_crossover_problem()).system).lp(p), ["highs-ds"], "simplex"),
-        # a 3-date lookback LP on which one simplex clean-up pivot follows
-        # crossover: the interior-point iterations drop out of the count
+        # a 3-date lookback LP on which a simplex clean-up pivot followed the
+        # interior point's crossover
         (lambda: Solver(s := widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15)).lp(
             MotProblem(s, lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
-         ["highs-ipm"], "ipm"),
+         ["highs-ds"], "simplex"),
     ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
     def test_bit_identical_to_linprog(self, monkeypatch, make, methods, cold):
         force_cold(monkeypatch, cold)

@@ -14,7 +14,7 @@ from motbound.errors import BadSpec, InfeasibleCurve
 from motbound.fixtures import trapezoid_spec, uniform_spec
 from motbound.measures import (Block, CallCurve, DensitySpec, DiscreteMeasure, MarginalSystem,
                                call_price, check_convex_order, counterexample_marginals,
-                               detect_barriers, discretize, from_call_curve,
+                               detect_barriers, discretize, from_call_curve, halve,
                                load_call_curves)
 from motbound.payoff import asian_call, tabulated
 
@@ -103,6 +103,31 @@ class TestCallCurve:
             CallCurve(np.array([0.0, 1.0]), np.array([2.0, 0.5]))
 
 
+class TestHalve:
+    @pytest.mark.parametrize("m", [3, 4, 9, 10, 101])
+    def test_every_other_atom_at_the_exact_call_prices(self, m):
+        mu = discretize(trapezoid_spec(), m)
+        coarse = halve(mu)
+        keep = np.unique(np.append(np.arange(0, m, 2), m - 1))
+        np.testing.assert_array_equal(coarse.points, mu.points[keep])
+        np.testing.assert_allclose(call_price(coarse, coarse.points), call_price(mu, coarse.points),
+                                   atol=1e-15)
+        assert coarse.mean == pytest.approx(mu.mean, abs=1e-15)
+        # the chords lie above the convex call curve
+        assert check_convex_order(MarginalSystem([mu, coarse])).admissible
+
+    def test_two_atoms_are_kept(self):
+        mu = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        assert halve(mu) is mu
+
+    def test_dates_halved_apart_can_lose_convex_order(self):
+        # each date keeps its own atoms, so the chords of two dates can cross
+        system = counterexample_marginals(5, 16)
+        report = check_convex_order(MarginalSystem([halve(mu) for mu in system.marginals]))
+        assert not report.admissible
+        assert report.pairs[0].worst_violation == pytest.approx(0.0148, abs=1e-4)
+
+
 class TestFromCallCurve:
     def test_point_mass_curve(self):
         curve = CallCurve(np.array([90.0, 100.0, 110.0]), np.array([10.0, 0.0, 0.0]))
@@ -115,6 +140,15 @@ class TestFromCallCurve:
         mu = from_call_curve(curve, 1.0)
         np.testing.assert_allclose(mu.points, [0.0, 2.0], atol=ATOL)
         np.testing.assert_allclose(mu.weights, [0.5, 0.5], atol=ATOL)
+
+    def test_last_quote_must_be_worthless(self):
+        # without the right closure these quotes gave weights 0.3, 0.5, 0.2
+        # with mean 0.9, a measure that matches none of them
+        curve = CallCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.3, 0.1]))
+        with pytest.raises(InfeasibleCurve, match=r"last quote 0\.1 at strike 2 is not 0; "
+                                                  r"quote a strike where the call is worthless"):
+            from_call_curve(curve, 1.0)
+        assert from_call_curve(CallCurve(curve.strikes, [1.0, 0.3, 1e-10]), 1.0).mean == pytest.approx(1.0)
 
     def test_round_trip_at_quoted_strikes(self):
         rng = np.random.default_rng(5)

@@ -402,25 +402,29 @@ class TestWarmSolves:
         assert solver.session.warm
         assert pivots["warm"] < pivots["cold"]
 
-    @pytest.mark.parametrize("m, first_upper_run", [(21, "primal"), (41, "primal"), (51, "ipm")])
-    def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, m, first_upper_run):
+    @pytest.mark.parametrize("m, cold_method", [(21, "primal"), (41, "primal"),
+                                                (pytest.param(51, "master", id="51-ipm"))])
+    def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, m, cold_method):
         # 441 and 1,681 cells (primal simplex cold) restart the upper bound
-        # from the lower optimum; 2,601 cells over 152 rows, where the cold
-        # method is the interior point, solve it as a one-shot bound does
+        # from the lower optimum on the same model; 2,601 cells over 152
+        # rows, above the primal band, solve it on a new master, as a
+        # one-shot bound does
         solver = mot.Solver(smooth_pair(m))
         problem = {sense: MotProblem(solver.system, forward_start_straddle(), sense)
                    for sense in ("lower", "upper")}
-        runs = []
+        models = []
         run_highs = lp_mod._run_highs
-        monkeypatch.setattr(lp_mod, "_run_highs", lambda model, name: runs.append(name) or run_highs(model, name))
+        monkeypatch.setattr(lp_mod, "_run_highs",
+                            lambda model, name: models.append(model) or run_highs(model, name))
         bound(problem["lower"], solver=solver)
-        del runs[:]
+        lower_model = models[-1]
+        del models[:]
         upper = bound(problem["upper"], solver=solver)
-        assert runs[0] == first_upper_run
+        assert (models[-1] is lower_model) == (cold_method == "primal")
         monkeypatch.undo()
         cold = bound(problem["upper"])
         assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
-        if first_upper_run == "ipm":
+        if cold_method == "master":
             assert upper.value == cold.value
             assert upper.diagnostics.extras == cold.diagnostics.extras
             for a, b in zip(upper.hedge.statics, cold.hedge.statics):
@@ -443,6 +447,97 @@ class TestWarmSolves:
             mot.extract_hedge(sol, problem, scaled)
         with pytest.raises(ValueError, match="not the solver's"):
             verification_grids(problem, scaled)
+
+
+class TestColumnGeneration:
+    """Above the primal band a cold solve is a column-generation master
+    seeded from the halved system's LP."""
+
+    @staticmethod
+    def force_cold(monkeypatch, method):
+        monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: method)
+
+    @pytest.mark.parametrize("system, payoff", [
+        (smooth_pair(45), forward_start_straddle()),
+        (smooth_pair(101), forward_start_call(1.02)),
+        (widening_dates(0.1, 21), asian_call(1.0, 3)),
+        (widening_dates(0.1, 21), lookback_call(1.05, 3)),
+    ], ids=["smooth45-straddle", "smooth101-call", "3date-m21-asian", "3date-m21-lookback"])
+    def test_values_match_a_full_primal_simplex_solve(self, monkeypatch, system, payoff):
+        constraints = Solver(system).constraints
+        assert lp_mod._cold_method(constraints.n_cols, constraints.rhs.size) == "master"
+        for sense in ("lower", "upper"):
+            problem = MotProblem(system, payoff, sense)
+            res = bound(problem)
+            check_result_invariants(problem, res)
+            self.force_cold(monkeypatch, "primal")
+            full = bound(problem)
+            monkeypatch.undo()
+            assert res.value == pytest.approx(full.value, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", ["empty", "wrong"])
+    def test_any_seed_gives_the_value(self, monkeypatch, seed):
+        # "wrong" seeds the master with the anti-diagonal cells, which carry
+        # no mass in the optimum
+        system = smooth_pair(61)
+        problem = MotProblem(system, forward_start_straddle(), "lower")
+        seeded = bound(problem)
+        m = len(system.marginals[0])
+        cells = {"empty": np.empty(0, dtype=np.int64), "wrong": np.arange(m) * m + (m - 1 - np.arange(m))}
+        monkeypatch.setattr(mot._Seed, "__call__", lambda self, lp: cells[seed])
+        res = bound(problem)
+        check_result_invariants(problem, res)
+        assert res.value == pytest.approx(seeded.value, rel=1e-12, abs=1e-15)
+
+    def test_seed_from_a_halved_system_that_loses_convex_order(self, monkeypatch):
+        # the halved counterexample is not in convex order, so the coarse LP
+        # keeps artificial mass; its support is still a seed
+        system = counterexample_marginals(5, 16)
+        problem = MotProblem(system, negated_straddle(), "lower")
+        full = bound(problem)
+        self.force_cold(monkeypatch, "master")
+        solver = Solver(system)
+        assert not solver.session.seed.coarse[0].system.admissible
+        assert solver.session.seed(solver.lp(problem)).size > 0
+        res = bound(problem, solver=solver)
+        check_result_invariants(problem, res)
+        assert res.value == pytest.approx(full.value, rel=1e-12, abs=1e-15)
+
+    def test_marginals_without_a_coupling_raise_infeasible(self):
+        # the dates swapped: the wider law first, so no martingale links them
+        mu1, mu2 = smooth_pair(51).marginals
+        solver = Solver(MarginalSystem([mu2, mu1]))
+        lp = lp_mod.LinearProgram("min", np.zeros(solver.constraints.n_cols), solver.constraints)
+        assert lp_mod._cold_method(lp.n_cols, lp.n_rows) == "master"
+        with pytest.raises(Infeasible, match="admit no martingale coupling; re-discretize"):
+            mot._solve(lp, solver.session)
+        assert not solver.session.warm
+
+    def test_warm_same_sense_solve_adds_no_artificial(self):
+        system = smooth_pair(51)
+        solver = Solver(system)
+        rows = solver.constraints.rhs.size
+        bound(MotProblem(system, forward_start_straddle(), "lower"), solver=solver)
+        master = solver.session._master
+        assert master.fixed and master.n_art == rows
+        columns = master.cols.size
+        res = bound(MotProblem(system, forward_start_call(1.0), "lower"), solver=solver)
+        assert res.report.valid
+        assert solver.session._master is master
+        assert master.n_art == rows and master.cols.size >= columns
+        assert master.model.getNumCol() == rows + master.cols.size
+
+    def test_two_runs_are_bit_identical(self):
+        system = smooth_pair(101)
+        results = []
+        for _ in range(2):
+            solver = Solver(system)
+            results.append([bound(MotProblem(system, forward_start_straddle(), sense), solver=solver)
+                            for sense in ("lower", "upper")])
+        for a, b in zip(*results):
+            assert a.value.hex() == b.value.hex()
+            assert hedge_to_json(a.hedge) == hedge_to_json(b.hedge)
+            assert a.diagnostics.extras == b.diagnostics.extras
 
 
 class TestRandomCoupling:
@@ -696,10 +791,9 @@ class TestDualChecks:
 
 
     def test_cold_solve_after_a_change_of_sense_is_not_repeated(self, monkeypatch):
-        # where the cold method is the interior point a change of sense
-        # starts cold, so a dual that fails the hedge check there raises
-        # after one solve
-        monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: "ipm")
+        # above the primal band a change of sense starts a new master, so a
+        # dual that fails the hedge check there raises after one solve
+        monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: "master")
         system, payoff = instance_a_marginals(), instance_b_payoff()
         solver = mot.Solver(system)
         bound(MotProblem(system, payoff, "lower"), solver=solver)
