@@ -477,8 +477,8 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("seed", ["empty", "wrong"])
     def test_any_seed_gives_the_value(self, monkeypatch, seed):
-        # "wrong" seeds the master with the anti-diagonal cells, which carry
-        # no mass in the optimum
+        # "wrong" seeds the master with the anti-diagonal cells, 3 of which
+        # carry mass in the optimum's 143
         system = smooth_pair(61)
         problem = MotProblem(system, forward_start_straddle(), "lower")
         seeded = bound(problem)
