@@ -162,21 +162,28 @@ def cmd_check_order(args) -> int:
     return 0 if report.admissible else 1
 
 
+def _unwrap(res):
+    """A result of ``Solver.bounds``, or the error its sense raised, raised."""
+    if isinstance(res, MotboundError):
+        raise res
+    return res
+
+
 def cmd_bounds(args) -> int:
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
     senses = ["lower", "upper"] if args.sense == "both" else [args.sense]
-    # both senses share one solver, lower first; --decompose solves each alone
-    solve = decompose_and_solve if args.decompose else functools.partial(bound, solver=Solver(system))
+    solver = Solver(system)
+    outcome, = solver.bounds([payoff], senses, decompose_and_solve if args.decompose else bound)
     out = {"payoff": payoff.to_json(), "results": {}}
-    for sense in senses:
-        res = solve(MotProblem(system, payoff, sense))
+    for sense, res in outcome.items():
+        res = _unwrap(res)
         entry = _result_json(res)
         entry["hedge_price"] = hedge_price(res.hedge, system)
         out["results"][sense] = entry
         print(f"{sense} {fmt12(res.value)}")
     if args.seed is not None:
-        coupling = random_feasible_coupling(system, args.seed)
+        coupling = random_feasible_coupling(system, args.seed, solver=solver)
         expect = coupling.expectation(payoff)
         lo = out["results"].get("lower", {}).get("value")
         hi = out["results"].get("upper", {}).get("value")
@@ -198,6 +205,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_surface(args) -> int:
     system = _load_system(args)
+    # surface_csv refuses it too, but only after the bound is solved
+    if system.n_dates != 2:
+        raise DimensionMismatch("surface export covers two-date problems")
     payoff = _parse_payoff(args.payoff, system.n_dates)
     problem = MotProblem(system, payoff, args.sense)
     solver = Solver(system)
@@ -236,9 +246,8 @@ def cmd_arb(args) -> int:
         raise ValueError(f"quoted price must be finite, got {args.quoted!r}")
     system = _load_system(args)
     payoff = _parse_payoff(args.payoff, system.n_dates)
-    solver = Solver(system)
-    lower, upper = (bound(MotProblem(system, payoff, sense), solver=solver)
-                    for sense in ("lower", "upper"))
+    outcome, = Solver(system).bounds([payoff])
+    lower, upper = (_unwrap(res) for res in outcome.values())
     verdict = check_arbitrage(args.quoted, lower, upper)
     print(verdict.describe())
     if args.out:

@@ -377,7 +377,6 @@ class _Master:
         options = highs.HighsOptions()
         options.presolve = "off"
         options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
-        options.simplex_iteration_limit = MAX_ITER
         options.output_flag = options.log_to_console = False
         if artificial:
             options.simplex_price_strategy = MASTER_PRICE_STRATEGY
@@ -428,8 +427,11 @@ class _Master:
         mass_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.rhs).max()))
         iterations = 0
         while True:
+            # HiGHS stops once its count reaches the limit, before it prices
+            # the basis that iteration left, so a run that needs every
+            # iteration left must be given one more
             if self.model.setOptionValue("simplex_iteration_limit",
-                                         MAX_ITER - iterations) == highs.HighsStatus.kError:
+                                         MAX_ITER - iterations + 1) == highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the solver options")
             status, count, x, y = _run_highs(self.model, solver)
             iterations += count
@@ -581,8 +583,6 @@ def _exact_phase(tab, xb, basis, c, n_struct, guard, it):
     ``MAX_ITER`` pivots over both phases."""
     m = len(tab)
     while True:
-        if it >= MAX_ITER:
-            raise IterationLimit(f"exceeded {MAX_ITER} exact pivots")
         cb = [c[basis[i]] for i in range(m)]
         entering = -1
         for j in range(n_struct):
@@ -617,6 +617,8 @@ def _exact_phase(tab, xb, basis, c, n_struct, guard, it):
             if art_rows:
                 best_rows = art_rows
         r = min(best_rows, key=lambda i: basis[i])
+        if it >= MAX_ITER:
+            raise IterationLimit(f"exceeded {MAX_ITER} exact pivots")
         _exact_pivot(tab, xb, basis, r, q)
         it += 1
 

@@ -234,8 +234,8 @@ class Solver:
     tabulates its payoff as the cost, and each solve after the first
     restarts from the last optimal basis, bar a change of sense above the
     primal band (see :class:`~motbound.lp.Session`).  Which optimal dual a
-    degenerate LP returns then depends on the solve order; callers keep it
-    fixed, with every lower bound before any upper bound.
+    degenerate LP returns then depends on the solve order, which
+    :meth:`bounds` alone fixes: every lower bound before any upper bound.
 
     Above the primal band the session's master starts from a seed: the
     same LP on the halved marginals (:func:`~motbound.measures.halve`),
@@ -251,6 +251,7 @@ class Solver:
         self.system = system
         self.layout = _layout(system)
         self.histories = tuple(_histories(self.layout.grids[:-1]))
+        self._seed = _Seed(system, self.layout.shape)
 
     @functools.cached_property
     def constraints(self) -> Constraints:
@@ -258,16 +259,42 @@ class Solver:
 
     @functools.cached_property
     def session(self) -> Session:
-        return Session(self.constraints, seed=_Seed(self.system, self.layout.shape),
-                       group=self.layout.shape[-1])
+        return self.new_session()
+
+    def new_session(self) -> Session:
+        """A session on the solver's constraints and seed, built as
+        :attr:`session` is but apart from it, so that what it solves leaves
+        the bounds solved on :attr:`session` alone."""
+        return Session(self.constraints, seed=self._seed, group=self.layout.shape[-1])
 
     def lp(self, problem: MotProblem) -> LinearProgram:
         """The transport LP of ``problem``: cell masses, marginal rows (one
         redundant row per date beyond the first dropped at the heaviest
         atom), and one conditional-mean row per history cell."""
-        _solver_for(problem, self)
+        _solver_for(problem.system, self)
         return LinearProgram("min" if problem.sense == "lower" else "max",
                              payoff_mod.tabulate(problem.payoff, self.layout.grids), self.constraints)
+
+    def bounds(self, payoffs, senses=("lower", "upper"),
+               solve=None) -> list[dict[str, MotResult | MotboundError]]:
+        """The bounds of each payoff on the system in ``senses``, each solved
+        by ``solve(problem, solver=self)`` (:func:`bound` by default, or
+        :func:`decompose_and_solve`): every lower bound before any upper
+        bound, and each sense's payoffs in the given order.  The one owner
+        of the solve order.  Per payoff, a dict from each sense, lower
+        first, to its :class:`MotResult` or the ``MotboundError`` it raised;
+        a payoff whose lower bound raised gets no upper-bound solve."""
+        solve = solve or bound
+        outcomes = [{} for _ in payoffs]
+        for sense in sorted(set(senses), key=("lower", "upper").index):
+            for payoff, outcome in zip(payoffs, outcomes):
+                if isinstance(outcome.get("lower"), MotboundError):
+                    continue
+                try:
+                    outcome[sense] = solve(MotProblem(self.system, payoff, sense), solver=self)
+                except MotboundError as exc:
+                    outcome[sense] = exc
+        return outcomes
 
 
 class _Seed:
@@ -310,11 +337,11 @@ class _Seed:
         return np.unique(np.ravel_multi_index(near.T, self.shape))
 
 
-def _solver_for(problem: MotProblem, solver: Solver | None) -> Solver:
-    """``solver`` (ValueError unless it is built on ``problem.system``), else a new one."""
-    if solver is not None and solver.system is not problem.system:
-        raise ValueError("the problem's marginal system is not the solver's")
-    return solver or Solver(problem.system)
+def _solver_for(system: MarginalSystem, solver: Solver | None) -> Solver:
+    """``solver`` (ValueError unless it is built on ``system``), else a new one."""
+    if solver is not None and solver.system is not system:
+        raise ValueError("the marginal system is not the solver's")
+    return solver or Solver(system)
 
 
 def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
@@ -326,7 +353,7 @@ def verification_grids(problem: MotProblem, solver: Solver | None = None) -> lis
     :func:`~motbound.hedge.verify` need.  Payoffs with no declared last-axis
     data (tabulated, custom) keep the atoms.  The histories come from
     ``solver``, built on ``problem.system`` for this call when not given."""
-    solver = _solver_for(problem, solver)
+    solver = _solver_for(problem.system, solver)
     data = payoff_mod.last_axis(problem.payoff, *solver.histories)
     if data is None:
         return list(solver.layout.grids)
@@ -400,7 +427,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     The row layout and the histories come from ``solver``, built on
     ``problem.system`` for this call when not given; ``grids`` default to
     the problem's :func:`verification_grids`."""
-    solver = _solver_for(problem, solver)
+    solver = _solver_for(problem.system, solver)
     grids = grids or verification_grids(problem, solver)
     layout = solver.layout
     system = problem.system
@@ -507,10 +534,11 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     fails the grid check (degenerate optima yield several duals) or whose
     price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
     DegenerateDual; one from a solve that ran warm is first solved again
-    cold, once.  These gates are module constants, the same for every
-    caller.  ``solve_attempts`` in the extras counts the HiGHS runs behind
-    the result, the cold re-solve's included."""
-    solver = _solver_for(problem, solver)
+    cold, once, on a :meth:`Solver.new_session` (above the primal band its
+    master starts from the seed).  These gates are module constants, the
+    same for every caller.  ``solve_attempts`` in the extras counts the
+    HiGHS runs behind the result, the cold re-solve's included."""
+    solver = _solver_for(problem.system, solver)
     lp = solver.lp(problem)
     sol = _solve(lp, solver.session)
     grids = verification_grids(problem, solver)
@@ -519,13 +547,13 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     except DegenerateDual:
         if not sol.warm:
             raise
-    cold = _solve(lp, None)
+    cold = _solve(lp, solver.new_session())
     return _result(problem, lp, cold, solver, grids, sol.runs + cold.runs)
 
 
-def decompose_and_solve(problem: MotProblem) -> MotResult:
-    """Solve a two-date problem with :func:`bound` and report its barrier
-    blocks.
+def decompose_and_solve(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
+    """Solve a two-date problem with :func:`bound`, on ``solver`` when given,
+    and report its barrier blocks.
 
     Mass never crosses a barrier, so the transport LP separates across
     blocks and the optimal coupling restricted to a block is optimal for
@@ -537,7 +565,7 @@ def decompose_and_solve(problem: MotProblem) -> MotResult:
     if problem.system.n_dates != 2:
         raise DimensionMismatch("barrier decomposition applies to two-date problems only")
     dec = detect_barriers(*problem.system.marginals)
-    res = bound(problem)
+    res = bound(problem, solver=solver)
     coupling = res.coupling
     first = coupling.paths()[:, 0]
     block_values = []
@@ -583,38 +611,34 @@ def strike_sweep(system: MarginalSystem, strikes) -> SweepTable:
     """Lower/upper forward-start call bounds per strike ratio, one row per
     strike in the given order.
 
-    Every bound is solved on one :class:`Solver`, every lower bound before
-    any upper bound, each from the last optimal basis that its session keeps.  A strike whose bound
+    Every bound is solved by :meth:`Solver.bounds` on one solver, each from
+    the last optimal basis that its session keeps.  A strike whose bound
     raises gets an error row, and its upper bound is not solved after a
     failed lower one."""
     if system.n_dates != 2:
         raise DimensionMismatch("strike sweeps cover two-date systems")
     strikes = [float(k) for k in strikes]
-    solver = Solver(system)
-    values = {"lower": {}, "upper": {}}
-    errors = {}
-    for sense in values:
-        for k, strike in enumerate(strikes):
-            if k in errors:
-                continue
-            try:
-                problem = MotProblem(system, payoff_mod.forward_start_call(strike), sense)
-                values[sense][k] = bound(problem, solver=solver).value
-            except MotboundError as exc:
-                errors[k] = str(exc)
-    return SweepTable(rows=tuple(
-        SweepRow(strike, values["lower"][k], values["upper"][k]) if k not in errors
-        else SweepRow(strike, None, None, errors[k]) for k, strike in enumerate(strikes)))
+    outcomes = Solver(system).bounds([payoff_mod.forward_start_call(k) for k in strikes])
+    rows = []
+    for strike, outcome in zip(strikes, outcomes):
+        error = next((r for r in outcome.values() if isinstance(r, MotboundError)), None)
+        rows.append(SweepRow(strike, None, None, str(error)) if error is not None
+                    else SweepRow(strike, outcome["lower"].value, outcome["upper"].value))
+    return SweepTable(rows=tuple(rows))
 
 
-def random_feasible_coupling(system: MarginalSystem, seed: int) -> Coupling:
+def random_feasible_coupling(system: MarginalSystem, seed: int, *,
+                             solver: Solver | None = None) -> Coupling:
     """A feasible martingale coupling drawn by optimizing a seeded random
-    objective; deterministic per seed."""
+    objective; deterministic per seed.  The LP is built on the parts of
+    ``solver`` (built on ``system``; a new one when not given) and solved
+    on a :meth:`Solver.new_session`, so the solver's session is left
+    alone."""
     if not system.admissible:
         raise NotAdmissible("marginals are not in convex order")
-    solver = Solver(system)
+    solver = _solver_for(system, solver)
     cost = np.random.default_rng(seed).uniform(-1.0, 1.0, size=solver.layout.n_cells)
-    sol = solve(LinearProgram("min", cost, solver.constraints), session=solver.session)
+    sol = solve(LinearProgram("min", cost, solver.constraints), session=solver.new_session())
     return _coupling_from_primal(sol.primal, solver.layout)
 
 

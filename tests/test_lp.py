@@ -121,6 +121,19 @@ class TestErrors:
         with pytest.raises(IterationLimit):
             solve(lp)
 
+    @pytest.mark.parametrize("solver, unit", [(solve, "iterations"), (solve_exact, "exact pivots")],
+                             ids=["highs", "exact"])
+    def test_iteration_limit_allows_exactly_max_iter(self, solver, unit, monkeypatch):
+        # a 2 x 3 transportation LP in the primal band: k pivots solve, k - 1 raise
+        lp = transportation([1.0, 2.0], [1.0, 1.0, 1.0], [[3.0, 1.0, 2.0], [1.0, 4.0, 0.5]])
+        k = solver(lp).iterations
+        assert k > 1
+        monkeypatch.setattr(lp_mod, "MAX_ITER", k)
+        assert solver(lp).iterations == k
+        monkeypatch.setattr(lp_mod, "MAX_ITER", k - 1)
+        with pytest.raises(IterationLimit, match=f"exceeded {k - 1} {unit}"):
+            solver(lp)
+
     def test_rejected_options_raise(self, monkeypatch):
         # HIGHS_TOL is the smallest feasibility tolerance HiGHS accepts
         monkeypatch.setattr(lp_mod, "HIGHS_TOL", lp_mod.HIGHS_TOL / 10)
@@ -420,6 +433,8 @@ class TestSizeRule:
         monkeypatch.setattr(lp_mod, "MAX_ITER", total - 1)
         with pytest.raises(IterationLimit, match=f"exceeded {total - 1} iterations"):
             solve(lp)
+        monkeypatch.setattr(lp_mod, "MAX_ITER", total)
+        assert solve(lp).iterations == total
         monkeypatch.setattr(lp_mod, "MAX_ITER", total + 1)
         assert solve(lp).iterations == total
 

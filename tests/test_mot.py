@@ -430,6 +430,36 @@ class TestWarmSolves:
             for a, b in zip(upper.hedge.statics, cold.hedge.statics):
                 np.testing.assert_array_equal(a.values, b.values)
 
+    def test_every_lower_bound_before_any_upper_bound(self, monkeypatch):
+        real_bound = mot.bound
+        solved = []
+        monkeypatch.setattr(mot, "bound", lambda problem, **kwargs: solved.append(
+            (problem.sense, problem.payoff.kind)) or real_bound(problem, **kwargs))
+        solver = Solver(smooth_pair(9))
+        outcomes = solver.bounds([forward_start_straddle(), forward_start_call(1.0)], ("upper", "lower"))
+        assert solved == [("lower", "forward_start_straddle"), ("lower", "forward_start_call"),
+                          ("upper", "forward_start_straddle"), ("upper", "forward_start_call")]
+        assert [list(outcome) for outcome in outcomes] == [["lower", "upper"]] * 2
+        assert all(res.report.valid for outcome in outcomes for res in outcome.values())
+
+    def test_an_error_is_returned_and_skips_its_upper_bound(self):
+        # the three-date payoff fails on two dates, the straddle still solves
+        solver = Solver(smooth_pair(9))
+        bad, good = solver.bounds([asian_call(1.0, 3), forward_start_straddle()])
+        assert list(bad) == ["lower"] and isinstance(bad["lower"], DimensionMismatch)
+        assert good["lower"].value <= good["upper"].value
+        assert solver.bounds([forward_start_straddle()], ["upper"])[0]["upper"].value == \
+            pytest.approx(good["upper"].value, rel=1e-12)
+
+    def test_three_date_asian_strikes_match_one_shot_bounds(self):
+        system = widening_dates(0.1, 9)
+        payoffs = [asian_call(k, 3) for k in (0.95, 1.0, 1.05)]
+        for payoff, outcome in zip(payoffs, Solver(system).bounds(payoffs)):
+            for sense, res in outcome.items():
+                problem = MotProblem(system, payoff, sense)
+                assert res.value == pytest.approx(bound(problem).value, rel=1e-12, abs=1e-15)
+                check_result_invariants(problem, res)
+
     def test_problem_on_another_system_is_rejected(self):
         solver = mot.Solver(instance_a_marginals())
         with pytest.raises(ValueError, match="not the solver's"):
@@ -570,6 +600,24 @@ class TestRandomCoupling:
         b = random_feasible_coupling(system, 42)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.masses, b.masses)
+
+    def test_on_a_shared_solver_leaves_its_session_alone(self):
+        # above the primal band: the coupling's LP runs on a seeded master of its own
+        system = smooth_pair(51)
+        runs = []
+        for share in (True, False):
+            solver = Solver(system)
+            bound(MotProblem(system, forward_start_straddle(), "lower"), solver=solver)
+            q = random_feasible_coupling(system, 7, solver=solver if share else None)
+            later = bound(MotProblem(system, forward_start_call(1.0), "lower"), solver=solver)
+            runs.append((q, later))
+        (q, later), (q_alone, later_alone) = runs
+        np.testing.assert_array_equal(q.indices, q_alone.indices)
+        np.testing.assert_array_equal(q.masses, q_alone.masses)
+        assert later.value.hex() == later_alone.value.hex()
+        assert hedge_to_json(later.hedge) == hedge_to_json(later_alone.hedge)
+        with pytest.raises(ValueError, match="not the solver's"):
+            random_feasible_coupling(instance_a_marginals(), 7, solver=solver)
 
 
 class TestSandwich:
@@ -783,12 +831,44 @@ class TestDualChecks:
         monkeypatch.setattr(mot, "verify", failing_first_verify)
         problem = MotProblem(system, payoff, "upper")
         res = bound(problem, solver=solver)
-        assert sessions == [solver.session, None]
+        # the cold re-solve runs on a new session built like the solver's
+        assert sessions[0] is solver.session and len(sessions) == 2
+        assert sessions[1] is not solver.session
+        assert sessions[1].constraints is solver.constraints
+        assert sessions[1].seed is solver.session.seed
         assert res.diagnostics.extras["solve_attempts"] == 2
         assert res.report.valid
         monkeypatch.undo()
         assert res.value == bound(problem).value
 
+
+    def test_cold_resolve_above_the_band_starts_from_the_seed(self, monkeypatch):
+        # 2,601 cells over 152 rows: a same-sense bound is warm on the
+        # master, and its cold re-solve a new master seeded as the first was
+        system = smooth_pair(51)
+        solver = mot.Solver(system)
+        bound(MotProblem(system, forward_start_straddle(), "lower"), solver=solver)
+        verify, seed_call = mot.verify, mot._Seed.__call__
+        reports, seeded = [], []
+
+        def failing_first_verify(*args, **kwargs):
+            reports.append(verify(*args, **kwargs))
+            return dataclasses.replace(reports[-1], max_violation=1.0) if len(reports) == 1 else reports[-1]
+
+        def spying_seed(seed, lp):
+            seeded.append(seed)
+            return seed_call(seed, lp)
+
+        monkeypatch.setattr(mot, "verify", failing_first_verify)
+        monkeypatch.setattr(mot._Seed, "__call__", spying_seed)
+        problem = MotProblem(system, forward_start_call(1.0), "lower")
+        res = bound(problem, solver=solver)
+        assert seeded == [solver.session.seed]
+        assert res.diagnostics.extras["solve_attempts"] == 2
+        assert res.report.valid
+        check_result_invariants(problem, res)
+        monkeypatch.undo()
+        assert res.value == pytest.approx(bound(problem).value, rel=1e-12, abs=1e-15)
 
     def test_cold_solve_after_a_change_of_sense_is_not_repeated(self, monkeypatch):
         # above the primal band a change of sense starts a new master, so a
