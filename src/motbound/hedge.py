@@ -8,6 +8,8 @@ delta table per step.  Its assembled payout on a path is
 A subhedge needs psi <= payoff everywhere, a superhedge psi >= payoff; both
 are checked on grids here, with a kink-point continuum check in the last
 coordinate for payoffs that are piecewise linear in it.
+``verify``, u_n's widening at extraction and ``mot.surface_csv`` read the
+cells of a product grid through one chunked kernel, ``_cells``.
 """
 
 from __future__ import annotations
@@ -272,12 +274,15 @@ class VerificationReport:
                 f"over {self.checked_cells} cells at {self.worst_cell}, {wings}")
 
 
-def _history_terms(hedge: SemiStaticHedge, grids) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Every history of the product of ``grids`` (one flat array per date,
-    row-major), with the hedge's head terms (see ``SemiStaticHedge._head``)
-    and last delta there.  Each static payout and each delta's atom lookup
-    is evaluated once per grid point and then indexed, with ``_head``'s
-    arithmetic, so the values carry the same bits."""
+def _cells(hedge: SemiStaticHedge, payoff: Payoff, grids, *points):
+    """Walk the histories of ``grids`` (dates 1..n-1, row-major) in chunks
+    of at most ``CHUNK_CELLS`` cells of ``points``.  Per chunk, yield its
+    rows (a slice), its histories (one column per date), the hedge's head
+    terms (see ``SemiStaticHedge._head``) and last delta there, and the
+    payoff at each of ``points``: a 1-D array of last-axis points that every
+    history shares, or a 2-D one with a row per history.  Each static payout
+    and each delta's atom lookup is evaluated once per grid point and then
+    indexed, with ``_head``'s arithmetic, so the values carry its bits."""
     index = np.indices([g.size for g in grids]).reshape(len(grids), -1)
     hist = [g[i] for g, i in zip(grids, index)]
 
@@ -288,7 +293,13 @@ def _history_terms(hedge: SemiStaticHedge, grids) -> tuple[list[np.ndarray], np.
     head = hedge.cash + sum(u(g)[i] for u, g, i in zip(hedge.statics[:-1], grids, index))
     for j, dt in enumerate(hedge.deltas[:-1]):
         head = head + delta(dt, j + 1) * (hist[j + 1] - hist[j])
-    return hist, head, delta(hedge.deltas[-1], len(grids))
+    last = delta(hedge.deltas[-1], len(grids))
+    step = max(1, CHUNK_CELLS // max(1, sum(p.shape[-1] for p in points)))
+    for start in range(0, hist[0].size, step):
+        rows = slice(start, start + step)
+        h = [x[rows, None] for x in hist]
+        yield rows, h, head[rows, None], last[rows, None], [
+            payoff_mod.evaluate_last_axis(payoff, h, p if p.ndim == 1 else p[rows]) for p in points]
 
 
 def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
@@ -298,23 +309,27 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     the whole last axis per history: values at u_n's knots, the payoff's own
     kinks, zero and the grid extremes pin every segment, and a comparison
     with the payoff's exact wing slopes covers both tails.  The worst cell is
-    the first maximum in history order, then last-axis order.  u_n is
-    evaluated once on the last-axis points that every history shares and
-    once at each history's own kinks; a kink that is one of the shared
-    points, or another kink of its history, is one cell.
+    the first maximum in history order, then last-axis order; a NaN gap
+    outranks any number, so the report reads NaN and is not valid.  u_n is
+    evaluated once on the shared last-axis points and once at each
+    history's own kinks; a kink that is one of the shared points, or
+    another kink of its history, is one cell.
     """
     grids = [np.asarray(g, dtype=float).ravel() for g in grids]
     if len(grids) != hedge.n:
         raise DimensionMismatch(f"hedge covers {hedge.n} dates, got {len(grids)} grids")
     sign = 1.0 if hedge.sense == "sub" else -1.0
-    hist, head, d = _history_terms(hedge, grids[:-1])
+    hist = _histories(grids[:-1])
     u = hedge.statics[-1]
     data = payoff_mod.last_axis(payoff, *hist)
     z = grids[-1]
     kinks = np.zeros((hist[0].size, 0))
+    wing_ok = None
     if data is not None:
         z = np.union1d(z, np.union1d(u.knots, [0.0]))
         kinks = np.column_stack([np.broadcast_to(k, hist[0].shape) for k in data.kinks])
+        slope_tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
+        wing_ok = True
     u_z, u_kinks = u(z), u(kinks)
     # a kink adds a cell unless it is a shared point or an earlier kink of its history
     fresh = z[np.clip(np.searchsorted(z, kinks), 0, z.size - 1)] != kinks
@@ -323,28 +338,20 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
 
     worst = -np.inf
     worst_cell: tuple[float, ...] = ()
-    step = max(1, CHUNK_CELLS // (z.size + kinks.shape[1]))
-    for start in range(0, hist[0].size, step):
-        rows = slice(start, start + step)
-        h = [x[rows, None] for x in hist]
-        base, slope, k = head[rows, None], d[rows, None], kinks[rows]
+    for rows, h, base, slope, (phi, phi_k) in _cells(hedge, payoff, grids[:-1], z, kinks):
+        k = kinks[rows]
         # psi - phi in the order of SemiStaticHedge._payout, so the bits match
-        gap = sign * (base + u_z + slope * (z - h[-1])
-                      - payoff_mod.evaluate_last_axis(payoff, h, z))
-        gap_k = sign * (base + u_kinks[rows] + slope * (k - h[-1])
-                        - payoff_mod.evaluate_last_axis(payoff, h, k))
-        top = np.maximum(gap.max(axis=1), gap_k.max(axis=1, initial=-np.inf))
-        r = int(np.argmax(top))
-        if top[r] > worst:
+        gap = sign * (base + u_z + slope * (z - h[-1]) - phi)
+        gap_k = sign * (base + u_kinks[rows] + slope * (k - h[-1]) - phi_k)
+        top = np.maximum(gap.max(axis=1), gap_k.max(axis=1, initial=-np.inf))  # a NaN gap is its row's top
+        r = int(np.argmax(top))  # the first NaN, else the first maximum
+        if top[r] > worst or np.isnan(top[r]) > np.isnan(worst):
             worst = float(top[r])
-            at = np.concatenate((z[gap[r] == top[r]], k[r][gap_k[r] == top[r]]))
+            at = np.concatenate([p[(g == worst) | np.isnan(g)] for p, g in ((z, gap[r]), (k[r], gap_k[r]))])
             worst_cell = (*[float(x[r, 0]) for x in h], float(at.min()))
-
-    wing_ok = None
-    if data is not None:
-        slope_tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
-        wing_ok = not (np.any(sign * (u.right_slope + d - data.right_slope) > slope_tol)
-                       or np.any(sign * (data.left_slope - (u.left_slope + d)) > slope_tol))
+        if data is not None:
+            wings = [u.right_slope + slope - data.right_slope, data.left_slope - (u.left_slope + slope)]
+            wing_ok = wing_ok and not np.any(sign * np.hstack(wings) > slope_tol)
 
     return VerificationReport(
         sense=hedge.sense,
@@ -354,6 +361,49 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
         continuum_checked=data is not None,
         wing_ok=wing_ok,
     )
+
+
+def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff, grids) -> SemiStaticHedge:
+    """Extend u_n with knots at the final axis of ``grids`` so the assembled
+    payout stays on the right side of the payoff at them: each new knot
+    takes the tightest value over every history of the other axes, and the
+    wings take the tightest admissible slopes given the payoff's exact
+    ones.  Values at existing knots (in particular at the final marginal's
+    atoms) are kept, so the hedge price is unchanged.  A candidate within
+    rounding (:func:`_rounding_twins`) of a knot or of a smaller candidate
+    is not added.  Payoffs with no declared last-axis data are left alone."""
+    *history, last = [np.asarray(g, dtype=float).ravel() for g in grids]
+    data = payoff_mod.last_axis(payoff, *_histories(history))
+    if data is None:
+        return hedge
+    u_n = hedge.statics[-1]
+    z_all = np.union1d(u_n.knots, last)
+    fresh = np.ones(z_all.size, dtype=bool)
+    fresh[np.searchsorted(z_all, u_n.knots)] = False
+    # runs of rounding twins are one point: a knot when the run holds one,
+    # else the run's first candidate
+    twin = _rounding_twins(z_all)
+    run = np.cumsum(~twin)
+    has_knot = np.bincount(run, weights=~fresh) > 0
+    keep = ~fresh | ~(twin | has_knot[run])
+    z_all, fresh = z_all[keep], fresh[keep]
+    z_new = z_all[fresh]
+    # A subhedge's new values and right wing take the minimum over histories
+    # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
+    tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
+    fill, left, right = [], [], []
+    for _, h, head, d, (phi,) in _cells(hedge, payoff, history, z_new):
+        # psi(h, z) = head + u_n(z) + d * (z - h_last).  head + u_n(h_last) - u_n(h_last) is not a
+        # no-op: it rounds head as psi(h, h_last) - u_n(h_last) does, so new knots keep their bits
+        u_h = u_n(h[-1])
+        fill.append(tightest(phi - (head + u_h - u_h) - d * (z_new - h[-1]), axis=0))
+        left.append(tightest_left(data.left_slope - d))
+        right.append(tightest(data.right_slope - d))
+    values = np.empty(z_all.size)
+    values[~fresh] = u_n.values
+    values[fresh] = tightest(fill, axis=0)
+    u_new = PiecewiseLinear(z_all, values, float(tightest_left(left)), float(tightest(right)))
+    return SemiStaticHedge(hedge.cash, (*hedge.statics[:-1], u_new), hedge.deltas, hedge.sense)
 
 
 def slackness(hedge: SemiStaticHedge, coupling, payoff: Payoff) -> float:

@@ -21,9 +21,8 @@ import numpy as np
 from . import payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
-from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge,
-                    VerificationReport, _histories, _rounding_twins, price as hedge_price,
-                    slackness, verify)
+from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
+                    _histories, _widen_last_static, price as hedge_price, slackness, verify)
 from .lp import Constraints, LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers, halve
 from .payoff import Payoff
@@ -349,8 +348,8 @@ def verification_grids(problem: MotProblem, solver: Solver | None = None) -> lis
     marginal atoms (deltas exist only there); the final axis is the last
     date's atoms plus every history's kinks of the payoff.  Between two
     consecutive points of that axis each history's payoff and hedge payout
-    are linear, so it is all that :func:`_augment_last_static` and
-    :func:`~motbound.hedge.verify` need.  Payoffs with no declared last-axis
+    are linear, so it is all that u_n's widening in :func:`extract_hedge`
+    and :func:`~motbound.hedge.verify` need.  Payoffs with no declared last-axis
     data (tabulated, custom) keep the atoms.  The histories come from
     ``solver``, built on ``problem.system`` for this call when not given."""
     solver = _solver_for(problem.system, solver)
@@ -359,59 +358,6 @@ def verification_grids(problem: MotProblem, solver: Solver | None = None) -> lis
         return list(solver.layout.grids)
     last = np.unique(np.concatenate([solver.layout.grids[-1], *(np.ravel(k) for k in data.kinks)]))
     return [*solver.layout.grids[:-1], last]
-
-
-def _augment_last_static(hedge: SemiStaticHedge, payoff: Payoff, z_candidates: np.ndarray,
-                         hist: tuple[np.ndarray, ...]) -> SemiStaticHedge:
-    """Extend u_n with extra knots so the assembled payout stays on the right
-    side of the payoff at them: each new knot takes the tightest value over
-    all histories, and the wings take the tightest admissible slopes given
-    the payoff's exact ones.  Values at existing knots (in particular at the
-    final marginal's atoms) are kept, so the hedge price is unchanged.  A
-    candidate within rounding (``hedge._rounding_twins``) of a knot or of a
-    smaller candidate is not added.
-    Payoffs with no declared last-axis data are left alone.  ``hist`` holds
-    every history of dates 1..n-1, one flat array per date."""
-    data = payoff_mod.last_axis(payoff, *hist)
-    if data is None:
-        return hedge
-    u_n = hedge.statics[-1]
-    # psi(h, z) = base(h) + u_n(z) + d(h) * (z - h_last).  Adding and taking
-    # away u_n(h_last) is not a no-op in floating point: it rounds base as
-    # psi(h, h_last) - u_n(h_last) does, so the new knots keep their bits.
-    u_h = u_n(hist[-1])
-    base = hedge._head(*hist) + u_h - u_h
-    d = hedge.deltas[-1].at(*hist)
-    z_all = np.union1d(u_n.knots, np.asarray(z_candidates, dtype=float))
-    fresh = np.ones(z_all.size, dtype=bool)
-    fresh[np.searchsorted(z_all, u_n.knots)] = False
-    # runs of rounding twins are one point: a knot when the run holds one,
-    # else the run's first candidate
-    twin = _rounding_twins(z_all)
-    run = np.cumsum(~twin)
-    has_knot = np.bincount(run, weights=~fresh) > 0
-    keep = ~fresh | ~(twin | has_knot[run])
-    z_all, fresh = z_all[keep], fresh[keep]
-    z_new = z_all[fresh]
-    # A subhedge's new values and right wing take the minimum over histories
-    # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
-    tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
-
-    values = np.empty(z_all.size)
-    values[~fresh] = u_n.values
-    if z_new.size:
-        step = max(1, CHUNK_CELLS // z_new.size)
-        fill = []
-        for start in range(0, hist[0].size, step):
-            rows = slice(start, start + step)
-            h = [x[rows, None] for x in hist]
-            slack = (payoff_mod.evaluate_last_axis(payoff, h, z_new) - base[rows, None]
-                     - d[rows, None] * (z_new - h[-1]))
-            fill.append(tightest(slack, axis=0))
-        values[fresh] = tightest(fill, axis=0)
-    u_new = PiecewiseLinear(z_all, values, float(tightest_left(data.left_slope - d)),
-                            float(tightest(data.right_slope - d)))
-    return SemiStaticHedge(hedge.cash, (*hedge.statics[:-1], u_new), hedge.deltas, hedge.sense)
 
 
 def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver | None = None,
@@ -423,8 +369,8 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     table is detrended by its mean with the compensating linear terms moved
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
     its heaviest atom with the shift absorbed into cash.  Last, u_n gains
-    knots at the final axis of ``grids`` (see :func:`_augment_last_static`).
-    The row layout and the histories come from ``solver``, built on
+    knots at the final axis of ``grids``, tightest over the histories of
+    the others.  The row layout comes from ``solver``, built on
     ``problem.system`` for this call when not given; ``grids`` default to
     the problem's :func:`verification_grids`."""
     solver = _solver_for(problem.system, solver)
@@ -455,7 +401,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    return _augment_last_static(hedge, problem.payoff, grids[-1], solver.histories)
+    return _widen_last_static(hedge, problem.payoff, grids)
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -648,10 +594,11 @@ def surface_csv(problem: MotProblem, result: MotResult, solver: Solver | None = 
     :func:`verification_grids`)."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("surface export covers two-date problems")
-    paths = np.column_stack(_histories(verification_grids(problem, solver)))
-    psi = result.hedge.evaluate(paths)
-    phi = payoff_mod.evaluate_last_axis(problem.payoff, [paths[:, 0]], paths[:, 1])
+    *history, z = verification_grids(problem, solver)
+    u_z = result.hedge.statics[-1](z)
     lines = ["s1,s2,psi,phi,phi_minus_psi"]
-    for (x, z), a, b in zip(paths, psi, phi):
-        lines.append(f"{fmt12(x)},{fmt12(z)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}")
+    for _, (h,), head, d, (phi,) in _cells(result.hedge, problem.payoff, history, z):
+        psi = head + u_z + d * (z - h)  # SemiStaticHedge._payout's order: hedge.evaluate's bits
+        lines.extend(f"{fmt12(x)},{fmt12(s2)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}"
+                     for x, psi_x, phi_x in zip(h[:, 0], psi, phi) for s2, a, b in zip(z, psi_x, phi_x))
     return "\n".join(lines) + "\n"

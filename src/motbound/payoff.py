@@ -7,7 +7,7 @@ arbitrary callable.
 
 Each built-in kind is one :class:`Builtin` record in ``BUILTINS``; every
 evaluation routine calls its formula, and :class:`Payoff` checks a built-in's
-``n`` and ``params`` against it, so every ``Payoff`` that exists is valid.
+``n`` and ``params`` (finite) against it, so every ``Payoff`` that exists is valid.
 
 No payoff needs a growth bound: the date-1 mass rows keep every cell mass
 in [0, 1], so the transport LP's feasible set is bounded.
@@ -92,6 +92,8 @@ class Payoff:
             value = self.params.get(record.param, record.default)
             if value is None:
                 raise ValueError(f"payoff kind {self.kind!r} needs parameter {record.param!r}")
+            if not np.isfinite(float(value)):
+                raise ValueError(f"payoff kind {self.kind!r} needs a finite {record.param!r}, got {value!r}")
             object.__setattr__(self, "params", {record.param: float(value)})
 
     def to_json(self) -> dict:

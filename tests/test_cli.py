@@ -173,13 +173,25 @@ class TestPayoffShorthand:
         ("straddle", 3, "cannot take n=3"),
         ("forward_start_call:1.1", 3, "cannot take n=3"),
         ("tabulated", 2, "unknown payoff"),
+        ("asian_call:inf", 2, "needs a finite 'strike'"),
+        ("forward_start_call:nan", 2, "needs a finite 'strike_ratio'"),
     ], ids=["straddle_value", "negated_value", "asian_no_strike", "lookback_no_strike",
-            "straddle_3_dates", "call_3_dates", "tabulated"])
+            "straddle_3_dates", "call_3_dates", "tabulated", "asian_inf", "call_nan"])
     def test_bad_shorthand_is_config_error(self, arg, dates, message, marginals_a, marginals_3,
                                            capsys):
         marginals = marginals_a if dates == 2 else marginals_3
         assert main(["bounds", "--marginals", marginals, "--payoff", arg]) == 2
         assert message in capsys.readouterr().err
+
+    def test_non_finite_value_writes_no_artifact(self, tmp_path, capsys):
+        # once solved with bounds 0, and a report whose -Infinity is not JSON
+        marginals = tmp_path / "m.json"
+        marginals.write_text(json.dumps(smooth_pair(15).to_json()))
+        dest = tmp_path / "bounds.json"
+        assert main(["bounds", "--marginals", str(marginals), "--payoff", "asian_call:inf",
+                     "--out", str(dest)]) == 2
+        assert "needs a finite 'strike', got inf" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_json_parameter_the_kind_does_not_take_is_config_error(self, marginals_a, tmp_path,
                                                                   capsys):

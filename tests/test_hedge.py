@@ -19,7 +19,7 @@ from motbound.hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStat
                             slackness, to_call_portfolio, verify)
 from motbound.measures import DiscreteMeasure, MarginalSystem
 from motbound.mot import MotProblem, bound, verification_grids
-from motbound.payoff import (asian_call, evaluate, forward_start_call, forward_start_straddle,
+from motbound.payoff import (asian_call, custom, evaluate, forward_start_call, forward_start_straddle,
                              last_coord_kinks, lookback_call, negated_straddle, tabulated)
 
 KNOT_TOL = 1e-10
@@ -221,6 +221,27 @@ class TestVerify:
         report = verify(hedge, forward_start_straddle(), [g1, g2])
         assert report.valid
         assert "super" in report.describe()
+
+    def test_nan_gap_is_a_violation(self):
+        # a payoff that is NaN for s2 > 0 proves nothing there
+        grids = [mu.points for mu in smooth_pair(5).marginals]
+        payoff = custom(lambda s: np.nan if s[1] > 0 else 0.0, n=2)
+        report = verify(zero_hedge(2, grids), payoff, grids)
+        assert np.isnan(report.max_violation)
+        assert not report.valid
+        assert report.worst_cell == (grids[0][0], grids[1][grids[1] > 0][0])
+        assert "INVALID" in report.describe()
+
+    @pytest.mark.parametrize("chunk_cells", [hedge_mod.CHUNK_CELLS, 1])
+    def test_nan_gap_outranks_a_larger_number(self, chunk_cells, monkeypatch):
+        # the zero subhedge misses the payoff by 10 on every cell but one,
+        # where the payoff is NaN
+        monkeypatch.setattr(hedge_mod, "CHUNK_CELLS", chunk_cells)
+        grids = [np.array([-1.0, 1.0]), np.array([-2.0, 0.0, 2.0])]
+        payoff = custom(lambda s: np.nan if s == (1.0, 0.0) else -10.0, n=2)
+        report = verify(zero_hedge(2, grids), payoff, grids)
+        assert np.isnan(report.max_violation) and not report.valid
+        assert report.worst_cell == (1.0, 0.0)
 
 
 def pointwise_verify(hedge, payoff, grids):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import motbound.hedge as hedge_mod
 import motbound.lp as lp_mod
 import motbound.mot as mot
 import motbound.payoff as payoff_mod
@@ -749,6 +750,31 @@ class TestExports:
         for line in lines[1:]:
             gap = float(line.split(",")[-1])
             assert gap >= -1e-8
+
+
+class TestChunkSize:
+    """A chunk of one cell walks the histories one at a time; no bit of a
+    hedge or a surface may change."""
+
+    @pytest.mark.parametrize("system, payoff", [
+        (lambda: smooth_pair(15), forward_start_straddle),
+        (three_date_system, lambda: asian_call(0.0, 3)),
+    ], ids=["two_dates", "three_dates"])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_extracted_hedge(self, system, payoff, sense, monkeypatch):
+        problem = MotProblem(system(), payoff(), sense)
+        solver = Solver(problem.system)
+        sol = mot.solve(solver.lp(problem))
+        default = hedge_to_json(mot.extract_hedge(sol, problem, solver))
+        monkeypatch.setattr(hedge_mod, "CHUNK_CELLS", 1)
+        assert hedge_to_json(mot.extract_hedge(sol, problem, solver)) == default
+
+    def test_surface_csv(self, monkeypatch):
+        problem = MotProblem(smooth_pair(15), forward_start_call(0.95), "lower")
+        res = bound(problem)
+        default = surface_csv(problem, res)
+        monkeypatch.setattr(hedge_mod, "CHUNK_CELLS", 1)
+        assert surface_csv(problem, res) == default
 
 
 class TestSmoothInstanceSmall:

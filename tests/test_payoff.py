@@ -203,6 +203,16 @@ class TestRecords:
         with pytest.raises(ValueError, match=match):
             Payoff(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "inf"],
+                             ids=["inf", "minus_inf", "nan", "inf_text"])
+    @pytest.mark.parametrize("kind, param", [("asian_call", "strike"), ("lookback_call", "strike"),
+                                             ("forward_start_call", "strike_ratio")])
+    def test_parameter_must_be_finite(self, kind, param, value):
+        with pytest.raises(ValueError, match=f"{kind}.*finite '{param}'"):
+            Payoff(kind=kind, n=2, params={param: value})
+        with pytest.raises(ValueError, match=f"{kind}.*finite '{param}'"):
+            Payoff.from_json({"kind": kind, "params": {param: value}})
+
     def test_parameter_is_stored_as_float(self):
         pay = Payoff(kind="asian_call", n=3, params={"strike": 1})
         assert pay.params == {"strike": 1.0} and type(pay.params["strike"]) is float
