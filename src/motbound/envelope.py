@@ -165,6 +165,8 @@ def _setup(u2, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure, grid)
     u2 = np.array(u2, dtype=float).ravel()
     if u2.size != grid.size:
         raise ValueError(f"u2 has {u2.size} entries, grid has {grid.size}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(u2))):
+        raise ValueError("u2 grid points and values must be finite")
     _check_coverage(grid, mu1, mu2)
     _check_increasing(grid)
     table = payoff_mod.tabulate(payoff, [mu1.points, grid]).reshape(mu1.points.size, grid.size)

@@ -6,10 +6,10 @@ delta table per step.  Its assembled payout on a path is
     psi(s) = b + sum_i u_i(s_i) + sum_j delta_j(s_1..s_j) * (s_{j+1} - s_j).
 
 A subhedge needs psi <= payoff everywhere, a superhedge psi >= payoff; both
-are checked on grids here, with a kink-point continuum check in the last
-coordinate for payoffs that are piecewise linear in it.
+are checked on product grids here, whose final axis ``_final_axis`` decides
+(a continuum check for payoffs piecewise linear in the last coordinate).
 ``verify``, u_n's widening at extraction and ``mot.surface_csv`` read the
-cells of a product grid through one chunked kernel, ``_cells``.
+cells of such a grid through one chunked kernel, ``_cells``.
 """
 
 from __future__ import annotations
@@ -274,15 +274,24 @@ class VerificationReport:
                 f"over {self.checked_cells} cells at {self.worst_cell}, {wings}")
 
 
-def _cells(hedge: SemiStaticHedge, payoff: Payoff, grids, *points):
+def _final_axis(payoff: Payoff, histories, last: np.ndarray):
+    """``last`` plus every kink of ``payoff`` over ``histories`` (one flat
+    array per earlier date), and the payoff's last-axis data; a payoff with
+    none declared (tabulated, custom) keeps ``last`` and gets None."""
+    data = payoff_mod.last_axis(payoff, *histories)
+    if data is None:
+        return last, None
+    return np.unique(np.concatenate([last, *(np.ravel(k) for k in data.kinks)])), data
+
+
+def _cells(hedge: SemiStaticHedge, payoff: Payoff, grids, points: np.ndarray):
     """Walk the histories of ``grids`` (dates 1..n-1, row-major) in chunks
-    of at most ``CHUNK_CELLS`` cells of ``points``.  Per chunk, yield its
-    rows (a slice), its histories (one column per date), the hedge's head
-    terms (see ``SemiStaticHedge._head``) and last delta there, and the
-    payoff at each of ``points``: a 1-D array of last-axis points that every
-    history shares, or a 2-D one with a row per history.  Each static payout
-    and each delta's atom lookup is evaluated once per grid point and then
-    indexed, with ``_head``'s arithmetic, so the values carry its bits."""
+    of at most ``CHUNK_CELLS`` cells of the last-axis ``points`` they all
+    share.  Per chunk, yield its histories (one column per date), the
+    hedge's head terms (see ``SemiStaticHedge._head``) and last delta there,
+    and the payoff at its cells.  Each static payout and each delta's atom
+    lookup is evaluated once per grid point and then indexed, with
+    ``_head``'s arithmetic, so the values carry its bits."""
     index = np.indices([g.size for g in grids]).reshape(len(grids), -1)
     hist = [g[i] for g, i in zip(grids, index)]
 
@@ -294,26 +303,24 @@ def _cells(hedge: SemiStaticHedge, payoff: Payoff, grids, *points):
     for j, dt in enumerate(hedge.deltas[:-1]):
         head = head + delta(dt, j + 1) * (hist[j + 1] - hist[j])
     last = delta(hedge.deltas[-1], len(grids))
-    step = max(1, CHUNK_CELLS // max(1, sum(p.shape[-1] for p in points)))
+    step = max(1, CHUNK_CELLS // max(1, points.size))
     for start in range(0, hist[0].size, step):
         rows = slice(start, start + step)
         h = [x[rows, None] for x in hist]
-        yield rows, h, head[rows, None], last[rows, None], [
-            payoff_mod.evaluate_last_axis(payoff, h, p if p.ndim == 1 else p[rows]) for p in points]
+        yield h, head[rows, None], last[rows, None], payoff_mod.evaluate_last_axis(payoff, h, points)
 
 
 def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     """Max violation of psi <= payoff (sub) or >= (super) over the grid product.
 
     For payoffs piecewise linear in the last coordinate the check extends to
-    the whole last axis per history: values at u_n's knots, the payoff's own
-    kinks, zero and the grid extremes pin every segment, and a comparison
-    with the payoff's exact wing slopes covers both tails.  The worst cell is
-    the first maximum in history order, then last-axis order; a NaN gap
-    outranks any number, so the report reads NaN and is not valid.  u_n is
-    evaluated once on the shared last-axis points and once at each
-    history's own kinks; a kink that is one of the shared points, or
-    another kink of its history, is one cell.
+    the whole last axis: every history is checked on one axis, the
+    :func:`_final_axis` of ``grids`` plus u_n's knots and zero, which pins
+    every segment, and a comparison with the payoff's exact wing slopes
+    covers both tails.  ``checked_cells`` is histories times axis points.
+    The worst cell is the first maximum in history order, then last-axis
+    order; a NaN gap outranks any number, so the report reads NaN and is
+    not valid.
     """
     grids = [np.asarray(g, dtype=float).ravel() for g in grids]
     if len(grids) != hedge.n:
@@ -321,34 +328,24 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     sign = 1.0 if hedge.sense == "sub" else -1.0
     hist = _histories(grids[:-1])
     u = hedge.statics[-1]
-    data = payoff_mod.last_axis(payoff, *hist)
-    z = grids[-1]
-    kinks = np.zeros((hist[0].size, 0))
+    z, data = _final_axis(payoff, hist, grids[-1])
     wing_ok = None
     if data is not None:
         z = np.union1d(z, np.union1d(u.knots, [0.0]))
-        kinks = np.column_stack([np.broadcast_to(k, hist[0].shape) for k in data.kinks])
         slope_tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
         wing_ok = True
-    u_z, u_kinks = u(z), u(kinks)
-    # a kink adds a cell unless it is a shared point or an earlier kink of its history
-    fresh = z[np.clip(np.searchsorted(z, kinks), 0, z.size - 1)] != kinks
-    for j in range(1, kinks.shape[1]):
-        fresh[:, j] &= np.all(kinks[:, :j] != kinks[:, j:j + 1], axis=1)
+    u_z = u(z)
 
     worst = -np.inf
     worst_cell: tuple[float, ...] = ()
-    for rows, h, base, slope, (phi, phi_k) in _cells(hedge, payoff, grids[:-1], z, kinks):
-        k = kinks[rows]
+    for h, base, slope, phi in _cells(hedge, payoff, grids[:-1], z):
         # psi - phi in the order of SemiStaticHedge._payout, so the bits match
         gap = sign * (base + u_z + slope * (z - h[-1]) - phi)
-        gap_k = sign * (base + u_kinks[rows] + slope * (k - h[-1]) - phi_k)
-        top = np.maximum(gap.max(axis=1), gap_k.max(axis=1, initial=-np.inf))  # a NaN gap is its row's top
+        top = gap.max(axis=1)  # a NaN gap is its row's top
         r = int(np.argmax(top))  # the first NaN, else the first maximum
         if top[r] > worst or np.isnan(top[r]) > np.isnan(worst):
             worst = float(top[r])
-            at = np.concatenate([p[(g == worst) | np.isnan(g)] for p, g in ((z, gap[r]), (k[r], gap_k[r]))])
-            worst_cell = (*[float(x[r, 0]) for x in h], float(at.min()))
+            worst_cell = (*[float(x[r, 0]) for x in h], float(z[np.argmax(gap[r])]))
         if data is not None:
             wings = [u.right_slope + slope - data.right_slope, data.left_slope - (u.left_slope + slope)]
             wing_ok = wing_ok and not np.any(sign * np.hstack(wings) > slope_tol)
@@ -357,15 +354,15 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
         sense=hedge.sense,
         max_violation=float(worst),
         worst_cell=worst_cell,
-        checked_cells=hist[0].size * z.size + int(np.count_nonzero(fresh)),
+        checked_cells=hist[0].size * z.size,
         continuum_checked=data is not None,
         wing_ok=wing_ok,
     )
 
 
 def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff, grids) -> SemiStaticHedge:
-    """Extend u_n with knots at the final axis of ``grids`` so the assembled
-    payout stays on the right side of the payoff at them: each new knot
+    """Extend u_n with knots at the :func:`_final_axis` of ``grids`` so the
+    assembled payout stays on the right side of the payoff at them: each new knot
     takes the tightest value over every history of the other axes, and the
     wings take the tightest admissible slopes given the payoff's exact
     ones.  Values at existing knots (in particular at the final marginal's
@@ -373,7 +370,7 @@ def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff, grids) -> SemiSta
     rounding (:func:`_rounding_twins`) of a knot or of a smaller candidate
     is not added.  Payoffs with no declared last-axis data are left alone."""
     *history, last = [np.asarray(g, dtype=float).ravel() for g in grids]
-    data = payoff_mod.last_axis(payoff, *_histories(history))
+    last, data = _final_axis(payoff, _histories(history), last)
     if data is None:
         return hedge
     u_n = hedge.statics[-1]
@@ -392,7 +389,7 @@ def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff, grids) -> SemiSta
     # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
     tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
     fill, left, right = [], [], []
-    for _, h, head, d, (phi,) in _cells(hedge, payoff, history, z_new):
+    for h, head, d, phi in _cells(hedge, payoff, history, z_new):
         # psi(h, z) = head + u_n(z) + d * (z - h_last).  head + u_n(h_last) - u_n(h_last) is not a
         # no-op: it rounds head as psi(h, h_last) - u_n(h_last) does, so new knots keep their bits
         u_h = u_n(h[-1])

@@ -22,7 +22,7 @@ from . import payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
 from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
-                    _histories, _widen_last_static, price as hedge_price, slackness, verify)
+                    _final_axis, _histories, _widen_last_static, price as hedge_price, slackness, verify)
 from .lp import Constraints, LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers, halve
 from .payoff import Payoff
@@ -346,17 +346,14 @@ def _solver_for(system: MarginalSystem, solver: Solver | None) -> Solver:
 def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
     """Grids on which extracted hedges are checked: history axes stay on the
     marginal atoms (deltas exist only there); the final axis is the last
-    date's atoms plus every history's kinks of the payoff.  Between two
-    consecutive points of that axis each history's payoff and hedge payout
-    are linear, so it is all that u_n's widening in :func:`extract_hedge`
-    and :func:`~motbound.hedge.verify` need.  Payoffs with no declared last-axis
-    data (tabulated, custom) keep the atoms.  The histories come from
+    date's atoms plus every history's kinks of the payoff (``hedge._final_axis``,
+    which u_n's widening in :func:`extract_hedge` and
+    :func:`~motbound.hedge.verify` apply too, adding no point here).  Payoffs
+    with no declared last-axis data (tabulated, custom) keep the atoms.  The
+    histories come from
     ``solver``, built on ``problem.system`` for this call when not given."""
     solver = _solver_for(problem.system, solver)
-    data = payoff_mod.last_axis(problem.payoff, *solver.histories)
-    if data is None:
-        return list(solver.layout.grids)
-    last = np.unique(np.concatenate([solver.layout.grids[-1], *(np.ravel(k) for k in data.kinks)]))
+    last, _ = _final_axis(problem.payoff, solver.histories, solver.layout.grids[-1])
     return [*solver.layout.grids[:-1], last]
 
 
@@ -597,7 +594,7 @@ def surface_csv(problem: MotProblem, result: MotResult, solver: Solver | None = 
     *history, z = verification_grids(problem, solver)
     u_z = result.hedge.statics[-1](z)
     lines = ["s1,s2,psi,phi,phi_minus_psi"]
-    for _, (h,), head, d, (phi,) in _cells(result.hedge, problem.payoff, history, z):
+    for (h,), head, d, phi in _cells(result.hedge, problem.payoff, history, z):
         psi = head + u_z + d * (z - h)  # SemiStaticHedge._payout's order: hedge.evaluate's bits
         lines.extend(f"{fmt12(x)},{fmt12(s2)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}"
                      for x, psi_x, phi_x in zip(h[:, 0], psi, phi) for s2, a, b in zip(z, psi_x, phi_x))

@@ -108,8 +108,11 @@ class Payoff:
     @classmethod
     def from_json(cls, obj: dict) -> "Payoff":
         """Rebuild a payoff; ``n`` defaults to the kind's date count, else 2.
-        An ``n`` or a parameter the kind cannot take raises ValueError."""
+        A non-integer ``n``, or an ``n`` or a parameter the kind cannot take,
+        raises ValueError."""
         kind, params = obj["kind"], dict(obj.get("params", {}))
+        if not isinstance(n := obj.get("n", 2), (int, float)) or not float(n).is_integer():
+            raise ValueError(f"payoff n {n!r} is not an integer")
         if kind == "tabulated":
             extra = set(params) - {"grids", "values"}
             if extra:

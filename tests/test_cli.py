@@ -200,6 +200,13 @@ class TestPayoffShorthand:
         assert main(["bounds", "--marginals", marginals_a, "--payoff", str(spec)]) == 2
         assert "no parameter 'strike'" in capsys.readouterr().err
 
+    def test_json_fractional_n_is_config_error(self, marginals_3, tmp_path, capsys):
+        spec, dest = tmp_path / "payoff.json", tmp_path / "bounds.json"
+        spec.write_text(json.dumps({"kind": "asian_call", "n": 2.7, "params": {"strike": 1}}))
+        assert main(["bounds", "--marginals", marginals_3, "--payoff", str(spec), "--out", str(dest)]) == 2
+        assert "payoff n 2.7 is not an integer" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_json_tabulated_parameter_besides_grids_and_values_is_config_error(self, marginals_a,
                                                                              tmp_path, capsys):
         spec = tmp_path / "payoff.json"
@@ -495,6 +502,19 @@ class TestEnvelope:
         assert value == pytest.approx(blob["value"], abs=1e-9)
         assert value <= 7.0 / 6.0 + 1e-8
 
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("column", ["s2", "u2"])
+    def test_non_finite_u2_csv_is_config_error(self, marginals_a, tmp_path, capsys, column, bad):
+        u2csv, dest = tmp_path / "u2.csv", tmp_path / "env.json"
+        rows = [["-1", "0"], ["0", "0"], ["1", "0"], ["3", "0"]]
+        rows[1][column == "u2"] = bad
+        u2csv.write_text("s2,u2\n" + "".join(",".join(r) + "\n" for r in rows))
+        rc = main(["envelope", "--marginals", marginals_a, "--payoff", "straddle",
+                   "--u2", str(u2csv), "--out", str(dest)])
+        assert rc == 2
+        assert "u2 grid points and values must be finite" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_short_u2_row_is_config_error(self, marginals_a, tmp_path, capsys):
         u2csv = tmp_path / "u2.csv"

@@ -157,6 +157,20 @@ class TestDualValue:
         with pytest.raises(ValueError, match="u2 has 3 entries, grid has 9"):
             evaluate_dual(np.zeros(3), forward_start_straddle(), *smooth_pair(5).marginals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("where", ["u2", "grid"])
+    @pytest.mark.parametrize("entry", [
+        dual_value, evaluate_dual,
+        lambda u2, payoff, mu1, mu2, grid: improve_u2(u2, payoff, mu1, mu2, 1, grid=grid),
+    ], ids=["dual_value", "evaluate_dual", "improve_u2"])
+    def test_non_finite_u2_or_grid_is_refused(self, entry, where, bad):
+        mu1, mu2 = instance_a_marginals().marginals
+        grid = extended_grid(mu1, mu2)
+        u2 = np.zeros(grid.size)
+        {"u2": u2, "grid": grid}[where][-1] = bad
+        with pytest.raises(ValueError, match="u2 grid points and values must be finite"):
+            entry(u2, forward_start_straddle(), mu1, mu2, grid=grid)
+
 
 def reference_value(u2, payoff, mu1, mu2, grid) -> float:
     """dual_value by one hull scan per first-date atom."""

@@ -17,8 +17,8 @@ from motbound import hedge as hedge_mod, payoff as payoff_mod
 from motbound.hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                             VerificationReport, check_arbitrage, hedge_to_json, price,
                             slackness, to_call_portfolio, verify)
-from motbound.measures import DiscreteMeasure, MarginalSystem
-from motbound.mot import MotProblem, bound, verification_grids
+from motbound.measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
+from motbound.mot import MotProblem, Solver, bound, verification_grids
 from motbound.payoff import (asian_call, custom, evaluate, forward_start_call, forward_start_straddle,
                              last_coord_kinks, lookback_call, negated_straddle, tabulated)
 
@@ -246,12 +246,15 @@ class TestVerify:
 
 def pointwise_verify(hedge, payoff, grids):
     """Reference for verify: one history and one last-axis point at a time,
-    wing slopes from payoff values far out."""
+    every history on the last grid, u_n's knots, zero and every history's
+    kinks; wing slopes from payoff values far out."""
     sign = 1.0 if hedge.sense == "sub" else -1.0
     u = hedge.statics[-1]
     worst, worst_cell, checked, wing_ok = -np.inf, (), 0, True
-    for hist in itertools.product(*[list(g) for g in grids[:-1]]):
-        zs = sorted(set(grids[-1]) | set(last_coord_kinks(payoff, hist)) | {0.0} | set(u.knots))
+    hists = list(itertools.product(*[list(g) for g in grids[:-1]]))
+    kinks = {k for hist in hists for k in last_coord_kinks(payoff, hist)}
+    for hist in hists:
+        zs = sorted(set(grids[-1]) | kinks | {0.0} | set(u.knots))
         for z in zs:
             gap = sign * (hedge.evaluate([*hist, z]) - evaluate(payoff, [*hist, z]))
             checked += 1
@@ -319,20 +322,22 @@ class TestVerifyMatchesPointwise:
 def brute_force_report(hedge, payoff, grids) -> VerificationReport:
     """verify's report by its definition, one history at a time:
     ``hedge.evaluate`` and ``payoff.evaluate_last_axis`` on every point of
-    the sorted union of the shared last-axis points (the last grid, with
-    u_n's knots and zero for payoffs with last-axis data) and the
-    history's own kinks."""
+    the last grid, with every history's kinks, u_n's knots and zero for
+    payoffs with last-axis data."""
     sign = 1.0 if hedge.sense == "sub" else -1.0
     u = hedge.statics[-1]
-    continuum = payoff_mod.last_axis(payoff, *(g[0] for g in grids[:-1])) is not None
-    shared = np.union1d(grids[-1], np.union1d(u.knots, [0.0])) if continuum else grids[-1]
+    hists = list(itertools.product(*grids[:-1]))
+    continuum = payoff_mod.last_axis(payoff, *hists[0]) is not None
+    zz = grids[-1]
+    if continuum:
+        kinks = [float(k) for hist in hists for k in payoff_mod.last_axis(payoff, *hist).kinks]
+        zz = np.union1d(np.union1d(zz, kinks), np.union1d(u.knots, [0.0]))
     worst, worst_cell, checked, wing_ok = -np.inf, (), 0, True if continuum else None
-    for hist in itertools.product(*grids[:-1]):
+    for hist in hists:
         data = payoff_mod.last_axis(payoff, *hist)
-        zz = np.sort(np.concatenate([shared, [float(k) for k in data.kinks] if data else []]))
         paths = np.column_stack([np.tile(hist, (zz.size, 1)), zz])
         gap = sign * (hedge.evaluate(paths) - payoff_mod.evaluate_last_axis(payoff, paths[:, :-1].T, zz))
-        checked += 1 + int(np.count_nonzero(np.diff(zz)))
+        checked += zz.size
         k = int(np.argmax(gap))
         if gap[k] > worst:
             worst, worst_cell = float(gap[k]), (*(float(x) for x in hist), float(zz[k]))
@@ -388,6 +393,31 @@ class TestVerifyOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hedge_mod, "CHUNK_CELLS", chunk_cells)
             assert verify(hedge, payoff, grids) == brute_force_report(hedge, payoff, grids)
+
+
+def uniform_three_dates(m: int) -> MarginalSystem:
+    return MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), m)
+                           for k in (1, 2, 3)])
+
+
+class TestVerifyAxisIndependence:
+    """Every history is checked on one final axis, so the atoms alone and
+    the verification grids, which already hold every history's kinks, give
+    the same report."""
+
+    @pytest.mark.parametrize("system, payoff", [
+        (lambda: smooth_pair(15), forward_start_straddle()),
+        (lambda: smooth_pair(15), forward_start_call(1.0)),
+        (lambda: uniform_three_dates(9), asian_call(1.0, 3)),
+        (lambda: uniform_three_dates(9), lookback_call(1.0, 3)),
+    ], ids=["straddle", "forward_start_call", "asian", "lookback"])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_atoms_and_verification_grids_agree(self, system, payoff, sense):
+        problem = MotProblem(system(), payoff, sense)
+        solver = Solver(problem.system)
+        hedge = bound(problem, solver=solver).hedge
+        assert (verify(hedge, payoff, solver.layout.grids)
+                == verify(hedge, payoff, verification_grids(problem, solver)))
 
 
 class TestSlackness:

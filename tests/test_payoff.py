@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ class TestJson:
     def test_rejects_n_the_kind_cannot_take(self, kind):
         with pytest.raises(ValueError, match=f"{kind}.*n=3"):
             Payoff.from_json({"kind": kind, "n": 3, "params": {}})
+
+    @pytest.mark.parametrize("n", [2.7, 3.5, float("inf"), float("nan"), None, "3", [3]])
+    def test_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"payoff n {n!r} is not an integer")):
+            Payoff.from_json({"kind": "asian_call", "n": n, "params": {"strike": 1}})
+        obj = tabulated([[-1.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]).to_json()
+        with pytest.raises(ValueError, match=re.escape(f"payoff n {n!r} is not an integer")):
+            Payoff.from_json({**obj, "n": n})
+
+    def test_integral_float_n_is_accepted(self):
+        assert Payoff.from_json({"kind": "asian_call", "n": 3.0, "params": {"strike": 1}}).n == 3
 
     def test_tabulated_n_must_match_grids(self):
         obj = tabulated([[-1.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [2.0, 3.0]]).to_json()
