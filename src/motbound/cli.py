@@ -228,7 +228,7 @@ def cmd_envelope(args) -> int:
     else:
         grid = env_mod.extended_grid(mu1, mu2)
         u2 = np.zeros_like(grid)
-    if args.iters > 0:
+    if args.iters:  # improve_u2 refuses a negative count
         dual = env_mod.improve_u2(u2, payoff, mu1, mu2, args.iters, grid=grid)
         value, u2 = dual.value, dual.u2
     else:

@@ -214,13 +214,15 @@ def improve_u2(start, payoff: Payoff, mu1: DiscreteMeasure, mu2: DiscreteMeasure
     of four times the local payoff scale; the value never decreases.  The
     bracketing chords are built once and kept for every evaluation.  This
     refines and certifies; the LP solve stays authoritative."""
+    if iters < 0:
+        raise ValueError(f"iters must be a nonnegative sweep count, got {iters!r}")
     grid, u2, table = _setup(start, payoff, mu1, mu2, grid)
     chords = list(_chord_blocks(grid, mu1.points))
     scale = 4.0 * (1.0 + np.abs(table).max(axis=0))
 
     value = _envelope_value(u2, table, chords, mu1, mu2, grid)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(max(0, int(iters))):
+    for _ in range(int(iters)):
         for k in range(grid.size):
             center = u2[k]
             a, b = center - scale[k], center + scale[k]

@@ -8,8 +8,9 @@ delta table per step.  Its assembled payout on a path is
 A subhedge needs psi <= payoff everywhere, a superhedge psi >= payoff; both
 are checked on product grids here, whose final axis ``_final_axis`` decides
 (a continuum check for payoffs piecewise linear in the last coordinate).
-``verify``, u_n's widening at extraction and ``mot.surface_csv`` read the
-cells of such a grid through one chunked kernel, ``_cells``.
+A bound widens u_n and checks its hedge on its LP's atoms; ``verify``, the
+widening and ``mot.surface_csv`` read the cells of a grid through one
+chunked kernel, ``_cells``, and psi's history terms through ``_head``.
 """
 
 from __future__ import annotations
@@ -284,29 +285,20 @@ def _final_axis(payoff: Payoff, histories, last: np.ndarray):
     return np.unique(np.concatenate([last, *(np.ravel(k) for k in data.kinks)])), data
 
 
-def _cells(hedge: SemiStaticHedge, payoff: Payoff, grids, points: np.ndarray):
-    """Walk the histories of ``grids`` (dates 1..n-1, row-major) in chunks
-    of at most ``CHUNK_CELLS`` cells of the last-axis ``points`` they all
-    share.  Per chunk, yield its histories (one column per date), the
-    hedge's head terms (see ``SemiStaticHedge._head``) and last delta there,
-    and the payoff at its cells.  Each static payout and each delta's atom
-    lookup is evaluated once per grid point and then indexed, with
-    ``_head``'s arithmetic, so the values carry its bits."""
-    index = np.indices([g.size for g in grids]).reshape(len(grids), -1)
-    hist = [g[i] for g, i in zip(grids, index)]
-
-    def delta(dt: DeltaTable, dates: int) -> np.ndarray:
-        return dt.values[tuple(_nearest_index(a, g)[i]
-                               for a, g, i in zip(dt.atoms, grids[:dates], index[:dates]))]
-
-    head = hedge.cash + sum(u(g)[i] for u, g, i in zip(hedge.statics[:-1], grids, index))
-    for j, dt in enumerate(hedge.deltas[:-1]):
-        head = head + delta(dt, j + 1) * (hist[j + 1] - hist[j])
-    last = delta(hedge.deltas[-1], len(grids))
+def _cells(hedge: SemiStaticHedge, payoff: Payoff, histories, points: np.ndarray):
+    """Walk ``histories`` (one flat array per date 1..n-1, as from
+    :func:`_histories`) in chunks of at most ``CHUNK_CELLS`` cells of the
+    last-axis ``points`` they all share.  Per chunk, yield its histories
+    (one column per date), the hedge's head terms and last delta there, and
+    the payoff at its cells.  Head and last delta are read once over every
+    history through ``SemiStaticHedge._head`` and ``DeltaTable.at``, so
+    their bits are those of ``hedge.evaluate``."""
+    head = hedge._head(*histories)
+    last = hedge.deltas[-1].at(*histories)
     step = max(1, CHUNK_CELLS // max(1, points.size))
-    for start in range(0, hist[0].size, step):
+    for start in range(0, histories[0].size, step):
         rows = slice(start, start + step)
-        h = [x[rows, None] for x in hist]
+        h = [x[rows, None] for x in histories]
         yield h, head[rows, None], last[rows, None], payoff_mod.evaluate_last_axis(payoff, h, points)
 
 
@@ -338,7 +330,7 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
 
     worst = -np.inf
     worst_cell: tuple[float, ...] = ()
-    for h, base, slope, phi in _cells(hedge, payoff, grids[:-1], z):
+    for h, base, slope, phi in _cells(hedge, payoff, hist, z):
         # psi - phi in the order of SemiStaticHedge._payout, so the bits match
         gap = sign * (base + u_z + slope * (z - h[-1]) - phi)
         top = gap.max(axis=1)  # a NaN gap is its row's top
@@ -360,23 +352,21 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     )
 
 
-def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff, grids) -> SemiStaticHedge:
-    """Extend u_n with knots at the :func:`_final_axis` of ``grids`` so the
-    assembled payout stays on the right side of the payoff at them: each new knot
-    takes the tightest value over every history of the other axes, and the
-    wings take the tightest admissible slopes given the payoff's exact
-    ones.  Values at existing knots (in particular at the final marginal's
+def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff) -> SemiStaticHedge:
+    """Extend u_n with knots at the :func:`_final_axis` of its knots over the
+    histories of the last delta's atoms, so the assembled payout stays on the
+    right side of the payoff there: each new knot takes the tightest value
+    over every history, and the wings the tightest admissible slopes given
+    the payoff's exact ones.  Values at existing knots (the final marginal's
     atoms) are kept, so the hedge price is unchanged.  A candidate within
     rounding (:func:`_rounding_twins`) of a knot or of a smaller candidate
     is not added.  Payoffs with no declared last-axis data are left alone."""
-    *history, last = [np.asarray(g, dtype=float).ravel() for g in grids]
-    last, data = _final_axis(payoff, _histories(history), last)
+    u_n = hedge.statics[-1]
+    histories = _histories(hedge.deltas[-1].atoms)
+    z_all, data = _final_axis(payoff, histories, u_n.knots)
     if data is None:
         return hedge
-    u_n = hedge.statics[-1]
-    z_all = np.union1d(u_n.knots, last)
-    fresh = np.ones(z_all.size, dtype=bool)
-    fresh[np.searchsorted(z_all, u_n.knots)] = False
+    fresh = ~np.isin(z_all, u_n.knots)
     # runs of rounding twins are one point: a knot when the run holds one,
     # else the run's first candidate
     twin = _rounding_twins(z_all)
@@ -389,7 +379,7 @@ def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff, grids) -> SemiSta
     # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
     tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
     fill, left, right = [], [], []
-    for h, head, d, phi in _cells(hedge, payoff, history, z_new):
+    for h, head, d, phi in _cells(hedge, payoff, histories, z_new):
         # psi(h, z) = head + u_n(z) + d * (z - h_last).  head + u_n(h_last) - u_n(h_last) is not a
         # no-op: it rounds head as psi(h, h_last) - u_n(h_last) does, so new knots keep their bits
         u_h = u_n(h[-1])

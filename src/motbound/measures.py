@@ -106,10 +106,18 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
+        if not (isinstance(obj, dict) and _numbers(obj.get("points")) and _numbers(obj.get("weights"))
+                and type(obj.get("mean", 0.0)) in (int, float)):
+            raise ValueError("a marginal must be an object of 'points' and 'weights' lists and a 'mean' number")
         measure = cls(np.asarray(obj["points"], dtype=float), np.asarray(obj["weights"], dtype=float))
         if "mean" in obj and abs(measure.mean - float(obj["mean"])) > 1e-8 * (1.0 + abs(measure.mean)):
             raise ValueError("stored mean disagrees with points and weights")
         return measure
+
+
+def _numbers(x) -> bool:
+    """Whether a JSON value is a flat list of numbers."""
+    return isinstance(x, list) and all(type(v) in (int, float) for v in x)  # bool is no number
 
 
 def call_price(measure: DiscreteMeasure, strike) -> float | np.ndarray:
@@ -276,6 +284,8 @@ class MarginalSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MarginalSystem":
+        if not (isinstance(obj, dict) and isinstance(obj.get("marginals"), list)):
+            raise ValueError("a marginal system must be an object whose 'marginals' is a list")
         return cls([DiscreteMeasure.from_json(m) for m in obj["marginals"]])
 
 

@@ -224,8 +224,8 @@ def _constraints(layout: _Layout, system: MarginalSystem) -> Constraints:
 
 class Solver:
     """The parts of one marginal system's transport LP, built once: its
-    layout (whose ``grids`` are the atoms), every history of dates 1..n-1
-    (one flat array per date, row-major) and, at first use, its
+    layout (whose ``grids`` are the atoms, on which every bound widens and
+    checks its hedge) and, at first use, its
     :class:`~motbound.lp.Constraints` (checked once) and a HiGHS
     :class:`~motbound.lp.Session` on them.
 
@@ -249,7 +249,6 @@ class Solver:
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
         self.layout = _layout(system)
-        self.histories = tuple(_histories(self.layout.grids[:-1]))
         self._seed = _Seed(system, self.layout.shape)
 
     @functools.cached_property
@@ -344,21 +343,20 @@ def _solver_for(system: MarginalSystem, solver: Solver | None) -> Solver:
 
 
 def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
-    """Grids on which extracted hedges are checked: history axes stay on the
-    marginal atoms (deltas exist only there); the final axis is the last
-    date's atoms plus every history's kinks of the payoff (``hedge._final_axis``,
-    which u_n's widening in :func:`extract_hedge` and
-    :func:`~motbound.hedge.verify` apply too, adding no point here).  Payoffs
-    with no declared last-axis data (tabulated, custom) keep the atoms.  The
-    histories come from
-    ``solver``, built on ``problem.system`` for this call when not given."""
+    """Grids of :func:`surface_csv`: history axes stay on the marginal atoms
+    (deltas exist only there); the final axis is the last date's atoms plus
+    every history's kinks of the payoff (``hedge._final_axis``, the axis a
+    bound's widening and :func:`~motbound.hedge.verify` build on the atoms
+    themselves).  Payoffs with no declared last-axis data (tabulated,
+    custom) keep the atoms.  The atoms come from ``solver``, built on
+    ``problem.system`` for this call when not given."""
     solver = _solver_for(problem.system, solver)
-    last, _ = _final_axis(problem.payoff, solver.histories, solver.layout.grids[-1])
+    last, _ = _final_axis(problem.payoff, _histories(solver.layout.grids[:-1]), solver.layout.grids[-1])
     return [*solver.layout.grids[:-1], last]
 
 
-def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver | None = None,
-                  grids: list[np.ndarray] | None = None) -> SemiStaticHedge:
+def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
+                  solver: Solver | None = None) -> SemiStaticHedge:
     """Read the dual back as a hedge.
 
     Marginal-row duals become the static payouts (dropped rows read 0),
@@ -366,12 +364,10 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     table is detrended by its mean with the compensating linear terms moved
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
     its heaviest atom with the shift absorbed into cash.  Last, u_n gains
-    knots at the final axis of ``grids``, tightest over the histories of
-    the others.  The row layout comes from ``solver``, built on
-    ``problem.system`` for this call when not given; ``grids`` default to
-    the problem's :func:`verification_grids`."""
+    knots at the payoff's kinks, tightest over the histories of the atoms.
+    The row layout comes from ``solver``, built on ``problem.system`` for
+    this call when not given."""
     solver = _solver_for(problem.system, solver)
-    grids = grids or verification_grids(problem, solver)
     layout = solver.layout
     system = problem.system
     n = system.n_dates
@@ -398,7 +394,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem, solver: Solver |
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    return _widen_last_static(hedge, problem.payoff, grids)
+    return _widen_last_static(hedge, problem.payoff)
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -451,9 +447,9 @@ def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
 
 
 def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Solver,
-            grids: list[np.ndarray], attempts: int) -> MotResult:
-    hedge = extract_hedge(sol, problem, solver, grids)
-    report = verify(hedge, problem.payoff, grids)
+            attempts: int) -> MotResult:
+    hedge = extract_hedge(sol, problem, solver)
+    report = verify(hedge, problem.payoff, solver.layout.grids)
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
     coupling = _coupling_from_primal(sol.primal, solver.layout)
@@ -472,8 +468,8 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     with one (built on ``problem.system``) it is solved on the solver's
     session, from the last optimal basis when the session keeps one for it;
     :func:`motbound.lp.solve` checks the optimum at ``lp.FEAS_TOL``.  The
-    LP dual is read as a semi-static hedge and checked on the verification
-    grids (to ``hedge.VERIFY_TOL``) and against the value.  A dual that
+    LP dual is read as a semi-static hedge and checked on the solver's
+    atoms (to ``hedge.VERIFY_TOL``) and against the value.  A dual that
     fails the grid check (degenerate optima yield several duals) or whose
     price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
     DegenerateDual; one from a solve that ran warm is first solved again
@@ -484,14 +480,13 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     solver = _solver_for(problem.system, solver)
     lp = solver.lp(problem)
     sol = _solve(lp, solver.session)
-    grids = verification_grids(problem, solver)
     try:
-        return _result(problem, lp, sol, solver, grids, sol.runs)
+        return _result(problem, lp, sol, solver, sol.runs)
     except DegenerateDual:
         if not sol.warm:
             raise
     cold = _solve(lp, solver.new_session())
-    return _result(problem, lp, cold, solver, grids, sol.runs + cold.runs)
+    return _result(problem, lp, cold, solver, sol.runs + cold.runs)
 
 
 def decompose_and_solve(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
@@ -594,7 +589,7 @@ def surface_csv(problem: MotProblem, result: MotResult, solver: Solver | None = 
     *history, z = verification_grids(problem, solver)
     u_z = result.hedge.statics[-1](z)
     lines = ["s1,s2,psi,phi,phi_minus_psi"]
-    for (h,), head, d, phi in _cells(result.hedge, problem.payoff, history, z):
+    for (h,), head, d, phi in _cells(result.hedge, problem.payoff, history, z):  # the one history axis
         psi = head + u_z + d * (z - h)  # SemiStaticHedge._payout's order: hedge.evaluate's bits
         lines.extend(f"{fmt12(x)},{fmt12(s2)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}"
                      for x, psi_x, phi_x in zip(h[:, 0], psi, phi) for s2, a, b in zip(z, psi_x, phi_x))

@@ -15,13 +15,14 @@ in [0, 1], so the transport LP's feasible set is bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, OffGrid
+from .measures import _numbers
 
 
 class LastAxis(NamedTuple):
@@ -92,7 +93,7 @@ class Payoff:
             value = self.params.get(record.param, record.default)
             if value is None:
                 raise ValueError(f"payoff kind {self.kind!r} needs parameter {record.param!r}")
-            if not np.isfinite(float(value)):
+            if isinstance(value, (list, dict, bool)) or not np.isfinite(float(value)):
                 raise ValueError(f"payoff kind {self.kind!r} needs a finite {record.param!r}, got {value!r}")
             object.__setattr__(self, "params", {record.param: float(value)})
 
@@ -108,19 +109,20 @@ class Payoff:
     @classmethod
     def from_json(cls, obj: dict) -> "Payoff":
         """Rebuild a payoff; ``n`` defaults to the kind's date count, else 2.
-        A non-integer ``n``, or an ``n`` or a parameter the kind cannot take,
-        raises ValueError."""
+        A non-integer ``n``, an ``n`` or a parameter the kind cannot take, or
+        a JSON value of the wrong type raises ValueError naming the field."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("kind"), str)
+                and isinstance(obj.get("params", {}), dict)):
+            raise ValueError("a payoff must be an object whose 'kind' is a string and 'params' an object")
         kind, params = obj["kind"], dict(obj.get("params", {}))
         if not isinstance(n := obj.get("n", 2), (int, float)) or not float(n).is_integer():
             raise ValueError(f"payoff n {n!r} is not an integer")
-        if kind == "tabulated":
-            extra = set(params) - {"grids", "values"}
-            if extra:
-                raise ValueError(f"payoff kind 'tabulated' takes no parameter {extra.pop()!r}")
-            payoff = tabulated(params["grids"], params["values"])
-            if int(obj.get("n", payoff.n)) != payoff.n:
-                raise ValueError(f"payoff kind 'tabulated' cannot take n={obj['n']}; it covers {payoff.n} dates")
-            return payoff
+        if kind == "tabulated":  # Payoff checks n and any parameter besides grids and values
+            grids, values = params.pop("grids"), params.pop("values")
+            if not (isinstance(grids, list) and all(map(_numbers, grids)) and _numbers(values)):
+                raise ValueError("payoff kind 'tabulated' needs 'grids' and 'values' as lists of numbers")
+            payoff = tabulated(grids, values)
+            return replace(payoff, n=int(obj.get("n", payoff.n)), params=params)
         if kind not in BUILTINS:
             raise ValueError(f"cannot build payoff kind {kind!r} from JSON")
         return cls(kind=kind, n=int(obj.get("n", BUILTINS[kind].dates or 2)), params=params)

@@ -207,6 +207,34 @@ class TestPayoffShorthand:
         assert "payoff n 2.7 is not an integer" in capsys.readouterr().err
         assert not dest.exists()
 
+    @pytest.mark.parametrize("command, text, field", [
+        ("check-order", "[1, 2]", "'marginals'"),
+        ("check-order", '{"marginals": [1, 2]}', "'points'"),
+        ("check-order", '{"marginals": "ab"}', "'marginals'"),
+        ("bounds", '"straddle"', "'kind'"),
+        ("bounds", '{"kind": ["x"]}', "'kind'"),
+        ("bounds", '{"kind": "asian_call", "n": 2, "params": [1]}', "'params'"),
+        ("bounds", '{"kind": "asian_call", "n": 2, "params": {"strike": [1]}}', "'strike'"),
+        ("bounds", '{"kind": "tabulated", "params": {"grids": 5, "values": 1}}', "'grids'"),
+        # JSON true is no number: it was read as 1
+        ("check-order", '{"marginals": [{"points": [true, false], "weights": [0.5, 0.5]}, '
+                        '{"points": [0, 1], "weights": [0.5, 0.5]}]}', "'points'"),
+        ("bounds", '{"kind": "asian_call", "n": 2, "params": {"strike": true}}', "'strike'"),
+    ], ids=["system_list", "marginal_numbers", "marginals_string", "payoff_string", "kind_list",
+            "params_list", "strike_list", "tabulated_numbers", "points_bool", "strike_bool"])
+    def test_malformed_json_file_is_config_error(self, command, text, field, marginals_a, tmp_path,
+                                                 capsys):
+        # check-order reads the file as marginals, bounds as the payoff
+        spec, dest = tmp_path / "bad.json", tmp_path / "out.json"
+        spec.write_text(text)
+        if command == "check-order":
+            argv = ["check-order", "--marginals", str(spec)]
+        else:
+            argv = ["bounds", "--marginals", marginals_a, "--payoff", str(spec)]
+        assert main([*argv, "--out", str(dest)]) == 2
+        assert field in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_json_tabulated_parameter_besides_grids_and_values_is_config_error(self, marginals_a,
                                                                              tmp_path, capsys):
         spec = tmp_path / "payoff.json"
@@ -514,6 +542,14 @@ class TestEnvelope:
                    "--u2", str(u2csv), "--out", str(dest)])
         assert rc == 2
         assert "u2 grid points and values must be finite" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_negative_iters_is_config_error(self, marginals_a, tmp_path, capsys):
+        dest = tmp_path / "env.json"
+        rc = main(["envelope", "--marginals", marginals_a, "--payoff", "straddle",
+                   "--iters", "-2", "--out", str(dest)])
+        assert rc == 2
+        assert "iters must be a nonnegative sweep count, got -2" in capsys.readouterr().err
         assert not dest.exists()
 
     def test_short_u2_row_is_config_error(self, marginals_a, tmp_path, capsys):

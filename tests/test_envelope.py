@@ -294,6 +294,13 @@ class TestImprove:
             dual_value(u2, forward_start_straddle(), mu1, mu2), abs=1e-15)
         np.testing.assert_array_equal(out.u2, u2)
 
+    @pytest.mark.parametrize("iters", [-1, -2])
+    def test_negative_iters_is_refused(self, iters):
+        mu1, mu2 = instance_a_marginals().marginals
+        grid = extended_grid(mu1, mu2)
+        with pytest.raises(ValueError, match=f"nonnegative sweep count, got {iters}"):
+            improve_u2(np.zeros(grid.size), forward_start_straddle(), mu1, mu2, iters)
+
     def test_deterministic(self):
         mu1, mu2 = instance_a_marginals().marginals
         grid = extended_grid(mu1, mu2)

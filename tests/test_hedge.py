@@ -415,9 +415,12 @@ class TestVerifyAxisIndependence:
     def test_atoms_and_verification_grids_agree(self, system, payoff, sense):
         problem = MotProblem(system(), payoff, sense)
         solver = Solver(problem.system)
-        hedge = bound(problem, solver=solver).hedge
+        res = bound(problem, solver=solver)
+        hedge = res.hedge
         assert (verify(hedge, payoff, solver.layout.grids)
                 == verify(hedge, payoff, verification_grids(problem, solver)))
+        # the bound's own report, made on the atoms, is the same report
+        assert res.report == verify(hedge, payoff, verification_grids(problem, solver))
 
 
 class TestSlackness:

@@ -135,22 +135,25 @@ class TestOneLayoutPerBound:
         (three_date_system, lambda: asian_call(0.0, 3)),
     ], ids=["two_dates", "three_dates"])
     def test_layout_and_grids_built_once(self, system, payoff, monkeypatch):
+        # the bound widens and checks its hedge on the solver's atoms, so it
+        # builds no verification grids
         calls = []
         for name in ("_layout", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
         bound(MotProblem(system(), payoff(), "lower"))
-        assert sorted(calls) == ["_layout", "verification_grids"]
+        assert calls == ["_layout"]
 
     def test_sweep_builds_per_system_parts_once(self, monkeypatch):
-        # 11 strikes, 22 bounds: one layout, one check of the constraint
-        # triples and one history grid for the whole sweep
+        # 11 strikes, 22 bounds: one layout and one check of the constraint
+        # triples for the whole sweep, and no verification grids or history
+        # grid in mot
         calls = []
         for name in ("_layout", "_histories", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
         count_calls(monkeypatch, lp_mod.Constraints, "__post_init__", calls)
         table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
         assert all(row.ok for row in table.rows)
-        assert sorted(calls) == ["__post_init__", "_histories", "_layout"] + ["verification_grids"] * 22
+        assert sorted(calls) == ["__post_init__", "_layout"]
 
     def test_one_public_extraction_per_bound(self, monkeypatch):
         # bound reads its hedge through the public name, which tracers wrap
