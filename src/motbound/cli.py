@@ -109,8 +109,8 @@ def _parse_strikes(text: str) -> list[float]:
     """Comma list ``0.5,0.7,1.0`` or inclusive range ``0.5:1.5:0.1``."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise ValueError("strike range must be start:stop:step with step > 0")
+        if len(parts) != 3 or not np.all(np.isfinite(parts)) or parts[2] <= 0:
+            raise ValueError(f"strike range {text!r} must be start:stop:step, finite, with step > 0")
         start, stop, step = parts
         count = int(round((stop - start) / step))
         if abs(start + count * step - stop) > 1e-9 * (1.0 + abs(stop)):

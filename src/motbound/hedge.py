@@ -148,12 +148,6 @@ class DeltaTable:
         """Positions at per-date history coordinates that broadcast together."""
         return self.values[tuple(_nearest_index(g, x) for g, x in zip(self.atoms, history))]
 
-    def lookup(self, history) -> float:
-        history = np.asarray(history, dtype=float).ravel()
-        if history.size != len(self.atoms):
-            raise DimensionMismatch(f"history has {history.size} dates, table expects {len(self.atoms)}")
-        return float(self.at(*history))
-
     def to_json(self) -> dict:
         """Every history in row-major order with its position."""
         return {

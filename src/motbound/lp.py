@@ -1,8 +1,9 @@
 """Equality-form linear programs: a HiGHS float path and an exact oracle.
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
-with A held as sparse (row, col, value) triples in a ``Constraints``, which
-checks them once, so LPs that differ only in cost share one checked object.
+with A held once, column by column, as sparse (row, col, value) triples in
+a ``Constraints``, which checks them once, so LPs that differ only in cost
+share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  A cold solve takes
@@ -36,9 +37,8 @@ column touches their row.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -126,17 +126,20 @@ MASTER_PRICE_STRATEGY = 1
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class Constraints:
-    """``A x = rhs`` over ``n_cols`` variables, with A held as sparse
-    (row, col, value) triples.  Checked once, when built: equal triple
-    lengths, finite coefficients and rhs, indices in range and no duplicate
-    (row, col) pair.  The arrays are read-only, so every LP built on one
-    object shares the check."""
+    """``A x = rhs`` over ``n_cols`` variables, with A held once as sparse
+    (row, col, value) triples in column-major order, and ``start``, where
+    each column's triples start (one per column and the end).  Checked once,
+    when built: equal triple lengths, finite coefficients and rhs, indices in
+    range and no duplicate (row, col) pair, which the stable sort into
+    column-major order leaves as equal neighbours.  The arrays are
+    read-only, so every LP built on one object shares the check."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     rhs: np.ndarray
     n_cols: int
+    start: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64).ravel()
@@ -155,21 +158,27 @@ class Constraints:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("col index out of range")
-            keys = rows * n_cols + cols
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate (row, col) triples")
-        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs)):
+        order = np.argsort(cols * rhs.size + rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise ValueError("duplicate (row, col) triples")
+        start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs), ("start", start)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_cols", n_cols)
 
-    @functools.cached_property
-    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A column by column: starts (one per column and the end), row
-        indices and values."""
-        order = np.lexsort((self.rows, self.cols))
-        start = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=self.n_cols))))
-        return start, self.rows[order], self.vals[order]
+    def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns ``cols`` of A, in that order: starts (one per column
+        and the end), row indices and values."""
+        counts = self.start[cols + 1] - self.start[cols]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        take = np.repeat(self.start[cols] - starts[:-1], counts) + np.arange(starts[-1])
+        return starts, self.rows[take], self.vals[take]
+
+    def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The reduced costs ``cost - A^T y`` of every column."""
+        return cost - np.bincount(self.cols, self.vals * y[self.rows], minlength=self.n_cols)
 
 
 @dataclass(frozen=True)
@@ -323,7 +332,7 @@ class Session:
                 if status == highs.HighsModelStatus.kUnbounded:
                     raise Unbounded(f"HiGHS model status {status.name}")
                 try:
-                    primal, dual = _check_run(lp, status, primal, dual)
+                    primal, dual = _check_run(lp, cost, status, primal, dual)
                 except LpError:
                     if runs == 2:
                         raise
@@ -359,7 +368,7 @@ class _Master:
                  group: int) -> None:
         n_art = lp.n_rows if artificial else 0
         n = n_art + cols.size
-        start, index, value = _column_slices(lp.constraints.csc, cols)
+        start, index, value = lp.constraints.columns(cols)
         model = highs.HighsLp()
         model.num_col_, model.num_row_ = n, lp.n_rows
         big = ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
@@ -446,7 +455,7 @@ class _Master:
                 primal = np.zeros(lp.n_cols)
                 primal[self.cols] = x[self.n_art:]
                 return status, iterations, primal, y
-            start, index, value = _column_slices(lp.constraints.csc, entering)
+            start, index, value = lp.constraints.columns(entering)
             if self.model.addCols(entering.size, cost[entering], np.zeros(entering.size),
                                   np.full(entering.size, highs.kHighsInf), index.size,
                                   start[:-1].astype(np.int32), index.astype(np.int32),
@@ -459,7 +468,7 @@ class _Master:
     def _entering(self, lp: LinearProgram, cost: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
         if self.cols.size == lp.n_cols:
             return self.cols[:0]
-        reduced = cost - np.bincount(lp.cols, lp.vals * y[lp.rows], minlength=lp.n_cols)
+        reduced = lp.constraints.reduced(cost, y)
         reduced[self.member] = 0.0
         by_group = reduced.reshape(-1, self.group)
         best = by_group.argmin(axis=1)
@@ -467,17 +476,6 @@ class _Master:
         groups = np.flatnonzero(value < -tol)
         groups = groups[np.argsort(value[groups], kind="stable")][: int(ROUND_ROWS * lp.n_rows)]
         return groups * self.group + best[groups]
-
-
-def _column_slices(csc, cols: np.ndarray):
-    """The columns ``cols`` of a matrix held as ``Constraints.csc``, in that
-    order and in the same form: starts (one per column and the end), row
-    indices and values."""
-    start, index, value = csc
-    counts = start[cols + 1] - start[cols]
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    take = np.repeat(start[cols] - starts[:-1], counts) + np.arange(starts[-1])
-    return starts, index[take], value[take]
 
 
 def _cold_method(n_cols: int, n_rows: int) -> str:
@@ -516,29 +514,25 @@ def _run_highs(model, solver: str):
     return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _check_run(lp: LinearProgram, status, primal, dual) -> tuple[np.ndarray, np.ndarray]:
+def _check_run(lp: LinearProgram, cost: np.ndarray, status, primal, dual) -> tuple[np.ndarray, np.ndarray]:
     """A run's primal, clipped at zero, and dual, in the LP's own sense, once
-    it passes every check; raises ``LpError`` when the status is not optimal
-    or the dual fails to price a column out to ``FEAS_TOL`` (relative to the
-    largest cost), ``Infeasible`` when the primal misses ``A x = rhs`` by
-    more than ten times ``FEAS_TOL`` (relative to the largest rhs)."""
+    it passes every check; ``cost`` and ``dual`` are in minimization form.
+    Raises ``LpError`` when the status is not optimal or the dual fails to
+    price a column out to ``FEAS_TOL`` (relative to the largest cost),
+    ``Infeasible`` when the primal misses ``A x = rhs`` by more than ten
+    times ``FEAS_TOL`` (relative to the largest rhs)."""
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
-    flip = lp.sense == "max"
     primal = np.clip(primal, 0.0, None)
-    if flip:
-        dual = -dual
     ax = np.bincount(lp.rows, lp.vals * primal[lp.cols], minlength=lp.n_rows)
     residual = float(np.abs(ax - lp.rhs).max())
     if residual > 10 * FEAS_TOL * (1.0 + float(np.abs(lp.rhs).max())):
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
-    reduced = lp.cost - np.bincount(lp.cols, lp.vals * dual[lp.rows], minlength=lp.n_cols)
-    if flip:
-        reduced = -reduced
+    reduced = lp.constraints.reduced(cost, dual)
     worst = int(np.argmin(reduced))
     if reduced[worst] < -FEAS_TOL * (1.0 + float(np.abs(lp.cost).max())):
         raise LpError(f"dual infeasible: reduced cost {reduced[worst]:.3e} at column {worst}")
-    return primal, dual
+    return primal, -dual if lp.sense == "max" else dual
 
 
 def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:

@@ -31,7 +31,7 @@ GAP_TOL = 1e-7
 MASS_FLOOR = 1e-15
 # Ceiling on cells * (2n - 1), which bounds the constraint nonzeros (n mass
 # and n - 1 martingale rows per cell), checked before any assembly: a solve
-# peaks at 0.16-0.22 KB per nonzero, so this is about 3.5 GB.
+# peaks at 0.10-0.12 KB per nonzero, so this is about 2 GB.
 MAX_NONZEROS = 16_000_000
 # A master's seed is the coarse support widened by SEED_WIDTH atoms each way
 # on every date (see Solver).  Single runs, one BLAS thread, s, on the LPs

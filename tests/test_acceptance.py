@@ -68,7 +68,7 @@ def test_criterion_02_smooth_instance_hedge_shape(smooth201):
     system, res, _ = smooth201
     atoms1 = system.marginals[0].points
     window = atoms1[(atoms1 >= -0.9) & (atoms1 <= 0.9)]
-    deltas = np.array([res.hedge.deltas[0].lookup([s]) for s in window])
+    deltas = np.array([res.hedge.deltas[0].at(s) for s in window])
     target = -2.0 * window / 3.0
     beta = float(np.mean(deltas - target))  # constant transfer is gauge
     delta_err = float(np.max(np.abs(deltas - target - beta)))

@@ -340,6 +340,16 @@ class TestSweep:
         assert rc == 2
         assert "step does not divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strikes", ["0.9:inf:0.1", "-inf:1:0.1", "0.9:1.1:nan", "0.9:1.1:inf"],
+                             ids=["inf_stop", "minus_inf_start", "nan_step", "inf_step"])
+    def test_non_finite_range_is_config_error(self, marginals_a, tmp_path, strikes, capsys):
+        dest = tmp_path / "sweep.csv"
+        # a range that starts with "-" must be glued to its option
+        rc = main(["sweep", "--marginals", marginals_a, f"--strikes={strikes}", "--out", str(dest)])
+        assert rc == 2
+        assert f"strike range {strikes!r} must be start:stop:step, finite" in capsys.readouterr().err
+        assert not dest.exists()
+
 
 class TestImpliedMarginals:
     @staticmethod

