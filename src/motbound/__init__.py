@@ -6,9 +6,9 @@ the exotic's expectation over that set is a finite linear program whose dual
 is a semi-static hedge.  This package assembles the LP, solves it with
 HiGHS, called through the binding bundled with scipy (primal simplex up to
 mid-size LPs with few variables per row, column generation seeded from a
-coarser grid on larger ones, the dual simplex only to repair a run that
-fails a check; plus an exact rational re-solver for small instances),
-extracts and verifies the hedge, and ships a CLI for the whole pipeline.
+coarser grid on larger ones; plus an exact rational re-solver for small
+instances), extracts and verifies the hedge, and ships a CLI for the whole
+pipeline.
 """
 
 from .envelope import convex_envelope, dual_value, evaluate_dual, extended_grid, improve_u2

@@ -106,13 +106,16 @@ def _parse_payoff(text: str, n_dates: int) -> Payoff:
 
 
 def _parse_strikes(text: str) -> list[float]:
-    """Comma list ``0.5,0.7,1.0`` or inclusive range ``0.5:1.5:0.1``."""
+    """Comma list ``0.5,0.7,1.0`` or inclusive range ``0.5:1.5:0.1`` of at
+    most 100,000 strikes, counted before the list is built."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3 or not np.all(np.isfinite(parts)) or parts[2] <= 0:
             raise ValueError(f"strike range {text!r} must be start:stop:step, finite, with step > 0")
         start, stop, step = parts
-        count = int(round((stop - start) / step))
+        count = round(float(np.clip((stop - start) / step, -1e6, 1e6)))  # clipped: never inf
+        if count >= 100_000:
+            raise ValueError(f"strike range {text!r} gives over 100,000 strikes")
         if abs(start + count * step - stop) > 1e-9 * (1.0 + abs(stop)):
             raise ValueError("strike range: step does not divide the span")
         strikes = [start + k * step for k in range(count + 1)]
@@ -123,12 +126,12 @@ def _parse_strikes(text: str) -> list[float]:
     return strikes
 
 
-def _result_json(res) -> dict:
+def _result_json(res, system: MarginalSystem) -> dict:
     return {
         "value": res.value,
         "diagnostics": res.diagnostics.to_json(),
         "hedge": hedge_to_json(res.hedge),
-        "hedge_price": None,  # filled by caller with the system in hand
+        "hedge_price": hedge_price(res.hedge, system),
         "verification": {
             "max_violation": res.report.max_violation,
             "checked_cells": res.report.checked_cells,
@@ -178,9 +181,7 @@ def cmd_bounds(args) -> int:
     out = {"payoff": payoff.to_json(), "results": {}}
     for sense, res in outcome.items():
         res = _unwrap(res)
-        entry = _result_json(res)
-        entry["hedge_price"] = hedge_price(res.hedge, system)
-        out["results"][sense] = entry
+        out["results"][sense] = _result_json(res, system)
         print(f"{sense} {fmt12(res.value)}")
     if args.seed is not None:
         coupling = random_feasible_coupling(system, args.seed, solver=solver)
@@ -284,11 +285,13 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-def _add_io_flags(p):
+def _add_io_flags(p, stdout: bool):
+    """The input flags and ``--out``; without it the artifact goes to stdout if ``stdout``."""
     p.add_argument("--marginals", help="marginal system JSON")
     p.add_argument("--quotes", help="call quotes CSV or JSON")
     p.add_argument("--s0", type=float, help="spot/forward (else read from a strike-0 quote)")
-    p.add_argument("--out", help="output path (default: stdout for the artifact)")
+    p.add_argument("--out", help="output path (default: stdout)" if stdout
+                   else "JSON artifact path (no artifact is written without it)")
 
 
 @functools.cache
@@ -307,11 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_implied_marginals)
 
     p = sub.add_parser("check-order", help="report convex-order admissibility")
-    _add_io_flags(p)
+    _add_io_flags(p, stdout=False)
     p.set_defaults(func=cmd_check_order)
 
     p = sub.add_parser("bounds", help="price bounds with hedge and diagnostics")
-    _add_io_flags(p)
+    _add_io_flags(p, stdout=False)
     p.add_argument("--payoff", required=True)
     p.add_argument("--sense", choices=["lower", "upper", "both"], default="both")
     p.add_argument("--decompose", action="store_true",
@@ -320,25 +323,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="forward-start call bounds per strike ratio")
-    _add_io_flags(p)
-    p.add_argument("--strikes", required=True, help="comma list or start:stop:step")
+    _add_io_flags(p, stdout=True)
+    p.add_argument("--strikes", required=True,
+                   help="comma list or start:stop:step, at most 100,000 strikes; "
+                        "glue a negative start to the flag: --strikes=-0.5:0.5:0.1")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("surface", help="hedge payout vs payoff over the grid")
-    _add_io_flags(p)
+    _add_io_flags(p, stdout=True)
     p.add_argument("--payoff", required=True)
     p.add_argument("--sense", choices=["lower", "upper"], default="lower")
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("envelope", help="convex-envelope dual certificate")
-    _add_io_flags(p)
+    _add_io_flags(p, stdout=False)
     p.add_argument("--payoff", required=True)
     p.add_argument("--u2", help="starting u2 CSV (default: zeros on the joint grid)")
     p.add_argument("--iters", type=int, default=0, help="coordinate-ascent sweeps")
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("arb", help="compare a quote against the model-free interval")
-    _add_io_flags(p)
+    _add_io_flags(p, stdout=False)
     p.add_argument("--payoff", required=True)
     p.add_argument("--quoted", type=float, required=True)
     p.set_defaults(func=cmd_arb)

@@ -18,13 +18,12 @@ the reduced-cost check on every column.  A ``Session`` is built on one
 after its first solve, each LP only changes the column costs and restarts
 the primal simplex from the last optimal basis, which stays primal
 feasible, except that a change of sense starts a new master above the
-primal band.  Either way, a dual-simplex run from the basis the first
-attempt left starts the one further attempt when the first fails a check,
-and runs at no other time.  A plain ``solve`` is a one-shot session.  The
-binding is scipy's private ``_highspy._core``, the one its ``linprog``
-wraps; calling it directly
-skips ``linprog``'s input cleaning, option checking and bound-marginal
-loop, which cost more than HiGHS itself on the small LPs of a strike sweep.
+primal band.  Each solve is one attempt: a run, or a master's rounds,
+whose optimum passes every check or raises.  A plain ``solve`` is a
+one-shot session.  The binding is scipy's private ``_highspy._core``, the
+one its ``linprog`` wraps; calling it directly skips ``linprog``'s input
+cleaning, option checking and bound-marginal loop, which cost more than
+HiGHS itself on the small LPs of a strike sweep.
 ``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
 small instances and serves as the independent oracle.
 
@@ -231,18 +230,14 @@ class LpSolution:
     """An optimum (other outcomes raise).  Exact fields only from solve_exact.
 
     ``iterations`` sums HiGHS's simplex iteration counts over the solve's
-    runs: a master's rounds and, when a second attempt follows the first,
-    its runs too (the runs that find a master's seed are not counted).  A
-    warm solve counts only its own pivots from its start.  ``runs`` counts
-    the attempts behind the solution (1, or 2 when the first failed a check
-    and a dual-simplex run started the second), ``warm`` whether the first
-    restarted from a session's basis."""
+    runs, a master's rounds (the runs that find a master's seed are not
+    counted).  A warm solve counts only its own pivots from its start.
+    ``warm`` tells whether the solve restarted from a session's basis."""
 
     primal: np.ndarray
     dual: np.ndarray
     objective: float
     iterations: int
-    runs: int = 0
     warm: bool = False
     objective_exact: Fraction | None = None
     primal_exact: tuple[Fraction, ...] | None = None
@@ -269,16 +264,14 @@ class Session:
     Once a solve has passed every check, the next one only changes the
     column costs and runs the primal simplex from that solve's basis, which
     a change of cost leaves primal feasible; a master keeps its columns,
-    with its artificials fixed at zero from its first such solve on.
-    Either way, a first attempt that fails a check is followed by one more
-    from its basis that starts with a dual-simplex run.  Above the band a
-    change of sense frees the master instead, whose columns were priced
-    for the other sense's optimum; in the band the other optimum is a
-    faster start than a cold run.  A solve that raises also frees the
-    model.  Solve order therefore decides which optimum a degenerate LP
-    returns: the same order gives the same bits, but a warm optimum can
-    differ from a cold one.  An LP built on another ``Constraints``
-    object, even with equal arrays, is refused."""
+    with its artificials fixed at zero from its first such solve on.  Above
+    the band a change of sense starts a new master instead, as the old
+    one's columns were priced for the other sense's optimum; in the band
+    the other optimum is a faster start than a cold run.  A solve that
+    fails raises at once and frees the model.  Solve order therefore
+    decides which optimum a degenerate LP returns: the same order gives the
+    same bits, but a warm optimum can differ from a cold one.  An LP built
+    on another ``Constraints`` object, even with equal arrays, is refused."""
 
     def __init__(self, constraints: Constraints,
                  seed: Callable[[LinearProgram], np.ndarray] | None = None, group: int = 1) -> None:
@@ -292,6 +285,12 @@ class Session:
     def warm(self) -> bool:
         """Whether the session holds the basis of a solve that passed every check."""
         return self._master is not None
+
+    def warm_for(self, lp: LinearProgram) -> bool:
+        """Whether a solve of ``lp`` restarts from the session's basis: the
+        session holds one, and ``lp`` keeps the last solve's sense or lies
+        in the primal band."""
+        return self.warm and (lp.sense == self._sense or _cold_method(lp.n_cols, lp.n_rows) != "master")
 
     def _check(self, lp: LinearProgram) -> np.ndarray:
         """The LP's costs in minimization form, once it is built on the session's constraints."""
@@ -310,34 +309,24 @@ class Session:
 
     def _solve(self, lp: LinearProgram) -> LpSolution:
         cost = self._check(lp)
-        cold = _cold_method(lp.n_cols, lp.n_rows)
-        if lp.sense != self._sense and cold == "master":
-            self._master = None
+        warm = self.warm_for(lp)
         self._sense = lp.sense
-        warm = self.warm
         try:
             if warm:
                 self._master.change_cost(cost)
             else:
                 self._master = self._start(lp, cost, artificial=False)
-            iterations = 0
-            first = "primal" if warm or cold == "master" else cold
-            for runs, solver in enumerate((first, "simplex"), start=1):
-                status, count, primal, dual = self._master.generate(lp, cost, solver)
-                iterations += count
-                if status in _LIMIT:
-                    raise IterationLimit(f"exceeded {MAX_ITER} iterations")
-                if status in _INFEASIBLE:
-                    raise Infeasible(f"HiGHS model status {status.name}")
-                if status == highs.HighsModelStatus.kUnbounded:
-                    raise Unbounded(f"HiGHS model status {status.name}")
-                try:
-                    primal, dual = _check_run(lp, cost, status, primal, dual)
-                except LpError:
-                    if runs == 2:
-                        raise
-                    continue
-                return LpSolution(primal, dual, float(lp.cost @ primal), iterations, runs, warm)
+            cold = _cold_method(lp.n_cols, lp.n_rows)
+            status, iterations, primal, dual = self._master.generate(
+                lp, cost, "primal" if warm or cold == "master" else cold)
+            if status in _LIMIT:
+                raise IterationLimit(f"exceeded {MAX_ITER} iterations")
+            if status in _INFEASIBLE:
+                raise Infeasible(f"HiGHS model status {status.name}")
+            if status == highs.HighsModelStatus.kUnbounded:
+                raise Unbounded(f"HiGHS model status {status.name}")
+            primal, dual = _check_run(lp, cost, status, primal, dual)
+            return LpSolution(primal, dual, float(lp.cost @ primal), iterations, warm)
         except BaseException:
             self._master = None  # the next solve starts cold
             raise
@@ -496,8 +485,8 @@ _METHODS = {"simplex": highs.simplex_constants.SimplexStrategy.kSimplexStrategyD
 def _run_highs(model, solver: str):
     """One HiGHS simplex run of a session's model, in minimization form,
     from the basis its last run left (none before the first run):
-    ``solver`` is ``"simplex"`` (the dual simplex) or ``"primal"`` (the
-    primal simplex).  The iteration limit is the model's.
+    ``solver`` is ``"primal"`` (the primal simplex) or ``"simplex"`` (the
+    dual simplex, which only tests pick).  The iteration limit is the model's.
 
     Returns the model status, the simplex iteration count, and the primal
     and row duals of the minimization, which are None unless the status is
@@ -544,15 +533,14 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     returns.  A cold solve takes the path :func:`_cold_method` picks from
     the LP's shape, the primal simplex on every column or column generation
     (see :class:`Session`); a warm solve runs the primal simplex from the
-    last optimal basis, and a master goes on pricing from there.  If that
-    attempt fails a check, one more starts with a dual-simplex run from its
-    basis.  ``MAX_ITER`` bounds the iterations of each attempt, all of a
-    master's rounds together.  An attempt is accepted only when it is
-    optimal and passes the checks of :func:`_check_run` at ``FEAS_TOL`` (a
-    master whose artificial columns keep mass fails the residual check); a
-    failed second attempt raises the error those checks name.  Either way,
-    a limit raises ``IterationLimit``, an infeasible or malformed model
-    ``Infeasible`` and an unbounded one ``Unbounded`` at once."""
+    last optimal basis, and a master goes on pricing from there.  That is
+    the one attempt: ``MAX_ITER`` bounds its iterations, all of a master's
+    rounds together, and it is accepted only when it is optimal and passes
+    the checks of :func:`_check_run` at ``FEAS_TOL`` (a master whose
+    artificial columns keep mass fails the residual check).  Otherwise it
+    raises: a limit ``IterationLimit``, an infeasible or malformed model
+    ``Infeasible``, an unbounded one ``Unbounded``, and a failed check the
+    error that check names."""
     return (session or Session(lp.constraints))._solve(lp)
 
 

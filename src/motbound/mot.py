@@ -472,21 +472,21 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     atoms (to ``hedge.VERIFY_TOL``) and against the value.  A dual that
     fails the grid check (degenerate optima yield several duals) or whose
     price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
-    DegenerateDual; one from a solve that ran warm is first solved again
-    cold, once, on a :meth:`Solver.new_session` (above the primal band its
-    master starts from the seed).  These gates are module constants, the
-    same for every caller.  ``solve_attempts`` in the extras counts the
-    HiGHS runs behind the result, the cold re-solve's included."""
+    DegenerateDual.  A solve that ran warm and raised ``LpError`` or gave
+    such a dual is solved again cold, once, on a :meth:`Solver.new_session`
+    (above the primal band its master starts from the seed); a cold one
+    raises.  These gates are module constants, the same for every caller.
+    ``solve_attempts`` in the extras counts the solves behind the result:
+    1, or 2 after the cold re-solve."""
     solver = _solver_for(problem.system, solver)
     lp = solver.lp(problem)
-    sol = _solve(lp, solver.session)
+    warm = solver.session.warm_for(lp)  # read first: a solve that raises frees the model
     try:
-        return _result(problem, lp, sol, solver, sol.runs)
-    except DegenerateDual:
-        if not sol.warm:
+        return _result(problem, lp, _solve(lp, solver.session), solver, 1)
+    except (LpError, DegenerateDual):
+        if not warm:
             raise
-    cold = _solve(lp, solver.new_session())
-    return _result(problem, lp, cold, solver, sol.runs + cold.runs)
+    return _result(problem, lp, _solve(lp, solver.new_session()), solver, 2)
 
 
 def decompose_and_solve(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:

@@ -275,7 +275,7 @@ class TestParser:
         block = section.split("```sh\n", 1)[1].split("```", 1)[0]
         commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("motbound ")]
-        assert len(commands) == 8
+        assert len(commands) == 9
         for argv in commands:
             cli.build_parser().parse_args(argv)
 
@@ -349,6 +349,33 @@ class TestSweep:
         assert rc == 2
         assert f"strike range {strikes!r} must be start:stop:step, finite" in capsys.readouterr().err
         assert not dest.exists()
+
+    @pytest.mark.parametrize("strikes", ["0.9:1.1:1e-300", "0.9:1.1:1e-310", "0:1e5:1", "-1e308:1e308:1"],
+                             ids=["tiny_step", "subnormal_step", "one_over", "overflowing_span"])
+    def test_over_100000_strikes_is_config_error(self, marginals_a, tmp_path, strikes, capsys):
+        # refused from the count alone, before the strike list is built
+        dest = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--marginals", marginals_a, f"--strikes={strikes}", "--out", str(dest)])
+        assert rc == 2
+        assert f"strike range {strikes!r} gives over 100,000 strikes" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_100000_strikes_pass_the_ceiling(self):
+        assert len(cli._parse_strikes("0:99999:1")) == 100_000
+
+    def test_overflowing_reversed_span_is_config_error(self, marginals_a, capsys):
+        # stop - start is -inf here; the count is clipped before it is rounded
+        rc = main(["sweep", "--marginals", marginals_a, "--strikes", "1e308:-1e308:1"])
+        assert rc == 2
+        assert "step does not divide" in capsys.readouterr().err
+
+    def test_negative_start_glued_to_the_flag(self, marginals_a, tmp_path):
+        dest = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--marginals", marginals_a, "--strikes=-0.5:0.5:0.1", "--out", str(dest)])
+        assert rc == 0
+        lines = dest.read_text().strip().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(np.linspace(-0.5, 0.5, 11))
+        assert all(line.endswith(",ok") for line in lines[1:])
 
 
 class TestImpliedMarginals:

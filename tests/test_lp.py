@@ -351,37 +351,6 @@ class TestSizeRule:
         for solver in ("primal", "master"):
             assert abs(values[solver] - v) <= 1e-12 * (1.0 + abs(v))
 
-    @staticmethod
-    def status_unknown_is_solved_again_by_dual_simplex(monkeypatch, method):
-        def corrupt(solver, res):
-            if not calls:
-                return highs.HighsModelStatus.kUnknown, res[1], None, None
-            return res
-
-        lp = random_transportation(np.random.default_rng(5))
-        force_cold(monkeypatch, method)
-        calls = spy_highs(monkeypatch, corrupt)
-        sol = solve(lp)
-        # a master goes on with its rounds after the dual-simplex run
-        assert [run.solver for run in calls[:2]] == [first_run(method), "simplex"]
-        assert [run.solver for run in calls[2:]] == ["primal"] * (len(calls) - 2)
-        assert len(calls) > 2 if method == "master" else len(calls) == 2
-        assert sol.iterations == sum(run.result[1] for run in calls)
-        assert sol.runs == 2
-        if method != "master":
-            np.testing.assert_array_equal(sol.primal, np.clip(calls[1].result[2], 0.0, None))
-            np.testing.assert_array_equal(sol.dual, calls[1].result[3])
-        check_solution_invariants(lp, sol)
-        force_cold(monkeypatch, "simplex")
-        cold = solve(lp).objective
-        assert abs(sol.objective - cold) <= 1e-12 * (1.0 + abs(cold))
-
-    def test_interior_point_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
-        self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "master")
-
-    def test_primal_status_unknown_is_solved_again_by_dual_simplex(self, monkeypatch):
-        self.status_unknown_is_solved_again_by_dual_simplex(monkeypatch, "primal")
-
     def test_unfinished_crossover_instance(self, monkeypatch):
         # the interior point's crossover stopped unfinished on this LP; the
         # master, unseeded here, solves it in its rounds alone
@@ -392,7 +361,6 @@ class TestSizeRule:
         sol = solve(lp)
         assert {run.solver for run in calls} == {"primal"}
         assert all(run.model is calls[0].model for run in calls)
-        assert sol.runs == 1
         check_solution_invariants(lp, sol)
         res = bound(problem)
         assert res.report.valid
@@ -471,11 +439,10 @@ class TestColdMethod:
         assert (constraints.n_cols, constraints.rhs.size) == shape
         assert lp_mod._cold_method(*shape) == method
 
-    @pytest.mark.parametrize("m, method", [(15, "primal"), pytest.param(51, "master", id="51-ipm")])
+    @pytest.mark.parametrize("m, method", [(15, "primal"), pytest.param(51, "master", id="51-master")])
     def test_cold_two_date_bound_runs_one_method(self, monkeypatch, m, method):
-        # 225 × 44 and 2,601 × 152: the dual simplex runs only to repair a
-        # run, and the master's rounds (after its seed's) are primal-simplex
-        # runs too
+        # 225 × 44 and 2,601 × 152: one primal-simplex run, or a master's
+        # rounds (after its seed's), which are primal-simplex runs too
         problem = MotProblem(smooth_pair(m), forward_start_straddle(), "lower")
         calls = spy_highs(monkeypatch)
         res = bound(problem)
@@ -564,21 +531,21 @@ STATUS = highs.HighsModelStatus
 
 class TestStatusMapping:
     """Each HiGHS model status maps to the outcome scipy's linprog status
-    gave it: 1 (limit), 2 (infeasible), 3 (unbounded) raise; 4 (any other
-    status) re-solves once by the dual simplex after the first run, and
-    raises when the dual-simplex run ends so too.  An optimal run that fails
-    the residual or reduced-cost check is treated as status 4."""
+    gave it: 1 (limit), 2 (infeasible), 3 (unbounded) and 4 (any other
+    status) raise, the last ``LpError``, after the solve's one attempt.  An
+    optimal run that fails the residual check raises ``Infeasible``, one
+    that fails the reduced-cost check ``LpError``."""
 
     @staticmethod
-    def fake_first_run(monkeypatch, status, primal=None, dual=None, runs=1):
-        """The first ``runs`` HiGHS runs report ``status``, ``primal`` and
-        ``dual`` after 7 iterations; later runs are real.  Records each run's
+    def fake_first_run(monkeypatch, status, primal=None, dual=None):
+        """The first HiGHS run reports ``status``, ``primal`` and ``dual``
+        after 7 iterations; later runs are real.  Records each run's
         (solver, iterations)."""
         calls = []
         run_highs = lp_mod._run_highs
 
         def fake(model, solver):
-            res = run_highs(model, solver) if len(calls) >= runs else (status, 7, primal, dual)
+            res = run_highs(model, solver) if calls else (status, 7, primal, dual)
             calls.append((solver, res[1]))
             return res
 
@@ -600,53 +567,48 @@ class TestStatusMapping:
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_raises_on_simplex_path(self, monkeypatch, status):
-        # the dual-simplex run that repairs a failed primal-simplex run ends
-        # with the same status
         force_cold(monkeypatch, "primal")
-        calls = self.fake_first_run(monkeypatch, status, runs=2)
+        calls = self.fake_first_run(monkeypatch, status)
         with pytest.raises(LpError, match=status.name) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is LpError
-        assert calls == [("primal", 7), ("simplex", 7)]
+        assert calls == [("primal", 7)]
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
-    def test_undecided_status_is_solved_again_on_interior_point_path(self, monkeypatch, status):
-        # the master's second attempt starts with a dual-simplex run from
-        # the first one's basis and goes on with its rounds
-        lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+    def test_undecided_status_raises_on_master_path(self, monkeypatch, status):
+        # the master's first round ends its attempt
         force_cold(monkeypatch, "master")
         calls = self.fake_first_run(monkeypatch, status)
-        sol = solve(lp)
-        assert [solver for solver, _ in calls] == ["primal", "simplex"] + ["primal"] * (len(calls) - 2)
-        assert sol.iterations == 7 + sum(count for _, count in calls[1:])
-        assert sol.runs == 2
-        np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
+        with pytest.raises(LpError, match=status.name) as info:
+            solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
+        assert type(info.value) is LpError
+        assert calls == [("primal", 7)]
 
     # optimal runs that fail a check on the LP below, whose optimum is
     # [1, 0, 0, 1]: a primal off the constraints, and row duals of 10, which
     # leave every reduced cost negative
     FAILED_RUNS = {"residual": (np.zeros(4), np.zeros(4)),
                    "reduced-cost": (np.array([1.0, 0.0, 0.0, 1.0]), np.full(4, 10.0))}
+    # the typed error and message of each failed check
+    CHECK_ERRORS = {"residual": (Infeasible, "violates constraints"), "reduced-cost": (LpError, "reduced cost")}
 
     @pytest.mark.parametrize("check, error, message", [
         ("residual", Infeasible, "violates constraints"), ("reduced-cost", LpError, "reduced cost"),
     ])
     def test_failed_check_raises_on_simplex_path(self, monkeypatch, check, error, message):
-        # the dual-simplex run that repairs a failed primal-simplex run fails
-        # the same check
         force_cold(monkeypatch, "primal")
-        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check], runs=2)
+        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
         with pytest.raises(error, match=message) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is error
-        assert calls == [("primal", 7), ("simplex", 7)]
+        assert calls == [("primal", 7)]
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
-    def test_failed_check_is_solved_again_on_interior_point_path(self, monkeypatch, check):
+    def test_failed_check_raises_on_master_path(self, monkeypatch, check):
         # a master seeded with every column, whose primal-simplex runs return
         # optima that fail the check: a primal of zeros (the artificials
         # included), or row duals of 10; the first run fixes the
-        # artificials, the second ends the first attempt
+        # artificials, the second ends the attempt, which raises
         def corrupt(solver, res):
             status, iterations, primal, dual = res
             if solver == "primal":
@@ -659,13 +621,14 @@ class TestStatusMapping:
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
         force_cold(monkeypatch, "master")
         calls = spy_highs(monkeypatch, corrupt)
-        sol = solve(lp, session=Session(lp.constraints, seed=every_column))
-        assert [run.solver for run in calls] == ["primal", "primal", "simplex"]
-        assert all(run.model is calls[0].model for run in calls)
-        assert sol.iterations == sum(run.result[1] for run in calls)
-        assert sol.runs == 2
-        np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
-        check_solution_invariants(lp, sol)
+        session = Session(lp.constraints, seed=every_column)
+        error, message = self.CHECK_ERRORS[check]
+        with pytest.raises(error, match=message) as info:
+            solve(lp, session=session)
+        assert type(info.value) is error
+        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert calls[1].model is calls[0].model
+        assert not session.warm
 
 
 class TestSession:
@@ -684,7 +647,7 @@ class TestSession:
                                constraints=base.constraints)
             warm = solve(lp, session=session)
             assert calls[-1].solver == "primal"
-            assert (warm.warm, warm.runs) == (trial > 0, 1)
+            assert warm.warm == (trial > 0)
             cold = solve(lp)
             assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
             check_solution_invariants(lp, warm)
@@ -716,25 +679,16 @@ class TestSession:
             solve(twin, session=session)
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
-    def test_failed_warm_check_gets_one_dual_simplex_run(self, monkeypatch, check):
+    def test_failed_warm_check_raises_and_next_solve_is_cold(self, monkeypatch, check):
         session = Session(self.LP.constraints)
         solve(self.LP, session=session)
-        calls = TestStatusMapping.fake_first_run(monkeypatch, STATUS.kOptimal,
-                                                 *TestStatusMapping.FAILED_RUNS[check])
-        sol = solve(self.LP, session=session)
-        assert [solver for solver, _ in calls] == ["primal", "simplex"]
-        assert (sol.runs, sol.iterations) == (2, 7 + calls[1][1])
-        np.testing.assert_allclose(sol.primal, [1.0, 0.0, 0.0, 1.0], atol=1e-12)
-        check_solution_invariants(self.LP, sol)
-
-    def test_failed_dual_simplex_raises_and_next_solve_is_cold(self, monkeypatch):
-        session = Session(self.LP.constraints)
-        solve(self.LP, session=session)
-        primal, dual = TestStatusMapping.FAILED_RUNS["reduced-cost"]
+        primal, dual = TestStatusMapping.FAILED_RUNS[check]
+        error, message = TestStatusMapping.CHECK_ERRORS[check]
         calls = spy_highs(monkeypatch, lambda solver, res: (STATUS.kOptimal, 7, primal, dual))
-        with pytest.raises(LpError, match="reduced cost"):
+        with pytest.raises(error, match=message) as info:
             solve(self.LP, session=session)
-        assert [run.solver for run in calls] == ["primal", "simplex"]
+        assert type(info.value) is error
+        assert [run.solver for run in calls] == ["primal"]
         first = calls[0].model
         monkeypatch.undo()
         calls = spy_highs(monkeypatch)
@@ -747,10 +701,8 @@ class TestSession:
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS
     run solves, computed through ``scipy.optimize.linprog`` with the same
-    solver, options and cold method.  ``linprog`` cannot re-solve from the
-    crossover basis as ``solve`` does, so it is no oracle for re-solved LPs,
-    and it has no primal simplex, so the LPs it checks force their first
-    run to be the dual simplex (or the interior point)."""
+    solver, options and cold method.  ``linprog`` has no primal simplex,
+    so the LPs it checks force their one run to be the dual simplex."""
     flip = lp.sense == "max"
     method = {"simplex": "highs-ds"}[lp_mod._cold_method(lp.n_cols, lp.n_rows)]
     res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
@@ -765,9 +717,10 @@ def linprog_answer(lp: LinearProgram):
 
 class TestLinprogOracle:
     """``solve`` calls HiGHS as ``linprog`` does, so both give the same
-    answer to the last bit.  Every LP here forces the dual simplex, the
-    repair method, as linprog has no primal simplex; the model is the one
-    ``solve`` sets up for a primal-simplex run too."""
+    answer to the last bit.  Every LP here forces the dual simplex, which
+    ``lp._METHODS`` keeps for this check alone, as linprog has no primal
+    simplex; the model is the one ``solve`` sets up for a primal-simplex
+    run too."""
 
     @pytest.mark.parametrize("make, methods, cold", [
         (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],

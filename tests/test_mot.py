@@ -12,7 +12,7 @@ import motbound.hedge as hedge_mod
 import motbound.lp as lp_mod
 import motbound.mot as mot
 import motbound.payoff as payoff_mod
-from motbound.errors import (DegenerateDual, DimensionMismatch, Infeasible, NotAdmissible,
+from motbound.errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, NotAdmissible,
                              ScaleExceeded)
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
                                instance_b_payoff, smooth_pair)
@@ -915,6 +915,58 @@ class TestDualChecks:
         with pytest.raises(DegenerateDual, match="INVALID"):
             bound(MotProblem(system, payoff, "upper"), solver=solver)
         assert sessions == [solver.session]
+
+    @staticmethod
+    def fail_reduced_cost_check(monkeypatch, rows: int, runs: int) -> list:
+        """The first ``runs`` HiGHS runs of an LP with ``rows`` rows return
+        their optimum with row 0's dual raised by 1, as
+        ``test_lp.TestStatusMapping.FAILED_RUNS`` raises every row's: a cell
+        at the first atom of date 1 that carries mass then prices at -1, so
+        the run fails the reduced-cost check.  Other runs are real.  Returns
+        the model of each run of such an LP."""
+        models = []
+        run_highs = lp_mod._run_highs
+
+        def fake(model, solver):
+            status, count, primal, dual = run_highs(model, solver)
+            if dual is not None and dual.size == rows:
+                if len(models) < runs:
+                    dual = dual.copy()
+                    dual[0] += 1.0
+                models.append(model)
+            return status, count, primal, dual
+
+        monkeypatch.setattr(lp_mod, "_run_highs", fake)
+        return models
+
+    def test_warm_lp_failing_the_reduced_cost_check_is_solved_cold_once(self, monkeypatch):
+        system = smooth_pair(15)
+        solver = mot.Solver(system)
+        bound(MotProblem(system, forward_start_straddle(), "lower"), solver=solver)
+        models = self.fail_reduced_cost_check(monkeypatch, solver.constraints.rhs.size, runs=1)
+        problem = MotProblem(system, forward_start_call(1.0), "upper")
+        res = bound(problem, solver=solver)
+        # the warm run raised and freed the session's model; one cold run
+        # on a new session followed
+        assert len(models) == 2 and models[1] is not models[0]
+        assert not solver.session.warm
+        assert res.diagnostics.extras["solve_attempts"] == 2
+        check_result_invariants(problem, res)
+        monkeypatch.undo()
+        assert res.value == bound(problem).value
+
+    @pytest.mark.parametrize("m", [15, pytest.param(51, id="51-master")])
+    def test_cold_lp_failing_the_reduced_cost_check_raises_after_one_attempt(self, monkeypatch, m):
+        # 225 cells: one primal-simplex run; 2,601 cells over 152 rows: one
+        # master's rounds, every one of which fails, after its seed's
+        system = smooth_pair(m)
+        solver = mot.Solver(system)
+        models = self.fail_reduced_cost_check(monkeypatch, solver.constraints.rhs.size, runs=10 ** 6)
+        with pytest.raises(LpError, match="reduced cost"):
+            bound(MotProblem(system, forward_start_call(1.0), "upper"), solver=solver)
+        assert all(model is models[0] for model in models)
+        assert len(models) > 1 if m == 51 else len(models) == 1
+        assert not solver.session.warm
 
 
 class TestThreeDateScale:
