@@ -697,6 +697,23 @@ class TestSession:
         assert [run.solver for run in calls] == ["primal"]
         assert calls[0].model is not first
 
+    def test_failed_warm_status_raises_and_next_solve_is_cold(self, monkeypatch):
+        # a warm run that stops at the iteration limit raises at once, with
+        # no second run, and frees the model
+        session = Session(self.LP.constraints)
+        solve(self.LP, session=session)
+        calls = spy_highs(monkeypatch, lambda solver, res: (STATUS.kIterationLimit, 7, None, None))
+        with pytest.raises(IterationLimit):
+            solve(self.LP, session=session)
+        assert [run.solver for run in calls] == ["primal"]
+        first = calls[0].model
+        monkeypatch.undo()
+        calls = spy_highs(monkeypatch)
+        assert not session.warm
+        assert not solve(self.LP, session=session).warm
+        assert [run.solver for run in calls] == ["primal"]
+        assert calls[0].model is not first
+
 
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS
