@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -294,10 +295,24 @@ def _add_io_flags(p, stdout: bool):
                    else "JSON artifact path (no artifact is written without it)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``--strikes`` followed by a minus sign
+    and a digit or point as ``--strikes=VALUE``: argparse takes a value
+    that starts with ``-`` and is not a plain number, such as the range
+    ``-0.5:0.5:0.1`` or the list ``-0.5,0.5``, for an option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        for i in range(len(args) - 2, -1, -1):
+            if args[i] == "--strikes" and re.match(r"-[\d.]", args[i + 1]):
+                args[i:i + 2] = [f"--strikes={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process at its first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="motbound",
         description="Model-independent price bounds and semi-static hedges "
                     "from martingale optimal transport.")
@@ -325,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="forward-start call bounds per strike ratio")
     _add_io_flags(p, stdout=True)
     p.add_argument("--strikes", required=True,
-                   help="comma list or start:stop:step, at most 100,000 strikes; "
-                        "glue a negative start to the flag: --strikes=-0.5:0.5:0.1")
+                   help="comma list or start:stop:step, at most 100,000 strikes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("surface", help="hedge payout vs payoff over the grid")

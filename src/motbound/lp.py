@@ -8,18 +8,20 @@ Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  A cold solve takes
 the path that ``_cold_method`` picks from the LP's shape: the primal
-simplex on every column below ``PRIMAL_MAX_COLS`` variables when there are
-few per row, otherwise column generation, whose master holds one
-artificial column per row plus a seed of columns and gains, round by
-round, the columns that price out, each round a primal-simplex run from
-the last basis; it stops when no column prices out, so its dual passes
-the reduced-cost check on every column.  A ``Session`` is built on one
-``Constraints`` object and keeps one HiGHS model for the LPs built on it:
-after its first solve, each LP only changes the column costs and restarts
-the primal simplex from the last optimal basis, which stays primal
-feasible, except that a change of sense starts a new master above the
-primal band.  Each solve is one attempt: a run, or a master's rounds,
-whose optimum passes every check or raises.  A plain ``solve`` is a
+simplex on every column below ``COLD_MASTER_COLS`` variables in the primal
+band (below ``PRIMAL_MAX_COLS`` variables, with few per row), otherwise
+column generation, whose master holds one artificial column per row plus
+a seed of columns and gains, round by round, the columns that price out,
+each round a primal-simplex run from the last basis; it stops when no
+column prices out, so its dual passes the reduced-cost check on every
+column.  A ``Session`` is built on one ``Constraints`` object and keeps
+one HiGHS model for the LPs built on it: after its first solve, each LP
+only changes the column costs and restarts the primal simplex from the
+last optimal basis, which stays primal feasible.  In the primal band the
+warm model holds every column (a master there is completed at its first
+warm solve), so a change of sense stays warm too; above the band it
+starts a new master.  Each solve is one attempt: a run, or a master's
+rounds, whose optimum passes every check or raises.  A plain ``solve`` is a
 one-shot session.  The binding is scipy's private ``_highspy._core``, the
 one its ``linprog`` wraps; calling it directly skips ``linprog``'s input
 cleaning, option checking and bound-marginal loop, which cost more than
@@ -49,11 +51,14 @@ FEAS_TOL = 1e-9
 HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 MAX_ITER = 10 ** 6
 EXACT_MAX_VARS = 200
-# A cold solve runs the primal simplex while the LP has fewer than
-# PRIMAL_MAX_COLS variables and fewer than PRIMAL_MAX_COLS_PER_ROW per row.
-# Cold HiGHS runs, one BLAS thread, 2 vCPUs, ms summed over both senses.
-# Below 1,500 variables the dual simplex is no faster (best of 5; per LP the
-# ratio runs from 0.61 to 2.46 either way):
+# The primal band: fewer than PRIMAL_MAX_COLS variables and fewer than
+# PRIMAL_MAX_COLS_PER_ROW per row.  In it a session's model holds every
+# column, so its warm solves, a change of sense too, restart the primal
+# simplex from the last optimum; a cold solve below COLD_MASTER_COLS
+# variables runs the primal simplex on every column.  Cold HiGHS runs, one
+# BLAS thread, 2 vCPUs, ms summed over both senses.  Below 1,500 variables
+# the dual simplex is no faster (best of 5; per LP the ratio runs from 0.61
+# to 2.46 either way):
 #
 #   LPs                                       cells        dual   primal
 #   desk_batch seed 1, nine systems, one      81-225       24.0     25.3
@@ -62,22 +67,25 @@ EXACT_MAX_VARS = 200
 #   3 dates, m = 5, 7, 9, 11                  125-1,331     444      364
 #   4 dates, m = 3, 5, 6                      81-1,296      469      439
 #
-# with the payoffs of the tables below.  From there on, against the interior
-# point with crossover, uniform marginals on [1 - 0.1k, 1 + 0.1k] at date k;
-# ten LPs, Asian calls at 0.95, 1, 1.05 and lookback calls at 1, 1.05:
+# with the payoffs of the table below.  There, uniform marginals on
+# [1 - 0.1k, 1 + 0.1k] at date k and ten bounds (Asian calls at 0.95, 1,
+# 1.05 and lookback calls at 1, 1.05, both senses), s, median of 5 runs (9
+# for 4 dates at m=7 and 5 dates), "cold" ten one-shot bounds and "chain"
+# one mot.Solver.bounds call, where the primal band's model starts from the
+# primal simplex's cold optimum and the master's from the master's:
 #
-#   dates  m   cells × rows   primal  interior point
-#     3   13   2,197 × 219       382      550
-#     3   15   3,375 × 283       738    1,088
-#     3   17   4,913 × 355     1,115    1,575
-#     3   21   9,261 × 523     3,189    3,058
-#     4    7   2,401 × 424       696    1,000
-#     4    9   6,561 × 852     3,538    3,016
-#     4   11  14,641 × 1,504  11,491    7,990
+#   dates  m   cells × rows     cold: primal  master    chain: primal  master
+#     3   13   2,197 × 219             0.244   0.184             0.113   0.108
+#     4    7   2,401 × 424             0.381   0.390             0.159   0.161
+#     3   14   2,744 × 250             0.323   0.243             0.165   0.149
+#     5    5   3,125 × 801             0.977   0.955             0.358   0.289
+#     3   15   3,375 × 283             0.434   0.272             0.222   0.194
+#     4    8   4,096 × 613             0.859   0.733             0.370   0.351
+#     3   17   4,913 × 355             0.714   0.384             0.368   0.310
 #
-# so the primal simplex stops paying between 4,913 and 6,561 variables.  The
-# interior-point columns here and below are history: column generation has
-# run above the band since, in place of the interior point.
+# The band ends where the primal simplex on every column stopped beating the
+# interior point with crossover, which ran above it before column generation
+# did: between 4,913 and 6,561 variables (3 dates at m=17, 4 at m=9).
 PRIMAL_MAX_COLS = 5000
 # Two dates leave more variables per row, and the interior point wins
 # sooner.  Same set-up on smooth_pair(m), ten LPs: the straddle, the
@@ -92,10 +100,10 @@ PRIMAL_MAX_COLS = 5000
 # payoff (21-25 ms each against 36-41) and loses the five that maximize one
 # (46-51 ms against 38-40): a tie, and the ratio cuts just below it, m=45.
 PRIMAL_MAX_COLS_PER_ROW = 15
-# Above the primal band a cold solve runs column generation (see Session).
-# Each artificial column costs ARTIFICIAL_COST * (1 + max|c|); every master
-# run here ended with no artificial mass, after which the artificials cost
-# nothing (see _Master.generate).
+# From COLD_MASTER_COLS variables on a cold solve runs column generation
+# (see Session).  Each artificial column costs ARTIFICIAL_COST * (1 + max|c|);
+# every master run here ended with no artificial mass, after which the
+# artificials cost nothing (see _Master.generate).
 ARTIFICIAL_COST = 1e3
 # A round adds each group's most negative column (one per history, see
 # mot.Solver), at most ROUND_ROWS per row.  Single runs, one BLAS thread, s:
@@ -121,6 +129,15 @@ ROUND_ROWS = 2
 # against 7.0-7.5 at m=17 and 22.3-25.3 s against 32.3-34.7 at m=21 (52,055
 # pivots against 62,385), and 2.2-2.5 s either way at m=13 (two runs each).
 MASTER_PRICE_STRATEGY = 1
+# From COLD_MASTER_COLS variables on, a cold solve runs column generation in
+# the primal band too, and the next warm solve first completes the master
+# into a model of every column (see Session).  In the table above the
+# master takes 25-46% off every cold row on 3 dates and 15% off 4 dates at
+# m=8, gains 2-4% on 5 dates at m=5 and ties 4 dates at m=7 (-1% and +2%
+# in two sets of runs), and no chain is slower by more than 2%, so the cut
+# sits above 2,401 cells.  Two dates never reach it: their band ends at
+# 1,936 cells (m=44).
+COLD_MASTER_COLS = 2500
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -248,26 +265,30 @@ class Session:
     """One HiGHS model of ``constraints``, kept for solving the LPs built on
     that object, which differ only in cost and sense.
 
-    The model is built at the first solve.  In the primal band of
-    :func:`_cold_method` it holds every column of the LP.  Above the band
-    it is a column-generation master (:class:`_Master`): one artificial
-    column per row, priced at ``ARTIFICIAL_COST`` relative to the costs,
-    makes it feasible from the start, and it holds the columns that
-    ``seed`` returns for the LP (a function of the LP, called once per
-    master; no column without one), plus those that rounds of pricing add.
-    ``group`` splits the columns into consecutive groups of that size (the
-    cells of one history), each of which gives a round at most one column.
-    Either way each run is the primal simplex from the last basis, and the
-    solve returns once no column of the LP prices out, so its dual passes
-    the reduced-cost check on every column.
+    The model is built at the first solve, as :func:`_cold_method` picks:
+    below ``COLD_MASTER_COLS`` variables in the primal band it holds every
+    column of the LP.  Otherwise it is a column-generation master
+    (:class:`_Master`): one artificial column per row, priced at
+    ``ARTIFICIAL_COST`` relative to the costs, makes it feasible from the
+    start, and it holds the columns that ``seed`` returns for the LP (a
+    function of the LP, called once per master; no column without one),
+    plus those that rounds of pricing add.  ``group`` splits the columns
+    into consecutive groups of that size (the cells of one history), each
+    of which gives a round at most one column.  Either way each run is the
+    primal simplex from the last basis, and the solve returns once no
+    column of the LP prices out, so its dual passes the reduced-cost check
+    on every column.
 
     Once a solve has passed every check, the next one only changes the
     column costs and runs the primal simplex from that solve's basis, which
-    a change of cost leaves primal feasible; a master keeps its columns,
-    with its artificials fixed at zero from its first such solve on.  Above
-    the band a change of sense starts a new master instead, as the old
-    one's columns were priced for the other sense's optimum; in the band
-    the other optimum is a faster start than a cold run.  A solve that
+    a change of cost leaves primal feasible.  In the primal band that next
+    solve runs on every column: a master there is completed
+    (:meth:`_Master.completed`) then, not at the end of its own solve, as a
+    one-shot solve never needs the other columns.  Above the band a master
+    keeps its columns, with its artificials fixed at zero from its first
+    such solve on, and a change of sense starts a new master instead, as
+    the old one's columns were priced for the other sense's optimum; in the
+    band the other optimum is a faster start than a cold run.  A solve that
     fails raises at once and frees the model.  Solve order therefore
     decides which optimum a degenerate LP returns: the same order gives the
     same bits, but a warm optimum can differ from a cold one.  An LP built
@@ -288,9 +309,9 @@ class Session:
 
     def warm_for(self, lp: LinearProgram) -> bool:
         """Whether a solve of ``lp`` restarts from the session's basis: the
-        session holds one, and ``lp`` keeps the last solve's sense or lies
-        in the primal band."""
-        return self.warm and (lp.sense == self._sense or _cold_method(lp.n_cols, lp.n_rows) != "master")
+        session holds one, and ``lp`` keeps the last solve's sense or the
+        session's model holds, or is completed to hold, every column."""
+        return self.warm and (lp.sense == self._sense or self._master.full or _completes(lp))
 
     def _check(self, lp: LinearProgram) -> np.ndarray:
         """The LP's costs in minimization form, once it is built on the session's constraints."""
@@ -299,9 +320,9 @@ class Session:
         return -lp.cost if lp.sense == "max" else lp.cost
 
     def _start(self, lp: LinearProgram, cost: np.ndarray, artificial: bool) -> _Master:
-        """A cold model of ``lp``: in the primal band every column, after one
-        artificial column per row when ``artificial`` is set; above it a
-        master on the seed's columns."""
+        """A cold model of ``lp``: where :func:`_cold_method` picks the primal
+        simplex, every column, after one artificial column per row when
+        ``artificial`` is set; otherwise a master on the seed's columns."""
         if _cold_method(lp.n_cols, lp.n_rows) != "master":
             return _Master(lp, cost, np.arange(lp.n_cols), artificial, self.group)
         seed = () if self.seed is None else self.seed(lp)
@@ -312,7 +333,9 @@ class Session:
         warm = self.warm_for(lp)
         self._sense = lp.sense
         try:
-            if warm:
+            if warm and not self._master.full and _completes(lp):
+                self._master = self._master.completed(lp, cost)
+            elif warm:
                 self._master.change_cost(cost)
             else:
                 self._master = self._start(lp, cost, artificial=False)
@@ -391,6 +414,12 @@ class _Master:
         self.member[cols] = True
         self.fixed = not artificial
 
+    @property
+    def full(self) -> bool:
+        """Whether the model is one of every column of the LP and no
+        artificial column, as warm solves in the primal band run on."""
+        return self.n_art == 0
+
     def change_cost(self, cost: np.ndarray) -> None:
         self.model.changeColsCost(self.cols.size, np.arange(self.n_art, self.n_art + self.cols.size,
                                                             dtype=np.int32), cost[self.cols])
@@ -454,6 +483,23 @@ class _Master:
             self.member[entering] = True
             solver = "primal"
 
+    def completed(self, lp: LinearProgram, cost: np.ndarray) -> _Master:
+        """A model of every column of ``lp``, as the primal band builds it,
+        that starts from this master's basis: the columns the master lacks
+        join nonbasic at zero, and the row of a basic artificial column,
+        which sits at zero, takes its place with the row's own logical."""
+        basis = self.model.getBasis()
+        cols = np.array(basis.col_status, dtype=object)
+        rows = np.array(basis.row_status, dtype=object)
+        rows[cols[:self.n_art] == highs.HighsBasisStatus.kBasic] = highs.HighsBasisStatus.kBasic
+        status = np.full(lp.n_cols, highs.HighsBasisStatus.kLower, dtype=object)
+        status[self.cols] = cols[self.n_art:]
+        basis.col_status, basis.row_status = status.tolist(), rows.tolist()
+        full = _Master(lp, cost, np.arange(lp.n_cols), False, self.group)
+        if full.model.setBasis(basis) == highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the master's basis")
+        return full
+
     def _entering(self, lp: LinearProgram, cost: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
         if self.cols.size == lp.n_cols:
             return self.cols[:0]
@@ -469,10 +515,24 @@ class _Master:
 
 def _cold_method(n_cols: int, n_rows: int) -> str:
     """How a cold solve of an LP of this shape runs: ``"primal"`` (the
-    primal simplex on every column) while there are fewer than
+    primal simplex on every column) below ``COLD_MASTER_COLS`` variables in
+    the primal band, else ``"master"`` (column generation, see
+    :class:`Session`).  What a warm solve's model holds is not this rule's
+    to say (see :func:`_completes`)."""
+    return "primal" if n_cols < COLD_MASTER_COLS and _in_band(n_cols, n_rows) else "master"
+
+
+def _completes(lp: LinearProgram) -> bool:
+    """Whether a warm solve of ``lp`` completes a master first: from
+    ``COLD_MASTER_COLS`` variables to the end of the primal band."""
+    return COLD_MASTER_COLS <= lp.n_cols and _in_band(lp.n_cols, lp.n_rows)
+
+
+def _in_band(n_cols: int, n_rows: int) -> bool:
+    """Whether an LP of this shape lies in the primal band: fewer than
     ``PRIMAL_MAX_COLS`` variables and fewer than ``PRIMAL_MAX_COLS_PER_ROW``
-    per row, else ``"master"`` (column generation, see :class:`Session`)."""
-    return "primal" if n_cols < min(PRIMAL_MAX_COLS, PRIMAL_MAX_COLS_PER_ROW * n_rows) else "master"
+    per row."""
+    return n_cols < min(PRIMAL_MAX_COLS, PRIMAL_MAX_COLS_PER_ROW * n_rows)
 
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
@@ -533,14 +593,15 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     returns.  A cold solve takes the path :func:`_cold_method` picks from
     the LP's shape, the primal simplex on every column or column generation
     (see :class:`Session`); a warm solve runs the primal simplex from the
-    last optimal basis, and a master goes on pricing from there.  That is
-    the one attempt: ``MAX_ITER`` bounds its iterations, all of a master's
-    rounds together, and it is accepted only when it is optimal and passes
-    the checks of :func:`_check_run` at ``FEAS_TOL`` (a master whose
-    artificial columns keep mass fails the residual check).  Otherwise it
-    raises: a limit ``IterationLimit``, an infeasible or malformed model
-    ``Infeasible``, an unbounded one ``Unbounded``, and a failed check the
-    error that check names."""
+    last optimal basis, in the primal band on every column (a master there
+    is completed first), and above it a master goes on pricing from there.
+    That is the one attempt: ``MAX_ITER`` bounds its iterations, all of a
+    master's rounds together, and it is accepted only when it is optimal
+    and passes the checks of :func:`_check_run` at ``FEAS_TOL`` (a master
+    whose artificial columns keep mass fails the residual check).
+    Otherwise it raises: a limit ``IterationLimit``, an infeasible or
+    malformed model ``Infeasible``, an unbounded one ``Unbounded``, and a
+    failed check the error that check names."""
     return (session or Session(lp.constraints))._solve(lp)
 
 

@@ -236,12 +236,14 @@ class Solver:
     degenerate LP returns then depends on the solve order, which
     :meth:`bounds` alone fixes: every lower bound before any upper bound.
 
-    Above the primal band the session's master starts from a seed: the
-    same LP on the halved marginals (:func:`~motbound.measures.halve`),
-    whose atoms are atoms of this system, so its cost is this LP's cost
-    read at its cells and no payoff is evaluated.  That LP is solved by the
-    coarse solver's :meth:`~motbound.lp.Session.support`, which seeds its
-    own master the same way, down to the primal band.  Halving each date
+    Where a cold solve runs column generation (see
+    :func:`~motbound.lp._cold_method`) the session's master starts from a
+    seed: the same LP on the halved marginals
+    (:func:`~motbound.measures.halve`), whose atoms are atoms of this
+    system, so its cost is this LP's cost read at its cells and no payoff
+    is evaluated.  That LP is solved by the coarse solver's
+    :meth:`~motbound.lp.Session.support`, which seeds its own master the
+    same way, down to where a cold solve runs the primal simplex.  Halving each date
     on its own atoms can lose convex order, so the coarse support is only a
     hint: its cells, widened by ``SEED_WIDTH`` atoms each way on every date,
     are the seed."""
@@ -474,7 +476,7 @@ def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     price misses the value by more than ``GAP_TOL * (1 + |value|)`` raises
     DegenerateDual.  A solve that ran warm and raised ``LpError`` or gave
     such a dual is solved again cold, once, on a :meth:`Solver.new_session`
-    (above the primal band its master starts from the seed); a cold one
+    (a master there starts from the seed); a cold one
     raises.  These gates are module constants, the same for every caller.
     ``solve_attempts`` in the extras counts the solves behind the result:
     1, or 2 after the cold re-solve."""

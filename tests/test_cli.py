@@ -377,6 +377,17 @@ class TestSweep:
         assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(np.linspace(-0.5, 0.5, 11))
         assert all(line.endswith(",ok") for line in lines[1:])
 
+    @pytest.mark.parametrize("strikes", ["-0.5:0.5:0.1", ",".join(f"{k:.1f}" for k in np.linspace(-0.5, 0.5, 11))],
+                             ids=["range", "list"])
+    def test_negative_start_after_a_space(self, marginals_a, tmp_path, strikes):
+        # parsed as the value of --strikes, as in the = form above, not as an option
+        dest, glued = tmp_path / "sweep.csv", tmp_path / "glued.csv"
+        assert main(["sweep", "--marginals", marginals_a, "--strikes", strikes, "--out", str(dest)]) == 0
+        assert main(["sweep", "--marginals", marginals_a, f"--strikes={strikes}", "--out", str(glued)]) == 0
+        lines = dest.read_text().strip().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(np.linspace(-0.5, 0.5, 11))
+        assert dest.read_bytes() == glued.read_bytes()
+
 
 class TestImpliedMarginals:
     @staticmethod

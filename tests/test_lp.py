@@ -408,20 +408,27 @@ class TestSizeRule:
 
 
 # (dates, atoms per date, LP shape as cells × rows, cold method); two dates
-# on smooth_pair, more on widening_dates at w = 0.1
+# on smooth_pair, more on widening_dates at w = 0.1.  The primal band ends at
+# 5,000 cells or 15 per row, which on two dates falls between m=44 and 45;
+# in the band the cut at 2,500 cells falls between 4 dates at m=7 and 3 at
+# m=14.
 COLD_METHODS = [
     (2, 9, (81, 26), "primal"),
     (2, 15, (225, 44), "primal"),
     (3, 11, (1331, 163), "primal"),
     (3, 13, (2197, 219), "primal"),
-    (3, 15, (3375, 283), "primal"),
-    (3, 17, (4913, 355), "primal"),
+    (3, 14, (2744, 250), "master"),
+    (3, 15, (3375, 283), "master"),
+    (3, 17, (4913, 355), "master"),
     (3, 21, (9261, 523), "master"),
     (4, 7, (2401, 424), "primal"),
+    (4, 8, (4096, 613), "master"),
     (4, 9, (6561, 852), "master"),
     (4, 11, (14641, 1504), "master"),
     (4, 13, (28561, 2428), "master"),
     (2, 41, (1681, 122), "primal"),
+    (2, 44, (1936, 131), "primal"),
+    (2, 45, (2025, 134), "master"),
     (2, 51, (2601, 152), "master"),
     (2, 61, (3721, 182), "master"),
     (2, 101, (10201, 302), "master"),
@@ -450,13 +457,45 @@ class TestColdMethod:
         assert len(calls) > 1 if method == "master" else len(calls) == 1
         assert res.report.valid
 
-    def test_cold_three_date_bound_runs_the_primal_simplex(self, monkeypatch):
+    def test_cold_three_date_bound_runs_master_rounds(self, monkeypatch):
+        # 3,375 × 283, in the primal band but above the cut: the seed's run
+        # and the master's rounds, every one a primal-simplex run
         problem = MotProblem(widening_dates(0.1, 15), asian_call(1.0, 3), "lower")
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert [run.solver for run in calls] == ["primal"]
+        assert {run.solver for run in calls} == {"primal"}
+        assert len({id(run.model) for run in calls}) == 2 and len(calls) > 2
         assert res.diagnostics.extras["solve_attempts"] == 1
         assert res.report.valid
+        monkeypatch.undo()
+        force_cold(monkeypatch, "primal")
+        assert res.value == pytest.approx(bound(problem).value, rel=1e-12, abs=1e-15)
+
+    def test_change_of_sense_after_a_cold_master_runs_warm_on_every_column(self, monkeypatch):
+        # the next solve hands the master's optimal basis to a model of every
+        # column, so the same LP takes no pivot there, and the upper bound
+        # runs warm on that model too
+        system = widening_dates(0.1, 15)
+        solver = Solver(system)
+        problem = {sense: MotProblem(system, asian_call(1.0, 3), sense) for sense in ("lower", "upper")}
+        calls = spy_highs(monkeypatch)
+        lower = bound(problem["lower"], solver=solver)
+        master = calls[-1].model
+        assert master.getNumCol() < solver.constraints.n_cols + solver.constraints.rhs.size
+        assert solver.session.warm_for(solver.lp(problem["upper"]))
+        del calls[:]
+        again = bound(problem["lower"], solver=solver)
+        upper = bound(problem["upper"], solver=solver)
+        assert [run.solver for run in calls] == ["primal", "primal"]
+        full = calls[0].model
+        assert full is not master and calls[1].model is full
+        assert full.getNumCol() == solver.constraints.n_cols
+        assert again.diagnostics.extras["lp_iterations"] == 0
+        assert again.value == pytest.approx(lower.value, rel=1e-12, abs=1e-15)
+        assert upper.report.valid and again.report.valid
+        assert upper.diagnostics.extras["solve_attempts"] == 1
+        monkeypatch.undo()
+        assert upper.value == pytest.approx(bound(problem["upper"]).value, rel=1e-12, abs=1e-15)
 
     def test_change_of_sense_in_the_primal_band_stays_warm(self, monkeypatch):
         system = widening_dates(0.1, 13)
