@@ -12,10 +12,11 @@ simplex on every column below ``COLD_MASTER_COLS`` variables in the primal
 band (below ``PRIMAL_MAX_COLS`` variables, with few per row), otherwise
 column generation, whose master holds one artificial column per row plus
 a seed of columns and gains, round by round, the columns that price out,
-each round a primal-simplex run from the last basis; it stops when no
-column prices out, so its dual passes the reduced-cost check on every
-column.  A ``Session`` is built on one ``Constraints`` object and keeps
-one HiGHS model for the LPs built on it: after its first solve, each LP
+each round a primal-simplex run from the last basis, the first from the
+basis the seed gives (a coarse LP's optimum, not the artificials); it
+stops when no column prices out, so its dual passes the reduced-cost
+check on every column.  A ``Session`` is built on one ``Constraints``
+object and keeps one HiGHS model for the LPs built on it: after its first solve, each LP
 only changes the column costs and restarts the primal simplex from the
 last optimal basis, which stays primal feasible.  In the primal band the
 warm model holds every column (a master there is completed at its first
@@ -72,16 +73,18 @@ EXACT_MAX_VARS = 200
 # 1.05 and lookback calls at 1, 1.05, both senses), s, median of 5 runs (9
 # for 4 dates at m=7 and 5 dates), "cold" ten one-shot bounds and "chain"
 # one mot.Solver.bounds call, where the primal band's model starts from the
-# primal simplex's cold optimum and the master's from the master's:
+# primal simplex's cold optimum and the master's from the master's, whose
+# first run starts from the coarse optimal basis (see mot.Solver); the two
+# rows below the cut ran their masters with the cut moved down to them:
 #
 #   dates  m   cells × rows     cold: primal  master    chain: primal  master
-#     3   13   2,197 × 219             0.244   0.184             0.113   0.108
-#     4    7   2,401 × 424             0.381   0.390             0.159   0.161
-#     3   14   2,744 × 250             0.323   0.243             0.165   0.149
-#     5    5   3,125 × 801             0.977   0.955             0.358   0.289
-#     3   15   3,375 × 283             0.434   0.272             0.222   0.194
-#     4    8   4,096 × 613             0.859   0.733             0.370   0.351
-#     3   17   4,913 × 355             0.714   0.384             0.368   0.310
+#     3   13   2,197 × 219             0.216   0.140             0.098   0.096
+#     4    7   2,401 × 424             0.346   0.281             0.143   0.138
+#     3   14   2,744 × 250             0.278   0.182             0.140   0.125
+#     5    5   3,125 × 801             0.869   0.581             0.322   0.245
+#     3   15   3,375 × 283             0.369   0.202             0.193   0.170
+#     4    8   4,096 × 613             0.740   0.497             0.315   0.320
+#     3   17   4,913 × 355             0.626   0.278             0.322   0.277
 #
 # The band ends where the primal simplex on every column stopped beating the
 # interior point with crossover, which ran above it before column generation
@@ -131,12 +134,16 @@ ROUND_ROWS = 2
 MASTER_PRICE_STRATEGY = 1
 # From COLD_MASTER_COLS variables on, a cold solve runs column generation in
 # the primal band too, and the next warm solve first completes the master
-# into a model of every column (see Session).  In the table above the
-# master takes 25-46% off every cold row on 3 dates and 15% off 4 dates at
-# m=8, gains 2-4% on 5 dates at m=5 and ties 4 dates at m=7 (-1% and +2%
-# in two sets of runs), and no chain is slower by more than 2%, so the cut
-# sits above 2,401 cells.  Two dates never reach it: their band ends at
-# 1,936 cells (m=44).
+# into a model of every column (see Session).  The cut was set when a
+# master's first run started from HiGHS's own basis: the master then took
+# 25-46% off every cold row on 3 dates and 15% off 4 dates at m=8, gained
+# 2-4% on 5 dates at m=5 and tied 4 dates at m=7, and no chain was slower
+# by more than 2%, so the cut sat above 2,401 cells.  From the coarse
+# optimal basis (the table above) the master takes 19-56% off every cold
+# row, 4 dates at m=7 included, and no chain is slower by more than 2%, so
+# that rule would now put the cut at or below 2,197 cells; it stays, as
+# moving it moves the bits of cold solves in the primal band.  Two dates
+# never reach it: their band ends at 1,936 cells (m=44).
 COLD_MASTER_COLS = 2500
 
 
@@ -247,8 +254,9 @@ class LpSolution:
     """An optimum (other outcomes raise).  Exact fields only from solve_exact.
 
     ``iterations`` sums HiGHS's simplex iteration counts over the solve's
-    runs, a master's rounds (the runs that find a master's seed are not
-    counted).  A warm solve counts only its own pivots from its start.
+    runs, a master's rounds (the runs that find a master's seed and start
+    basis are not counted).  A warm solve counts only its own pivots from
+    its start.
     ``warm`` tells whether the solve restarted from a session's basis."""
 
     primal: np.ndarray
@@ -269,15 +277,19 @@ class Session:
     below ``COLD_MASTER_COLS`` variables in the primal band it holds every
     column of the LP.  Otherwise it is a column-generation master
     (:class:`_Master`): one artificial column per row, priced at
-    ``ARTIFICIAL_COST`` relative to the costs, makes it feasible from the
-    start, and it holds the columns that ``seed`` returns for the LP (a
-    function of the LP, called once per master; no column without one),
-    plus those that rounds of pricing add.  ``group`` splits the columns
-    into consecutive groups of that size (the cells of one history), each
-    of which gives a round at most one column.  Either way each run is the
-    primal simplex from the last basis, and the solve returns once no
-    column of the LP prices out, so its dual passes the reduced-cost check
-    on every column.
+    ``ARTIFICIAL_COST`` relative to the costs, makes it feasible, and it
+    holds the columns that ``seed`` returns for the LP, plus those that
+    rounds of pricing add.  ``seed`` is a function of the LP, called once
+    per master, that returns the columns and the basis the master's first
+    run starts from (see :meth:`_Master.basis`), or None for HiGHS's own
+    start, every row's logical basic; without a seed, no column and that
+    start.  The seed's own solves are not counted in
+    ``LpSolution.iterations``.  ``group`` splits the columns into
+    consecutive groups of that size (the cells of one history), each of
+    which gives a round at most one column.  Either way each run is the
+    primal simplex from the last basis, or from the seed's, and the solve
+    returns once no column of the LP prices out, so its dual passes the
+    reduced-cost check on every column.
 
     Once a solve has passed every check, the next one only changes the
     column costs and runs the primal simplex from that solve's basis, which
@@ -295,7 +307,8 @@ class Session:
     on another ``Constraints`` object, even with equal arrays, is refused."""
 
     def __init__(self, constraints: Constraints,
-                 seed: Callable[[LinearProgram], np.ndarray] | None = None, group: int = 1) -> None:
+                 seed: Callable[[LinearProgram], tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
+                 | None = None, group: int = 1) -> None:
         self.constraints = constraints
         self.seed = seed
         self.group = group
@@ -322,11 +335,12 @@ class Session:
     def _start(self, lp: LinearProgram, cost: np.ndarray, artificial: bool) -> _Master:
         """A cold model of ``lp``: where :func:`_cold_method` picks the primal
         simplex, every column, after one artificial column per row when
-        ``artificial`` is set; otherwise a master on the seed's columns."""
+        ``artificial`` is set; otherwise a master on the seed's columns,
+        which starts from the seed's basis when it gives one."""
         if _cold_method(lp.n_cols, lp.n_rows) != "master":
             return _Master(lp, cost, np.arange(lp.n_cols), artificial, self.group)
-        seed = () if self.seed is None else self.seed(lp)
-        return _Master(lp, cost, np.unique(np.asarray(seed, dtype=np.int64)), True, self.group)
+        seed, basis = (np.empty(0, dtype=np.int64), None) if self.seed is None else self.seed(lp)
+        return _Master(lp, cost, np.unique(np.asarray(seed, dtype=np.int64)), True, self.group, basis)
 
     def _solve(self, lp: LinearProgram) -> LpSolution:
         cost = self._check(lp)
@@ -354,18 +368,19 @@ class Session:
             self._master = None  # the next solve starts cold
             raise
 
-    def support(self, lp: LinearProgram) -> np.ndarray:
+    def support(self, lp: LinearProgram) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """The columns that carry mass in an optimum of ``lp`` once one
-        artificial column per row keeps it feasible, solved on a model of
-        its own as a cold solve would be (the session's model is left
-        alone), with no check: a hint, which an LP without a feasible point
-        still gives.  Raises ``LpError`` when no optimum is reached."""
+        artificial column per row keeps it feasible, and that optimum's
+        basis (see :meth:`_Master.basis`), solved on a model of its own as a
+        cold solve would be (the session's model is left alone), with no
+        check: a hint, which an LP without a feasible point still gives.
+        Raises ``LpError`` when no optimum is reached."""
         cost = self._check(lp)
         master = self._start(lp, cost, artificial=True)
         status, _, primal, _ = master.generate(lp, cost, "primal", fix=False)
         if status != highs.HighsModelStatus.kOptimal:
             raise LpError(f"HiGHS model status {status.name}")
-        return np.flatnonzero(primal > 0.0)
+        return np.flatnonzero(primal > 0.0), master.basis()
 
 
 class _Master:
@@ -374,10 +389,12 @@ class _Master:
     coefficient +1, or -1 where the rhs is negative, at cost
     ``ARTIFICIAL_COST * (1 + max|c|)``).  ``member`` marks the LP's
     columns in the model; a round adds at most one column per ``group``
-    consecutive columns."""
+    consecutive columns.  Its first run starts from ``basis`` when given
+    (see :meth:`basis`), else from HiGHS's own start, every row's logical
+    basic."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
-                 group: int) -> None:
+                 group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         n_art = lp.n_rows if artificial else 0
         n = n_art + cols.size
         start, index, value = lp.constraints.columns(cols)
@@ -413,6 +430,8 @@ class _Master:
         self.member = np.zeros(lp.n_cols, dtype=bool)
         self.member[cols] = True
         self.fixed = not artificial
+        if basis is not None:
+            self._set_basis(lp, *basis)
 
     @property
     def full(self) -> bool:
@@ -483,22 +502,41 @@ class _Master:
             self.member[entering] = True
             solver = "primal"
 
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The last run's basis: the LP's basic columns, and the rows whose
+        artificial column or logical is basic, ``n_rows`` in all."""
+        basis = self.model.getBasis()
+        cols = np.array(basis.col_status, dtype=object) == highs.HighsBasisStatus.kBasic
+        rows = np.array(basis.row_status, dtype=object) == highs.HighsBasisStatus.kBasic
+        rows[:self.n_art] |= cols[:self.n_art]
+        return self.cols[cols[self.n_art:]], np.flatnonzero(rows)
+
+    def _set_basis(self, lp: LinearProgram, cols: np.ndarray, rows: np.ndarray) -> None:
+        """Start the next run from the basis of the LP's columns ``cols``
+        and, for each row of ``rows``, its artificial column, or its logical
+        in a model without them; every other column and row is nonbasic at
+        its lower bound.  Raises ``LpError`` when HiGHS rejects it, as it
+        does unless that makes ``n_rows`` basic columns in the model."""
+        column = np.zeros(lp.n_cols, dtype=bool)
+        column[cols] = True
+        unit = np.zeros(lp.n_rows, dtype=bool)
+        unit[rows] = True
+        model_col = np.concatenate((unit[:self.n_art], column[self.cols]))
+        logical = np.zeros_like(unit) if self.n_art else unit
+        status = np.array([highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic], dtype=object)
+        start = highs.HighsBasis()
+        start.valid, start.alien = True, False  # not alien: HiGHS checks the count, repairs nothing
+        start.col_status = status[model_col.astype(np.int64)].tolist()
+        start.row_status = status[logical.astype(np.int64)].tolist()
+        if self.model.setBasis(start) == highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the start basis")
+
     def completed(self, lp: LinearProgram, cost: np.ndarray) -> _Master:
         """A model of every column of ``lp``, as the primal band builds it,
         that starts from this master's basis: the columns the master lacks
         join nonbasic at zero, and the row of a basic artificial column,
         which sits at zero, takes its place with the row's own logical."""
-        basis = self.model.getBasis()
-        cols = np.array(basis.col_status, dtype=object)
-        rows = np.array(basis.row_status, dtype=object)
-        rows[cols[:self.n_art] == highs.HighsBasisStatus.kBasic] = highs.HighsBasisStatus.kBasic
-        status = np.full(lp.n_cols, highs.HighsBasisStatus.kLower, dtype=object)
-        status[self.cols] = cols[self.n_art:]
-        basis.col_status, basis.row_status = status.tolist(), rows.tolist()
-        full = _Master(lp, cost, np.arange(lp.n_cols), False, self.group)
-        if full.model.setBasis(basis) == highs.HighsStatus.kError:
-            raise LpError("HiGHS rejected the master's basis")
-        return full
+        return _Master(lp, cost, np.arange(lp.n_cols), False, self.group, self.basis())
 
     def _entering(self, lp: LinearProgram, cost: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
         if self.cols.size == lp.n_cols:

@@ -42,6 +42,12 @@ MAX_NONZEROS = 16_000_000
 #     0      6.71    56.35      over 120 s         19.72
 #     1      0.74     0.42       3.26    1.85       5.38
 #     2      0.93     0.94       5.56    4.88      13.69
+#
+# with each master's first run from HiGHS's own basis.  From the coarse
+# optimal basis, width 0 still took 2.40 and 32.72 s on smooth_pair(401)
+# (against 0.18 and 0.22 at width 1), and widening the basic cells instead
+# of the support was 49% slower over both senses of smooth_pair(401), 3
+# dates at m=21 and 51 and 4 dates at m=13.
 SEED_WIDTH = 1
 
 
@@ -243,15 +249,18 @@ class Solver:
     system, so its cost is this LP's cost read at its cells and no payoff
     is evaluated.  That LP is solved by the coarse solver's
     :meth:`~motbound.lp.Session.support`, which seeds its own master the
-    same way, down to where a cold solve runs the primal simplex.  Halving each date
-    on its own atoms can lose convex order, so the coarse support is only a
-    hint: its cells, widened by ``SEED_WIDTH`` atoms each way on every date,
-    are the seed."""
+    same way, down to where a cold solve runs the primal simplex.  Halving
+    each date on its own atoms can lose convex order, so the coarse support
+    is only a hint: its cells, widened by ``SEED_WIDTH`` atoms each way on
+    every date, are the seed, with the cells basic in the coarse optimum.
+    That optimal basis, mapped to this LP (see :class:`_Seed`), is where
+    the master's first run starts, not the artificials; the coarse solves'
+    pivots are not in ``lp_iterations``."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
         self.layout = _layout(system)
-        self._seed = _Seed(system, self.layout.shape)
+        self._seed = _Seed(system, self.layout)
 
     @functools.cached_property
     def constraints(self) -> Constraints:
@@ -298,43 +307,72 @@ class Solver:
 
 
 class _Seed:
-    """The seed of a master on the transport LP of ``system``, whose product
-    grid has ``shape`` (see :class:`Solver`): a function of the LP, kept
-    apart from the solver so that the solver's session holds no reference
-    back to it."""
+    """The seed of a master on the transport LP of ``system``, whose rows
+    and cells ``layout`` numbers (see :class:`Solver`): a function of the
+    LP, kept apart from the solver so that the solver's session holds no
+    reference back to it."""
 
-    def __init__(self, system: MarginalSystem, shape: tuple[int, ...]) -> None:
+    def __init__(self, system: MarginalSystem, layout: _Layout) -> None:
         self.system = system
-        self.shape = shape
+        self.layout = layout
 
     @functools.cached_property
-    def coarse(self) -> tuple[Solver, tuple[np.ndarray, ...]] | None:
-        """The solver of the halved system and, per date, the index of each
-        of its atoms among this system's; None when halving removes no atom."""
+    def coarse(self) -> tuple[Solver, np.ndarray, np.ndarray] | None:
+        """The solver of the halved system, this grid's cell at each of its
+        cells and this LP's row for each of its rows (see
+        :func:`_row_image`); None when halving removes no atom."""
         coarse = MarginalSystem([halve(mu) for mu in self.system.marginals])
         if all(len(a) == len(b) for a, b in zip(coarse.marginals, self.system.marginals)):
             return None
-        return Solver(coarse), tuple(np.searchsorted(fine.points, mu.points)
-                                     for fine, mu in zip(self.system.marginals, coarse.marginals))
+        solver = Solver(coarse)
+        atoms = tuple(np.searchsorted(fine.points, mu.points)
+                      for fine, mu in zip(self.system.marginals, coarse.marginals))
+        cells = np.ravel_multi_index(np.meshgrid(*atoms, indexing="ij"), self.layout.shape).ravel()
+        return solver, cells, _row_image(solver.layout, self.layout, atoms)
 
-    def __call__(self, lp: LinearProgram) -> np.ndarray:
-        """The cells of the coarse LP's support, mapped to this grid and
-        widened; none when there is no coarse system or its LP cannot be
-        solved."""
+    def __call__(self, lp: LinearProgram) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """The seed's cells, and the basis a master on them starts from (see
+        :meth:`~motbound.lp._Master.basis`): the coarse LP's optimal basis
+        mapped to this LP, a coarse cell to its cell here and a coarse row
+        to its row here, with the artificial column of every other row here
+        basic.  The cells are those of the coarse optimum's support, widened,
+        and its basic cells, which may carry no mass.  No cells and no basis
+        when there is no coarse system or its LP cannot be solved."""
         if self.coarse is None:
-            return np.empty(0, dtype=np.int64)
-        coarse, atoms = self.coarse
-        cells = np.ravel_multi_index(np.meshgrid(*atoms, indexing="ij"), self.shape).ravel()
+            return np.empty(0, dtype=np.int64), None
+        coarse, cells, image = self.coarse
         try:
-            support = coarse.session.support(LinearProgram(lp.sense, lp.cost[cells],
-                                                           coarse.constraints))
+            support, (basic, rows) = coarse.session.support(LinearProgram(lp.sense, lp.cost[cells],
+                                                                          coarse.constraints))
         except LpError:
-            return np.empty(0, dtype=np.int64)
-        n = len(self.shape)
-        index = np.column_stack(np.unravel_index(cells[support], self.shape))
+            return np.empty(0, dtype=np.int64), None
+        shape = self.layout.shape
+        n = len(shape)
+        index = np.column_stack(np.unravel_index(cells[support], shape))
         steps = np.array(list(itertools.product(range(-SEED_WIDTH, SEED_WIDTH + 1), repeat=n)))
-        near = np.clip((index[:, None, :] + steps).reshape(-1, n), 0, np.array(self.shape) - 1)
-        return np.unique(np.ravel_multi_index(near.T, self.shape))
+        near = np.clip((index[:, None, :] + steps).reshape(-1, n), 0, np.array(shape) - 1)
+        artificial = np.ones(lp.n_rows, dtype=bool)
+        artificial[image] = False
+        artificial[image[rows]] = True
+        return (np.union1d(np.ravel_multi_index(near.T, shape), cells[basic]),
+                (cells[basic], np.flatnonzero(artificial)))
+
+
+def _row_image(coarse: _Layout, fine: _Layout, atoms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The row of the fine LP for each row of the coarse one, whose atoms of
+    each date sit at ``atoms`` among the fine atoms: a history's row goes to
+    the same history's, and an atom's to the same atom's, bar the atom that
+    the fine layout drops, whose row goes to that of the atom the coarse
+    layout drops.  A date's mass rows sum to its total mass, so this swap
+    keeps a basis nonsingular."""
+    image = np.empty(coarse.n_rows, dtype=np.int64)
+    for rows, fine_rows, at in zip(coarse.marginal_row, fine.marginal_row, atoms):
+        target = fine_rows[at]
+        target[target < 0] = target[rows < 0]
+        image[rows[rows >= 0]] = target[rows >= 0]
+    for rows, fine_rows in zip(coarse.mart_row, fine.mart_row):
+        image[rows] = fine_rows[np.ix_(*atoms[:rows.ndim])]
+    return image
 
 
 def _solver_for(system: MarginalSystem, solver: Solver | None) -> Solver:

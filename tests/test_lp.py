@@ -275,10 +275,10 @@ def first_run(method: str) -> str:
     return "primal" if method == "master" else method
 
 
-def every_column(lp: LinearProgram) -> np.ndarray:
+def every_column(lp: LinearProgram) -> tuple[np.ndarray, None]:
     """A seed that puts every column in the master, so that its first round
-    is its last."""
-    return np.arange(lp.n_cols)
+    is its last, and gives no start basis."""
+    return np.arange(lp.n_cols), None
 
 
 class TestDualCheck:
@@ -753,6 +753,36 @@ class TestSession:
         assert [run.solver for run in calls] == ["primal"]
         assert calls[0].model is not first
 
+
+    def test_master_from_an_optimal_basis_takes_no_pivot(self, monkeypatch):
+        # support's optimum, artificials priced in, is the optimum of a
+        # master on the same columns and costs, so its first run stops at once
+        force_cold(monkeypatch, "master")
+        support, start = Session(self.LP.constraints, seed=every_column).support(self.LP)
+        assert start[0].size + start[1].size == self.LP.n_rows
+        session = Session(self.LP.constraints, seed=lambda lp: (np.arange(lp.n_cols), start))
+        calls = spy_highs(monkeypatch)
+        sol = solve(self.LP, session=session)
+        assert calls[0].result[1] == 0
+        assert sol.objective == pytest.approx(solve(self.LP).objective, rel=1e-12, abs=1e-15)
+
+    def test_rejected_start_basis_raises_and_next_solve_is_cold(self, monkeypatch):
+        # a change of sense starts a new master, from a basis one column
+        # short, which HiGHS rejects; the next master starts from HiGHS's own
+        force_cold(monkeypatch, "master")
+        every, rows = np.arange(self.LP.n_cols), np.arange(self.LP.n_rows)
+        seeds = [(every, (every[:0], rows)), (every, (every[:0], rows[1:])), (every, None)]
+        session = Session(self.LP.constraints, seed=lambda lp: seeds.pop(0))
+        flipped = LinearProgram("max", self.LP.cost, self.LP.constraints)
+        solve(self.LP, session=session)
+        with pytest.raises(LpError, match="rejected the start basis"):
+            solve(flipped, session=session)
+        assert not session.warm
+        calls = spy_highs(monkeypatch)
+        sol = solve(flipped, session=session)
+        assert not sol.warm and not seeds
+        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert sol.objective == pytest.approx(solve(flipped).objective, rel=1e-12, abs=1e-15)
 
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS

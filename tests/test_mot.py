@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import motbound.hedge as hedge_mod
 import motbound.lp as lp_mod
@@ -518,7 +520,7 @@ class TestColumnGeneration:
         seeded = bound(problem)
         m = len(system.marginals[0])
         cells = {"empty": np.empty(0, dtype=np.int64), "wrong": np.arange(m) * m + (m - 1 - np.arange(m))}
-        monkeypatch.setattr(mot._Seed, "__call__", lambda self, lp: cells[seed])
+        monkeypatch.setattr(mot._Seed, "__call__", lambda self, lp: (cells[seed], None))
         res = bound(problem)
         check_result_invariants(problem, res)
         assert res.value == pytest.approx(seeded.value, rel=1e-12, abs=1e-15)
@@ -532,10 +534,52 @@ class TestColumnGeneration:
         self.force_cold(monkeypatch, "master")
         solver = Solver(system)
         assert not solver.session.seed.coarse[0].system.admissible
-        assert solver.session.seed(solver.lp(problem)).size > 0
+        cells, start = solver.session.seed(solver.lp(problem))
+        assert cells.size > 0 and start is not None
         res = bound(problem, solver=solver)
         check_result_invariants(problem, res)
         assert res.value == pytest.approx(full.value, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("system, payoff", [
+        (smooth_pair(101), forward_start_straddle()),
+        (widening_dates(0.1, 15), asian_call(1.0, 3)),
+        (widening_dates(0.1, 31), asian_call(1.0, 3)),
+    ], ids=["smooth101", "3date-m15", "3date-m31"])
+    def test_seed_basis_is_a_start_that_highs_accepts(self, system, payoff):
+        # the coarse optimal basis mapped to this LP: n_rows basic columns,
+        # the LP's among the seed's cells, the rest artificials, which make
+        # a nonsingular basis; the master holds it for its first run
+        solver = Solver(system)
+        lp = solver.lp(MotProblem(system, payoff, "lower"))
+        cells, (cols, rows) = solver.session.seed(lp)
+        assert cols.size + rows.size == lp.n_rows
+        assert np.isin(cols, cells).all() and np.unique(cols).size == cols.size
+        assert np.unique(rows).size == rows.size and rows.min() >= 0 and rows.max() < lp.n_rows
+        start, index, value = solver.constraints.columns(cols)
+        basis = sp.csc_matrix((np.concatenate((value, np.ones(rows.size))), np.concatenate((index, rows)),
+                               np.concatenate((start, start[-1] + np.arange(1, rows.size + 1)))),
+                              shape=(lp.n_rows, lp.n_rows))
+        assert np.abs(splu(basis).U.diagonal()).min() > 1e-3  # splu raises on an exactly singular one
+        master = lp_mod._Master(lp, lp.cost, np.unique(cells), True, solver.layout.shape[-1], (cols, rows))
+        status = master.model.getBasis().col_status
+        assert sum(s == lp_mod.highs.HighsBasisStatus.kBasic for s in status) == lp.n_rows
+
+    @pytest.mark.parametrize("system, payoff", [
+        (smooth_pair(101), forward_start_straddle()),
+        (widening_dates(0.1, 15), asian_call(1.0, 3)),
+    ], ids=["smooth101-straddle", "3date-m15-asian"])
+    def test_start_basis_cuts_the_pivots(self, monkeypatch, system, payoff):
+        # the same seeds with every level's start dropped: the master's
+        # first run then starts from HiGHS's own basis
+        problem = MotProblem(system, payoff, "lower")
+        started = bound(problem)
+        seed_call = mot._Seed.__call__
+        monkeypatch.setattr(mot._Seed, "__call__", lambda self, lp: (seed_call(self, lp)[0], None))
+        dropped = bound(problem)
+        check_result_invariants(problem, started)
+        pivots = [res.diagnostics.extras["lp_iterations"] for res in (started, dropped)]
+        assert pivots[0] < pivots[1]
+        assert started.value == pytest.approx(dropped.value, rel=1e-12, abs=1e-15)
 
     def test_marginals_without_a_coupling_raise_infeasible(self):
         # the dates swapped: the wider law first, so no martingale links them
