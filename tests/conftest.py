@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from scipy.optimize._highspy import _core as highs
+
+from motbound.lp import highs
 
 
 @pytest.fixture()

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy import optimize
-from scipy.optimize._highspy import _core as highs
 
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 from motbound.fixtures import smooth_pair
-from motbound.lp import Constraints, LinearProgram, Session, solve, solve_exact
+from motbound.lp import Constraints, LinearProgram, Session, highs, solve, solve_exact
 from motbound.measures import DensitySpec, MarginalSystem, discretize
 from motbound.mot import MotProblem, Solver, bound
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
@@ -832,3 +835,58 @@ class TestLinprogOracle:
         assert sol.primal.tobytes() == primal.tobytes()
         assert sol.dual.tobytes() == dual.tobytes()
         assert sol.iterations == iterations
+
+
+def run_python(code: str, *path: Path) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports motbound from this
+    checkout, with ``path`` ahead of it on ``sys.path``."""
+    src = Path(lp_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (*path, src))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestBindingLoad:
+    """``motbound.lp`` loads scipy's HiGHS binding from its extension file,
+    so ``scipy.optimize`` and what it imports never load unless a caller
+    imports them, and every import of the binding yields one module."""
+
+    def test_import_loads_no_scipy_optimize(self):
+        run = run_python(
+            "import sys\n"
+            "import motbound\n"
+            "from motbound.fixtures import smooth_pair\n"
+            "from motbound.payoff import forward_start_straddle\n"
+            "result = motbound.bound(motbound.MotProblem(smooth_pair(15), forward_start_straddle(), 'lower'))\n"
+            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])\n"
+            "print(result.value.hex())\n")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:2] == [
+            "[]", bound(MotProblem(smooth_pair(15), forward_start_straddle(), "lower")).value.hex()]
+
+    def test_scipy_imports_get_the_loaded_binding(self):
+        run = run_python(
+            "import motbound.lp as lp\n"
+            "from scipy.optimize._highspy import _core\n"
+            "import scipy.optimize._highspy._core as h\n"
+            "from scipy.optimize import linprog\n"
+            "res = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method='highs')\n"
+            "print(_core is lp.highs, h is lp.highs, res.status, res.fun)\n")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True", "True", "0", "1.0"]
+
+    def test_binding_loaded_by_scipy_first_is_reused(self):
+        run = run_python(
+            "import sys\n"
+            "import scipy.optimize\n"
+            "import motbound.lp as lp\n"
+            "print(lp.highs is sys.modules['scipy.optimize._highspy._core'])\n")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True"]
+
+    def test_missing_binding_names_the_directory(self, tmp_path):
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        run = run_python("import motbound\n", tmp_path)
+        assert run.returncode != 0
+        where = tmp_path / "scipy" / "optimize" / "_highspy"
+        assert f"ImportError: no HiGHS binding _core in {where} (scipy of unknown version)" in run.stderr
