@@ -13,12 +13,18 @@ band (below ``PRIMAL_MAX_COLS`` variables, with few per row), otherwise
 column generation, whose master holds one artificial column per row plus
 a seed of columns and gains, round by round, the columns that price out,
 each round a primal-simplex run from the last basis, the first from the
-basis the seed gives (a coarse LP's optimum, not the artificials); it
-stops when no column prices out, so its dual passes the reduced-cost
-check on every column.  A ``Session`` is built on one ``Constraints``
-object and keeps one HiGHS model for the LPs built on it: after its first solve, each LP
-only changes the column costs and restarts the primal simplex from the
-last optimal basis, which stays primal feasible.  In the primal band the
+basis the seed gives (a coarse LP's optimum); it stops when no column
+prices out, so its dual passes the reduced-cost check on every column.
+One start rule holds for every model: a given basis, else, in a model
+with artificial columns, every artificial basic, which is primal
+feasible, so no run spends pivots on phase 1; only a cold model of every
+column without them starts from HiGHS's own basis.  A model passes HiGHS
+its rows alone and then every column in one ``addCols`` of arrays, and
+reads its basis back from ``getBasicVariables``, one integer per row.
+A ``Session`` is built on one ``Constraints`` object and keeps one HiGHS
+model for the LPs built on it: after its first solve, each LP only
+changes the column costs and restarts the primal simplex from the last
+optimal basis, which stays primal feasible.  In the primal band the
 warm model holds every column (a master there is completed at its first
 warm solve), so a change of sense stays warm too; above the band it
 starts a new master.  Each solve is one attempt: a run, or a master's
@@ -87,6 +93,12 @@ highs = _load_highs()
 
 FEAS_TOL = 1e-9
 HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
+# HiGHS drops every constraint coefficient at or below its small_matrix_value
+# (default 1e-9) without a word; this is the smallest value it accepts.  At
+# the default, smooth_pair(15)'s straddle bounds with atoms scaled by 1e-9
+# read 0.277 and 0.951 times the scale, not 0.351 and 0.697; at this floor
+# they hold to 5e-15 relative down to a scale of 1e-10.
+HIGHS_SMALL_MATRIX_VALUE = 1e-12
 MAX_ITER = 10 ** 6
 EXACT_MAX_VARS = 200
 # The primal band: fewer than PRIMAL_MAX_COLS variables and fewer than
@@ -318,9 +330,9 @@ class Session:
     holds the columns that ``seed`` returns for the LP, plus those that
     rounds of pricing add.  ``seed`` is a function of the LP, called once
     per master, that returns the columns and the basis the master's first
-    run starts from (see :meth:`_Master.basis`), or None for HiGHS's own
-    start, every row's logical basic; without a seed, no column and that
-    start.  The seed's own solves are not counted in
+    run starts from (see :meth:`_Master.basis`), or None for the
+    artificials' start, every artificial column basic; without a seed, no
+    column and that start.  The seed's own solves are not counted in
     ``LpSolution.iterations``.  ``group`` splits the columns into
     consecutive groups of that size (the cells of one history), each of
     which gives a round at most one column.  Either way each run is the
@@ -394,7 +406,8 @@ class Session:
             status, iterations, primal, dual = self._master.generate(
                 lp, cost, "primal" if warm or cold == "master" else cold)
             if status in _LIMIT:
-                raise IterationLimit(f"exceeded {MAX_ITER} iterations")
+                raise IterationLimit(f"exceeded {MAX_ITER} iterations on a {lp.sense} LP of "
+                                     f"{lp.n_rows} rows and {lp.n_cols} columns")
             if status in _INFEASIBLE:
                 raise Infeasible(f"HiGHS model status {status.name}")
             if status == highs.HighsModelStatus.kUnbounded:
@@ -411,6 +424,9 @@ class Session:
         basis (see :meth:`_Master.basis`), solved on a model of its own as a
         cold solve would be (the session's model is left alone), with no
         check: a hint, which an LP without a feasible point still gives.
+        In the primal band that model holds every column after the
+        artificials, and its run starts from every artificial basic, as a
+        master without a seed basis does.
         Raises ``LpError`` when no optimum is reached."""
         cost = self._check(lp)
         master = self._start(lp, cost, artificial=True)
@@ -427,31 +443,25 @@ class _Master:
     ``ARTIFICIAL_COST * (1 + max|c|)``).  ``member`` marks the LP's
     columns in the model; a round adds at most one column per ``group``
     consecutive columns.  Its first run starts from ``basis`` when given
-    (see :meth:`basis`), else from HiGHS's own start, every row's logical
-    basic."""
+    (see :meth:`basis`), else, with artificial columns, from every
+    artificial basic, a primal feasible start; a model without them and no
+    ``basis`` (a cold solve's model of every column) starts from HiGHS's
+    own basis.  HiGHS gets the rows by ``passModel`` and every column,
+    artificials first, by one ``addCols``, as rounds add theirs."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
                  group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         n_art = lp.n_rows if artificial else 0
         n = n_art + cols.size
         start, index, value = lp.constraints.columns(cols)
-        model = highs.HighsLp()
-        model.num_col_, model.num_row_ = n, lp.n_rows
-        big = ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
-        model.col_cost_ = np.concatenate((np.full(n_art, big), cost[cols]))
-        model.col_lower_ = np.zeros(n)
-        model.col_upper_ = np.full(n, highs.kHighsInf)
+        model = highs.HighsLp()  # the rows alone: the columns join by one addCols
+        model.num_row_ = lp.n_rows
         model.row_lower_ = model.row_upper_ = lp.rhs
-        a = model.a_matrix_
-        a.format_ = highs.MatrixFormat.kColwise
-        a.num_col_, a.num_row_ = n, lp.n_rows
-        # integer vectors convert to HiGHS faster from lists than from arrays
-        a.start_ = np.concatenate((np.arange(n_art), n_art + start)).tolist()
-        a.index_ = np.concatenate((np.arange(n_art), index)).tolist()
-        a.value_ = np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value))
+        big = ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
         options = highs.HighsOptions()
         options.presolve = "off"
         options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
+        options.small_matrix_value = HIGHS_SMALL_MATRIX_VALUE
         options.output_flag = options.log_to_console = False
         if artificial:
             options.simplex_price_strategy = MASTER_PRICE_STRATEGY
@@ -460,6 +470,13 @@ class _Master:
             raise LpError("HiGHS rejected the solver options")
         if run.passModel(model) == highs.HighsStatus.kError:
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
+        if run.addCols(n, np.concatenate((np.full(n_art, big), cost[cols])), np.zeros(n),
+                       np.full(n, highs.kHighsInf), n_art + index.size,
+                       np.concatenate((np.arange(n_art), n_art + start[:-1])).astype(np.int32),
+                       np.concatenate((np.arange(n_art), index)).astype(np.int32),
+                       np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value))
+                       ) == highs.HighsStatus.kError:
+            raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
         self.model = run
         self.n_art = n_art
         self.group = group
@@ -467,6 +484,8 @@ class _Master:
         self.member = np.zeros(lp.n_cols, dtype=bool)
         self.member[cols] = True
         self.fixed = not artificial
+        if basis is None and artificial:
+            basis = (cols[:0], np.arange(lp.n_rows))
         if basis is not None:
             self._set_basis(lp, *basis)
 
@@ -541,12 +560,16 @@ class _Master:
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The last run's basis: the LP's basic columns, and the rows whose
-        artificial column or logical is basic, ``n_rows`` in all."""
-        basis = self.model.getBasis()
-        cols = np.array(basis.col_status, dtype=object) == highs.HighsBasisStatus.kBasic
-        rows = np.array(basis.row_status, dtype=object) == highs.HighsBasisStatus.kBasic
-        rows[:self.n_art] |= cols[:self.n_art]
-        return self.cols[cols[self.n_art:]], np.flatnonzero(rows)
+        artificial column or logical is basic, ``n_rows`` in all: the
+        columns in model order, the rows sorted.  HiGHS names each basic
+        variable by its model column, or row i's logical by -1 - i."""
+        status, basic = self.model.getBasicVariables()
+        if status == highs.HighsStatus.kError:
+            raise LpError("HiGHS holds no basis to read")
+        basic = basic.astype(np.int64)
+        model_cols = np.sort(basic[basic >= 0])
+        rows = np.sort(np.concatenate((-1 - basic[basic < 0], model_cols[model_cols < self.n_art])))
+        return self.cols[model_cols[model_cols >= self.n_art] - self.n_art], rows
 
     def _set_basis(self, lp: LinearProgram, cols: np.ndarray, rows: np.ndarray) -> None:
         """Start the next run from the basis of the LP's columns ``cols``
@@ -625,12 +648,15 @@ def _run_highs(model, solver: str):
 
     Returns the model status, the simplex iteration count, and the primal
     and row duals of the minimization, which are None unless the status is
-    optimal."""
+    optimal.  Raises ``LpError`` when the run itself returns ``kError``."""
     for name, value in (("solver", "simplex"), ("simplex_strategy", int(_METHODS[solver]))):
         if model.setOptionValue(name, value) == highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the solver options")
-    model.run()
+    run = model.run()
     status = model.getModelStatus()
+    if run == highs.HighsStatus.kError:
+        raise LpError(f"HiGHS run returned {run.name}, model status {status.name}, on a model of "
+                      f"{model.getNumRow()} rows and {model.getNumCol()} columns")
     iterations = model.getInfo().simplex_iteration_count
     if status != highs.HighsModelStatus.kOptimal:
         return status, iterations, None, None

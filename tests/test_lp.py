@@ -18,7 +18,7 @@ import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 from motbound.fixtures import smooth_pair
 from motbound.lp import Constraints, LinearProgram, Session, highs, solve, solve_exact
-from motbound.measures import DensitySpec, MarginalSystem, discretize
+from motbound.measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
 from motbound.mot import MotProblem, Solver, bound
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
 
@@ -121,8 +121,32 @@ class TestErrors:
         lp = transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
                             np.arange(9, dtype=float).reshape(3, 3))
         monkeypatch.setattr(lp_mod, "MAX_ITER", 1)
-        with pytest.raises(IterationLimit):
+        with pytest.raises(IterationLimit, match="^exceeded 1 iterations on a min LP of 6 rows and 9 columns$"):
             solve(lp)
+
+    def test_run_error_raises_naming_the_status_and_next_solve_is_cold(self, monkeypatch):
+        # HiGHS's run returns kError without solving: the solve raises at
+        # once, naming that status, and the session's next solve is cold
+        fail = [False]
+
+        class Failing(highs._Highs):
+            def run(self):
+                return highs.HighsStatus.kError if fail[0] else super().run()
+
+        monkeypatch.setattr(highs, "_Highs", Failing)
+        lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        session = Session(lp.constraints)
+        cold = solve(lp, session=session)
+        fail[0] = True
+        with pytest.raises(LpError, match=r"^HiGHS run returned kError, model status k\w+, "
+                                          r"on a model of 4 rows and 4 columns$") as info:
+            solve(lp, session=session)
+        assert type(info.value) is LpError
+        assert not session.warm
+        fail[0] = False
+        again = solve(lp, session=session)
+        assert not again.warm
+        assert again.primal.tobytes() == cold.primal.tobytes()
 
     @pytest.mark.parametrize("solver, unit", [(solve, "iterations"), (solve_exact, "exact pivots")],
                              ids=["highs", "exact"])
@@ -771,7 +795,7 @@ class TestSession:
 
     def test_rejected_start_basis_raises_and_next_solve_is_cold(self, monkeypatch):
         # a change of sense starts a new master, from a basis one column
-        # short, which HiGHS rejects; the next master starts from HiGHS's own
+        # short, which HiGHS rejects; the next master starts from its artificials
         force_cold(monkeypatch, "master")
         every, rows = np.arange(self.LP.n_cols), np.arange(self.LP.n_rows)
         seeds = [(every, (every[:0], rows)), (every, (every[:0], rows[1:])), (every, None)]
@@ -786,6 +810,143 @@ class TestSession:
         assert not sol.warm and not seeds
         assert [run.solver for run in calls] == ["primal", "primal"]
         assert sol.objective == pytest.approx(solve(flipped).objective, rel=1e-12, abs=1e-15)
+
+
+BASIC = highs.HighsBasisStatus.kBasic
+
+
+def status_basis(master) -> tuple[np.ndarray, np.ndarray]:
+    """``master``'s basis as :meth:`_Master.basis` gives it, read instead
+    from HiGHS's per-column and per-row status lists."""
+    basis = master.model.getBasis()
+    cols = np.array([s == BASIC for s in basis.col_status], dtype=bool)
+    rows = np.array([s == BASIC for s in basis.row_status], dtype=bool)
+    rows[:master.n_art] |= cols[:master.n_art]
+    return master.cols[cols[master.n_art:]], np.flatnonzero(rows)
+
+
+def reference_model(lp: LinearProgram, cols: np.ndarray, artificial: bool):
+    """The model of ``_Master(lp, lp.cost, cols, artificial, 1)`` built as
+    one ``HighsLp``, field by field, and passed whole."""
+    n_art = lp.n_rows if artificial else 0
+    n = n_art + cols.size
+    start, index, value = lp.constraints.columns(cols)
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = n, lp.n_rows
+    big = lp_mod.ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
+    model.col_cost_ = np.concatenate((np.full(n_art, big), lp.cost[cols]))
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, highs.kHighsInf)
+    model.row_lower_ = model.row_upper_ = lp.rhs
+    a = model.a_matrix_
+    a.format_ = highs.MatrixFormat.kColwise
+    a.num_col_, a.num_row_ = n, lp.n_rows
+    a.start_ = np.concatenate((np.arange(n_art), n_art + start)).tolist()
+    a.index_ = np.concatenate((np.arange(n_art), index)).tolist()
+    a.value_ = np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value))
+    run = highs._Highs()
+    run.setOptionValue("output_flag", False)
+    assert run.passModel(model) == highs.HighsStatus.kOk
+    return run.getLp()
+
+
+class TestModelIO:
+    """A model reaches HiGHS as its rows and one ``addCols`` of every
+    column, its basis comes back through ``getBasicVariables``, and a model
+    with artificial columns and no start basis starts with them basic."""
+
+    # a negative rhs gives its artificial coefficient -1
+    LP = dense_lp([[1.0, 1.0, 0.0, 2.0], [1.0, -1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]],
+                  [2.0, -1.0, 1.5], [1.0, 3.0, -2.0, 0.5])
+
+    @pytest.mark.parametrize("artificial", [True, False], ids=["artificials", "none"])
+    @pytest.mark.parametrize("cols", [[0, 1, 2, 3], [1, 3]], ids=["every", "some"])
+    def test_model_equals_a_highs_lp_reference(self, artificial, cols):
+        cols = np.array(cols, dtype=np.int64)
+        got = lp_mod._Master(self.LP, self.LP.cost, cols, artificial, 1).model.getLp()
+        want = reference_model(self.LP, cols, artificial)
+        for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                     "row_upper_", "sense_", "offset_"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("format_", "num_col_", "num_row_", "start_", "index_", "value_"):
+            assert np.array_equal(getattr(got.a_matrix_, name), getattr(want.a_matrix_, name)), name
+        assert got.num_col_ == cols.size + (self.LP.n_rows if artificial else 0)
+
+    def test_master_without_a_seed_basis_starts_from_its_artificials(self):
+        cols = np.array([1, 3], dtype=np.int64)
+        master = lp_mod._Master(self.LP, self.LP.cost, cols, True, 1)
+        basis = master.model.getBasis()
+        assert basis.valid
+        assert [s == BASIC for s in basis.col_status] == [True] * self.LP.n_rows + [False] * cols.size
+        assert not any(s == BASIC for s in basis.row_status)
+        np.testing.assert_array_equal(master.basis()[1], np.arange(self.LP.n_rows))
+        assert master.basis()[0].size == 0
+
+    def test_basis_equals_the_status_lists(self, monkeypatch):
+        # a band model of every column after a cold solve, a seeded master
+        # (and its seed's model) between its rounds, and a model completed
+        # from a master
+        band = Solver(s := widening_dates(0.1, 9)).lp(MotProblem(s, asian_call(1.0, 3), "lower"))
+        session = Session(band.constraints)
+        solve(band, session=session)
+        assert session._master.full
+        models = [session._master]
+        seen = []
+        entering = lp_mod._Master._entering
+
+        def record(master, *args):
+            seen.append((master.basis(), status_basis(master), master.n_art))
+            return entering(master, *args)
+
+        monkeypatch.setattr(lp_mod._Master, "_entering", record)
+        solver = Solver(s := smooth_pair(51))
+        solve(solver.lp(MotProblem(s, forward_start_straddle(), "lower")), session=solver.new_session())
+        monkeypatch.undo()
+        # the coarse support's model, then the fine master's rounds
+        assert sum(n_art == solver.constraints.rhs.size for _, _, n_art in seen) > 2
+        solver = Solver(s := widening_dates(0.1, 15))
+        lp = solver.lp(MotProblem(s, asian_call(1.0, 3), "lower"))
+        solve(lp, session=solver.session)
+        solve(lp, session=solver.session)
+        assert solver.session._master.full
+        models.append(solver.session._master)
+        pairs = [(got, want) for got, want, _ in seen] + [(m.basis(), status_basis(m)) for m in models]
+        for (cols, rows), (want_cols, want_rows) in pairs:
+            assert cols.dtype == want_cols.dtype and rows.dtype == want_rows.dtype
+            np.testing.assert_array_equal(cols, want_cols)
+            np.testing.assert_array_equal(rows, want_rows)
+
+    def test_support_on_a_band_lp_gives_a_basis_highs_accepts(self):
+        # support's band model holds every column after the artificials, as
+        # does a master seeded with every column, which then starts at an
+        # optimum and takes no pivot
+        lp = Solver(s := widening_dates(0.1, 9)).lp(MotProblem(s, asian_call(1.0, 3), "upper"))
+        assert lp_mod._cold_method(lp.n_cols, lp.n_rows) == "primal"
+        support, (cols, rows) = Session(lp.constraints).support(lp)
+        assert cols.size + rows.size == lp.n_rows
+        assert np.all(np.isin(support, cols))
+        cost = -lp.cost
+        master = lp_mod._Master(lp, cost, np.arange(lp.n_cols), True, 1, (cols, rows))
+        basis = master.model.getBasis()
+        assert sum(s == BASIC for s in (*basis.col_status, *basis.row_status)) == lp.n_rows
+        status, iterations, _, _ = lp_mod._run_highs(master.model, "primal")
+        assert (status, iterations) == (highs.HighsModelStatus.kOptimal, 0)
+
+
+class TestSmallCoefficients:
+    """HiGHS keeps constraint coefficients down to its floor of 1e-12, so
+    a system priced in small units gives the same bounds in those units."""
+
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_bounds_scale_with_the_atoms(self, sense):
+        base = smooth_pair(15)
+        values = {}
+        for scale in (1.0, 1e-8, 1e-9):
+            system = MarginalSystem([DiscreteMeasure(mu.points * scale, mu.weights) for mu in base.marginals])
+            values[scale] = bound(MotProblem(system, forward_start_straddle(), sense)).value / scale
+        for scale in (1e-8, 1e-9):
+            assert abs(values[scale] - values[1.0]) <= 1e-10 * abs(values[1.0]), scale
+
 
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS

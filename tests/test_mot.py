@@ -570,7 +570,7 @@ class TestColumnGeneration:
     ], ids=["smooth101-straddle", "3date-m15-asian"])
     def test_start_basis_cuts_the_pivots(self, monkeypatch, system, payoff):
         # the same seeds with every level's start dropped: the master's
-        # first run then starts from HiGHS's own basis
+        # first run then starts from its artificials
         problem = MotProblem(system, payoff, "lower")
         started = bound(problem)
         seed_call = mot._Seed.__call__
