@@ -4,11 +4,10 @@ Marginal laws implied by call quotes pin down every European payoff; the
 remaining freedom is which martingale coupling links the dates.  Optimizing
 the exotic's expectation over that set is a finite linear program whose dual
 is a semi-static hedge.  This package assembles the LP, solves it with
-HiGHS, called through the binding bundled with scipy (primal simplex up to
-mid-size LPs with few variables per row, column generation seeded from a
-coarser grid on larger ones; plus an exact rational re-solver for small
-instances), extracts and verifies the hedge, and ships a CLI for the whole
-pipeline.
+HiGHS, called through the binding bundled with scipy (the primal simplex on
+every column up to mid-size LPs with few variables per row, column
+generation seeded from a coarser grid on larger ones), extracts and verifies
+the hedge, and ships a CLI for the whole pipeline.
 """
 
 from .envelope import convex_envelope, dual_value, evaluate_dual, extended_grid, improve_u2
@@ -18,7 +17,7 @@ from .errors import (BadSpec, DegenerateDual, DimensionMismatch, GridCoverage,
 from .hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     Verdict, VerificationReport, check_arbitrage, hedge_to_json,
                     price, slackness, to_call_portfolio, verify)
-from .lp import Constraints, LinearProgram, LpSolution, Session, solve, solve_exact
+from .lp import Constraints, LinearProgram, LpSolution, Session, solve
 from .measures import (Block, CallCurve, DensitySpec, DiscreteMeasure,
                        MarginalSystem, OrderReport, call_price, check_convex_order,
                        detect_barriers, discretize, from_call_curve, load_call_curves)

@@ -44,8 +44,8 @@ class IterationLimit(LpError):
 
 
 class ScaleExceeded(LpError):
-    """Problem too large: over the exact solver's variable limit, or over the
-    transport LP's nonzero ceiling, raised before any assembly."""
+    """Problem too large: over the transport LP's nonzero ceiling, raised
+    before any assembly."""
 
 
 class NotAdmissible(MotboundError):

@@ -1,4 +1,4 @@
-"""Equality-form linear programs: a HiGHS float path and an exact oracle.
+"""Equality-form linear programs, solved by HiGHS.
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
 with A held once, column by column, as sparse (row, col, value) triples in
@@ -6,15 +6,16 @@ a ``Constraints``, which checks them once, so LPs that differ only in cost
 share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
-without presolve, and returns primal and dual optima.  A cold solve takes
-the path that ``_cold_method`` picks from the LP's shape: the primal
-simplex on every column below ``COLD_MASTER_COLS`` variables in the primal
-band (below ``PRIMAL_MAX_COLS`` variables, with few per row), otherwise
-column generation, whose master holds one artificial column per row plus
-a seed of columns and gains, round by round, the columns that price out,
-each round a primal-simplex run from the last basis, the first from the
-basis the seed gives (a coarse LP's optimum); it stops when no column
-prices out, so its dual passes the reduced-cost check on every column.
+without presolve, and returns primal and dual optima.  Every model runs
+the primal simplex, set with its other options once, when it is built.
+A cold solve takes the path that ``_cold_method`` picks from the LP's
+shape: one run on every column below ``COLD_MASTER_COLS`` variables in the
+primal band (below ``PRIMAL_MAX_COLS`` variables, with few per row),
+otherwise column generation, whose master holds one artificial column per
+row plus a seed of columns and gains, round by round, the columns that
+price out, each round a run from the last basis, the first from the basis
+the seed gives (a coarse LP's optimum); it stops when no column prices
+out, so its dual passes the reduced-cost check on every column.
 One start rule holds for every model: a given basis, else, in a model
 with artificial columns, every artificial basic, which is primal
 feasible, so no run spends pivots on phase 1; only a cold model of every
@@ -38,14 +39,6 @@ imports scipy.linalg, scipy.sparse and hundreds of other modules: a process
 that imports numpy and motbound then holds 234 modules and 34 MB, not 793
 and 79 MB, and a ``motbound bounds --sense both`` on ``smooth_pair(15)``
 takes 0.12 s in a fresh process, not 0.33 s (2 vCPUs).
-``solve_exact`` is a two-phase tableau simplex in rational arithmetic on
-small instances and serves as the independent oracle.
-
-The constraint matrices built downstream carry dependent rows (marginal mass
-rows and martingale rows share mean information), so the exact solver keeps
-Phase I artificials that finish basic at zero in the basis, never lets them
-re-enter, and pivots them out at zero step length the moment an entering
-column touches their row.
 """
 
 from __future__ import annotations
@@ -55,12 +48,11 @@ import importlib.util
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
+from .errors import Infeasible, IterationLimit, LpError, Unbounded
 
 
 def _load_highs():
@@ -100,7 +92,6 @@ HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 # they hold to 5e-15 relative down to a scale of 1e-10.
 HIGHS_SMALL_MATRIX_VALUE = 1e-12
 MAX_ITER = 10 ** 6
-EXACT_MAX_VARS = 200
 # The primal band: fewer than PRIMAL_MAX_COLS variables and fewer than
 # PRIMAL_MAX_COLS_PER_ROW per row.  In it a session's model holds every
 # column, so its warm solves, a change of sense too, restart the primal
@@ -300,7 +291,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """An optimum (other outcomes raise).  Exact fields only from solve_exact.
+    """An optimum of the LP in its own sense (other outcomes raise).
 
     ``iterations`` sums HiGHS's simplex iteration counts over the solve's
     runs, a master's rounds (the runs that find a master's seed and start
@@ -313,9 +304,6 @@ class LpSolution:
     objective: float
     iterations: int
     warm: bool = False
-    objective_exact: Fraction | None = None
-    primal_exact: tuple[Fraction, ...] | None = None
-    dual_exact: tuple[Fraction, ...] | None = None
 
 
 class Session:
@@ -402,9 +390,7 @@ class Session:
                 self._master.change_cost(cost)
             else:
                 self._master = self._start(lp, cost, artificial=False)
-            cold = _cold_method(lp.n_cols, lp.n_rows)
-            status, iterations, primal, dual = self._master.generate(
-                lp, cost, "primal" if warm or cold == "master" else cold)
+            status, iterations, primal, dual = self._master.generate(lp, cost)
             if status in _LIMIT:
                 raise IterationLimit(f"exceeded {MAX_ITER} iterations on a {lp.sense} LP of "
                                      f"{lp.n_rows} rows and {lp.n_cols} columns")
@@ -430,7 +416,7 @@ class Session:
         Raises ``LpError`` when no optimum is reached."""
         cost = self._check(lp)
         master = self._start(lp, cost, artificial=True)
-        status, _, primal, _ = master.generate(lp, cost, "primal", fix=False)
+        status, _, primal, _ = master.generate(lp, cost, fix=False)
         if status != highs.HighsModelStatus.kOptimal:
             raise LpError(f"HiGHS model status {status.name}")
         return np.flatnonzero(primal > 0.0), master.basis()
@@ -463,6 +449,8 @@ class _Master:
         options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
         options.small_matrix_value = HIGHS_SMALL_MATRIX_VALUE
         options.output_flag = options.log_to_console = False
+        options.solver = "simplex"
+        options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
         if artificial:
             options.simplex_price_strategy = MASTER_PRICE_STRATEGY
         run = highs._Highs()
@@ -508,10 +496,10 @@ class _Master:
                 raise LpError("HiGHS rejected the artificial columns' bounds or costs")
         self.fixed = True
 
-    def generate(self, lp: LinearProgram, cost: np.ndarray, solver: str, fix: bool = True):
-        """A run of ``solver``, then rounds of pricing and primal-simplex
-        runs, each from the last basis, until no column of ``lp`` outside
-        the model has a reduced cost ``cost - A^T y`` below
+    def generate(self, lp: LinearProgram, cost: np.ndarray, fix: bool = True):
+        """Runs of the model, each from the last basis, with a round of
+        pricing after each, until no column of ``lp`` outside the model has
+        a reduced cost ``cost - A^T y`` below
         ``-FEAS_TOL * (1 + max|c|)``, the reduced-cost check of
         :func:`_check_run`.  A round adds each group's most negative such
         column, at most ``ROUND_ROWS`` times the row count of them, most
@@ -535,14 +523,13 @@ class _Master:
             if self.model.setOptionValue("simplex_iteration_limit",
                                          MAX_ITER - iterations + 1) == highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the solver options")
-            status, count, x, y = _run_highs(self.model, solver)
+            status, count, x, y = _run_highs(self.model)
             iterations += count
             if status != highs.HighsModelStatus.kOptimal:
                 return status, iterations, None, None
             entering = self._entering(lp, cost, y, tol)
             if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= mass_tol:
                 self.fix_artificials()
-                solver = "primal"
                 continue
             if not entering.size:
                 primal = np.zeros(lp.n_cols)
@@ -556,7 +543,6 @@ class _Master:
                 raise LpError("HiGHS rejected the added columns")
             self.cols = np.concatenate((self.cols, entering))
             self.member[entering] = True
-            solver = "primal"
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The last run's basis: the LP's basic columns, and the rows whose
@@ -635,23 +621,17 @@ def _in_band(n_cols: int, n_rows: int) -> bool:
 
 _LIMIT = (highs.HighsModelStatus.kIterationLimit, highs.HighsModelStatus.kTimeLimit)
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kModelError)
-# solver name -> HiGHS ``simplex_strategy`` option
-_METHODS = {"simplex": highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
-            "primal": highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal}
 
 
-def _run_highs(model, solver: str):
-    """One HiGHS simplex run of a session's model, in minimization form,
-    from the basis its last run left (none before the first run):
-    ``solver`` is ``"primal"`` (the primal simplex) or ``"simplex"`` (the
-    dual simplex, which only tests pick).  The iteration limit is the model's.
+def _run_highs(model):
+    """One HiGHS run of a session's model, in minimization form, from the
+    basis its last run left or was given, under the model's options: the
+    primal simplex and the rest, set once when the model was built, and
+    the iteration limit, which :meth:`_Master.generate` sets before each run.
 
     Returns the model status, the simplex iteration count, and the primal
     and row duals of the minimization, which are None unless the status is
     optimal.  Raises ``LpError`` when the run itself returns ``kError``."""
-    for name, value in (("solver", "simplex"), ("simplex_strategy", int(_METHODS[solver]))):
-        if model.setOptionValue(name, value) == highs.HighsStatus.kError:
-            raise LpError("HiGHS rejected the solver options")
     run = model.run()
     status = model.getModelStatus()
     if run == highs.HighsStatus.kError:
@@ -704,130 +684,3 @@ def solve(lp: LinearProgram, *, session: Session | None = None) -> LpSolution:
     malformed model ``Infeasible``, an unbounded one ``Unbounded``, and a
     failed check the error that check names."""
     return (session or Session(lp.constraints))._solve(lp)
-
-
-def _exact_pivot(tab, xb, basis, r, q):
-    piv = tab[r][q]
-    inv = Fraction(1) / piv
-    tab[r] = [v * inv for v in tab[r]]
-    xb[r] = xb[r] * inv
-    row_r = tab[r]
-    for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[q]
-        if f:
-            tab[i] = [a - f * b_ for a, b_ in zip(row, row_r)]
-            xb[i] = xb[i] - f * xb[r]
-    basis[r] = q
-
-
-def _exact_phase(tab, xb, basis, c, n_struct, guard, it):
-    """Bland's rule throughout; exact comparisons, no tolerances; at most
-    ``MAX_ITER`` pivots over both phases."""
-    m = len(tab)
-    while True:
-        cb = [c[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(n_struct):
-            if j in basis:
-                continue
-            rc = c[j] - sum(cb[i] * tab[i][j] for i in range(m))
-            if rc < 0:
-                entering = j
-                break
-        if entering < 0:
-            return it
-        q = entering
-        best_ratio = None
-        best_rows: list[int] = []
-        for i in range(m):
-            d = tab[i][q]
-            if guard and basis[i] >= n_struct and d != 0:
-                ratio = Fraction(0)
-            elif d > 0:
-                ratio = xb[i] / d
-            else:
-                continue
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                best_rows = [i]
-            elif ratio == best_ratio:
-                best_rows.append(i)
-        if best_ratio is None:
-            raise Unbounded("no blocking ratio for entering column")
-        if guard:
-            art_rows = [i for i in best_rows if basis[i] >= n_struct]
-            if art_rows:
-                best_rows = art_rows
-        r = min(best_rows, key=lambda i: basis[i])
-        if it >= MAX_ITER:
-            raise IterationLimit(f"exceeded {MAX_ITER} exact pivots")
-        _exact_pivot(tab, xb, basis, r, q)
-        it += 1
-
-
-def _as_rational(x: float) -> Fraction:
-    """Simplest rational within one part in 10^12 of the float.
-
-    Problem data is usually meant exactly (weights like 1/3, integer payoff
-    differences); float64 storage perturbs non-dyadic values by ~1e-16, which
-    is enough to make exactly dependent rows inconsistent.  Snapping to the
-    nearest small-denominator rational restores the intended instance."""
-    return Fraction(x).limit_denominator(10**12)
-
-
-def solve_exact(lp: LinearProgram) -> LpSolution:
-    """Two-phase tableau simplex in Fraction arithmetic (Bland's rule).
-
-    Oracle-scale only: refuses instances with more than 200 variables.
-    Coefficients are read through :func:`_as_rational`.
-    """
-    m, n = lp.n_rows, lp.n_cols
-    if n > EXACT_MAX_VARS:
-        raise ScaleExceeded(f"{n} variables exceeds the exact-solver limit of {EXACT_MAX_VARS}")
-    flip = lp.sense == "max"
-    c_struct = [_as_rational(x) if not flip else -_as_rational(x) for x in lp.cost.tolist()]
-    b = [_as_rational(x) for x in lp.rhs.tolist()]
-    dense = [[Fraction(0)] * n for _ in range(m)]
-    for r, cc, v in zip(lp.rows.tolist(), lp.cols.tolist(), lp.vals.tolist()):
-        dense[r][cc] = _as_rational(v)
-    row_sign = [1] * m
-    for i in range(m):
-        if b[i] < 0:
-            row_sign[i] = -1
-            b[i] = -b[i]
-            dense[i] = [-v for v in dense[i]]
-    tab = [dense[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)] for i in range(m)]
-    xb = list(b)
-    basis = [n + i for i in range(m)]
-
-    c1 = [Fraction(0)] * n + [Fraction(1)] * m
-    iters = _exact_phase(tab, xb, basis, c1, n, guard=False, it=0)
-    if sum(c1[basis[i]] * xb[i] for i in range(m)) != 0:
-        raise Infeasible("phase 1 optimum is positive")
-
-    c2 = c_struct + [Fraction(0)] * m
-    iters = _exact_phase(tab, xb, basis, c2, n, guard=True, it=iters)
-
-    x = [Fraction(0)] * (n + m)
-    for i in range(m):
-        x[basis[i]] = xb[i]
-    cb = [c2[basis[i]] for i in range(m)]
-    dual = []
-    for i in range(m):
-        y_i = sum(cb[k] * tab[k][n + i] for k in range(m)) * row_sign[i]
-        dual.append(-y_i if flip else y_i)
-    obj = sum(c2[j] * x[j] for j in range(n))
-    if flip:
-        obj = -obj
-    primal = x[:n]
-    return LpSolution(
-        primal=np.array([float(v) for v in primal]),
-        dual=np.array([float(v) for v in dual]),
-        objective=float(obj),
-        iterations=iters,
-        objective_exact=obj,
-        primal_exact=tuple(primal),
-        dual_exact=tuple(dual),
-    )

@@ -531,6 +531,8 @@ def load_call_curves(path: str | Path) -> list[CallCurve]:
         data = json.loads(text)
         if not (isinstance(data, list) and all(isinstance(rec, dict) for rec in data)):
             raise ValueError(f'quotes JSON must be a list of {{"i", "K", "C"}} records: {path}')
+        if missing := next((name for rec in data for name in ("i", "K", "C") if name not in rec), None):
+            raise ValueError(f"a quote in {path} lacks field {missing!r}")
         fields = [(rec["i"], rec["K"], rec["C"]) for rec in data]
     else:
         reader = csv.DictReader(text.splitlines())

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import payoff as payoff_mod
+from . import lp as lp_mod, measures as measures_mod, payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
 from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
@@ -477,13 +477,14 @@ def _diagnostics(problem: MotProblem, value: float, coupling: Coupling,
 
 
 def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
+    """``solve``, with an ``Infeasible`` LP named as such: a ``MotProblem``
+    has passed the convex-order check, so the LP fails at its own tolerance."""
     try:
         return solve(lp, session=session)
     except Infeasible as exc:
-        raise Infeasible(
-            "discretized marginals admit no martingale coupling; "
-            "re-discretize with barycentric cells to restore convex order"
-        ) from exc
+        raise Infeasible(f"the marginals pass the convex-order check (to ORDER_TOL = "
+                         f"{measures_mod.ORDER_TOL:g}), but the transport LP is infeasible at "
+                         f"FEAS_TOL = {lp_mod.FEAS_TOL:g}: {exc}") from exc
 
 
 def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Solver,

@@ -118,6 +118,8 @@ class Payoff:
         if not isinstance(n := obj.get("n", 2), (int, float)) or not float(n).is_integer():
             raise ValueError(f"payoff n {n!r} is not an integer")
         if kind == "tabulated":  # Payoff checks n and any parameter besides grids and values
+            if missing := [name for name in ("grids", "values") if name not in params]:
+                raise ValueError(f"payoff kind 'tabulated' needs parameter {missing[0]!r}")
             grids, values = params.pop("grids"), params.pop("values")
             if not (isinstance(grids, list) and all(map(_numbers, grids)) and _numbers(values)):
                 raise ValueError("payoff kind 'tabulated' needs 'grids' and 'values' as lists of numbers")

@@ -18,7 +18,6 @@ from motbound.envelope import dual_value, extended_grid
 from motbound.fixtures import (counterexample_edges, counterexample_value,
                                instance_a_marginals, instance_b_payoff, smooth_pair)
 from motbound.hedge import price as hedge_price, slackness
-from motbound.lp import solve_exact
 from motbound.measures import (CallCurve, DensitySpec, DiscreteMeasure,
                                MarginalSystem, call_price, counterexample_marginals,
                                detect_barriers, discretize, from_call_curve)
@@ -26,6 +25,8 @@ from motbound.mot import (MotProblem, Solver, bound, decompose_and_solve,
                           random_feasible_coupling, strike_sweep)
 from motbound.payoff import (evaluate, forward_start_call, forward_start_straddle,
                              negated_straddle)
+
+from exact import solve_exact
 
 GAP_TOL = 1e-7
 VERIFY_TOL = 1e-8
@@ -100,7 +101,7 @@ def test_criterion_03_exact_oracle_instances():
     exact = {}
     for name, payoff, sense in [("a_lo", straddle, "lower"), ("a_hi", straddle, "upper"),
                                 ("b_lo", cell, "lower"), ("b_hi", cell, "upper")]:
-        exact[name] = solve_exact(Solver(system).lp(MotProblem(system, payoff, sense))).objective_exact
+        exact[name] = solve_exact(Solver(system).lp(MotProblem(system, payoff, sense))).objective
     elapsed = time.perf_counter() - t0
 
     ok = (abs(a_lo.value - 7.0 / 6.0) <= 1e-9 and abs(a_hi.value - 7.0 / 6.0) <= 1e-9

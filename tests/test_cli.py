@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import motbound.cli as cli
-import motbound.lp as lp_mod
 import motbound.mot as mot
 from motbound.cli import main
 from motbound.fixtures import instance_a_marginals, smooth_pair
@@ -470,17 +469,13 @@ class TestArb:
 
     @pytest.mark.parametrize("quoted", [["--quoted", "nan"], ["--quoted", "inf"], ["--quoted=-inf"]],
                              ids=["nan", "inf", "-inf"])
-    def test_non_finite_quote_is_config_error(self, marginals_a, payoff_file, capsys, monkeypatch,
-                                              quoted):
-        runs = []
-        run_highs = lp_mod._run_highs
-        monkeypatch.setattr(lp_mod, "_run_highs", lambda model, name: runs.append(name) or run_highs(model, name))
+    def test_non_finite_quote_is_config_error(self, marginals_a, payoff_file, capsys, passed_models, quoted):
         rc = main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, *quoted])
         assert rc == 2
         out, err = capsys.readouterr()
         assert "NO_ARB" not in out
         assert "quoted price must be finite" in err
-        assert runs == []  # refused before any LP is solved
+        assert passed_models == []  # refused before any LP is built
 
     def test_one_model(self, marginals_a, payoff_file, passed_models):
         assert main(["arb", "--marginals", marginals_a, "--payoff", payoff_file, "--quoted", "0.3"]) == 0
@@ -542,14 +537,11 @@ class TestSurface:
                                  forward_start_straddle(), "lower")
         assert dest.read_text() == mot.surface_csv(problem, mot.bound(problem))
 
-    def test_three_dates_refused_before_any_solve(self, marginals_3, capsys, monkeypatch):
-        runs = []
-        run_highs = lp_mod._run_highs
-        monkeypatch.setattr(lp_mod, "_run_highs", lambda model, name: runs.append(name) or run_highs(model, name))
+    def test_three_dates_refused_before_any_solve(self, marginals_3, capsys, passed_models):
         rc = main(["surface", "--marginals", marginals_3, "--payoff", "asian_call:1.0"])
         assert rc == 2
         assert "surface export covers two-date problems" in capsys.readouterr().err
-        assert runs == []
+        assert passed_models == []
 
 
 class TestEnvelope:

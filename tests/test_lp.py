@@ -17,10 +17,12 @@ from scipy import optimize
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 from motbound.fixtures import smooth_pair
-from motbound.lp import Constraints, LinearProgram, Session, highs, solve, solve_exact
+from motbound.lp import Constraints, LinearProgram, Session, highs, solve
 from motbound.measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
 from motbound.mot import MotProblem, Solver, bound
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
+
+from exact import solve_exact
 
 GAP_TOL = 1e-7
 FEAS_TOL = 1e-9
@@ -89,17 +91,17 @@ class TestSpecExamples:
     def test_exact_matches_examples(self):
         lp = dense_lp([[1.0]], [3.0], [1.0])
         ex = solve_exact(lp)
-        assert ex.objective_exact == Fraction(3)
-        assert ex.dual_exact == (Fraction(1),)
+        assert ex.objective == Fraction(3)
+        assert ex.dual == (Fraction(1),)
 
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
         ex = solve_exact(lp)
-        assert ex.objective_exact == Fraction(0)
-        assert tuple(ex.primal_exact) == (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        assert ex.objective == Fraction(0)
+        assert ex.primal == (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
         lp = dense_lp([[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0], [0.0, 1.0])
         ex = solve_exact(lp)
-        assert ex.objective_exact == Fraction(0)
+        assert ex.objective == Fraction(0)
 
 
 class TestErrors:
@@ -264,42 +266,54 @@ class TestDeterminism:
 
 
 class Run(NamedTuple):
-    solver: str
+    simplex: str
     result: tuple
     model: object
 
 
+STRATEGY = highs.simplex_constants.SimplexStrategy
+SIMPLEX = {int(STRATEGY.kSimplexStrategyPrimal): "primal", int(STRATEGY.kSimplexStrategyDual): "dual"}
+
+
 def spy_highs(monkeypatch, corrupt=None):
-    """Record each HiGHS run's solver, result (model status, iterations,
-    primal, dual) and model; ``corrupt(solver, result)`` may return a
-    replacement result before ``solve`` reads it."""
+    """Record each HiGHS run's simplex (``"primal"`` or ``"dual"``, read
+    from the model's options), result (model status, iterations, primal,
+    dual) and model; ``corrupt(result)`` may return a replacement result
+    before ``solve`` reads it."""
     calls = []
     run_highs = lp_mod._run_highs
 
-    def spy(model, solver):
-        res = run_highs(model, solver)
+    def spy(model):
+        res = run_highs(model)
         if corrupt is not None:
-            res = corrupt(solver, res)
-        calls.append(Run(solver, res, model))
+            res = corrupt(res)
+        assert model.getOptionValue("solver")[1] == "simplex"
+        calls.append(Run(SIMPLEX[model.getOptionValue("simplex_strategy")[1]], res, model))
         return res
 
     monkeypatch.setattr(lp_mod, "_run_highs", spy)
     return calls
 
 
+def dual_simplex(monkeypatch):
+    """Every HiGHS model built while the test runs takes the dual simplex:
+    its options reach HiGHS with the dual ``simplex_strategy``."""
+
+    class Dual(highs._Highs):
+        def passOptions(self, options):
+            options.simplex_strategy = int(STRATEGY.kSimplexStrategyDual)
+            return super().passOptions(options)
+
+    monkeypatch.setattr(highs, "_Highs", Dual)
+
+
 def force_cold(monkeypatch, method):
     """Every cold solve runs ``method`` first, whatever the LP's shape:
-    ``"simplex"`` or ``"primal"`` on every column, or ``"master"``, column
-    generation.  Tests and ids that name the interior point ("ipm") name
-    the path above the primal band, which it took before column generation
-    replaced it there."""
+    ``"primal"`` on every column, or ``"master"``, column generation (a
+    test's ``"simplex"`` is the first by :func:`dual_simplex`).  Tests and
+    ids that name the interior point ("ipm") name the path above the primal
+    band, which it took before column generation replaced it there."""
     monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: method)
-
-
-def first_run(method: str) -> str:
-    """The HiGHS method of a cold solve's first run: a master's runs are
-    primal-simplex runs."""
-    return "primal" if method == "master" else method
 
 
 def every_column(lp: LinearProgram) -> tuple[np.ndarray, None]:
@@ -311,7 +325,7 @@ def every_column(lp: LinearProgram) -> tuple[np.ndarray, None]:
 class TestDualCheck:
     @pytest.mark.parametrize("sense", ["min", "max"])
     def test_corrupted_dual_is_rejected(self, monkeypatch, sense):
-        def corrupt(solver, res):
+        def corrupt(res):
             # lowers the reduced cost of row 0's columns by 1, in either sense
             status, iterations, primal, dual = res
             dual = dual.copy()
@@ -355,19 +369,22 @@ class TestSizeRule:
         lp = Solver(problem.system).lp(problem)
         calls = spy_highs(monkeypatch)
         values = {}
-        for solver in ("simplex", "primal", "master"):
-            force_cold(monkeypatch, solver)
+        # the dual simplex last, as it holds for every model built after it
+        for solver, run_by in (("primal", "primal"), ("master", "primal"), ("simplex", "dual")):
+            if solver == "simplex":
+                dual_simplex(monkeypatch)
+            force_cold(monkeypatch, "master" if solver == "master" else "primal")
             del calls[:]
             sol = solve(lp)
             # the master's rounds are primal-simplex runs, one run otherwise
-            assert [run.solver for run in calls] == [first_run(solver)] * len(calls)
+            assert [run.simplex for run in calls] == [run_by] * len(calls)
             assert len(calls) > 1 if solver == "master" else len(calls) == 1
             assert all(run.result[0] == highs.HighsModelStatus.kOptimal for run in calls)
             assert sol.iterations == sum(run.result[1] for run in calls)
             values[solver] = sol.objective
             del calls[:]
             result = bound(problem)
-            assert {run.solver for run in calls} == {first_run(solver)}
+            assert {run.simplex for run in calls} == {run_by}
             assert result.report.valid
             if solver == "master":
                 # the bound's master starts from a seed, this solve's from none
@@ -386,12 +403,13 @@ class TestSizeRule:
         force_cold(monkeypatch, "master")
         calls = spy_highs(monkeypatch)
         sol = solve(lp)
-        assert {run.solver for run in calls} == {"primal"}
+        assert {run.simplex for run in calls} == {"primal"}
         assert all(run.model is calls[0].model for run in calls)
         check_solution_invariants(lp, sol)
         res = bound(problem)
         assert res.report.valid
-        force_cold(monkeypatch, "simplex")
+        dual_simplex(monkeypatch)
+        force_cold(monkeypatch, "primal")
         cold = solve(lp).objective
         for value in (sol.objective, res.value):
             assert abs(value - cold) <= 1e-12 * (1.0 + abs(cold))
@@ -403,7 +421,7 @@ class TestSizeRule:
         problem = rejected_crossover_dual_problem()
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert {run.solver for run in calls} == {"primal"}
+        assert {run.simplex for run in calls} == {"primal"}
         assert res.diagnostics.extras["solve_attempts"] == 1
         assert res.report.valid
         assert res.value == pytest.approx(0.0469156963, abs=1e-10)
@@ -416,7 +434,7 @@ class TestSizeRule:
         calls = spy_highs(monkeypatch)
         with pytest.raises(IterationLimit, match="exceeded 1 iterations"):
             solve(lp)
-        assert calls[-1][0] == "primal"
+        assert calls[-1].simplex == "primal"
 
     def test_iteration_limit_bounds_all_rounds_together(self, monkeypatch):
         problem = MotProblem(smooth_pair(51), forward_start_straddle(), "lower")
@@ -480,7 +498,7 @@ class TestColdMethod:
         problem = MotProblem(smooth_pair(m), forward_start_straddle(), "lower")
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert {run.solver for run in calls} == {"primal"}
+        assert {run.simplex for run in calls} == {"primal"}
         assert len(calls) > 1 if method == "master" else len(calls) == 1
         assert res.report.valid
 
@@ -490,7 +508,7 @@ class TestColdMethod:
         problem = MotProblem(widening_dates(0.1, 15), asian_call(1.0, 3), "lower")
         calls = spy_highs(monkeypatch)
         res = bound(problem)
-        assert {run.solver for run in calls} == {"primal"}
+        assert {run.simplex for run in calls} == {"primal"}
         assert len({id(run.model) for run in calls}) == 2 and len(calls) > 2
         assert res.diagnostics.extras["solve_attempts"] == 1
         assert res.report.valid
@@ -513,7 +531,7 @@ class TestColdMethod:
         del calls[:]
         again = bound(problem["lower"], solver=solver)
         upper = bound(problem["upper"], solver=solver)
-        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert [run.simplex for run in calls] == ["primal", "primal"]
         full = calls[0].model
         assert full is not master and calls[1].model is full
         assert full.getNumCol() == solver.constraints.n_cols
@@ -530,9 +548,9 @@ class TestColdMethod:
         problem = {sense: MotProblem(system, asian_call(1.0, 3), sense) for sense in ("lower", "upper")}
         calls = spy_highs(monkeypatch)
         bound(problem["lower"], solver=solver)
-        assert [run.solver for run in calls] == ["primal"]
+        assert [run.simplex for run in calls] == ["primal"]
         upper = bound(problem["upper"], solver=solver)
-        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert [run.simplex for run in calls] == ["primal", "primal"]
         assert calls[1].model is calls[0].model
         assert upper.report.valid
         monkeypatch.undo()
@@ -602,22 +620,6 @@ class TestStatusMapping:
     optimal run that fails the residual check raises ``Infeasible``, one
     that fails the reduced-cost check ``LpError``."""
 
-    @staticmethod
-    def fake_first_run(monkeypatch, status, primal=None, dual=None):
-        """The first HiGHS run reports ``status``, ``primal`` and ``dual``
-        after 7 iterations; later runs are real.  Records each run's
-        (solver, iterations)."""
-        calls = []
-        run_highs = lp_mod._run_highs
-
-        def fake(model, solver):
-            res = run_highs(model, solver) if calls else (status, 7, primal, dual)
-            calls.append((solver, res[1]))
-            return res
-
-        monkeypatch.setattr(lp_mod, "_run_highs", fake)
-        return calls
-
     @pytest.mark.parametrize("method", ["simplex", pytest.param("master", id="ipm"), "primal"])
     @pytest.mark.parametrize("status, error", [
         (STATUS.kIterationLimit, IterationLimit), (STATUS.kTimeLimit, IterationLimit),
@@ -625,30 +627,32 @@ class TestStatusMapping:
         (STATUS.kUnbounded, Unbounded),
     ])
     def test_decided_status_raises(self, monkeypatch, method, status, error):
-        force_cold(monkeypatch, method)
-        calls = self.fake_first_run(monkeypatch, status)
+        if method == "simplex":
+            dual_simplex(monkeypatch)
+        force_cold(monkeypatch, "master" if method == "master" else "primal")
+        calls = spy_highs(monkeypatch, lambda res: (status, 7, None, None))
         with pytest.raises(error):
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
-        assert calls == [(first_run(method), 7)]
+        assert [run.simplex for run in calls] == ["dual" if method == "simplex" else "primal"]
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_raises_on_simplex_path(self, monkeypatch, status):
         force_cold(monkeypatch, "primal")
-        calls = self.fake_first_run(monkeypatch, status)
+        calls = spy_highs(monkeypatch, lambda res: (status, 7, None, None))
         with pytest.raises(LpError, match=status.name) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is LpError
-        assert calls == [("primal", 7)]
+        assert [run.simplex for run in calls] == ["primal"]
 
     @pytest.mark.parametrize("status", [STATUS.kUnboundedOrInfeasible, STATUS.kUnknown, STATUS.kSolveError])
     def test_undecided_status_raises_on_master_path(self, monkeypatch, status):
         # the master's first round ends its attempt
         force_cold(monkeypatch, "master")
-        calls = self.fake_first_run(monkeypatch, status)
+        calls = spy_highs(monkeypatch, lambda res: (status, 7, None, None))
         with pytest.raises(LpError, match=status.name) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is LpError
-        assert calls == [("primal", 7)]
+        assert [run.simplex for run in calls] == ["primal"]
 
     # optimal runs that fail a check on the LP below, whose optimum is
     # [1, 0, 0, 1]: a primal off the constraints, and row duals of 10, which
@@ -663,11 +667,11 @@ class TestStatusMapping:
     ])
     def test_failed_check_raises_on_simplex_path(self, monkeypatch, check, error, message):
         force_cold(monkeypatch, "primal")
-        calls = self.fake_first_run(monkeypatch, STATUS.kOptimal, *self.FAILED_RUNS[check])
+        calls = spy_highs(monkeypatch, lambda res: (STATUS.kOptimal, 7, *self.FAILED_RUNS[check]))
         with pytest.raises(error, match=message) as info:
             solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
         assert type(info.value) is error
-        assert calls == [("primal", 7)]
+        assert [run.simplex for run in calls] == ["primal"]
 
     @pytest.mark.parametrize("check", ["residual", "reduced-cost"])
     def test_failed_check_raises_on_master_path(self, monkeypatch, check):
@@ -675,13 +679,12 @@ class TestStatusMapping:
         # optima that fail the check: a primal of zeros (the artificials
         # included), or row duals of 10; the first run fixes the
         # artificials, the second ends the attempt, which raises
-        def corrupt(solver, res):
+        def corrupt(res):
             status, iterations, primal, dual = res
-            if solver == "primal":
-                if check == "residual":
-                    primal = np.zeros_like(primal)
-                else:
-                    dual = np.full_like(dual, 10.0)
+            if check == "residual":
+                primal = np.zeros_like(primal)
+            else:
+                dual = np.full_like(dual, 10.0)
             return status, iterations, primal, dual
 
         lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
@@ -692,7 +695,7 @@ class TestStatusMapping:
         with pytest.raises(error, match=message) as info:
             solve(lp, session=session)
         assert type(info.value) is error
-        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert [run.simplex for run in calls] == ["primal", "primal"]
         assert calls[1].model is calls[0].model
         assert not session.warm
 
@@ -712,7 +715,7 @@ class TestSession:
             lp = LinearProgram(sense="max" if trial % 3 else "min", cost=rng.normal(size=base.n_cols),
                                constraints=base.constraints)
             warm = solve(lp, session=session)
-            assert calls[-1].solver == "primal"
+            assert calls[-1].simplex == "primal"
             assert warm.warm == (trial > 0)
             cold = solve(lp)
             assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
@@ -729,7 +732,7 @@ class TestSession:
             warm.append(solve(lp, session=session).warm)
             models.append(calls[-1].model)
         assert warm == [False, True, False, True]
-        assert {run.solver for run in calls} == {"primal"}
+        assert {run.simplex for run in calls} == {"primal"}
         assert models[1] is models[0] and models[3] is models[2]
         assert models[2] is not models[0]
 
@@ -750,17 +753,17 @@ class TestSession:
         solve(self.LP, session=session)
         primal, dual = TestStatusMapping.FAILED_RUNS[check]
         error, message = TestStatusMapping.CHECK_ERRORS[check]
-        calls = spy_highs(monkeypatch, lambda solver, res: (STATUS.kOptimal, 7, primal, dual))
+        calls = spy_highs(monkeypatch, lambda res: (STATUS.kOptimal, 7, primal, dual))
         with pytest.raises(error, match=message) as info:
             solve(self.LP, session=session)
         assert type(info.value) is error
-        assert [run.solver for run in calls] == ["primal"]
+        assert [run.simplex for run in calls] == ["primal"]
         first = calls[0].model
         monkeypatch.undo()
         calls = spy_highs(monkeypatch)
         assert not session.warm
         assert not solve(self.LP, session=session).warm
-        assert [run.solver for run in calls] == ["primal"]
+        assert [run.simplex for run in calls] == ["primal"]
         assert calls[0].model is not first
 
     def test_failed_warm_status_raises_and_next_solve_is_cold(self, monkeypatch):
@@ -768,16 +771,16 @@ class TestSession:
         # no second run, and frees the model
         session = Session(self.LP.constraints)
         solve(self.LP, session=session)
-        calls = spy_highs(monkeypatch, lambda solver, res: (STATUS.kIterationLimit, 7, None, None))
+        calls = spy_highs(monkeypatch, lambda res: (STATUS.kIterationLimit, 7, None, None))
         with pytest.raises(IterationLimit):
             solve(self.LP, session=session)
-        assert [run.solver for run in calls] == ["primal"]
+        assert [run.simplex for run in calls] == ["primal"]
         first = calls[0].model
         monkeypatch.undo()
         calls = spy_highs(monkeypatch)
         assert not session.warm
         assert not solve(self.LP, session=session).warm
-        assert [run.solver for run in calls] == ["primal"]
+        assert [run.simplex for run in calls] == ["primal"]
         assert calls[0].model is not first
 
 
@@ -808,7 +811,7 @@ class TestSession:
         calls = spy_highs(monkeypatch)
         sol = solve(flipped, session=session)
         assert not sol.warm and not seeds
-        assert [run.solver for run in calls] == ["primal", "primal"]
+        assert [run.simplex for run in calls] == ["primal", "primal"]
         assert sol.objective == pytest.approx(solve(flipped).objective, rel=1e-12, abs=1e-15)
 
 
@@ -929,7 +932,7 @@ class TestModelIO:
         master = lp_mod._Master(lp, cost, np.arange(lp.n_cols), True, 1, (cols, rows))
         basis = master.model.getBasis()
         assert sum(s == BASIC for s in (*basis.col_status, *basis.row_status)) == lp.n_rows
-        status, iterations, _, _ = lp_mod._run_highs(master.model, "primal")
+        status, iterations, _, _ = lp_mod._run_highs(master.model)
         assert (status, iterations) == (highs.HighsModelStatus.kOptimal, 0)
 
 
@@ -950,49 +953,45 @@ class TestSmallCoefficients:
 
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS
-    run solves, computed through ``scipy.optimize.linprog`` with the same
-    solver, options and cold method.  ``linprog`` has no primal simplex,
-    so the LPs it checks force their one run to be the dual simplex."""
+    run by the dual simplex solves, computed through
+    ``scipy.optimize.linprog``'s ``highs-ds`` with the same options."""
     flip = lp.sense == "max"
-    method = {"simplex": "highs-ds"}[lp_mod._cold_method(lp.n_cols, lp.n_rows)]
     res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
-                           bounds=(0, None), method=method,
+                           bounds=(0, None), method="highs-ds",
                            options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
                                     "primal_feasibility_tolerance": lp_mod.HIGHS_TOL,
                                     "dual_feasibility_tolerance": lp_mod.HIGHS_TOL})
     assert res.status == 0, res.message
     dual = -res.eqlin.marginals if flip else res.eqlin.marginals
-    return np.clip(res.x, 0.0, None), dual, res.nit + res.crossover_nit, [method]
+    return np.clip(res.x, 0.0, None), dual, res.nit + res.crossover_nit
 
 
 class TestLinprogOracle:
     """``solve`` calls HiGHS as ``linprog`` does, so both give the same
-    answer to the last bit.  Every LP here forces the dual simplex, which
-    ``lp._METHODS`` keeps for this check alone, as linprog has no primal
-    simplex; the model is the one ``solve`` sets up for a primal-simplex
-    run too."""
+    answer to the last bit.  ``linprog`` has no primal simplex, so each LP
+    here is solved in one run on every column by the dual simplex (see
+    :func:`dual_simplex`), on the model ``solve`` builds for the primal
+    simplex, with only ``simplex_strategy`` changed."""
 
-    @pytest.mark.parametrize("make, methods, cold", [
-        (lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],
-                                np.arange(9, dtype=float).reshape(3, 3), "max"), ["highs-ds"], "simplex"),
-        (lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
-         ["highs-ds"], "simplex"),
-        (lambda: Solver(s := smooth_pair(41)).lp(MotProblem(s, forward_start_straddle(), "upper")),
-         ["highs-ds"], "simplex"),
+    @pytest.mark.parametrize("make", [
+        lambda: transportation([1.0, 2.0, 3.0], [2.0, 2.0, 2.0], np.arange(9, dtype=float).reshape(3, 3), "max"),
+        lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
+        lambda: Solver(s := smooth_pair(41)).lp(MotProblem(s, forward_start_straddle(), "upper")),
         # the interior point's crossover stopped unfinished on this LP
-        (lambda: Solver((p := unfinished_crossover_problem()).system).lp(p), ["highs-ds"], "simplex"),
+        lambda: Solver((p := unfinished_crossover_problem()).system).lp(p),
         # a 3-date lookback LP on which a simplex clean-up pivot followed the
         # interior point's crossover
-        (lambda: Solver(s := widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15)).lp(
+        lambda: Solver(s := widening_dates(float.fromhex("0x1.a96e83cf3778ap-4"), 15)).lp(
             MotProblem(s, lookback_call(float.fromhex("0x1.055dae3d19384p+0"), 3), "upper")),
-         ["highs-ds"], "simplex"),
     ], ids=["small", "smooth21-simplex", "smooth41-ipm", "unfinished-crossover", "crossover-cleanup"])
-    def test_bit_identical_to_linprog(self, monkeypatch, make, methods, cold):
-        force_cold(monkeypatch, cold)
+    def test_bit_identical_to_linprog(self, monkeypatch, make):
+        dual_simplex(monkeypatch)
+        force_cold(monkeypatch, "primal")
         lp = make()
-        primal, dual, iterations, used = linprog_answer(lp)
-        assert used == methods
+        primal, dual, iterations = linprog_answer(lp)
+        calls = spy_highs(monkeypatch)
         sol = solve(lp)
+        assert [run.simplex for run in calls] == ["dual"]
         assert sol.primal.tobytes() == primal.tobytes()
         assert sol.dual.tobytes() == dual.tobytes()
         assert sol.iterations == iterations
@@ -1009,7 +1008,8 @@ def run_python(code: str, *path: Path) -> subprocess.CompletedProcess:
 class TestBindingLoad:
     """``motbound.lp`` loads scipy's HiGHS binding from its extension file,
     so ``scipy.optimize`` and what it imports never load unless a caller
-    imports them, and every import of the binding yields one module."""
+    imports them, and every import of the binding yields one module.  Nor
+    does ``fractions``, which only the tests' exact oracle uses."""
 
     def test_import_loads_no_scipy_optimize(self):
         run = run_python(
@@ -1018,7 +1018,7 @@ class TestBindingLoad:
             "from motbound.fixtures import smooth_pair\n"
             "from motbound.payoff import forward_start_straddle\n"
             "result = motbound.bound(motbound.MotProblem(smooth_pair(15), forward_start_straddle(), 'lower'))\n"
-            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])\n"
+            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'fractions') if m in sys.modules])\n"
             "print(result.value.hex())\n")
         assert run.returncode == 0, run.stderr
         assert run.stdout.split("\n")[:2] == [

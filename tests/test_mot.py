@@ -19,7 +19,6 @@ from motbound.errors import (DegenerateDual, DimensionMismatch, Infeasible, LpEr
 from motbound.fixtures import (counterexample_value, instance_a_marginals,
                                instance_b_payoff, smooth_pair)
 from motbound.hedge import hedge_to_json, price as hedge_price, slackness
-from motbound.lp import solve_exact
 from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem,
                                counterexample_marginals, detect_barriers, discretize)
 from motbound.mot import (Coupling, MotProblem, Solver, bound, decompose_and_solve,
@@ -28,6 +27,8 @@ from motbound.mot import (Coupling, MotProblem, Solver, bound, decompose_and_sol
 from motbound.payoff import (asian_call, custom, forward_start_call,
                              forward_start_straddle, lookback_call, negated_straddle,
                              tabulated)
+
+from exact import solve_exact
 
 RESIDUAL_TOL = 1e-9
 GAP_TOL = 1e-7
@@ -216,7 +217,7 @@ class TestReferenceInstances:
         for sense in ("lower", "upper"):
             system = instance_a_marginals()
             lp = Solver(system).lp(MotProblem(system, forward_start_straddle(), sense))
-            assert solve_exact(lp).objective_exact == Fraction(7, 6)
+            assert solve_exact(lp).objective == Fraction(7, 6)
 
     def test_instance_b(self):
         system = instance_a_marginals()
@@ -225,10 +226,8 @@ class TestReferenceInstances:
         hi = bound(MotProblem(system, payoff, "upper"))
         assert lo.value == pytest.approx(0.25, abs=1e-9)
         assert hi.value == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert solve_exact(Solver(system).lp(MotProblem(system, payoff, "lower"))).objective_exact \
-            == Fraction(1, 4)
-        assert solve_exact(Solver(system).lp(MotProblem(system, payoff, "upper"))).objective_exact \
-            == Fraction(1, 3)
+        assert solve_exact(Solver(system).lp(MotProblem(system, payoff, "lower"))).objective == Fraction(1, 4)
+        assert solve_exact(Solver(system).lp(MotProblem(system, payoff, "upper"))).objective == Fraction(1, 3)
         # subhedge price equals the bound; equality on the optimal support
         assert hedge_price(lo.hedge, system) == pytest.approx(0.25, abs=1e-9)
         assert slackness(lo.hedge, lo.coupling, payoff) <= 1e-9
@@ -410,23 +409,19 @@ class TestWarmSolves:
 
     @pytest.mark.parametrize("m, cold_method", [(21, "primal"), (41, "primal"),
                                                 (pytest.param(51, "master", id="51-ipm"))])
-    def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, m, cold_method):
+    def test_change_of_sense_starts_cold_at_interior_point_size(self, monkeypatch, passed_models, m,
+                                                                cold_method):
         # 441 and 1,681 cells (primal simplex cold) restart the upper bound
-        # from the lower optimum on the same model; 2,601 cells over 152
-        # rows, above the primal band, solve it on a new master, as a
-        # one-shot bound does
+        # from the lower optimum on the same model, so build none; 2,601
+        # cells over 152 rows, above the primal band, solve it on a new
+        # master, as a one-shot bound does
         solver = mot.Solver(smooth_pair(m))
         problem = {sense: MotProblem(solver.system, forward_start_straddle(), sense)
                    for sense in ("lower", "upper")}
-        models = []
-        run_highs = lp_mod._run_highs
-        monkeypatch.setattr(lp_mod, "_run_highs",
-                            lambda model, name: models.append(model) or run_highs(model, name))
         bound(problem["lower"], solver=solver)
-        lower_model = models[-1]
-        del models[:]
+        del passed_models[:]
         upper = bound(problem["upper"], solver=solver)
-        assert (models[-1] is lower_model) == (cold_method == "primal")
+        assert (passed_models == []) == (cold_method == "primal")
         monkeypatch.undo()
         cold = bound(problem["upper"])
         assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
@@ -587,7 +582,9 @@ class TestColumnGeneration:
         solver = Solver(MarginalSystem([mu2, mu1]))
         lp = lp_mod.LinearProgram("min", np.zeros(solver.constraints.n_cols), solver.constraints)
         assert lp_mod._cold_method(lp.n_cols, lp.n_rows) == "master"
-        with pytest.raises(Infeasible, match="admit no martingale coupling; re-discretize"):
+        # MotProblem refuses these marginals, so the LP reaches _solve directly
+        with pytest.raises(Infeasible, match="the transport LP is infeasible at FEAS_TOL = 1e-09: "
+                                             "optimum violates constraints by "):
             mot._solve(lp, solver.session)
         assert not solver.session.warm
 
@@ -775,7 +772,9 @@ class TestInfeasibleDiscretization:
         problem = MotProblem(system, forward_start_straddle(), "lower")
         bound(problem)  # the residual passes the default feasibility check
         monkeypatch.setattr(lp_mod, "FEAS_TOL", 1e-13)
-        with pytest.raises(Infeasible, match="re-discretize"):
+        with pytest.raises(Infeasible, match=r"^the marginals pass the convex-order check \(to ORDER_TOL = 1e-10\), "
+                                             r"but the transport LP is infeasible at FEAS_TOL = 1e-13: "
+                                             r"optimum violates constraints by 1\.000e-10$"):
             bound(problem)
 
 
@@ -971,8 +970,8 @@ class TestDualChecks:
         models = []
         run_highs = lp_mod._run_highs
 
-        def fake(model, solver):
-            status, count, primal, dual = run_highs(model, solver)
+        def fake(model):
+            status, count, primal, dual = run_highs(model)
             if dual is not None and dual.size == rows:
                 if len(models) < runs:
                     dual = dual.copy()

@@ -180,10 +180,13 @@ class TestJson:
         with pytest.raises(ValueError, match="forward_start_call.*no parameter 'strike'"):
             Payoff.from_json({"kind": "forward_start_call", "params": {"strike": 1.3}})
 
-    @pytest.mark.parametrize("kind", ["asian_call", "lookback_call"])
-    def test_required_parameter_is_named(self, kind):
-        with pytest.raises(ValueError, match=f"{kind}.*needs parameter 'strike'"):
-            Payoff.from_json({"kind": kind, "n": 3, "params": {}})
+    @pytest.mark.parametrize("kind, params, name", [
+        ("asian_call", {}, "strike"), ("lookback_call", {}, "strike"),
+        ("tabulated", {}, "grids"), ("tabulated", {"grids": [[0, 1], [0, 1], [0, 1]]}, "values"),
+    ], ids=["asian_call", "lookback_call", "tabulated-grids", "tabulated-values"])
+    def test_required_parameter_is_named(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"{kind}.*needs parameter '{name}'"):
+            Payoff.from_json({"kind": kind, "n": 3, "params": params})
 
     def test_default_parameter_fills_in(self):
         pay = Payoff.from_json({"kind": "forward_start_call"})
