@@ -6,7 +6,17 @@ a ``Constraints``, which checks them once, so LPs that differ only in cost
 share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
-without presolve, and returns primal and dual optima.  Every model runs
+without presolve, and returns primal and dual optima.  HiGHS sees the LP
+free of its units: each row divided by R_i, the smallest power of two at
+or above its largest |coefficient| (``Constraints.row_scale`` holds 1/R_i),
+and the costs by C, the smallest power of two at or above the largest
+|cost| of that LP (Tomlin 1975: power-of-two equilibration, exact in
+floating point).  The primal is the LP's own; the row duals map back once,
+exactly, as ``y = C y_s / R``, so the solution and everything above this
+module are in the LP's units, while the tolerances here (``FEAS_TOL``,
+``HIGHS_TOL``, ``ARTIFICIAL_COST``, ``HIGHS_SMALL_MATRIX_VALUE``) act on
+numbers of order one: the same LP in cents or in index points is the same
+model, and takes the same pivots.  Every model runs
 the primal simplex, set with its other options once, when it is built.
 A cold solve takes the path that ``_cold_method`` picks from the LP's
 shape: one run on every column below ``COLD_MASTER_COLS`` variables in the
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -86,10 +97,12 @@ highs = _load_highs()
 FEAS_TOL = 1e-9
 HIGHS_TOL = 1e-10  # the smallest feasibility tolerance HiGHS accepts
 # HiGHS drops every constraint coefficient at or below its small_matrix_value
-# (default 1e-9) without a word; this is the smallest value it accepts.  At
-# the default, smooth_pair(15)'s straddle bounds with atoms scaled by 1e-9
-# read 0.277 and 0.951 times the scale, not 0.351 and 0.697; at this floor
-# they hold to 5e-15 relative down to a scale of 1e-10.
+# (default 1e-9) without a word; this is the smallest value it accepts.  A
+# scaled row's largest |coefficient| lies in (1/2, 1], so what is dropped is
+# a coefficient 1e-12 below its row's largest, in any price unit.  Before
+# the rows were scaled, smooth_pair(15)'s straddle bounds with atoms scaled
+# by 1e-9 read 0.277 and 0.951 times the scale at the default, not 0.351 and
+# 0.697, and at this floor they went wrong again from a scale of 1e-11 down.
 HIGHS_SMALL_MATRIX_VALUE = 1e-12
 MAX_ITER = 10 ** 6
 # The primal band: fewer than PRIMAL_MAX_COLS variables and fewer than
@@ -144,9 +157,11 @@ PRIMAL_MAX_COLS = 5000
 # (46-51 ms against 38-40): a tie, and the ratio cuts just below it, m=45.
 PRIMAL_MAX_COLS_PER_ROW = 15
 # From COLD_MASTER_COLS variables on a cold solve runs column generation
-# (see Session).  Each artificial column costs ARTIFICIAL_COST * (1 + max|c|);
-# every master run here ended with no artificial mass, after which the
-# artificials cost nothing (see _Master.generate).
+# (see Session).  Each artificial column has coefficient +-1 in its scaled
+# row and costs ARTIFICIAL_COST * (1 + max|c| / C) against the scaled costs,
+# whose largest magnitude lies in (1/2, 1]; every master run here ended with
+# no artificial mass, after which the artificials cost nothing (see
+# _Master.generate).
 ARTIFICIAL_COST = 1e3
 # A round adds each group's most negative column (one per history, see
 # mot.Solver), at most ROUND_ROWS per row.  Single runs, one BLAS thread, s:
@@ -187,6 +202,12 @@ MASTER_PRICE_STRATEGY = 1
 COLD_MASTER_COLS = 2500
 
 
+def _power_of_two(top: float) -> float:
+    """The smallest power of two at or above ``top`` >= 0, and 1 at 0."""
+    fraction, exponent = math.frexp(top)
+    return math.ldexp(1.0, exponent - (fraction == 0.5))
+
+
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class Constraints:
     """``A x = rhs`` over ``n_cols`` variables, with A held once as sparse
@@ -194,8 +215,12 @@ class Constraints:
     each column's triples start (one per column and the end).  Checked once,
     when built: equal triple lengths, finite coefficients and rhs, indices in
     range and no duplicate (row, col) pair, which the stable sort into
-    column-major order leaves as equal neighbours.  The arrays are
-    read-only, so every LP built on one object shares the check."""
+    column-major order leaves as equal neighbours.  Next to the sort, each
+    row gets its scale, ``row_scale``: 1/R_i, where R_i is the smallest
+    power of two at or above row i's largest |coefficient| (1 for a row
+    with none), and ``scaled_rhs``, the rhs times it, the rows HiGHS sees.
+    The arrays are read-only, so every LP built on one object shares the
+    check and the scales."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -203,6 +228,8 @@ class Constraints:
     rhs: np.ndarray
     n_cols: int
     start: np.ndarray = field(init=False)
+    row_scale: np.ndarray = field(init=False)
+    scaled_rhs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64).ravel()
@@ -226,7 +253,12 @@ class Constraints:
         if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise ValueError("duplicate (row, col) triples")
         start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
-        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs), ("start", start)):
+        top = np.zeros(rhs.size)
+        np.maximum.at(top, rows, np.abs(vals))
+        fraction, exponent = np.frexp(top)
+        row_scale = np.ldexp(1.0, (fraction == 0.5) - exponent)
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs), ("start", start),
+                          ("row_scale", row_scale), ("scaled_rhs", rhs * row_scale)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_cols", n_cols)
@@ -398,7 +430,7 @@ class Session:
                 raise Infeasible(f"HiGHS model status {status.name}")
             if status == highs.HighsModelStatus.kUnbounded:
                 raise Unbounded(f"HiGHS model status {status.name}")
-            primal, dual = _check_run(lp, cost, status, primal, dual)
+            primal, dual = _check_run(lp, cost, self._master, status, primal, dual)
             return LpSolution(primal, dual, float(lp.cost @ primal), iterations, warm)
         except BaseException:
             self._master = None  # the next solve starts cold
@@ -426,14 +458,17 @@ class _Master:
     """A HiGHS model of an LP on some of its columns, ``cols`` in model
     order, after ``n_art`` artificial columns (none, or one per row with
     coefficient +1, or -1 where the rhs is negative, at cost
-    ``ARTIFICIAL_COST * (1 + max|c|)``).  ``member`` marks the LP's
-    columns in the model; a round adds at most one column per ``group``
-    consecutive columns.  Its first run starts from ``basis`` when given
-    (see :meth:`basis`), else, with artificial columns, from every
-    artificial basic, a primal feasible start; a model without them and no
-    ``basis`` (a cold solve's model of every column) starts from HiGHS's
-    own basis.  HiGHS gets the rows by ``passModel`` and every column,
-    artificials first, by one ``addCols``, as rounds add theirs."""
+    ``ARTIFICIAL_COST * (1 + max|c| / C)``).  The model holds the scaled
+    LP (see the module docstring): the rows times ``row_scale``, and the
+    costs divided by ``scale``, C, which :meth:`change_cost` sets again.
+    ``member`` marks the LP's columns in the model; a round adds at most
+    one column per ``group`` consecutive columns.  Its first run starts
+    from ``basis`` when given (see :meth:`basis`), else, with artificial
+    columns, from every artificial basic, a primal feasible start; a model
+    without them and no ``basis`` (a cold solve's model of every column)
+    starts from HiGHS's own basis.  HiGHS gets the rows by ``passModel``
+    and every column, artificials first, by one ``addCols``, as rounds add
+    theirs."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
                  group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
@@ -442,8 +477,9 @@ class _Master:
         start, index, value = lp.constraints.columns(cols)
         model = highs.HighsLp()  # the rows alone: the columns join by one addCols
         model.num_row_ = lp.n_rows
-        model.row_lower_ = model.row_upper_ = lp.rhs
-        big = ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
+        model.row_lower_ = model.row_upper_ = lp.constraints.scaled_rhs
+        top = self._scale_cost(cost)
+        big = ARTIFICIAL_COST * (1.0 + top / self.scale)
         options = highs.HighsOptions()
         options.presolve = "off"
         options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
@@ -458,11 +494,12 @@ class _Master:
             raise LpError("HiGHS rejected the solver options")
         if run.passModel(model) == highs.HighsStatus.kError:
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
-        if run.addCols(n, np.concatenate((np.full(n_art, big), cost[cols])), np.zeros(n),
+        if run.addCols(n, np.concatenate((np.full(n_art, big), cost[cols] / self.scale)), np.zeros(n),
                        np.full(n, highs.kHighsInf), n_art + index.size,
                        np.concatenate((np.arange(n_art), n_art + start[:-1])).astype(np.int32),
                        np.concatenate((np.arange(n_art), index)).astype(np.int32),
-                       np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value))
+                       np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0),
+                                       value * lp.constraints.row_scale[index]))
                        ) == highs.HighsStatus.kError:
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
         self.model = run
@@ -483,9 +520,19 @@ class _Master:
         artificial column, as warm solves in the primal band run on."""
         return self.n_art == 0
 
+    def _scale_cost(self, cost: np.ndarray) -> float:
+        """Set ``scale``, C, from ``cost``, and ``tol``, the reduced-cost
+        gate ``FEAS_TOL * (1 + max|c| / C)`` of the scaled model times C,
+        which puts it in the LP's units exactly; returns max|c|."""
+        top = float(np.abs(cost).max())
+        self.scale = _power_of_two(top)
+        self.tol = FEAS_TOL * (1.0 + top / self.scale) * self.scale
+        return top
+
     def change_cost(self, cost: np.ndarray) -> None:
+        self._scale_cost(cost)
         self.model.changeColsCost(self.cols.size, np.arange(self.n_art, self.n_art + self.cols.size,
-                                                            dtype=np.int32), cost[self.cols])
+                                                            dtype=np.int32), cost[self.cols] / self.scale)
 
     def fix_artificials(self) -> None:
         """Fix the artificial columns at zero, at zero cost, for good."""
@@ -499,8 +546,8 @@ class _Master:
     def generate(self, lp: LinearProgram, cost: np.ndarray, fix: bool = True):
         """Runs of the model, each from the last basis, with a round of
         pricing after each, until no column of ``lp`` outside the model has
-        a reduced cost ``cost - A^T y`` below
-        ``-FEAS_TOL * (1 + max|c|)``, the reduced-cost check of
+        a scaled reduced cost ``(cost - A^T y) / C`` below
+        ``-FEAS_TOL * (1 + max|c| / C)``, the reduced-cost check of
         :func:`_check_run`.  A round adds each group's most negative such
         column, at most ``ROUND_ROWS`` times the row count of them, most
         negative first.  When ``fix`` is set, the first optimum whose
@@ -510,11 +557,10 @@ class _Master:
         the optimal face, where the hedge it gives carries static payouts
         of that size that cancel in the payout.  ``MAX_ITER`` bounds the
         iterations of all runs together.  Returns what :func:`_run_highs`
-        does, with the iterations summed and the primal over every column
-        of ``lp`` (an artificial's mass is left out, so the residual check
-        sees it)."""
-        tol = FEAS_TOL * (1.0 + float(np.abs(lp.cost).max()))
-        mass_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.rhs).max()))
+        does, with the iterations summed, the primal over every column of
+        ``lp`` (an artificial's mass is left out, so the residual check sees
+        it) and the row duals mapped back to the LP's units, ``C y_s / R``."""
+        mass_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
         iterations = 0
         while True:
             # HiGHS stops once its count reaches the limit, before it prices
@@ -527,7 +573,8 @@ class _Master:
             iterations += count
             if status != highs.HighsModelStatus.kOptimal:
                 return status, iterations, None, None
-            entering = self._entering(lp, cost, y, tol)
+            y = y * (self.scale * lp.constraints.row_scale)  # exact: powers of two
+            entering = self._entering(lp, cost, y, self.tol)
             if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= mass_tol:
                 self.fix_artificials()
                 continue
@@ -536,10 +583,10 @@ class _Master:
                 primal[self.cols] = x[self.n_art:]
                 return status, iterations, primal, y
             start, index, value = lp.constraints.columns(entering)
-            if self.model.addCols(entering.size, cost[entering], np.zeros(entering.size),
+            if self.model.addCols(entering.size, cost[entering] / self.scale, np.zeros(entering.size),
                                   np.full(entering.size, highs.kHighsInf), index.size,
                                   start[:-1].astype(np.int32), index.astype(np.int32),
-                                  value) == highs.HighsStatus.kError:
+                                  value * lp.constraints.row_scale[index]) == highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the added columns")
             self.cols = np.concatenate((self.cols, entering))
             self.member[entering] = True
@@ -644,24 +691,27 @@ def _run_highs(model):
     return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _check_run(lp: LinearProgram, cost: np.ndarray, status, primal, dual) -> tuple[np.ndarray, np.ndarray]:
+def _check_run(lp: LinearProgram, cost: np.ndarray, master: _Master, status, primal,
+               dual) -> tuple[np.ndarray, np.ndarray]:
     """A run's primal, clipped at zero, and dual, in the LP's own sense, once
-    it passes every check; ``cost`` and ``dual`` are in minimization form.
+    it passes every check, each read on the scaled model of ``master``;
+    ``cost`` and ``dual`` are in minimization form, in the LP's units.
     Raises ``LpError`` when the status is not optimal or the dual fails to
-    price a column out to ``FEAS_TOL`` (relative to the largest cost),
-    ``Infeasible`` when the primal misses ``A x = rhs`` by more than ten
-    times ``FEAS_TOL`` (relative to the largest rhs)."""
+    price a column out, ``(c - A^T y) / C`` below ``-FEAS_TOL * (1 +
+    max|c| / C)``, ``Infeasible`` when the primal misses the scaled rows,
+    ``|R (A x - rhs)|``, by more than ``10 * FEAS_TOL * (1 + max|R rhs|)``.
+    Each message gives the scaled number."""
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
     primal = np.clip(primal, 0.0, None)
     ax = np.bincount(lp.rows, lp.vals * primal[lp.cols], minlength=lp.n_rows)
-    residual = float(np.abs(ax - lp.rhs).max())
-    if residual > 10 * FEAS_TOL * (1.0 + float(np.abs(lp.rhs).max())):
+    residual = float(np.abs((ax - lp.rhs) * lp.constraints.row_scale).max())
+    if residual > 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max())):
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
     reduced = lp.constraints.reduced(cost, dual)
     worst = int(np.argmin(reduced))
-    if reduced[worst] < -FEAS_TOL * (1.0 + float(np.abs(lp.cost).max())):
-        raise LpError(f"dual infeasible: reduced cost {reduced[worst]:.3e} at column {worst}")
+    if reduced[worst] < -master.tol:
+        raise LpError(f"dual infeasible: reduced cost {reduced[worst] / master.scale:.3e} at column {worst}")
     return primal, -dual if lp.sense == "max" else dual
 
 

@@ -523,8 +523,9 @@ def counterexample_marginals(n_blocks: int, m2_per_block: int) -> MarginalSystem
 
 def load_call_curves(path: str | Path) -> list[CallCurve]:
     """Read call quotes from CSV (maturity_index, strike, price) or JSON
-    ([{"i": ..., "K": ..., "C": ...}, ...]); one curve per maturity index,
-    in index order, which is the date order (the index is not kept)."""
+    ([{"i": ..., "K": ..., "C": ...}, ...], each field a JSON number; CSV
+    fields are text, parsed as numbers); one curve per maturity index, in
+    index order, which is the date order (the index is not kept)."""
     path = Path(path)
     text = path.read_text()
     if path.suffix.lower() == ".json" or text.lstrip().startswith(("[", "{")):
@@ -533,6 +534,10 @@ def load_call_curves(path: str | Path) -> list[CallCurve]:
             raise ValueError(f'quotes JSON must be a list of {{"i", "K", "C"}} records: {path}')
         if missing := next((name for rec in data for name in ("i", "K", "C") if name not in rec), None):
             raise ValueError(f"a quote in {path} lacks field {missing!r}")
+        # a boolean or a string is no number (null is a missing one, below)
+        if bad := next(((name, rec[name]) for rec in data for name in ("i", "K", "C")
+                        if rec[name] is not None and type(rec[name]) not in (int, float)), None):
+            raise ValueError(f"field {bad[0]!r} of a quote in {path} is not a number: {bad[1]!r}")
         fields = [(rec["i"], rec["K"], rec["C"]) for rec in data]
     else:
         reader = csv.DictReader(text.splitlines())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,19 @@ def transportation(supplies, demands, costs, sense="min") -> LinearProgram:
 
 def csr(lp: LinearProgram) -> sp.csr_matrix:
     return sp.csr_matrix((lp.vals, (lp.rows, lp.cols)), shape=(lp.n_rows, lp.n_cols))
+
+
+def power_of_two(top: np.ndarray) -> np.ndarray:
+    """The smallest power of two at or above each of ``top`` > 0."""
+    fraction, exponent = np.frexp(top)
+    return np.ldexp(1.0, np.where(fraction == 0.5, exponent - 1, exponent))
+
+
+def scales(lp: LinearProgram, cost: np.ndarray) -> tuple[np.ndarray, float]:
+    """What HiGHS's model of ``lp`` with ``cost`` multiplies its rows by, and
+    divides its costs by: the inverse of the power of two at or above each
+    row's largest |coefficient|, and the one at or above the largest |cost|."""
+    return 1.0 / power_of_two(abs(csr(lp)).max(axis=1).toarray().ravel()), float(power_of_two(np.abs(cost).max()))
 
 
 def check_solution_invariants(lp: LinearProgram, sol) -> None:
@@ -830,23 +844,26 @@ def status_basis(master) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_model(lp: LinearProgram, cols: np.ndarray, artificial: bool):
     """The model of ``_Master(lp, lp.cost, cols, artificial, 1)`` built as
-    one ``HighsLp``, field by field, and passed whole."""
+    one ``HighsLp``, field by field, and passed whole: the scaled LP, each
+    row divided by the power of two at or above its largest |coefficient|
+    and the costs by the one at or above the largest |cost|."""
     n_art = lp.n_rows if artificial else 0
     n = n_art + cols.size
     start, index, value = lp.constraints.columns(cols)
+    row_scale, scale = scales(lp, lp.cost)
     model = highs.HighsLp()
     model.num_col_, model.num_row_ = n, lp.n_rows
-    big = lp_mod.ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()))
-    model.col_cost_ = np.concatenate((np.full(n_art, big), lp.cost[cols]))
+    big = lp_mod.ARTIFICIAL_COST * (1.0 + float(np.abs(lp.cost).max()) / scale)
+    model.col_cost_ = np.concatenate((np.full(n_art, big), lp.cost[cols] / scale))
     model.col_lower_ = np.zeros(n)
     model.col_upper_ = np.full(n, highs.kHighsInf)
-    model.row_lower_ = model.row_upper_ = lp.rhs
+    model.row_lower_ = model.row_upper_ = lp.rhs * row_scale
     a = model.a_matrix_
     a.format_ = highs.MatrixFormat.kColwise
     a.num_col_, a.num_row_ = n, lp.n_rows
     a.start_ = np.concatenate((np.arange(n_art), n_art + start)).tolist()
     a.index_ = np.concatenate((np.arange(n_art), index)).tolist()
-    a.value_ = np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value))
+    a.value_ = np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0), value * row_scale[index]))
     run = highs._Highs()
     run.setOptionValue("output_flag", False)
     assert run.passModel(model) == highs.HighsStatus.kOk
@@ -937,38 +954,85 @@ class TestModelIO:
 
 
 class TestSmallCoefficients:
-    """HiGHS keeps constraint coefficients down to its floor of 1e-12, so
-    a system priced in small units gives the same bounds in those units."""
+    """HiGHS sees each row scaled to a largest |coefficient| in (1/2, 1], so
+    no coefficient of a system priced in small units falls under its floor
+    of 1e-12, and the bounds are the same in any unit.  Before the rows were
+    scaled, the lower bound at 1e-11 read 0.340252, not 0.350531, and both
+    read 0.766 at 1e-13, each with a hedge that verified."""
 
     @pytest.mark.parametrize("sense", ["lower", "upper"])
     def test_bounds_scale_with_the_atoms(self, sense):
         base = smooth_pair(15)
         values = {}
-        for scale in (1.0, 1e-8, 1e-9):
+        for scale in (1.0, 1e-13, 1e-11, 1e-9, 1e-8, 1e-6, 1e-3, 1e3, 1e4):
             system = MarginalSystem([DiscreteMeasure(mu.points * scale, mu.weights) for mu in base.marginals])
-            values[scale] = bound(MotProblem(system, forward_start_straddle(), sense)).value / scale
-        for scale in (1e-8, 1e-9):
-            assert abs(values[scale] - values[1.0]) <= 1e-10 * abs(values[1.0]), scale
+            res = bound(MotProblem(system, forward_start_straddle(), sense))
+            assert res.report.valid, scale
+            values[scale] = res.value / scale
+        for scale, value in values.items():
+            assert abs(value - values[1.0]) <= 1e-10 * abs(values[1.0]), scale
+
+
+class TestUnitFree:
+    """HiGHS gets each LP's rows and costs divided by powers of two, so an LP
+    whose rows are multiplied by powers of two, and its costs by one, 2^j,
+    is the same model to HiGHS: the same primal bits and pivots, and each
+    row's dual scaled by exactly 2^(j - k) where the row was by 2^k, cold
+    and warm, on either path."""
+
+    @pytest.mark.parametrize("method", ["primal", "master"])
+    @pytest.mark.parametrize("make", [
+        lambda: Solver(s := smooth_pair(21)).lp(MotProblem(s, forward_start_straddle(), "lower")),
+        lambda: Solver(s := widening_dates(0.1, 7)).lp(MotProblem(s, lookback_call(1.0, 3), "upper")),
+        lambda: TestModelIO.LP,
+    ], ids=["smooth21", "3date-m7", "negative-rhs"])
+    def test_powers_of_two_map_exactly(self, monkeypatch, method, make):
+        force_cold(monkeypatch, method)
+        lp = make()
+        c = lp.constraints
+        k = np.random.default_rng(5).integers(-60, 61, size=lp.n_rows)
+        for j in (-30, 7):
+            scaled = Constraints(c.rows, c.cols, np.ldexp(c.vals, k[c.rows]), np.ldexp(c.rhs, k), c.n_cols)
+            sessions = Session(c), Session(scaled)
+            for sense in (lp.sense, "max" if lp.sense == "min" else "min"):
+                base = solve(LinearProgram(sense, lp.cost, c), session=sessions[0])
+                sol = solve(LinearProgram(sense, np.ldexp(lp.cost, j), scaled), session=sessions[1])
+                assert sol.warm == base.warm
+                assert sol.iterations == base.iterations
+                assert sol.primal.tobytes() == base.primal.tobytes()
+                assert sol.dual.tobytes() == np.ldexp(base.dual, j - k).tobytes()
+                assert sol.objective == math.ldexp(base.objective, j)
+
+    def test_constraints_hold_the_row_scales(self):
+        # a power of two scales to 1, an empty row keeps 1
+        c = Constraints(np.array([0, 0, 1, 2]), np.array([0, 1, 0, 1]), np.array([3.0, -0.25, 4.0, 1e-300]),
+                        np.array([6.0, -8.0, 1e-300, 5.0]), 2)
+        assert c.row_scale.tolist() == [0.25, 0.25, 2.0 ** 996, 1.0]
+        assert c.scaled_rhs.tolist() == [1.5, -2.0, 2.0 ** 996 * 1e-300, 5.0]
+        assert not c.row_scale.flags.writeable and not c.scaled_rhs.flags.writeable
 
 
 def linprog_answer(lp: LinearProgram):
     """``solve``'s primal, dual and iterations on an LP that one cold HiGHS
     run by the dual simplex solves, computed through
-    ``scipy.optimize.linprog``'s ``highs-ds`` with the same options."""
+    ``scipy.optimize.linprog``'s ``highs-ds`` with the same options on the
+    same scaled model, whose row duals map back by the two scales."""
     flip = lp.sense == "max"
-    res = optimize.linprog(-lp.cost if flip else lp.cost, A_eq=csr(lp), b_eq=lp.rhs,
+    cost = -lp.cost if flip else lp.cost
+    row_scale, scale = scales(lp, cost)
+    res = optimize.linprog(cost / scale, A_eq=sp.diags(row_scale) @ csr(lp), b_eq=lp.rhs * row_scale,
                            bounds=(0, None), method="highs-ds",
                            options={"presolve": False, "maxiter": lp_mod.MAX_ITER,
                                     "primal_feasibility_tolerance": lp_mod.HIGHS_TOL,
                                     "dual_feasibility_tolerance": lp_mod.HIGHS_TOL})
     assert res.status == 0, res.message
-    dual = -res.eqlin.marginals if flip else res.eqlin.marginals
-    return np.clip(res.x, 0.0, None), dual, res.nit + res.crossover_nit
+    dual = res.eqlin.marginals * (scale * row_scale)
+    return np.clip(res.x, 0.0, None), -dual if flip else dual, res.nit + res.crossover_nit
 
 
 class TestLinprogOracle:
     """``solve`` calls HiGHS as ``linprog`` does, so both give the same
-    answer to the last bit.  ``linprog`` has no primal simplex, so each LP
+    answer to the last bit once ``linprog`` gets the same scaled model.  ``linprog`` has no primal simplex, so each LP
     here is solved in one run on every column by the dual simplex (see
     :func:`dual_simplex`), on the model ``solve`` builds for the primal
     simplex, with only ``simplex_strategy`` changed."""

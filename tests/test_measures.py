@@ -425,11 +425,14 @@ def test_load_call_curves_takes_integral_float_indices(tmp_path):
     ("fraction.json", '[{"i": 1.7, "K": 0, "C": 1}]', "maturity index 1.7 "),
     ("fraction.csv", "maturity_index,strike,price\n1,0.0,1.0\n1.5,1.0,0.5\n", "maturity index 1.5 "),
     ("no-price.json", '[{"i": 1, "K": 0.5}]', "lacks field 'C'"),
+    ("bool.json", '[{"i": true, "K": 0, "C": 1}]', "field 'i' of a quote in .* is not a number: True"),
+    ("string.json", '[{"i": 1, "K": "0.5", "C": 1}]', "field 'K' of a quote in .* is not a number: '0.5'"),
 ], ids=["json-object", "json-lists", "json-null", "csv-short-row", "json-huge-index", "json-fractional-index",
-        "csv-fractional-index", "json-missing-field"])
+        "csv-fractional-index", "json-missing-field", "json-boolean", "json-string"])
 def test_load_call_curves_malformed_quotes_raise_value_error(tmp_path, name, text, message):
     # the first four used to escape as a TypeError, a fractional index was
-    # truncated into the date below it, and a missing field escaped as a KeyError
+    # truncated into the date below it, a missing field escaped as a
+    # KeyError, and a boolean or string field loaded as the number it spells
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(ValueError, match=message):

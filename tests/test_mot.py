@@ -28,6 +28,7 @@ from motbound.payoff import (asian_call, custom, forward_start_call,
                              forward_start_straddle, lookback_call, negated_straddle,
                              tabulated)
 
+import sweep
 from exact import solve_exact
 
 RESIDUAL_TOL = 1e-9
@@ -764,17 +765,18 @@ class TestDecompose:
 
 
 class TestInfeasibleDiscretization:
-    def test_remediation_hint(self, monkeypatch):
+    def test_remediation_hint(self):
+        # each martingale row's one coefficient is ±2e-10, which its scale
+        # makes ±0.86, so a half mass misses the row by 0.43, far above
+        # FEAS_TOL, and HiGHS finds the LP infeasible
         eps = 2e-10
         mu1 = DiscreteMeasure(np.array([-eps, eps]), np.array([0.5, 0.5]))
         system = MarginalSystem([mu1, dirac(0.0)])
         assert system.admissible  # violation hides below the order tolerance
         problem = MotProblem(system, forward_start_straddle(), "lower")
-        bound(problem)  # the residual passes the default feasibility check
-        monkeypatch.setattr(lp_mod, "FEAS_TOL", 1e-13)
         with pytest.raises(Infeasible, match=r"^the marginals pass the convex-order check \(to ORDER_TOL = 1e-10\), "
-                                             r"but the transport LP is infeasible at FEAS_TOL = 1e-13: "
-                                             r"optimum violates constraints by 1\.000e-10$"):
+                                             r"but the transport LP is infeasible at FEAS_TOL = 1e-09: "
+                                             r"HiGHS model status kInfeasible$"):
             bound(problem)
 
 
@@ -1062,3 +1064,48 @@ class TestThreeDateBarriers:
             check_result_invariants(problem, results[sense])
         # one first-date atom per block and mu3 = mu2 leave a single coupling
         assert results["lower"].value == pytest.approx(results["upper"].value, abs=1e-9)
+
+
+class TestPriceUnit:
+    """The transport LP reaches HiGHS free of the price unit (see
+    ``motbound.lp``), so a system in any unit gives the same bounds in that
+    unit, with about the same pivots."""
+
+    def test_three_date_bounds_scale_with_the_atoms(self):
+        # before the LP was scaled, the lookback upper bound took 32,303
+        # pivots at 1e4 against 3,342 at 1
+        base = widening_dates(0.1, 21)
+        results = {}
+        for unit in (1.0, 1e-6, 1e-3, 1e3, 1e4):
+            system = MarginalSystem([DiscreteMeasure(mu.points * unit, mu.weights) for mu in base.marginals])
+            outcomes = Solver(system).bounds([asian_call(unit, 3), lookback_call(unit, 3)])
+            results[unit] = [(res.value / unit, res.diagnostics.extras["lp_iterations"], res.report.valid)
+                             for outcome in outcomes for res in outcome.values()]
+        assert all(len(found) == 4 for found in results.values())
+        for unit, found in results.items():
+            for (value, pivots, valid), (want, want_pivots, _) in zip(found, results[1.0]):
+                assert valid, unit
+                assert abs(value - want) <= 1e-10 * abs(want), unit
+                assert want_pivots / 2 <= pivots <= 2 * want_pivots, unit
+
+
+class TestSeededSweep:
+    def test_every_bound_verifies_or_is_refused(self):
+        # about 40 systems of 2-3 dates (tests/sweep.py) at F = 1e-6..1e4.
+        # NotAdmissible is the absolute MEAN_TOL on the means, which can
+        # refuse a system from F = 1e4 on; no other outcome is allowed.
+        # Where the coupling is unique, the two senses' values differ by
+        # rounding, so lower may exceed upper by what GAP_TOL allows
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            draw = sweep.draw(rng, (-6, 4))
+            for outcome in Solver(draw.system).bounds(draw.payoffs):
+                for sense, res in outcome.items():
+                    if isinstance(res, NotAdmissible):
+                        continue
+                    assert isinstance(res, mot.MotResult), (draw.unit, sense, res)
+                    assert res.report.valid
+                    assert res.diagnostics.duality_gap <= GAP_TOL * (1.0 + abs(res.value))
+                if len(outcome) == 2:
+                    lower, upper = outcome["lower"].value, outcome["upper"].value
+                    assert lower <= upper + GAP_TOL * (1.0 + abs(upper)), (draw.unit, lower, upper)
