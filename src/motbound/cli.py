@@ -14,6 +14,7 @@ changes them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -30,7 +31,7 @@ from .measures import (MarginalSystem, check_convex_order, counterexample_margin
                        from_call_curve, load_call_curves)
 from .mot import (MotProblem, Solver, bound, decompose_and_solve, fmt12,
                   random_feasible_coupling, strike_sweep, surface_csv)
-from .payoff import BUILTINS, Payoff
+from .payoff import BUILTINS, Payoff, negated_straddle
 
 # MotboundError subclasses that signal a misconfigured run rather than a
 # genuine domain obstruction; they map to exit 2 like I/O failures.
@@ -83,7 +84,7 @@ def _spot_from(args, curves) -> float:
         return float(args.s0)
     # For a nonnegative underlying a strike-0 call costs the forward itself.
     ks, cs = curves[0].strikes, curves[0].prices
-    at_zero = np.nonzero(np.abs(ks) <= 1e-12)[0]
+    at_zero = np.flatnonzero(ks == 0.0)
     if at_zero.size:
         return float(cs[at_zero[0]])
     raise ValueError("pass --s0, or quote strike 0 so the forward can be read off")
@@ -253,16 +254,13 @@ def cmd_arb(args) -> int:
     verdict = check_arbitrage(args.quoted, lower, upper)
     print(verdict.describe())
     if args.out:
-        payload = {"action": verdict.action, "quoted": verdict.quoted,
-                   "lower": verdict.lower, "upper": verdict.upper,
-                   "tol": verdict.tol, "strategy": verdict.strategy}
-        Path(args.out).write_text(_dump_json(payload))
+        Path(args.out).write_text(_dump_json(dataclasses.asdict(verdict)))
     return 0
 
 
 def cmd_counterexample(args) -> int:
     system = counterexample_marginals(args.blocks, args.grid)
-    payoff = fixtures.counterexample_payoff()
+    payoff = negated_straddle()
     res = decompose_and_solve(MotProblem(system, payoff, "lower"))
     closed = fixtures.counterexample_value(args.blocks)
     edges = fixtures.counterexample_edges(args.blocks)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .hedge import DeltaTable, PiecewiseLinear, SemiStaticHedge
 from .measures import DensitySpec, DiscreteMeasure, MarginalSystem, counterexample_edges, discretize
-from .payoff import Payoff, negated_straddle, tabulated
+from .payoff import Payoff, tabulated
 
 
 def instance_a_marginals() -> MarginalSystem:
@@ -80,10 +80,6 @@ def smooth_hedge(s1_grid, s2_grid) -> SemiStaticHedge:
     right = 3.0 - 4.0 * knots2[-1] / 3.0
     u2 = PiecewiseLinear(knots2, smooth_u2(knots2), float(left), float(right))
     return SemiStaticHedge(0.0, (u1, u2), (DeltaTable((s1_grid,), smooth_delta(s1_grid)),), "sub")
-
-
-def counterexample_payoff() -> Payoff:
-    return negated_straddle()
 
 
 def counterexample_value(n_blocks: int) -> float:

@@ -64,10 +64,6 @@ class PiecewiseLinear:
             left = right = 0.0
         return cls(xs, ys, float(left), float(right))
 
-    @classmethod
-    def zero(cls) -> "PiecewiseLinear":
-        return cls(np.array([0.0]), np.array([0.0]), 0.0, 0.0)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         y = np.interp(x, self.knots, self.values)

@@ -328,14 +328,12 @@ class LpSolution:
     ``iterations`` sums HiGHS's simplex iteration counts over the solve's
     runs, a master's rounds (the runs that find a master's seed and start
     basis are not counted).  A warm solve counts only its own pivots from
-    its start.
-    ``warm`` tells whether the solve restarted from a session's basis."""
+    its start."""
 
     primal: np.ndarray
     dual: np.ndarray
     objective: float
     iterations: int
-    warm: bool = False
 
 
 class Session:
@@ -431,7 +429,7 @@ class Session:
             if status == highs.HighsModelStatus.kUnbounded:
                 raise Unbounded(f"HiGHS model status {status.name}")
             primal, dual = _check_run(lp, cost, self._master, status, primal, dual)
-            return LpSolution(primal, dual, float(lp.cost @ primal), iterations, warm)
+            return LpSolution(primal, dual, float(lp.cost @ primal), iterations)
         except BaseException:
             self._master = None  # the next solve starts cold
             raise
@@ -461,7 +459,9 @@ class _Master:
     ``ARTIFICIAL_COST * (1 + max|c| / C)``).  The model holds the scaled
     LP (see the module docstring): the rows times ``row_scale``, and the
     costs divided by ``scale``, C, which :meth:`change_cost` sets again.
-    ``member`` marks the LP's columns in the model; a round adds at most
+    ``residual_tol``, ``10 * FEAS_TOL * (1 + max|R rhs|)``, bounds the
+    scaled residual that :func:`_check_run` accepts and the mass that
+    :meth:`generate` leaves on artificials it fixes.  A round adds at most
     one column per ``group`` consecutive columns.  Its first run starts
     from ``basis`` when given (see :meth:`basis`), else, with artificial
     columns, from every artificial basic, a primal feasible start; a model
@@ -504,10 +504,9 @@ class _Master:
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
         self.model = run
         self.n_art = n_art
+        self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
         self.group = group
         self.cols = cols
-        self.member = np.zeros(lp.n_cols, dtype=bool)
-        self.member[cols] = True
         self.fixed = not artificial
         if basis is None and artificial:
             basis = (cols[:0], np.arange(lp.n_rows))
@@ -559,9 +558,10 @@ class _Master:
         iterations of all runs together.  Returns what :func:`_run_highs`
         does, with the iterations summed, the primal over every column of
         ``lp`` (an artificial's mass is left out, so the residual check sees
-        it) and the row duals mapped back to the LP's units, ``C y_s / R``."""
-        mass_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
-        iterations = 0
+        it) and the row duals mapped back to the LP's units, ``C y_s / R``.
+        A run that returns ``kError`` raises ``LpError`` naming it: the
+        solve's first run, or the run after pricing round k."""
+        iterations = rounds = 0
         while True:
             # HiGHS stops once its count reaches the limit, before it prices
             # the basis that iteration left, so a run that needs every
@@ -569,13 +569,18 @@ class _Master:
             if self.model.setOptionValue("simplex_iteration_limit",
                                          MAX_ITER - iterations + 1) == highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the solver options")
-            status, count, x, y = _run_highs(self.model)
+            try:
+                status, count, x, y = _run_highs(self.model)
+            except LpError as exc:
+                raise LpError(f"{exc}, in " + (f"the run after pricing round {rounds}" if rounds
+                                               else "the solve's first run")) from exc
             iterations += count
+            rounds += 1
             if status != highs.HighsModelStatus.kOptimal:
                 return status, iterations, None, None
             y = y * (self.scale * lp.constraints.row_scale)  # exact: powers of two
             entering = self._entering(lp, cost, y, self.tol)
-            if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= mass_tol:
+            if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= self.residual_tol:
                 self.fix_artificials()
                 continue
             if not entering.size:
@@ -589,7 +594,6 @@ class _Master:
                                   value * lp.constraints.row_scale[index]) == highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the added columns")
             self.cols = np.concatenate((self.cols, entering))
-            self.member[entering] = True
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The last run's basis: the LP's basic columns, and the rows whose
@@ -635,7 +639,7 @@ class _Master:
         if self.cols.size == lp.n_cols:
             return self.cols[:0]
         reduced = lp.constraints.reduced(cost, y)
-        reduced[self.member] = 0.0
+        reduced[self.cols] = 0.0
         by_group = reduced.reshape(-1, self.group)
         best = by_group.argmin(axis=1)
         value = by_group[np.arange(best.size), best]
@@ -706,7 +710,7 @@ def _check_run(lp: LinearProgram, cost: np.ndarray, master: _Master, status, pri
     primal = np.clip(primal, 0.0, None)
     ax = np.bincount(lp.rows, lp.vals * primal[lp.cols], minlength=lp.n_rows)
     residual = float(np.abs((ax - lp.rhs) * lp.constraints.row_scale).max())
-    if residual > 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max())):
+    if residual > master.residual_tol:
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
     reduced = lp.constraints.reduced(cost, dual)
     worst = int(np.argmin(reduced))

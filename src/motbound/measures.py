@@ -33,12 +33,13 @@ import numpy as np
 
 from .errors import BadSpec, InfeasibleCurve, MotboundError
 
-# Tolerances.  Weight/mean tolerances are absolute; the convex-order and
-# barrier tolerances are shared by the order report and the barrier scan.
+# Tolerances, all absolute.  ORDER_TOL is the one call-price tolerance, on
+# the difference D = C_{i+1} - C_i of consecutive call curves: the order
+# report reads D < -ORDER_TOL as a violation, the barrier scan D <= ORDER_TOL
+# as a touch (and a slope of D at or below it as flat).
 WEIGHT_TOL = 1e-12
 MEAN_TOL = 1e-10
 ORDER_TOL = 1e-10
-BARRIER_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -411,12 +412,6 @@ class BarrierDecomposition:
     levels: np.ndarray
     blocks: list[Block]
 
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> BarrierDecomposition:
     """Levels where the two call curves coincide, with the induced blocks.
@@ -424,7 +419,7 @@ def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> BarrierDecomp
     The call-price difference D = C2 - C1 is piecewise linear with kinks only
     at atoms, and D >= 0 under convex order.  Mass cannot cross any level
     where D vanishes, so a gap between consecutive atoms of the pooled support
-    with D <= BARRIER_TOL at both ends separates the atoms on either side.
+    with D <= ORDER_TOL at both ends separates the atoms on either side.
     Within such a gap, the reported level is the zero crossing of the
     flanking mid-step CDF interpolations: with entering slope sL = |D'| left
     of the gap and exiting slope sR right of it, the level is
@@ -441,12 +436,12 @@ def detect_barriers(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> BarrierDecomp
     cut_gaps: list[int] = []
     levels: list[float] = []
     for k in range(m - 1):
-        if diff[k] <= BARRIER_TOL and diff[k + 1] <= BARRIER_TOL:
+        if diff[k] <= ORDER_TOL and diff[k + 1] <= ORDER_TOL:
             width_l = grid[k] - grid[k - 1] if k >= 1 else 0.0
             width_r = grid[k + 2] - grid[k + 1] if k + 2 < m else 0.0
             s_left = max((diff[k - 1] - diff[k]) / width_l, 0.0) if width_l > 0 else 0.0
             s_right = max((diff[k + 2] - diff[k + 1]) / width_r, 0.0) if width_r > 0 else 0.0
-            if s_left > BARRIER_TOL and s_right > BARRIER_TOL:
+            if s_left > ORDER_TOL and s_right > ORDER_TOL:
                 level = (s_right * grid[k] + s_left * grid[k + 1]) / (s_left + s_right)
             else:
                 # curves agree on a whole neighborhood on at least one side;

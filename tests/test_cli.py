@@ -423,6 +423,21 @@ class TestImpliedMarginals:
         assert rc == 2
         assert "--s0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unit", [1.0, 1e-13])
+    def test_forward_only_from_a_strike_that_is_zero(self, tmp_path, capsys, unit):
+        # smooth_pair(15)'s laws moved to a forward of 3 and quoted in a price
+        # unit, with a worthless strike past the atoms: no strike is 0, so
+        # none gives the forward, however close to 0 the unit puts the first
+        rows = ["maturity_index,strike,price"]
+        for i, mu in enumerate(smooth_pair(15).marginals, start=1):
+            for k in np.append(mu.points, mu.points[-1] + 1.0):
+                rows.append(f"{i},{(float(k) + 3.0) * unit!r},{float(call_price(mu, k)) * unit!r}")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("\n".join(rows) + "\n")
+        rc = main(["implied-marginals", "--quotes", str(quotes)])
+        assert rc == 2
+        assert "--s0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("s0", ["nan", "inf"])
     def test_non_finite_spot_is_config_error(self, tmp_path, capsys, s0):
         # NaN fails every comparison, so it would skip the forward check

@@ -26,7 +26,7 @@ KNOT_TOL = 1e-10
 
 
 def zero_hedge(n: int, atom_grids) -> SemiStaticHedge:
-    statics = tuple(PiecewiseLinear.zero() for _ in range(n))
+    statics = tuple(PiecewiseLinear([0.0], [0.0], 0.0, 0.0) for _ in range(n))
     deltas = tuple(DeltaTable(tuple(atom_grids[:j + 1]),
                               np.zeros([len(g) for g in atom_grids[:j + 1]]))
                    for j in range(n - 1))
@@ -131,7 +131,7 @@ class TestPrice:
         mu = DiscreteMeasure(np.array([1.0, 3.0]), np.array([0.25, 0.75]))
         system = MarginalSystem([mu, mu])
         identity = PiecewiseLinear.from_samples([0.0, 4.0], [0.0, 4.0])
-        hedge = SemiStaticHedge(0.7, (identity, PiecewiseLinear.zero()),
+        hedge = SemiStaticHedge(0.7, (identity, PiecewiseLinear([0.0], [0.0], 0.0, 0.0)),
                                 (DeltaTable((mu.points,), np.zeros(2)),), "sub")
         assert price(hedge, system) == pytest.approx(mu.mean + 0.7)
 
@@ -202,7 +202,7 @@ class TestVerify:
         g1 = np.array([-1.0, 1.0])
         g2 = np.array([-2.0, 0.0, 2.0])
         u2 = PiecewiseLinear(np.array([0.0]), np.array([-10.0]), -1.0, 1.5)
-        hedge = SemiStaticHedge(0.0, (PiecewiseLinear.zero(), u2),
+        hedge = SemiStaticHedge(0.0, (PiecewiseLinear([0.0], [0.0], 0.0, 0.0), u2),
                                 (DeltaTable((g1,), np.zeros(g1.size)),), "sub")
         report = verify(hedge, forward_start_straddle(), [g1, g2])
         assert report.max_violation <= 0.0

@@ -155,14 +155,33 @@ class TestErrors:
         cold = solve(lp, session=session)
         fail[0] = True
         with pytest.raises(LpError, match=r"^HiGHS run returned kError, model status k\w+, "
-                                          r"on a model of 4 rows and 4 columns$") as info:
+                                          r"on a model of 4 rows and 4 columns, "
+                                          r"in the solve's first run$") as info:
             solve(lp, session=session)
         assert type(info.value) is LpError
         assert not session.warm
         fail[0] = False
+        assert not session.warm_for(lp)
         again = solve(lp, session=session)
-        assert not again.warm
         assert again.primal.tobytes() == cold.primal.tobytes()
+
+    def test_run_error_names_the_pricing_round(self, monkeypatch):
+        # a master on the artificials alone prices columns in after its
+        # first run; the run after the first round returns kError
+        runs = [0]
+
+        class Failing(highs._Highs):
+            def run(self):
+                runs[0] += 1
+                return highs.HighsStatus.kError if runs[0] == 2 else super().run()
+
+        monkeypatch.setattr(highs, "_Highs", Failing)
+        force_cold(monkeypatch, "master")
+        lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(LpError, match=r"^HiGHS run returned kError, model status k\w+, "
+                                          r"on a model of 4 rows and \d+ columns, "
+                                          r"in the run after pricing round 1$"):
+            solve(lp)
 
     @pytest.mark.parametrize("solver, unit", [(solve, "iterations"), (solve_exact, "exact pivots")],
                              ids=["highs", "exact"])
@@ -728,9 +747,9 @@ class TestSession:
         for trial in range(10):
             lp = LinearProgram(sense="max" if trial % 3 else "min", cost=rng.normal(size=base.n_cols),
                                constraints=base.constraints)
+            assert session.warm_for(lp) == (trial > 0)
             warm = solve(lp, session=session)
             assert calls[-1].simplex == "primal"
-            assert warm.warm == (trial > 0)
             cold = solve(lp)
             assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
             check_solution_invariants(lp, warm)
@@ -743,7 +762,8 @@ class TestSession:
         calls = spy_highs(monkeypatch)
         warm, models = [], []
         for lp in (self.LP, self.LP, flipped, flipped):
-            warm.append(solve(lp, session=session).warm)
+            warm.append(session.warm_for(lp))
+            solve(lp, session=session)
             models.append(calls[-1].model)
         assert warm == [False, True, False, True]
         assert {run.simplex for run in calls} == {"primal"}
@@ -776,7 +796,8 @@ class TestSession:
         monkeypatch.undo()
         calls = spy_highs(monkeypatch)
         assert not session.warm
-        assert not solve(self.LP, session=session).warm
+        assert not session.warm_for(self.LP)
+        solve(self.LP, session=session)
         assert [run.simplex for run in calls] == ["primal"]
         assert calls[0].model is not first
 
@@ -793,7 +814,8 @@ class TestSession:
         monkeypatch.undo()
         calls = spy_highs(monkeypatch)
         assert not session.warm
-        assert not solve(self.LP, session=session).warm
+        assert not session.warm_for(self.LP)
+        solve(self.LP, session=session)
         assert [run.simplex for run in calls] == ["primal"]
         assert calls[0].model is not first
 
@@ -823,8 +845,9 @@ class TestSession:
             solve(flipped, session=session)
         assert not session.warm
         calls = spy_highs(monkeypatch)
+        assert not session.warm_for(flipped)
         sol = solve(flipped, session=session)
-        assert not sol.warm and not seeds
+        assert not seeds
         assert [run.simplex for run in calls] == ["primal", "primal"]
         assert sol.objective == pytest.approx(solve(flipped).objective, rel=1e-12, abs=1e-15)
 
@@ -995,9 +1018,9 @@ class TestUnitFree:
             scaled = Constraints(c.rows, c.cols, np.ldexp(c.vals, k[c.rows]), np.ldexp(c.rhs, k), c.n_cols)
             sessions = Session(c), Session(scaled)
             for sense in (lp.sense, "max" if lp.sense == "min" else "min"):
-                base = solve(LinearProgram(sense, lp.cost, c), session=sessions[0])
-                sol = solve(LinearProgram(sense, np.ldexp(lp.cost, j), scaled), session=sessions[1])
-                assert sol.warm == base.warm
+                pair = LinearProgram(sense, lp.cost, c), LinearProgram(sense, np.ldexp(lp.cost, j), scaled)
+                assert sessions[1].warm_for(pair[1]) == sessions[0].warm_for(pair[0])
+                base, sol = (solve(one, session=session) for one, session in zip(pair, sessions))
                 assert sol.iterations == base.iterations
                 assert sol.primal.tobytes() == base.primal.tobytes()
                 assert sol.dual.tobytes() == np.ldexp(base.dual, j - k).tobytes()

@@ -314,14 +314,14 @@ class TestDiscretize:
 class TestBarriers:
     def test_jensen_pair_single_block(self):
         dec = detect_barriers(dirac(0.0), two_point(-1.0, 1.0))
-        assert len(dec) == 1
+        assert len(dec.blocks) == 1
         assert dec.levels.size == 0
 
     def test_equal_marginals_every_gap(self):
         mu = DiscreteMeasure(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.5, 0.25]))
         dec = detect_barriers(mu, mu)
-        assert len(dec) == 3
-        for block in dec:
+        assert len(dec.blocks) == 3
+        for block in dec.blocks:
             assert len(block.sub1) == 1
             assert len(block.sub2) == 1
 
@@ -330,17 +330,17 @@ class TestBarriers:
         dec = detect_barriers(*system.marginals)
         partial = np.cumsum([1.0 / i**2 for i in range(1, 6)])
         np.testing.assert_allclose(dec.levels, partial, atol=ATOL)
-        assert len(dec) == 6
+        assert len(dec.blocks) == 6
 
     def test_block_masses_and_restrictions(self):
         system = counterexample_marginals(3, 4)
         dec = detect_barriers(*system.marginals)
-        for block in dec:
+        for block in dec.blocks:
             assert isinstance(block, Block)
             assert block.mass > 0
             assert block.sub1.points.min() >= block.lo - ATOL
             assert block.sub2.points.max() <= block.hi + ATOL
-        total = sum(b.mass for b in dec)
+        total = sum(b.mass for b in dec.blocks)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
