@@ -82,12 +82,13 @@ def _load_system(args) -> MarginalSystem:
 def _spot_from(args, curves) -> float:
     if getattr(args, "s0", None) is not None:
         return float(args.s0)
-    # For a nonnegative underlying a strike-0 call costs the forward itself.
+    # Where the quotes start at strike 0, the left closure puts every atom at
+    # or above 0, so the strike-0 call costs the forward itself; a lower
+    # strike leaves mass below 0, and C(0) is not the mean.
     ks, cs = curves[0].strikes, curves[0].prices
-    at_zero = np.flatnonzero(ks == 0.0)
-    if at_zero.size:
-        return float(cs[at_zero[0]])
-    raise ValueError("pass --s0, or quote strike 0 so the forward can be read off")
+    if ks[0] == 0.0:
+        return float(cs[0])
+    raise ValueError("pass --s0, or quote strike 0 as the lowest strike so the forward can be read off")
 
 
 def _parse_payoff(text: str, n_dates: int) -> Payoff:

@@ -7,16 +7,19 @@ share one checked object.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  HiGHS sees the LP
-free of its units: each row divided by R_i, the smallest power of two at
-or above its largest |coefficient| (``Constraints.row_scale`` holds 1/R_i),
-and the costs by C, the smallest power of two at or above the largest
-|cost| of that LP (Tomlin 1975: power-of-two equilibration, exact in
-floating point).  The primal is the LP's own; the row duals map back once,
-exactly, as ``y = C y_s / R``, so the solution and everything above this
-module are in the LP's units, while the tolerances here (``FEAS_TOL``,
-``HIGHS_TOL``, ``ARTIFICIAL_COST``, ``HIGHS_SMALL_MATRIX_VALUE``) act on
-numbers of order one: the same LP in cents or in index points is the same
-model, and takes the same pivots.  Every model runs
+free of its units: each row times R_i, the inverse of the smallest power
+of two at or above its largest |coefficient| (``Constraints.row_scale``),
+and the costs divided by C, the smallest power of two at or above the
+largest |cost| of that LP (Tomlin 1975: power-of-two equilibration, exact
+in floating point).  This module computes in the units of that model:
+pricing, the residual check and the reduced-cost check read its rows R A,
+its costs c/C and its row duals y_s, against tolerances (``FEAS_TOL``,
+``HIGHS_TOL``, ``ARTIFICIAL_COST``, ``HIGHS_SMALL_MATRIX_VALUE``) that act
+on numbers of order one, so the same LP in cents or in index points is
+the same model, takes the same pivots and passes the same checks.  The
+primal is the LP's own; the row duals leave the module once, where an
+optimum is accepted, exactly, as ``y = C R y_s``, so the solution and
+everything above this module are in the LP's units.  Every model runs
 the primal simplex, set with its other options once, when it is built.
 A cold solve takes the path that ``_cold_method`` picks from the LP's
 shape: one run on every column below ``COLD_MASTER_COLS`` variables in the
@@ -25,13 +28,15 @@ otherwise column generation, whose master holds one artificial column per
 row plus a seed of columns and gains, round by round, the columns that
 price out, each round a run from the last basis, the first from the basis
 the seed gives (a coarse LP's optimum); it stops when no column prices
-out, so its dual passes the reduced-cost check on every column.
+out.  After every run of every model, one pass prices every column, and
+the reduced-cost check reads the last run's pass: one ``A^T y`` per run.
 One start rule holds for every model: a given basis, else, in a model
 with artificial columns, every artificial basic, which is primal
 feasible, so no run spends pivots on phase 1; only a cold model of every
 column without them starts from HiGHS's own basis.  A model passes HiGHS
-its rows alone and then every column in one ``addCols`` of arrays, and
-reads its basis back from ``getBasicVariables``, one integer per row.
+its rows alone, then its artificial columns in one ``addCols`` of arrays
+and the LP's in another, as each pricing round adds its own, and reads
+its basis back from ``getBasicVariables``, one integer per row.
 A ``Session`` is built on one ``Constraints`` object and keeps one HiGHS
 model for the LPs built on it: after its first solve, each LP only
 changes the column costs and restarts the primal simplex from the last
@@ -183,9 +188,10 @@ ARTIFICIAL_COST = 1e3
 ROUND_ROWS = 2
 # A master's runs price row-wise (HiGHS simplex_price_strategy 1, where the
 # default, 3, switches between row-wise and column-wise pricing): the same
-# pivots on the two- and three-date LPs above; on 4 dates, lower, 5.6-6.0 s
-# against 7.0-7.5 at m=17 and 22.3-25.3 s against 32.3-34.7 at m=21 (52,055
-# pivots against 62,385), and 2.2-2.5 s either way at m=13 (two runs each).
+# pivots on smooth_pair(401) and 3 dates at m=51 above; on 4 dates, both
+# senses on one mot.Solver, 16.80-17.03 s against 17.42-17.65 at m=21
+# (lower: 39,665 pivots against 39,960), 4.04-4.08 s against 4.25-4.27 at
+# m=17 (two runs each) and 0.93 s against 0.89 at m=13 (one run).
 MASTER_PRICE_STRATEGY = 1
 # From COLD_MASTER_COLS variables on, a cold solve runs column generation in
 # the primal band too, and the next warm solve first completes the master
@@ -216,7 +222,7 @@ class Constraints:
     when built: equal triple lengths, finite coefficients and rhs, indices in
     range and no duplicate (row, col) pair, which the stable sort into
     column-major order leaves as equal neighbours.  Next to the sort, each
-    row gets its scale, ``row_scale``: 1/R_i, where R_i is the smallest
+    row gets its scale, ``row_scale``, R_i: the inverse of the smallest
     power of two at or above row i's largest |coefficient| (1 for a row
     with none), and ``scaled_rhs``, the rhs times it, the rows HiGHS sees.
     The arrays are read-only, so every LP built on one object shares the
@@ -420,15 +426,8 @@ class Session:
                 self._master.change_cost(cost)
             else:
                 self._master = self._start(lp, cost, artificial=False)
-            status, iterations, primal, dual = self._master.generate(lp, cost)
-            if status in _LIMIT:
-                raise IterationLimit(f"exceeded {MAX_ITER} iterations on a {lp.sense} LP of "
-                                     f"{lp.n_rows} rows and {lp.n_cols} columns")
-            if status in _INFEASIBLE:
-                raise Infeasible(f"HiGHS model status {status.name}")
-            if status == highs.HighsModelStatus.kUnbounded:
-                raise Unbounded(f"HiGHS model status {status.name}")
-            primal, dual = _check_run(lp, cost, self._master, status, primal, dual)
+            status, iterations, primal, dual, worst = self._master.generate(lp)
+            primal, dual = _check_run(lp, self._master, status, primal, dual, worst)
             return LpSolution(primal, dual, float(lp.cost @ primal), iterations)
         except BaseException:
             self._master = None  # the next solve starts cold
@@ -446,7 +445,7 @@ class Session:
         Raises ``LpError`` when no optimum is reached."""
         cost = self._check(lp)
         master = self._start(lp, cost, artificial=True)
-        status, _, primal, _ = master.generate(lp, cost, fix=False)
+        status, _, primal, _, _ = master.generate(lp, fix=False)
         if status != highs.HighsModelStatus.kOptimal:
             raise LpError(f"HiGHS model status {status.name}")
         return np.flatnonzero(primal > 0.0), master.basis()
@@ -456,30 +455,28 @@ class _Master:
     """A HiGHS model of an LP on some of its columns, ``cols`` in model
     order, after ``n_art`` artificial columns (none, or one per row with
     coefficient +1, or -1 where the rhs is negative, at cost
-    ``ARTIFICIAL_COST * (1 + max|c| / C)``).  The model holds the scaled
-    LP (see the module docstring): the rows times ``row_scale``, and the
-    costs divided by ``scale``, C, which :meth:`change_cost` sets again.
-    ``residual_tol``, ``10 * FEAS_TOL * (1 + max|R rhs|)``, bounds the
-    scaled residual that :func:`_check_run` accepts and the mass that
-    :meth:`generate` leaves on artificials it fixes.  A round adds at most
-    one column per ``group`` consecutive columns.  Its first run starts
-    from ``basis`` when given (see :meth:`basis`), else, with artificial
-    columns, from every artificial basic, a primal feasible start; a model
-    without them and no ``basis`` (a cold solve's model of every column)
-    starts from HiGHS's own basis.  HiGHS gets the rows by ``passModel``
-    and every column, artificials first, by one ``addCols``, as rounds add
-    theirs."""
+    ``ARTIFICIAL_COST * (1 + max|c| / C)``).  The model is the scaled LP
+    (see the module docstring), and every gate here reads its units:
+    ``cost``, the LP's cost in minimization form, sets ``scale``, C, and
+    ``tol``, the reduced-cost gate ``FEAS_TOL * (1 + max|c| / C)``, again at
+    each :meth:`change_cost`; ``residual_tol``, ``10 * FEAS_TOL * (1 + max|R
+    rhs|)``, bounds the scaled residual that :func:`_check_run` accepts and
+    the mass that :meth:`generate` leaves on artificials it fixes.  A round
+    adds at most one column per ``group`` consecutive columns.  Its first
+    run starts from ``basis`` when given (see :meth:`basis`), else, with
+    artificial columns, from every artificial basic, a primal feasible
+    start; a model without them and no ``basis`` (a cold solve's model of
+    every column) starts from HiGHS's own basis.  HiGHS gets the rows by
+    ``passModel``, the artificials by one ``addCols``, and the LP's columns
+    by :meth:`_add`, the seed's at once, then each round's."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
                  group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         n_art = lp.n_rows if artificial else 0
-        n = n_art + cols.size
-        start, index, value = lp.constraints.columns(cols)
-        model = highs.HighsLp()  # the rows alone: the columns join by one addCols
+        model = highs.HighsLp()  # the rows alone: the columns join by addCols
         model.num_row_ = lp.n_rows
         model.row_lower_ = model.row_upper_ = lp.constraints.scaled_rhs
-        top = self._scale_cost(cost)
-        big = ARTIFICIAL_COST * (1.0 + top / self.scale)
+        top = self._set_cost(cost)
         options = highs.HighsOptions()
         options.presolve = "off"
         options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = HIGHS_TOL
@@ -492,21 +489,18 @@ class _Master:
         run = highs._Highs()
         if run.passOptions(options) == highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the solver options")
-        if run.passModel(model) == highs.HighsStatus.kError:
-            raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
-        if run.addCols(n, np.concatenate((np.full(n_art, big), cost[cols] / self.scale)), np.zeros(n),
-                       np.full(n, highs.kHighsInf), n_art + index.size,
-                       np.concatenate((np.arange(n_art), n_art + start[:-1])).astype(np.int32),
-                       np.concatenate((np.arange(n_art), index)).astype(np.int32),
-                       np.concatenate((np.where(lp.rhs[:n_art] < 0.0, -1.0, 1.0),
-                                       value * lp.constraints.row_scale[index]))
-                       ) == highs.HighsStatus.kError:
+        big, unit = ARTIFICIAL_COST * (1.0 + top / self.scale), np.arange(n_art, dtype=np.int32)
+        if (run.passModel(model) == highs.HighsStatus.kError
+                or n_art and run.addCols(n_art, np.full(n_art, big), np.zeros(n_art),
+                                         np.full(n_art, highs.kHighsInf), n_art, unit, unit,
+                                         np.where(lp.rhs < 0.0, -1.0, 1.0)) == highs.HighsStatus.kError):
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
         self.model = run
         self.n_art = n_art
         self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
         self.group = group
-        self.cols = cols
+        self.cols = cols[:0]
+        self._add(lp, cols)
         self.fixed = not artificial
         if basis is None and artificial:
             basis = (cols[:0], np.arange(lp.n_rows))
@@ -519,19 +513,28 @@ class _Master:
         artificial column, as warm solves in the primal band run on."""
         return self.n_art == 0
 
-    def _scale_cost(self, cost: np.ndarray) -> float:
-        """Set ``scale``, C, from ``cost``, and ``tol``, the reduced-cost
-        gate ``FEAS_TOL * (1 + max|c| / C)`` of the scaled model times C,
-        which puts it in the LP's units exactly; returns max|c|."""
+    def _set_cost(self, cost: np.ndarray) -> float:
+        """Set ``cost``, ``scale``, C, and ``tol`` from ``cost``; returns max|c|."""
         top = float(np.abs(cost).max())
-        self.scale = _power_of_two(top)
-        self.tol = FEAS_TOL * (1.0 + top / self.scale) * self.scale
+        self.cost, self.scale = cost, _power_of_two(top)
+        self.tol = FEAS_TOL * (1.0 + top / self.scale)
         return top
 
     def change_cost(self, cost: np.ndarray) -> None:
-        self._scale_cost(cost)
+        self._set_cost(cost)
         self.model.changeColsCost(self.cols.size, np.arange(self.n_art, self.n_art + self.cols.size,
                                                             dtype=np.int32), cost[self.cols] / self.scale)
+
+    def _add(self, lp: LinearProgram, cols: np.ndarray) -> None:
+        """Add the LP's columns ``cols`` to the model, after those it holds:
+        cost c/C, and each coefficient times its row's scale."""
+        start, index, value = lp.constraints.columns(cols)
+        if self.model.addCols(cols.size, self.cost[cols] / self.scale, np.zeros(cols.size),
+                              np.full(cols.size, highs.kHighsInf), index.size, start[:-1].astype(np.int32),
+                              index.astype(np.int32), value * lp.constraints.row_scale[index]
+                              ) == highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the added columns")
+        self.cols = np.concatenate((self.cols, cols))
 
     def fix_artificials(self) -> None:
         """Fix the artificial columns at zero, at zero cost, for good."""
@@ -542,25 +545,23 @@ class _Master:
                 raise LpError("HiGHS rejected the artificial columns' bounds or costs")
         self.fixed = True
 
-    def generate(self, lp: LinearProgram, cost: np.ndarray, fix: bool = True):
-        """Runs of the model, each from the last basis, with a round of
-        pricing after each, until no column of ``lp`` outside the model has
-        a scaled reduced cost ``(cost - A^T y) / C`` below
-        ``-FEAS_TOL * (1 + max|c| / C)``, the reduced-cost check of
-        :func:`_check_run`.  A round adds each group's most negative such
-        column, at most ``ROUND_ROWS`` times the row count of them, most
-        negative first.  When ``fix`` is set, the first optimum whose
+    def generate(self, lp: LinearProgram, fix: bool = True):
+        """Runs of the model, each from the last basis, with a pricing pass
+        (:meth:`_entering`) after each, which adds the columns that price
+        out, until none does.  When ``fix`` is set, the first optimum whose
         artificials hold no more mass than the residual check allows fixes
         them at zero cost and zero mass, and the rounds go on: a dual priced
         against artificials at ``ARTIFICIAL_COST`` sits at a far corner of
         the optimal face, where the hedge it gives carries static payouts
         of that size that cancel in the payout.  ``MAX_ITER`` bounds the
-        iterations of all runs together.  Returns what :func:`_run_highs`
-        does, with the iterations summed, the primal over every column of
-        ``lp`` (an artificial's mass is left out, so the residual check sees
-        it) and the row duals mapped back to the LP's units, ``C y_s / R``.
-        A run that returns ``kError`` raises ``LpError`` naming it: the
-        solve's first run, or the run after pricing round k."""
+        iterations of all runs together.  Returns the last run's model
+        status, the iterations summed, and, at an optimum (else None), the
+        primal over every column of ``lp`` (an artificial's mass is left
+        out, so the residual check sees it), the row duals y_s of the model
+        and the last pass's most negative reduced cost with its column,
+        which :func:`_check_run` reads.  A run that returns ``kError`` raises
+        ``LpError`` naming it: the solve's first run, or the run after
+        pricing round k."""
         iterations = rounds = 0
         while True:
             # HiGHS stops once its count reaches the limit, before it prices
@@ -577,23 +578,16 @@ class _Master:
             iterations += count
             rounds += 1
             if status != highs.HighsModelStatus.kOptimal:
-                return status, iterations, None, None
-            y = y * (self.scale * lp.constraints.row_scale)  # exact: powers of two
-            entering = self._entering(lp, cost, y, self.tol)
+                return status, iterations, None, None, None
+            entering, worst = self._entering(lp, y)
             if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= self.residual_tol:
                 self.fix_artificials()
                 continue
             if not entering.size:
                 primal = np.zeros(lp.n_cols)
                 primal[self.cols] = x[self.n_art:]
-                return status, iterations, primal, y
-            start, index, value = lp.constraints.columns(entering)
-            if self.model.addCols(entering.size, cost[entering] / self.scale, np.zeros(entering.size),
-                                  np.full(entering.size, highs.kHighsInf), index.size,
-                                  start[:-1].astype(np.int32), index.astype(np.int32),
-                                  value * lp.constraints.row_scale[index]) == highs.HighsStatus.kError:
-                raise LpError("HiGHS rejected the added columns")
-            self.cols = np.concatenate((self.cols, entering))
+                return status, iterations, primal, y, worst
+            self._add(lp, entering)
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """The last run's basis: the LP's basic columns, and the rows whose
@@ -635,17 +629,26 @@ class _Master:
         which sits at zero, takes its place with the row's own logical."""
         return _Master(lp, cost, np.arange(lp.n_cols), False, self.group, self.basis())
 
-    def _entering(self, lp: LinearProgram, cost: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-        if self.cols.size == lp.n_cols:
-            return self.cols[:0]
-        reduced = lp.constraints.reduced(cost, y)
+    def _entering(self, lp: LinearProgram, y: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
+        """The pricing pass of a run whose row duals are ``y``, which prices
+        every column of ``lp`` at its scaled reduced cost ``c/C - (R A)^T
+        y``: the columns outside the model below ``-tol`` (none in a model
+        of every column), each group's most negative, at most ``ROUND_ROWS``
+        times the row count of them, most negative first; and the most
+        negative reduced cost of any column, with its column, which the dual
+        gate of :func:`_check_run` reads."""
+        reduced = lp.constraints.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
+        worst = int(np.argmin(reduced))
+        lowest = (worst, float(reduced[worst]))
+        if self.cols.size == lp.n_cols:  # none can enter: skip the selection
+            return self.cols[:0], lowest
         reduced[self.cols] = 0.0
         by_group = reduced.reshape(-1, self.group)
         best = by_group.argmin(axis=1)
         value = by_group[np.arange(best.size), best]
-        groups = np.flatnonzero(value < -tol)
+        groups = np.flatnonzero(value < -self.tol)
         groups = groups[np.argsort(value[groups], kind="stable")][: int(ROUND_ROWS * lp.n_rows)]
-        return groups * self.group + best[groups]
+        return groups * self.group + best[groups], lowest
 
 
 def _cold_method(n_cols: int, n_rows: int) -> str:
@@ -695,16 +698,25 @@ def _run_highs(model):
     return status, iterations, np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _check_run(lp: LinearProgram, cost: np.ndarray, master: _Master, status, primal,
-               dual) -> tuple[np.ndarray, np.ndarray]:
-    """A run's primal, clipped at zero, and dual, in the LP's own sense, once
-    it passes every check, each read on the scaled model of ``master``;
-    ``cost`` and ``dual`` are in minimization form, in the LP's units.
-    Raises ``LpError`` when the status is not optimal or the dual fails to
-    price a column out, ``(c - A^T y) / C`` below ``-FEAS_TOL * (1 +
-    max|c| / C)``, ``Infeasible`` when the primal misses the scaled rows,
-    ``|R (A x - rhs)|``, by more than ``10 * FEAS_TOL * (1 + max|R rhs|)``.
-    Each message gives the scaled number."""
+def _check_run(lp: LinearProgram, master: _Master, status, primal, dual,
+               worst) -> tuple[np.ndarray, np.ndarray]:
+    """The primal, clipped at zero, and dual, in the LP's units and its own
+    sense, of a solve on ``master`` that :meth:`_Master.generate` returned,
+    once it passes every check, each read on the scaled model.  Raises, in
+    this order: on a status that is not optimal, ``IterationLimit`` at a
+    limit, ``Infeasible`` on an infeasible or malformed model, ``Unbounded``
+    and ``LpError`` on any other; ``Infeasible`` when the primal misses the
+    scaled rows, ``|R (A x - rhs)|``, by more than ``master.residual_tol``;
+    ``LpError`` when the last pricing pass's most negative reduced cost,
+    ``worst``, lies below ``-master.tol``.  Each message gives the scaled
+    number.  The dual leaves the model's units here."""
+    if status in _LIMIT:
+        raise IterationLimit(f"exceeded {MAX_ITER} iterations on a {lp.sense} LP of "
+                             f"{lp.n_rows} rows and {lp.n_cols} columns")
+    if status in _INFEASIBLE:
+        raise Infeasible(f"HiGHS model status {status.name}")
+    if status == highs.HighsModelStatus.kUnbounded:
+        raise Unbounded(f"HiGHS model status {status.name}")
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
     primal = np.clip(primal, 0.0, None)
@@ -712,10 +724,10 @@ def _check_run(lp: LinearProgram, cost: np.ndarray, master: _Master, status, pri
     residual = float(np.abs((ax - lp.rhs) * lp.constraints.row_scale).max())
     if residual > master.residual_tol:
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")
-    reduced = lp.constraints.reduced(cost, dual)
-    worst = int(np.argmin(reduced))
-    if reduced[worst] < -master.tol:
-        raise LpError(f"dual infeasible: reduced cost {reduced[worst] / master.scale:.3e} at column {worst}")
+    column, reduced = worst
+    if reduced < -master.tol:
+        raise LpError(f"dual infeasible: reduced cost {reduced:.3e} at column {column}")
+    dual = dual * (master.scale * lp.constraints.row_scale)  # exact: powers of two
     return primal, -dual if lp.sense == "max" else dual
 
 

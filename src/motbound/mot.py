@@ -403,8 +403,9 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
     martingale-row duals the deltas, then two gauges are fixed: each delta
     table is detrended by its mean with the compensating linear terms moved
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
-    its heaviest atom with the shift absorbed into cash.  Last, u_n gains
-    knots at the payoff's kinks, tightest over the histories of the atoms.
+    the atom of its dropped row (its heaviest) with the shift absorbed into
+    cash.  Last, u_n gains knots at the payoff's kinks, tightest over the
+    histories of the atoms.
     The row layout comes from ``solver``, built on ``problem.system`` for
     this call when not given."""
     solver = _solver_for(problem.system, solver)
@@ -425,7 +426,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
         u_vals[j] = u_vals[j] + beta * layout.grids[j]
         u_vals[j + 1] = u_vals[j + 1] - beta * layout.grids[j + 1]
     for i in range(1, n):
-        heavy = int(np.argmax(system.marginals[i].weights))
+        heavy = int(np.flatnonzero(layout.marginal_row[i] < 0)[0])  # the atom of the dropped row
         c = float(u_vals[i][heavy])
         u_vals[i] = u_vals[i] - c
         cash += c

@@ -438,6 +438,21 @@ class TestImpliedMarginals:
         assert rc == 2
         assert "--s0" in capsys.readouterr().err
 
+    def test_forward_only_from_strike_zero_as_the_lowest(self, tmp_path, capsys):
+        # quotes at smooth_pair(15)'s atoms, mean 0, from -0.93 up: the first
+        # date's strike-0 quote sits above lower strikes, so it is not the
+        # forward, and without --s0 the command asks for one
+        rows = ["maturity_index,strike,price"]
+        for i, mu in enumerate(smooth_pair(15).marginals, start=1):
+            for k in mu.points:
+                rows.append(f"{i},{float(k)!r},{float(call_price(mu, k))!r}")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("\n".join(rows) + "\n")
+        rc = main(["implied-marginals", "--quotes", str(quotes)])
+        assert rc == 2
+        assert "--s0" in capsys.readouterr().err
+        assert main(["implied-marginals", "--quotes", str(quotes), "--s0", "0"]) == 0
+
     @pytest.mark.parametrize("s0", ["nan", "inf"])
     def test_non_finite_spot_is_config_error(self, tmp_path, capsys, s0):
         # NaN fails every comparison, so it would skip the forward check

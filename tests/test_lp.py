@@ -591,6 +591,49 @@ class TestColdMethod:
         assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
 
 
+def spy_reduced(monkeypatch) -> list:
+    """Record the constraints of each call of ``Constraints.reduced``, one
+    ``A^T y`` over every column."""
+    calls = []
+    reduced = Constraints.reduced
+
+    def spy(constraints, cost, y):
+        calls.append(constraints)
+        return reduced(constraints, cost, y)
+
+    monkeypatch.setattr(Constraints, "reduced", spy)
+    return calls
+
+
+class TestOnePricingPass:
+    """Each HiGHS run is priced once, over every column, and the dual check
+    reads the last run's pass: one ``A^T y`` per run, on a model of every
+    column and on a master, cold and warm, the seed's runs on the coarse LP
+    included (each pass and run counted by its LP's row count)."""
+
+    @pytest.mark.parametrize("make, senses, master, full", [
+        # a cold model of every column in the band, then a warm solve on it
+        (lambda: (smooth_pair(21), forward_start_straddle()), ("lower", "upper"), False, True),
+        # a cold master on the coarse seed, then a warm solve on the master
+        (lambda: (smooth_pair(51), forward_start_straddle()), ("lower", "lower"), True, False),
+        # a cold master above the cut, then a warm solve on the model of
+        # every column it is completed into
+        (lambda: (widening_dates(0.1, 15), asian_call(1.0, 3)), ("lower", "lower"), True, True),
+    ], ids=["band", "master", "completed"])
+    def test_one_pass_per_run(self, monkeypatch, make, senses, master, full):
+        system, payoff = make()
+        solver = Solver(system)
+        runs, passes = spy_highs(monkeypatch), spy_reduced(monkeypatch)
+        for sense in senses:
+            before = len(runs)
+            solve(solver.lp(MotProblem(system, payoff, sense)), session=solver.session)
+            assert len(runs) > before
+            assert sorted(c.rhs.size for c in passes) == sorted(run.model.getNumRow() for run in runs)
+            if not before:  # the cold solve: one run, or the seed's and the master's rounds
+                assert (len(runs) > 2) == master
+        assert solver.session._master.full == full
+
+
 def shuffled(constraints: Constraints, rng) -> Constraints:
     """The same matrix with its triples handed over in a random order."""
     order = rng.permutation(constraints.vals.size)
