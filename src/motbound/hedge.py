@@ -8,9 +8,15 @@ delta table per step.  Its assembled payout on a path is
 A subhedge needs psi <= payoff everywhere, a superhedge psi >= payoff; both
 are checked on product grids here, whose final axis ``_final_axis`` decides
 (a continuum check for payoffs piecewise linear in the last coordinate).
-A bound widens u_n and checks its hedge on its LP's atoms; ``verify``, the
-widening and ``mot.surface_csv`` read the cells of a grid through one
-chunked kernel, ``_cells``, and psi's history terms through ``_head``.
+A grid and a payoff make one ``_Frame``: the histories, the final axis and
+the payoff over their cells.  A bound widens u_n and checks its hedge on
+one frame of its LP's atoms, passed to ``verify`` as its grids, so both
+read one payoff table when it fits one chunk; ``verify``, the widening and
+``mot.surface_csv`` walk a frame's cells through one chunked kernel,
+``_cells``.  psi's terms are read at grid nodes through ``_terms``, by
+index where the nodes are the hedge's own knots and delta atoms;
+``slackness`` reads them so on a coupling's support and ``price`` at the
+marginals' atoms.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ class PiecewiseLinear:
         values = np.asarray(self.values, dtype=float).ravel()
         if knots.size == 0 or knots.size != values.size:
             raise ValueError("need matching nonempty knot and value arrays")
-        if np.any(np.diff(knots) <= 0):
+        if (knots[1:] - knots[:-1] <= 0).any():  # np.diff, without its wrapper
             raise ValueError("knots must be strictly increasing")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))
+        if not (np.isfinite(knots).all() and np.isfinite(values).all()
                 and np.isfinite(self.left_slope) and np.isfinite(self.right_slope)):
             raise ValueError("knots, values and slopes must be finite")
         knots.flags.writeable = False
@@ -98,6 +104,13 @@ def _histories(grids) -> list[np.ndarray]:
     return [h.ravel() for h in np.meshgrid(*grids, indexing="ij")]
 
 
+def _positions(knots: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Index of every point of x among the sorted ``knots``, or None when
+    some point is not a knot."""
+    at = np.minimum(np.searchsorted(knots, x), knots.size - 1)
+    return at if (knots[at] == x).all() else None
+
+
 def _rounding_twins(points: np.ndarray) -> np.ndarray:
     """Mask of the points of a sorted array that lie within
     ``1e-12 * (1 + |x|)`` of the point before them: the same point up to
@@ -129,7 +142,7 @@ class DeltaTable:
     def __post_init__(self) -> None:
         atoms = tuple(np.asarray(g, dtype=float).ravel() for g in self.atoms)
         for g in atoms:
-            if g.size == 0 or np.any(np.diff(g) <= 0):
+            if g.size == 0 or (g[1:] - g[:-1] <= 0).any():
                 raise ValueError("atom grids must be nonempty and strictly increasing")
             g.flags.writeable = False
         values = np.array(self.values, dtype=float)
@@ -241,7 +254,7 @@ def price(hedge: SemiStaticHedge, system) -> float:
         raise DimensionMismatch("hedge and marginal system cover different date counts")
     total = hedge.cash
     for u, mu in zip(hedge.statics, system.marginals):
-        total += float(np.dot(u(mu.points), mu.weights))
+        total += float(np.dot(_nodes(u, mu.points), mu.weights))
     return float(total)
 
 
@@ -275,21 +288,99 @@ def _final_axis(payoff: Payoff, histories, last: np.ndarray):
     return np.unique(np.concatenate([last, *(np.ravel(k) for k in data.kinks)])), data
 
 
-def _cells(hedge: SemiStaticHedge, payoff: Payoff, histories, points: np.ndarray):
-    """Walk ``histories`` (one flat array per date 1..n-1, as from
-    :func:`_histories`) in chunks of at most ``CHUNK_CELLS`` cells of the
-    last-axis ``points`` they all share.  Per chunk, yield its histories
-    (one column per date), the hedge's head terms and last delta there, and
-    the payoff at its cells.  Head and last delta are read once over every
-    history through ``SemiStaticHedge._head`` and ``DeltaTable.at``, so
-    their bits are those of ``hedge.evaluate``."""
-    head = hedge._head(*histories)
-    last = hedge.deltas[-1].at(*histories)
-    step = max(1, CHUNK_CELLS // max(1, points.size))
-    for start in range(0, histories[0].size, step):
+def _nodes(u: PiecewiseLinear, x: np.ndarray) -> np.ndarray:
+    """u at the points x: its values, read by index, when every point is
+    one of its knots (a hedge's own atoms), else ``u(x)``.  The bits are
+    the same, since ``np.interp`` returns a knot's value as it is."""
+    at = _positions(u.knots, x)
+    return u(x) if at is None else u.values[at]
+
+
+def _on_grid(dt: DeltaTable, grids) -> np.ndarray:
+    """dt's positions on the product of the first ``len(dt.atoms)`` grids:
+    its values when those grids are its atoms, else ``DeltaTable.at``."""
+    grids = grids[: len(dt.atoms)]
+    if all(g.size == a.size and (g == a).all() for g, a in zip(grids, dt.atoms)):
+        return dt.values
+    return dt.at(*np.ix_(*grids))
+
+
+def _terms(hedge: SemiStaticHedge, grids, index, histories):
+    """psi's history terms at the histories whose node indices into
+    ``grids`` are ``index`` and whose coordinates are ``histories`` (one
+    array per date 1..n-1): the head (cash, u_1..u_{n-1} and every delta
+    leg but the last, in the order of ``SemiStaticHedge._head``) and the
+    last delta.  Statics and delta tables are read on the grids' nodes by
+    :func:`_nodes` and :func:`_on_grid`, so the bits are those of
+    ``hedge.evaluate``."""
+    head = hedge.cash + sum(_nodes(u, g)[i] for u, g, i in zip(hedge.statics[:-1], grids, index))
+    for j, dt in enumerate(hedge.deltas[:-1]):
+        head = head + _on_grid(dt, grids)[tuple(index[: j + 1])] * (histories[j + 1] - histories[j])
+    return head, _on_grid(hedge.deltas[-1], grids)[tuple(index)]
+
+
+class _Frame:
+    """The cells of a product grid as one payoff sees them.
+
+    ``index`` holds every history of dates 1..n-1 as node indices (the
+    :func:`_histories` of the index ranges), ``histories`` their
+    coordinates, one flat array per date in row-major order; ``axis`` and
+    ``data`` are the :func:`_final_axis` of the last grid and the payoff's
+    last-axis data; ``points``, the axis a hedge is checked on, adds zero
+    to it for payoffs with such data.  :func:`_cells` keeps the payoff over
+    histories x points in ``table`` when that is one chunk, so every walk
+    of a small frame reads one table, and :meth:`terms` keeps the history
+    terms of the last hedge it read.  A frame is a sequence of its grids,
+    so it goes where grids go: a bound hands its frame to ``verify``."""
+
+    def __init__(self, grids, payoff: Payoff, index=None) -> None:
+        self.grids = tuple(np.asarray(g, dtype=float).ravel() for g in grids)
+        self.payoff = payoff
+        self.index = _histories([np.arange(g.size) for g in self.grids[:-1]]) if index is None else index
+        self.histories = [g[i] for g, i in zip(self.grids, self.index)]
+        self.size = self.index[0].size
+        self.axis, self.data = _final_axis(payoff, self.histories, self.grids[-1])
+        self.points = self.axis if self.data is None else np.union1d(self.axis, [0.0])
+        self.table = None
+        self._read = None  # the parts of the last hedge :meth:`terms` read, and its terms
+
+    def terms(self, hedge: SemiStaticHedge):
+        """The hedge's head terms and last delta at every history (see
+        :func:`_terms`).  They do not depend on u_n, so a hedge and its
+        widening, which shares every other part, read them once."""
+        parts = (hedge.cash, *hedge.statics[:-1], *hedge.deltas)
+        if (self._read is None or len(parts) != len(self._read[0])
+                or any(a is not b for a, b in zip(parts, self._read[0]))):
+            self._read = parts, _terms(hedge, self.grids, self.index, self.histories)
+        return self._read[1]
+
+    def __len__(self) -> int:
+        return len(self.grids)
+
+    def __getitem__(self, i):
+        return self.grids[i]
+
+
+def _cells(frame: _Frame, hedge: SemiStaticHedge, z: np.ndarray):
+    """Walk the histories of ``frame`` in chunks of at most ``CHUNK_CELLS``
+    cells of the last-axis points ``z`` they all share.  Per chunk, yield
+    its histories (one column per date), the hedge's head terms and last
+    delta there, read once over every history by :meth:`_Frame.terms`, and the
+    payoff at its cells, from ``frame.table`` when ``z`` is the frame's
+    points and their table is one chunk."""
+    head, last = frame.terms(hedge)
+    step = max(1, CHUNK_CELLS // max(1, z.size))
+    keep = z is frame.points and step >= frame.size
+    for start in range(0, frame.size, step):
         rows = slice(start, start + step)
-        h = [x[rows, None] for x in histories]
-        yield h, head[rows, None], last[rows, None], payoff_mod.evaluate_last_axis(payoff, h, points)
+        h = [x[rows, None] for x in frame.histories]
+        if keep and frame.table is not None:
+            phi = frame.table
+        else:
+            phi = payoff_mod.evaluate_last_axis(frame.payoff, h, z)
+            if keep:
+                frame.table = phi
+        yield h, head[rows, None], last[rows, None], phi
 
 
 def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
@@ -302,25 +393,29 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     covers both tails.  ``checked_cells`` is histories times axis points.
     The worst cell is the first maximum in history order, then last-axis
     order; a NaN gap outranks any number, so the report reads NaN and is
-    not valid.
+    not valid.  ``grids`` may be a :class:`_Frame` of ``payoff``, whose
+    histories, axis and payoff table are then read, not built; plain grids
+    get a frame of their own, walked by the same kernel.
     """
-    grids = [np.asarray(g, dtype=float).ravel() for g in grids]
+    if not (isinstance(grids, _Frame) and grids.payoff is payoff):
+        grids = [np.asarray(g, dtype=float).ravel() for g in grids]
     if len(grids) != hedge.n:
         raise DimensionMismatch(f"hedge covers {hedge.n} dates, got {len(grids)} grids")
+    frame = grids if isinstance(grids, _Frame) else _Frame(grids, payoff)
     sign = 1.0 if hedge.sense == "sub" else -1.0
-    hist = _histories(grids[:-1])
     u = hedge.statics[-1]
-    z, data = _final_axis(payoff, hist, grids[-1])
+    z, data = frame.points, frame.data
     wing_ok = None
     if data is not None:
-        z = np.union1d(z, np.union1d(u.knots, [0.0]))
+        if _positions(z, u.knots) is None:  # knots off the frame's axis
+            z = np.union1d(z, u.knots)
         slope_tol = 1e-9 * (1.0 + abs(data.left_slope) + abs(data.right_slope))
         wing_ok = True
     u_z = u(z)
 
     worst = -np.inf
     worst_cell: tuple[float, ...] = ()
-    for h, base, slope, phi in _cells(hedge, payoff, hist, z):
+    for h, base, slope, phi in _cells(frame, hedge, z):
         # psi - phi in the order of SemiStaticHedge._payout, so the bits match
         gap = sign * (base + u_z + slope * (z - h[-1]) - phi)
         top = gap.max(axis=1)  # a NaN gap is its row's top
@@ -336,27 +431,30 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
         sense=hedge.sense,
         max_violation=float(worst),
         worst_cell=worst_cell,
-        checked_cells=hist[0].size * z.size,
+        checked_cells=frame.size * z.size,
         continuum_checked=data is not None,
         wing_ok=wing_ok,
     )
 
 
-def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff) -> SemiStaticHedge:
-    """Extend u_n with knots at the :func:`_final_axis` of its knots over the
-    histories of the last delta's atoms, so the assembled payout stays on the
-    right side of the payoff there: each new knot takes the tightest value
-    over every history, and the wings the tightest admissible slopes given
-    the payoff's exact ones.  Values at existing knots (the final marginal's
-    atoms) are kept, so the hedge price is unchanged.  A candidate within
-    rounding (:func:`_rounding_twins`) of a knot or of a smaller candidate
-    is not added.  Payoffs with no declared last-axis data are left alone."""
-    u_n = hedge.statics[-1]
-    histories = _histories(hedge.deltas[-1].atoms)
-    z_all, data = _final_axis(payoff, histories, u_n.knots)
+def _widen_last_static(hedge: SemiStaticHedge, frame: _Frame) -> SemiStaticHedge:
+    """Extend u_n with knots at the final axis of ``frame``, a frame of the
+    hedge's own atoms (the last delta's atoms, then u_n's knots), so the
+    assembled payout stays on the right side of the payoff there: each new
+    knot takes the tightest value over every history, and the wings the
+    tightest admissible slopes given the payoff's exact ones.  Values at
+    existing knots (the final marginal's atoms) are kept, so the hedge
+    price is unchanged.  A candidate within rounding
+    (:func:`_rounding_twins`) of a knot or of a smaller candidate is not
+    added.  The payoff is read from the frame's table at the new knots'
+    columns.  Payoffs with no declared last-axis data are left alone."""
+    data = frame.data
     if data is None:
         return hedge
-    fresh = ~np.isin(z_all, u_n.knots)
+    u_n = hedge.statics[-1]
+    z_all = frame.axis
+    fresh = np.ones(z_all.size, dtype=bool)
+    fresh[np.searchsorted(z_all, u_n.knots)] = False
     # runs of rounding twins are one point: a knot when the run holds one,
     # else the run's first candidate
     twin = _rounding_twins(z_all)
@@ -365,30 +463,40 @@ def _widen_last_static(hedge: SemiStaticHedge, payoff: Payoff) -> SemiStaticHedg
     keep = ~fresh | ~(twin | has_knot[run])
     z_all, fresh = z_all[keep], fresh[keep]
     z_new = z_all[fresh]
+    cols = np.searchsorted(frame.points, z_new)
     # A subhedge's new values and right wing take the minimum over histories
     # and its left wing, where z - knot < 0, the maximum; a superhedge the reverse.
-    tightest, tightest_left = (np.min, np.max) if hedge.sense == "sub" else (np.max, np.min)
+    tightest, tightest_left = (np.minimum, np.maximum) if hedge.sense == "sub" else (np.maximum, np.minimum)
     fill, left, right = [], [], []
-    for h, head, d, phi in _cells(hedge, payoff, histories, z_new):
+    for h, head, d, phi in _cells(frame, hedge, frame.points):
         # psi(h, z) = head + u_n(z) + d * (z - h_last).  head + u_n(h_last) - u_n(h_last) is not a
         # no-op: it rounds head as psi(h, h_last) - u_n(h_last) does, so new knots keep their bits
         u_h = u_n(h[-1])
-        fill.append(tightest(phi - (head + u_h - u_h) - d * (z_new - h[-1]), axis=0))
-        left.append(tightest_left(data.left_slope - d))
-        right.append(tightest(data.right_slope - d))
+        fill.append(tightest.reduce(phi[:, cols] - (head + u_h - u_h) - d * (z_new - h[-1]), axis=0))
+        left.append(tightest_left.reduce(data.left_slope - d, axis=None))
+        right.append(tightest.reduce(data.right_slope - d, axis=None))
     values = np.empty(z_all.size)
     values[~fresh] = u_n.values
-    values[fresh] = tightest(fill, axis=0)
-    u_new = PiecewiseLinear(z_all, values, float(tightest_left(left)), float(tightest(right)))
+    values[fresh] = tightest.reduce(fill, axis=0)
+    u_new = PiecewiseLinear(z_all, values, float(tightest_left.reduce(left)), float(tightest.reduce(right)))
     return SemiStaticHedge(hedge.cash, (*hedge.statics[:-1], u_new), hedge.deltas, hedge.sense)
 
 
 def slackness(hedge: SemiStaticHedge, coupling, payoff: Payoff) -> float:
     """Max of |payoff - psi| over the coupling's support (mass > 1e-12).
-    Zero at an optimal primal/dual pair; positive otherwise."""
-    paths = coupling.paths()[coupling.masses > SUPPORT_TOL]
-    phi = payoff_mod.evaluate_last_axis(payoff, paths[:, :-1].T, paths[:, -1])
-    return float(np.abs(phi - hedge.evaluate(paths)).max(initial=0.0))
+    Zero at an optimal primal/dual pair; positive otherwise.  psi is read
+    at the support's node indices into the coupling's grids (see
+    :func:`_terms`), with the bits of ``hedge.evaluate``."""
+    if coupling.n != hedge.n:
+        raise DimensionMismatch(f"hedge covers {hedge.n} dates, the coupling {coupling.n}")
+    *index, last = coupling.indices[coupling.masses > SUPPORT_TOL].T
+    grids = coupling.grids
+    h = [g[i] for g, i in zip(grids, index)]
+    z = grids[-1][last]
+    head, d = _terms(hedge, grids, index, h)
+    psi = head + _nodes(hedge.statics[-1], grids[-1])[last] + d * (z - h[-1])
+    phi = payoff_mod.evaluate_last_axis(payoff, h, z)
+    return float(np.abs(phi - psi).max(initial=0.0))
 
 
 @dataclass(frozen=True)

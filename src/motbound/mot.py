@@ -11,6 +11,7 @@ static payouts u_i, martingale-row duals are the delta positions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -21,8 +22,8 @@ import numpy as np
 from . import lp as lp_mod, measures as measures_mod, payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
-from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
-                    _final_axis, _histories, _widen_last_static, price as hedge_price, slackness, verify)
+from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells, _Frame,
+                    _histories, _widen_last_static, price as hedge_price, slackness, verify)
 from .lp import Constraints, LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers, halve
 from .payoff import Payoff
@@ -255,12 +256,41 @@ class Solver:
     every date, are the seed, with the cells basic in the coarse optimum.
     That optimal basis, mapped to this LP (see :class:`_Seed`), is where
     the master's first run starts, not the artificials; the coarse solves'
-    pivots are not in ``lp_iterations``."""
+    pivots are not in ``lp_iterations``.
+
+    A bound reads its LP's dual on one :class:`~motbound.hedge._Frame` of
+    the atoms (see :meth:`frame`), built on the solver's
+    :attr:`history_index`."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
         self.layout = _layout(system)
         self._seed = _Seed(system, self.layout)
+        self._frame: _Frame | None = None  # the frame of the bound in progress
+
+    @functools.cached_property
+    def history_index(self) -> list[np.ndarray]:
+        """Every history of the atoms of dates 1..n-1 as node indices, one
+        flat array per date in row-major order, built once."""
+        return _histories([np.arange(g.size) for g in self.layout.grids[:-1]])
+
+    def frame(self, payoff: Payoff) -> _Frame:
+        """The atoms' cells as ``payoff`` sees them: the frame of the bound
+        in progress when it is ``payoff``'s, so that its extraction, check
+        and surface share one, else a new one."""
+        if self._frame is not None and self._frame.payoff is payoff:
+            return self._frame
+        return _Frame(self.layout.grids, payoff, self.history_index)
+
+    @contextlib.contextmanager
+    def _bound_frame(self, payoff: Payoff):
+        """Hold ``payoff``'s frame for one bound (see :meth:`frame`), and
+        drop it with its payoff table when the bound is done."""
+        self._frame = self.frame(payoff)
+        try:
+            yield self._frame
+        finally:
+            self._frame = None
 
     @functools.cached_property
     def constraints(self) -> Constraints:
@@ -385,14 +415,13 @@ def _solver_for(system: MarginalSystem, solver: Solver | None) -> Solver:
 def verification_grids(problem: MotProblem, solver: Solver | None = None) -> list[np.ndarray]:
     """Grids of :func:`surface_csv`: history axes stay on the marginal atoms
     (deltas exist only there); the final axis is the last date's atoms plus
-    every history's kinks of the payoff (``hedge._final_axis``, the axis a
-    bound's widening and :func:`~motbound.hedge.verify` build on the atoms
-    themselves).  Payoffs with no declared last-axis data (tabulated,
-    custom) keep the atoms.  The atoms come from ``solver``, built on
-    ``problem.system`` for this call when not given."""
+    every history's kinks of the payoff (``hedge._final_axis``, the axis of
+    the frame on which a bound widens and checks its hedge).  Payoffs with
+    no declared last-axis data (tabulated, custom) keep the atoms.  The
+    atoms come from ``solver``, built on ``problem.system`` for this call
+    when not given."""
     solver = _solver_for(problem.system, solver)
-    last, _ = _final_axis(problem.payoff, _histories(solver.layout.grids[:-1]), solver.layout.grids[-1])
-    return [*solver.layout.grids[:-1], last]
+    return [*solver.layout.grids[:-1], solver.frame(problem.payoff).axis]
 
 
 def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
@@ -405,7 +434,8 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
     into the adjacent statics, and each u_i for i >= 2 is pinned to zero at
     the atom of its dropped row (its heaviest) with the shift absorbed into
     cash.  Last, u_n gains knots at the payoff's kinks, tightest over the
-    histories of the atoms.
+    histories of the atoms, read on the solver's frame of the payoff (see
+    :meth:`Solver.frame`; a bound's check reads the same one).
     The row layout comes from ``solver``, built on ``problem.system`` for
     this call when not given."""
     solver = _solver_for(problem.system, solver)
@@ -421,7 +451,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
 
     cash = 0.0
     for j in range(n - 1):
-        beta = -float(np.mean(tables[j]))
+        beta = -float(tables[j].mean())
         tables[j] = tables[j] + beta
         u_vals[j] = u_vals[j] + beta * layout.grids[j]
         u_vals[j + 1] = u_vals[j + 1] - beta * layout.grids[j + 1]
@@ -435,7 +465,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
     deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
-    return _widen_last_static(hedge, problem.payoff)
+    return _widen_last_static(hedge, solver.frame(problem.payoff))
 
 
 def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
@@ -490,8 +520,11 @@ def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
 
 def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Solver,
             attempts: int) -> MotResult:
-    hedge = extract_hedge(sol, problem, solver)
-    report = verify(hedge, problem.payoff, solver.layout.grids)
+    """The bound's hedge, widened and checked on one frame of the atoms,
+    and its diagnostics."""
+    with solver._bound_frame(problem.payoff) as frame:
+        hedge = extract_hedge(sol, problem, solver)
+        report = verify(hedge, problem.payoff, frame)
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
     coupling = _coupling_from_primal(sol.primal, solver.layout)
@@ -624,14 +657,15 @@ def random_feasible_coupling(system: MarginalSystem, seed: int, *,
 
 def surface_csv(problem: MotProblem, result: MotResult, solver: Solver | None = None) -> str:
     """Hedge payout vs payoff over (s1, z) of the verification grids, for
-    two-date problems; the grids are read from ``solver`` (see
-    :func:`verification_grids`)."""
+    two-date problems; the grids, those of :func:`verification_grids`,
+    are the atoms and the final axis of ``solver``'s frame of the payoff."""
     if problem.system.n_dates != 2:
         raise DimensionMismatch("surface export covers two-date problems")
-    *history, z = verification_grids(problem, solver)
+    frame = _solver_for(problem.system, solver).frame(problem.payoff)
+    z = frame.axis
     u_z = result.hedge.statics[-1](z)
     lines = ["s1,s2,psi,phi,phi_minus_psi"]
-    for (h,), head, d, phi in _cells(result.hedge, problem.payoff, history, z):  # the one history axis
+    for (h,), head, d, phi in _cells(frame, result.hedge, z):  # the one history axis
         psi = head + u_z + d * (z - h)  # SemiStaticHedge._payout's order: hedge.evaluate's bits
         lines.extend(f"{fmt12(x)},{fmt12(s2)},{fmt12(a)},{fmt12(b)},{fmt12(b - a)}"
                      for x, psi_x, phi_x in zip(h[:, 0], psi, phi) for s2, a, b in zip(z, psi_x, phi_x))

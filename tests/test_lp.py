@@ -937,9 +937,10 @@ def reference_model(lp: LinearProgram, cols: np.ndarray, artificial: bool):
 
 
 class TestModelIO:
-    """A model reaches HiGHS as its rows and one ``addCols`` of every
-    column, its basis comes back through ``getBasicVariables``, and a model
-    with artificial columns and no start basis starts with them basic."""
+    """A model reaches HiGHS as its rows, then one ``addCols`` of its
+    artificial columns and one of its LP columns, its basis comes back
+    through ``getBasicVariables``, and a model with artificial columns and
+    no start basis starts with them basic."""
 
     # a negative rhs gives its artificial coefficient -1
     LP = dense_lp([[1.0, 1.0, 0.0, 2.0], [1.0, -1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]],

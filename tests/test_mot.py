@@ -122,6 +122,33 @@ class TestBuildLp:
             MotProblem(forced_system(), asian_call(0.0, 3), "lower")
 
 
+def cubed_spread(system: MarginalSystem):
+    """(s_2 - s_1)^3 tabulated on the atoms: a payoff with no last-axis
+    data, so its hedge is not widened and is checked on the atoms alone."""
+    g1, g2 = (mu.points for mu in system.marginals)
+    return tabulated([g1, g2], (g2[None, :] - g1[:, None]) ** 3)
+
+
+# (name, system, payoff of the system): the branches of a bound's frame
+FRAME_CASES = [
+    ("straddle", lambda: smooth_pair(15), lambda s: forward_start_straddle()),
+    # kinks off the atoms, then on atoms and their rounding twins
+    ("call0.97", lambda: smooth_pair(15), lambda s: forward_start_call(0.97)),
+    ("call1.0", lambda: smooth_pair(15), lambda s: forward_start_call(1.0)),
+    # two kinks per history on one axis
+    ("lookback2", lambda: smooth_pair(15), lambda s: lookback_call(0.1)),
+    ("tabulated", lambda: smooth_pair(15), cubed_spread),
+    ("asian3", three_date_system, lambda s: asian_call(0.0, 3)),
+    ("lookback3", three_date_system, lambda s: lookback_call(0.5, 3)),
+]
+
+
+def frame_problem(case, sense: str) -> MotProblem:
+    _, system, payoff = case
+    system = system()
+    return MotProblem(system, payoff(system), sense)
+
+
 def count_calls(monkeypatch, owner, name: str, calls: list) -> None:
     """Record ``name`` in ``calls`` whenever ``owner.name`` is called."""
     fn = getattr(owner, name)
@@ -148,16 +175,19 @@ class TestOneLayoutPerBound:
         assert calls == ["_layout"]
 
     def test_sweep_builds_per_system_parts_once(self, monkeypatch):
-        # 11 strikes, 22 bounds: one layout and one check of the constraint
-        # triples for the whole sweep, and no verification grids or history
-        # grid in mot
+        # 11 strikes, 22 bounds: one layout, one history grid and one check
+        # of the constraint triples for the whole sweep, no verification
+        # grids, and one read of the payoff's last-axis data per bound (its
+        # widening and its check share one frame)
         calls = []
         for name in ("_layout", "_histories", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
         count_calls(monkeypatch, lp_mod.Constraints, "__post_init__", calls)
+        count_calls(monkeypatch, payoff_mod, "last_axis", calls)
         table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
         assert all(row.ok for row in table.rows)
-        assert sorted(calls) == ["__post_init__", "_layout"]
+        assert sorted(c for c in calls if c != "last_axis") == ["__post_init__", "_histories", "_layout"]
+        assert calls.count("last_axis") <= 22
 
     def test_one_public_extraction_per_bound(self, monkeypatch):
         # bound reads its hedge through the public name, which tracers wrap
@@ -172,15 +202,21 @@ class TestOneLayoutPerBound:
 
     @pytest.mark.parametrize("sense", ["lower", "upper"])
     def test_public_extraction_matches_bound(self, sense):
-        problem = MotProblem(three_date_system(), asian_call(0.0, 3), sense)
-        res = bound(problem)
-        solver = Solver(problem.system)
-        hedge = mot.extract_hedge(mot.solve(solver.lp(problem)), problem, solver)
-        assert hedge.cash == res.hedge.cash
-        for a, b in zip(hedge.statics, res.hedge.statics):
-            np.testing.assert_array_equal(a.knots, b.knots)
-            np.testing.assert_array_equal(a.values, b.values)
-            assert (a.left_slope, a.right_slope) == (b.left_slope, b.right_slope)
+        # a bound reads its certificate on one frame of the atoms; the public
+        # functions, given plain grids and no frame, give the same bits
+        for case in FRAME_CASES:
+            problem = frame_problem(case, sense)
+            res = bound(problem)
+            grids = [mu.points.copy() for mu in problem.system.marginals]
+            assert (dataclasses.asdict(hedge_mod.verify(res.hedge, problem.payoff, grids))
+                    == dataclasses.asdict(res.report)), case[0]
+            diag = res.diagnostics
+            assert diag.max_slackness_violation == slackness(res.hedge, res.coupling, problem.payoff), case[0]
+            assert diag.duality_gap == abs(res.value - hedge_price(res.hedge, problem.system)), case[0]
+            # the same LP on a new solver, solved as the bound solves it
+            solver = Solver(problem.system)
+            sol = mot.solve(solver.lp(problem), session=solver.session)
+            assert hedge_to_json(mot.extract_hedge(sol, problem, solver)) == hedge_to_json(res.hedge), case[0]
 
 
 class TestCouplingGridMatch:
@@ -801,8 +837,9 @@ class TestExports:
 
 
 class TestChunkSize:
-    """A chunk of one cell walks the histories one at a time; no bit of a
-    hedge or a surface may change."""
+    """A chunk of one cell walks the histories one at a time, so a bound's
+    frame keeps no payoff table; no bit of a hedge, a report, the
+    diagnostics or a surface may change."""
 
     @pytest.mark.parametrize("system, payoff", [
         (lambda: smooth_pair(15), forward_start_straddle),
@@ -816,6 +853,19 @@ class TestChunkSize:
         default = hedge_to_json(mot.extract_hedge(sol, problem, solver))
         monkeypatch.setattr(hedge_mod, "CHUNK_CELLS", 1)
         assert hedge_to_json(mot.extract_hedge(sol, problem, solver)) == default
+
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    def test_bound(self, case, sense, monkeypatch):
+        problem = frame_problem(case, sense)
+
+        def result():
+            res = bound(problem)
+            return hedge_to_json(res.hedge), dataclasses.asdict(res.report), res.diagnostics.to_json()
+
+        default = result()
+        monkeypatch.setattr(hedge_mod, "CHUNK_CELLS", 1)
+        assert result() == default
 
     def test_surface_csv(self, monkeypatch):
         problem = MotProblem(smooth_pair(15), forward_start_call(0.95), "lower")
