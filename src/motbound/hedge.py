@@ -393,9 +393,10 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     covers both tails.  ``checked_cells`` is histories times axis points.
     The worst cell is the first maximum in history order, then last-axis
     order; a NaN gap outranks any number, so the report reads NaN and is
-    not valid.  ``grids`` may be a :class:`_Frame` of ``payoff``, whose
-    histories, axis and payoff table are then read, not built; plain grids
-    get a frame of their own, walked by the same kernel.
+    not valid, and an exact tie reads 0.0 in either sense.  ``grids`` may
+    be a :class:`_Frame` of ``payoff``, whose histories, axis and payoff
+    table are then read, not built; plain grids get a frame of their own,
+    walked by the same kernel.
     """
     if not (isinstance(grids, _Frame) and grids.payoff is payoff):
         grids = [np.asarray(g, dtype=float).ravel() for g in grids]
@@ -429,7 +430,7 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
 
     return VerificationReport(
         sense=hedge.sense,
-        max_violation=float(worst),
+        max_violation=float(worst) + 0.0,  # a superhedge's exact tie, -0.0, reads 0.0
         worst_cell=worst_cell,
         checked_cells=frame.size * z.size,
         continuum_checked=data is not None,

@@ -11,7 +11,6 @@ static payouts u_i, martingale-row duals are the delta positions.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -259,14 +258,18 @@ class Solver:
     pivots are not in ``lp_iterations``.
 
     A bound reads its LP's dual on one :class:`~motbound.hedge._Frame` of
-    the atoms (see :meth:`frame`), built on the solver's
-    :attr:`history_index`."""
+    the atoms, built on the solver's :attr:`history_index`.  The solver
+    keeps the frame of the last payoff it served (see :meth:`frame`), so
+    the two senses of a payoff, and a surface after its bound, share one.
+    A kept frame holds the histories, the final axis, the history terms
+    of the last hedge it read and at most one payoff table, of at most one
+    ``hedge.CHUNK_CELLS`` block; a frame larger than that keeps none."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
         self.layout = _layout(system)
         self._seed = _Seed(system, self.layout)
-        self._frame: _Frame | None = None  # the frame of the bound in progress
+        self._frame: _Frame | None = None  # the frame of the last payoff served
 
     @functools.cached_property
     def history_index(self) -> list[np.ndarray]:
@@ -275,22 +278,11 @@ class Solver:
         return _histories([np.arange(g.size) for g in self.layout.grids[:-1]])
 
     def frame(self, payoff: Payoff) -> _Frame:
-        """The atoms' cells as ``payoff`` sees them: the frame of the bound
-        in progress when it is ``payoff``'s, so that its extraction, check
-        and surface share one, else a new one."""
-        if self._frame is not None and self._frame.payoff is payoff:
-            return self._frame
-        return _Frame(self.layout.grids, payoff, self.history_index)
-
-    @contextlib.contextmanager
-    def _bound_frame(self, payoff: Payoff):
-        """Hold ``payoff``'s frame for one bound (see :meth:`frame`), and
-        drop it with its payoff table when the bound is done."""
-        self._frame = self.frame(payoff)
-        try:
-            yield self._frame
-        finally:
-            self._frame = None
+        """The atoms' cells as ``payoff`` sees them: the kept frame while
+        the same payoff object asks, else a new one, which replaces it."""
+        if self._frame is None or self._frame.payoff is not payoff:
+            self._frame = _Frame(self.layout.grids, payoff, self.history_index)
+        return self._frame
 
     @functools.cached_property
     def constraints(self) -> Constraints:
@@ -322,10 +314,14 @@ class Solver:
         bound, and each sense's payoffs in the given order.  The one owner
         of the solve order.  Per payoff, a dict from each sense, lower
         first, to its :class:`MotResult` or the ``MotboundError`` it raised;
-        a payoff whose lower bound raised gets no upper-bound solve."""
+        a payoff whose lower bound raised gets no upper-bound solve.
+        ``senses`` is a collection of 'lower' and 'upper': any other sense,
+        or a bare string, raises ValueError before any solve."""
+        if isinstance(senses, str) or not (senses := set(senses)) <= {"lower", "upper"}:
+            raise ValueError(f"senses must be a collection of 'lower' and 'upper', got {senses!r}")
         solve = solve or bound
         outcomes = [{} for _ in payoffs]
-        for sense in sorted(set(senses), key=("lower", "upper").index):
+        for sense in sorted(senses, key=("lower", "upper").index):
             for payoff, outcome in zip(payoffs, outcomes):
                 if isinstance(outcome.get("lower"), MotboundError):
                     continue
@@ -520,11 +516,10 @@ def _solve(lp: LinearProgram, session: Session | None) -> LpSolution:
 
 def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Solver,
             attempts: int) -> MotResult:
-    """The bound's hedge, widened and checked on one frame of the atoms,
-    and its diagnostics."""
-    with solver._bound_frame(problem.payoff) as frame:
-        hedge = extract_hedge(sol, problem, solver)
-        report = verify(hedge, problem.payoff, frame)
+    """The bound's hedge, widened and checked on the solver's frame of the
+    payoff (see :meth:`Solver.frame`), and its diagnostics."""
+    hedge = extract_hedge(sol, problem, solver)
+    report = verify(hedge, problem.payoff, solver.frame(problem.payoff))
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
     coupling = _coupling_from_primal(sol.primal, solver.layout)

@@ -209,6 +209,14 @@ class TestVerify:
         assert report.wing_ok is False
         assert not report.valid
 
+    def test_superhedge_tie_reads_positive_zero(self):
+        # instance A's upper bound ties the payoff exactly at its worst cell
+        res = bound(MotProblem(instance_a_marginals(), forward_start_straddle(), "upper"))
+        assert res.report.max_violation == 0.0
+        assert np.copysign(1.0, res.report.max_violation) == 1.0
+        assert np.copysign(1.0, res.diagnostics.extras["max_verification_violation"]) == 1.0
+        assert res.report.describe().startswith("superhedge valid: max violation 0.000e+00 over ")
+
     def test_superhedge_sense(self):
         g1 = np.array([-1.0, 0.0, 1.0])
         g2 = np.array([-2.0, 0.0, 2.0])

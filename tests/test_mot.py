@@ -219,6 +219,92 @@ class TestOneLayoutPerBound:
             assert hedge_to_json(mot.extract_hedge(sol, problem, solver)) == hedge_to_json(res.hedge), case[0]
 
 
+class TestKeptFrame:
+    """A solver keeps the frame of the last payoff it served: the two senses
+    of a payoff and a surface after its bound read one, a bound for another
+    payoff replaces it, and its payoff table is at most one chunk."""
+
+    def test_both_senses_build_one_frame(self, monkeypatch):
+        calls = []
+        count_calls(monkeypatch, payoff_mod, "last_axis", calls)
+        outcome, = Solver(smooth_pair(9)).bounds([forward_start_straddle()])
+        assert sorted(outcome) == ["lower", "upper"]
+        assert all(res.report.valid for res in outcome.values())
+        assert calls == ["last_axis"]
+
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+    def test_shared_frame_gives_the_bits_of_a_fresh_one(self, case, monkeypatch):
+        # each sense's LP solution, read on a new solver's frame and on
+        # plain grids, gives the hedge and report of the shared frame
+        solved = []
+        real_solve = mot._solve
+
+        def recording(lp, session):
+            solved.append(real_solve(lp, session))
+            return solved[-1]
+
+        monkeypatch.setattr(mot, "_solve", recording)
+        problem = frame_problem(case, "lower")
+        outcome, = Solver(problem.system).bounds([problem.payoff])
+        assert len(solved) == 2
+        for (sense, res), sol in zip(outcome.items(), solved):
+            one = MotProblem(problem.system, problem.payoff, sense)
+            hedge = mot.extract_hedge(sol, one, Solver(problem.system))
+            assert hedge_to_json(hedge) == hedge_to_json(res.hedge), (case[0], sense)
+            grids = [mu.points.copy() for mu in problem.system.marginals]
+            assert (dataclasses.asdict(hedge_mod.verify(res.hedge, problem.payoff, grids))
+                    == dataclasses.asdict(res.report)), (case[0], sense)
+
+    def test_surface_after_bound_builds_no_frame(self, monkeypatch):
+        problem = MotProblem(smooth_pair(15), forward_start_call(0.95), "lower")
+        solver = Solver(problem.system)
+        res = bound(problem, solver=solver)
+        fresh = surface_csv(problem, res, Solver(problem.system))
+        calls = []
+        count_calls(monkeypatch, mot, "_Frame", calls)
+        count_calls(monkeypatch, payoff_mod, "last_axis", calls)
+        assert surface_csv(problem, res, solver) == fresh
+        assert calls == []
+
+    def test_another_payoff_replaces_the_frame(self):
+        system = smooth_pair(9)
+        first, second = forward_start_call(0.95), forward_start_call(1.05)
+        solver = Solver(system)
+        bound(MotProblem(system, first, "lower"), solver=solver)
+        kept = solver.frame(first)
+        bound(MotProblem(system, second, "lower"), solver=solver)
+        assert solver.frame(second).payoff is second
+        assert solver.frame(first) is not kept
+
+    @pytest.mark.parametrize("chunk_cells", [hedge_mod.CHUNK_CELLS, 64, 1])
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+    def test_kept_table_fits_one_chunk(self, case, chunk_cells, monkeypatch):
+        monkeypatch.setattr(hedge_mod, "CHUNK_CELLS", chunk_cells)
+        problem = frame_problem(case, "lower")
+        solver = Solver(problem.system)
+        solver.bounds([problem.payoff])
+        frame = solver.frame(problem.payoff)
+        cells = frame.size * frame.points.size
+        if cells <= chunk_cells:
+            assert frame.table.shape == (frame.size, frame.points.size)
+        else:
+            assert frame.table is None
+
+
+class TestBoundsSenses:
+    @pytest.mark.parametrize("senses, named", [
+        (("sideways",), "got {'sideways'}"),
+        (("lower", "up"), "'up'"),
+        ("lower", "got 'lower'$"),
+    ])
+    def test_bounds_name_a_bad_sense_before_any_solve(self, senses, named):
+        solved = []
+        with pytest.raises(ValueError, match=named):
+            Solver(instance_a_marginals()).bounds([forward_start_straddle()], senses,
+                                                  lambda problem, solver: solved.append(problem))
+        assert solved == []
+
+
 class TestCouplingGridMatch:
     def test_grid_off_the_atoms_by_a_relative_5e_6_is_rejected(self):
         system = smooth_pair(9)
