@@ -44,8 +44,8 @@ class IterationLimit(LpError):
 
 
 class ScaleExceeded(LpError):
-    """Problem too large: over the transport LP's nonzero ceiling, raised
-    before any assembly."""
+    """Problem too large: over the transport LP's cell ceiling, raised
+    before anything cell-sized is built."""
 
 
 class NotAdmissible(MotboundError):

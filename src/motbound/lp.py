@@ -1,14 +1,23 @@
 """Equality-form linear programs, solved by HiGHS.
 
-One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``
-with A held once, column by column, as sparse (row, col, value) triples in
-a ``Constraints``, which checks them once, so LPs that differ only in cost
-share one checked object.
+One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``,
+with A read through one column source, shared by the LPs that differ only
+in cost.  A source gives ``n_cols``, ``rhs``, the row scales ``row_scale``
+and ``scaled_rhs`` (below), ``columns(cols)``, the columns a model adds, as
+starts, row indices and values, ``reduced(cost, y)``, ``cost - A^T y`` over
+every column, one pricing pass, and ``times(x)``, the residual check's
+``A x``; and ``rows``, ``cols`` and ``vals``, A's triples, which no solve
+reads.  ``Constraints`` is the source of a general LP: A held once as
+sparse (row, col, value) triples in column-major order, checked once.  A
+source can instead read each column off the structure of its LP, as the
+transport LP's ``mot.TransportColumns`` does, and hold no matrix; a model
+of every column, which HiGHS holds anyway, then prices on a ``Constraints``
+of its columns, with the same bits.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  HiGHS sees the LP
 free of its units: each row times R_i, the inverse of the smallest power
-of two at or above its largest |coefficient| (``Constraints.row_scale``),
+of two at or above its largest |coefficient| (a source's ``row_scale``),
 and the costs divided by C, the smallest power of two at or above the
 largest |cost| of that LP (Tomlin 1975: power-of-two equilibration, exact
 in floating point).  This module computes in the units of that model:
@@ -37,7 +46,7 @@ column without them starts from HiGHS's own basis.  A model passes HiGHS
 its rows alone, then its artificial columns in one ``addCols`` of arrays
 and the LP's in another, as each pricing round adds its own, and reads
 its basis back from ``getBasicVariables``, one integer per row.
-A ``Session`` is built on one ``Constraints`` object and keeps one HiGHS
+A ``Session`` is built on one column source and keeps one HiGHS
 model for the LPs built on it: after its first solve, each LP only
 changes the column costs and restarts the primal simplex from the last
 optimal basis, which stays primal feasible.  In the primal band the
@@ -214,9 +223,17 @@ def _power_of_two(top: float) -> float:
     return math.ldexp(1.0, exponent - (fraction == 0.5))
 
 
+def row_scale_of(top: np.ndarray) -> np.ndarray:
+    """Each row's scale R_i from its largest |coefficient| ``top`` >= 0:
+    the inverse of the smallest power of two at or above it, and 1 at 0."""
+    fraction, exponent = np.frexp(top)
+    return np.ldexp(1.0, (fraction == 0.5) - exponent)
+
+
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class Constraints:
-    """``A x = rhs`` over ``n_cols`` variables, with A held once as sparse
+    """``A x = rhs`` over ``n_cols`` variables, the column source of a
+    general LP (see the module docstring), with A held once as sparse
     (row, col, value) triples in column-major order, and ``start``, where
     each column's triples start (one per column and the end).  Checked once,
     when built: equal triple lengths, finite coefficients and rhs, indices in
@@ -261,8 +278,7 @@ class Constraints:
         start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
         top = np.zeros(rhs.size)
         np.maximum.at(top, rows, np.abs(vals))
-        fraction, exponent = np.frexp(top)
-        row_scale = np.ldexp(1.0, (fraction == 0.5) - exponent)
+        row_scale = row_scale_of(top)
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs), ("start", start),
                           ("row_scale", row_scale), ("scaled_rhs", rhs * row_scale)):
             arr.flags.writeable = False
@@ -281,11 +297,16 @@ class Constraints:
         """The reduced costs ``cost - A^T y`` of every column."""
         return cost - np.bincount(self.cols, self.vals * y[self.rows], minlength=self.n_cols)
 
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``A x``, one value per row."""
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.rhs.size)
+
 
 @dataclass(frozen=True)
 class LinearProgram:
     """min/max cost.x subject to A x = rhs, x >= 0, with one cost per
-    column of the constraints."""
+    column of the constraints: a ``Constraints`` or another column source
+    (see the module docstring)."""
 
     sense: str
     cost: np.ndarray
@@ -343,8 +364,11 @@ class LpSolution:
 
 
 class Session:
-    """One HiGHS model of ``constraints``, kept for solving the LPs built on
-    that object, which differ only in cost and sense.
+    """One HiGHS model of ``constraints``, a ``Constraints`` or another
+    column source (see the module docstring), kept for solving the LPs
+    built on that object, which differ only in cost and sense.  The model
+    reads the source's columns, pricing passes and ``A x``, never its
+    triples.
 
     The model is built at the first solve, as :func:`_cold_method` picks:
     below ``COLD_MASTER_COLS`` variables in the primal band it holds every
@@ -377,7 +401,7 @@ class Session:
     fails raises at once and frees the model.  Solve order therefore
     decides which optimum a degenerate LP returns: the same order gives the
     same bits, but a warm optimum can differ from a cold one.  An LP built
-    on another ``Constraints`` object, even with equal arrays, is refused."""
+    on another source object, even with equal arrays, is refused."""
 
     def __init__(self, constraints: Constraints,
                  seed: Callable[[LinearProgram], tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
@@ -468,7 +492,9 @@ class _Master:
     start; a model without them and no ``basis`` (a cold solve's model of
     every column) starts from HiGHS's own basis.  HiGHS gets the rows by
     ``passModel``, the artificials by one ``addCols``, and the LP's columns
-    by :meth:`_add`, the seed's at once, then each round's."""
+    by :meth:`_add`, the seed's at once, then each round's.  ``source`` is
+    what its pricing passes and residual check read: the LP's constraints,
+    or in a model of every column a ``Constraints`` of those columns."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
                  group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
@@ -500,7 +526,13 @@ class _Master:
         self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
         self.group = group
         self.cols = cols[:0]
-        self._add(lp, cols)
+        start, index, value = self._add(lp, cols)
+        # a model of every column (the primal band) prices and checks its
+        # runs on a Constraints of its columns, as HiGHS holds them: the
+        # bits of lp.constraints' own passes, in fewer numpy calls than a
+        # source that reads its columns off a structure makes
+        self.source = (Constraints(index, np.repeat(cols, np.diff(start)), value, lp.rhs, lp.n_cols)
+                       if cols.size == lp.n_cols else lp.constraints)
         self.fixed = not artificial
         if basis is None and artificial:
             basis = (cols[:0], np.arange(lp.n_rows))
@@ -525,9 +557,10 @@ class _Master:
         self.model.changeColsCost(self.cols.size, np.arange(self.n_art, self.n_art + self.cols.size,
                                                             dtype=np.int32), cost[self.cols] / self.scale)
 
-    def _add(self, lp: LinearProgram, cols: np.ndarray) -> None:
+    def _add(self, lp: LinearProgram, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Add the LP's columns ``cols`` to the model, after those it holds:
-        cost c/C, and each coefficient times its row's scale."""
+        cost c/C, and each coefficient times its row's scale.  Returns the
+        columns, as ``Constraints.columns`` does."""
         start, index, value = lp.constraints.columns(cols)
         if self.model.addCols(cols.size, self.cost[cols] / self.scale, np.zeros(cols.size),
                               np.full(cols.size, highs.kHighsInf), index.size, start[:-1].astype(np.int32),
@@ -535,6 +568,7 @@ class _Master:
                               ) == highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the added columns")
         self.cols = np.concatenate((self.cols, cols))
+        return start, index, value
 
     def fix_artificials(self) -> None:
         """Fix the artificial columns at zero, at zero cost, for good."""
@@ -637,7 +671,7 @@ class _Master:
         times the row count of them, most negative first; and the most
         negative reduced cost of any column, with its column, which the dual
         gate of :func:`_check_run` reads."""
-        reduced = lp.constraints.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
+        reduced = self.source.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
         worst = int(np.argmin(reduced))
         lowest = (worst, float(reduced[worst]))
         if self.cols.size == lp.n_cols:  # none can enter: skip the selection
@@ -720,7 +754,7 @@ def _check_run(lp: LinearProgram, master: _Master, status, primal, dual,
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
     primal = np.clip(primal, 0.0, None)
-    ax = np.bincount(lp.rows, lp.vals * primal[lp.cols], minlength=lp.n_rows)
+    ax = master.source.times(primal)
     residual = float(np.abs((ax - lp.rhs) * lp.constraints.row_scale).max())
     if residual > master.residual_tol:
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")

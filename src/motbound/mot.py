@@ -21,18 +21,19 @@ import numpy as np
 from . import lp as lp_mod, measures as measures_mod, payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
-from .hedge import (DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells, _Frame,
-                    _histories, _widen_last_static, price as hedge_price, slackness, verify)
-from .lp import Constraints, LinearProgram, LpSolution, Session, solve
+from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
+                    _Frame, _histories, _widen_last_static, price as hedge_price, slackness, verify)
+from .lp import LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers, halve
 from .payoff import Payoff
 
 GAP_TOL = 1e-7
 MASS_FLOOR = 1e-15
-# Ceiling on cells * (2n - 1), which bounds the constraint nonzeros (n mass
-# and n - 1 martingale rows per cell), checked before any assembly: a solve
-# peaks at 0.10-0.12 KB per nonzero, so this is about 2 GB.
-MAX_NONZEROS = 16_000_000
+# Ceiling on the cells of a transport LP, checked when its layout is built,
+# before anything cell-sized.  Peak RSS over both senses on one Solver grew
+# by about 100 bytes per cell on 3 dates (an Asian call, m = 51 to 101) and
+# 40 on 2 (the straddle, smooth_pair(1601) to (3201)), so this is about 2 GB.
+MAX_CELLS = 20_000_000
 # A master's seed is the coarse support widened by SEED_WIDTH atoms each way
 # on every date (see Solver).  Single runs, one BLAS thread, s, on the LPs
 # of lp.ROUND_ROWS:
@@ -176,10 +177,8 @@ class _Layout:
 
 def _layout(system: MarginalSystem) -> _Layout:
     cells = math.prod(len(mu) for mu in system.marginals)
-    nonzeros = cells * (2 * system.n_dates - 1)
-    if nonzeros > MAX_NONZEROS:
-        raise ScaleExceeded(f"{cells} cells give up to {nonzeros} constraint nonzeros, "
-                            f"over the ceiling of {MAX_NONZEROS}")
+    if cells > MAX_CELLS:
+        raise ScaleExceeded(f"{cells} cells, over the ceiling of {MAX_CELLS}")
     grids = tuple(mu.points for mu in system.marginals)
     shape = tuple(g.size for g in grids)
     row = 0
@@ -197,43 +196,124 @@ def _layout(system: MarginalSystem) -> _Layout:
                    marginal_row=tuple(marginal_row), mart_row=tuple(mart_row))
 
 
-def _constraints(layout: _Layout, system: MarginalSystem) -> Constraints:
-    """The transport LP's constraints: the payoff enters only through the
-    cost, so every problem on the system shares them."""
-    n = len(layout.grids)
-    idx = np.indices(layout.shape).reshape(n, -1)
-    flat = np.arange(layout.n_cells)
+class TransportColumns:
+    """The transport LP's constraints read off the layout, with no matrix
+    assembled: the column of a cell holds 1 in the mass row of its atom at
+    each date (none at a dropped atom) and s_{j+1} - s_j in the
+    conditional-mean row of its history at each step j (none where that is
+    0), in this order of rows.  The payoff enters only through the cost, so
+    every problem on the system shares them.  They serve
+    :mod:`motbound.lp` as a :class:`~motbound.lp.Constraints` of the same
+    triples does, bit for bit: ``n_cols``, ``rhs``, ``row_scale`` and
+    ``scaled_rhs``, the columns a master adds (:meth:`columns`) and each
+    pricing pass (:meth:`reduced`); the residual check's A x
+    (:meth:`times`) differs only in summation order.  ``rows``, ``cols``
+    and ``vals``, the triples in column-major order, are built on each read
+    (:meth:`triples`) and kept nowhere: no solve reads them."""
 
-    rows_parts, cols_parts, vals_parts = [], [], []
-    rhs = np.zeros(layout.n_rows)
+    def __init__(self, layout: _Layout, system: MarginalSystem) -> None:
+        self.layout = layout
+        self.n_cols = layout.n_cells
+        rhs = np.zeros(layout.n_rows)
+        top = np.ones(layout.n_rows)  # each row's largest |coefficient|: 1 in a mass row
+        for rows, mu in zip(layout.marginal_row, system.marginals):
+            rhs[rows[rows >= 0]] = mu.weights[rows >= 0]
+        for rows, here, there in zip(layout.mart_row, layout.grids, layout.grids[1:]):
+            # at the lowest or highest atom of date j+1, as rounding keeps
+            # the order of the differences
+            top[rows] = np.maximum(np.abs(there[0] - here), np.abs(there[-1] - here))
+        row_scale = lp_mod.row_scale_of(top)
+        for name, arr in (("rhs", rhs), ("row_scale", row_scale), ("scaled_rhs", rhs * row_scale)):
+            arr.flags.writeable = False
+            setattr(self, name, arr)
 
-    for i, mu in enumerate(system.marginals):
-        rmap = layout.marginal_row[i]
-        rhs[rmap[rmap >= 0]] = mu.weights[rmap >= 0]
-        r = rmap[idx[i]]
-        keep = r >= 0
-        rows_parts.append(r[keep])
-        cols_parts.append(flat[keep])
-        vals_parts.append(np.ones(int(keep.sum())))
+    def _move(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """s_{j+1} - s_j over the atoms of dates j and j+1 (of the first
+        date, ``lo:hi`` only), one axis each."""
+        here = self.layout.grids[j][lo:hi] if j == 0 else self.layout.grids[j]
+        return self.layout.grids[j + 1][None, :] - here[:, None]
 
-    for j in range(n - 1):
-        r = layout.mart_row[j][tuple(idx[: j + 1])]
-        coeff = layout.grids[j + 1][idx[j + 1]] - layout.grids[j][idx[j]]
-        keep = coeff != 0.0
-        rows_parts.append(r[keep])
-        cols_parts.append(flat[keep])
-        vals_parts.append(coeff[keep])
+    def _blocks(self, flat: np.ndarray):
+        """``flat``, one value per cell, as views shaped like the cell grid
+        on the first date's atoms ``lo:hi``, of about ``CHUNK_CELLS`` cells
+        each: ``(lo, hi, view)``."""
+        shape = self.layout.shape
+        rest = self.n_cols // shape[0]
+        step = max(1, CHUNK_CELLS // rest)
+        for lo in range(0, shape[0], step):
+            hi = min(lo + step, shape[0])
+            yield lo, hi, flat[lo * rest:hi * rest].reshape(hi - lo, *shape[1:])
 
-    return Constraints(np.concatenate(rows_parts), np.concatenate(cols_parts),
-                       np.concatenate(vals_parts), rhs, layout.n_cells)
+    def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columns ``cols`` of A, in that order: starts (one per column
+        and the end), row indices and values."""
+        layout = self.layout
+        at = np.unravel_index(cols, layout.shape)
+        index = [rows[k] for rows, k in zip(layout.marginal_row, at)]
+        value = [np.ones(cols.size)] * len(at)
+        for j, rows in enumerate(layout.mart_row):
+            index.append(rows[at[:j + 1]])
+            value.append(layout.grids[j + 1][at[j + 1]] - layout.grids[j][at[j]])
+        index, value = np.stack(index, axis=1), np.stack(value, axis=1)
+        keep = (index >= 0) & (value != 0.0)
+        return np.concatenate(([0], np.cumsum(keep.sum(axis=1)))), index[keep], value[keep]
+
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A's (row, col, value) triples in column-major order, as a
+        ``Constraints`` of them holds them, built on each call."""
+        cols = np.arange(self.n_cols)
+        start, rows, vals = self.columns(cols)
+        return rows, np.repeat(cols, np.diff(start)), vals
+
+    rows = property(lambda self: self.triples()[0])
+    cols = property(lambda self: self.triples()[1])
+    vals = property(lambda self: self.triples()[2])
+
+    def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The reduced costs ``cost - A^T y`` of every column: u_1(s_1) + ...
+        + u_n(s_n) + sum_j Delta_j(s_1..s_j) (s_{j+1} - s_j), each column's
+        terms summed from 0 in the order of its rows, as ``np.bincount``
+        sums a ``Constraints``' triples, so the bits are the same.  A
+        missing term adds 0, or 0 times a delta, which leaves a sum begun
+        at +0 as it is."""
+        layout = self.layout
+        n = len(layout.shape)
+        y = np.append(y, 0.0)  # a dropped atom's row, -1, reads 0
+        out = np.empty(self.n_cols)
+        for lo, hi, block in self._blocks(out):
+            np.add(y[layout.marginal_row[0][lo:hi]][(...,) + (None,) * (n - 1)], 0.0, out=block)
+            for i in range(1, n):
+                block += y[layout.marginal_row[i]][(...,) + (None,) * (n - i - 1)]
+            for j, rows in enumerate(layout.mart_row):
+                pad = (...,) + (None,) * (n - j - 2)
+                block += y[rows[lo:hi]][pad + (None,)] * self._move(j, lo, hi)[pad]
+        return np.subtract(cost, out, out=out)
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """A x: each date's masses and each history's mean move, summed
+        over the cells in blocks of the first date's atoms."""
+        layout = self.layout
+        n = len(layout.shape)
+        ax = np.zeros(layout.n_rows + 1)  # a dropped atom's row, -1, writes the last
+        mass = [np.zeros(m) for m in layout.shape]
+        for lo, hi, block in self._blocks(x):
+            partial = block  # the block summed over the dates after i
+            for i in range(n - 1, 0, -1):
+                mass[i] += partial.sum(axis=tuple(range(i)))
+                ax[layout.mart_row[i - 1][lo:hi]] = (partial * self._move(i - 1, lo, hi)).sum(axis=-1)
+                partial = partial.sum(axis=-1)
+            mass[0][lo:hi] = partial
+        for rows, m in zip(layout.marginal_row, mass):
+            ax[rows] = m
+        return ax[:-1]
 
 
 class Solver:
     """The parts of one marginal system's transport LP, built once: its
     layout (whose ``grids`` are the atoms, on which every bound widens and
-    checks its hedge) and, at first use, its
-    :class:`~motbound.lp.Constraints` (checked once) and a HiGHS
-    :class:`~motbound.lp.Session` on them.
+    checks its hedge) and, at first use, its constraints, a
+    :class:`TransportColumns` that reads each column off the layout and
+    holds no matrix, and a HiGHS :class:`~motbound.lp.Session` on them.
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
@@ -285,8 +365,8 @@ class Solver:
         return self._frame
 
     @functools.cached_property
-    def constraints(self) -> Constraints:
-        return _constraints(self.layout, self.system)
+    def constraints(self) -> TransportColumns:
+        return TransportColumns(self.layout, self.system)
 
     @functools.cached_property
     def session(self) -> Session:
@@ -448,7 +528,7 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
     cash = 0.0
     for j in range(n - 1):
         beta = -float(tables[j].mean())
-        tables[j] = tables[j] + beta
+        tables[j] = tables[j] + beta + 0.0  # + 0.0: no -0.0 delta
         u_vals[j] = u_vals[j] + beta * layout.grids[j]
         u_vals[j + 1] = u_vals[j + 1] - beta * layout.grids[j + 1]
     for i in range(1, n):
@@ -534,7 +614,7 @@ def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Sol
 def bound(problem: MotProblem, *, solver: Solver | None = None) -> MotResult:
     """Solve for one bound; package value, coupling, hedge and diagnostics.
 
-    Without ``solver`` the LP is assembled and solved for this bound alone;
+    Without ``solver`` the LP is built and solved for this bound alone;
     with one (built on ``problem.system``) it is solved on the solver's
     session, from the last optimal basis when the session keeps one for it;
     :func:`motbound.lp.solve` checks the optimum at ``lp.FEAS_TOL``.  The

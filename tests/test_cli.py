@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -48,6 +49,29 @@ class TestBounds:
         assert "max_marginal_residual" in entry["diagnostics"]
         assert entry["verification"]["max_violation"] <= 1e-8
         assert entry["hedge"]["portfolios"]
+
+    def test_no_negative_zero_in_the_artifact(self, marginals_a, tmp_path):
+        # instance A's lower lookback hedge has two deltas that detrend to
+        # zero; they were written as -0.0
+        dest = tmp_path / "lookback.json"
+        assert main(["bounds", "--marginals", marginals_a, "--payoff", "lookback_call:0.1",
+                     "--out", str(dest)]) == 0
+        numbers = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    walk(item)
+            elif isinstance(node, float):
+                numbers.append(node)
+
+        blob = json.loads(dest.read_text())
+        walk(blob)
+        assert [x for x in numbers if x == 0.0 and math.copysign(1.0, x) < 0.0] == []
+        deltas = [e["delta"] for e in blob["results"]["lower"]["hedge"]["deltas"][0]["entries"]]
+        assert 0.0 in deltas
 
     def test_seed_sandwich_line(self, marginals_a, capsys):
         rc = main(["bounds", "--marginals", marginals_a, "--payoff", "straddle",
@@ -531,11 +555,11 @@ class TestOneSolverPerCommand:
         marginals = tmp_path / "m.json"
         marginals.write_text(json.dumps(smooth_pair(15).to_json()))
         calls = []
-        for name in ("_layout", "_constraints"):
+        for name in ("_layout", "TransportColumns"):
             fn = getattr(mot, name)
             monkeypatch.setattr(mot, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
         assert main([*argv, "--marginals", str(marginals), "--out", str(tmp_path / "out")]) == 0
-        assert sorted(calls) == ["_constraints", "_layout"]
+        assert sorted(calls) == ["TransportColumns", "_layout"]
 
 
 class TestSurface:

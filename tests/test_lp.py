@@ -20,7 +20,7 @@ from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, 
 from motbound.fixtures import smooth_pair
 from motbound.lp import Constraints, LinearProgram, Session, highs, solve
 from motbound.measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
-from motbound.mot import MotProblem, Solver, bound
+from motbound.mot import MotProblem, Solver, TransportColumns, bound
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
 
 from exact import solve_exact
@@ -592,16 +592,15 @@ class TestColdMethod:
 
 
 def spy_reduced(monkeypatch) -> list:
-    """Record the constraints of each call of ``Constraints.reduced``, one
-    ``A^T y`` over every column."""
+    """Record the constraints of each call of ``reduced``, one ``A^T y``
+    over every column, on a ``Constraints`` or a transport LP's columns."""
     calls = []
-    reduced = Constraints.reduced
+    for owner in (Constraints, TransportColumns):
+        def spy(constraints, cost, y, reduced=owner.reduced):
+            calls.append(constraints)
+            return reduced(constraints, cost, y)
 
-    def spy(constraints, cost, y):
-        calls.append(constraints)
-        return reduced(constraints, cost, y)
-
-    monkeypatch.setattr(Constraints, "reduced", spy)
+        monkeypatch.setattr(owner, "reduced", spy)
     return calls
 
 
@@ -652,13 +651,18 @@ class TestColumnMajor:
         lambda: Solver(s := widening_dates(0.1, 5)).lp(MotProblem(s, asian_call(1.0, 3), "upper")),
     ], ids=["transportation", "two_dates", "three_dates"])
     def test_permuted_triples_give_the_same_arrays_and_bits(self, monkeypatch, make, method):
+        # a transport LP's columns give their triples in column-major order
+        # and solve to the same bits as a Constraints of them
         force_cold(monkeypatch, method)
         lp = make()
-        permuted = LinearProgram(lp.sense, lp.cost, shuffled(lp.constraints, np.random.default_rng(0)))
-        a, b = lp.constraints, permuted.constraints
+        c = lp.constraints
+        permuted = LinearProgram(lp.sense, lp.cost, shuffled(c, np.random.default_rng(0)))
+        a, b = Constraints(c.rows, c.cols, c.vals, c.rhs, c.n_cols), permuted.constraints
         for name in ("rows", "cols", "vals", "rhs", "start"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        assert np.all(np.diff(a.cols * a.rhs.size + a.rows) > 0)
+        for name in ("rows", "cols", "vals", "rhs"):
+            assert getattr(c, name).tobytes() == getattr(a, name).tobytes(), name
+        assert np.all(np.diff(c.cols * c.rhs.size + c.rows) > 0)
         first, second = solve(lp), solve(permuted)
         assert first.primal.tobytes() == second.primal.tobytes()
         assert first.dual.tobytes() == second.dual.tobytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -175,18 +176,21 @@ class TestOneLayoutPerBound:
         assert calls == ["_layout"]
 
     def test_sweep_builds_per_system_parts_once(self, monkeypatch):
-        # 11 strikes, 22 bounds: one layout, one history grid and one check
-        # of the constraint triples for the whole sweep, no verification
-        # grids, and one read of the payoff's last-axis data per bound (its
-        # widening and its check share one frame)
+        # 11 strikes, 22 bounds: one layout, one history grid, one set of
+        # transport columns and one model of every column, with its
+        # Constraints, for the whole sweep, no verification grids, and one
+        # read of the payoff's last-axis data per bound (its widening and its
+        # check share one frame)
         calls = []
         for name in ("_layout", "_histories", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
         count_calls(monkeypatch, lp_mod.Constraints, "__post_init__", calls)
+        count_calls(monkeypatch, mot.TransportColumns, "__init__", calls)
         count_calls(monkeypatch, payoff_mod, "last_axis", calls)
         table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
         assert all(row.ok for row in table.rows)
-        assert sorted(c for c in calls if c != "last_axis") == ["__post_init__", "_histories", "_layout"]
+        assert sorted(c for c in calls if c != "last_axis") == ["__init__", "__post_init__", "_histories",
+                                                                  "_layout"]
         assert calls.count("last_axis") <= 22
 
     def test_one_public_extraction_per_bound(self, monkeypatch):
@@ -1166,6 +1170,86 @@ class TestThreeDateScale:
             assert lo - 1e-7 <= e <= hi + 1e-7
 
 
+def scaled_system(system: MarginalSystem, unit: float) -> MarginalSystem:
+    return MarginalSystem([DiscreteMeasure(mu.points * unit, mu.weights) for mu in system.marginals])
+
+
+class TestTransportColumns:
+    """A transport LP's columns, read off the layout, serve ``lp`` as a
+    ``Constraints`` of their own triples does: the same columns, row scales
+    and pricing pass to the bit, and A x to summation order."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: smooth_pair(21),
+        # atoms shared across dates: zero martingale coefficients
+        instance_a_marginals,
+        three_date_system,
+        lambda: widening_dates(0.1, 7),
+        lambda: MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 5)
+                                for k in (1, 2, 3, 4)]),
+        lambda: scaled_system(widening_dates(0.1, 7), 1e-13),
+        lambda: scaled_system(widening_dates(0.1, 7), 1e4),
+    ], ids=["two_dates", "instance_a", "three_dates", "three_dates_m7", "four_dates", "unit1e-13", "unit1e4"])
+    def test_same_bits_as_a_constraints_of_its_triples(self, make):
+        system = make()
+        columns = Solver(system).constraints
+        assert isinstance(columns, mot.TransportColumns)
+        rows, cols, vals = columns.triples()
+        ref = lp_mod.Constraints(rows, cols, vals, columns.rhs, columns.n_cols)
+        for name in ("rows", "cols", "vals"):  # already in column-major order
+            assert getattr(ref, name).tobytes() == getattr(columns, name).tobytes(), name
+        for name in ("rhs", "row_scale", "scaled_rhs"):
+            assert getattr(ref, name).tobytes() == getattr(columns, name).tobytes(), name
+        # every date after the first drops its heaviest atom's row
+        n = system.n_dates
+        counts = np.diff(ref.start)
+        assert counts.max() <= 2 * n - 1 and (counts < 2 * n - 1).any()
+        assert columns.rhs.size == sum(len(mu) for mu in system.marginals) - (n - 1) + sum(
+            math.prod(len(mu) for mu in system.marginals[:j + 1]) for j in range(n - 1))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            picked = rng.integers(0, columns.n_cols, size=rng.integers(0, 40))
+            for got, want in zip(columns.columns(picked), ref.columns(picked)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            y = rng.normal(size=columns.rhs.size) * 10.0 ** rng.integers(-8, 8, size=columns.rhs.size)
+            y[rng.random(y.size) < 0.2] = -0.0
+            y[rng.random(y.size) < 0.1] = 0.0
+            cost = rng.normal(size=columns.n_cols)
+            cost[rng.random(cost.size) < 0.3] = -0.0
+            assert columns.reduced(cost.copy(), y).tobytes() == ref.reduced(cost, y).tobytes()
+            x = rng.random(columns.n_cols) * (rng.random(columns.n_cols) < 0.5)
+            size = lp_mod.Constraints(rows, cols, np.abs(vals), columns.rhs, columns.n_cols).times(x)
+            assert np.all(np.abs(columns.times(x) - ref.times(x)) <= 1e-14 * size)
+
+    def test_columns_of_every_kind(self):
+        # none, repeated, every cell
+        columns = Solver(three_date_system()).constraints
+        ref = lp_mod.Constraints(*columns.triples(), columns.rhs, columns.n_cols)
+        for picked in ([], [5, 5, 0], list(range(columns.n_cols))):
+            picked = np.array(picked, dtype=np.int64)
+            for got, want in zip(columns.columns(picked), ref.columns(picked)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("run", [
+        lambda: bound(MotProblem(smooth_pair(15), forward_start_straddle(), "upper")).report.valid,
+        # above the primal band: masters seeded from a coarse solver's
+        lambda: all(isinstance(r, mot.MotResult) for outcome in Solver(smooth_pair(51)).bounds(
+            [forward_start_straddle()]) for r in outcome.values()),
+        lambda: all(isinstance(r, mot.MotResult) for outcome in Solver(widening_dates(0.1, 15)).bounds(
+            [asian_call(1.0, 3)]) for r in outcome.values()),
+        lambda: all(row.ok for row in strike_sweep(smooth_pair(9), [0.95, 1.0, 1.05]).rows),
+        lambda: random_feasible_coupling(smooth_pair(51), 0).masses.sum() > 0.0,
+    ], ids=["bound", "bounds_master", "bounds_three_dates", "strike_sweep", "random_feasible_coupling"])
+    def test_solves_never_build_the_triples(self, run, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the triples were built")
+
+        monkeypatch.setattr(mot.TransportColumns, "triples", refuse)
+        with pytest.raises(AssertionError, match="the triples were built"):
+            Solver(smooth_pair(5)).constraints.vals
+        assert run()
+
+
 class TestScaleCeiling:
     @pytest.mark.parametrize("entry", [
         mot.Solver,
@@ -1174,14 +1258,25 @@ class TestScaleCeiling:
                                          MotProblem(system, asian_call(1.0, 4), "lower")),
     ], ids=["Solver", "random_feasible_coupling", "extract_hedge"])
     def test_over_ceiling_raises_before_assembly(self, entry, monkeypatch):
-        # 50**4 = 6.25 M cells, up to 43.75 M nonzeros
+        # 50**4 = 6.25 M cells, one over a ceiling moved down to them
         system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 50)
                                  for k in (1, 2, 3, 4)])
         calls = []
-        monkeypatch.setattr(mot, "_constraints", lambda *args: calls.append(args))
-        with pytest.raises(ScaleExceeded, match="6250000 cells.*43750000.*16000000"):
+        monkeypatch.setattr(mot, "TransportColumns", lambda *args: calls.append(args))
+        monkeypatch.setattr(mot, "MAX_CELLS", 6_249_999)
+        with pytest.raises(ScaleExceeded, match="6250000 cells, over the ceiling of 6249999"):
             entry(system)
         assert calls == []
+
+    def test_ceiling_counts_cells(self, monkeypatch):
+        # at the ceiling a layout is built; five dates of 50 atoms are over
+        # the real one
+        system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 50)
+                                 for k in (1, 2, 3, 4, 5)])
+        with pytest.raises(ScaleExceeded, match=f"312500000 cells, over the ceiling of {mot.MAX_CELLS}"):
+            mot.Solver(system)
+        monkeypatch.setattr(mot, "MAX_CELLS", 6_250_000)
+        assert mot.Solver(MarginalSystem(system.marginals[:4])).layout.n_cells == 6_250_000
 
 
 class TestThreeDateBarriers:
