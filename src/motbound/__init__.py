@@ -17,7 +17,7 @@ from .errors import (BadSpec, DegenerateDual, DimensionMismatch, GridCoverage,
 from .hedge import (CallPortfolio, DeltaTable, PiecewiseLinear, SemiStaticHedge,
                     Verdict, VerificationReport, check_arbitrage, hedge_to_json,
                     price, slackness, to_call_portfolio, verify)
-from .lp import Constraints, LinearProgram, LpSolution, Session, solve
+from .lp import LinearProgram, LpSolution, Session, solve
 from .measures import (Block, CallCurve, DensitySpec, DiscreteMeasure,
                        MarginalSystem, OrderReport, call_price, check_convex_order,
                        detect_barriers, discretize, from_call_curve, load_call_curves)

@@ -1,18 +1,14 @@
 """Equality-form linear programs, solved by HiGHS.
 
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``,
-with A read through one column source, shared by the LPs that differ only
-in cost.  A source gives ``n_cols``, ``rhs``, the row scales ``row_scale``
-and ``scaled_rhs`` (below), ``columns(cols)``, the columns a model adds, as
-starts, row indices and values, ``reduced(cost, y)``, ``cost - A^T y`` over
-every column, one pricing pass, and ``times(x)``, the residual check's
-``A x``; and ``rows``, ``cols`` and ``vals``, A's triples, which no solve
-reads.  ``Constraints`` is the source of a general LP: A held once as
-sparse (row, col, value) triples in column-major order, checked once.  A
-source can instead read each column off the structure of its LP, as the
-transport LP's ``mot.TransportColumns`` does, and hold no matrix; a model
-of every column, which HiGHS holds anyway, then prices on a ``Constraints``
-of its columns, with the same bits.
+with A read through one column source (``ColumnSource``), shared by the
+LPs that differ only in cost.  A source gives ``n_cols``, ``rhs``, the row
+scales ``row_scale`` and ``scaled_rhs`` (below), ``columns(cols)``, the
+columns a model adds, as starts, row indices and values, ``reduced(cost,
+y)``, ``cost - A^T y`` over every column, one pricing pass, and
+``times(x)``, the residual check's ``A x``.  The transport LP's
+``mot.TransportColumns`` is one: it reads each column off the structure of
+its LP and holds no matrix.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  HiGHS sees the LP
@@ -72,8 +68,9 @@ import importlib.util
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 
@@ -230,87 +227,33 @@ def row_scale_of(top: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, (fraction == 0.5) - exponent)
 
 
-@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
-class Constraints:
-    """``A x = rhs`` over ``n_cols`` variables, the column source of a
-    general LP (see the module docstring), with A held once as sparse
-    (row, col, value) triples in column-major order, and ``start``, where
-    each column's triples start (one per column and the end).  Checked once,
-    when built: equal triple lengths, finite coefficients and rhs, indices in
-    range and no duplicate (row, col) pair, which the stable sort into
-    column-major order leaves as equal neighbours.  Next to the sort, each
-    row gets its scale, ``row_scale``, R_i: the inverse of the smallest
-    power of two at or above row i's largest |coefficient| (1 for a row
-    with none), and ``scaled_rhs``, the rhs times it, the rows HiGHS sees.
-    The arrays are read-only, so every LP built on one object shares the
-    check and the scales."""
+class ColumnSource(Protocol):
+    """A's columns and the rhs, as a model reads them (see the module
+    docstring): ``columns(cols)`` gives the columns ``cols`` in that order
+    as starts (one per column and the end), row indices and values;
+    ``reduced`` gives ``cost - A^T y`` over every column, and ``times``
+    gives ``A x``, one value per row."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    rhs: np.ndarray
     n_cols: int
-    start: np.ndarray = field(init=False)
-    row_scale: np.ndarray = field(init=False)
-    scaled_rhs: np.ndarray = field(init=False)
+    rhs: np.ndarray
+    row_scale: np.ndarray
+    scaled_rhs: np.ndarray
 
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        cols = np.asarray(self.cols, dtype=np.int64).ravel()
-        vals = np.asarray(self.vals, dtype=float).ravel()
-        rhs = np.asarray(self.rhs, dtype=float).ravel()
-        n_cols = int(self.n_cols)
-        if n_cols < 1 or rhs.size < 1:
-            raise ValueError("need at least one variable and one constraint")
-        if not (rows.size == cols.size == vals.size):
-            raise ValueError("triple arrays must have equal length")
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(rhs))):
-            raise ValueError("coefficients and rhs must be finite")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= rhs.size:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("col index out of range")
-        order = np.argsort(cols * rhs.size + rows, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-            raise ValueError("duplicate (row, col) triples")
-        start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
-        top = np.zeros(rhs.size)
-        np.maximum.at(top, rows, np.abs(vals))
-        row_scale = row_scale_of(top)
-        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs), ("start", start),
-                          ("row_scale", row_scale), ("scaled_rhs", rhs * row_scale)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_cols", n_cols)
+    def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
-    def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columns ``cols`` of A, in that order: starts (one per column
-        and the end), row indices and values."""
-        counts = self.start[cols + 1] - self.start[cols]
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        take = np.repeat(self.start[cols] - starts[:-1], counts) + np.arange(starts[-1])
-        return starts, self.rows[take], self.vals[take]
+    def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray: ...
 
-    def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The reduced costs ``cost - A^T y`` of every column."""
-        return cost - np.bincount(self.cols, self.vals * y[self.rows], minlength=self.n_cols)
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``A x``, one value per row."""
-        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.rhs.size)
+    def times(self, x: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """min/max cost.x subject to A x = rhs, x >= 0, with one cost per
-    column of the constraints: a ``Constraints`` or another column source
-    (see the module docstring)."""
+    column of the constraints, a column source."""
 
     sense: str
     cost: np.ndarray
-    constraints: Constraints
+    constraints: ColumnSource
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
@@ -324,15 +267,9 @@ class LinearProgram:
         object.__setattr__(self, "cost", cost)
 
     @property
-    def rows(self) -> np.ndarray:
-        return self.constraints.rows
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.constraints.cols
-
-    @property
     def vals(self) -> np.ndarray:
+        """A's values, each column's in turn: read by no solve, only by the
+        benchmark tracer's ``lp.nnz`` (``perfbench/tracer.py``)."""
         return self.constraints.vals
 
     @property
@@ -364,11 +301,10 @@ class LpSolution:
 
 
 class Session:
-    """One HiGHS model of ``constraints``, a ``Constraints`` or another
-    column source (see the module docstring), kept for solving the LPs
-    built on that object, which differ only in cost and sense.  The model
-    reads the source's columns, pricing passes and ``A x``, never its
-    triples.
+    """One HiGHS model of ``constraints``, a column source (see the module
+    docstring), kept for solving the LPs built on that object, which differ
+    only in cost and sense.  Every model of it, of every column or a
+    master, reads the source's columns, pricing passes and ``A x``.
 
     The model is built at the first solve, as :func:`_cold_method` picks:
     below ``COLD_MASTER_COLS`` variables in the primal band it holds every
@@ -403,7 +339,7 @@ class Session:
     same bits, but a warm optimum can differ from a cold one.  An LP built
     on another source object, even with equal arrays, is refused."""
 
-    def __init__(self, constraints: Constraints,
+    def __init__(self, constraints: ColumnSource,
                  seed: Callable[[LinearProgram], tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
                  | None = None, group: int = 1) -> None:
         self.constraints = constraints
@@ -492,9 +428,8 @@ class _Master:
     start; a model without them and no ``basis`` (a cold solve's model of
     every column) starts from HiGHS's own basis.  HiGHS gets the rows by
     ``passModel``, the artificials by one ``addCols``, and the LP's columns
-    by :meth:`_add`, the seed's at once, then each round's.  ``source`` is
-    what its pricing passes and residual check read: the LP's constraints,
-    or in a model of every column a ``Constraints`` of those columns."""
+    by :meth:`_add`, the seed's at once, then each round's.  Its pricing
+    passes and the residual check read the LP's constraints."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
                  group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
@@ -526,13 +461,7 @@ class _Master:
         self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
         self.group = group
         self.cols = cols[:0]
-        start, index, value = self._add(lp, cols)
-        # a model of every column (the primal band) prices and checks its
-        # runs on a Constraints of its columns, as HiGHS holds them: the
-        # bits of lp.constraints' own passes, in fewer numpy calls than a
-        # source that reads its columns off a structure makes
-        self.source = (Constraints(index, np.repeat(cols, np.diff(start)), value, lp.rhs, lp.n_cols)
-                       if cols.size == lp.n_cols else lp.constraints)
+        self._add(lp, cols)
         self.fixed = not artificial
         if basis is None and artificial:
             basis = (cols[:0], np.arange(lp.n_rows))
@@ -557,10 +486,9 @@ class _Master:
         self.model.changeColsCost(self.cols.size, np.arange(self.n_art, self.n_art + self.cols.size,
                                                             dtype=np.int32), cost[self.cols] / self.scale)
 
-    def _add(self, lp: LinearProgram, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _add(self, lp: LinearProgram, cols: np.ndarray) -> None:
         """Add the LP's columns ``cols`` to the model, after those it holds:
-        cost c/C, and each coefficient times its row's scale.  Returns the
-        columns, as ``Constraints.columns`` does."""
+        cost c/C, and each coefficient times its row's scale."""
         start, index, value = lp.constraints.columns(cols)
         if self.model.addCols(cols.size, self.cost[cols] / self.scale, np.zeros(cols.size),
                               np.full(cols.size, highs.kHighsInf), index.size, start[:-1].astype(np.int32),
@@ -568,7 +496,6 @@ class _Master:
                               ) == highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the added columns")
         self.cols = np.concatenate((self.cols, cols))
-        return start, index, value
 
     def fix_artificials(self) -> None:
         """Fix the artificial columns at zero, at zero cost, for good."""
@@ -671,7 +598,7 @@ class _Master:
         times the row count of them, most negative first; and the most
         negative reduced cost of any column, with its column, which the dual
         gate of :func:`_check_run` reads."""
-        reduced = self.source.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
+        reduced = lp.constraints.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
         worst = int(np.argmin(reduced))
         lowest = (worst, float(reduced[worst]))
         if self.cols.size == lp.n_cols:  # none can enter: skip the selection
@@ -754,7 +681,7 @@ def _check_run(lp: LinearProgram, master: _Master, status, primal, dual,
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"HiGHS model status {status.name}")
     primal = np.clip(primal, 0.0, None)
-    ax = master.source.times(primal)
+    ax = lp.constraints.times(primal)
     residual = float(np.abs((ax - lp.rhs) * lp.constraints.row_scale).max())
     if residual > master.residual_tol:
         raise Infeasible(f"optimum violates constraints by {residual:.3e}")

@@ -202,14 +202,11 @@ class TransportColumns:
     each date (none at a dropped atom) and s_{j+1} - s_j in the
     conditional-mean row of its history at each step j (none where that is
     0), in this order of rows.  The payoff enters only through the cost, so
-    every problem on the system shares them.  They serve
-    :mod:`motbound.lp` as a :class:`~motbound.lp.Constraints` of the same
-    triples does, bit for bit: ``n_cols``, ``rhs``, ``row_scale`` and
-    ``scaled_rhs``, the columns a master adds (:meth:`columns`) and each
-    pricing pass (:meth:`reduced`); the residual check's A x
-    (:meth:`times`) differs only in summation order.  ``rows``, ``cols``
-    and ``vals``, the triples in column-major order, are built on each read
-    (:meth:`triples`) and kept nowhere: no solve reads them."""
+    every problem on the system shares them.  They are the LP's
+    :class:`~motbound.lp.ColumnSource`: ``n_cols``, ``rhs``, ``row_scale``
+    and ``scaled_rhs``, the columns a model adds (:meth:`columns`), each
+    pricing pass (:meth:`reduced`) and the residual check's A x
+    (:meth:`times`)."""
 
     def __init__(self, layout: _Layout, system: MarginalSystem) -> None:
         self.layout = layout
@@ -258,24 +255,17 @@ class TransportColumns:
         keep = (index >= 0) & (value != 0.0)
         return np.concatenate(([0], np.cumsum(keep.sum(axis=1)))), index[keep], value[keep]
 
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A's (row, col, value) triples in column-major order, as a
-        ``Constraints`` of them holds them, built on each call."""
-        cols = np.arange(self.n_cols)
-        start, rows, vals = self.columns(cols)
-        return rows, np.repeat(cols, np.diff(start)), vals
-
-    rows = property(lambda self: self.triples()[0])
-    cols = property(lambda self: self.triples()[1])
-    vals = property(lambda self: self.triples()[2])
+    # every column's values, built on each read: no solve reads them, only
+    # the benchmark tracer's lp.nnz (perfbench/tracer.py, lp.vals.size)
+    vals = property(lambda self: self.columns(np.arange(self.n_cols))[2])
 
     def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The reduced costs ``cost - A^T y`` of every column: u_1(s_1) + ...
         + u_n(s_n) + sum_j Delta_j(s_1..s_j) (s_{j+1} - s_j), each column's
         terms summed from 0 in the order of its rows, as ``np.bincount``
-        sums a ``Constraints``' triples, so the bits are the same.  A
-        missing term adds 0, or 0 times a delta, which leaves a sum begun
-        at +0 as it is."""
+        sums (row, col, value) triples in column-major order, so the bits
+        are the same.  A missing term adds 0, or 0 times a delta, which
+        leaves a sum begun at +0 as it is."""
         layout = self.layout
         n = len(layout.shape)
         y = np.append(y, 0.0)  # a dropped atom's row, -1, reads 0

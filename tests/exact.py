@@ -16,6 +16,8 @@ from typing import NamedTuple
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, ScaleExceeded, Unbounded
 
+from constraints import triples
+
 EXACT_MAX_VARS = 200
 
 
@@ -112,7 +114,7 @@ def solve_exact(lp: lp_mod.LinearProgram) -> ExactSolution:
     c_struct = [_as_rational(x) if not flip else -_as_rational(x) for x in lp.cost.tolist()]
     b = [_as_rational(x) for x in lp.rhs.tolist()]
     dense = [[Fraction(0)] * n for _ in range(m)]
-    for r, cc, v in zip(lp.rows.tolist(), lp.cols.tolist(), lp.vals.tolist()):
+    for r, cc, v in zip(*(a.tolist() for a in triples(lp.constraints))):
         dense[r][cc] = _as_rational(v)
     row_sign = [1] * m
     for i in range(m):

@@ -18,11 +18,12 @@ from scipy import optimize
 import motbound.lp as lp_mod
 from motbound.errors import Infeasible, IterationLimit, LpError, ScaleExceeded, Unbounded
 from motbound.fixtures import smooth_pair
-from motbound.lp import Constraints, LinearProgram, Session, highs, solve
+from motbound.lp import LinearProgram, Session, highs, solve
 from motbound.measures import DensitySpec, DiscreteMeasure, MarginalSystem, discretize
 from motbound.mot import MotProblem, Solver, TransportColumns, bound
 from motbound.payoff import asian_call, forward_start_straddle, lookback_call
 
+from constraints import Constraints, triples
 from exact import solve_exact
 
 GAP_TOL = 1e-7
@@ -48,7 +49,8 @@ def transportation(supplies, demands, costs, sense="min") -> LinearProgram:
 
 
 def csr(lp: LinearProgram) -> sp.csr_matrix:
-    return sp.csr_matrix((lp.vals, (lp.rows, lp.cols)), shape=(lp.n_rows, lp.n_cols))
+    rows, cols, vals = triples(lp.constraints)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(lp.n_rows, lp.n_cols))
 
 
 def power_of_two(top: np.ndarray) -> np.ndarray:
@@ -591,16 +593,18 @@ class TestColdMethod:
         assert upper.value == pytest.approx(cold.value, rel=1e-12, abs=1e-15)
 
 
-def spy_reduced(monkeypatch) -> list:
-    """Record the constraints of each call of ``reduced``, one ``A^T y``
-    over every column, on a ``Constraints`` or a transport LP's columns."""
+def spy_columns(monkeypatch, name: str) -> list:
+    """Record the transport LP's columns at each call of their method
+    ``name``: ``reduced``, one ``A^T y`` over every column, or ``times``,
+    the residual check's ``A x``."""
     calls = []
-    for owner in (Constraints, TransportColumns):
-        def spy(constraints, cost, y, reduced=owner.reduced):
-            calls.append(constraints)
-            return reduced(constraints, cost, y)
+    method = getattr(TransportColumns, name)
 
-        monkeypatch.setattr(owner, "reduced", spy)
+    def spy(constraints, *args):
+        calls.append(constraints)
+        return method(constraints, *args)
+
+    monkeypatch.setattr(TransportColumns, name, spy)
     return calls
 
 
@@ -608,7 +612,9 @@ class TestOnePricingPass:
     """Each HiGHS run is priced once, over every column, and the dual check
     reads the last run's pass: one ``A^T y`` per run, on a model of every
     column and on a master, cold and warm, the seed's runs on the coarse LP
-    included (each pass and run counted by its LP's row count)."""
+    included (each pass and run counted by its LP's row count).  Every
+    model prices, and each solve checks its residual, on the LP's own
+    columns, a model of every column too."""
 
     @pytest.mark.parametrize("make, senses, master, full", [
         # a cold model of every column in the band, then a warm solve on it
@@ -622,22 +628,25 @@ class TestOnePricingPass:
     def test_one_pass_per_run(self, monkeypatch, make, senses, master, full):
         system, payoff = make()
         solver = Solver(system)
-        runs, passes = spy_highs(monkeypatch), spy_reduced(monkeypatch)
-        for sense in senses:
+        runs, passes = spy_highs(monkeypatch), spy_columns(monkeypatch, "reduced")
+        checks = spy_columns(monkeypatch, "times")
+        for k, sense in enumerate(senses, 1):
             before = len(runs)
             solve(solver.lp(MotProblem(system, payoff, sense)), session=solver.session)
             assert len(runs) > before
             assert sorted(c.rhs.size for c in passes) == sorted(run.model.getNumRow() for run in runs)
+            assert checks == [solver.constraints] * k
             if not before:  # the cold solve: one run, or the seed's and the master's rounds
                 assert (len(runs) > 2) == master
         assert solver.session._master.full == full
 
 
-def shuffled(constraints: Constraints, rng) -> Constraints:
-    """The same matrix with its triples handed over in a random order."""
-    order = rng.permutation(constraints.vals.size)
-    return Constraints(constraints.rows[order], constraints.cols[order], constraints.vals[order],
-                       constraints.rhs, constraints.n_cols)
+def shuffled(constraints, rng) -> Constraints:
+    """The same matrix, from any column source, as a ``Constraints`` of its
+    triples handed over in a random order."""
+    rows, cols, vals = triples(constraints)
+    order = rng.permutation(vals.size)
+    return Constraints(rows[order], cols[order], vals[order], constraints.rhs, constraints.n_cols)
 
 
 class TestColumnMajor:
@@ -657,12 +666,13 @@ class TestColumnMajor:
         lp = make()
         c = lp.constraints
         permuted = LinearProgram(lp.sense, lp.cost, shuffled(c, np.random.default_rng(0)))
-        a, b = Constraints(c.rows, c.cols, c.vals, c.rhs, c.n_cols), permuted.constraints
+        a, b = Constraints.of(c), permuted.constraints
         for name in ("rows", "cols", "vals", "rhs", "start"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        for name in ("rows", "cols", "vals", "rhs"):
-            assert getattr(c, name).tobytes() == getattr(a, name).tobytes(), name
-        assert np.all(np.diff(c.cols * c.rhs.size + c.rows) > 0)
+        rows, cols, vals = triples(c)
+        for name, got in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", c.rhs)):
+            assert got.tobytes() == getattr(a, name).tobytes(), name
+        assert np.all(np.diff(cols * c.rhs.size + rows) > 0)
         first, second = solve(lp), solve(permuted)
         assert first.primal.tobytes() == second.primal.tobytes()
         assert first.dual.tobytes() == second.dual.tobytes()
@@ -744,12 +754,28 @@ class TestStatusMapping:
 
     @pytest.mark.parametrize("check, error, message", [
         ("residual", Infeasible, "violates constraints"), ("reduced-cost", LpError, "reduced cost"),
+        # a band-sized transport LP, smooth_pair(15)'s (225 cells over 44
+        # rows), whose residual check reads its own columns' A x: its
+        # optimum with one cell's mass raised by 1e-6 misses that cell's
+        # mass rows, scaled by 1, by 1e-6
+        pytest.param("residual-band", Infeasible, r"violates constraints by 1\.000e-06$", id="residual-band"),
     ])
     def test_failed_check_raises_on_simplex_path(self, monkeypatch, check, error, message):
+        def moved(res):
+            status, iterations, primal, dual = res
+            primal = primal.copy()
+            primal[100] += 1e-6
+            return status, iterations, primal, dual
+
         force_cold(monkeypatch, "primal")
-        calls = spy_highs(monkeypatch, lambda res: (STATUS.kOptimal, 7, *self.FAILED_RUNS[check]))
+        if check == "residual-band":
+            lp = Solver(s := smooth_pair(15)).lp(MotProblem(s, forward_start_straddle(), "lower"))
+            calls = spy_highs(monkeypatch, moved)
+        else:
+            lp = transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+            calls = spy_highs(monkeypatch, lambda res: (STATUS.kOptimal, 7, *self.FAILED_RUNS[check]))
         with pytest.raises(error, match=message) as info:
-            solve(transportation([1.0, 1.0], [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]))
+            solve(lp)
         assert type(info.value) is error
         assert [run.simplex for run in calls] == ["primal"]
 
@@ -1062,8 +1088,9 @@ class TestUnitFree:
         lp = make()
         c = lp.constraints
         k = np.random.default_rng(5).integers(-60, 61, size=lp.n_rows)
+        rows, cols, vals = triples(c)
         for j in (-30, 7):
-            scaled = Constraints(c.rows, c.cols, np.ldexp(c.vals, k[c.rows]), np.ldexp(c.rhs, k), c.n_cols)
+            scaled = Constraints(rows, cols, np.ldexp(vals, k[rows]), np.ldexp(c.rhs, k), c.n_cols)
             sessions = Session(c), Session(scaled)
             for sense in (lp.sense, "max" if lp.sense == "min" else "min"):
                 pair = LinearProgram(sense, lp.cost, c), LinearProgram(sense, np.ldexp(lp.cost, j), scaled)

@@ -30,6 +30,7 @@ from motbound.payoff import (asian_call, custom, forward_start_call,
                              tabulated)
 
 import sweep
+from constraints import Constraints, triples
 from exact import solve_exact
 
 RESIDUAL_TOL = 1e-9
@@ -106,10 +107,11 @@ class TestBuildLp:
                 expected.append([grids[j + 1][c[j + 1]] - grids[j][c[j]] if c[: j + 1] == hist
                                  else 0.0 for c in cells])
                 rhs.append(0.0)
+        rows, cols, vals = triples(lp.constraints)
         a = np.zeros((lp.n_rows, lp.n_cols))
-        np.add.at(a, (lp.rows, lp.cols), lp.vals)
+        np.add.at(a, (rows, cols), vals)
         np.testing.assert_array_equal(a, expected)
-        assert lp.vals.size == np.count_nonzero(expected)
+        assert vals.size == np.count_nonzero(expected)
         np.testing.assert_array_equal(lp.rhs, rhs)
 
     def test_not_admissible_rejected(self):
@@ -176,21 +178,20 @@ class TestOneLayoutPerBound:
         assert calls == ["_layout"]
 
     def test_sweep_builds_per_system_parts_once(self, monkeypatch):
-        # 11 strikes, 22 bounds: one layout, one history grid, one set of
-        # transport columns and one model of every column, with its
-        # Constraints, for the whole sweep, no verification grids, and one
-        # read of the payoff's last-axis data per bound (its widening and its
-        # check share one frame)
+        # 11 strikes, 22 bounds: one layout, one history grid and one set of
+        # transport columns for the whole sweep, whose model of every column
+        # prices on those columns and builds no copy of them, no
+        # verification grids, and one read of the payoff's last-axis data per
+        # bound (its widening and its check share one frame)
         calls = []
         for name in ("_layout", "_histories", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
-        count_calls(monkeypatch, lp_mod.Constraints, "__post_init__", calls)
+        count_calls(monkeypatch, Constraints, "__post_init__", calls)
         count_calls(monkeypatch, mot.TransportColumns, "__init__", calls)
         count_calls(monkeypatch, payoff_mod, "last_axis", calls)
         table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
         assert all(row.ok for row in table.rows)
-        assert sorted(c for c in calls if c != "last_axis") == ["__init__", "__post_init__", "_histories",
-                                                                  "_layout"]
+        assert sorted(c for c in calls if c != "last_axis") == ["__init__", "_histories", "_layout"]
         assert calls.count("last_axis") <= 22
 
     def test_one_public_extraction_per_bound(self, monkeypatch):
@@ -1176,8 +1177,9 @@ def scaled_system(system: MarginalSystem, unit: float) -> MarginalSystem:
 
 class TestTransportColumns:
     """A transport LP's columns, read off the layout, serve ``lp`` as a
-    ``Constraints`` of their own triples does: the same columns, row scales
-    and pricing pass to the bit, and A x to summation order."""
+    ``Constraints`` of their own triples (``tests/constraints.py``) does:
+    the same columns, row scales and pricing pass to the bit, and A x to
+    summation order."""
 
     @pytest.mark.parametrize("make", [
         lambda: smooth_pair(21),
@@ -1194,10 +1196,11 @@ class TestTransportColumns:
         system = make()
         columns = Solver(system).constraints
         assert isinstance(columns, mot.TransportColumns)
-        rows, cols, vals = columns.triples()
-        ref = lp_mod.Constraints(rows, cols, vals, columns.rhs, columns.n_cols)
-        for name in ("rows", "cols", "vals"):  # already in column-major order
-            assert getattr(ref, name).tobytes() == getattr(columns, name).tobytes(), name
+        rows, cols, vals = triples(columns)
+        ref = Constraints(rows, cols, vals, columns.rhs, columns.n_cols)
+        for name, got in (("rows", rows), ("cols", cols), ("vals", vals)):  # already in column-major order
+            assert getattr(ref, name).tobytes() == got.tobytes(), name
+        assert columns.vals.tobytes() == vals.tobytes()
         for name in ("rhs", "row_scale", "scaled_rhs"):
             assert getattr(ref, name).tobytes() == getattr(columns, name).tobytes(), name
         # every date after the first drops its heaviest atom's row
@@ -1218,35 +1221,44 @@ class TestTransportColumns:
             cost[rng.random(cost.size) < 0.3] = -0.0
             assert columns.reduced(cost.copy(), y).tobytes() == ref.reduced(cost, y).tobytes()
             x = rng.random(columns.n_cols) * (rng.random(columns.n_cols) < 0.5)
-            size = lp_mod.Constraints(rows, cols, np.abs(vals), columns.rhs, columns.n_cols).times(x)
+            size = Constraints(rows, cols, np.abs(vals), columns.rhs, columns.n_cols).times(x)
             assert np.all(np.abs(columns.times(x) - ref.times(x)) <= 1e-14 * size)
 
     def test_columns_of_every_kind(self):
         # none, repeated, every cell
         columns = Solver(three_date_system()).constraints
-        ref = lp_mod.Constraints(*columns.triples(), columns.rhs, columns.n_cols)
+        ref = Constraints.of(columns)
         for picked in ([], [5, 5, 0], list(range(columns.n_cols))):
             picked = np.array(picked, dtype=np.int64)
             for got, want in zip(columns.columns(picked), ref.columns(picked)):
                 assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def completed_band_bounds() -> bool:
+        """Both senses of a 3-date Asian call at m=15 on one solver: a cold
+        master above the cut, then the model of every column it is
+        completed into, which the upper bound runs on."""
+        solver = Solver(widening_dates(0.1, 15))
+        (outcome,) = solver.bounds([asian_call(1.0, 3)])
+        return solver.session._master.full and all(isinstance(r, mot.MotResult) for r in outcome.values())
 
     @pytest.mark.parametrize("run", [
         lambda: bound(MotProblem(smooth_pair(15), forward_start_straddle(), "upper")).report.valid,
         # above the primal band: masters seeded from a coarse solver's
         lambda: all(isinstance(r, mot.MotResult) for outcome in Solver(smooth_pair(51)).bounds(
             [forward_start_straddle()]) for r in outcome.values()),
-        lambda: all(isinstance(r, mot.MotResult) for outcome in Solver(widening_dates(0.1, 15)).bounds(
-            [asian_call(1.0, 3)]) for r in outcome.values()),
+        lambda: TestTransportColumns.completed_band_bounds(),
         lambda: all(row.ok for row in strike_sweep(smooth_pair(9), [0.95, 1.0, 1.05]).rows),
         lambda: random_feasible_coupling(smooth_pair(51), 0).masses.sum() > 0.0,
     ], ids=["bound", "bounds_master", "bounds_three_dates", "strike_sweep", "random_feasible_coupling"])
     def test_solves_never_build_the_triples(self, run, monkeypatch):
+        # vals, every column's values, is the one reader of them all left
         def refuse(self):
             raise AssertionError("the triples were built")
 
-        monkeypatch.setattr(mot.TransportColumns, "triples", refuse)
+        monkeypatch.setattr(mot.TransportColumns, "vals", property(refuse))
         with pytest.raises(AssertionError, match="the triples were built"):
-            Solver(smooth_pair(5)).constraints.vals
+            Solver(s := smooth_pair(5)).lp(MotProblem(s, forward_start_straddle(), "lower")).vals
         assert run()
 
 
