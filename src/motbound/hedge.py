@@ -10,13 +10,12 @@ are checked on product grids here, whose final axis ``_final_axis`` decides
 (a continuum check for payoffs piecewise linear in the last coordinate).
 A grid and a payoff make one ``_Frame``: the histories, the final axis and
 the payoff over their cells.  A bound widens u_n and checks its hedge on
-one frame of its LP's atoms, passed to ``verify`` as its grids, so both
-read one payoff table when it fits one chunk; ``verify``, the widening and
-``mot.surface_csv`` walk a frame's cells through one chunked kernel,
-``_cells``.  psi's terms are read at grid nodes through ``_terms``, by
-index where the nodes are the hedge's own knots and delta atoms;
-``slackness`` reads them so on a coupling's support and ``price`` at the
-marginals' atoms.
+one frame of its LP's atoms, passed to ``verify``, so both read one payoff
+table when it fits one chunk; ``verify``, the widening and ``mot.surface_csv``
+walk a frame's cells through one chunked kernel, ``_cells``.  psi's terms
+are read at grid nodes through ``_terms``, by index where the nodes are the
+hedge's own knots and delta atoms; ``slackness`` reads them so on a
+coupling's support and ``price`` at the marginals' atoms.
 """
 
 from __future__ import annotations
@@ -330,13 +329,12 @@ class _Frame:
     to it for payoffs with such data.  :func:`_cells` keeps the payoff over
     histories x points in ``table`` when that is one chunk, so every walk
     of a small frame reads one table, and :meth:`terms` keeps the history
-    terms of the last hedge it read.  A frame is a sequence of its grids,
-    so it goes where grids go: a bound hands its frame to ``verify``."""
+    terms of the last hedge it read."""
 
-    def __init__(self, grids, payoff: Payoff, index=None) -> None:
+    def __init__(self, grids, payoff: Payoff) -> None:
         self.grids = tuple(np.asarray(g, dtype=float).ravel() for g in grids)
         self.payoff = payoff
-        self.index = _histories([np.arange(g.size) for g in self.grids[:-1]]) if index is None else index
+        self.index = _histories([np.arange(g.size) for g in self.grids[:-1]])
         self.histories = [g[i] for g, i in zip(self.grids, self.index)]
         self.size = self.index[0].size
         self.axis, self.data = _final_axis(payoff, self.histories, self.grids[-1])
@@ -353,12 +351,6 @@ class _Frame:
                 or any(a is not b for a, b in zip(parts, self._read[0]))):
             self._read = parts, _terms(hedge, self.grids, self.index, self.histories)
         return self._read[1]
-
-    def __len__(self) -> int:
-        return len(self.grids)
-
-    def __getitem__(self, i):
-        return self.grids[i]
 
 
 def _cells(frame: _Frame, hedge: SemiStaticHedge, z: np.ndarray):
@@ -394,15 +386,16 @@ def verify(hedge: SemiStaticHedge, payoff: Payoff, grids) -> VerificationReport:
     The worst cell is the first maximum in history order, then last-axis
     order; a NaN gap outranks any number, so the report reads NaN and is
     not valid, and an exact tie reads 0.0 in either sense.  ``grids`` may
-    be a :class:`_Frame` of ``payoff``, whose histories, axis and payoff
-    table are then read, not built; plain grids get a frame of their own,
-    walked by the same kernel.
+    be a :class:`_Frame`: one of ``payoff`` is checked on as it is, its
+    histories, axis and payoff table read, not built; plain grids, or a
+    frame of another payoff, get a new frame of those grids, walked by the
+    same kernel.
     """
-    if not (isinstance(grids, _Frame) and grids.payoff is payoff):
-        grids = [np.asarray(g, dtype=float).ravel() for g in grids]
+    given = grids if isinstance(grids, _Frame) else None
+    grids = list(grids) if given is None else given.grids
     if len(grids) != hedge.n:
         raise DimensionMismatch(f"hedge covers {hedge.n} dates, got {len(grids)} grids")
-    frame = grids if isinstance(grids, _Frame) else _Frame(grids, payoff)
+    frame = given if given is not None and given.payoff is payoff else _Frame(grids, payoff)
     sign = 1.0 if hedge.sense == "sub" else -1.0
     u = hedge.statics[-1]
     z, data = frame.points, frame.data

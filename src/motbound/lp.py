@@ -3,10 +3,10 @@
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``,
 with A read through one column source (``ColumnSource``), shared by the
 LPs that differ only in cost.  A source gives ``n_cols``, ``rhs``, the row
-scales ``row_scale`` and ``scaled_rhs`` (below), ``columns(cols)``, the
-columns a model adds, as starts, row indices and values, ``reduced(cost,
-y)``, ``cost - A^T y`` over every column, one pricing pass, and
-``times(x)``, the residual check's ``A x``.  The transport LP's
+scales ``row_scale`` (below), ``columns(cols)``, the columns a model adds,
+as starts, row indices and values, ``reduced(cost, y)``, ``cost - A^T y``
+over every column, one pricing pass, and ``times(x)``, the residual check's
+``A x``: only what a model cannot derive.  The transport LP's
 ``mot.TransportColumns`` is one: it reads each column off the structure of
 its LP and holds no matrix.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -186,11 +185,16 @@ ARTIFICIAL_COST = 1e3
 # with the straddle on two dates and an Asian call at 1 on uniform laws on
 # [1 - 0.1k, 1 + 0.1k] at date k.  On 4 dates at m=21 (lower, the default
 # pricing below) the first rule took 32-35 s, two per history 47.7 s, and
-# <= 0.5 and <= 0.25 per row 43.0 and 38.9 s.  A transport LP has fewer
-# histories than rows, so the cap binds only on smaller groups, as in a
-# plain solve, one column per group: four unseeded LPs (smooth_pair(101) and
-# 3 dates at m=21, both senses) took 2.02, 1.53, 1.57, 1.66 and 1.55 s at
-# <= 0.5, 1, 2 and 4 per row and with no cap.
+# <= 0.5 and <= 0.25 per row 43.0 and 38.9 s.  The cap binds only on
+# groups of one column, a plain solve's and a general LP's, never on a
+# mot.Solver's LPs: a round adds at most one column per history, and such
+# an LP has one martingale row per history plus its mass rows (it bound on
+# 0 of 67 master pricing passes, both senses of smooth_pair(101) and (401)'s
+# straddle and of Asian calls on 3 dates at m=15 and 21 and 4 dates at
+# m=9).  Without it a master of one-column groups adds every negative
+# column in one round.  Four unseeded LPs solved one column per group
+# (smooth_pair(101) and 3 dates at m=21, both senses) took 2.02, 1.53,
+# 1.57, 1.66 and 1.55 s at <= 0.5, 1, 2 and 4 per row and with no cap.
 ROUND_ROWS = 2
 # A master's runs price row-wise (HiGHS simplex_price_strategy 1, where the
 # default, 3, switches between row-wise and column-wise pricing): the same
@@ -214,12 +218,6 @@ MASTER_PRICE_STRATEGY = 1
 COLD_MASTER_COLS = 2500
 
 
-def _power_of_two(top: float) -> float:
-    """The smallest power of two at or above ``top`` >= 0, and 1 at 0."""
-    fraction, exponent = math.frexp(top)
-    return math.ldexp(1.0, exponent - (fraction == 0.5))
-
-
 def row_scale_of(top: np.ndarray) -> np.ndarray:
     """Each row's scale R_i from its largest |coefficient| ``top`` >= 0:
     the inverse of the smallest power of two at or above it, and 1 at 0."""
@@ -237,7 +235,6 @@ class ColumnSource(Protocol):
     n_cols: int
     rhs: np.ndarray
     row_scale: np.ndarray
-    scaled_rhs: np.ndarray
 
     def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
@@ -268,9 +265,10 @@ class LinearProgram:
 
     @property
     def vals(self) -> np.ndarray:
-        """A's values, each column's in turn: read by no solve, only by the
-        benchmark tracer's ``lp.nnz`` (``perfbench/tracer.py``)."""
-        return self.constraints.vals
+        """A's values, each column's in turn, built on each read: read by no
+        solve, only by the benchmark tracer's ``lp.nnz``
+        (``perfbench/tracer.py``)."""
+        return self.constraints.columns(np.arange(self.n_cols))[2]
 
     @property
     def rhs(self) -> np.ndarray:
@@ -436,7 +434,7 @@ class _Master:
         n_art = lp.n_rows if artificial else 0
         model = highs.HighsLp()  # the rows alone: the columns join by addCols
         model.num_row_ = lp.n_rows
-        model.row_lower_ = model.row_upper_ = lp.constraints.scaled_rhs
+        model.row_lower_ = model.row_upper_ = rhs = lp.rhs * lp.constraints.row_scale
         top = self._set_cost(cost)
         options = highs.HighsOptions()
         options.presolve = "off"
@@ -458,7 +456,7 @@ class _Master:
             raise Infeasible(f"HiGHS model status {highs.HighsModelStatus.kModelError.name}")
         self.model = run
         self.n_art = n_art
-        self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(lp.constraints.scaled_rhs).max()))
+        self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(rhs).max()))
         self.group = group
         self.cols = cols[:0]
         self._add(lp, cols)
@@ -477,7 +475,7 @@ class _Master:
     def _set_cost(self, cost: np.ndarray) -> float:
         """Set ``cost``, ``scale``, C, and ``tol`` from ``cost``; returns max|c|."""
         top = float(np.abs(cost).max())
-        self.cost, self.scale = cost, _power_of_two(top)
+        self.cost, self.scale = cost, 1.0 / float(row_scale_of(top))  # exact: a power of two
         self.tol = FEAS_TOL * (1.0 + top / self.scale)
         return top
 

@@ -22,7 +22,7 @@ from . import lp as lp_mod, measures as measures_mod, payoff as payoff_mod
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
-                    _Frame, _histories, _widen_last_static, price as hedge_price, slackness, verify)
+                    _Frame, _widen_last_static, price as hedge_price, slackness, verify)
 from .lp import LinearProgram, LpSolution, Session, solve
 from .measures import BarrierDecomposition, MarginalSystem, detect_barriers, halve
 from .payoff import Payoff
@@ -203,10 +203,9 @@ class TransportColumns:
     conditional-mean row of its history at each step j (none where that is
     0), in this order of rows.  The payoff enters only through the cost, so
     every problem on the system shares them.  They are the LP's
-    :class:`~motbound.lp.ColumnSource`: ``n_cols``, ``rhs``, ``row_scale``
-    and ``scaled_rhs``, the columns a model adds (:meth:`columns`), each
-    pricing pass (:meth:`reduced`) and the residual check's A x
-    (:meth:`times`)."""
+    :class:`~motbound.lp.ColumnSource`: ``n_cols``, ``rhs``, ``row_scale``,
+    the columns a model adds (:meth:`columns`), each pricing pass
+    (:meth:`reduced`) and the residual check's A x (:meth:`times`)."""
 
     def __init__(self, layout: _Layout, system: MarginalSystem) -> None:
         self.layout = layout
@@ -219,10 +218,8 @@ class TransportColumns:
             # at the lowest or highest atom of date j+1, as rounding keeps
             # the order of the differences
             top[rows] = np.maximum(np.abs(there[0] - here), np.abs(there[-1] - here))
-        row_scale = lp_mod.row_scale_of(top)
-        for name, arr in (("rhs", rhs), ("row_scale", row_scale), ("scaled_rhs", rhs * row_scale)):
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+        self.rhs, self.row_scale = rhs, lp_mod.row_scale_of(top)
+        rhs.flags.writeable = self.row_scale.flags.writeable = False
 
     def _move(self, j: int, lo: int, hi: int) -> np.ndarray:
         """s_{j+1} - s_j over the atoms of dates j and j+1 (of the first
@@ -254,10 +251,6 @@ class TransportColumns:
         index, value = np.stack(index, axis=1), np.stack(value, axis=1)
         keep = (index >= 0) & (value != 0.0)
         return np.concatenate(([0], np.cumsum(keep.sum(axis=1)))), index[keep], value[keep]
-
-    # every column's values, built on each read: no solve reads them, only
-    # the benchmark tracer's lp.nnz (perfbench/tracer.py, lp.vals.size)
-    vals = property(lambda self: self.columns(np.arange(self.n_cols))[2])
 
     def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The reduced costs ``cost - A^T y`` of every column: u_1(s_1) + ...
@@ -328,9 +321,9 @@ class Solver:
     pivots are not in ``lp_iterations``.
 
     A bound reads its LP's dual on one :class:`~motbound.hedge._Frame` of
-    the atoms, built on the solver's :attr:`history_index`.  The solver
-    keeps the frame of the last payoff it served (see :meth:`frame`), so
-    the two senses of a payoff, and a surface after its bound, share one.
+    the atoms.  The solver keeps the frame of the last payoff it served
+    (see :meth:`frame`), so the two senses of a payoff, and a surface after
+    its bound, share one.
     A kept frame holds the histories, the final axis, the history terms
     of the last hedge it read and at most one payoff table, of at most one
     ``hedge.CHUNK_CELLS`` block; a frame larger than that keeps none."""
@@ -341,17 +334,11 @@ class Solver:
         self._seed = _Seed(system, self.layout)
         self._frame: _Frame | None = None  # the frame of the last payoff served
 
-    @functools.cached_property
-    def history_index(self) -> list[np.ndarray]:
-        """Every history of the atoms of dates 1..n-1 as node indices, one
-        flat array per date in row-major order, built once."""
-        return _histories([np.arange(g.size) for g in self.layout.grids[:-1]])
-
     def frame(self, payoff: Payoff) -> _Frame:
         """The atoms' cells as ``payoff`` sees them: the kept frame while
         the same payoff object asks, else a new one, which replaces it."""
         if self._frame is None or self._frame.payoff is not payoff:
-            self._frame = _Frame(self.layout.grids, payoff, self.history_index)
+            self._frame = _Frame(self.layout.grids, payoff)
         return self._frame
 
     @functools.cached_property

@@ -35,9 +35,8 @@ class Constraints:
     column-major order leaves as equal neighbours.  Next to the sort, each
     row gets its scale, ``row_scale``, R_i: the inverse of the smallest
     power of two at or above row i's largest |coefficient| (1 for a row
-    with none), and ``scaled_rhs``, the rhs times it, the rows HiGHS sees.
-    The arrays are read-only, so every LP built on one object shares the
-    check and the scales."""
+    with none).  The arrays are read-only, so every LP built on one object
+    shares the check and the scales."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -46,7 +45,6 @@ class Constraints:
     n_cols: int
     start: np.ndarray = field(init=False)
     row_scale: np.ndarray = field(init=False)
-    scaled_rhs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64).ravel()
@@ -72,9 +70,8 @@ class Constraints:
         start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
         top = np.zeros(rhs.size)
         np.maximum.at(top, rows, np.abs(vals))
-        row_scale = row_scale_of(top)
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("rhs", rhs), ("start", start),
-                          ("row_scale", row_scale), ("scaled_rhs", rhs * row_scale)):
+                          ("row_scale", row_scale_of(top))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_cols", n_cols)

@@ -1106,8 +1106,11 @@ class TestUnitFree:
         c = Constraints(np.array([0, 0, 1, 2]), np.array([0, 1, 0, 1]), np.array([3.0, -0.25, 4.0, 1e-300]),
                         np.array([6.0, -8.0, 1e-300, 5.0]), 2)
         assert c.row_scale.tolist() == [0.25, 0.25, 2.0 ** 996, 1.0]
-        assert c.scaled_rhs.tolist() == [1.5, -2.0, 2.0 ** 996 * 1e-300, 5.0]
-        assert not c.row_scale.flags.writeable and not c.scaled_rhs.flags.writeable
+        assert not c.row_scale.flags.writeable
+        # a model's rows are the rhs times the scales
+        lp = LinearProgram("min", np.ones(2), c)
+        model = lp_mod._Master(lp, lp.cost, np.arange(2), True, 1).model.getLp()
+        assert list(model.row_lower_) == list(model.row_upper_) == [1.5, -2.0, 2.0 ** 996 * 1e-300, 5.0]
 
 
 def linprog_answer(lp: LinearProgram):

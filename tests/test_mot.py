@@ -178,20 +178,20 @@ class TestOneLayoutPerBound:
         assert calls == ["_layout"]
 
     def test_sweep_builds_per_system_parts_once(self, monkeypatch):
-        # 11 strikes, 22 bounds: one layout, one history grid and one set of
-        # transport columns for the whole sweep, whose model of every column
-        # prices on those columns and builds no copy of them, no
-        # verification grids, and one read of the payoff's last-axis data per
-        # bound (its widening and its check share one frame)
+        # 11 strikes, 22 bounds: one layout and one set of transport columns
+        # for the whole sweep, whose model of every column prices on those
+        # columns and builds no copy of them, no verification grids, and one
+        # read of the payoff's last-axis data per bound (its widening and
+        # its check share one frame)
         calls = []
-        for name in ("_layout", "_histories", "verification_grids"):
+        for name in ("_layout", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
         count_calls(monkeypatch, Constraints, "__post_init__", calls)
         count_calls(monkeypatch, mot.TransportColumns, "__init__", calls)
         count_calls(monkeypatch, payoff_mod, "last_axis", calls)
         table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
         assert all(row.ok for row in table.rows)
-        assert sorted(c for c in calls if c != "last_axis") == ["__init__", "_histories", "_layout"]
+        assert sorted(c for c in calls if c != "last_axis") == ["__init__", "_layout"]
         assert calls.count("last_axis") <= 22
 
     def test_one_public_extraction_per_bound(self, monkeypatch):
@@ -270,6 +270,32 @@ class TestKeptFrame:
         count_calls(monkeypatch, payoff_mod, "last_axis", calls)
         assert surface_csv(problem, res, solver) == fresh
         assert calls == []
+
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+    def test_frame_holds_the_histories_of_its_atoms(self, case):
+        problem = frame_problem(case, "lower")
+        grids = [mu.points for mu in problem.system.marginals]
+        frame = Solver(problem.system).frame(problem.payoff)
+        want = hedge_mod._histories([np.arange(g.size) for g in grids[:-1]])
+        assert len(frame.index) == len(want)
+        for got, index in zip(frame.index, want):
+            assert got.dtype == index.dtype and got.tobytes() == index.tobytes()
+        for got, index, g in zip(frame.histories, want, grids):
+            assert got.tobytes() == g[index].tobytes()
+        assert frame.size == math.prod(g.size for g in grids[:-1])
+
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=[c[0] for c in FRAME_CASES])
+    def test_another_payoffs_frame_checks_as_plain_grids(self, case):
+        # verify given a frame of another payoff checks on a new frame of
+        # its grids, as it does on plain grids, and walks none of that frame
+        problem = frame_problem(case, "upper")
+        res = bound(problem)
+        other = Solver(problem.system).frame(lookback_call(0.2, problem.system.n_dates))
+        grids = [mu.points.copy() for mu in problem.system.marginals]
+        assert (dataclasses.asdict(hedge_mod.verify(res.hedge, problem.payoff, other))
+                == dataclasses.asdict(hedge_mod.verify(res.hedge, problem.payoff, grids))
+                == dataclasses.asdict(res.report)), case[0]
+        assert other.table is None and other._read is None
 
     def test_another_payoff_replaces_the_frame(self):
         system = smooth_pair(9)
@@ -729,6 +755,32 @@ class TestColumnGeneration:
         assert solver.session._master is master
         assert master.n_art == rows and master.cols.size >= columns
         assert master.model.getNumCol() == rows + master.cols.size
+
+    @pytest.mark.parametrize("system, payoff", [
+        (smooth_pair(51), forward_start_straddle()),
+        (widening_dates(0.1, 15), asian_call(1.0, 3)),
+        (MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 8) for k in (1, 2, 3, 4)]),
+         asian_call(1.0, 4)),
+    ], ids=["2date-m51", "3date-m15", "4date-m8"])
+    def test_rounds_add_fewer_columns_than_rows(self, monkeypatch, system, payoff):
+        # a round adds at most one column per history, and a transport LP
+        # has a martingale row per history plus its mass rows, so
+        # lp.ROUND_ROWS never binds on a master a Solver builds
+        rounds = []
+        entering = lp_mod._Master._entering
+
+        def recording(master, lp, y):
+            out = entering(master, lp, y)
+            if not master.full:
+                histories = np.unique(out[0] // master.group).size
+                rounds.append((out[0].size, histories, lp.n_cols // master.group, lp.n_rows))
+            return out
+
+        monkeypatch.setattr(lp_mod._Master, "_entering", recording)
+        (outcome,) = Solver(system).bounds([payoff])
+        assert all(isinstance(r, mot.MotResult) for r in outcome.values())
+        assert any(added for added, *_ in rounds)
+        assert all(added == histories <= every < rows for added, histories, every, rows in rounds)
 
     def test_two_runs_are_bit_identical(self):
         system = smooth_pair(101)
@@ -1200,8 +1252,8 @@ class TestTransportColumns:
         ref = Constraints(rows, cols, vals, columns.rhs, columns.n_cols)
         for name, got in (("rows", rows), ("cols", cols), ("vals", vals)):  # already in column-major order
             assert getattr(ref, name).tobytes() == got.tobytes(), name
-        assert columns.vals.tobytes() == vals.tobytes()
-        for name in ("rhs", "row_scale", "scaled_rhs"):
+        assert lp_mod.LinearProgram("min", np.zeros(columns.n_cols), columns).vals.tobytes() == vals.tobytes()
+        for name in ("rhs", "row_scale"):
             assert getattr(ref, name).tobytes() == getattr(columns, name).tobytes(), name
         # every date after the first drops its heaviest atom's row
         n = system.n_dates
@@ -1256,7 +1308,7 @@ class TestTransportColumns:
         def refuse(self):
             raise AssertionError("the triples were built")
 
-        monkeypatch.setattr(mot.TransportColumns, "vals", property(refuse))
+        monkeypatch.setattr(lp_mod.LinearProgram, "vals", property(refuse))
         with pytest.raises(AssertionError, match="the triples were built"):
             Solver(s := smooth_pair(5)).lp(MotProblem(s, forward_start_straddle(), "lower")).vals
         assert run()
