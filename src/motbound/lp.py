@@ -151,10 +151,14 @@ MAX_ITER = 10 ** 6
 #
 # The band ends where the primal simplex on every column stopped beating the
 # interior point with crossover, which ran above it before column generation
-# did: between 4,913 and 6,561 variables (3 dates at m=17, 4 at m=9).
+# did: between 4,913 and 6,561 variables (3 dates at m=17, 4 at m=9).  This
+# edge and PRIMAL_MAX_COLS_PER_ROW were both set against the interior point,
+# which no path runs any more; above the band the master does.  Setting them
+# again against the master waits for the benchmark ladder (ROADMAP.md).
 PRIMAL_MAX_COLS = 5000
-# Two dates leave more variables per row, and the interior point wins
-# sooner.  Same set-up on smooth_pair(m), ten LPs: the straddle, the
+# Two dates leave more variables per row, and the interior point won
+# sooner, against which this edge too was set (see PRIMAL_MAX_COLS; the
+# master now runs above it).  Same set-up on smooth_pair(m), ten LPs: the straddle, the
 # negated straddle and forward-start calls at 0.95, 1, 1.05, both senses:
 #
 #    m   cells × rows   per row   primal  interior point

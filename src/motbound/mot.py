@@ -29,7 +29,7 @@ from .payoff import Payoff
 
 GAP_TOL = 1e-7
 MASS_FLOOR = 1e-15
-# Ceiling on the cells of a transport LP, checked when its layout is built,
+# Ceiling on the cells of a transport LP, checked when its rows are numbered,
 # before anything cell-sized.  Peak RSS over both senses on one Solver grew
 # by about 100 bytes per cell on 3 dates (an Asian call, m = 51 to 101) and
 # 40 on 2 (the straddle, smooth_pair(1601) to (3201)), so this is about 2 GB.
@@ -160,78 +160,62 @@ class MotResult:
     report: VerificationReport
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """LP row numbers.  ``marginal_row[i]`` gives each atom of date i its
-    row, -1 at the dropped (heaviest) atom of dates >= 2; ``mart_row[j]``
-    is shaped like the history grid of dates 1..j+1 and numbers its rows
-    consecutively in row-major order."""
-
-    grids: tuple[np.ndarray, ...]
-    shape: tuple[int, ...]
-    n_cells: int
-    n_rows: int
-    marginal_row: tuple[np.ndarray, ...]
-    mart_row: tuple[np.ndarray, ...]
-
-
-def _layout(system: MarginalSystem) -> _Layout:
-    cells = math.prod(len(mu) for mu in system.marginals)
-    if cells > MAX_CELLS:
-        raise ScaleExceeded(f"{cells} cells, over the ceiling of {MAX_CELLS}")
-    grids = tuple(mu.points for mu in system.marginals)
-    shape = tuple(g.size for g in grids)
-    row = 0
-    marginal_row = []
-    for i, mu in enumerate(system.marginals):
-        keep = np.arange(shape[i]) != (np.argmax(mu.weights) if i else -1)
-        marginal_row.append(np.where(keep, row + np.cumsum(keep) - 1, -1))
-        row += int(keep.sum())
-    mart_row = []
-    for j in range(len(grids) - 1):
-        hist_shape = shape[: j + 1]
-        mart_row.append(row + np.arange(int(np.prod(hist_shape))).reshape(hist_shape))
-        row += mart_row[-1].size
-    return _Layout(grids=grids, shape=shape, n_cells=int(np.prod(shape)), n_rows=row,
-                   marginal_row=tuple(marginal_row), mart_row=tuple(mart_row))
-
-
 class TransportColumns:
-    """The transport LP's constraints read off the layout, with no matrix
-    assembled: the column of a cell holds 1 in the mass row of its atom at
-    each date (none at a dropped atom) and s_{j+1} - s_j in the
-    conditional-mean row of its history at each step j (none where that is
-    0), in this order of rows.  The payoff enters only through the cost, so
-    every problem on the system shares them.  They are the LP's
+    """The transport LP's rows and columns, with no matrix assembled.
+
+    The rows are numbered once, here: ``marginal_row[i]`` gives each atom
+    of date i its mass row, -1 at the dropped (heaviest) atom of dates >= 2,
+    and ``mart_row[j]``, shaped like the history grid of dates 1..j+1,
+    numbers that step's conditional-mean rows consecutively in row-major
+    order, after every mass row.  The column of a cell of ``shape``, over
+    the atoms ``grids``, holds 1 in the mass row of its atom at each date
+    (none at a dropped atom) and s_{j+1} - s_j in the conditional-mean row
+    of its history at each step j (none where that is 0), in this order of
+    rows.  The payoff enters only through the cost, so every problem on
+    the system shares them.  They are the LP's
     :class:`~motbound.lp.ColumnSource`: ``n_cols``, ``rhs``, ``row_scale``,
     the columns a model adds (:meth:`columns`), each pricing pass
-    (:meth:`reduced`) and the residual check's A x (:meth:`times`)."""
+    (:meth:`reduced`) and the residual check's A x (:meth:`times`).
+    A system of more than ``MAX_CELLS`` cells raises ScaleExceeded before
+    any row or cell array is built."""
 
-    def __init__(self, layout: _Layout, system: MarginalSystem) -> None:
-        self.layout = layout
-        self.n_cols = layout.n_cells
-        rhs = np.zeros(layout.n_rows)
-        top = np.ones(layout.n_rows)  # each row's largest |coefficient|: 1 in a mass row
-        for rows, mu in zip(layout.marginal_row, system.marginals):
-            rhs[rows[rows >= 0]] = mu.weights[rows >= 0]
-        for rows, here, there in zip(layout.mart_row, layout.grids, layout.grids[1:]):
+    def __init__(self, system: MarginalSystem) -> None:
+        self.n_cols = math.prod(len(mu) for mu in system.marginals)
+        if self.n_cols > MAX_CELLS:
+            raise ScaleExceeded(f"{self.n_cols} cells, over the ceiling of {MAX_CELLS}")
+        self.grids = grids = tuple(mu.points for mu in system.marginals)
+        self.shape = shape = tuple(g.size for g in grids)
+        self.marginal_row, self.mart_row = [], []
+        rhs, row = [], 0
+        for i, mu in enumerate(system.marginals):
+            keep = np.arange(shape[i]) != (np.argmax(mu.weights) if i else -1)
+            self.marginal_row.append(np.where(keep, row + np.cumsum(keep) - 1, -1))
+            rhs.append(mu.weights[keep])
+            row += rhs[-1].size
+        top = [np.ones(row)]  # each row's largest |coefficient|: 1 in a mass row
+        for j, (here, there) in enumerate(zip(grids, grids[1:])):
+            rows = row + np.arange(math.prod(shape[:j + 1])).reshape(shape[:j + 1])
+            self.mart_row.append(rows)
+            rhs.append(np.zeros(rows.size))
             # at the lowest or highest atom of date j+1, as rounding keeps
             # the order of the differences
-            top[rows] = np.maximum(np.abs(there[0] - here), np.abs(there[-1] - here))
-        self.rhs, self.row_scale = rhs, lp_mod.row_scale_of(top)
-        rhs.flags.writeable = self.row_scale.flags.writeable = False
+            top.append(np.broadcast_to(np.maximum(np.abs(there[0] - here), np.abs(there[-1] - here)),
+                                       rows.shape).ravel())
+            row += rows.size
+        self.rhs, self.row_scale = np.concatenate(rhs), lp_mod.row_scale_of(np.concatenate(top))
+        self.rhs.flags.writeable = self.row_scale.flags.writeable = False
 
     def _move(self, j: int, lo: int, hi: int) -> np.ndarray:
         """s_{j+1} - s_j over the atoms of dates j and j+1 (of the first
         date, ``lo:hi`` only), one axis each."""
-        here = self.layout.grids[j][lo:hi] if j == 0 else self.layout.grids[j]
-        return self.layout.grids[j + 1][None, :] - here[:, None]
+        here = self.grids[j][lo:hi] if j == 0 else self.grids[j]
+        return self.grids[j + 1][None, :] - here[:, None]
 
     def _blocks(self, flat: np.ndarray):
         """``flat``, one value per cell, as views shaped like the cell grid
         on the first date's atoms ``lo:hi``, of about ``CHUNK_CELLS`` cells
         each: ``(lo, hi, view)``."""
-        shape = self.layout.shape
+        shape = self.shape
         rest = self.n_cols // shape[0]
         step = max(1, CHUNK_CELLS // rest)
         for lo in range(0, shape[0], step):
@@ -241,13 +225,12 @@ class TransportColumns:
     def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The columns ``cols`` of A, in that order: starts (one per column
         and the end), row indices and values."""
-        layout = self.layout
-        at = np.unravel_index(cols, layout.shape)
-        index = [rows[k] for rows, k in zip(layout.marginal_row, at)]
+        at = np.unravel_index(cols, self.shape)
+        index = [rows[k] for rows, k in zip(self.marginal_row, at)]
         value = [np.ones(cols.size)] * len(at)
-        for j, rows in enumerate(layout.mart_row):
+        for j, rows in enumerate(self.mart_row):
             index.append(rows[at[:j + 1]])
-            value.append(layout.grids[j + 1][at[j + 1]] - layout.grids[j][at[j]])
+            value.append(self.grids[j + 1][at[j + 1]] - self.grids[j][at[j]])
         index, value = np.stack(index, axis=1), np.stack(value, axis=1)
         keep = (index >= 0) & (value != 0.0)
         return np.concatenate(([0], np.cumsum(keep.sum(axis=1)))), index[keep], value[keep]
@@ -259,15 +242,14 @@ class TransportColumns:
         sums (row, col, value) triples in column-major order, so the bits
         are the same.  A missing term adds 0, or 0 times a delta, which
         leaves a sum begun at +0 as it is."""
-        layout = self.layout
-        n = len(layout.shape)
+        n = len(self.shape)
         y = np.append(y, 0.0)  # a dropped atom's row, -1, reads 0
         out = np.empty(self.n_cols)
         for lo, hi, block in self._blocks(out):
-            np.add(y[layout.marginal_row[0][lo:hi]][(...,) + (None,) * (n - 1)], 0.0, out=block)
+            np.add(y[self.marginal_row[0][lo:hi]][(...,) + (None,) * (n - 1)], 0.0, out=block)
             for i in range(1, n):
-                block += y[layout.marginal_row[i]][(...,) + (None,) * (n - i - 1)]
-            for j, rows in enumerate(layout.mart_row):
+                block += y[self.marginal_row[i]][(...,) + (None,) * (n - i - 1)]
+            for j, rows in enumerate(self.mart_row):
                 pad = (...,) + (None,) * (n - j - 2)
                 block += y[rows[lo:hi]][pad + (None,)] * self._move(j, lo, hi)[pad]
         return np.subtract(cost, out, out=out)
@@ -275,28 +257,27 @@ class TransportColumns:
     def times(self, x: np.ndarray) -> np.ndarray:
         """A x: each date's masses and each history's mean move, summed
         over the cells in blocks of the first date's atoms."""
-        layout = self.layout
-        n = len(layout.shape)
-        ax = np.zeros(layout.n_rows + 1)  # a dropped atom's row, -1, writes the last
-        mass = [np.zeros(m) for m in layout.shape]
+        n = len(self.shape)
+        ax = np.zeros(self.rhs.size + 1)  # a dropped atom's row, -1, writes the last
+        mass = [np.zeros(m) for m in self.shape]
         for lo, hi, block in self._blocks(x):
             partial = block  # the block summed over the dates after i
             for i in range(n - 1, 0, -1):
                 mass[i] += partial.sum(axis=tuple(range(i)))
-                ax[layout.mart_row[i - 1][lo:hi]] = (partial * self._move(i - 1, lo, hi)).sum(axis=-1)
+                ax[self.mart_row[i - 1][lo:hi]] = (partial * self._move(i - 1, lo, hi)).sum(axis=-1)
                 partial = partial.sum(axis=-1)
             mass[0][lo:hi] = partial
-        for rows, m in zip(layout.marginal_row, mass):
+        for rows, m in zip(self.marginal_row, mass):
             ax[rows] = m
         return ax[:-1]
 
 
 class Solver:
     """The parts of one marginal system's transport LP, built once: its
-    layout (whose ``grids`` are the atoms, on which every bound widens and
-    checks its hedge) and, at first use, its constraints, a
-    :class:`TransportColumns` that reads each column off the layout and
-    holds no matrix, and a HiGHS :class:`~motbound.lp.Session` on them.
+    constraints, a :class:`TransportColumns` that numbers the rows, reads
+    each column off that numbering and holds no matrix (its ``grids`` are
+    the atoms, on which every bound widens and checks its hedge), and, at
+    first use, a HiGHS :class:`~motbound.lp.Session` on them.
 
     Every problem on the system shares the constraints, so a problem only
     tabulates its payoff as the cost, and each solve after the first
@@ -330,20 +311,16 @@ class Solver:
 
     def __init__(self, system: MarginalSystem) -> None:
         self.system = system
-        self.layout = _layout(system)
-        self._seed = _Seed(system, self.layout)
+        self.constraints = TransportColumns(system)
+        self._seed = _Seed(system, self.constraints)
         self._frame: _Frame | None = None  # the frame of the last payoff served
 
     def frame(self, payoff: Payoff) -> _Frame:
         """The atoms' cells as ``payoff`` sees them: the kept frame while
         the same payoff object asks, else a new one, which replaces it."""
         if self._frame is None or self._frame.payoff is not payoff:
-            self._frame = _Frame(self.layout.grids, payoff)
+            self._frame = _Frame(self.constraints.grids, payoff)
         return self._frame
-
-    @functools.cached_property
-    def constraints(self) -> TransportColumns:
-        return TransportColumns(self.layout, self.system)
 
     @functools.cached_property
     def session(self) -> Session:
@@ -353,7 +330,7 @@ class Solver:
         """A session on the solver's constraints and seed, built as
         :attr:`session` is but apart from it, so that what it solves leaves
         the bounds solved on :attr:`session` alone."""
-        return Session(self.constraints, seed=self._seed, group=self.layout.shape[-1])
+        return Session(self.constraints, seed=self._seed, group=self.constraints.shape[-1])
 
     def lp(self, problem: MotProblem) -> LinearProgram:
         """The transport LP of ``problem``: cell masses, marginal rows (one
@@ -361,7 +338,7 @@ class Solver:
         atom), and one conditional-mean row per history cell."""
         _solver_for(problem.system, self)
         return LinearProgram("min" if problem.sense == "lower" else "max",
-                             payoff_mod.tabulate(problem.payoff, self.layout.grids), self.constraints)
+                             payoff_mod.tabulate(problem.payoff, self.constraints.grids), self.constraints)
 
     def bounds(self, payoffs, senses=("lower", "upper"),
                solve=None) -> list[dict[str, MotResult | MotboundError]]:
@@ -391,13 +368,13 @@ class Solver:
 
 class _Seed:
     """The seed of a master on the transport LP of ``system``, whose rows
-    and cells ``layout`` numbers (see :class:`Solver`): a function of the
-    LP, kept apart from the solver so that the solver's session holds no
+    and cells ``constraints`` numbers (see :class:`Solver`): a function of
+    the LP, kept apart from the solver so that the solver's session holds no
     reference back to it."""
 
-    def __init__(self, system: MarginalSystem, layout: _Layout) -> None:
+    def __init__(self, system: MarginalSystem, constraints: TransportColumns) -> None:
         self.system = system
-        self.layout = layout
+        self.constraints = constraints
 
     @functools.cached_property
     def coarse(self) -> tuple[Solver, np.ndarray, np.ndarray] | None:
@@ -410,8 +387,8 @@ class _Seed:
         solver = Solver(coarse)
         atoms = tuple(np.searchsorted(fine.points, mu.points)
                       for fine, mu in zip(self.system.marginals, coarse.marginals))
-        cells = np.ravel_multi_index(np.meshgrid(*atoms, indexing="ij"), self.layout.shape).ravel()
-        return solver, cells, _row_image(solver.layout, self.layout, atoms)
+        cells = np.ravel_multi_index(np.meshgrid(*atoms, indexing="ij"), self.constraints.shape).ravel()
+        return solver, cells, _row_image(solver.constraints, self.constraints, atoms)
 
     def __call__(self, lp: LinearProgram) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """The seed's cells, and the basis a master on them starts from (see
@@ -429,7 +406,7 @@ class _Seed:
                                                                           coarse.constraints))
         except LpError:
             return np.empty(0, dtype=np.int64), None
-        shape = self.layout.shape
+        shape = self.constraints.shape
         n = len(shape)
         index = np.column_stack(np.unravel_index(cells[support], shape))
         steps = np.array(list(itertools.product(range(-SEED_WIDTH, SEED_WIDTH + 1), repeat=n)))
@@ -441,14 +418,15 @@ class _Seed:
                 (cells[basic], np.flatnonzero(artificial)))
 
 
-def _row_image(coarse: _Layout, fine: _Layout, atoms: tuple[np.ndarray, ...]) -> np.ndarray:
+def _row_image(coarse: TransportColumns, fine: TransportColumns,
+               atoms: tuple[np.ndarray, ...]) -> np.ndarray:
     """The row of the fine LP for each row of the coarse one, whose atoms of
     each date sit at ``atoms`` among the fine atoms: a history's row goes to
     the same history's, and an atom's to the same atom's, bar the atom that
-    the fine layout drops, whose row goes to that of the atom the coarse
-    layout drops.  A date's mass rows sum to its total mass, so this swap
+    the fine LP drops, whose row goes to that of the atom the coarse LP
+    drops.  A date's mass rows sum to its total mass, so this swap
     keeps a basis nonsingular."""
-    image = np.empty(coarse.n_rows, dtype=np.int64)
+    image = np.empty(coarse.rhs.size, dtype=np.int64)
     for rows, fine_rows, at in zip(coarse.marginal_row, fine.marginal_row, atoms):
         target = fine_rows[at]
         target[target < 0] = target[rows < 0]
@@ -474,7 +452,7 @@ def verification_grids(problem: MotProblem, solver: Solver | None = None) -> lis
     atoms come from ``solver``, built on ``problem.system`` for this call
     when not given."""
     solver = _solver_for(problem.system, solver)
-    return [*solver.layout.grids[:-1], solver.frame(problem.payoff).axis]
+    return [*solver.constraints.grids[:-1], solver.frame(problem.payoff).axis]
 
 
 def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
@@ -489,42 +467,42 @@ def extract_hedge(lp_solution: LpSolution, problem: MotProblem,
     cash.  Last, u_n gains knots at the payoff's kinks, tightest over the
     histories of the atoms, read on the solver's frame of the payoff (see
     :meth:`Solver.frame`; a bound's check reads the same one).
-    The row layout comes from ``solver``, built on ``problem.system`` for
-    this call when not given."""
+    The row numbering comes from ``solver``, built on ``problem.system``
+    for this call when not given."""
     solver = _solver_for(problem.system, solver)
-    layout = solver.layout
+    columns = solver.constraints
     system = problem.system
     n = system.n_dates
     y = np.asarray(lp_solution.dual, dtype=float)
-    if y.size != layout.n_rows:
+    if y.size != columns.rhs.size:
         raise DimensionMismatch("dual vector does not match the assembled row count")
 
-    u_vals = [np.where(r >= 0, y[r], 0.0) for r in layout.marginal_row]
-    tables = [y[r] for r in layout.mart_row]
+    u_vals = [np.where(r >= 0, y[r], 0.0) for r in columns.marginal_row]
+    tables = [y[r] for r in columns.mart_row]
 
     cash = 0.0
     for j in range(n - 1):
         beta = -float(tables[j].mean())
         tables[j] = tables[j] + beta + 0.0  # + 0.0: no -0.0 delta
-        u_vals[j] = u_vals[j] + beta * layout.grids[j]
-        u_vals[j + 1] = u_vals[j + 1] - beta * layout.grids[j + 1]
+        u_vals[j] = u_vals[j] + beta * columns.grids[j]
+        u_vals[j + 1] = u_vals[j + 1] - beta * columns.grids[j + 1]
     for i in range(1, n):
-        heavy = int(np.flatnonzero(layout.marginal_row[i] < 0)[0])  # the atom of the dropped row
+        heavy = int(np.flatnonzero(columns.marginal_row[i] < 0)[0])  # the atom of the dropped row
         c = float(u_vals[i][heavy])
         u_vals[i] = u_vals[i] - c
         cash += c
 
-    statics = tuple(PiecewiseLinear.from_samples(layout.grids[i], u_vals[i]) for i in range(n))
-    deltas = tuple(DeltaTable(tuple(layout.grids[: j + 1]), tables[j]) for j in range(n - 1))
+    statics = tuple(PiecewiseLinear.from_samples(columns.grids[i], u_vals[i]) for i in range(n))
+    deltas = tuple(DeltaTable(tuple(columns.grids[: j + 1]), tables[j]) for j in range(n - 1))
     sense = "sub" if problem.sense == "lower" else "super"
     hedge = SemiStaticHedge(cash, statics, deltas, sense)
     return _widen_last_static(hedge, solver.frame(problem.payoff))
 
 
-def _coupling_from_primal(primal: np.ndarray, layout: _Layout) -> Coupling:
+def _coupling_from_primal(primal: np.ndarray, columns: TransportColumns) -> Coupling:
     keep = np.flatnonzero(primal > MASS_FLOOR)
-    indices = np.column_stack(np.unravel_index(keep, layout.shape))
-    return Coupling(grids=layout.grids, indices=indices, masses=primal[keep])
+    indices = np.column_stack(np.unravel_index(keep, columns.shape))
+    return Coupling(grids=columns.grids, indices=indices, masses=primal[keep])
 
 
 def _delta_increments(hedge: SemiStaticHedge, system: MarginalSystem,
@@ -579,7 +557,7 @@ def _result(problem: MotProblem, lp: LinearProgram, sol: LpSolution, solver: Sol
     report = verify(hedge, problem.payoff, solver.frame(problem.payoff))
     if not report.valid:
         raise DegenerateDual(f"the LP dual failed the hedge check: {report.describe()}")
-    coupling = _coupling_from_primal(sol.primal, solver.layout)
+    coupling = _coupling_from_primal(sol.primal, solver.constraints)
     extras = {"lp_rows": lp.n_rows, "lp_cols": lp.n_cols,
               "lp_iterations": sol.iterations, "solve_attempts": attempts,
               "max_verification_violation": report.max_violation}
@@ -702,9 +680,9 @@ def random_feasible_coupling(system: MarginalSystem, seed: int, *,
     if not system.admissible:
         raise NotAdmissible("marginals are not in convex order")
     solver = _solver_for(system, solver)
-    cost = np.random.default_rng(seed).uniform(-1.0, 1.0, size=solver.layout.n_cells)
+    cost = np.random.default_rng(seed).uniform(-1.0, 1.0, size=solver.constraints.n_cols)
     sol = solve(LinearProgram("min", cost, solver.constraints), session=solver.new_session())
-    return _coupling_from_primal(sol.primal, solver.layout)
+    return _coupling_from_primal(sol.primal, solver.constraints)
 
 
 def surface_csv(problem: MotProblem, result: MotResult, solver: Solver | None = None) -> str:

@@ -423,7 +423,7 @@ class TestVerifyAxisIndependence:
         solver = Solver(problem.system)
         res = bound(problem, solver=solver)
         hedge = res.hedge
-        assert (verify(hedge, payoff, solver.layout.grids)
+        assert (verify(hedge, payoff, solver.constraints.grids)
                 == verify(hedge, payoff, verification_grids(problem, solver)))
         # the bound's own report, made on the atoms, is the same report
         assert res.report == verify(hedge, payoff, verification_grids(problem, solver))

@@ -172,26 +172,25 @@ class TestOneLayoutPerBound:
         # the bound widens and checks its hedge on the solver's atoms, so it
         # builds no verification grids
         calls = []
-        for name in ("_layout", "verification_grids"):
+        for name in ("TransportColumns", "verification_grids"):
             count_calls(monkeypatch, mot, name, calls)
         bound(MotProblem(system(), payoff(), "lower"))
-        assert calls == ["_layout"]
+        assert calls == ["TransportColumns"]
 
     def test_sweep_builds_per_system_parts_once(self, monkeypatch):
-        # 11 strikes, 22 bounds: one layout and one set of transport columns
-        # for the whole sweep, whose model of every column prices on those
-        # columns and builds no copy of them, no verification grids, and one
-        # read of the payoff's last-axis data per bound (its widening and
-        # its check share one frame)
+        # 11 strikes, 22 bounds: one set of transport columns, which number
+        # the rows, for the whole sweep, whose model of every column prices
+        # on those columns and builds no copy of them, no verification
+        # grids, and one read of the payoff's last-axis data per bound (its
+        # widening and its check share one frame)
         calls = []
-        for name in ("_layout", "verification_grids"):
-            count_calls(monkeypatch, mot, name, calls)
+        count_calls(monkeypatch, mot, "verification_grids", calls)
         count_calls(monkeypatch, Constraints, "__post_init__", calls)
         count_calls(monkeypatch, mot.TransportColumns, "__init__", calls)
         count_calls(monkeypatch, payoff_mod, "last_axis", calls)
         table = strike_sweep(smooth_pair(9), np.linspace(0.9, 1.1, 11))
         assert all(row.ok for row in table.rows)
-        assert sorted(c for c in calls if c != "last_axis") == ["__init__", "_layout"]
+        assert [c for c in calls if c != "last_axis"] == ["__init__"]
         assert calls.count("last_axis") <= 22
 
     def test_one_public_extraction_per_bound(self, monkeypatch):
@@ -709,7 +708,7 @@ class TestColumnGeneration:
                                np.concatenate((start, start[-1] + np.arange(1, rows.size + 1)))),
                               shape=(lp.n_rows, lp.n_rows))
         assert np.abs(splu(basis).U.diagonal()).min() > 1e-3  # splu raises on an exactly singular one
-        master = lp_mod._Master(lp, lp.cost, np.unique(cells), True, solver.layout.shape[-1], (cols, rows))
+        master = lp_mod._Master(lp, lp.cost, np.unique(cells), True, solver.constraints.shape[-1], (cols, rows))
         status = master.model.getBasis().col_status
         assert sum(s == lp_mod.highs.HighsBasisStatus.kBasic for s in status) == lp.n_rows
 
@@ -1325,22 +1324,30 @@ class TestScaleCeiling:
         # 50**4 = 6.25 M cells, one over a ceiling moved down to them
         system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 50)
                                  for k in (1, 2, 3, 4)])
-        calls = []
-        monkeypatch.setattr(mot, "TransportColumns", lambda *args: calls.append(args))
+        # the transport columns count the cells before they number a row:
+        # mot reads nothing of numpy before the ceiling raises
+        touched = []
+
+        class Watched:
+            def __getattr__(self, name):
+                touched.append(name)
+                return getattr(np, name)
+
+        monkeypatch.setattr(mot, "np", Watched())
         monkeypatch.setattr(mot, "MAX_CELLS", 6_249_999)
         with pytest.raises(ScaleExceeded, match="6250000 cells, over the ceiling of 6249999"):
             entry(system)
-        assert calls == []
+        assert touched == []
 
     def test_ceiling_counts_cells(self, monkeypatch):
-        # at the ceiling a layout is built; five dates of 50 atoms are over
+        # at the ceiling the rows are numbered; five dates of 50 atoms are over
         # the real one
         system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), 50)
                                  for k in (1, 2, 3, 4, 5)])
         with pytest.raises(ScaleExceeded, match=f"312500000 cells, over the ceiling of {mot.MAX_CELLS}"):
             mot.Solver(system)
         monkeypatch.setattr(mot, "MAX_CELLS", 6_250_000)
-        assert mot.Solver(MarginalSystem(system.marginals[:4])).layout.n_cells == 6_250_000
+        assert mot.Solver(MarginalSystem(system.marginals[:4])).constraints.n_cols == 6_250_000
 
 
 class TestThreeDateBarriers:
