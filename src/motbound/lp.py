@@ -3,12 +3,14 @@
 One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``,
 with A read through one column source (``ColumnSource``), shared by the
 LPs that differ only in cost.  A source gives ``n_cols``, ``rhs``, the row
-scales ``row_scale`` (below), ``columns(cols)``, the columns a model adds,
-as starts, row indices and values, ``reduced(cost, y)``, ``cost - A^T y``
-over every column, one pricing pass, and ``times(x)``, the residual check's
-``A x``: only what a model cannot derive.  The transport LP's
-``mot.TransportColumns`` is one: it reads each column off the structure of
-its LP and holds no matrix.
+scales ``row_scale`` (below), ``group``, the size of the runs of
+consecutive columns of which a pricing round adds at most one each,
+``columns(cols)``, the columns a model adds, as starts, row indices and
+values, ``reduced(cost, y)``, ``cost - A^T y`` over every column, one
+pricing pass, and ``times(x)``, the residual check's ``A x``: only what a
+model cannot derive.  The transport LP's ``mot.TransportColumns`` is one:
+it reads each column off the structure of its LP, holds no matrix, and
+groups the cells of one history.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  HiGHS sees the LP
@@ -31,10 +33,11 @@ shape: one run on every column below ``COLD_MASTER_COLS`` variables in the
 primal band (below ``PRIMAL_MAX_COLS`` variables, with few per row),
 otherwise column generation, whose master holds one artificial column per
 row plus a seed of columns and gains, round by round, the columns that
-price out, each round a run from the last basis, the first from the basis
-the seed gives (a coarse LP's optimum); it stops when no column prices
-out.  After every run of every model, one pass prices every column, and
-the reduced-cost check reads the last run's pass: one ``A^T y`` per run.
+price out, at most one from each of the source's groups, each round a run
+from the last basis, the first from the basis the seed gives (a coarse
+LP's optimum); it stops when no column prices out.  After every run of
+every model, one pass prices every column, and the reduced-cost check
+reads the last run's pass: one ``A^T y`` per run.
 One start rule holds for every model: a given basis, else, in a model
 with artificial columns, every artificial basic, which is primal
 feasible, so no run spends pivots on phase 1; only a cold model of every
@@ -177,32 +180,10 @@ PRIMAL_MAX_COLS_PER_ROW = 15
 # no artificial mass, after which the artificials cost nothing (see
 # _Master.generate).
 ARTIFICIAL_COST = 1e3
-# A round adds each group's most negative column (one per history, see
-# mot.Solver), at most ROUND_ROWS per row.  Single runs, one BLAS thread, s:
-#
-#   round                            smooth_pair(401)   3 dates, m=51   4 dates, m=17
-#                                    lower    upper     lower   upper   lower
-#   one per history, <= 2 per row     0.74     0.42      3.26    1.85    5.38
-#   two per history, <= 2 per row     0.86     0.52      4.17    2.44    8.58
-#   one per history, <= 0.5 per row   0.75     0.48      3.44    2.12    6.08
-#
-# with the straddle on two dates and an Asian call at 1 on uniform laws on
-# [1 - 0.1k, 1 + 0.1k] at date k.  On 4 dates at m=21 (lower, the default
-# pricing below) the first rule took 32-35 s, two per history 47.7 s, and
-# <= 0.5 and <= 0.25 per row 43.0 and 38.9 s.  The cap binds only on
-# groups of one column, a plain solve's and a general LP's, never on a
-# mot.Solver's LPs: a round adds at most one column per history, and such
-# an LP has one martingale row per history plus its mass rows (it bound on
-# 0 of 67 master pricing passes, both senses of smooth_pair(101) and (401)'s
-# straddle and of Asian calls on 3 dates at m=15 and 21 and 4 dates at
-# m=9).  Without it a master of one-column groups adds every negative
-# column in one round.  Four unseeded LPs solved one column per group
-# (smooth_pair(101) and 3 dates at m=21, both senses) took 2.02, 1.53,
-# 1.57, 1.66 and 1.55 s at <= 0.5, 1, 2 and 4 per row and with no cap.
-ROUND_ROWS = 2
 # A master's runs price row-wise (HiGHS simplex_price_strategy 1, where the
 # default, 3, switches between row-wise and column-wise pricing): the same
-# pivots on smooth_pair(401) and 3 dates at m=51 above; on 4 dates, both
+# pivots on smooth_pair(401)'s straddle and an Asian call at 1 on 3 dates
+# at m=51 (uniform laws on [1 - 0.1k, 1 + 0.1k] at date k); on 4 dates, both
 # senses on one mot.Solver, 16.80-17.03 s against 17.42-17.65 at m=21
 # (lower: 39,665 pivots against 39,960), 4.04-4.08 s against 4.25-4.27 at
 # m=17 (two runs each) and 0.93 s against 0.89 at m=13 (one run).
@@ -231,14 +212,17 @@ def row_scale_of(top: np.ndarray) -> np.ndarray:
 
 class ColumnSource(Protocol):
     """A's columns and the rhs, as a model reads them (see the module
-    docstring): ``columns(cols)`` gives the columns ``cols`` in that order
-    as starts (one per column and the end), row indices and values;
-    ``reduced`` gives ``cost - A^T y`` over every column, and ``times``
-    gives ``A x``, one value per row."""
+    docstring): ``group`` divides ``n_cols``, and a pricing round adds at
+    most one column from each run of ``group`` consecutive columns, its
+    most negative (1: any column that prices out); ``columns(cols)`` gives
+    the columns ``cols`` in that order as starts (one per column and the
+    end), row indices and values; ``reduced`` gives ``cost - A^T y`` over
+    every column, and ``times`` gives ``A x``, one value per row."""
 
     n_cols: int
     rhs: np.ndarray
     row_scale: np.ndarray
+    group: int
 
     def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
@@ -319,12 +303,12 @@ class Session:
     run starts from (see :meth:`_Master.basis`), or None for the
     artificials' start, every artificial column basic; without a seed, no
     column and that start.  The seed's own solves are not counted in
-    ``LpSolution.iterations``.  ``group`` splits the columns into
-    consecutive groups of that size (the cells of one history), each of
-    which gives a round at most one column.  Either way each run is the
-    primal simplex from the last basis, or from the seed's, and the solve
-    returns once no column of the LP prices out, so its dual passes the
-    reduced-cost check on every column.
+    ``LpSolution.iterations``.  A round adds at most one column from each
+    of the source's groups (``ColumnSource.group``), so a plain
+    :func:`solve` prices an LP as a session does.  Either way each run is
+    the primal simplex from the last basis, or from the seed's, and the
+    solve returns once no column of the LP prices out, so its dual passes
+    the reduced-cost check on every column.
 
     Once a solve has passed every check, the next one only changes the
     column costs and runs the primal simplex from that solve's basis, which
@@ -343,10 +327,9 @@ class Session:
 
     def __init__(self, constraints: ColumnSource,
                  seed: Callable[[LinearProgram], tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]
-                 | None = None, group: int = 1) -> None:
+                 | None = None) -> None:
         self.constraints = constraints
         self.seed = seed
-        self.group = group
         self._master = None
         self._sense = None  # the sense of the model's last solve
 
@@ -373,9 +356,9 @@ class Session:
         ``artificial`` is set; otherwise a master on the seed's columns,
         which starts from the seed's basis when it gives one."""
         if _cold_method(lp.n_cols, lp.n_rows) != "master":
-            return _Master(lp, cost, np.arange(lp.n_cols), artificial, self.group)
+            return _Master(lp, cost, np.arange(lp.n_cols), artificial)
         seed, basis = (np.empty(0, dtype=np.int64), None) if self.seed is None else self.seed(lp)
-        return _Master(lp, cost, np.unique(np.asarray(seed, dtype=np.int64)), True, self.group, basis)
+        return _Master(lp, cost, np.unique(np.asarray(seed, dtype=np.int64)), True, basis)
 
     def _solve(self, lp: LinearProgram) -> LpSolution:
         cost = self._check(lp)
@@ -420,21 +403,22 @@ class _Master:
     ``ARTIFICIAL_COST * (1 + max|c| / C)``).  The model is the scaled LP
     (see the module docstring), and every gate here reads its units:
     ``cost``, the LP's cost in minimization form, sets ``scale``, C, and
-    ``tol``, the reduced-cost gate ``FEAS_TOL * (1 + max|c| / C)``, again at
-    each :meth:`change_cost`; ``residual_tol``, ``10 * FEAS_TOL * (1 + max|R
-    rhs|)``, bounds the scaled residual that :func:`_check_run` accepts and
-    the mass that :meth:`generate` leaves on artificials it fixes.  A round
-    adds at most one column per ``group`` consecutive columns.  Its first
-    run starts from ``basis`` when given (see :meth:`basis`), else, with
-    artificial columns, from every artificial basic, a primal feasible
-    start; a model without them and no ``basis`` (a cold solve's model of
-    every column) starts from HiGHS's own basis.  HiGHS gets the rows by
-    ``passModel``, the artificials by one ``addCols``, and the LP's columns
-    by :meth:`_add`, the seed's at once, then each round's.  Its pricing
-    passes and the residual check read the LP's constraints."""
+    ``tol``, the reduced-cost gate ``FEAS_TOL * (1 + max|c| / C)``, again
+    at each :meth:`change_cost`; ``residual_tol``, ``10 * FEAS_TOL * (1 +
+    max|R rhs|)``, bounds the scaled residual that :func:`_check_run`
+    accepts and the mass that :meth:`generate` leaves on artificials it
+    fixes.  A round adds at most one column from each group of the LP's
+    source.  Its first run starts from ``basis`` when given (see
+    :meth:`basis`), else, with artificial columns, from every artificial
+    basic, a primal feasible start; a model without them and no ``basis``
+    (a cold solve's model of every column) starts from HiGHS's own basis.
+    HiGHS gets the rows by ``passModel``, the artificials by one
+    ``addCols``, and the LP's columns by :meth:`_add`, the seed's at once,
+    then each round's.  Its pricing passes and the residual check read the
+    LP's constraints."""
 
     def __init__(self, lp: LinearProgram, cost: np.ndarray, cols: np.ndarray, artificial: bool,
-                 group: int, basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+                 basis: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         n_art = lp.n_rows if artificial else 0
         model = highs.HighsLp()  # the rows alone: the columns join by addCols
         model.num_row_ = lp.n_rows
@@ -461,7 +445,6 @@ class _Master:
         self.model = run
         self.n_art = n_art
         self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(rhs).max()))
-        self.group = group
         self.cols = cols[:0]
         self._add(lp, cols)
         self.fixed = not artificial
@@ -590,28 +573,28 @@ class _Master:
         that starts from this master's basis: the columns the master lacks
         join nonbasic at zero, and the row of a basic artificial column,
         which sits at zero, takes its place with the row's own logical."""
-        return _Master(lp, cost, np.arange(lp.n_cols), False, self.group, self.basis())
+        return _Master(lp, cost, np.arange(lp.n_cols), False, self.basis())
 
     def _entering(self, lp: LinearProgram, y: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
         """The pricing pass of a run whose row duals are ``y``, which prices
         every column of ``lp`` at its scaled reduced cost ``c/C - (R A)^T
         y``: the columns outside the model below ``-tol`` (none in a model
-        of every column), each group's most negative, at most ``ROUND_ROWS``
-        times the row count of them, most negative first; and the most
-        negative reduced cost of any column, with its column, which the dual
-        gate of :func:`_check_run` reads."""
+        of every column), the most negative of each of the source's groups,
+        most negative first; and the most negative reduced cost of any
+        column, with its column, which the dual gate of :func:`_check_run`
+        reads."""
         reduced = lp.constraints.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
         worst = int(np.argmin(reduced))
         lowest = (worst, float(reduced[worst]))
         if self.cols.size == lp.n_cols:  # none can enter: skip the selection
             return self.cols[:0], lowest
         reduced[self.cols] = 0.0
-        by_group = reduced.reshape(-1, self.group)
+        by_group = reduced.reshape(-1, lp.constraints.group)
         best = by_group.argmin(axis=1)
         value = by_group[np.arange(best.size), best]
         groups = np.flatnonzero(value < -self.tol)
-        groups = groups[np.argsort(value[groups], kind="stable")][: int(ROUND_ROWS * lp.n_rows)]
-        return groups * self.group + best[groups], lowest
+        groups = groups[np.argsort(value[groups], kind="stable")]  # the order of addCols
+        return groups * lp.constraints.group + best[groups], lowest
 
 
 def _cold_method(n_cols: int, n_rows: int) -> str:

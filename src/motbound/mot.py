@@ -35,8 +35,9 @@ MASS_FLOOR = 1e-15
 # 40 on 2 (the straddle, smooth_pair(1601) to (3201)), so this is about 2 GB.
 MAX_CELLS = 20_000_000
 # A master's seed is the coarse support widened by SEED_WIDTH atoms each way
-# on every date (see Solver).  Single runs, one BLAS thread, s, on the LPs
-# of lp.ROUND_ROWS:
+# on every date (see Solver).  Single runs, one BLAS thread, s, with the
+# straddle on two dates and an Asian call at 1 on uniform laws on
+# [1 - 0.1k, 1 + 0.1k] at date k:
 #
 #   width   smooth_pair(401)    3 dates, m=51     4 dates, m=17
 #           lower    upper      lower   upper     lower
@@ -174,8 +175,13 @@ class TransportColumns:
     rows.  The payoff enters only through the cost, so every problem on
     the system shares them.  They are the LP's
     :class:`~motbound.lp.ColumnSource`: ``n_cols``, ``rhs``, ``row_scale``,
-    the columns a model adds (:meth:`columns`), each pricing pass
-    (:meth:`reduced`) and the residual check's A x (:meth:`times`).
+    ``group``, the cells of one history (``shape[-1]``), so that a pricing
+    round adds at most one cell per history, as the dual holds one delta
+    per history (one per history took 14-37% less time than two, on
+    smooth_pair(401)'s straddle and Asian calls on 3 dates at m=51 and 4
+    at m=17, single runs), the columns a model adds
+    (:meth:`columns`), each pricing pass (:meth:`reduced`) and the
+    residual check's A x (:meth:`times`).
     A system of more than ``MAX_CELLS`` cells raises ScaleExceeded before
     any row or cell array is built."""
 
@@ -185,6 +191,7 @@ class TransportColumns:
             raise ScaleExceeded(f"{self.n_cols} cells, over the ceiling of {MAX_CELLS}")
         self.grids = grids = tuple(mu.points for mu in system.marginals)
         self.shape = shape = tuple(g.size for g in grids)
+        self.group = shape[-1]
         self.marginal_row, self.mart_row = [], []
         rhs, row = [], 0
         for i, mu in enumerate(system.marginals):
@@ -330,7 +337,7 @@ class Solver:
         """A session on the solver's constraints and seed, built as
         :attr:`session` is but apart from it, so that what it solves leaves
         the bounds solved on :attr:`session` alone."""
-        return Session(self.constraints, seed=self._seed, group=self.constraints.shape[-1])
+        return Session(self.constraints, seed=self._seed)
 
     def lp(self, problem: MotProblem) -> LinearProgram:
         """The transport LP of ``problem``: cell masses, marginal rows (one

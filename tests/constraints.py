@@ -36,13 +36,17 @@ class Constraints:
     row gets its scale, ``row_scale``, R_i: the inverse of the smallest
     power of two at or above row i's largest |coefficient| (1 for a row
     with none).  The arrays are read-only, so every LP built on one object
-    shares the check and the scales."""
+    shares the check and the scales.  ``group``, which must divide
+    ``n_cols``, is the size of the runs of consecutive columns of which a
+    pricing round adds at most one each: 1 for a general LP, and a
+    transport LP's own (the cells of one history) in a copy of it."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     rhs: np.ndarray
     n_cols: int
+    group: int = 1
     start: np.ndarray = field(init=False)
     row_scale: np.ndarray = field(init=False)
 
@@ -54,6 +58,8 @@ class Constraints:
         n_cols = int(self.n_cols)
         if n_cols < 1 or rhs.size < 1:
             raise ValueError("need at least one variable and one constraint")
+        if self.group < 1 or n_cols % self.group:
+            raise ValueError(f"a group of {self.group} columns does not divide {n_cols} columns")
         if not (rows.size == cols.size == vals.size):
             raise ValueError("triple arrays must have equal length")
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(rhs))):
@@ -78,8 +84,8 @@ class Constraints:
 
     @classmethod
     def of(cls, source: ColumnSource) -> Constraints:
-        """A ``Constraints`` of ``source``'s triples and rhs."""
-        return cls(*triples(source), source.rhs, source.n_cols)
+        """A ``Constraints`` of ``source``'s triples, rhs and group."""
+        return cls(*triples(source), source.rhs, source.n_cols, source.group)
 
     def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The columns ``cols`` of A, in that order: starts (one per column

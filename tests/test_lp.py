@@ -642,11 +642,12 @@ class TestOnePricingPass:
 
 
 def shuffled(constraints, rng) -> Constraints:
-    """The same matrix, from any column source, as a ``Constraints`` of its
-    triples handed over in a random order."""
+    """The same matrix and groups, from any column source, as a
+    ``Constraints`` of its triples handed over in a random order."""
     rows, cols, vals = triples(constraints)
     order = rng.permutation(vals.size)
-    return Constraints(rows[order], cols[order], vals[order], constraints.rhs, constraints.n_cols)
+    return Constraints(rows[order], cols[order], vals[order], constraints.rhs, constraints.n_cols,
+                       constraints.group)
 
 
 class TestColumnMajor:
@@ -677,6 +678,11 @@ class TestColumnMajor:
         assert first.primal.tobytes() == second.primal.tobytes()
         assert first.dual.tobytes() == second.dual.tobytes()
         assert (first.objective, first.iterations) == (second.objective, second.iterations)
+
+    @pytest.mark.parametrize("group", [0, 3])
+    def test_groups_that_do_not_divide_the_columns_are_refused(self, group):
+        with pytest.raises(ValueError, match="does not divide"):
+            Constraints(np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]), np.ones(1), 4, group)
 
     def test_duplicates_apart_in_the_input_are_refused(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -939,7 +945,7 @@ def status_basis(master) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_model(lp: LinearProgram, cols: np.ndarray, artificial: bool):
-    """The model of ``_Master(lp, lp.cost, cols, artificial, 1)`` built as
+    """The model of ``_Master(lp, lp.cost, cols, artificial)`` built as
     one ``HighsLp``, field by field, and passed whole: the scaled LP, each
     row divided by the power of two at or above its largest |coefficient|
     and the costs by the one at or above the largest |cost|."""
@@ -980,7 +986,7 @@ class TestModelIO:
     @pytest.mark.parametrize("cols", [[0, 1, 2, 3], [1, 3]], ids=["every", "some"])
     def test_model_equals_a_highs_lp_reference(self, artificial, cols):
         cols = np.array(cols, dtype=np.int64)
-        got = lp_mod._Master(self.LP, self.LP.cost, cols, artificial, 1).model.getLp()
+        got = lp_mod._Master(self.LP, self.LP.cost, cols, artificial).model.getLp()
         want = reference_model(self.LP, cols, artificial)
         for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
                      "row_upper_", "sense_", "offset_"):
@@ -991,7 +997,7 @@ class TestModelIO:
 
     def test_master_without_a_seed_basis_starts_from_its_artificials(self):
         cols = np.array([1, 3], dtype=np.int64)
-        master = lp_mod._Master(self.LP, self.LP.cost, cols, True, 1)
+        master = lp_mod._Master(self.LP, self.LP.cost, cols, True)
         basis = master.model.getBasis()
         assert basis.valid
         assert [s == BASIC for s in basis.col_status] == [True] * self.LP.n_rows + [False] * cols.size
@@ -1043,7 +1049,7 @@ class TestModelIO:
         assert cols.size + rows.size == lp.n_rows
         assert np.all(np.isin(support, cols))
         cost = -lp.cost
-        master = lp_mod._Master(lp, cost, np.arange(lp.n_cols), True, 1, (cols, rows))
+        master = lp_mod._Master(lp, cost, np.arange(lp.n_cols), True, (cols, rows))
         basis = master.model.getBasis()
         assert sum(s == BASIC for s in (*basis.col_status, *basis.row_status)) == lp.n_rows
         status, iterations, _, _ = lp_mod._run_highs(master.model)
@@ -1090,7 +1096,7 @@ class TestUnitFree:
         k = np.random.default_rng(5).integers(-60, 61, size=lp.n_rows)
         rows, cols, vals = triples(c)
         for j in (-30, 7):
-            scaled = Constraints(rows, cols, np.ldexp(vals, k[rows]), np.ldexp(c.rhs, k), c.n_cols)
+            scaled = Constraints(rows, cols, np.ldexp(vals, k[rows]), np.ldexp(c.rhs, k), c.n_cols, c.group)
             sessions = Session(c), Session(scaled)
             for sense in (lp.sense, "max" if lp.sense == "min" else "min"):
                 pair = LinearProgram(sense, lp.cost, c), LinearProgram(sense, np.ldexp(lp.cost, j), scaled)
@@ -1109,7 +1115,7 @@ class TestUnitFree:
         assert not c.row_scale.flags.writeable
         # a model's rows are the rhs times the scales
         lp = LinearProgram("min", np.ones(2), c)
-        model = lp_mod._Master(lp, lp.cost, np.arange(2), True, 1).model.getLp()
+        model = lp_mod._Master(lp, lp.cost, np.arange(2), True).model.getLp()
         assert list(model.row_lower_) == list(model.row_upper_) == [1.5, -2.0, 2.0 ** 996 * 1e-300, 5.0]
 
 

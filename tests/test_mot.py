@@ -708,7 +708,7 @@ class TestColumnGeneration:
                                np.concatenate((start, start[-1] + np.arange(1, rows.size + 1)))),
                               shape=(lp.n_rows, lp.n_rows))
         assert np.abs(splu(basis).U.diagonal()).min() > 1e-3  # splu raises on an exactly singular one
-        master = lp_mod._Master(lp, lp.cost, np.unique(cells), True, solver.constraints.shape[-1], (cols, rows))
+        master = lp_mod._Master(lp, lp.cost, np.unique(cells), True, (cols, rows))
         status = master.model.getBasis().col_status
         assert sum(s == lp_mod.highs.HighsBasisStatus.kBasic for s in status) == lp.n_rows
 
@@ -762,17 +762,18 @@ class TestColumnGeneration:
          asian_call(1.0, 4)),
     ], ids=["2date-m51", "3date-m15", "4date-m8"])
     def test_rounds_add_fewer_columns_than_rows(self, monkeypatch, system, payoff):
-        # a round adds at most one column per history, and a transport LP
-        # has a martingale row per history plus its mass rows, so
-        # lp.ROUND_ROWS never binds on a master a Solver builds
+        # a round adds at most one column per history, the source's group,
+        # and a transport LP has a martingale row per history plus its mass
+        # rows, so a round never adds as many columns as the LP has rows
         rounds = []
         entering = lp_mod._Master._entering
 
         def recording(master, lp, y):
             out = entering(master, lp, y)
             if not master.full:
-                histories = np.unique(out[0] // master.group).size
-                rounds.append((out[0].size, histories, lp.n_cols // master.group, lp.n_rows))
+                group = lp.constraints.group
+                histories = np.unique(out[0] // group).size
+                rounds.append((out[0].size, histories, lp.n_cols // group, lp.n_rows))
             return out
 
         monkeypatch.setattr(lp_mod._Master, "_entering", recording)
@@ -780,6 +781,35 @@ class TestColumnGeneration:
         assert all(isinstance(r, mot.MotResult) for r in outcome.values())
         assert any(added for added, *_ in rounds)
         assert all(added == histories <= every < rows for added, histories, every, rows in rounds)
+
+    @pytest.mark.parametrize("sense", ["lower", "upper"])
+    @pytest.mark.parametrize("system, payoff", [
+        (smooth_pair(51), forward_start_straddle()),
+        (widening_dates(0.1, 21), asian_call(1.0, 3)),
+    ], ids=["2date-m51", "3date-m21"])
+    def test_plain_solve_adds_one_column_per_history(self, monkeypatch, system, payoff, sense):
+        # a plain lp.solve, with no session and so no seed, reads the round
+        # grouping off the column source, as a Solver's session does; a
+        # round that took every column pricing out, up to two per row,
+        # added 304 columns over 31 histories first on smooth_pair(51)
+        rounds = []
+        entering = lp_mod._Master._entering
+
+        def recording(master, lp, y):
+            out = entering(master, lp, y)
+            rounds.append((out[0].size, np.unique(out[0] // lp.constraints.shape[-1]).size))
+            return out
+
+        monkeypatch.setattr(lp_mod._Master, "_entering", recording)
+        lp = Solver(system).lp(MotProblem(system, payoff, sense))
+        assert lp_mod._cold_method(lp.n_cols, lp.n_rows) == "master"
+        value = lp_mod.solve(lp).objective
+        monkeypatch.undo()
+        assert sum(added > 0 for added, _ in rounds) > 1
+        assert all(added == histories for added, histories in rounds)
+        (outcome,) = Solver(system).bounds([payoff], senses=[sense])
+        assert abs(value - outcome[sense].value) <= 1e-10 * abs(outcome[sense].value)
+        assert lp.constraints.group == lp.constraints.shape[-1]
 
     def test_two_runs_are_bit_identical(self):
         system = smooth_pair(101)
