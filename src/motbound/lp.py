@@ -4,13 +4,17 @@ One canonical form: min or max ``cost . x`` over ``{x >= 0 : A x = rhs}``,
 with A read through one column source (``ColumnSource``), shared by the
 LPs that differ only in cost.  A source gives ``n_cols``, ``rhs``, the row
 scales ``row_scale`` (below), ``group``, the size of the runs of
-consecutive columns of which a pricing round adds at most one each,
-``columns(cols)``, the columns a model adds, as starts, row indices and
-values, ``reduced(cost, y)``, ``cost - A^T y`` over every column, one
-pricing pass, and ``times(x)``, the residual check's ``A x``: only what a
-model cannot derive.  The transport LP's ``mot.TransportColumns`` is one:
-it reads each column off the structure of its LP, holds no matrix, and
-groups the cells of one history.
+consecutive columns of which a pricing round adds at most one each (or
+the two the source names for one run), ``columns(cols)``, the columns a
+model adds, as starts, row indices and values, ``reduced(cost, y)``,
+``cost - A^T y`` over every column, one pricing pass, ``reprice``, which
+may move a master's duals on rows whose columns hold no mass and name
+columns to enter, and ``times(x)``, the residual check's ``A x``: only
+what a model cannot derive.  The transport LP's ``mot.TransportColumns``
+is one: it reads each column off the structure of its LP, holds no
+matrix, groups the cells of one history, and reprices each history
+without mass at the convex envelope of its reduced costs.  This module
+learns nothing about transport from it.
 Callers encode everything into this form.  ``solve`` passes it to HiGHS
 (Huangfu & Hall 2018) through the Python binding that ships inside scipy,
 without presolve, and returns primal and dual optima.  HiGHS sees the LP
@@ -33,11 +37,12 @@ shape: one run on every column below ``COLD_MASTER_COLS`` variables in the
 primal band (below ``PRIMAL_MAX_COLS`` variables, with few per row),
 otherwise column generation, whose master holds one artificial column per
 row plus a seed of columns and gains, round by round, the columns that
-price out, at most one from each of the source's groups, each round a run
-from the last basis, the first from the basis the seed gives (a coarse
-LP's optimum); it stops when no column prices out.  After every run of
-every model, one pass prices every column, and the reduced-cost check
-reads the last run's pass: one ``A^T y`` per run.
+price out, at most one from each of the source's groups (or the two the
+source names for one), each round a run from the last basis, the first
+from the basis the seed gives (a coarse LP's optimum); it stops when no
+column prices out under the duals of the source's repricing.  After
+every run of every model, one pass prices every column, and the
+reduced-cost check reads the last run's pass: one ``A^T y`` per run.
 One start rule holds for every model: a given basis, else, in a model
 with artificial columns, every artificial basic, which is primal
 feasible, so no run spends pivots on phase 1; only a cold model of every
@@ -214,10 +219,21 @@ class ColumnSource(Protocol):
     """A's columns and the rhs, as a model reads them (see the module
     docstring): ``group`` divides ``n_cols``, and a pricing round adds at
     most one column from each run of ``group`` consecutive columns, its
-    most negative (1: any column that prices out); ``columns(cols)`` gives
+    most negative (1: any column that prices out), or the columns that
+    ``reprice`` names for that run, at most two; ``columns(cols)`` gives
     the columns ``cols`` in that order as starts (one per column and the
     end), row indices and values; ``reduced`` gives ``cost - A^T y`` over
-    every column, and ``times`` gives ``A x``, one value per row."""
+    every column, and ``times`` gives ``A x``, one value per row.
+    ``reprice(reduced, y, cols, x, tol)`` runs on a master's pass once its
+    artificials hold no more mass than the residual check allows, with
+    the pass's reduced costs ``reduced``, the row duals ``y`` (both scaled
+    by the cost scale C, ``y`` times the row scales), the master's columns
+    ``cols`` and their masses ``x``: it may move, in place, the duals of
+    rows whose rhs is 0 and whose columns hold no mass in ``x``, and
+    their columns' reduced costs with them, so the value and
+    complementary slackness stay; it returns the columns to enter and a
+    price for each, by which they are ordered.  A source that moves
+    nothing returns two empty arrays."""
 
     n_cols: int
     rhs: np.ndarray
@@ -227,6 +243,9 @@ class ColumnSource(Protocol):
     def columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
     def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray: ...
+
+    def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]: ...
 
     def times(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -304,11 +323,12 @@ class Session:
     artificials' start, every artificial column basic; without a seed, no
     column and that start.  The seed's own solves are not counted in
     ``LpSolution.iterations``.  A round adds at most one column from each
-    of the source's groups (``ColumnSource.group``), so a plain
-    :func:`solve` prices an LP as a session does.  Either way each run is
-    the primal simplex from the last basis, or from the seed's, and the
-    solve returns once no column of the LP prices out, so its dual passes
-    the reduced-cost check on every column.
+    of the source's groups (``ColumnSource.group``), or the two that the
+    source's repricing names for one, so a plain :func:`solve` prices an
+    LP as a session does.  Either way each run is the primal simplex from
+    the last basis, or from the seed's, and the solve returns once no
+    column of the LP prices out, so its dual passes the reduced-cost check
+    on every column.
 
     Once a solve has passed every check, the next one only changes the
     column costs and runs the primal simplex from that solve's basis, which
@@ -408,10 +428,11 @@ class _Master:
     max|R rhs|)``, bounds the scaled residual that :func:`_check_run`
     accepts and the mass that :meth:`generate` leaves on artificials it
     fixes.  A round adds at most one column from each group of the LP's
-    source.  Its first run starts from ``basis`` when given (see
-    :meth:`basis`), else, with artificial columns, from every artificial
-    basic, a primal feasible start; a model without them and no ``basis``
-    (a cold solve's model of every column) starts from HiGHS's own basis.
+    source, or the two the source names for one.  Its first run starts
+    from ``basis`` when given (see :meth:`basis`), else, with artificial
+    columns, from every artificial basic, a primal feasible start; a
+    model without them and no ``basis`` (a cold solve's model of every
+    column) starts from HiGHS's own basis.
     HiGHS gets the rows by ``passModel``, the artificials by one
     ``addCols``, and the LP's columns by :meth:`_add`, the seed's at once,
     then each round's.  Its pricing passes and the residual check read the
@@ -494,7 +515,10 @@ class _Master:
     def generate(self, lp: LinearProgram, fix: bool = True):
         """Runs of the model, each from the last basis, with a pricing pass
         (:meth:`_entering`) after each, which adds the columns that price
-        out, until none does.  When ``fix`` is set, the first optimum whose
+        out, until none does under the pass's duals, which the source may
+        have moved on rows without mass (``ColumnSource.reprice``).  The
+        dual returned is the last pass's, so it passes the reduced-cost
+        check on every column.  When ``fix`` is set, the first optimum whose
         artificials hold no more mass than the residual check allows fixes
         them at zero cost and zero mass, and the rounds go on: a dual priced
         against artificials at ``ARTIFICIAL_COST`` sits at a far corner of
@@ -503,11 +527,11 @@ class _Master:
         iterations of all runs together.  Returns the last run's model
         status, the iterations summed, and, at an optimum (else None), the
         primal over every column of ``lp`` (an artificial's mass is left
-        out, so the residual check sees it), the row duals y_s of the model
-        and the last pass's most negative reduced cost with its column,
-        which :func:`_check_run` reads.  A run that returns ``kError`` raises
-        ``LpError`` naming it: the solve's first run, or the run after
-        pricing round k."""
+        out, so the residual check sees it), the last pass's row duals y_s
+        (the model's, bar the rows the source moved) and its most negative
+        reduced cost with its column, which :func:`_check_run` reads.  A
+        run that returns ``kError`` raises ``LpError`` naming it: the
+        solve's first run, or the run after pricing round k."""
         iterations = rounds = 0
         while True:
             # HiGHS stops once its count reaches the limit, before it prices
@@ -525,7 +549,7 @@ class _Master:
             rounds += 1
             if status != highs.HighsModelStatus.kOptimal:
                 return status, iterations, None, None, None
-            entering, worst = self._entering(lp, y)
+            entering, y, worst = self._entering(lp, y, x)
             if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= self.residual_tol:
                 self.fix_artificials()
                 continue
@@ -575,26 +599,39 @@ class _Master:
         which sits at zero, takes its place with the row's own logical."""
         return _Master(lp, cost, np.arange(lp.n_cols), False, self.basis())
 
-    def _entering(self, lp: LinearProgram, y: np.ndarray) -> tuple[np.ndarray, tuple[int, float]]:
-        """The pricing pass of a run whose row duals are ``y``, which prices
-        every column of ``lp`` at its scaled reduced cost ``c/C - (R A)^T
-        y``: the columns outside the model below ``-tol`` (none in a model
-        of every column), the most negative of each of the source's groups,
-        most negative first; and the most negative reduced cost of any
-        column, with its column, which the dual gate of :func:`_check_run`
-        reads."""
-        reduced = lp.constraints.reduced(self.cost / self.scale, y * lp.constraints.row_scale)
+    def _entering(self, lp: LinearProgram, y: np.ndarray,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, float]]:
+        """The pricing pass of a run whose row duals are ``y`` and primal
+        ``x``, which prices every column of ``lp`` at its scaled reduced
+        cost ``c/C - (R A)^T y``.  In a master whose artificials hold no
+        more mass than the residual check allows, the source then reprices
+        (``ColumnSource.reprice``): it may move the duals of rows whose
+        columns hold no mass, and name columns to enter.  Returns the
+        columns outside the model that enter (none in a model of every
+        column): those the source names, and from each other group of the
+        source the most negative column below ``-tol``, most negative
+        first; the row duals y_s after the source's moves; and the most
+        negative reduced cost of any column under them, with its column,
+        which the dual gate of :func:`_check_run` reads."""
+        source = lp.constraints
+        y = y * source.row_scale
+        reduced = source.reduced(self.cost / self.scale, y)
+        named, price = self.cols[:0], reduced[:0]
+        if self.cols.size < lp.n_cols and x[:self.n_art].max() <= self.residual_tol:
+            named, price = source.reprice(reduced, y, self.cols, x[self.n_art:], self.tol)
         worst = int(np.argmin(reduced))
         lowest = (worst, float(reduced[worst]))
+        y /= source.row_scale  # exact: powers of two
         if self.cols.size == lp.n_cols:  # none can enter: skip the selection
-            return self.cols[:0], lowest
+            return self.cols[:0], y, lowest
         reduced[self.cols] = 0.0
-        by_group = reduced.reshape(-1, lp.constraints.group)
+        by_group = reduced.reshape(-1, source.group)
         best = by_group.argmin(axis=1)
         value = by_group[np.arange(best.size), best]
+        value[named // source.group] = 0.0  # the source's columns stand for their groups
         groups = np.flatnonzero(value < -self.tol)
-        groups = groups[np.argsort(value[groups], kind="stable")]  # the order of addCols
-        return groups * lp.constraints.group + best[groups], lowest
+        order = np.argsort(np.concatenate((value[groups], price)), kind="stable")  # the order of addCols
+        return np.concatenate((groups * source.group + best[groups], named))[order], y, lowest
 
 
 def _cold_method(n_cols: int, n_rows: int) -> str:

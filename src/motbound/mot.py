@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lp as lp_mod, measures as measures_mod, payoff as payoff_mod
+from .envelope import _ChordTable
 from .errors import (DegenerateDual, DimensionMismatch, Infeasible, LpError, MotboundError,
                      NotAdmissible, ScaleExceeded)
 from .hedge import (CHUNK_CELLS, DeltaTable, PiecewiseLinear, SemiStaticHedge, VerificationReport, _cells,
@@ -180,8 +181,13 @@ class TransportColumns:
     per history (one per history took 14-37% less time than two, on
     smooth_pair(401)'s straddle and Asian calls on 3 dates at m=51 and 4
     at m=17, single runs), the columns a model adds
-    (:meth:`columns`), each pricing pass (:meth:`reduced`) and the
-    residual check's A x (:meth:`times`).
+    (:meth:`columns`), each pricing pass (:meth:`reduced`), a master's
+    repricing of each history without mass at the convex envelope of its
+    reduced costs (:meth:`reprice`, from three dates on; a round adds the
+    two cells of a history's minimizing chord where that envelope prices
+    out), and the residual check's A x (:meth:`times`).  The chords it
+    reads are built once, at a master's first repricing that has a
+    history to price.
     A system of more than ``MAX_CELLS`` cells raises ScaleExceeded before
     any row or cell array is built."""
 
@@ -260,6 +266,68 @@ class TransportColumns:
                 pad = (...,) + (None,) * (n - j - 2)
                 block += y[rows[lo:hi]][pad + (None,)] * self._move(j, lo, hi)[pad]
         return np.subtract(cost, out, out=out)
+
+    @functools.cached_property
+    def _chords(self) -> tuple[_ChordTable, np.ndarray]:
+        """The last date's grid chords at each atom of date n-1, and the
+        moves s_n - s_{n-1} over those atoms, one row each."""
+        return _ChordTable(self.grids[-1], self.grids[-2]), self._move(len(self.shape) - 2, 0, self.shape[-2])
+
+    def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Price each history without mass at the convex envelope of its
+        reduced costs: ``reduced`` over every cell, read with the row duals
+        ``y``, and the master's cells ``cols`` at their masses ``x``.
+
+        A history (dates 1..n-1) is without mass when none of its cells
+        in the master holds any; the pass takes those with a cell priced
+        below ``-tol`` whose s_{n-1} lies within the last date's hull.  With
+        its last step's term Delta (s_n - s_{n-1}) taken out, its reduced
+        costs r0 over the last date's atoms admit a Delta that prices every
+        cell at -tol or above exactly when their lower convex envelope at
+        s_{n-1} is -tol or above (the two-date argument of
+        :mod:`motbound.envelope`, one history at a time).  Then a
+        subgradient there becomes the history's dual in ``y``, and its
+        cells' reduced costs in ``reduced``, both in place: its row's rhs
+        is 0 and its cells hold no mass, so neither the value nor
+        complementary slackness moves.  Otherwise the cells of the
+        minimizing chord that the master lacks must enter together; they
+        are returned, each pair in order, with that envelope value as the
+        price of each.  On two dates a history is a first-date atom, whose
+        mass row holds its weight, so the pass leaves every row to the
+        model's duals there, and builds no chord table (about m^3 / 4
+        chords)."""
+        m = self.shape[-1]
+        if len(self.shape) < 3:
+            return cols[:0], reduced[:0]
+        by_history = reduced.reshape(-1, m)
+        free = (by_history < -tol).any(axis=1)
+        free[cols[x != 0.0] // m] = False
+        h = np.flatnonzero(free)
+        if h.size:
+            chords, move = self._chords
+            h = h[chords.inside[h % self.shape[-2]]]
+        if not h.size:
+            return cols[:0], reduced[:0]
+        atom = h % self.shape[-2]
+        rows = self.mart_row[-1].flat[0] + h
+        step = move[atom]
+        r0 = by_history[h]
+        r0 += y[rows][:, None] * step
+        value, slope, best = chords.at(r0, atom)
+        keep = value >= -tol
+        y[rows[keep]] = slope[keep]
+        r0 -= slope[:, None] * step
+        by_history[h[keep]] = r0[keep]
+        enter = np.flatnonzero(~keep)
+        if not enter.size:
+            return cols[:0], reduced[:0]
+        i, j, w = chords.chord(atom[enter], best[enter])
+        held = np.zeros(self.n_cols, dtype=bool)
+        held[cols] = True
+        pair = np.stack((i, j), axis=1) + (h[enter] * m)[:, None]
+        take = np.stack((w < 1.0, w > 0.0), axis=1) & ~held[pair]
+        return pair[take], np.repeat(value[enter], 2).reshape(-1, 2)[take]
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """A x: each date's masses and each history's mean move, summed

@@ -99,6 +99,12 @@ class Constraints:
         """The reduced costs ``cost - A^T y`` of every column."""
         return cost - np.bincount(self.cols, self.vals * y[self.rows], minlength=self.n_cols)
 
+    def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """No dual moves and no column is named: a general LP is priced at
+        its model's duals."""
+        return cols[:0], reduced[:0]
+
     def times(self, x: np.ndarray) -> np.ndarray:
         """``A x``, one value per row."""
         return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.rhs.size)

@@ -256,6 +256,86 @@ class TestBatchedValue:
         assert len(calls) == len(out.per_s1_envelopes) == mu1.points.size
 
 
+def brute_envelope(grid, row, x) -> float:
+    """The lower convex envelope of (grid, row) at x, by every chord and
+    single node that brackets x; x within rounding of a node is that node."""
+    twin = np.abs(grid - x) <= 1e-12 * (1.0 + np.abs(grid))
+    if twin.any():
+        x = grid[np.argmax(twin)]
+    best = np.inf
+    for i in range(grid.size):
+        for j in range(i, grid.size):
+            if grid[i] <= x <= grid[j]:
+                w = 0.0 if i == j else (x - grid[i]) / (grid[j] - grid[i])
+                best = min(best, (1.0 - w) * row[i] + w * row[j])
+    return best
+
+
+def chord_points(grid, rng, where):
+    """Points within the hull of ``grid``: inside a cell, on a node, or a few
+    ulps from a node (its rounding twin)."""
+    node = grid[rng.integers(0, grid.size, 6)]
+    if where == "cell":
+        cell = rng.integers(0, grid.size - 1, 6)
+        return grid[cell] + rng.uniform(0.05, 0.95, 6) * np.diff(grid)[cell]
+    if where == "node":
+        return node
+    steps = rng.choice([-3, -1, 1, 3], 6)
+    return np.clip(node + steps * np.spacing(node), grid[0], grid[-1])
+
+
+class TestChordTable:
+    """``_ChordTable.at`` against every chord and single node: the envelope
+    value at each point and a slope d whose line through (x, env(x))
+    supports the row, r(z) - d (z - x) >= env(x) over every node z."""
+
+    @pytest.mark.parametrize("where", ["cell", "node", "twin"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_value_and_supporting_slope(self, where, seed):
+        rng = np.random.default_rng([seed, 41])
+        grid = np.unique(np.round(rng.uniform(-1.0, 1.0, rng.integers(3, 16)), 2))
+        xs = np.unique(chord_points(grid, rng, where))
+        chords = envelope._ChordTable(grid, xs)
+        assert chords.inside.all()
+        which = rng.integers(0, xs.size, 40)
+        # rows of every scale, with ties: integer rows make chords meet
+        rows = np.concatenate([rng.normal(size=(20, grid.size)) * rng.choice([1e-3, 1.0, 1e3], (20, 1)),
+                               rng.integers(-3, 4, (20, grid.size)).astype(float)])
+        value, slope, _ = chords.at(rows, which)
+        for row, x, env, d in zip(rows, xs[which], value, slope):
+            tol = 1e-12 * (1.0 + np.abs(row).max())
+            assert abs(env - brute_envelope(grid, row, x)) <= tol
+            assert (row - d * (grid - x)).min() >= env - tol
+
+    def test_blocks_of_rows_read_as_one(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        grid = np.linspace(0.0, 1.0, 9)
+        chords = envelope._ChordTable(grid, grid[1:-1] + 0.01)
+        rows, which = rng.normal(size=(30, grid.size)), rng.integers(0, 7, 30)
+        whole = chords.at(rows, which)
+        monkeypatch.setattr(envelope, "CHORD_BLOCK", 1)
+        for a, b in zip(whole, chords.at(rows, which)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_chord_ends_bracket_the_point(self):
+        rng = np.random.default_rng(5)
+        grid = np.linspace(-1.0, 1.0, 11)
+        xs = np.array([-0.93, -0.2, 0.0, 0.41])
+        chords = envelope._ChordTable(grid, xs)
+        which = np.arange(xs.size).repeat(5)
+        rows = rng.normal(size=(which.size, grid.size))
+        value, _, best = chords.at(rows, which)
+        i, j, w = chords.chord(which, best)
+        assert (i < j).all() and (grid[i] <= xs[which]).all() and (xs[which] <= grid[j]).all()
+        np.testing.assert_allclose((1.0 - w) * rows[np.arange(which.size), i]
+                                   + w * rows[np.arange(which.size), j], value, rtol=0, atol=1e-14)
+
+    def test_points_outside_the_hull_are_marked(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        chords = envelope._ChordTable(grid, np.array([-0.5, 0.0, 0.5, 1.0, 1.5]))
+        assert chords.inside.tolist() == [False, True, True, True, False]
+
+
 class TestImprove:
     def test_zero_start_reaches_instance_a_value(self):
         mu1, mu2 = instance_a_marginals().marginals

@@ -633,6 +633,78 @@ class TestWarmSolves:
             verification_grids(problem, scaled)
 
 
+def round_contract(master, lp: lp_mod.LinearProgram, x: np.ndarray, added: np.ndarray) -> tuple[int, int, bool]:
+    """A pricing round's columns ``added`` to ``master`` after a run whose
+    primal is ``x``: their number, their histories' (the source's groups),
+    and whether each history gained one column, or two cells of a chord
+    across its s_{n-1}, z_i < s_{n-1} < z_j, on a history whose cells in
+    the master all hold zero mass in ``x``."""
+    source = lp.constraints
+    group = source.group
+    history, count = np.unique(added // group, return_counts=True)
+    loaded = np.zeros(source.n_cols // group, dtype=bool)
+    loaded[master.cols[x[master.n_art:] != 0.0] // group] = True
+    pairs = history[count == 2]
+    cells = np.sort(added)
+    two = cells[np.isin(cells // group, pairs)].reshape(-1, 2)
+    start = source.grids[-2][pairs % source.shape[-2]]
+    across = (source.grids[-1][two[:, 0] % group] < start) & (start < source.grids[-1][two[:, 1] % group])
+    return added.size, history.size, bool(count.max(initial=1) <= 2 and not loaded[pairs].any() and across.all())
+
+
+def envelope_case(case: str):
+    dates, m, payoff = case.split("-")
+    make = {"asian": asian_call, "lookback": lookback_call}[payoff]
+    n = int(dates[0])
+    system = MarginalSystem([discretize(DensitySpec.uniform(1.0 - 0.1 * k, 1.0 + 0.1 * k), int(m[1:]))
+                             for k in range(1, n + 1)])
+    return system, make(1.0, n)
+
+
+class TestEnvelopePricing:
+    """A master prices each history without mass at the convex envelope of
+    its reduced costs: the bounds equal a model of every column's, the dual
+    that leaves ``lp`` prices every column of the LP at ``-tol`` or above,
+    and every hedge verifies."""
+
+    @pytest.mark.parametrize("case", ["3date-m15-asian", "3date-m15-lookback", "3date-m21-asian",
+                                      "3date-m21-lookback", "4date-m8-asian"])
+    def test_bounds_and_duals_of_a_master(self, monkeypatch, case):
+        system, payoff = envelope_case(case)
+        solved, moved = [], []
+        solve, reprice = lp_mod.Session._solve, mot.TransportColumns.reprice
+
+        def recording_solve(session, lp):
+            solution = solve(session, lp)
+            solved.append((lp, solution))
+            return solution
+
+        def recording_reprice(source, reduced, y, *args):
+            before = y.copy()
+            out = reprice(source, reduced, y, *args)
+            moved.append(int(np.count_nonzero(y != before)))
+            return out
+
+        monkeypatch.setattr(lp_mod.Session, "_solve", recording_solve)
+        monkeypatch.setattr(mot.TransportColumns, "reprice", recording_reprice)
+        (outcome,) = Solver(system).bounds([payoff])
+        monkeypatch.undo()
+        assert sum(moved) > 0
+        assert [lp.sense for lp, _ in solved] == ["min", "max"]
+        for lp, solution in solved:
+            flip = -1.0 if lp.sense == "max" else 1.0
+            cost = flip * lp.cost
+            top = float(np.abs(cost).max())
+            scale = 1.0 / float(lp_mod.row_scale_of(top))
+            reduced = lp.constraints.reduced(cost, flip * solution.dual) / scale
+            assert reduced.min() >= -lp_mod.FEAS_TOL * (1.0 + top / scale)
+        monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: "primal")
+        (full,) = Solver(system).bounds([payoff])
+        for sense in ("lower", "upper"):
+            assert outcome[sense].report.valid and full[sense].report.valid
+            assert abs(outcome[sense].value - full[sense].value) <= 1e-12 * abs(full[sense].value)
+
+
 class TestColumnGeneration:
     """Above the primal band a cold solve is a column-generation master
     seeded from the halved system's LP."""
@@ -763,24 +835,29 @@ class TestColumnGeneration:
     ], ids=["2date-m51", "3date-m15", "4date-m8"])
     def test_rounds_add_fewer_columns_than_rows(self, monkeypatch, system, payoff):
         # a round adds at most one column per history, the source's group,
-        # and a transport LP has a martingale row per history plus its mass
-        # rows, so a round never adds as many columns as the LP has rows
+        # or the two cells of the chord that prices a history without mass
+        # at its envelope; a transport LP has a martingale row per history
+        # plus its mass rows, and no round here adds as many columns as
+        # the LP has rows; two dates, where every history holds mass, add
+        # one per history
         rounds = []
         entering = lp_mod._Master._entering
 
-        def recording(master, lp, y):
-            out = entering(master, lp, y)
+        def recording(master, lp, y, x):
+            out = entering(master, lp, y, x)
             if not master.full:
-                group = lp.constraints.group
-                histories = np.unique(out[0] // group).size
-                rounds.append((out[0].size, histories, lp.n_cols // group, lp.n_rows))
+                added, histories, kept = round_contract(master, lp, x, out[0])
+                rounds.append((added, histories, kept, lp.n_cols // lp.constraints.group, lp.n_rows))
             return out
 
         monkeypatch.setattr(lp_mod._Master, "_entering", recording)
         (outcome,) = Solver(system).bounds([payoff])
         assert all(isinstance(r, mot.MotResult) for r in outcome.values())
         assert any(added for added, *_ in rounds)
-        assert all(added == histories <= every < rows for added, histories, every, rows in rounds)
+        assert all(kept and histories <= added < rows and histories <= every
+                   for added, histories, kept, every, rows in rounds)
+        if len(system.marginals) == 2:
+            assert all(added == histories for added, histories, *_ in rounds)
 
     @pytest.mark.parametrize("sense", ["lower", "upper"])
     @pytest.mark.parametrize("system, payoff", [
@@ -789,15 +866,17 @@ class TestColumnGeneration:
     ], ids=["2date-m51", "3date-m21"])
     def test_plain_solve_adds_one_column_per_history(self, monkeypatch, system, payoff, sense):
         # a plain lp.solve, with no session and so no seed, reads the round
-        # grouping off the column source, as a Solver's session does; a
-        # round that took every column pricing out, up to two per row,
-        # added 304 columns over 31 histories first on smooth_pair(51)
+        # grouping off the column source, as a Solver's session does: one
+        # column per history, or a chord's two cells on a history without
+        # mass (never on two dates); a round that took every column pricing
+        # out, up to two per row, added 304 columns over 31 histories first
+        # on smooth_pair(51)
         rounds = []
         entering = lp_mod._Master._entering
 
-        def recording(master, lp, y):
-            out = entering(master, lp, y)
-            rounds.append((out[0].size, np.unique(out[0] // lp.constraints.shape[-1]).size))
+        def recording(master, lp, y, x):
+            out = entering(master, lp, y, x)
+            rounds.append(round_contract(master, lp, x, out[0]))
             return out
 
         monkeypatch.setattr(lp_mod._Master, "_entering", recording)
@@ -805,8 +884,10 @@ class TestColumnGeneration:
         assert lp_mod._cold_method(lp.n_cols, lp.n_rows) == "master"
         value = lp_mod.solve(lp).objective
         monkeypatch.undo()
-        assert sum(added > 0 for added, _ in rounds) > 1
-        assert all(added == histories for added, histories in rounds)
+        assert sum(added > 0 for added, *_ in rounds) > 1
+        assert all(kept for *_, kept in rounds)
+        if len(system.marginals) == 2:
+            assert all(added == histories for added, histories, _ in rounds)
         (outcome,) = Solver(system).bounds([payoff], senses=[sense])
         assert abs(value - outcome[sense].value) <= 1e-10 * abs(outcome[sense].value)
         assert lp.constraints.group == lp.constraints.shape[-1]
