@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,38 +140,44 @@ def _chord_blocks(grid: np.ndarray, xs: np.ndarray):
 
 class _ChordTable:
     """The grid chords of :func:`_chord_blocks` that bracket each point of
-    ``xs``, gathered once into one table, and read for many rows of
-    samples on ``grid`` (see :meth:`at`).  Each point's row of the table
-    holds its chords, then its last chord again up to the longest row.
+    ``xs``, gathered into one table at the first read, and read for many
+    rows of samples on ``grid`` (see :meth:`at`).  Each point's row of the
+    table holds its chords, then its last chord again up to the longest row.
 
     A point within rounding (:func:`~motbound.hedge._rounding_twins`) of a
     node z_p is read at that node, ``node`` p (else -1), where the chords
     through it meet at one sample.  ``inside`` marks the points within the
     grid hull; a point outside it has no chord that brackets it, and
-    :meth:`at` must not read it."""
+    :meth:`at` must not read it.  ``node`` and ``inside`` cost no chord."""
 
     def __init__(self, grid: np.ndarray, xs: np.ndarray) -> None:
-        n = grid.size
         points = np.union1d(grid, xs)
         run = np.cumsum(~_rounding_twins(points))
         node = np.full(run[-1] + 1, -1)
-        node[run[np.searchsorted(points, grid)]] = np.arange(n)
+        node[run[np.searchsorted(points, grid)]] = np.arange(grid.size)
         self.node = node = node[run[np.searchsorted(points, xs)]]
-        blocks = list(_chord_blocks(grid, np.where(node >= 0, grid[node], xs)))
-        fi, fj, span, gap, sign = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3, 4, 6))
+        self.grid, self.xs = grid, np.where(node >= 0, grid[node], xs)
+        self.inside = (grid[0] <= self.xs) & (self.xs <= grid[-1])  # _chord_blocks' sign
+
+    @functools.cached_property
+    def _table(self):
+        """The chords' ends i and j, z_j - z_i and w = (x - z_i) / (z_j -
+        z_i), and whether w is 0 or 1, one row per point; at a node z_p,
+        1 / (z - z_p) over the grid, and 0 on the side of z_p that each
+        bound of the subdifferential reads, else -inf or inf."""
+        grid, node, n = self.grid, self.node, self.grid.size
+        blocks = list(_chord_blocks(grid, self.xs))
+        fi, fj, span, gap = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3, 4))
         count = np.concatenate([np.diff(b[5], append=b[1].size) for b in blocks])
         chord = (np.cumsum(count) - count)[:, None] + np.minimum(np.arange(count.max()), count[:, None] - 1)
         # 32-bit ends: a pass reads them once per row, and half the bytes
         # took about half the time at m = 21
-        self.left, self.right = (fi[chord] % n).astype(np.int32), (fj[chord] % n).astype(np.int32)
-        self.span, self.weight = span[chord], gap[chord] / span[chord]  # (x - z_i) / (z_j - z_i)
-        self.ends_at_node = (self.weight == 0.0) | (self.weight == 1.0)
-        self.inside = sign > 0.0
-        # at a node z_p: 1 / (z - z_p) over the grid, and 0 on the side of
-        # z_p that each bound of the subdifferential reads, else -inf or inf
+        left, right = (fi[chord] % n).astype(np.int32), (fj[chord] % n).astype(np.int32)
+        span, weight = span[chord], gap[chord] / span[chord]
         step = grid - grid[np.maximum(node, 0)][:, None]
-        self.rate = np.divide(1.0, step, out=np.zeros_like(step), where=step != 0.0)
-        self.below, self.above = np.where(step < 0.0, 0.0, -np.inf), np.where(step > 0.0, 0.0, np.inf)
+        rate = np.divide(1.0, step, out=np.zeros_like(step), where=step != 0.0)
+        return (left, right, span, weight, (weight == 0.0) | (weight == 1.0), rate,
+                np.where(step < 0.0, 0.0, -np.inf), np.where(step > 0.0, 0.0, np.inf))
 
     def at(self, samples: np.ndarray, which: np.ndarray):
         """The lower convex envelope of each row of ``samples`` (one sample
@@ -184,36 +191,38 @@ class _ChordTable:
         the envelope's slopes on either side.  Rows of one point share its
         chords, so a pass costs the chords of the rows it reads, in blocks
         of at most ``CHORD_BLOCK`` chords."""
-        rows = max(1, CHORD_BLOCK // self.weight.shape[1])
+        rows = max(1, CHORD_BLOCK // self._table[3].shape[1])
         parts = [self._at(samples[lo:lo + rows], which[lo:lo + rows]) for lo in range(0, which.size, rows)]
         return tuple(np.concatenate(part) for part in zip(*parts)) if len(parts) != 1 else parts[0]
 
     def chord(self, which: np.ndarray, best: np.ndarray):
         """The ends i < j of each chord ``best`` of the points ``which``,
         as :meth:`at` gives them, and its w."""
-        return self.left[which, best], self.right[which, best], self.weight[which, best]
+        left, right, _, weight = self._table[:4]
+        return left[which, best], right[which, best], weight[which, best]
 
     def _at(self, samples: np.ndarray, which: np.ndarray):
         """:meth:`at` on one block of rows."""
+        left, right, span, weight, ends_at_node, rate, below, above = self._table
         k = np.arange(which.size)
         flat, offset = samples.ravel(), (k * samples.shape[1]).astype(np.int32)[:, None]
-        left, right = self.left[which], self.right[which]
+        left, right = left[which], right[which]
         left += offset
         right += offset
         yi = flat.take(left)
         rise = flat.take(right)
         rise -= yi
-        chord = rise * self.weight[which]
+        chord = rise * weight[which]
         chord += yi
         best = chord.argmin(axis=1)
-        value, slope = chord[k, best], rise[k, best] / self.span[which, best]
-        node = np.flatnonzero(self.ends_at_node[which, best])
+        value, slope = chord[k, best], rise[k, best] / span[which, best]
+        node = np.flatnonzero(ends_at_node[which, best])
         if node.size:
             at = which[node]
             rise = samples[node] - samples[node, self.node[at]][:, None]
-            rise *= self.rate[at]
-            slope[node] = np.minimum(np.maximum(slope[node], (rise + self.below[at]).max(axis=1)),
-                                     (rise + self.above[at]).min(axis=1))
+            rise *= rate[at]
+            slope[node] = np.minimum(np.maximum(slope[node], (rise + below[at]).max(axis=1)),
+                                     (rise + above[at]).min(axis=1))
         return value, slope, best
 
 

@@ -8,8 +8,9 @@ consecutive columns of which a pricing round adds at most one each (or
 the two the source names for one run), ``columns(cols)``, the columns a
 model adds, as starts, row indices and values, ``reduced(cost, y)``,
 ``cost - A^T y`` over every column, one pricing pass, ``reprice``, which
-may move a master's duals on rows whose columns hold no mass and name
-columns to enter, and ``times(x)``, the residual check's ``A x``: only
+may move a master's duals on rows whose columns hold no mass, name
+columns to enter, and name a column to make basic on a moved row, and
+``times(x)``, the residual check's ``A x``: only
 what a model cannot derive.  The transport LP's ``mot.TransportColumns``
 is one: it reads each column off the structure of its LP, holds no
 matrix, groups the cells of one history, and reprices each history
@@ -55,7 +56,8 @@ model for the LPs built on it: after its first solve, each LP only
 changes the column costs and restarts the primal simplex from the last
 optimal basis, which stays primal feasible.  In the primal band the
 warm model holds every column (a master there is completed at its first
-warm solve), so a change of sense stays warm too; above the band it
+warm solve, from a basis whose dual is the master's last), so a change
+of sense stays warm too; above the band it
 starts a new master.  Each solve is one attempt: a run, or a master's
 rounds, whose optimum passes every check or raises.  A plain ``solve`` is a
 one-shot session.  The binding is scipy's private ``_highspy._core``, the
@@ -232,8 +234,13 @@ class ColumnSource(Protocol):
     rows whose rhs is 0 and whose columns hold no mass in ``x``, and
     their columns' reduced costs with them, so the value and
     complementary slackness stay; it returns the columns to enter and a
-    price for each, by which they are ordered.  A source that moves
-    nothing returns two empty arrays."""
+    price for each, by which they are ordered, then the rows it moved to
+    a dual that prices one of their columns at zero and none below, with
+    that column of each (of no other moved row): a model of every column
+    that starts from the master's basis with that column basic in place
+    of the row's one basic variable has that dual on the row
+    (:meth:`_Master.completed`).  A source that moves nothing returns
+    four empty arrays."""
 
     n_cols: int
     rhs: np.ndarray
@@ -245,7 +252,7 @@ class ColumnSource(Protocol):
     def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray: ...
 
     def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray]: ...
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
 
     def times(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -468,6 +475,7 @@ class _Master:
         self.residual_tol = 10 * FEAS_TOL * (1.0 + float(np.abs(rhs).max()))
         self.cols = cols[:0]
         self._add(lp, cols)
+        self.handoff = (cols[:0], cols[:0])  # see _entering
         self.fixed = not artificial
         if basis is None and artificial:
             basis = (cols[:0], np.arange(lp.n_rows))
@@ -549,7 +557,7 @@ class _Master:
             rounds += 1
             if status != highs.HighsModelStatus.kOptimal:
                 return status, iterations, None, None, None
-            entering, y, worst = self._entering(lp, y, x)
+            entering, y, worst, self.handoff = self._entering(lp, y, x)
             if not entering.size and fix and not self.fixed and x[:self.n_art].max() <= self.residual_tol:
                 self.fix_artificials()
                 continue
@@ -596,11 +604,29 @@ class _Master:
         """A model of every column of ``lp``, as the primal band builds it,
         that starts from this master's basis: the columns the master lacks
         join nonbasic at zero, and the row of a basic artificial column,
-        which sits at zero, takes its place with the row's own logical."""
-        return _Master(lp, cost, np.arange(lp.n_cols), False, self.basis())
+        which sits at zero, takes its place with the row's own logical.
+        On each row whose dual the source's last repricing moved and named
+        a column for (``ColumnSource.reprice``), that column, at zero,
+        takes the place of the row's basic variable where only one touches
+        the row: the row's dual alone moves, to one under which no column
+        of the row prices out, and no primal value moves, so the model
+        starts at the master's optimum with no column priced out."""
+        cols, rows = self.basis()
+        order = np.argsort(self.handoff[0])
+        moved, named = self.handoff[0][order], self.handoff[1][order]
+        if moved.size:
+            start, index, _ = lp.constraints.columns(cols)
+            hit = np.isin(index, moved)
+            owner = np.repeat(cols, np.diff(start))[hit]
+            logical = np.isin(moved, rows)
+            at = np.searchsorted(moved, index[hit])
+            swap = np.bincount(at, minlength=moved.size) + logical == 1
+            cols = np.concatenate((np.setdiff1d(cols, owner[swap[at]]), named[swap]))
+            rows = np.setdiff1d(rows, moved[swap & logical])
+        return _Master(lp, cost, np.arange(lp.n_cols), False, (cols, rows))
 
     def _entering(self, lp: LinearProgram, y: np.ndarray,
-                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, float]]:
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, float], tuple[np.ndarray, np.ndarray]]:
         """The pricing pass of a run whose row duals are ``y`` and primal
         ``x``, which prices every column of ``lp`` at its scaled reduced
         cost ``c/C - (R A)^T y``.  In a master whose artificials hold no
@@ -612,18 +638,20 @@ class _Master:
         source the most negative column below ``-tol``, most negative
         first; the row duals y_s after the source's moves; and the most
         negative reduced cost of any column under them, with its column,
-        which the dual gate of :func:`_check_run` reads."""
+        which the dual gate of :func:`_check_run` reads; and the rows the
+        source moved that it names a column for, with those columns, which
+        :meth:`completed` reads."""
         source = lp.constraints
         y = y * source.row_scale
         reduced = source.reduced(self.cost / self.scale, y)
-        named, price = self.cols[:0], reduced[:0]
+        named, price, moved, basic = (self.cols[:0],) * 4
         if self.cols.size < lp.n_cols and x[:self.n_art].max() <= self.residual_tol:
-            named, price = source.reprice(reduced, y, self.cols, x[self.n_art:], self.tol)
+            named, price, moved, basic = source.reprice(reduced, y, self.cols, x[self.n_art:], self.tol)
         worst = int(np.argmin(reduced))
         lowest = (worst, float(reduced[worst]))
         y /= source.row_scale  # exact: powers of two
         if self.cols.size == lp.n_cols:  # none can enter: skip the selection
-            return self.cols[:0], y, lowest
+            return self.cols[:0], y, lowest, (moved, basic)
         reduced[self.cols] = 0.0
         by_group = reduced.reshape(-1, source.group)
         best = by_group.argmin(axis=1)
@@ -631,7 +659,7 @@ class _Master:
         value[named // source.group] = 0.0  # the source's columns stand for their groups
         groups = np.flatnonzero(value < -self.tol)
         order = np.argsort(np.concatenate((value[groups], price)), kind="stable")  # the order of addCols
-        return np.concatenate((groups * source.group + best[groups], named))[order], y, lowest
+        return np.concatenate((groups * source.group + best[groups], named))[order], y, lowest, (moved, basic)
 
 
 def _cold_method(n_cols: int, n_rows: int) -> str:

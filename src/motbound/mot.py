@@ -185,9 +185,9 @@ class TransportColumns:
     repricing of each history without mass at the convex envelope of its
     reduced costs (:meth:`reprice`, from three dates on; a round adds the
     two cells of a history's minimizing chord where that envelope prices
-    out), and the residual check's A x (:meth:`times`).  The chords it
-    reads are built once, at a master's first repricing that has a
-    history to price.
+    out), and the residual check's A x (:meth:`times`).  The last step's
+    moves it reads are built at a master's first repricing that has a
+    history to price, and the chords when a history first needs them.
     A system of more than ``MAX_CELLS`` cells raises ScaleExceeded before
     any row or cell array is built."""
 
@@ -268,13 +268,23 @@ class TransportColumns:
         return np.subtract(cost, out, out=out)
 
     @functools.cached_property
-    def _chords(self) -> tuple[_ChordTable, np.ndarray]:
-        """The last date's grid chords at each atom of date n-1, and the
-        moves s_n - s_{n-1} over those atoms, one row each."""
-        return _ChordTable(self.grids[-1], self.grids[-2]), self._move(len(self.shape) - 2, 0, self.shape[-2])
+    def _chords(self) -> tuple[_ChordTable, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The last date's grid chords at each atom of date n-1, and over
+        those atoms, one row each: the moves s_n - s_{n-1}; 1 / move where
+        the cell pins the history's delta, else 0; and 0 on the cells that
+        bound it from above (move > 0), or from below (move < 0), else inf
+        or -inf.  A cell at s_{n-1}, or within rounding of it (the table's
+        ``node``), pins nothing."""
+        chords = _ChordTable(self.grids[-1], self.grids[-2])
+        move = self._move(len(self.shape) - 2, 0, self.shape[-2])
+        pins = move != 0.0
+        pins[np.flatnonzero(chords.node >= 0), chords.node[chords.node >= 0]] = False
+        rate = np.divide(1.0, move, out=np.zeros_like(move), where=pins)
+        return (chords, move, rate, np.where(pins & (move > 0.0), 0.0, np.inf),
+                np.where(pins & (move < 0.0), 0.0, -np.inf))
 
     def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Price each history without mass at the convex envelope of its
         reduced costs: ``reduced`` over every cell, read with the row duals
         ``y``, and the master's cells ``cols`` at their masses ``x``.
@@ -286,48 +296,70 @@ class TransportColumns:
         costs r0 over the last date's atoms admit a Delta that prices every
         cell at -tol or above exactly when their lower convex envelope at
         s_{n-1} is -tol or above (the two-date argument of
-        :mod:`motbound.envelope`, one history at a time).  Then a
-        subgradient there becomes the history's dual in ``y``, and its
-        cells' reduced costs in ``reduced``, both in place: its row's rhs
-        is 0 and its cells hold no mass, so neither the value nor
-        complementary slackness moves.  Otherwise the cells of the
-        minimizing chord that the master lacks must enter together; they
-        are returned, each pair in order, with that envelope value as the
-        price of each.  On two dates a history is a first-date atom, whose
-        mass row holds its weight, so the pass leaves every row to the
-        model's duals there, and builds no chord table (about m^3 / 4
-        chords)."""
+        :mod:`motbound.envelope`, one history at a time).  Such a Delta
+        becomes the history's dual in ``y``, and its cells' reduced costs
+        in ``reduced``, both in place: its row's rhs is 0 and its cells hold
+        no mass, so neither the value nor complementary slackness moves.
+
+        Where the envelope is 0 or above, a ratio test over the cells
+        (r0 / (s_n - s_{n-1}), O(m) a history) gives the Delta nearest the
+        model's that prices every cell at 0 or above, one of them at 0; that
+        cell, basic in place of the row's basic variable, gives a model of
+        every column this dual (:meth:`~motbound.lp._Master.completed`).  A
+        cell at s_{n-1}, or within rounding of it, pins no Delta and must
+        price at 0 or above itself.  Elsewhere the chord table reads the
+        envelope: at -tol or above a subgradient there is the Delta;
+        below, the cells of the minimizing chord that the master lacks
+        must enter together.  Returns those cells, each pair in order, with
+        that envelope value as the price of each, then the rows whose Delta
+        the ratio test gave, and their cells at 0.  On two dates a history
+        is a first-date atom, whose mass row holds its weight, so the pass
+        leaves every row to the model's duals there, and builds no chord
+        table (about m^3 / 4 chords)."""
         m = self.shape[-1]
+        none = cols[:0], reduced[:0], cols[:0], cols[:0]
         if len(self.shape) < 3:
-            return cols[:0], reduced[:0]
+            return none
         by_history = reduced.reshape(-1, m)
-        free = (by_history < -tol).any(axis=1)
+        free = by_history.min(axis=1) < -tol
         free[cols[x != 0.0] // m] = False
         h = np.flatnonzero(free)
         if h.size:
-            chords, move = self._chords
+            chords, move, rate, above, below = self._chords
             h = h[chords.inside[h % self.shape[-2]]]
         if not h.size:
-            return cols[:0], reduced[:0]
+            return none
         atom = h % self.shape[-2]
-        rows = self.mart_row[-1].flat[0] + h
-        step = move[atom]
+        rows, k, node = self.mart_row[-1].ravel()[h], np.arange(h.size), chords.node[atom]
+        run, own = move[atom], y[rows]
         r0 = by_history[h]
-        r0 += y[rows][:, None] * step
-        value, slope, best = chords.at(r0, atom)
-        keep = value >= -tol
-        y[rows[keep]] = slope[keep]
-        r0 -= slope[:, None] * step
+        r0 += own[:, None] * run
+        # the cells price r0 - Delta * run: Delta at most r0 / run where
+        # run > 0 (hi), at least where run < 0 (lo)
+        ratio = r0 * rate[atom]
+        up, down = (ratio + above[atom]).argmin(axis=1), (ratio + below[atom]).argmax(axis=1)
+        hi, lo = ratio[k, up] + above[atom, up], ratio[k, down] + below[atom, down]
+        pinned = (lo <= hi) & ((node < 0) | (r0[k, np.maximum(node, 0)] >= 0.0))
+        top = np.abs(hi - own) <= np.abs(lo - own)
+        delta, cell = np.where(top, hi, lo), np.where(top, up, down)
+        named = rows[pinned], h[pinned] * m + cell[pinned]
+        keep, rest = pinned, np.flatnonzero(~pinned)
+        if rest.size:
+            value, delta[rest], best = chords.at(r0[rest], atom[rest])
+            keep = pinned.copy()
+            keep[rest] = value >= -tol
+        y[rows[keep]] = delta[keep]
+        r0 -= delta[:, None] * run
         by_history[h[keep]] = r0[keep]
-        enter = np.flatnonzero(~keep)
-        if not enter.size:
-            return cols[:0], reduced[:0]
-        i, j, w = chords.chord(atom[enter], best[enter])
-        held = np.zeros(self.n_cols, dtype=bool)
-        held[cols] = True
-        pair = np.stack((i, j), axis=1) + (h[enter] * m)[:, None]
-        take = np.stack((w < 1.0, w > 0.0), axis=1) & ~held[pair]
-        return pair[take], np.repeat(value[enter], 2).reshape(-1, 2)[take]
+        if keep.all():
+            return cols[:0], reduced[:0], *named
+        enter = ~keep[rest]
+        i, j, w = chords.chord(atom[rest[enter]], best[enter])
+        pair = np.stack((i, j), axis=1) + (h[rest[enter]] * m)[:, None]
+        held = np.append(np.sort(cols), self.n_cols)  # ends past every cell
+        take = np.stack((w < 1.0, w > 0.0), axis=1)
+        take &= held[np.searchsorted(held, pair)] != pair
+        return pair[take], np.repeat(value[enter], 2).reshape(-1, 2)[take], *named
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """A x: each date's masses and each history's mean move, summed

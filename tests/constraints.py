@@ -100,10 +100,10 @@ class Constraints:
         return cost - np.bincount(self.cols, self.vals * y[self.rows], minlength=self.n_cols)
 
     def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray]:
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """No dual moves and no column is named: a general LP is priced at
         its model's duals."""
-        return cols[:0], reduced[:0]
+        return cols[:0], reduced[:0], cols[:0], cols[:0]
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """``A x``, one value per row."""

@@ -683,6 +683,13 @@ class TestEnvelopePricing:
             before = y.copy()
             out = reprice(source, reduced, y, *args)
             moved.append(int(np.count_nonzero(y != before)))
+            # each row the ratio test repriced prices its named cell at 0
+            # and none of its history's cells below, up to rounding
+            rows, cells = out[2:]
+            assert np.all(y[rows] != before[rows])
+            assert np.abs(reduced[cells]).max(initial=0.0) <= 1e-12
+            group = source.group
+            assert reduced.reshape(-1, group)[cells // group].min(initial=0.0) >= -1e-12
             return out
 
         monkeypatch.setattr(lp_mod.Session, "_solve", recording_solve)
@@ -703,6 +710,53 @@ class TestEnvelopePricing:
         for sense in ("lower", "upper"):
             assert outcome[sense].report.valid and full[sense].report.valid
             assert abs(outcome[sense].value - full[sense].value) <= 1e-12 * abs(full[sense].value)
+
+
+    @pytest.mark.parametrize("case", ["3date-m15-asian", "3date-m15-lookback"])
+    def test_a_completed_master_starts_at_its_optimum(self, case):
+        # in the primal band a master's next solve runs on a model of every
+        # column, from the master's basis with the cells its source named
+        # basic on the rows it repriced: the same LP takes no pivot there,
+        # and its dual is the master's, up to rounding
+        system, payoff = envelope_case(case)
+        solver = Solver(system)
+        lp = solver.lp(MotProblem(system, payoff, "lower"))
+        first = lp_mod.solve(lp, session=solver.session)
+        assert solver.session._master.handoff[0].size > 0
+        again = lp_mod.solve(lp, session=solver.session)
+        assert solver.session._master.full
+        assert again.iterations == 0
+        assert abs(again.objective - first.objective) <= 1e-12 * abs(first.objective)
+        np.testing.assert_allclose(again.dual, first.dual, rtol=0.0, atol=1e-12 * np.abs(first.dual).max())
+
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-15, -1e-15])
+    def test_a_cell_at_the_history_pins_no_delta(self, offset):
+        # s_2 = 1 is a last-date atom, exactly or up to rounding, where the
+        # cell's move is 0 or a rounding error and pins no delta: the other
+        # cells price (z - 1) + 2 (z - 1)^2 - delta (z - 1), at 0 or above
+        # for every delta in [0.8, 1.2], and the ratio test takes the end
+        # nearest the model's delta of 0, its cell at z = 0.9; read as a
+        # ratio, the cell at 1 + 1e-15 priced at 1e-17 would cap delta at
+        # 0.01 and leave none
+        last = np.array([0.8, 0.9, 1.0 + offset, 1.1, 1.2])
+        system = MarginalSystem([DiscreteMeasure(np.array([1.0]), np.array([1.0])),
+                                 DiscreteMeasure(np.array([0.9, 1.0, 1.1]), np.array([0.25, 0.5, 0.25])),
+                                 DiscreteMeasure(last, np.array([0.1, 0.2, 0.4, 0.2, 0.1]))])
+        source = mot.TransportColumns(system)
+        move = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+        reduced = np.ones(source.n_cols)
+        history = reduced[5:10]  # (s_1, s_2) = (1, 1)
+        history[:] = move + 2.0 * move ** 2
+        history[2] = 1e-17
+        y = np.zeros(source.rhs.size)
+        row = source.mart_row[-1].ravel()[1]
+        none = np.empty(0, dtype=np.int64)
+        enter, _, rows, cells = source.reprice(reduced, y, none, np.empty(0), 1e-9)
+        assert enter.size == 0
+        assert rows.tolist() == [row] and cells.tolist() == [6]
+        assert y[row] == pytest.approx(0.8, rel=1e-12)
+        assert history.min() >= -1e-12 and abs(history[1]) <= 1e-12
 
 
 class TestColumnGeneration:
