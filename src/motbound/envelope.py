@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +101,8 @@ def _check_coverage(grid: np.ndarray, mu1: DiscreteMeasure, mu2: DiscreteMeasure
 def _chord_blocks(grid: np.ndarray, xs: np.ndarray):
     """The grid chords z_i <= z_p < z_{p+1} <= z_j across the cell
     [z_p, z_{p+1}] that holds each point x of ``xs``, in blocks of whole points
-    of about ``CHORD_BLOCK`` chords each.
+    of about ``CHORD_BLOCK`` chords each, for the two-date certificate
+    (:func:`dual_value`, :func:`improve_u2`).
 
     A point on a node z_p sits in the cell to its right, where its chords
     (p, j) give the sample at z_p; one on the last node sits in the last
@@ -139,16 +139,20 @@ def _chord_blocks(grid: np.ndarray, xs: np.ndarray):
 
 
 class _ChordTable:
-    """The grid chords of :func:`_chord_blocks` that bracket each point of
-    ``xs``, gathered into one table at the first read, and read for many
-    rows of samples on ``grid`` (see :meth:`at`).  Each point's row of the
-    table holds its chords, then its last chord again up to the longest row.
+    """The lower convex envelope, at each point of ``xs``, of rows of
+    samples on ``grid`` (one sample per node), and the slopes that support
+    it there: the two-date argument of this module, one row at a time.
 
-    A point within rounding (:func:`~motbound.hedge._rounding_twins`) of a
-    node z_p is read at that node, ``node`` p (else -1), where the chords
-    through it meet at one sample.  ``inside`` marks the points within the
-    grid hull; a point outside it has no chord that brackets it, and
-    :meth:`at` must not read it.  ``node`` and ``inside`` cost no chord."""
+    ``move`` holds z - x over the grid, one row per point.  A point within
+    rounding (:func:`~motbound.hedge._rounding_twins`) of a node z_p has
+    ``node`` p (else -1); that node's cell pins no slope (see
+    :meth:`ratio_test`), and the chords read the point at z_p.  ``across``
+    marks each point's chords, the pairs (i, j) with i <= p < j, where
+    [z_p, z_{p+1}] is the cell that holds it (a point on a node in the cell
+    to its right, one on the last node in the last cell), and ``weight``
+    holds their w = (x - z_i) / (z_j - z_i).  A point outside the grid
+    hull has every pinning cell on one side, so :meth:`ratio_test` always
+    gives it a slope and its chords need not be read."""
 
     def __init__(self, grid: np.ndarray, xs: np.ndarray) -> None:
         points = np.union1d(grid, xs)
@@ -156,74 +160,69 @@ class _ChordTable:
         node = np.full(run[-1] + 1, -1)
         node[run[np.searchsorted(points, grid)]] = np.arange(grid.size)
         self.node = node = node[run[np.searchsorted(points, xs)]]
-        self.grid, self.xs = grid, np.where(node >= 0, grid[node], xs)
-        self.inside = (grid[0] <= self.xs) & (self.xs <= grid[-1])  # _chord_blocks' sign
+        self.grid = grid
+        self.move = move = grid[None, :] - xs[:, None]
+        pins = move != 0.0
+        pins[np.flatnonzero(node >= 0), node[node >= 0]] = False
+        self.rate = np.divide(1.0, move, out=np.zeros_like(move), where=pins)
+        self.above = np.where(pins & (move > 0.0), 0.0, np.inf)
+        self.below = np.where(pins & (move < 0.0), 0.0, -np.inf)
+        x = np.where(node >= 0, grid[node], xs)
+        p = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)[:, None, None]
+        ends = np.arange(grid.size)
+        self.across = (ends[:, None] <= p) & (ends > p)
+        self.weight = np.divide(x[:, None, None] - grid[:, None], grid - grid[:, None],
+                                out=np.zeros(self.across.shape), where=self.across)
 
-    @functools.cached_property
-    def _table(self):
-        """The chords' ends i and j, z_j - z_i and w = (x - z_i) / (z_j -
-        z_i), and whether w is 0 or 1, one row per point; at a node z_p,
-        1 / (z - z_p) over the grid, and 0 on the side of z_p that each
-        bound of the subdifferential reads, else -inf or inf."""
-        grid, node, n = self.grid, self.node, self.grid.size
-        blocks = list(_chord_blocks(grid, self.xs))
-        fi, fj, span, gap = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 3, 4))
-        count = np.concatenate([np.diff(b[5], append=b[1].size) for b in blocks])
-        chord = (np.cumsum(count) - count)[:, None] + np.minimum(np.arange(count.max()), count[:, None] - 1)
-        # 32-bit ends: a pass reads them once per row, and half the bytes
-        # took about half the time at m = 21
-        left, right = (fi[chord] % n).astype(np.int32), (fj[chord] % n).astype(np.int32)
-        span, weight = span[chord], gap[chord] / span[chord]
-        step = grid - grid[np.maximum(node, 0)][:, None]
-        rate = np.divide(1.0, step, out=np.zeros_like(step), where=step != 0.0)
-        return (left, right, span, weight, (weight == 0.0) | (weight == 1.0), rate,
-                np.where(step < 0.0, 0.0, -np.inf), np.where(step > 0.0, 0.0, np.inf))
+    def ratio_test(self, r: np.ndarray, which: np.ndarray, own: np.ndarray):
+        """The slopes d under which each row of ``r`` less d * ``move`` of
+        its point ``which`` is 0 or above on every cell: at most r / move
+        where move > 0, at least where move < 0, and none where the cell at
+        the point's ``node``, which pins no slope, is below 0.  Returns the
+        bracket's ends ``lo`` and ``hi`` (-inf or inf where no cell pins
+        that side, and ``lo > hi`` where no slope is left), then its end
+        nearest ``own`` and the cell that gives it, where that row is 0."""
+        k, node = np.arange(which.size), self.node[which]
+        ratio = r * self.rate[which]
+        above, below = self.above[which], self.below[which]
+        up, down = (ratio + above).argmin(axis=1), (ratio + below).argmax(axis=1)
+        lo, hi = ratio[k, down] + below[k, down], ratio[k, up] + above[k, up]
+        none = (node >= 0) & (r[k, node] < 0.0)
+        lo[none], hi[none] = np.inf, -np.inf
+        top = np.abs(hi - own) <= np.abs(lo - own)
+        return lo, hi, np.where(top, hi, lo), np.where(top, up, down)
 
     def at(self, samples: np.ndarray, which: np.ndarray):
-        """The lower convex envelope of each row of ``samples`` (one sample
-        per grid node) at its point ``xs[which]``, and a subgradient of the
-        envelope there, and the index of the chord that gives it (see
-        :meth:`chord`).  The envelope is the smallest bracketing chord, read
-        as ``w * (y_j - y_i) + y_i`` with ``w = (x - z_i) / (z_j - z_i)``.
-        The subgradient is that chord's slope, which is one wherever x lies
-        strictly inside the chord; at a node (w of 0 or 1), where a chord
-        that ends at x can be steeper than the envelope, it is clipped to
-        the envelope's slopes on either side.  Rows of one point share its
-        chords, so a pass costs the chords of the rows it reads, in blocks
-        of at most ``CHORD_BLOCK`` chords."""
-        rows = max(1, CHORD_BLOCK // self._table[3].shape[1])
+        """The lower convex envelope of each row of ``samples`` at its point
+        ``xs[which]``, a subgradient of the envelope there, and the ends
+        i < j and weight w of the chord that gives them.  The envelope is
+        the first smallest chord, in the order of i and then j, read as
+        ``w * (y_j - y_i) + y_i``.  The subgradient is that chord's slope,
+        which is one wherever x lies strictly inside the chord; at a node
+        (w of 0 or 1), where a chord that ends at x can be steeper than the
+        envelope, it is clipped to the envelope's slopes on either side,
+        the :meth:`ratio_test` of the row less its sample at the node.  A
+        pass reads the rows in blocks of about ``CHUNK_CELLS`` chords."""
+        rows = max(1, CHUNK_CELLS // self.weight[0].size)
         parts = [self._at(samples[lo:lo + rows], which[lo:lo + rows]) for lo in range(0, which.size, rows)]
         return tuple(np.concatenate(part) for part in zip(*parts)) if len(parts) != 1 else parts[0]
 
-    def chord(self, which: np.ndarray, best: np.ndarray):
-        """The ends i < j of each chord ``best`` of the points ``which``,
-        as :meth:`at` gives them, and its w."""
-        left, right, _, weight = self._table[:4]
-        return left[which, best], right[which, best], weight[which, best]
-
     def _at(self, samples: np.ndarray, which: np.ndarray):
         """:meth:`at` on one block of rows."""
-        left, right, span, weight, ends_at_node, rate, below, above = self._table
-        k = np.arange(which.size)
-        flat, offset = samples.ravel(), (k * samples.shape[1]).astype(np.int32)[:, None]
-        left, right = left[which], right[which]
-        left += offset
-        right += offset
-        yi = flat.take(left)
-        rise = flat.take(right)
-        rise -= yi
-        chord = rise * weight[which]
+        k, grid = np.arange(which.size), self.grid
+        yi = samples[:, :, None]
+        rise = samples[:, None, :] - yi
+        chord = rise * self.weight[which]
         chord += yi
-        best = chord.argmin(axis=1)
-        value, slope = chord[k, best], rise[k, best] / span[which, best]
-        node = np.flatnonzero(ends_at_node[which, best])
+        chord[~self.across[which]] = np.inf
+        i, j = np.divmod(chord.reshape(which.size, -1).argmin(axis=1), grid.size)
+        value, slope, w = chord[k, i, j], rise[k, i, j] / (grid[j] - grid[i]), self.weight[which, i, j]
+        node = np.flatnonzero((w == 0.0) | (w == 1.0))
         if node.size:
             at = which[node]
-            rise = samples[node] - samples[node, self.node[at]][:, None]
-            rise *= rate[at]
-            slope[node] = np.minimum(np.maximum(slope[node], (rise + below[at]).max(axis=1)),
-                                     (rise + above[at]).min(axis=1))
-        return value, slope, best
+            lo, hi = self.ratio_test(samples[node] - samples[node, self.node[at]][:, None], at, slope[node])[:2]
+            slope[node] = np.minimum(np.maximum(slope[node], lo), hi)
+        return value, slope, i, j, w
 
 
 def _envelope_value(u2: np.ndarray, table: np.ndarray, chords, mu1: DiscreteMeasure,

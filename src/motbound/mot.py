@@ -185,11 +185,12 @@ class TransportColumns:
     repricing of each history without mass at the convex envelope of its
     reduced costs (:meth:`reprice`, from three dates on; a round adds the
     two cells of a history's minimizing chord where that envelope prices
-    out), and the residual check's A x (:meth:`times`).  The last step's
-    moves it reads are built at a master's first repricing that has a
-    history to price, and the chords when a history first needs them.
-    A system of more than ``MAX_CELLS`` cells raises ScaleExceeded before
-    any row or cell array is built."""
+    out), and the residual check's A x (:meth:`times`).  Every envelope
+    decision of that repricing is made by one
+    :class:`~motbound.envelope._ChordTable` (the last step's moves, the
+    ratio test and the chords), built at a master's first repricing that
+    has a history to price.  A system of more than ``MAX_CELLS`` cells
+    raises ScaleExceeded before any row or cell array is built."""
 
     def __init__(self, system: MarginalSystem) -> None:
         self.n_cols = math.prod(len(mu) for mu in system.marginals)
@@ -268,20 +269,10 @@ class TransportColumns:
         return np.subtract(cost, out, out=out)
 
     @functools.cached_property
-    def _chords(self) -> tuple[_ChordTable, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The last date's grid chords at each atom of date n-1, and over
-        those atoms, one row each: the moves s_n - s_{n-1}; 1 / move where
-        the cell pins the history's delta, else 0; and 0 on the cells that
-        bound it from above (move > 0), or from below (move < 0), else inf
-        or -inf.  A cell at s_{n-1}, or within rounding of it (the table's
-        ``node``), pins nothing."""
-        chords = _ChordTable(self.grids[-1], self.grids[-2])
-        move = self._move(len(self.shape) - 2, 0, self.shape[-2])
-        pins = move != 0.0
-        pins[np.flatnonzero(chords.node >= 0), chords.node[chords.node >= 0]] = False
-        rate = np.divide(1.0, move, out=np.zeros_like(move), where=pins)
-        return (chords, move, rate, np.where(pins & (move > 0.0), 0.0, np.inf),
-                np.where(pins & (move < 0.0), 0.0, -np.inf))
+    def _envelope(self) -> _ChordTable:
+        """The last step's moves and the envelope of a history's reduced
+        costs over the last date, at each atom of date n-1."""
+        return _ChordTable(self.grids[-1], self.grids[-2])
 
     def reprice(self, reduced: np.ndarray, y: np.ndarray, cols: np.ndarray, x: np.ndarray,
                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -291,31 +282,34 @@ class TransportColumns:
 
         A history (dates 1..n-1) is without mass when none of its cells
         in the master holds any; the pass takes those with a cell priced
-        below ``-tol`` whose s_{n-1} lies within the last date's hull.  With
-        its last step's term Delta (s_n - s_{n-1}) taken out, its reduced
-        costs r0 over the last date's atoms admit a Delta that prices every
-        cell at -tol or above exactly when their lower convex envelope at
-        s_{n-1} is -tol or above (the two-date argument of
-        :mod:`motbound.envelope`, one history at a time).  Such a Delta
-        becomes the history's dual in ``y``, and its cells' reduced costs
-        in ``reduced``, both in place: its row's rhs is 0 and its cells hold
-        no mass, so neither the value nor complementary slackness moves.
+        below ``-tol``.  With its last step's term Delta (s_n - s_{n-1})
+        taken out, its reduced costs r0 over the last date's atoms admit a
+        Delta that prices every cell at -tol or above exactly when their
+        lower convex envelope at s_{n-1} is -tol or above (the two-date
+        argument of :mod:`motbound.envelope`, one history at a time).  Such
+        a Delta becomes the history's dual in ``y``, and its cells' reduced
+        costs in ``reduced``, both in place: its row's rhs is 0 and its
+        cells hold no mass, so neither the value nor complementary
+        slackness moves.
 
-        Where the envelope is 0 or above, a ratio test over the cells
-        (r0 / (s_n - s_{n-1}), O(m) a history) gives the Delta nearest the
-        model's that prices every cell at 0 or above, one of them at 0; that
-        cell, basic in place of the row's basic variable, gives a model of
-        every column this dual (:meth:`~motbound.lp._Master.completed`).  A
-        cell at s_{n-1}, or within rounding of it, pins no Delta and must
-        price at 0 or above itself.  Elsewhere the chord table reads the
-        envelope: at -tol or above a subgradient there is the Delta;
-        below, the cells of the minimizing chord that the master lacks
-        must enter together.  Returns those cells, each pair in order, with
-        that envelope value as the price of each, then the rows whose Delta
-        the ratio test gave, and their cells at 0.  On two dates a history
-        is a first-date atom, whose mass row holds its weight, so the pass
-        leaves every row to the model's duals there, and builds no chord
-        table (about m^3 / 4 chords)."""
+        The envelope's decisions are the chord table's; this pass keeps the
+        LP's part.  Where the envelope is 0 or above, the table's ratio test
+        over the cells (r0 / (s_n - s_{n-1}), O(m) a history) gives the
+        Delta nearest the model's that prices every cell at 0 or above, one
+        of them at 0; that cell, basic in place of the row's basic variable,
+        gives a model of every column this dual
+        (:meth:`~motbound.lp._Master.completed`).  A cell at s_{n-1}, or
+        within rounding of it, pins no Delta and must price at 0 or above
+        itself.  Beyond the last date's hull every cell moves one way, so
+        the ratio test always gives a Delta there.  Elsewhere the table's
+        chords read the envelope: at -tol or above a subgradient there is
+        the Delta; below, the cells of the minimizing chord that the master
+        lacks must enter together.  Returns those cells, each pair in
+        order, with that envelope value as the price of each, then the
+        rows whose Delta the ratio test gave, and their cells at 0.  On two
+        dates a history is a first-date atom, whose mass row holds its
+        weight, so the pass leaves every row to the model's duals there,
+        and builds no chord table (m^3 entries)."""
         m = self.shape[-1]
         none = cols[:0], reduced[:0], cols[:0], cols[:0]
         if len(self.shape) < 3:
@@ -324,28 +318,19 @@ class TransportColumns:
         free = by_history.min(axis=1) < -tol
         free[cols[x != 0.0] // m] = False
         h = np.flatnonzero(free)
-        if h.size:
-            chords, move, rate, above, below = self._chords
-            h = h[chords.inside[h % self.shape[-2]]]
         if not h.size:
             return none
-        atom = h % self.shape[-2]
-        rows, k, node = self.mart_row[-1].ravel()[h], np.arange(h.size), chords.node[atom]
-        run, own = move[atom], y[rows]
+        table, atom = self._envelope, h % self.shape[-2]
+        rows = self.mart_row[-1].ravel()[h]
+        run, own = table.move[atom], y[rows]
         r0 = by_history[h]
         r0 += own[:, None] * run
-        # the cells price r0 - Delta * run: Delta at most r0 / run where
-        # run > 0 (hi), at least where run < 0 (lo)
-        ratio = r0 * rate[atom]
-        up, down = (ratio + above[atom]).argmin(axis=1), (ratio + below[atom]).argmax(axis=1)
-        hi, lo = ratio[k, up] + above[atom, up], ratio[k, down] + below[atom, down]
-        pinned = (lo <= hi) & ((node < 0) | (r0[k, np.maximum(node, 0)] >= 0.0))
-        top = np.abs(hi - own) <= np.abs(lo - own)
-        delta, cell = np.where(top, hi, lo), np.where(top, up, down)
+        lo, hi, delta, cell = table.ratio_test(r0, atom, own)
+        pinned = lo <= hi
         named = rows[pinned], h[pinned] * m + cell[pinned]
         keep, rest = pinned, np.flatnonzero(~pinned)
         if rest.size:
-            value, delta[rest], best = chords.at(r0[rest], atom[rest])
+            value, delta[rest], i, j, w = table.at(r0[rest], atom[rest])
             keep = pinned.copy()
             keep[rest] = value >= -tol
         y[rows[keep]] = delta[keep]
@@ -354,11 +339,8 @@ class TransportColumns:
         if keep.all():
             return cols[:0], reduced[:0], *named
         enter = ~keep[rest]
-        i, j, w = chords.chord(atom[rest[enter]], best[enter])
-        pair = np.stack((i, j), axis=1) + (h[rest[enter]] * m)[:, None]
-        held = np.append(np.sort(cols), self.n_cols)  # ends past every cell
-        take = np.stack((w < 1.0, w > 0.0), axis=1)
-        take &= held[np.searchsorted(held, pair)] != pair
+        pair = np.stack((i[enter], j[enter]), axis=1) + (h[rest[enter]] * m)[:, None]
+        take = np.stack((w[enter] < 1.0, w[enter] > 0.0), axis=1) & ~np.isin(pair, cols)
         return pair[take], np.repeat(value[enter], 2).reshape(-1, 2)[take], *named
 
     def times(self, x: np.ndarray) -> np.ndarray:

@@ -287,7 +287,8 @@ def chord_points(grid, rng, where):
 class TestChordTable:
     """``_ChordTable.at`` against every chord and single node: the envelope
     value at each point and a slope d whose line through (x, env(x))
-    supports the row, r(z) - d (z - x) >= env(x) over every node z."""
+    supports the row, r(z) - d (z - x) >= env(x) over every node z; and
+    ``_ChordTable.ratio_test`` against every candidate slope."""
 
     @pytest.mark.parametrize("where", ["cell", "node", "twin"])
     @pytest.mark.parametrize("seed", range(6))
@@ -296,12 +297,12 @@ class TestChordTable:
         grid = np.unique(np.round(rng.uniform(-1.0, 1.0, rng.integers(3, 16)), 2))
         xs = np.unique(chord_points(grid, rng, where))
         chords = envelope._ChordTable(grid, xs)
-        assert chords.inside.all()
+        assert ((grid[0] <= xs) & (xs <= grid[-1])).all()
         which = rng.integers(0, xs.size, 40)
         # rows of every scale, with ties: integer rows make chords meet
         rows = np.concatenate([rng.normal(size=(20, grid.size)) * rng.choice([1e-3, 1.0, 1e3], (20, 1)),
                                rng.integers(-3, 4, (20, grid.size)).astype(float)])
-        value, slope, _ = chords.at(rows, which)
+        value, slope, *_ = chords.at(rows, which)
         for row, x, env, d in zip(rows, xs[which], value, slope):
             tol = 1e-12 * (1.0 + np.abs(row).max())
             assert abs(env - brute_envelope(grid, row, x)) <= tol
@@ -313,7 +314,8 @@ class TestChordTable:
         chords = envelope._ChordTable(grid, grid[1:-1] + 0.01)
         rows, which = rng.normal(size=(30, grid.size)), rng.integers(0, 7, 30)
         whole = chords.at(rows, which)
-        monkeypatch.setattr(envelope, "CHORD_BLOCK", 1)
+        # blocks of 4 rows of 9 x 9 chord entries each: 8 blocks, the last of 2 rows
+        monkeypatch.setattr(envelope, "CHUNK_CELLS", 4 * grid.size ** 2)
         for a, b in zip(whole, chords.at(rows, which)):
             assert a.tobytes() == b.tobytes()
 
@@ -324,16 +326,46 @@ class TestChordTable:
         chords = envelope._ChordTable(grid, xs)
         which = np.arange(xs.size).repeat(5)
         rows = rng.normal(size=(which.size, grid.size))
-        value, _, best = chords.at(rows, which)
-        i, j, w = chords.chord(which, best)
+        value, _, i, j, w = chords.at(rows, which)
         assert (i < j).all() and (grid[i] <= xs[which]).all() and (xs[which] <= grid[j]).all()
         np.testing.assert_allclose((1.0 - w) * rows[np.arange(which.size), i]
                                    + w * rows[np.arange(which.size), j], value, rtol=0, atol=1e-14)
 
-    def test_points_outside_the_hull_are_marked(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        chords = envelope._ChordTable(grid, np.array([-0.5, 0.0, 0.5, 1.0, 1.5]))
-        assert chords.inside.tolist() == [False, True, True, True, False]
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ratio_test_against_every_candidate(self, seed):
+        # points inside a cell, on a node, a few ulps from a node, and
+        # beyond either end of the grid; a cell within rounding of the point
+        # pins nothing and must be 0 or above itself, and each other cell z
+        # gives the candidate r(z) / (z - x), read as the kernel reads it,
+        # r(z) * (1 / (z - x))
+        rng = np.random.default_rng([seed, 43])
+        grid = np.unique(np.round(rng.uniform(-1.0, 1.0, rng.integers(3, 16)), 2))
+        xs = np.unique(np.concatenate([chord_points(grid, rng, where) for where in ("cell", "node", "twin")]
+                                      + [[grid[0] - 0.25, grid[-1] + 0.25]]))
+        table = envelope._ChordTable(grid, xs)
+        which = np.concatenate([np.arange(xs.size), rng.integers(0, xs.size, 300)])
+        half = which.size // 2
+        rows = np.concatenate([rng.normal(size=(half, grid.size)) + rng.uniform(-1.0, 2.0, (half, 1)),
+                               rng.integers(-1, 4, (which.size - half, grid.size)).astype(float)])
+        own = rng.normal(size=which.size) * rng.choice([0.1, 10.0], which.size)
+        lo, hi, delta, cell = table.ratio_test(rows, which, own)
+        found = 0
+        for r, x, d, c, a, b, o in zip(rows, xs[which], delta, cell, lo, hi, own):
+            move = grid - x
+            pins = np.abs(move) > 1e-12 * (1.0 + np.abs(grid))
+            ratio = r * (1.0 / np.where(pins, move, 1.0))
+            up, down = ratio[pins & (move > 0.0)], ratio[pins & (move < 0.0)]
+            admissible = [v for v in ratio[pins] if (v <= up).all() and (v >= down).all()
+                          and (r[~pins] >= 0.0).all()]
+            assert (a <= b) == bool(admissible)
+            if admissible:
+                found += 1
+                assert pins[c] and d == ratio[c] and a <= d <= b
+                assert abs(d - o) == min(abs(v - o) for v in admissible)
+                priced = r - d * move
+                tol = 1e-12 * (1.0 + np.abs(r).max() + abs(d) * np.abs(move).max())
+                assert priced[pins].min() >= -tol and abs(priced[c]) <= tol
+        assert 0 < found < which.size
 
 
 class TestImprove:

@@ -21,7 +21,8 @@ from motbound.fixtures import (counterexample_value, instance_a_marginals,
                                instance_b_payoff, smooth_pair)
 from motbound.hedge import hedge_to_json, price as hedge_price, slackness
 from motbound.measures import (DensitySpec, DiscreteMeasure, MarginalSystem,
-                               counterexample_marginals, detect_barriers, discretize)
+                               check_convex_order, counterexample_marginals, detect_barriers,
+                               discretize)
 from motbound.mot import (Coupling, MotProblem, Solver, bound, decompose_and_solve,
                           random_feasible_coupling, strike_sweep, surface_csv,
                           verification_grids)
@@ -729,6 +730,37 @@ class TestEnvelopePricing:
         assert abs(again.objective - first.objective) <= 1e-12 * abs(first.objective)
         np.testing.assert_allclose(again.dual, first.dual, rtol=0.0, atol=1e-12 * np.abs(first.dual).max())
 
+
+    def test_a_point_beyond_the_last_hull_is_priced_by_the_ratio_test(self, monkeypatch):
+        # date 2 puts 1e-4 of its mass on each end of date 3's hull, the top
+        # one moved 1e-11 beyond it: more than rounding, but within the
+        # convex-order tolerance.  Every cell of a history there moves down,
+        # so its delta is bounded on one side only and the ratio test always
+        # gives one; the chord table never reads it.  3,825 cells: cold masters
+        last = discretize(DensitySpec.uniform(0.7, 1.3), 15)
+        inner = discretize(DensitySpec.uniform(0.8, 1.2), 15)
+        eps = 1e-4
+        middle = DiscreteMeasure(np.concatenate([[last.points[0]], inner.points, [last.points[-1] + 1e-11]]),
+                                 np.concatenate([[eps], (1.0 - 2.0 * eps) * inner.weights, [eps]]))
+        system = MarginalSystem([discretize(DensitySpec.uniform(0.9, 1.1), 15), middle, last])
+        assert check_convex_order(system).admissible
+        payoffs = [asian_call(1.0, 3), lookback_call(1.0, 3)]
+        beyond, reprice = [], mot.TransportColumns.reprice
+
+        def recording_reprice(source, *args):
+            out = reprice(source, *args)
+            beyond.append(int(np.count_nonzero(out[3] // source.group % source.shape[-2] == source.shape[-2] - 1)))
+            return out
+
+        monkeypatch.setattr(mot.TransportColumns, "reprice", recording_reprice)
+        outcomes = Solver(system).bounds(payoffs)
+        monkeypatch.undo()
+        assert sum(beyond) > 0
+        monkeypatch.setattr(lp_mod, "_cold_method", lambda n_cols, n_rows: "primal")
+        for outcome, full in zip(outcomes, Solver(system).bounds(payoffs)):
+            for sense in ("lower", "upper"):
+                assert outcome[sense].report.valid and full[sense].report.valid
+                assert abs(outcome[sense].value - full[sense].value) <= 1e-12 * abs(full[sense].value)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-15, -1e-15])
     def test_a_cell_at_the_history_pins_no_delta(self, offset):
